@@ -20,14 +20,11 @@ from .shadowing import (
     ShadowingTrace,
     VerifyReport,
     backward_limit,
-    backward_propagate,
-    backward_window,
     delta_for_epsilon,
     forward_limit,
-    forward_propagate,
-    forward_window,
     quasi_shadow,
     read_trace,
+    shadow_batch,
     splice,
     verify,
     write_trace,

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models, oracles, orbits, shadowing, stability
+from .geometry import torus_distance
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -166,23 +167,25 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"ERROR cannot read input files: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if trace.model_name != args.model or (trace.n_min, trace.n_max) != (orbit.n_min, orbit.n_max):
+        print(f"ERROR trace file {args.trace} is for model {trace.model_name!r} on window "
+              f"[{trace.n_min}, {trace.n_max}], not {args.model!r} on the orbit's "
+              f"[{orbit.n_min}, {orbit.n_max}]", file=sys.stderr)
+        return EXIT_INPUT
+    params = shadowing.delta_for_epsilon(sys_model, args.epsilon)
+    if trace.params.epsilon != params.epsilon or trace.k != params.k:
+        raise shadowing.ParameterError(
+            f"trace file {args.trace} was built with epsilon = {trace.params.epsilon!r}, "
+            f"k = {trace.k}; --epsilon {args.epsilon!r} resolves to k = {params.k}")
     report = shadowing.verify(sys_model, orbit, trace, args.epsilon)
-    gap = None
-    lo, hi = trace.interior
+    rows = slice(trace.index(trace.interior[0]), trace.index(trace.interior[1]) + 1)
     if sys_model.is_linear:
         oracle = oracles.linear_model_shadow(sys_model, orbit, trace.k)
-        gap = max(
-            float(np.linalg.norm(
-                _min_disp(trace.y_star[q - trace.n_min], oracle[q - trace.n_min])))
-            for q in range(lo, hi + 1)
-        )
+        gap = torus_distance(trace.y_star[rows], oracle[rows])
     else:
         oracle = oracles.cat_map_shadow(sys_model.A, orbit.points[:, :2])
-        gap = max(
-            float(np.linalg.norm(
-                _min_disp(trace.y_star[q - trace.n_min][:2], oracle[q - trace.n_min])))
-            for q in range(lo, hi + 1)
-        )
+        gap = torus_distance(trace.y_star[rows, :2], oracle[rows])
+    gap = float(np.max(gap))
     report.oracle_gap = gap
     payload = {
         "passed": report.passed, "max_distance": report.max_distance,
@@ -198,13 +201,6 @@ def cmd_verify(args) -> int:
                     sys_model, outputs=["verify.json"])
     print(report.summary())
     return EXIT_PASS if report.passed else EXIT_FAIL
-
-
-def _min_disp(a, b):
-    d = (np.asarray(b) - np.asarray(a)) % 1.0
-    d[d >= 1.0] = 0.0
-    d[d >= 0.5] -= 1.0
-    return d
 
 
 def _load_perturbation(sys_model, args) -> orbits.PerturbedMap:
@@ -294,6 +290,16 @@ def cmd_probe(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusshadow",
@@ -334,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="sampled semiconjugacy for a perturbed map")
     _common(p)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--grid", type=int, nargs=3, required=True, metavar=("N1", "N2", "N3"))
-    p.add_argument("--half-length", type=int, default=40, dest="half_length")
+    p.add_argument("--grid", type=_positive_int, nargs=3, required=True,
+                   metavar=("N1", "N2", "N3"))
+    p.add_argument("--half-length", type=_positive_int, default=40, dest="half_length")
     p.add_argument("--delta", type=float, default=None,
                    help="amplitude of the default perturbation field")
     p.add_argument("--perturbation", default=None, help="perturbation JSON file")
@@ -346,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--half-length", type=int, default=30, dest="half_length")
+    p.add_argument("--half-length", type=_positive_int, default=30, dest="half_length")
     p.set_defaults(func=cmd_probe)
     return parser
 

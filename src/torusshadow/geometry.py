@@ -3,8 +3,10 @@
 Points are numpy arrays with every coordinate in [0, 1); displacements are
 minimal-lift vectors with every component in [-0.5, 0.5).  All distances are
 Euclidean norms of minimal displacements, i.e. the flat quotient metric.
-Everything here works for any dimension; the rest of the package uses n = 3
-(two base coordinates, one fiber coordinate) and n = 2 (the base torus).
+Everything here works for any dimension and on stacks of points (the last
+axis holds the coordinates); the rest of the package uses n = 3 (two base
+coordinates, one fiber coordinate), n = 2 (the base torus) and n = 1 (the
+fiber circle).
 """
 
 from __future__ import annotations
@@ -27,36 +29,30 @@ def wrap(v) -> np.ndarray:
     holds unconditionally.
     """
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"wrap: non-finite input {v!r}")
     out = v % 1.0
-    out[out >= 1.0] = 0.0
-    return out
+    return np.where(out >= 1.0, 0.0, out)
 
 
 def minimal_displacement(p, q) -> np.ndarray:
     """Componentwise minimal representative of q - p, in [-0.5, 0.5).
 
     Ties at exactly 0.5 resolve to -0.5, so wrap(p + d) == q always holds
-    and the result is deterministic.
+    and the result is deterministic.  Scalars are treated as points of the
+    circle.
     """
     d = (np.asarray(q, dtype=float) - np.asarray(p, dtype=float)) % 1.0
-    d[d >= 1.0] = 0.0
-    big = d >= 0.5
-    d[big] -= 1.0
-    return d
+    # d is in [0, 1], and d - 1 is exact there, so 1.0 lands on 0.0
+    return d - (d >= 0.5)
 
 
-def torus_distance(p, q) -> float:
-    """Flat metric: Euclidean norm of the minimal displacement."""
-    return float(np.linalg.norm(minimal_displacement(p, q)))
+def torus_distance(p, q):
+    """Flat metric: Euclidean norm of the minimal displacement (last axis)."""
+    d = minimal_displacement(p, q)
+    return np.sqrt((d * d).sum(axis=-1))
 
 
-def fiber_displacement(z_from: float, z_to: float) -> float:
-    """Signed minimal displacement between two circle coordinates."""
-    d = (z_to - z_from) % 1.0
-    if d >= 1.0:
-        d = 0.0
-    if d >= 0.5:
-        d -= 1.0
-    return d
+def fiber_displacement(z_from, z_to):
+    """Signed minimal displacement between circle coordinates."""
+    return minimal_displacement(z_from, z_to)[()]

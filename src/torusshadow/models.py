@@ -44,11 +44,6 @@ class IntersectionError(RuntimeError):
     """Leaf intersection failed: bad pair, lift ambiguity, or out of range."""
 
 
-def _wrap1(v: float) -> float:
-    r = v % 1.0
-    return 0.0 if r >= 1.0 else r
-
-
 def eigen_frame(matrix):
     """Stable/unstable eigendata of a hyperbolic 2x2 integer matrix.
 
@@ -127,8 +122,39 @@ class TransversalityConstants:
     alpha: float
 
 
+def _flag_rows(errors, exc_type, checks):
+    """Report the failing rows of a batched check.
+
+    `checks` is a sequence of (bad, message) pairs: `bad` a boolean array
+    over rows and `message(r)` the text for row r; the first check a row
+    fails names its failure.  With `errors=None` the first failing row
+    raises `exc_type`.  Otherwise every failing row not yet in the dict
+    `errors` is recorded there as an `exc_type` instance, so one bad row
+    never stops the others.
+    """
+    seen = False
+    for bad, message in checks:
+        bad = np.atleast_1d(bad)
+        if not bad.any():
+            continue
+        rows = np.flatnonzero(bad & ~seen)
+        if rows.size and errors is None:
+            raise exc_type(message(int(rows[0])))
+        for r in rows:
+            errors.setdefault(int(r), exc_type(message(int(r))))
+        seen = bad | seen
+
+
+def _norm(d):
+    return np.sqrt((d * d).sum(axis=-1))
+
+
 class SkewModel:
-    """A skew product f(p, z) = (A p, z + omega + phi(p)) on T^3."""
+    """A skew product f(p, z) = (A p, z + omega + phi(p)) on T^3.
+
+    Every kernel is array-first: points are arrays whose last axis holds
+    the coordinates, and a single point is the one-row case.
+    """
 
     def __init__(self, matrix, omega=0.0, phi_modes=(), series_tol=1e-12):
         self.A = np.asarray(matrix, dtype=np.int64)
@@ -164,12 +190,14 @@ class SkewModel:
         frame = np.column_stack([self.v_u, -self.v_s])
         self.L0 = 1.1 * float(np.linalg.norm(np.linalg.inv(frame), ord=2))
         self.delta0 = 0.2
-        self._frame_inv = np.linalg.inv(frame)
-
-        self._scalar_A = (int(self.A[0, 0]), int(self.A[0, 1]),
-                          int(self.A[1, 0]), int(self.A[1, 1]))
-        self._scalar_A_inv = (int(self.A_inv[0, 0]), int(self.A_inv[0, 1]),
-                              int(self.A_inv[1, 0]), int(self.A_inv[1, 1]))
+        # Row of the inverse frame that gives the offset along the y-side
+        # strong leaf: p_x + s dir_x = p_y + t dir_y.
+        self._leaf_row = {
+            ("cu", "s"): np.linalg.inv(frame)[1],
+            ("cs", "u"): np.linalg.inv(np.column_stack([self.v_s, -self.v_u]))[1],
+        }
+        # Exact integer powers A^n and A^-n as floats, grown on demand.
+        self._powers = {True: np.eye(2)[None], False: np.eye(2)[None]}
 
     @property
     def base(self):
@@ -181,235 +209,201 @@ class SkewModel:
 
     # -- fiber coupling ----------------------------------------------------
 
-    def phi(self, p1: float, p2: float) -> float:
+    def phi(self, p1, p2):
+        """phi at base points given by their coordinate arrays p1, p2."""
         total = 0.0
         for (m1, m2, s, c) in self.modes:
-            th = TWO_PI * (m1 * p1 + m2 * p2)
-            total += s * math.sin(th) + c * math.cos(th)
-        return total
-
-    def phi_vec(self, P: np.ndarray) -> np.ndarray:
-        """phi evaluated on an (n, 2) array of base points."""
-        total = np.zeros(P.shape[0])
-        for (m1, m2, s, c) in self.modes:
-            th = TWO_PI * (m1 * P[:, 0] + m2 * P[:, 1])
-            total += s * np.sin(th) + c * np.cos(th)
+            # Zero and unit frequencies are skipped exactly (0 * p adds 0.0).
+            arg = m1 * p1 if m1 != 1 else p1
+            if m2:
+                arg = arg + (m2 * p2 if m2 != 1 else p2) if m1 else m2 * p2
+            th = TWO_PI * np.asarray(arg, dtype=float)
+            if s:
+                total = total + s * np.sin(th)
+            if c:
+                total = total + c * np.cos(th)
         return total
 
     # -- the map -----------------------------------------------------------
 
-    def base_apply(self, p1: float, p2: float):
-        a11, a12, a21, a22 = self._scalar_A
-        return _wrap1(a11 * p1 + a12 * p2), _wrap1(a21 * p1 + a22 * p2)
-
-    def base_apply_inverse(self, p1: float, p2: float):
-        a11, a12, a21, a22 = self._scalar_A_inv
-        return _wrap1(a11 * p1 + a12 * p2), _wrap1(a21 * p1 + a22 * p2)
-
     def apply(self, x) -> np.ndarray:
-        p1, p2, z = float(x[0]), float(x[1]), float(x[2])
-        q1, q2 = self.base_apply(p1, p2)
-        return np.array([q1, q2, _wrap1(z + self.omega + self.phi(p1, p2))])
+        x = np.asarray(x, dtype=float)
+        A = self.A
+        out = np.empty(x.shape)
+        p1, p2 = x[..., 0], x[..., 1]
+        out[..., 0] = A[0, 0] * p1 + A[0, 1] * p2
+        out[..., 1] = A[1, 0] * p1 + A[1, 1] * p2
+        out[..., 2] = x[..., 2] + self.omega + self.phi(p1, p2)
+        return wrap(out)
 
     def apply_inverse(self, x) -> np.ndarray:
-        p1, p2, z = float(x[0]), float(x[1]), float(x[2])
-        q1, q2 = self.base_apply_inverse(p1, p2)
-        return np.array([q1, q2, _wrap1(z - self.omega - self.phi(q1, q2))])
-
-    def apply_vec(self, X: np.ndarray) -> np.ndarray:
-        """The map on an (n, 3) array of points."""
-        Q = np.empty_like(X)
-        Q[:, 0] = (self.A[0, 0] * X[:, 0] + self.A[0, 1] * X[:, 1]) % 1.0
-        Q[:, 1] = (self.A[1, 0] * X[:, 0] + self.A[1, 1] * X[:, 1]) % 1.0
-        Q[:, 2] = (X[:, 2] + self.omega + self.phi_vec(X[:, :2])) % 1.0
-        Q[Q >= 1.0] = 0.0
-        return Q
-
-    def apply_inverse_vec(self, X: np.ndarray) -> np.ndarray:
-        Q = np.empty_like(X)
-        Q[:, 0] = (self.A_inv[0, 0] * X[:, 0] + self.A_inv[0, 1] * X[:, 1]) % 1.0
-        Q[:, 1] = (self.A_inv[1, 0] * X[:, 0] + self.A_inv[1, 1] * X[:, 1]) % 1.0
-        Q[:, 2] = (X[:, 2] - self.omega - self.phi_vec(Q[:, :2])) % 1.0
-        Q[Q >= 1.0] = 0.0
-        return Q
+        x = np.asarray(x, dtype=float)
+        A = self.A_inv
+        out = np.empty(x.shape)
+        p1, p2 = x[..., 0], x[..., 1]
+        out[..., 0] = A[0, 0] * p1 + A[0, 1] * p2
+        out[..., 1] = A[1, 0] * p1 + A[1, 1] * p2
+        out[..., :2] = wrap(out[..., :2])
+        out[..., 2] = x[..., 2] - self.omega - self.phi(out[..., 0], out[..., 1])
+        return wrap(out)
 
     # -- transfer series ---------------------------------------------------
 
-    def _leaf_coefficient(self, p, q, direction) -> float:
-        """Signed coordinate of q - p along `direction`, after checking the
+    def _leaf_coefficient(self, p, q, direction):
+        """Signed coordinates of q - p along `direction`, after checking each
         displacement is parallel to it within LEAF_PARALLEL_TOL."""
         d = minimal_displacement(p, q)
-        t = float(d @ direction)
-        residual = float(np.linalg.norm(d - t * direction))
-        if residual > LEAF_PARALLEL_TOL:
+        t = d[..., 0] * direction[0] + d[..., 1] * direction[1]
+        residual = np.atleast_1d(_norm(d - t[..., None] * direction))
+        bad = np.flatnonzero(~(residual <= LEAF_PARALLEL_TOL))
+        if bad.size:
+            r = bad[0]
             raise LeafError(
-                f"base displacement {d} is off the leaf line (residual {residual:.3e})"
+                f"base displacement {d.reshape(-1, 2)[r]} is off the leaf line "
+                f"(residual {residual[r]:.3e})"
             )
         return t
 
-    def transfer_stable(self, p, q, tol: float = None) -> float:
-        """Fiber offset h_s(p, q) so that (q, z + h_s) is on W^s((p, z)).
+    def transfer_stable(self, p, q, tol=None):
+        """Fiber offsets h_s(p, q) so that (q, z + h_s) is on W^s((p, z)).
 
-        q must lie on the local stable line of p.  The geometric tail
-        bound Lip(phi) * |lam|^n * d(p, q) / (1 - |lam|) controls the
-        truncation at series_tol (or a caller-supplied tighter tol).
+        Each q must lie on the local stable line of its p.  The geometric
+        tail bound Lip(phi) * |lam|^n * d(p, q) / (1 - |lam|) sets each
+        row's term count at series_tol, or at the caller's `tol` (a scalar
+        or one value per row).
         """
         t = self._leaf_coefficient(p, q, self.v_s)
-        return self._transfer_series(p, q, t, stable=True, tol=tol)
+        return self._transfer_series(p, t, stable=True, tol=tol)
 
-    def transfer_unstable(self, p, q, tol: float = None) -> float:
-        """Fiber offset h_u(p, q) for q on the local unstable line of p."""
+    def transfer_unstable(self, p, q, tol=None):
+        """Fiber offsets h_u(p, q) for q on the local unstable line of p."""
         t = self._leaf_coefficient(p, q, self.v_u)
-        return self._transfer_series(p, q, t, stable=False, tol=tol)
+        return self._transfer_series(p, t, stable=False, tol=tol)
 
-    def _transfer_series(self, p, q, t, stable: bool, tol: float = None) -> float:
-        """Evaluate the transfer series with an analytically tracked displacement.
+    def _anchor_powers(self, stable: bool, count: int) -> np.ndarray:
+        """A^n (stable) or A^-n (unstable) for n < count, as (count, 2, 2)
+        floats rounded once from exact integer products."""
+        cached = self._powers[stable]
+        if cached.shape[0] < count:
+            (a, b), (c, d) = (self.A if stable else self.A_inv).tolist()
+            mats = [((1, 0), (0, 1))]
+            for _ in range(count - 1):
+                (p, q), (r, s) = mats[-1]
+                mats.append(((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d)))
+            cached = self._powers[stable] = np.array(mats, dtype=float)
+        return cached[:count]
+
+    def _transfer_series(self, p, t, stable: bool, tol=None):
+        """Evaluate the transfer series of every row in one pass.
 
         The pair (A^n p, A^n q) is never iterated as two points: floating-point
         noise in the expanding direction of the iteration would separate them
         exponentially and turn the late terms into garbage.  Instead the anchor
-        is iterated and the other point reconstructed as anchor + lam^n t v,
-        which decays exactly; drift common to both evaluation points cancels in
-        the phi difference.
+        A^n p comes from the exact integer power and the other point is
+        reconstructed as anchor + lam^n t v, which decays exactly; drift common
+        to both evaluation points cancels in the phi difference.  Row r sums
+        the terms whose tail bound is still >= its tolerance, in order, so its
+        value does not depend on the other rows.
         """
+        t = np.asarray(t, dtype=float)
         if self.lip_phi == 0.0:
-            return 0.0
-        tol = self.series_tol if tol is None else tol
-        a1, a2 = float(p[0]), float(p[1])
-        cur = float(t)
-        total = 0.0
-        tail_factor = self.lip_phi / (1.0 - abs(self.eig_lam))
+            return np.zeros(t.shape)[()]
+        tol = np.asarray(self.series_tol if tol is None else tol, dtype=float)
+        tail = self.lip_phi / (1.0 - abs(self.eig_lam))
         if stable:
-            step = self.base_apply
-            rate = self.eig_lam          # A^n q = A^n p + lam^n t v_s
-            v1, v2 = float(self.v_s[0]), float(self.v_s[1])
-            sign = 1.0                   # sum of phi(A^n p) - phi(A^n q)
+            rate, v, skip = self.eig_lam, self.v_s, 0    # A^n q = A^n p + lam^n t v_s
         else:
-            step = self.base_apply_inverse
-            rate = 1.0 / self.eig_mu     # A^-n q = A^-n p + mu^-n t v_u
-            v1, v2 = float(self.v_u[0]), float(self.v_u[1])
-            sign = -1.0                  # sum of phi(A^-n q) - phi(A^-n p)
-            a1, a2 = step(a1, a2)
-            cur *= rate
-        n = 0
-        while tail_factor * abs(cur) >= tol:
-            b1, b2 = _wrap1(a1 + cur * v1), _wrap1(a2 + cur * v2)
-            total += sign * (self.phi(a1, a2) - self.phi(b1, b2))
-            a1, a2 = step(a1, a2)
-            cur *= rate
-            n += 1
-            if n > 500:  # unreachable for valid tolerances; hard stop
-                raise RuntimeError("transfer series failed to converge")
-        return total
-
-    def transfer_stable_vec(self, P, t: np.ndarray) -> np.ndarray:
-        """Vectorized h_s(P, P + t v_s) over (n, 2) anchors and offsets t."""
-        return self._transfer_series_vec(P, t, stable=True)
-
-    def transfer_unstable_vec(self, P, t: np.ndarray) -> np.ndarray:
-        return self._transfer_series_vec(P, t, stable=False)
-
-    def _transfer_series_vec(self, P, t, stable):
-        total = np.zeros(P.shape[0])
-        if self.lip_phi == 0.0:
-            return total
-        A = self.A if stable else self.A_inv
-        rate = self.eig_lam if stable else 1.0 / self.eig_mu
-        v = self.v_s if stable else self.v_u
-        sign = 1.0 if stable else -1.0
-        Pc = P.copy()
-        cur = np.asarray(t, dtype=float).copy()
-        tail_factor = self.lip_phi / (1.0 - abs(self.eig_lam))
-
-        def _step(R):
-            return np.column_stack([
-                (A[0, 0] * R[:, 0] + A[0, 1] * R[:, 1]) % 1.0,
-                (A[1, 0] * R[:, 0] + A[1, 1] * R[:, 1]) % 1.0,
-            ])
-
-        if not stable:
-            Pc = _step(Pc)
-            cur *= rate
-        while tail_factor * float(np.max(np.abs(cur))) >= self.series_tol:
-            Q = (Pc + cur[:, None] * v) % 1.0
-            total += sign * (self.phi_vec(Pc) - self.phi_vec(Q))
-            Pc = _step(Pc)
-            cur *= rate
-        return total
+            rate, v, skip = 1.0 / self.eig_mu, self.v_u, 1  # A^-n q = A^-n p + mu^-n t v_u
+        # Term n is live while its tail bound tail * |t rate^(n + skip)| is
+        # >= tol; size the pass for the row that needs most, plus one spare.
+        need = float(np.max(tail * np.abs(t) / tol, initial=0.0))
+        if not need * abs(rate) ** skip >= 1.0:
+            return np.zeros(t.shape)[()]
+        terms = int(math.log(need) / -math.log(abs(rate))) + 2 - skip
+        if terms > 500:  # unreachable for valid tolerances; hard stop
+            raise RuntimeError("transfer series failed to converge")
+        cur = t[..., None] * rate ** np.arange(skip, terms + skip)
+        live = tail * np.abs(cur) >= (tol[..., None] if tol.ndim else tol)
+        powers = self._anchor_powers(stable, terms + skip)[skip:]
+        p = np.asarray(p, dtype=float)
+        p1, p2 = p[..., 0, None], p[..., 1, None]
+        a1 = (powers[:, 0, 0] * p1 + powers[:, 0, 1] * p2) % 1.0
+        a2 = (powers[:, 1, 0] * p1 + powers[:, 1, 1] * p2) % 1.0
+        diff = self.phi(a1, a2) - self.phi(a1 + cur * v[0], a2 + cur * v[1])
+        total = np.cumsum(np.where(live, diff, 0.0), axis=-1)[..., -1]
+        # h_s sums phi(A^n p) - phi(A^n q); h_u sums phi(A^-n q) - phi(A^-n p).
+        return (total if stable else -total)[()]
 
     # -- leaf intersections (single point by transversality) ----------------
 
-    def intersect(self, class_x: str, x, class_y: str, y, radius: float) -> np.ndarray:
+    def intersect(self, class_x: str, x, class_y: str, y, radius, errors=None) -> np.ndarray:
         """Unique intersection of the local `class_x` leaf of x with the
-        local `class_y` leaf of y.
+        local `class_y` leaf of y, row by row.
 
         Supported pairs: (cu, s), (cs, u), and, within a common cu-/cs-leaf,
         (c, u) and (c, s).  The base point comes from the 2x2 eigenframe
         solve in the minimal lift; the fiber comes from the transfer series
-        of the strong leaf.  Raises IntersectionError on lift ambiguity
-        (base displacement > 0.25), a pair distance >= delta0, or a
-        solution farther than L0 * radius from either input.
+        of the strong leaf.  A row fails on lift ambiguity (base
+        displacement > 0.25), a pair distance >= delta0, or a solution
+        farther than L0 * radius from either input: with `errors=None` the
+        first failing row raises IntersectionError, otherwise failures are
+        recorded in the dict `errors` by row (see `_flag_rows`).
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         pair = (class_x, class_y)
-        d_base = minimal_displacement(x[:2], y[:2])
-        base_sep = float(np.linalg.norm(d_base))
-        if base_sep > 0.25:
-            raise IntersectionError(
-                f"lift ambiguity: base displacement {base_sep:.4f} > 0.25"
-            )
+        if pair not in (("cu", "s"), ("cs", "u"), ("c", "u"), ("c", "s")):
+            raise IntersectionError(f"unsupported leaf pair ({class_x}, {class_y})")
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.shape != y.shape:
+            x, y = np.broadcast_arrays(x, y)
+        shape = x.shape
+        x, y = x.reshape(-1, 3), y.reshape(-1, 3)
+        xb, yb = x[:, :2], y[:, :2]
+        d_xy = minimal_displacement(xb, yb)
+        base_sep = _norm(d_xy)
         # Center leaves are full vertical circles here, so the class containing
         # the center direction places no constraint on the fiber gap; only the
         # base separation limits solvability.
-        if base_sep >= self.delta0:
-            raise IntersectionError(
-                f"points too far apart for leaf intersection: base separation "
-                f"{base_sep:.4f} >= delta0 = {self.delta0}"
-            )
-
-        if pair == ("cu", "s") or pair == ("cs", "u"):
-            dir_x = self.v_u if pair == ("cu", "s") else self.v_s
-            dir_y = self.v_s if pair == ("cu", "s") else self.v_u
-            # p_x + s*dir_x = p_y + t*dir_y, solved in the minimal lift.
-            frame = np.column_stack([dir_x, -dir_y])
-            s, t = np.linalg.solve(frame, d_base)
-            q_base = wrap(y[:2] + t * dir_y)
-            if pair == ("cu", "s"):
-                fiber = _wrap1(y[2] + self.transfer_stable(y[:2], q_base))
-            else:
-                fiber = _wrap1(y[2] + self.transfer_unstable(y[:2], q_base))
-            point = np.array([q_base[0], q_base[1], fiber])
-        elif pair == ("c", "u") or pair == ("c", "s"):
-            direction = self.v_u if pair == ("c", "u") else self.v_s
-            d_yx = minimal_displacement(y[:2], x[:2])
-            t = float(d_yx @ direction)
-            off = float(np.linalg.norm(d_yx - t * direction))
-            if off > LEAF_PARALLEL_TOL:
-                raise IntersectionError(
-                    f"({class_x},{class_y}) intersection requires a common "
-                    f"{'cu' if pair[1] == 'u' else 'cs'}-leaf; residual {off:.3e}"
-                )
-            if pair == ("c", "u"):
-                fiber = _wrap1(y[2] + self.transfer_unstable(y[:2], x[:2]))
-            else:
-                fiber = _wrap1(y[2] + self.transfer_stable(y[:2], x[:2]))
-            point = np.array([x[0], x[1], fiber])
+        _flag_rows(errors, IntersectionError, (
+            (~(base_sep <= 0.25),
+             lambda r: f"lift ambiguity: base displacement {base_sep[r]:.4f} > 0.25"),
+            (~(base_sep < self.delta0),
+             lambda r: (f"points too far apart for leaf intersection: base separation "
+                        f"{base_sep[r]:.4f} >= delta0 = {self.delta0}")),
+        ))
+        stable_y = class_y == "s"
+        direction = self.v_s if stable_y else self.v_u
+        if class_x == "c":
+            d_yx = minimal_displacement(yb, xb)
+            t = d_yx[:, 0] * direction[0] + d_yx[:, 1] * direction[1]
+            off = _norm(d_yx - t[:, None] * direction)
+            off_leaf = ~(off <= LEAF_PARALLEL_TOL)
+            # Rejected rows get a zero offset so their series stays defined.
+            q = np.where(off_leaf[:, None], yb, xb)
         else:
-            raise IntersectionError(f"unsupported leaf pair ({class_x}, {class_y})")
+            row = self._leaf_row[pair]
+            t = row[0] * d_xy[:, 0] + row[1] * d_xy[:, 1]
+            q = wrap(yb + t[:, None] * direction)
+            off_leaf = np.zeros(t.shape, dtype=bool)
+        h = self.transfer_stable(yb, q) if stable_y else self.transfer_unstable(yb, q)
+        point = np.empty(x.shape)
+        point[:, :2] = q
+        point[:, 2] = wrap(y[:, 2] + h)
 
-        cap = self.L0 * radius
+        cap = np.broadcast_to(self.L0 * np.asarray(radius, dtype=float).reshape(-1), t.shape)
         # The x-side class always contains the center direction, so measure its
         # distance center-transversally (base only); the y-side leaf is strong,
         # so its full distance is pinned.
-        dx = torus_distance(point[:2], x[:2])
+        dx = torus_distance(q, xb)
         dy = torus_distance(point, y)
-        if dx > cap or dy > cap:
-            raise IntersectionError(
-                f"intersection outside L0*radius: d(x)={dx:.3e}, d(y)={dy:.3e}, "
-                f"cap={cap:.3e}"
-            )
-        return point
+        _flag_rows(errors, IntersectionError, (
+            (off_leaf,
+             lambda r: (f"({class_x},{class_y}) intersection requires a common "
+                        f"{'cs' if stable_y else 'cu'}-leaf; residual {off[r]:.3e}")),
+            (~(dx <= cap) | ~(dy <= cap),
+             lambda r: (f"intersection outside L0*radius: d(x)={dx[r]:.3e}, "
+                        f"d(y)={dy[r]:.3e}, cap={cap[r]:.3e}")),
+        ))
+        return point.reshape(shape)
 
     def holonomy_along_center(self, x_anchor, source, target_class: str,
                               target_anchor, radius: float) -> np.ndarray:
@@ -423,7 +417,7 @@ class SkewModel:
         """
         if target_class not in ("u", "s"):
             raise IntersectionError(f"holonomy target must be 'u' or 's', got {target_class!r}")
-        if torus_distance(source, x_anchor) > radius * self.L0:
+        if np.any(~(torus_distance(source, x_anchor) <= radius * self.L0)):
             raise IntersectionError("holonomy source outside the anchor plaque")
         return self.intersect("c", source, target_class, target_anchor, radius)
 
@@ -475,14 +469,14 @@ class IteratedSystem:
             x = self._base.apply_inverse(x)
         return x
 
-    def transfer_stable(self, p, q, tol: float = None):
+    def transfer_stable(self, p, q, tol=None):
         return self._base.transfer_stable(p, q, tol=tol)
 
-    def transfer_unstable(self, p, q, tol: float = None):
+    def transfer_unstable(self, p, q, tol=None):
         return self._base.transfer_unstable(p, q, tol=tol)
 
-    def intersect(self, class_x, x, class_y, y, radius):
-        return self._base.intersect(class_x, x, class_y, y, radius)
+    def intersect(self, class_x, x, class_y, y, radius, errors=None):
+        return self._base.intersect(class_x, x, class_y, y, radius, errors=errors)
 
     def holonomy_along_center(self, x_anchor, source, target_class, target_anchor, radius):
         return self._base.holonomy_along_center(x_anchor, source, target_class,
@@ -533,28 +527,15 @@ def compute_constants(sys, epsilon: float) -> TransversalityConstants:
 # -- sampling certificates --------------------------------------------------
 
 
-def sample_stable_pairs(sys: SkewModel, n: int, seed: int, max_t: float):
-    """Random pairs (x, y) with y on the local stable leaf of x, |t| <= max_t."""
+def _sample_leaf_pairs(sys: SkewModel, n: int, seed: int, max_t: float, stable: bool):
+    """Random pairs (x, y) with y on the local stable (or unstable) leaf of
+    x, at leaf offsets |t| <= max_t."""
     rng = np.random.default_rng(seed)
     X = rng.random((n, 3))
     t = rng.uniform(-max_t, max_t, size=n)
-    Qb = (X[:, :2] + t[:, None] * sys.v_s) % 1.0
-    Qb[Qb >= 1.0] = 0.0
-    h = sys.transfer_stable_vec(X[:, :2], t)
-    Y = np.column_stack([Qb, (X[:, 2] + h) % 1.0])
-    Y[:, 2][Y[:, 2] >= 1.0] = 0.0
-    return X, Y
-
-
-def sample_unstable_pairs(sys: SkewModel, n: int, seed: int, max_t: float):
-    rng = np.random.default_rng(seed)
-    X = rng.random((n, 3))
-    t = rng.uniform(-max_t, max_t, size=n)
-    Qb = (X[:, :2] + t[:, None] * sys.v_u) % 1.0
-    Qb[Qb >= 1.0] = 0.0
-    h = sys.transfer_unstable_vec(X[:, :2], t)
-    Y = np.column_stack([Qb, (X[:, 2] + h) % 1.0])
-    Y[:, 2][Y[:, 2] >= 1.0] = 0.0
+    Qb = wrap(X[:, :2] + t[:, None] * (sys.v_s if stable else sys.v_u))
+    transfer = sys.transfer_stable if stable else sys.transfer_unstable
+    Y = np.column_stack([Qb, wrap(X[:, 2] + transfer(X[:, :2], Qb))])
     return X, Y
 
 
@@ -568,25 +549,14 @@ def certify_rates(sys: SkewModel, n: int = 10_000, seed: int = 0):
     lam = sys.rates.lam
     d1 = sys.rates.delta1
 
-    X, Y = sample_stable_pairs(sys, n, seed, d1)
-    FX, FY = sys.apply_vec(X), sys.apply_vec(Y)
-    ds = _pair_distances(X, Y)
-    dfs = _pair_distances(FX, FY)
-    stable_excess = float(np.max(dfs - lam * ds))
+    X, Y = _sample_leaf_pairs(sys, n, seed, d1, stable=True)
+    stable_excess = float(np.max(torus_distance(sys.apply(X), sys.apply(Y))
+                                 - lam * torus_distance(X, Y)))
 
-    X, Y = sample_unstable_pairs(sys, n, seed + 1, d1)
-    BX, BY = sys.apply_inverse_vec(X), sys.apply_inverse_vec(Y)
-    du = _pair_distances(X, Y)
-    dbu = _pair_distances(BX, BY)
-    unstable_excess = float(np.max(dbu - lam * du))
+    X, Y = _sample_leaf_pairs(sys, n, seed + 1, d1, stable=False)
+    unstable_excess = float(np.max(torus_distance(sys.apply_inverse(X), sys.apply_inverse(Y))
+                                   - lam * torus_distance(X, Y)))
     return stable_excess, unstable_excess
-
-
-def _pair_distances(X, Y):
-    d = (Y - X) % 1.0
-    d[d >= 1.0] = 0.0
-    d[d >= 0.5] -= 1.0
-    return np.linalg.norm(d, axis=1)
 
 
 def certify_intersections(sys, consts: TransversalityConstants, n: int, seed: int,
@@ -633,7 +603,7 @@ def certify_holonomy_modulus(sys, consts: TransversalityConstants, n: int, seed:
         pts = []
         for t in (t1, t2):
             base = wrap(d1_anchor[:2] + t * sys.v_u)
-            fib = _wrap1(d1_anchor[2] + sys.transfer_unstable(d1_anchor[:2], base))
+            fib = wrap(d1_anchor[2] + sys.transfer_unstable(d1_anchor[:2], base))
             pts.append(np.array([base[0], base[1], fib]))
         if torus_distance(pts[0], pts[1]) >= consts.r2:
             continue

@@ -25,6 +25,7 @@ __all__ = [
     "generate_noisy",
     "from_map",
     "validate",
+    "defects",
     "write_orbit",
     "read_orbit",
 ]
@@ -32,7 +33,11 @@ __all__ = [
 
 @dataclass
 class PseudoOrbit:
-    """Indexed window of points with a certified forward defect."""
+    """Indexed window of points with a certified forward defect.
+
+    `points` is (N, 3) for one orbit or (B, N, 3) for a stack of B orbits
+    over the same window; every coordinate must be finite and in [0, 1).
+    """
 
     n_min: int
     n_max: int
@@ -43,17 +48,24 @@ class PseudoOrbit:
 
     def __post_init__(self):
         expected = self.n_max - self.n_min + 1
-        if self.points.shape != (expected, 3):
+        if self.points.shape[-2:] != (expected, 3) or self.points.ndim not in (2, 3):
             raise ValueError(
                 f"orbit window [{self.n_min}, {self.n_max}] needs {expected} points, "
                 f"got shape {self.points.shape}"
+            )
+        bad = ~((self.points >= 0.0) & (self.points < 1.0))
+        if bad.any():
+            idx = np.argwhere(bad)[0]
+            raise ValueError(
+                f"orbit point at index {self.n_min + int(idx[-2])} has coordinate "
+                f"{self.points[tuple(idx)]!r}, not a finite value in [0, 1)"
             )
         self.points.setflags(write=False)
 
     def point(self, k: int) -> np.ndarray:
         if not self.n_min <= k <= self.n_max:
             raise IndexError(f"index {k} outside window [{self.n_min}, {self.n_max}]")
-        return self.points[k - self.n_min]
+        return self.points[..., k - self.n_min, :]
 
     def indices(self):
         return range(self.n_min, self.n_max + 1)
@@ -96,18 +108,23 @@ def generate_noisy(sys: SkewModel, x0, window, delta: float, seed: int) -> Pseud
                        meta={"kind": "noisy", "seed": seed, "rng": "numpy-pcg64"})
 
 
-def validate(sys: SkewModel, orbit: PseudoOrbit):
-    """Exact maxima of the forward and backward defects over the window.
+def defects(sys: SkewModel, orbit: PseudoOrbit):
+    """Per-step defects along the window, shape (..., N - 1).
 
-    Forward: d(f(x_k), x_{k+1});  backward: d(f^-1(x_k), x_{k-1}).
+    Forward: d(f(x_k), x_{k+1});  backward: d(f^-1(x_{k+1}), x_k), both at
+    position k - n_min.
     """
-    fwd = 0.0
-    bwd = 0.0
-    for k in range(orbit.n_min, orbit.n_max):
-        fwd = max(fwd, torus_distance(sys.apply(orbit.point(k)), orbit.point(k + 1)))
-    for k in range(orbit.n_max, orbit.n_min, -1):
-        bwd = max(bwd, torus_distance(sys.apply_inverse(orbit.point(k)), orbit.point(k - 1)))
+    pts = orbit.points
+    fwd = torus_distance(sys.apply(pts[..., :-1, :]), pts[..., 1:, :])
+    bwd = torus_distance(sys.apply_inverse(pts[..., 1:, :]), pts[..., :-1, :])
     return fwd, bwd
+
+
+def validate(sys: SkewModel, orbit: PseudoOrbit):
+    """Exact maxima of the forward and backward defects over the window, one
+    pair per orbit of a stack.  A NaN defect propagates into the maximum."""
+    fwd, bwd = defects(sys, orbit)
+    return np.max(fwd, axis=-1, initial=0.0)[()], np.max(bwd, axis=-1, initial=0.0)[()]
 
 
 class PerturbedMap:
@@ -138,37 +155,38 @@ class PerturbedMap:
         self._certified = None
 
     def displacement(self, x) -> np.ndarray:
-        v = np.zeros(3)
+        """The field v at points x, shape (..., 3)."""
+        x = np.asarray(x, dtype=float)
+        v = np.zeros(x.shape)
         for (j, m1, m2, m3, s, c) in self.modes:
-            th = TWO_PI * (m1 * x[0] + m2 * x[1] + m3 * x[2])
-            v[j] += s * math.sin(th) + c * math.cos(th)
+            th = TWO_PI * (m1 * x[..., 0] + m2 * x[..., 1] + m3 * x[..., 2])
+            v[..., j] += s * np.sin(th) + c * np.cos(th)
         return v
-
-    def displacement_vec(self, X: np.ndarray) -> np.ndarray:
-        V = np.zeros_like(X)
-        for (j, m1, m2, m3, s, c) in self.modes:
-            th = TWO_PI * (m1 * X[:, 0] + m2 * X[:, 1] + m3 * X[:, 2])
-            V[:, j] += s * np.sin(th) + c * np.cos(th)
-        return V
 
     def apply(self, x) -> np.ndarray:
         return wrap(self.sys.apply(x) + self.displacement(x))
 
     def apply_inverse(self, x, residual_tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
-        """Invert g by fixed-point iteration y -> f^-1(x - v(y)).
+        """Invert g by fixed-point iteration y -> f^-1(x - v(y)), row by row.
 
         Converges at rate Lip(f^-1) * Lip(v) << 1 for the small fields in
-        scope; iterated until d(g(y), x) <= residual_tol.
+        scope; each row is iterated until d(g(y), x) <= residual_tol and then
+        left alone, so a row's result does not depend on the others.
         """
         x = np.asarray(x, dtype=float)
-        y = self.sys.apply_inverse(x)
+        X = x.reshape(-1, 3)
+        Y = self.sys.apply_inverse(X)
+        active = np.arange(X.shape[0])
         for _ in range(max_iter):
-            y_next = self.sys.apply_inverse(wrap(x - self.displacement(y)))
-            y = y_next
-            if torus_distance(self.apply(y), x) <= residual_tol:
-                return y
+            xa = X[active]
+            ya = self.sys.apply_inverse(wrap(xa - self.displacement(Y[active])))
+            Y[active] = ya
+            active = active[~(torus_distance(self.apply(ya), xa) <= residual_tol)]
+            if active.size == 0:
+                return Y.reshape(x.shape)
         raise RuntimeError(
-            f"perturbed-map inversion did not reach residual {residual_tol:g}"
+            f"perturbed-map inversion did not reach residual {residual_tol:g} "
+            f"at {active.size} point(s)"
         )
 
     def certified_bound(self) -> float:
@@ -180,7 +198,7 @@ class PerturbedMap:
             sup = 0.0
             # chunked to bound memory on fine grids
             for start in range(0, G.shape[0], 262144):
-                V = self.displacement_vec(G[start:start + 262144])
+                V = self.displacement(G[start:start + 262144])
                 sup = max(sup, float(np.max(np.linalg.norm(V, axis=1))))
             slack = self.lip_v * (math.sqrt(3.0) / (2.0 * n))
             self._certified = sup + slack
@@ -193,21 +211,25 @@ class PerturbedMap:
 
 
 def from_map(sys: SkewModel, g: PerturbedMap, x0, window) -> PseudoOrbit:
-    """The g-orbit of x0 as a pseudo-orbit of f, with delta = certified d(f, g)."""
+    """The g-orbit of x0 as a pseudo-orbit of f, with delta = certified d(f, g).
+
+    x0 is one point (3,) or a stack (B, 3); a stack gives the (B, N, 3)
+    orbits of all its points, every step taken for all rows at once.
+    """
     n_min, n_max = int(window[0]), int(window[1])
     if not n_min <= 0 <= n_max:
         raise ValueError(f"window [{n_min}, {n_max}] must contain index 0")
     x0 = wrap(np.asarray(x0, dtype=float))
-    pts = np.empty((n_max - n_min + 1, 3))
-    pts[-n_min] = x0
+    pts = np.empty(x0.shape[:-1] + (n_max - n_min + 1, 3))
+    pts[..., -n_min, :] = x0
     x = x0
     for k in range(1, n_max + 1):
         x = g.apply(x)
-        pts[k - n_min] = x
+        pts[..., k - n_min, :] = x
     x = x0
     for k in range(-1, n_min - 1, -1):
         x = g.apply_inverse(x)
-        pts[k - n_min] = x
+        pts[..., k - n_min, :] = x
     return PseudoOrbit(n_min, n_max, pts, g.certified_bound(),
                        meta={"kind": "perturbed"})
 

@@ -16,6 +16,13 @@ all hold with at least a 2x margin, after which the construction runs on
 the k-subsampled orbit and intermediate indices are filled with exact map
 steps.
 
+The construction runs on a stack of B orbits over one window at once
+(`shadow_batch`; `quasi_shadow` is the one-orbit case).  Only the two sweeps
+are sequential in time, one (B,)-wide step per subsampled index; the limit
+search, the propagation of the anchors, the splice, the full-resolution fill
+and `verify` are array operations along time.  A row that fails a check is
+recorded with the stage and index and the other rows carry on.
+
 Numerics: the defining recursions move offsets along the expanding
 direction of the relevant map power, which amplifies floating-point noise
 by mu^k per step.  All offset sequences here are therefore evaluated
@@ -27,19 +34,14 @@ index, which `verify` checks from scratch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import fiber_displacement, minimal_displacement, torus_distance, wrap
-from .models import (
-    IntersectionError,
-    SkewModel,
-    compute_constants,
-    iterate_system,
-)
-from .orbits import PseudoOrbit, validate
+from .models import SkewModel, _flag_rows, compute_constants, iterate_system
+from .orbits import PseudoOrbit, defects
 
 __all__ = [
     "ShadowingParams",
@@ -49,12 +51,10 @@ __all__ = [
     "InsufficientWindowError",
     "ConstructionError",
     "delta_for_epsilon",
-    "forward_window",
     "forward_limit",
-    "forward_propagate",
-    "backward_window",
     "backward_limit",
-    "backward_propagate",
+    "splice",
+    "shadow_batch",
     "quasi_shadow",
     "verify",
     "write_trace",
@@ -191,381 +191,252 @@ class _Frame:
         self.contract_u = 1.0 / sysk.eig_mu   # A^-k v_u = contract_u * v_u
 
     def coeffs(self, p_from, p_to):
+        """(along v_u, along v_s) coefficients of the minimal displacements."""
         d = minimal_displacement(p_from, p_to)
-        a = self._inv @ d
-        return float(a[0]), float(a[1])  # (along v_u, along v_s)
+        inv = self._inv
+        return (inv[0, 0] * d[..., 0] + inv[0, 1] * d[..., 1],
+                inv[1, 0] * d[..., 0] + inv[1, 1] * d[..., 1])
 
 
-def _point(base2, fiber):
-    f = fiber % 1.0
-    if f >= 1.0:
-        f = 0.0
-    return np.array([base2[0], base2[1], f])
+def _point(base, fiber):
+    return np.concatenate([base, wrap(fiber)[..., None]], axis=-1)
 
 
-def _on_unstable(sysk, anchor, u_coeff, tol=None):
-    """Point of the strong unstable leaf of `anchor` at offset u_coeff."""
-    base = wrap(anchor[:2] + u_coeff * sysk.v_u)
-    fib = anchor[2] + sysk.transfer_unstable(anchor[:2], base, tol=tol)
-    return _point(base, fib)
+def _on_leaf(sysk, anchor, offset, stable: bool, tol=None):
+    """Points of the strong stable (or unstable) leaves of `anchor` at base
+    offsets `offset` along v_s (or v_u); anchor (..., 3) broadcasts
+    against offset (...)."""
+    base = wrap(anchor[..., :2] + offset[..., None] * (sysk.v_s if stable else sysk.v_u))
+    transfer = sysk.transfer_stable if stable else sysk.transfer_unstable
+    return _point(base, anchor[..., 2] + transfer(anchor[..., :2], base, tol=tol))
 
 
-def _on_stable(sysk, anchor, s_coeff, tol=None):
-    base = wrap(anchor[:2] + s_coeff * sysk.v_s)
-    fib = anchor[2] + sysk.transfer_stable(anchor[:2], base, tol=tol)
-    return _point(base, fib)
+def _collect(errors, found):
+    """Merge row failures into `errors`, or raise the first row's failure when
+    `errors` is None."""
+    if errors is None:
+        if found:
+            raise found[min(found)]
+        return
+    for r, exc in found.items():
+        errors.setdefault(r, exc)
 
 
-# -- forward half (positive indices) -----------------------------------------
+# -- the two sweeps ---------------------------------------------------------------
 
 
-class _ForwardSweep:
-    """z/z' sweep over the positive subsampled half, with solve coefficients.
+class _Sweep(NamedTuple):
+    """One half's sweep over a stack of subsampled orbits.
+
+    X, z, zp are (B, n+1, 3) with index 0 holding X_0; `coef` is (B, n+1):
+    forward, c_i is the unstable offset of z_i from F(z_{i-1}); backward,
+    d_j is the stable offset of z_{-j} from its anchor F^-1(z'_{-j+1}).
+    """
+
+    X: np.ndarray
+    z: np.ndarray
+    zp: np.ndarray
+    coef: np.ndarray
+
+
+def _forward_sweep(sysk, X, params, frame, errors=None) -> _Sweep:
+    """z/z' sweep over the positive subsampled half, one step for all rows.
 
     z_i is the cu-leaf-of-F(z_{i-1}) / stable-leaf-of-X_i intersection, z'_i
-    the unstable / cs one; both share a base point.  c_i is the unstable
-    offset of z_i from F(z_{i-1}), t_i its stable offset from X_i.
+    the unstable / cs one; both share a base point.
     """
-
-    def __init__(self, sysk, X, params, frame):
-        self.z = [None]    # index 0 unused; z_i for i >= 1
-        self.zp = [None]
-        self.c = [0.0]
-        self.t = [0.0]
-        self.X = X
-        n = len(X) - 1
-        prev = X[0]
-        radius = params.delta_step
-        for i in range(1, n + 1):
-            fz = sysk.apply(prev)
-            try:
-                zi = sysk.intersect("cu", fz, "s", X[i], radius)
-                zpi = sysk.intersect("cs", X[i], "u", fz, radius)
-            except IntersectionError as exc:
-                raise ConstructionError(f"forward sweep failed at index {i}: {exc}") from exc
-            cu, _ = frame.coeffs(fz[:2], zi[:2])
-            _, ts = frame.coeffs(X[i][:2], zi[:2])
-            self.z.append(zi)
-            self.zp.append(zpi)
-            self.c.append(cu)
-            self.t.append(ts)
-            prev = zi
-            radius = 2.0 * params.delta_step
-
-    @classmethod
-    def from_points(cls, sysk, X, z_seq, zp_seq, frame):
-        """Rebuild the sweep coefficients from already constructed z points."""
-        self = cls.__new__(cls)
-        self.X = X
-        self.z = [None] + list(z_seq)
-        self.zp = [None] + list(zp_seq or [])
-        self.c = [0.0]
-        self.t = [0.0]
-        prev = X[0]
-        for i, zi in enumerate(z_seq, start=1):
-            fz = sysk.apply(prev)
-            self.c.append(frame.coeffs(fz[:2], zi[:2])[0])
-            self.t.append(frame.coeffs(X[i][:2], zi[:2])[1])
-            prev = zi
-        return self
+    z, zp, c = X.copy(), X.copy(), np.zeros(X.shape[:-1])
+    found = {}
+    radius = params.delta_step
+    for i in range(1, X.shape[-2]):
+        fz = sysk.apply(z[..., i - 1, :])
+        step = {}
+        z[..., i, :] = sysk.intersect("cu", fz, "s", X[..., i, :], radius, errors=step)
+        zp[..., i, :] = sysk.intersect("cs", X[..., i, :], "u", fz, radius, errors=step)
+        for r, exc in step.items():
+            found.setdefault(r, ConstructionError(f"forward sweep failed at index {i}: {exc}"))
+        c[..., i] = frame.coeffs(fz[..., :2], z[..., i, :2])[0]
+        radius = 2.0 * params.delta_step
+    _collect(errors, found)
+    return _Sweep(X, z, zp, c)
 
 
-def _forward_y_sequence(sysk, sweep: _ForwardSweep, frame: _Frame, n: int):
-    """The window sequence {y_{i,n}}_{i=0..n-1} for the finite piece X_0..X_n.
+def _backward_sweep(sysk, X, params, frame, errors=None) -> _Sweep:
+    """Mirror sweep over the negative subsampled half, X[..., j, :] = X_{-j}.
 
-    y_{n-1} = F^-1(z'_n); downward, y'_i sits on the unstable plaque of z'_i
-    over the center plaque of y_i and y_{i-1} = F^-1(y'_i).  Offsets are
-    carried as scalar unstable coefficients (contracting under F^-1).
+    z_{-1} pairs F^-1(X_0) with X_{-1}; deeper steps anchor at F^-1(z'_{m+1}).
     """
-    if n < 1:
-        raise ValueError("forward window needs n >= 1")
-    w = [0.0] * (n + 1)  # w_i: unstable offset of y'_i from z'_i (w_n = 0)
-    for i in range(n, 1, -1):
-        w[i - 1] = frame.contract_u * (w[i] + sweep.c[i])
-    y = [None] * n
-    # top of the chain: y_{n-1} = F^-1(z'_n)
-    upper = sweep.zp[n]
-    for i in range(n - 1, 0, -1):
-        pre = sysk.apply_inverse(upper)
-        u_off = frame.contract_u * (w[i + 1] + sweep.c[i + 1])
-        y[i] = _point(wrap(sweep.z[i][:2] + u_off * frame.v_u), pre[2])
-        if i > 1:
-            upper = _on_unstable(sysk, sweep.zp[i], w[i])
-    # y_0 lies exactly on the strong unstable leaf of X_0, so its fiber
-    # comes from one transfer evaluation instead of the whole chain (which
-    # would stack n series truncations).
-    y[0] = _forward_anchor(sysk, sweep, frame, n)
-    return y
+    z, zp, d = X.copy(), X.copy(), np.zeros(X.shape[:-1])
+    found = {}
+    radius = params.delta_step
+    for j in range(1, X.shape[-2]):
+        anchor = sysk.apply_inverse(zp[..., j - 1, :])
+        step = {}
+        z[..., j, :] = sysk.intersect("cu", X[..., j, :], "s", anchor, radius, errors=step)
+        zp[..., j, :] = sysk.intersect("cs", anchor, "u", X[..., j, :], radius, errors=step)
+        for r, exc in step.items():
+            found.setdefault(r, ConstructionError(f"backward sweep failed at index {-j}: {exc}"))
+        d[..., j] = frame.coeffs(anchor[..., :2], z[..., j, :2])[1]
+        radius = 2.0 * params.delta_step
+    _collect(errors, found)
+    return _Sweep(X, z, zp, d)
 
 
-def _forward_anchor(sysk, sweep: _ForwardSweep, frame: _Frame, n: int, tol=None):
-    """y_{0,n} on W^u(X_0), reconstructed from the scalar offset recursion.
+# -- half-orbit anchors -------------------------------------------------------
 
-    The transfer runs at a tolerance well below the Cauchy gap that
-    forward_limit resolves, so truncation jitter cannot mask convergence.
+
+def _anchors(sysk, sweep: _Sweep, frame: _Frame, stable: bool, tol=None):
+    """The window anchors y_{0,n} for every n = 1..n_max, shape (..., n_max, 3).
+
+    y_{0,n} lies on the strong unstable leaf of X_0 (stable for the backward
+    half) at offset sum_{i=1..n} contract^i coef_i, so one prefix sum gives
+    every candidate and one series call gives their fibers.
     """
-    u0 = 0.0
-    for i in range(n, 0, -1):
-        u0 = frame.contract_u * (u0 + sweep.c[i])
-    return _on_unstable(sysk, sweep.X[0], u0, tol=tol)
+    rate = frame.contract_s if stable else frame.contract_u
+    n_max = sweep.coef.shape[-1] - 1
+    offsets = np.cumsum(rate ** np.arange(1, n_max + 1) * sweep.coef[..., 1:], axis=-1)
+    return _on_leaf(sysk, sweep.X[..., :1, :], offsets, stable, tol=tol)
 
 
-def forward_window(sysk, X, params, n=None, frame=None):
-    """Sequences z, z', and {y_{i,n}} for the finite forward piece X_0..X_n."""
+def _limit(sysk, X, params, growth_step, frame, sweep, errors, stable: bool):
+    """First Cauchy-stable window anchor of each row (see forward_limit)."""
     frame = frame or _Frame(sysk)
-    sweep = _ForwardSweep(sysk, X[: (n or len(X) - 1) + 1], params, frame)
-    n = n or len(X) - 1
-    y = _forward_y_sequence(sysk, sweep, frame, n)
-    return sweep.z[1:], sweep.zp[1:], y
+    if sweep is None:
+        run = _backward_sweep if stable else _forward_sweep
+        sweep = run(sysk, np.asarray(X, dtype=float), params, frame, errors)
+    tol = params.limit_tol
+    # The transfer runs at a tolerance well below the Cauchy gap resolved
+    # here, so truncation jitter cannot mask convergence.
+    anchors = _anchors(sysk, sweep, frame, stable, tol=min(sysk.series_tol, 1e-3 * tol))
+    n_max = anchors.shape[-2]
+    ns = np.arange(1, n_max - 1, growth_step)   # candidates with n + 2 <= n_max
+    if ns.size:
+        g1 = torus_distance(anchors[..., ns - 1, :], anchors[..., ns, :])
+        g2 = torus_distance(anchors[..., ns - 1, :], anchors[..., ns + 1, :])
+        cauchy = (g1 < tol) & (g2 < tol)
+        first = np.argmax(cauchy, axis=-1)
+        converged = np.take_along_axis(cauchy, first[..., None], axis=-1)[..., 0]
+        last_gap = np.maximum(g1[..., -1], g2[..., -1])
+        depth = ns[first]
+        anchor = np.take_along_axis(anchors, (depth - 1)[..., None, None], axis=-2)[..., 0, :]
+    else:
+        converged = np.zeros(anchors.shape[:-2], dtype=bool)
+        last_gap = np.full(anchors.shape[:-2], np.inf)
+        depth = np.zeros(anchors.shape[:-2], dtype=int)
+        anchor = sweep.X[..., 0, :]
+    side = "backward" if stable else "forward"
+    last_gap = np.atleast_1d(last_gap)
+    _flag_rows(errors, InsufficientWindowError, ((
+        ~converged,
+        lambda r: (f"{side} anchor not Cauchy-stable within the window "
+                   f"(n <= {n_max}); last gap {last_gap[r]:.3e}")),))
+    return anchor, depth[()], sweep
 
 
-def forward_limit(sysk, X, params, growth_step: int = 1, frame=None, sweep=None):
+def forward_limit(sysk, X, params, growth_step: int = 1, frame=None, sweep=None, errors=None):
     """First Cauchy-stable element of {y_{0,n}}: the anchor y_0^u on W^u(X_0).
 
-    Tries n along the growth schedule and accepts the first n with
-    d(y_{0,n}, y_{0,n+1}) and d(y_{0,n}, y_{0,n+2}) both below limit_tol.
+    X is one subsampled forward half X_0..X_n, shape (n+1, 3), or a stack
+    (B, n+1, 3).  Tries n along the growth schedule and accepts the first n
+    with d(y_{0,n}, y_{0,n+1}) and d(y_{0,n}, y_{0,n+2}) both below
+    limit_tol; all candidates come from one prefix sum and one transfer
+    series call.  Returns (anchor, n, sweep), with one n per row.  A row
+    whose anchor never settles raises InsufficientWindowError, or with a
+    dict `errors` is recorded there.
     """
-    frame = frame or _Frame(sysk)
-    sweep = sweep or _ForwardSweep(sysk, X, params, frame)
-    n_max = len(X) - 1
-    tol = params.limit_tol
-    series_tol = min(sysk.series_tol, 1e-3 * tol)
-    last_gap = math.inf
-    n = 1
-    while n + 2 <= n_max:
-        y_n = _forward_anchor(sysk, sweep, frame, n, tol=series_tol)
-        y_n1 = _forward_anchor(sysk, sweep, frame, n + 1, tol=series_tol)
-        y_n2 = _forward_anchor(sysk, sweep, frame, n + 2, tol=series_tol)
-        g1 = torus_distance(y_n, y_n1)
-        g2 = torus_distance(y_n, y_n2)
-        last_gap = max(g1, g2)
-        if g1 < tol and g2 < tol:
-            return y_n, n, sweep
-        n += growth_step
-    raise InsufficientWindowError(
-        f"forward anchor not Cauchy-stable within the window; last gap {last_gap:.3e}"
-    )
+    return _limit(sysk, X, params, growth_step, frame, sweep, errors, stable=False)
 
 
-def _forward_propagate(sysk, sweep: _ForwardSweep, frame: _Frame, y0_u, params):
-    """Guides y_i^u = W^u(z_i) cap W^c(F(y_{i-1}^u)) for the whole half.
+def backward_limit(sysk, X_neg, params, growth_step: int = 1, frame=None, sweep=None,
+                   errors=None):
+    """First Cauchy-stable element of {y_{0,-n}}: the anchor y_0^s on W^s(X_0).
+
+    X_neg[..., j, :] = X_{-j}; otherwise as forward_limit.
+    """
+    return _limit(sysk, X_neg, params, growth_step, frame, sweep, errors, stable=True)
+
+
+# -- propagation along the halves ------------------------------------------------
+
+
+def _forward_propagate(sysk, sweep: _Sweep, frame: _Frame, y0_u):
+    """Guides y_i^u = W^u(z_i) cap W^c(F(y_{i-1}^u)) for the whole half,
+    (..., n+1, 3) with y_0^u at index 0.
 
     The unstable offsets u_i of y_i^u from z_i solve u_i = mu^k u_{i-1} - c_i;
     the bounded solution u_i = sum_m mu^{-km} c_{i+m} is evaluated by the
-    contracting backward accumulation (zero at the window end).
+    contracting backward accumulation (zero at the window end), after which
+    all guides come from one series call.
     """
-    n = len(sweep.z) - 1
-    u = [0.0] * (n + 1)
-    for i in range(n - 1, 0, -1):
-        u[i] = frame.contract_u * (sweep.c[i + 1] + u[i + 1])
-    y_u = [y0_u] + [None] * n
-    y_u_prime = [None] * (n + 1)
-    for i in range(1, n + 1):
-        y_u_prime[i] = sysk.apply(y_u[i - 1])
-        y_u[i] = _on_unstable(sysk, sweep.z[i], u[i])
-    return y_u, y_u_prime, u
+    c = sweep.coef
+    u = np.zeros(c.shape)
+    for i in range(c.shape[-1] - 2, 0, -1):
+        u[..., i] = frame.contract_u * (c[..., i + 1] + u[..., i + 1])
+    y_u = np.empty(sweep.z.shape)
+    y_u[..., 0, :] = y0_u
+    y_u[..., 1:, :] = _on_leaf(sysk, sweep.z[..., 1:, :], u[..., 1:], stable=False)
+    return y_u
 
 
-def forward_propagate(sysk, X, y0_u, z_seq, params):
-    """Propagate the forward anchor along the guide plaques.
-
-    Returns ({y_i^u}, {(y_i^u)'}) for i = 1..n with (y_i^u)' = F(y_{i-1}^u)
-    and y_i^u the unstable-plaque-of-z_i / center-plaque intersection; the
-    offsets are evaluated through their contracting form.
-    """
-    frame = _Frame(sysk)
-    sweep = _ForwardSweep.from_points(sysk, X, z_seq, None, frame)
-    y_u, y_u_prime, _ = _forward_propagate(sysk, sweep, frame, y0_u, params)
-    return y_u, y_u_prime
-
-
-# -- backward half (negative indices) -----------------------------------------
-
-
-class _BackwardSweep:
-    """Mirror sweep over the negative subsampled half.
-
-    Indexed by offset j >= 1 for subsampled index m = -j.  z_{-1} pairs
-    F^-1(X_0) with X_{-1}; deeper steps anchor at F^-1(z'_{m+1}).  d_j is
-    the stable offset of z_{-j} from its anchor, g_j its unstable offset
-    from X_{-j}.
-    """
-
-    def __init__(self, sysk, X_neg, params, frame):
-        # X_neg[j] = X_{-j}, j = 0..n (X_neg[0] = X_0)
-        self.z = [None]
-        self.zp = [None]
-        self.d = [0.0]
-        self.g = [0.0]
-        self.X_neg = X_neg
-        n = len(X_neg) - 1
-        prev_zp = X_neg[0]
-        radius = params.delta_step
-        for j in range(1, n + 1):
-            anchor = sysk.apply_inverse(prev_zp)
-            try:
-                zj = sysk.intersect("cu", X_neg[j], "s", anchor, radius)
-                zpj = sysk.intersect("cs", anchor, "u", X_neg[j], radius)
-            except IntersectionError as exc:
-                raise ConstructionError(f"backward sweep failed at index {-j}: {exc}") from exc
-            _, ds = frame.coeffs(anchor[:2], zj[:2])
-            gu, _ = frame.coeffs(X_neg[j][:2], zj[:2])
-            self.z.append(zj)
-            self.zp.append(zpj)
-            self.d.append(ds)
-            self.g.append(gu)
-            prev_zp = zpj
-            radius = 2.0 * params.delta_step
-
-    @classmethod
-    def from_points(cls, sysk, X_neg, z_seq, zp_seq, frame):
-        """Rebuild the sweep coefficients from already constructed z points."""
-        self = cls.__new__(cls)
-        self.X_neg = X_neg
-        self.z = [None] + list(z_seq)
-        self.zp = [None] + list(zp_seq)
-        self.d = [0.0]
-        self.g = [0.0]
-        prev_zp = X_neg[0]
-        for j, zj in enumerate(z_seq, start=1):
-            anchor = sysk.apply_inverse(prev_zp)
-            self.d.append(frame.coeffs(anchor[:2], zj[:2])[1])
-            self.g.append(frame.coeffs(X_neg[j][:2], zj[:2])[0])
-            prev_zp = self.zp[j]
-        return self
-
-
-def _backward_y_sequence(sysk, sweep: _BackwardSweep, frame: _Frame, n: int):
-    """The window sequence {y_{m,n}}_{m=-n+1..0} for the piece X_{-n}..X_0.
-
-    y_{-n+1} = F(z_{-n}) center-corrected onto the stable plaque of
-    z_{-n+1}; upward, y'_m = F(y_{m-1}) and y_m sits on the stable plaque
-    of z_m over the center plaque of y'_m; finally y_0 = F(y_{-1}).
-    Stable offsets contract under F going up.
-    """
-    if n < 1:
-        raise ValueError("backward window needs n >= 1")
-    v = [0.0] * (n + 1)  # v[j]: stable offset of y_{-j} from z_{-j} (v[n] = 0)
-    for j in range(n, 1, -1):
-        v[j - 1] = frame.contract_s * (v[j] + sweep.d[j])
-    y = {}
-    for j in range(n - 1, 0, -1):
-        base = wrap(sweep.z[j][:2] + v[j] * frame.v_s)
-        fib = sweep.z[j][2] + sysk.transfer_stable(sweep.z[j][:2], base)
-        y[-j] = _point(base, fib)
-    # y_0 lies exactly on the strong stable leaf of X_0.
-    y[0] = _backward_anchor(sysk, sweep, frame, n)
-    return [y[m] for m in range(-n + 1, 1)]
-
-
-def _backward_anchor(sysk, sweep: _BackwardSweep, frame: _Frame, n: int, tol=None):
-    """y_{0,-n} on W^s(X_0), reconstructed from the scalar offset recursion."""
-    s0 = 0.0
-    for j in range(n, 0, -1):
-        s0 = frame.contract_s * (s0 + sweep.d[j])
-    return _on_stable(sysk, sweep.X_neg[0], s0, tol=tol)
-
-
-def backward_window(sysk, X_neg, params, n=None, frame=None):
-    """Sequences z, z', and {y_{m,n}} for the backward piece X_{-n}..X_0."""
-    frame = frame or _Frame(sysk)
-    n = n or len(X_neg) - 1
-    sweep = _BackwardSweep(sysk, X_neg[: n + 1], params, frame)
-    y = _backward_y_sequence(sysk, sweep, frame, n)
-    return sweep.z[1:], sweep.zp[1:], y
-
-
-def backward_limit(sysk, X_neg, params, growth_step: int = 1, frame=None, sweep=None):
-    """First Cauchy-stable element of {y_{0,-n}}: the anchor y_0^s on W^s(X_0)."""
-    frame = frame or _Frame(sysk)
-    sweep = sweep or _BackwardSweep(sysk, X_neg, params, frame)
-    n_max = len(X_neg) - 1
-    tol = params.limit_tol
-    series_tol = min(sysk.series_tol, 1e-3 * tol)
-    last_gap = math.inf
-    n = 1
-    while n + 2 <= n_max:
-        y_n = _backward_anchor(sysk, sweep, frame, n, tol=series_tol)
-        y_n1 = _backward_anchor(sysk, sweep, frame, n + 1, tol=series_tol)
-        y_n2 = _backward_anchor(sysk, sweep, frame, n + 2, tol=series_tol)
-        g1 = torus_distance(y_n, y_n1)
-        g2 = torus_distance(y_n, y_n2)
-        last_gap = max(g1, g2)
-        if g1 < tol and g2 < tol:
-            return y_n, n, sweep
-        n += growth_step
-    raise InsufficientWindowError(
-        f"backward anchor not Cauchy-stable within the window; last gap {last_gap:.3e}"
-    )
-
-
-def _backward_propagate(sysk, sweep: _BackwardSweep, frame: _Frame, y0_s, params):
-    """Guides y_m^s and their corrected images (y_m^s)' for m <= -1.
+def _backward_propagate(sysk, sweep: _Sweep, frame: _Frame, y0_s):
+    """Guides y_m^s and their corrected images (y_m^s)' for m = -1..-n, as
+    (..., n+1, 3) arrays indexed by j = -m with y_0^s at index 0.
 
     y_{-1}^s = F^-1(y_0^s); (y_m^s)' sits on the stable plaque of z'_m over
     the center plaque of y_m^s, and y_{m-1}^s = F^-1((y_m^s)').  Stable
     offsets from z_m are evaluated by the contracting forward accumulation
-    (zero at the window start).
+    (zero at the window start).  The primed guides need only the sweep, so
+    they come from one series call and the unprimed ones from one F^-1.
     """
-    n = len(sweep.z) - 1
-    s = [0.0] * (n + 1)  # s[j]: stable offset of y_{-j}^s from z_{-j}
-    for j in range(n - 1, 0, -1):
-        s[j] = frame.contract_s * (s[j + 1] + sweep.d[j + 1])
-    y_s = {}
-    y_s_prime = {}
-    upper = y0_s
-    for j in range(1, n + 1):
-        pre = sysk.apply_inverse(upper)
-        base = wrap(sweep.z[j][:2] + s[j] * frame.v_s)
-        y_s[-j] = _point(base, pre[2])
-        fib = sweep.zp[j][2] + sysk.transfer_stable(sweep.zp[j][:2], base)
-        y_s_prime[-j] = _point(base, fib)
-        upper = y_s_prime[-j]
-    return y_s, y_s_prime, s
-
-
-def backward_propagate(sysk, X_neg, y0_s, z_seq, zp_seq, params):
-    """Mirror of forward_propagate for the negative half.
-
-    Returns ({y_m^s}, {(y_m^s)'}) keyed by m <= -1, with
-    y_m^s = F^-1((y_{m+1}^s)') and (y_m^s)' on the stable plaque of z'_m
-    over the center plaque of y_m^s.
-    """
-    frame = _Frame(sysk)
-    sweep = _BackwardSweep.from_points(sysk, X_neg, z_seq, zp_seq, frame)
-    y_s, y_s_prime, _ = _backward_propagate(sysk, sweep, frame, y0_s, params)
+    d = sweep.coef
+    s = np.zeros(d.shape)
+    for j in range(d.shape[-1] - 2, 0, -1):
+        s[..., j] = frame.contract_s * (s[..., j + 1] + d[..., j + 1])
+    base = wrap(sweep.z[..., 1:, :2] + s[..., 1:, None] * frame.v_s)
+    zp = sweep.zp[..., 1:, :]
+    y_s_prime = np.empty(sweep.z.shape)
+    y_s_prime[..., 0, :] = y0_s
+    y_s_prime[..., 1:, :] = _point(base, zp[..., 2] + sysk.transfer_stable(zp[..., :2], base))
+    y_s = np.empty(sweep.z.shape)
+    y_s[..., 0, :] = y0_s
+    y_s[..., 1:, :] = _point(base, sysk.apply_inverse(y_s_prime[..., :-1, :])[..., 2])
     return y_s, y_s_prime
 
 
 # -- splice and full pipeline --------------------------------------------------
 
 
-def splice(sysk, y0_u, y0_s, params, frame=None):
-    """Close the two half-orbit anchors into y_0^* and (y_0^*)'.
+def splice(sysk, y0_u, y0_s, params, frame=None, errors=None):
+    """Close the two half-orbit anchors into y_0^* and (y_0^*)', row by row.
 
     y_0^* is the stable-leaf-of-y_0^u / cu-leaf-of-y_0^s intersection, its
     primed partner the cs/unstable one; both share a base point, so the
-    step from (y_0^*)' to y_0^* is purely along the center fiber.
+    step from (y_0^*)' to y_0^* is purely along the center fiber.  Failures
+    raise, or with a dict `errors` are recorded there by row.
     """
-    frame = frame or _Frame(sysk)
-    gap = torus_distance(y0_u, y0_s)
+    gap = np.atleast_1d(torus_distance(y0_u, y0_s))
     cap = 2.0 * params.lam_k * (params.L0 * params.delta_step + params.alpha)
-    if gap >= cap:
-        raise ParameterError(
-            f"splice margin violated: d(y0_s, y0_u) = {gap:.3e} >= "
-            f"2 lam^k (L0 delta + alpha) = {cap:.3e}"
-        )
-    try:
-        y0_star = sysk.intersect("cu", y0_s, "s", y0_u, cap)
-        y0_star_prime = sysk.intersect("cs", y0_u, "u", y0_s, cap)
-    except IntersectionError as exc:
-        raise ConstructionError(f"splice intersection failed: {exc}") from exc
+    found = {}
+    _flag_rows(found, ParameterError, ((
+        ~(gap < cap),
+        lambda r: (f"splice margin violated at index 0: d(y0_s, y0_u) = {gap[r]:.3e} >= "
+                   f"2 lam^k (L0 delta + alpha) = {cap:.3e}")),))
+    step = {}
+    y0_star = sysk.intersect("cu", y0_s, "s", y0_u, cap, errors=step)
+    y0_star_prime = sysk.intersect("cs", y0_u, "u", y0_s, cap, errors=step)
+    for r, exc in step.items():
+        found.setdefault(r, ConstructionError(f"splice intersection failed at index 0: {exc}"))
+    _collect(errors, found)
     return y0_star, y0_star_prime
 
 
 @dataclass
 class ShadowingTrace:
-    """Full output of one quasi-shadowing run, at original resolution."""
+    """Full output of a quasi-shadowing run, at original resolution.
+
+    The shapes below are for one orbit; a trace of a stack of orbits has a
+    leading batch axis on every array.
+    """
 
     n_min: int
     n_max: int
@@ -580,10 +451,6 @@ class ShadowingTrace:
     interior: tuple
     k: int
     sub_range: tuple            # (M_min, M_max) subsampled index range
-    z_fwd: list = field(default_factory=list, repr=False)
-    zp_fwd: list = field(default_factory=list, repr=False)
-    z_bwd: list = field(default_factory=list, repr=False)
-    zp_bwd: list = field(default_factory=list, repr=False)
     y_u: dict = field(default_factory=dict, repr=False)    # guides at subsampled m >= 0
     y_s: dict = field(default_factory=dict, repr=False)    # guides at subsampled m <= 0
     model_name: str = "unknown"
@@ -592,43 +459,61 @@ class ShadowingTrace:
         return k - self.n_min
 
     def point(self, k: int) -> np.ndarray:
-        return self.y_star[self.index(k)]
+        return self.y_star[..., self.index(k), :]
 
     @property
     def max_distance(self) -> float:
         lo, hi = self.interior
-        return float(np.max(self.trace_dist[self.index(lo): self.index(hi) + 1]))
+        return float(np.max(self.trace_dist[..., self.index(lo): self.index(hi) + 1]))
 
     @property
     def max_residual(self) -> float:
         lo, hi = self.interior
-        return float(np.max(self.base_residual[self.index(lo): self.index(hi) + 1]))
+        return float(np.max(self.base_residual[..., self.index(lo): self.index(hi) + 1]))
 
 
-def quasi_shadow(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
-                 params: ShadowingParams = None, growth_step: int = 1) -> ShadowingTrace:
-    """Full pipeline: subsample by k, run the three-stage construction, fill.
+def _check_defects(sys, orbit: PseudoOrbit, params: ShadowingParams, errors) -> None:
+    """Flag rows whose forward defect exceeds params.delta or whose backward
+    defect exceeds lip_f_inv * params.delta (the accounting delta_for_epsilon
+    provisions for); a NaN defect fails too."""
+    slack = 1.0 + 1e-9
+    fwd, bwd = (d.reshape(-1, d.shape[-1]) for d in defects(sys, orbit))
+    rows = np.arange(fwd.shape[0])
+    at_f, at_b = np.argmax(fwd, axis=1), np.argmax(bwd, axis=1)
+    worst_f, worst_b = fwd[rows, at_f], bwd[rows, at_b]
+    bound_b = params.delta * params.lip_f_inv
+    _flag_rows(errors, ParameterError, (
+        (~(worst_f <= params.delta * slack),
+         lambda r: (f"orbit forward defect {worst_f[r]:.3e} at step "
+                    f"{orbit.n_min + at_f[r]} -> {orbit.n_min + at_f[r] + 1} exceeds "
+                    f"admissible delta {params.delta:.3e}")),
+        (~(worst_b <= bound_b * slack),
+         lambda r: (f"orbit backward defect {worst_b[r]:.3e} at step "
+                    f"{orbit.n_min + at_b[r] + 1} -> {orbit.n_min + at_b[r]} exceeds "
+                    f"lip(f^-1) * delta = {bound_b:.3e}")),
+    ))
 
-    The orbit's forward defect must be within params.delta and its backward
-    defect within lip_f_inv * params.delta (the accounting delta_for_epsilon
-    provisions for).  Intermediate indices between the subsampled steps are
-    exact map images, so center motions concentrate at multiples of k.
+
+def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
+                 params: ShadowingParams = None, growth_step: int = 1):
+    """Quasi-shadow a stack of pseudo-orbits over one window in one pass.
+
+    `orbit.points` is a stack (B, N, 3) or one orbit (N, 3).  Subsample by
+    k, run the three-stage construction on all rows at once, fill the
+    intermediate indices with exact map steps, so center motions
+    concentrate at multiples of k.  Every row's forward defect must be
+    within params.delta and its backward defect within lip_f_inv *
+    params.delta.
+
+    Returns (trace, failures): the trace arrays carry the batch axis of
+    the input, if any, and `failures` lists (row, exception) pairs, by row,
+    for the rows that failed a check (ParameterError, ConstructionError or
+    InsufficientWindowError, with the stage and index in the message);
+    those rows are NaN in the trace and never stop the others.
     """
     sys = sys.base
     if params is None:
         params = delta_for_epsilon(sys, epsilon)
-    fwd, bwd = validate(sys, orbit)
-    slack = 1.0 + 1e-9
-    if fwd > params.delta * slack:
-        raise ParameterError(
-            f"orbit forward defect {fwd:.3e} exceeds admissible delta {params.delta:.3e}"
-        )
-    if bwd > params.delta * params.lip_f_inv * slack:
-        raise ParameterError(
-            f"orbit backward defect {bwd:.3e} exceeds lip(f^-1) * delta = "
-            f"{params.delta * params.lip_f_inv:.3e}"
-        )
-
     k = params.k
     M_min = -((-orbit.n_min) // k)   # ceil(n_min / k) for negative n_min
     M_max = orbit.n_max // k
@@ -636,83 +521,98 @@ def quasi_shadow(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
         raise ParameterError(
             f"window [{orbit.n_min}, {orbit.n_max}] too short for power k = {k}"
         )
+    pts = orbit.points
+    errors = {}
+    _check_defects(sys, orbit, params, errors)
+
     sysk = iterate_system(sys, k)
     frame = _Frame(sysk)
-    X_pos = [orbit.point(m * k) for m in range(0, M_max + 1)]
-    X_neg = [orbit.point(-m * k) for m in range(0, -M_min + 1)]
-
-    y0_u, _, fsweep = forward_limit(sysk, X_pos, params, growth_step, frame)
-    y0_s, _, bsweep = backward_limit(sysk, X_neg, params, growth_step, frame)
-    y_u, y_u_prime, _ = _forward_propagate(sysk, fsweep, frame, y0_u, params)
-    y_s, y_s_prime, _ = _backward_propagate(sysk, bsweep, frame, y0_s, params)
-
-    y0_star, y0_star_prime = splice(sysk, y0_u, y0_s, params, frame)
-    sigma0 = frame.coeffs(y0_u[:2], y0_star[:2])[1]
-    eta0 = frame.coeffs(y0_s[:2], y0_star_prime[:2])[0]
+    X_pos = pts[..., np.arange(M_max + 1) * k - orbit.n_min, :]
+    X_neg = pts[..., -np.arange(-M_min + 1) * k - orbit.n_min, :]
+    fsweep = _forward_sweep(sysk, X_pos, params, frame, errors)
+    y0_u, _, _ = forward_limit(sysk, X_pos, params, growth_step, frame, fsweep, errors)
+    bsweep = _backward_sweep(sysk, X_neg, params, frame, errors)
+    y0_s, _, _ = backward_limit(sysk, X_neg, params, growth_step, frame, bsweep, errors)
+    y_u = _forward_propagate(sysk, fsweep, frame, y0_u)
+    y_s, y_s_prime = _backward_propagate(sysk, bsweep, frame, y0_s)
+    y0_star, y0_star_prime = splice(sysk, y0_u, y0_s, params, frame, errors)
 
     # Subsampled y*: stable offsets from the forward guides (contracting
     # forward), unstable offsets from the backward guides (contracting
-    # backward); the center component rides the strong leaves.
-    star = {0: y0_star}
-    sigma = sigma0
-    for m in range(1, M_max + 1):
-        sigma *= frame.contract_s
-        star[m] = _on_stable(sysk, y_u[m], sigma)
-    prime_fiber = {0: y0_star_prime}
-    eta = eta0
-    upper = y0_star_prime
-    for m in range(-1, M_min - 1, -1):
-        pre = sysk.apply_inverse(upper)
-        eta_m = eta * frame.contract_u ** (-m)
-        base = wrap(y_s[m][:2] + eta_m * frame.v_u)
-        star[m] = _point(base, pre[2])
-        if m > M_min:
-            fib = y_s_prime[m][2] + sysk.transfer_unstable(y_s_prime[m][:2], base)
-            upper = _point(base, fib)
+    # backward); the center component rides the strong leaves.  Going down,
+    # the fiber of y*_m is that of F^-1 of the point over it on the unstable
+    # plaque of (y_{m+1}^s)', and those points need no y*, so each side is
+    # one series call.
+    sigma0 = frame.coeffs(y0_u[..., :2], y0_star[..., :2])[1]
+    eta0 = frame.coeffs(y0_s[..., :2], y0_star_prime[..., :2])[0]
+    star_pos = _on_leaf(sysk, y_u[..., 1:, :],
+                        sigma0[..., None] * frame.contract_s ** np.arange(1, M_max + 1),
+                        stable=True)
+    eta = eta0[..., None] * frame.contract_u ** np.arange(1, -M_min + 1)
+    base = wrap(y_s[..., 1:, :2] + eta[..., None] * frame.v_u)
+    upper = np.empty(pts.shape[:-2] + (-M_min, 3))
+    upper[..., 0, :] = y0_star_prime
+    primed = y_s_prime[..., 1:-1, :]
+    upper[..., 1:, :] = _point(base[..., :-1, :], primed[..., 2] + sysk.transfer_unstable(
+        primed[..., :2], base[..., :-1, :]))
+    star_neg = _point(base, sysk.apply_inverse(upper)[..., 2])
+    star = np.concatenate([star_neg[..., ::-1, :], y0_star[..., None, :], star_pos], axis=-2)
 
-    # Assemble the full-resolution sequence: exact map steps between the
-    # subsampled corrections, exact preimages below the window of m = M_min.
+    # Full resolution: exact map steps between the subsampled corrections,
+    # exact preimages below the window of m = M_min.
     n_pts = orbit.n_max - orbit.n_min + 1
-    y_star = np.empty((n_pts, 3))
-    for m in range(M_min, M_max + 1):
-        y_star[m * k - orbit.n_min] = star[m]
-        cur = star[m]
-        top = min(k - 1, orbit.n_max - m * k) if m < M_max else orbit.n_max - M_max * k
-        for j in range(1, top + 1):
-            cur = sys.apply(cur)
-            y_star[m * k + j - orbit.n_min] = cur
-    cur = star[M_min]
-    for q in range(M_min * k - 1, orbit.n_min - 1, -1):
+    y_star = np.empty(pts.shape)
+    at = np.arange(M_min, M_max + 1) * k - orbit.n_min
+    y_star[..., at, :] = star
+    cur = star
+    for j in range(1, k):
+        cur = sys.apply(cur)
+        inside = at + j < n_pts
+        y_star[..., at[inside] + j, :] = cur[..., inside, :]
+    cur = star[..., 0, :]
+    for q in range(at[0] - 1, -1, -1):
         cur = sys.apply_inverse(cur)
-        y_star[q - orbit.n_min] = cur
+        y_star[..., q, :] = cur
 
-    y_prime = np.empty_like(y_star)
-    y_prime[0] = y_star[0]
-    motions = np.zeros(n_pts)
-    base_res = np.zeros(n_pts)
-    dist = np.zeros(n_pts)
-    dist[0] = torus_distance(orbit.point(orbit.n_min), y_star[0])
-    for q in range(orbit.n_min + 1, orbit.n_max + 1):
-        i = q - orbit.n_min
-        fp = sys.apply(y_star[i - 1])
-        y_prime[i] = fp
-        motions[i] = fiber_displacement(fp[2], y_star[i, 2])
-        base_res[i] = torus_distance(fp[:2], y_star[i, :2])
-        dist[i] = torus_distance(orbit.point(q), y_star[i])
+    y_prime = y_star.copy()
+    y_prime[..., 1:, :] = sys.apply(y_star[..., :-1, :])
+    motions = np.zeros(y_star.shape[:-1])
+    base_res = np.zeros(y_star.shape[:-1])
+    motions[..., 1:] = fiber_displacement(y_prime[..., 1:, 2], y_star[..., 1:, 2])
+    base_res[..., 1:] = torus_distance(y_prime[..., 1:, :2], y_star[..., 1:, :2])
+    dist = torus_distance(pts, y_star)
 
+    failed = sorted(errors)
+    if failed:
+        for arr in (y_star, y_prime, motions, base_res, dist, y0_u, y0_s, y_u, y_s):
+            arr.reshape((-1,) + arr.shape[pts.ndim - 2:])[failed] = np.nan
     lo = max(orbit.n_min, M_min * k) + k
     hi = min(orbit.n_max, M_max * k) - k
-    return ShadowingTrace(
+    trace = ShadowingTrace(
         n_min=orbit.n_min, n_max=orbit.n_max, y_star=y_star, y_prime=y_prime,
         center_motions=motions, trace_dist=dist, base_residual=base_res,
         y0_u=y0_u, y0_s=y0_s, params=params, interior=(lo, hi), k=k,
         sub_range=(M_min, M_max),
-        z_fwd=fsweep.z[1:], zp_fwd=fsweep.zp[1:],
-        z_bwd=bsweep.z[1:], zp_bwd=bsweep.zp[1:],
-        y_u={m: y_u[m] for m in range(len(y_u))},
-        y_s=dict(y_s) | {0: y0_s},
+        y_u={m: y_u[..., m, :] for m in range(M_max + 1)},
+        y_s={-j: y_s[..., j, :] for j in range(-M_min + 1)},
         model_name=orbit.model_name,
     )
+    return trace, [(r, errors[r]) for r in failed]
+
+
+def quasi_shadow(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
+                 params: ShadowingParams = None, growth_step: int = 1) -> ShadowingTrace:
+    """Full pipeline for one orbit: `shadow_batch` on an (N, 3) orbit.
+
+    Raises the orbit's failure: ParameterError (defect or window), or
+    ConstructionError / InsufficientWindowError from the construction.
+    """
+    if orbit.points.ndim != 2:
+        raise ValueError("quasi_shadow takes one orbit; use shadow_batch for a stack")
+    trace, failures = shadow_batch(sys, orbit, epsilon, params, growth_step)
+    if failures:
+        raise failures[0][1]
+    return trace
 
 
 # -- verification ---------------------------------------------------------------
@@ -749,39 +649,30 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace, epsilon: f
     Per interior index: tracing distance < epsilon, base coordinates of
     y*_k and the freshly recomputed f(y*_{k-1}) agree within residual_tol,
     the center motion magnitude stays below epsilon, and the recorded
-    y_prime/motion columns match the recomputation.  Shares no state with
-    the constructor.
+    y_prime/motion columns match the recomputation.  Every gate is written
+    as `not (value < bound)`, so a NaN fails it.  Shares no state with the
+    constructor.
     """
     sys = sys.base
     lo, hi = trace.interior
     lo = max(lo, orbit.n_min + 1)
-    failing = set()
-    max_d = 0.0
-    max_res = 0.0
-    max_mot = 0.0
-    for q in range(lo, hi + 1):
-        i = trace.index(q)
-        y = trace.y_star[i]
-        fp = sys.apply(trace.y_star[i - 1])
-        d = torus_distance(orbit.point(q), y)
-        res = torus_distance(fp[:2], y[:2])
-        mot = fiber_displacement(fp[2], y[2])
-        rec_gap = torus_distance(fp, trace.y_prime[i])
-        mot_gap = abs(mot - trace.center_motions[i])
-        max_d = max(max_d, d)
-        max_res = max(max_res, res)
-        max_mot = max(max_mot, abs(mot))
-        if d >= epsilon:
-            failing.add(q)
-        if res >= residual_tol:
-            failing.add(q)
-        if abs(mot) >= epsilon:
-            failing.add(q)
-        if rec_gap >= residual_tol or mot_gap >= residual_tol:
-            failing.add(q)
+    q = np.arange(lo, hi + 1)
+    i = q - trace.n_min
+    y = trace.y_star[i]
+    fp = sys.apply(trace.y_star[i - 1])
+    d = torus_distance(orbit.points[q - orbit.n_min], y)
+    res = torus_distance(fp[:, :2], y[:, :2])
+    mot = fiber_displacement(fp[:, 2], y[:, 2])
+    rec_gap = torus_distance(fp, trace.y_prime[i])
+    mot_gap = np.abs(mot - trace.center_motions[i])
+    mot = np.abs(mot)
+    failing = (~(d < epsilon) | ~(res < residual_tol) | ~(mot < epsilon)
+               | ~(rec_gap < residual_tol) | ~(mot_gap < residual_tol))
     return VerifyReport(
-        passed=not failing, max_distance=max_d, max_base_residual=max_res,
-        max_motion=max_mot, failing_indices=sorted(failing), interior=(lo, hi),
+        passed=not failing.any(), max_distance=float(np.max(d, initial=0.0)),
+        max_base_residual=float(np.max(res, initial=0.0)),
+        max_motion=float(np.max(mot, initial=0.0)),
+        failing_indices=[int(v) for v in q[failing]], interior=(lo, hi),
         epsilon=epsilon, residual_tol=residual_tol,
     )
 
@@ -826,9 +717,17 @@ def read_trace(path, params: ShadowingParams = None) -> ShadowingTrace:
     n_min, n_max = (int(t) for t in header["window"].split())
     lo, hi = (int(t) for t in header["interior"].split())
     rows.sort(key=lambda r: r[0])
-    arr = np.array(rows)
     if [int(r[0]) for r in rows] != list(range(n_min, n_max + 1)):
         raise ValueError(f"trace file {path} indices do not cover the declared window")
+    if any(len(r) != 9 for r in rows):
+        raise ValueError(f"trace file {path} rows must have 9 columns")
+    arr = np.array(rows)
+    # points in [0, 1), motion and distance finite; NaN fails both tests
+    bad = ~(arr[:, 1:7] >= 0.0) | ~(arr[:, 1:7] < 1.0)
+    bad = bad.any(axis=1) | ~np.isfinite(arr[:, 7:]).all(axis=1)
+    if bad.any():
+        raise ValueError(f"trace file {path} row {int(arr[bad][0, 0])} has a non-finite "
+                         f"or out-of-[0, 1) value")
     k = int(header["k"])
     if params is None:
         params = ShadowingParams(

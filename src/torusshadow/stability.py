@@ -21,12 +21,10 @@ from .geometry import fiber_displacement, torus_distance, wrap
 from .models import SkewModel
 from .orbits import PerturbedMap, from_map
 from .shadowing import (
-    ConstructionError,
-    InsufficientWindowError,
     ParameterError,
     ShadowingParams,
     delta_for_epsilon,
-    quasi_shadow,
+    shadow_batch,
 )
 
 __all__ = [
@@ -52,7 +50,7 @@ class SemiConjugacy:
     residual: np.ndarray     # (N,) recomputed identity residual
     window: int
     params: ShadowingParams
-    failures: list = field(default_factory=list)
+    failures: list = field(default_factory=list)   # (node, message) per failed node
     model_name: str = "unknown"
 
     def flat_index(self, i1: int, i2: int, i3: int) -> int:
@@ -64,10 +62,7 @@ class SemiConjugacy:
         ok = ~np.isnan(self.pi[:, 0])
         if not np.any(ok):
             return math.inf
-        d = (self.pi[ok] - self.nodes[ok]) % 1.0
-        d[d >= 1.0] = 0.0
-        d[d >= 0.5] -= 1.0
-        return float(np.max(np.linalg.norm(d, axis=1)))
+        return float(np.max(torus_distance(self.pi[ok], self.nodes[ok])))
 
 
 def _lattice(grid_res) -> np.ndarray:
@@ -82,9 +77,11 @@ def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: fl
                   params: ShadowingParams = None) -> SemiConjugacy:
     """Sample pi on a grid by quasi-shadowing each node's g-orbit.
 
-    Every node uses identical parameters and the window [-N, N].  The
+    Every node uses identical parameters and the window [-N, N]; all g-orbits
+    come from one `from_map` call and are shadowed as one batch.  The
     certified d(f, g) must be below the admissible defect; per-node
-    shadowing failures are recorded in the report rather than raised.
+    shadowing failures are recorded in the report as (node, message) rather
+    than raised, and leave the node's pi, tau and residual NaN.
     """
     if params is None:
         params = delta_for_epsilon(sys, epsilon)
@@ -95,30 +92,21 @@ def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: fl
             f"defect {params.delta:.4e} for epsilon = {epsilon:g}"
         )
     nodes = _lattice(grid_res)
-    n = nodes.shape[0]
-    pi = np.full((n, 3), np.nan)
-    pi_g = np.full((n, 3), np.nan)
-    tau = np.full(n, np.nan)
-    residual = np.full(n, np.nan)
-    failures = []
-    for i in range(n):
-        try:
-            orbit = from_map(sys, g, nodes[i], (-N, N))
-            trace = quasi_shadow(sys, orbit, epsilon, params=params)
-        except (ConstructionError, InsufficientWindowError, ParameterError) as exc:
-            failures.append((i, str(exc)))
-            continue
-        pi[i] = trace.point(0)
-        pi_g[i] = trace.point(1)
-        tau[i] = trace.center_motions[trace.index(1)]
-        fp = sys.apply(pi[i])
-        residual[i] = max(
-            torus_distance(fp[:2], pi_g[i][:2]),
-            abs(fiber_displacement(fp[2], pi_g[i][2]) - tau[i]),
-        )
+    orbit = from_map(sys, g, nodes, (-N, N))
+    trace, failed = shadow_batch(sys, orbit, epsilon, params=params)
+    pi = trace.point(0)
+    pi_g = trace.point(1)
+    tau = trace.center_motions[:, trace.index(1)]
+    residual = np.full(nodes.shape[0], np.nan)
+    ok = ~np.isnan(tau)
+    fp = sys.apply(pi[ok])
+    residual[ok] = np.maximum(
+        torus_distance(fp[:, :2], pi_g[ok, :2]),
+        np.abs(fiber_displacement(fp[:, 2], pi_g[ok, 2]) - tau[ok]),
+    )
     return SemiConjugacy(grid_res=tuple(grid_res), nodes=nodes, pi=pi, pi_g=pi_g,
                          tau=tau, residual=residual, window=N, params=params,
-                         failures=failures)
+                         failures=[(node, str(exc)) for node, exc in failed])
 
 
 @dataclass
@@ -143,22 +131,17 @@ def check_identity(sys: SkewModel, sc: SemiConjugacy, g: PerturbedMap,
     The base coordinates must agree within tol and the fiber gap must
     equal the stored tau within tol.
     """
-    failing = []
-    max_base = 0.0
-    max_fib = 0.0
-    for i in range(sc.nodes.shape[0]):
-        if np.any(np.isnan(sc.pi[i])):
-            failing.append(i)
-            continue
-        fp = sys.apply(sc.pi[i])
-        base_mismatch = torus_distance(fp[:2], sc.pi_g[i][:2])
-        fib_res = abs(fiber_displacement(fp[2], sc.pi_g[i][2]) - sc.tau[i])
-        max_base = max(max_base, base_mismatch)
-        max_fib = max(max_fib, fib_res)
-        if base_mismatch >= tol or fib_res >= tol:
-            failing.append(i)
-    return IdentityReport(passed=not failing, max_base_mismatch=max_base,
-                          max_fiber_residual=max_fib, failing_nodes=failing)
+    ok = ~np.isnan(sc.pi).any(axis=1)
+    fp = sys.apply(sc.pi[ok])
+    base_mismatch = torus_distance(fp[:, :2], sc.pi_g[ok, :2])
+    fib_res = np.abs(fiber_displacement(fp[:, 2], sc.pi_g[ok, 2]) - sc.tau[ok])
+    bad = np.ones(ok.shape, dtype=bool)
+    bad[ok] = ~(base_mismatch < tol) | ~(fib_res < tol)
+    failing = [int(i) for i in np.flatnonzero(bad)]
+    return IdentityReport(passed=not failing,
+                          max_base_mismatch=float(np.max(base_mismatch, initial=0.0)),
+                          max_fiber_residual=float(np.max(fib_res, initial=0.0)),
+                          failing_nodes=failing)
 
 
 @dataclass
@@ -242,10 +225,7 @@ def surjectivity_density(sc: SemiConjugacy, epsilon: float) -> SurjectivityRepor
     # nearest pi-image for every grid node, chunked pairwise distances
     for start in range(0, sc.nodes.shape[0], 256):
         block = sc.nodes[start:start + 256]
-        d = (image[None, :, :] - block[:, None, :]) % 1.0
-        d[d >= 1.0] = 0.0
-        d[d >= 0.5] -= 1.0
-        dist = np.sqrt(np.sum(d * d, axis=2))
+        dist = torus_distance(block[:, None, :], image[None, :, :])
         gap = max(gap, float(np.max(np.min(dist, axis=1))))
     spacing = max(1.0 / r for r in sc.grid_res)
     sufficient = spacing <= epsilon
@@ -320,8 +300,8 @@ def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: in
         z0 = rng.random()
         a = _center_pseudo_orbit(sys, p0, z0, half_window, eta, rng)
         b = _center_pseudo_orbit(sys, p0, z0, half_window, eta, rng)
-        dmax = max(torus_distance(a[i], b[i]) for i in range(a.shape[0]))
-        base_mismatch = max(torus_distance(a[i, :2], b[i, :2]) for i in range(a.shape[0]))
+        dmax = float(np.max(torus_distance(a, b)))
+        base_mismatch = float(np.max(torus_distance(a[:, :2], b[:, :2])))
         conforms = base_mismatch < 1e-8
         passed &= conforms
         out.append(ProbeTrial("same-base", dmax, base_mismatch, conforms=conforms))

@@ -1,0 +1,179 @@
+"""The batched construction: one (B, N, 3) stack shadowed at once, row by row.
+
+Everything here goes through `shadow_batch`, the entry point `semiconjugacy`
+uses, and checks that a row's result is its own: it matches the row's solo
+run, follows a permutation of the rows, and survives a neighbour failing.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from torusshadow.geometry import torus_distance, wrap
+from torusshadow.models import IntersectionError, iterate_system
+from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map
+from torusshadow.shadowing import (
+    ParameterError,
+    _forward_sweep,
+    _Frame,
+    delta_for_epsilon,
+    shadow_batch,
+)
+from torusshadow.stability import _lattice, semiconjugacy
+
+EPS = 0.216
+TRACE_FIELDS = ("y_star", "y_prime", "center_motions", "trace_dist", "base_residual")
+
+
+def default_field(sys, amp=1e-3):
+    a = amp / np.sqrt(3.0)
+    return PerturbedMap(sys, [(0, 0, 1, 0, a, 0.0), (1, 0, 0, 1, a, 0.0),
+                              (2, 1, 0, 0, a, 0.0)],
+                        amplitude_bound=1.1 * amp, certification_grid=128)
+
+
+@pytest.fixture(scope="module")
+def grid_batch(skew):
+    """g-orbits of a (4, 4, 4) lattice on [-20, 20] and their batched trace
+    (amplitude 3e-4 and limit_tol 1e-10, so the anchors settle within N = 20)."""
+    g = default_field(skew, 3e-4)
+    params = delta_for_epsilon(skew, EPS, limit_tol=1e-10)
+    nodes = _lattice((4, 4, 4))
+    orbit = from_map(skew, g, nodes, (-20, 20))
+    trace, failures = shadow_batch(skew, orbit, EPS, params)
+    return g, params, nodes, orbit, trace, failures
+
+
+def test_batched_matches_per_node_runs(skew, grid_batch):
+    # (a): every node shadowed alone (B = 1) agrees with its batched row
+    g, params, nodes, orbit, trace, failures = grid_batch
+    assert not failures
+    worst = 0.0
+    for i, x in enumerate(nodes):
+        solo_orbit = from_map(skew, g, x, (-20, 20))
+        assert np.array_equal(solo_orbit.points, orbit.points[i])
+        solo, solo_failures = shadow_batch(skew, solo_orbit, EPS, params)
+        assert not solo_failures
+        worst = max(worst, float(np.max(torus_distance(solo.y_star, trace.y_star[i]))))
+    assert worst <= 1e-12
+
+
+def test_semiconjugacy_reads_the_batched_rows(skew, grid_batch):
+    g, params, nodes, _, trace, _ = grid_batch
+    sc = semiconjugacy(skew, g, (4, 4, 4), 20, EPS, params=params)
+    assert np.array_equal(sc.pi, trace.point(0))
+    assert np.array_equal(sc.pi_g, trace.point(1))
+    assert np.nanmax(sc.residual) < 1e-8
+
+
+def test_permuting_rows_permutes_outputs(skew, grid_batch):
+    # (b)
+    _, params, _, orbit, trace, _ = grid_batch
+    perm = np.random.default_rng(3).permutation(orbit.points.shape[0])
+    shuffled = PseudoOrbit(orbit.n_min, orbit.n_max, orbit.points[perm], orbit.delta)
+    other, failures = shadow_batch(skew, shuffled, EPS, params)
+    assert not failures
+    for name in TRACE_FIELDS:
+        assert np.array_equal(getattr(other, name), getattr(trace, name)[perm]), name
+    for m in trace.y_u:
+        assert np.array_equal(other.y_u[m], trace.y_u[m][perm])
+    for m in trace.y_s:
+        assert np.array_equal(other.y_s[m], trace.y_s[m][perm])
+
+
+def test_corrupted_row_fails_alone(skew, grid_batch):
+    # (c): a jump past delta0 at one index of one row
+    _, params, _, orbit, _, _ = grid_batch
+    rows = [0, 5, 17, 33, 42, 63]
+    bad_row, q = 17, 7
+    pts = orbit.points[rows].copy()
+    i = rows.index(bad_row)
+    pts[i, q - orbit.n_min] = wrap(pts[i, q - orbit.n_min] + [0.25, 0.0, 0.0])
+    batch = PseudoOrbit(orbit.n_min, orbit.n_max, pts, orbit.delta)
+    trace, failures = shadow_batch(skew, batch, EPS, params)
+    assert [r for r, _ in failures] == [i]
+    exc = failures[0][1]
+    assert isinstance(exc, ParameterError)
+    assert "defect" in str(exc)
+    assert re.search(rf"step ({q - 1} -> {q}|{q} -> {q + 1})\b", str(exc)), str(exc)
+    assert np.isnan(trace.y_star[i]).all()
+    for j in range(len(rows)):
+        if j == i:
+            continue
+        one = PseudoOrbit(batch.n_min, batch.n_max, pts[j], batch.delta)
+        solo, solo_failures = shadow_batch(skew, one, EPS, params)
+        assert not solo_failures
+        for name in TRACE_FIELDS:
+            assert np.array_equal(getattr(trace, name)[j], getattr(solo, name)), name
+
+
+def test_sweep_failure_is_recorded_by_row(skew, grid_batch):
+    # a failing intersection inside the sweep names the row, stage and index
+    # and leaves the other rows of the sweep as they are alone
+    _, params, _, orbit, _, _ = grid_batch
+    sysk = iterate_system(skew, params.k)
+    frame = _Frame(sysk)
+    X = orbit.points[:4, -orbit.n_min::params.k].copy()
+    X[2, 3] = wrap(X[2, 3] + [0.3, 0.0, 0.0])
+    errors = {}
+    sweep = _forward_sweep(sysk, X, params, frame, errors)
+    assert list(errors) == [2]
+    assert "forward sweep failed at index 3" in str(errors[2])
+    with pytest.raises(Exception, match="forward sweep failed at index 3"):
+        _forward_sweep(sysk, X[2:3], params, frame)
+    for r in (0, 1, 3):
+        alone = _forward_sweep(sysk, X[r:r + 1], params, frame)
+        assert np.array_equal(alone.z[0], sweep.z[r])
+        assert np.array_equal(alone.zp[0], sweep.zp[r])
+        assert np.array_equal(alone.coef[0], sweep.coef[r])
+
+
+def test_intersect_reports_rows(skew, rng):
+    x = rng.random((5, 3))
+    y = wrap(x + 0.01 * rng.normal(size=(5, 3)))
+    y[3] = wrap(x[3] + [0.21, 0.0, 0.0])          # base separation >= delta0
+    errors = {}
+    pts = skew.intersect("cu", x, "s", y, 0.05, errors=errors)
+    assert list(errors) == [3]
+    assert "delta0" in str(errors[3])
+    for r in (0, 1, 2, 4):
+        assert np.array_equal(pts[r], skew.intersect("cu", x[r], "s", y[r], 0.05))
+    with pytest.raises(IntersectionError, match="delta0"):
+        skew.intersect("cu", x, "s", y, 0.05)
+
+
+def test_transfer_series_honours_tol_per_row(skew, rng):
+    # (d): every row stops at its own tolerance and matches a 200-term
+    # direct partial sum (anchors iterated step by step) within its tail bound
+    n = 12
+    P = rng.random((n, 2))
+    t = rng.uniform(-0.1, 0.1, size=n)
+    Q = wrap(P + t[:, None] * skew.v_s)
+    tols = np.where(np.arange(n) % 3 == 0, 1e-6, 1e-15)
+    H = skew.transfer_stable(P, Q, tol=tols)
+    A = np.asarray(skew.A, dtype=float)
+    for r in range(n):
+        direct, a = 0.0, P[r].copy()
+        for j in range(200):
+            b = a + skew.eig_lam ** j * t[r] * skew.v_s
+            direct += skew.phi(a[0], a[1]) - skew.phi(b[0], b[1])
+            a = (A @ a) % 1.0
+        # terms stop once Lip(phi) |t lam^n| / (1 - |lam|) < tol, which bounds
+        # the rest of the series
+        assert abs(H[r] - direct) <= tols[r]
+        # a row's value is the one it gets alone at its tolerance
+        assert H[r] == skew.transfer_stable(P[r], Q[r], tol=tols[r])
+    loose = tols == 1e-6
+    tight = skew.transfer_stable(P[loose], Q[loose], tol=1e-15)
+    assert np.any(H[loose] != tight)
+    assert np.all(np.abs(H[loose] - tight) <= 1e-6)
+
+
+def test_perturbed_inverse_row_masks(skew, rng):
+    g = default_field(skew)
+    X = rng.random((20, 3))
+    Y = g.apply_inverse(X)
+    for r in range(20):
+        assert np.array_equal(Y[r], g.apply_inverse(X[r]))
+    assert np.max(torus_distance(g.apply(Y), X)) <= 1e-13

@@ -154,3 +154,74 @@ class TestStabilityAndProbe:
         data = json.loads((workdir / "p" / "probe.json").read_text())
         assert data["passed"]
         assert len(data["trials"]) == 10
+
+
+def _edit_line(path: Path, prefix: str, column: int, value: str) -> None:
+    """Replace one whitespace-separated field of the first line starting with prefix."""
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith(prefix):
+            parts = line.split()
+            parts[column] = value
+            lines[i] = " ".join(parts)
+            break
+    else:
+        raise AssertionError(f"no line starts with {prefix!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestInputGuards:
+    @pytest.fixture
+    def chain(self, workdir):
+        assert run(["orbit", "--model", "skew", "--delta", "0", "--window", "-30", "30",
+                    "--seed", "5", "--out", "o"]) == 0
+        assert run(["shadow", "--model", "skew", "--orbit", "o/orbit.txt",
+                    "--epsilon", "1e-2", "--out", "s"]) == 0
+        return workdir
+
+    @staticmethod
+    def verify(model="skew", epsilon="1e-2"):
+        return run(["verify", "--model", model, "--orbit", "o/orbit.txt",
+                    "--trace", "s/trace.txt", "--epsilon", epsilon, "--out", "v"])
+
+    def test_nan_orbit_point_exit_2(self, chain, capsys):
+        # index 3 is odd, so with k = 2 it is not a subsampled index
+        _edit_line(chain / "o" / "orbit.txt", "3 ", 2, "nan")
+        assert run(["shadow", "--model", "skew", "--orbit", "o/orbit.txt",
+                    "--epsilon", "1e-2", "--out", "s2"]) == 2
+        assert self.verify() == 2
+        assert "index 3" in capsys.readouterr().err
+        assert not (chain / "s2" / "trace.txt").exists()
+
+    def test_nan_trace_row_exit_2(self, chain, capsys):
+        _edit_line(chain / "s" / "trace.txt", "3 ", 1, "nan")
+        assert self.verify() == 2
+        assert "row 3" in capsys.readouterr().err
+
+    def test_verify_epsilon_mismatch_exit_3(self, chain, capsys):
+        assert self.verify(epsilon="2e-2") == 3
+        assert "epsilon" in capsys.readouterr().err
+        # too large for the model: the parameter check itself fails
+        assert self.verify(epsilon="0.5") == 3
+
+    def test_verify_k_mismatch_exit_3(self, chain, capsys):
+        text = (chain / "s" / "trace.txt").read_text()
+        assert "# k: 2\n" in text
+        (chain / "s" / "trace.txt").write_text(text.replace("# k: 2\n", "# k: 3\n"))
+        assert self.verify() == 3
+        assert "k = 3" in capsys.readouterr().err
+
+    def test_verify_model_mismatch_exit_2(self, chain, capsys):
+        assert self.verify(model="linear") == 2
+        assert "'skew'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--grid", "0", "2", "2"],
+                                       ["--grid", "2", "2", "2", "--half-length", "0"],
+                                       ["--grid", "2", "-1", "2"]])
+    def test_non_positive_sizes_exit_2(self, workdir, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(["stability", "--model", "skew", "--epsilon", "0.216", "--delta", "1e-3",
+                 *flags, "--out", "st"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "positive integer" in err

@@ -7,6 +7,7 @@ from torusshadow.geometry import torus_distance
 from torusshadow.models import ModelError
 from torusshadow.orbits import (
     PerturbedMap,
+    PseudoOrbit,
     from_map,
     generate_noisy,
     read_orbit,
@@ -125,6 +126,22 @@ class TestOrbitFiles:
         path.write_text("0 0.1 0.2 0.3\n")
         with pytest.raises(ValueError):
             read_orbit(path)
+
+    def test_non_finite_point_rejected(self, tmp_path):
+        path = tmp_path / "orbit.txt"
+        path.write_text("# delta: 0\n# window: 0 2\n0 0.1 0.2 0.3\n1 0.1 nan 0.3\n"
+                        "2 0.1 0.2 0.3\n")
+        with pytest.raises(ValueError, match="index 1"):
+            read_orbit(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0, -1e-3])
+    def test_points_must_be_finite_in_unit_interval(self, bad):
+        pts = np.full((3, 3), 0.5)
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="index 2"):
+            PseudoOrbit(0, 2, pts, 0.0)
+        with pytest.raises(ValueError, match="index 1"):
+            PseudoOrbit(-1, 1, np.stack([np.full((3, 3), 0.5), pts]), 0.0)
 
     def test_gap_in_indices_rejected(self, tmp_path):
         path = tmp_path / "orbit.txt"

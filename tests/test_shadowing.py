@@ -10,16 +10,15 @@ from torusshadow.orbits import generate_noisy, validate
 from torusshadow.shadowing import (
     InsufficientWindowError,
     ParameterError,
+    _anchors,
+    _backward_propagate,
+    _backward_sweep,
+    _forward_propagate,
+    _forward_sweep,
     _Frame,
-    _ForwardSweep,
-    _forward_anchor,
     backward_limit,
-    backward_propagate,
-    backward_window,
     delta_for_epsilon,
     forward_limit,
-    forward_propagate,
-    forward_window,
     quasi_shadow,
     read_trace,
     splice,
@@ -67,17 +66,28 @@ def _subsampled(orbit, k, side):
     return [orbit.point(-m * k) for m in range(0, (-orbit.n_min) // k + 1)]
 
 
+def _forward_half(sysk, X, p):
+    """Forward sweep of one subsampled half, its anchor y_0^u and its guides."""
+    frame = _Frame(sysk)
+    sweep = _forward_sweep(sysk, np.asarray(X)[None], p, frame)
+    y0u, _, _ = forward_limit(sysk, X, p, frame=frame, sweep=sweep)
+    return frame, sweep, _forward_propagate(sysk, sweep, frame, y0u)[0]
+
+
 class TestForwardWindow:
     def test_true_orbit_collapses(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (0, 20), 0.0, seed=0)
         sysk = iterate_system(skew, p.k)
         X = _subsampled(orbit, p.k, "pos")
-        z, zp, y = forward_window(sysk, X, p)
-        for i, (zi, zpi) in enumerate(zip(z, zp), start=1):
-            assert torus_distance(zi, X[i]) < 1e-12
-            assert torus_distance(zpi, X[i]) < 1e-12
-        for i, yi in enumerate(y):
+        frame, sweep, y_u = _forward_half(sysk, X, p)
+        for i in range(1, len(X)):
+            assert torus_distance(sweep.z[0, i], X[i]) < 1e-12
+            assert torus_distance(sweep.zp[0, i], X[i]) < 1e-12
+        # every window anchor y_{0,n} and every guide collapse onto the orbit
+        anchors = _anchors(sysk, sweep, frame, stable=False)[0]
+        assert np.max(torus_distance(anchors, X[0])) < 1e-11
+        for i, yi in enumerate(y_u):
             assert torus_distance(yi, X[i]) < 1e-11
 
     def test_single_defect_anchor_converges_to_oracle(self, linear):
@@ -87,8 +97,8 @@ class TestForwardWindow:
         sysk = iterate_system(linear, p.k)
         frame = _Frame(sysk)
         X = _subsampled(orbit, p.k, "pos")
-        sweep = _ForwardSweep(sysk, X, p, frame)
-        anchors = [_forward_anchor(sysk, sweep, frame, n) for n in range(1, 16)]
+        sweep = _forward_sweep(sysk, np.array(X)[None], p, frame)
+        anchors = _anchors(sysk, sweep, frame, stable=False)[0, :15]   # n = 1..15
         gaps = [torus_distance(anchors[i], anchors[i + 1]) for i in range(len(anchors) - 1)]
         # geometric convergence at the subsampled contraction rate
         for i in range(1, 6):
@@ -106,8 +116,10 @@ class TestForwardWindow:
             orbit = generate_noisy(skew, X0, (0, 40), p.delta, seed=seed)
             sysk = iterate_system(skew, p.k)
             X = _subsampled(orbit, p.k, "pos")
-            _, _, y = forward_window(sysk, X, p)
-            assert max(torus_distance(y[i], X[i]) for i in range(len(y))) < 2 * eps / 3
+            frame, sweep, y_u = _forward_half(sysk, X, p)
+            assert max(torus_distance(y_u[i], X[i]) for i in range(len(y_u))) < 2 * eps / 3
+            anchors = _anchors(sysk, sweep, frame, stable=False)[0]
+            assert np.max(torus_distance(anchors, X[0])) < 2 * eps / 3
 
 
 class TestLimits:
@@ -173,15 +185,14 @@ class TestPropagate:
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=14)
         sysk = iterate_system(skew, p.k)
         X = _subsampled(orbit, p.k, "pos")
-        z, zp, _ = forward_window(sysk, X, p)
-        y0u, _, _ = forward_limit(sysk, X, p)
-        y_u, y_u_prime = forward_propagate(sysk, X, y0u, z, p)
+        _, sweep, y_u = _forward_half(sysk, X, p)
         from torusshadow.geometry import minimal_displacement
         for i in range(1, len(X) - 1):
             # center-plaque relation: bases of the guide and its primed image
-            assert torus_distance(y_u[i][:2], y_u_prime[i][:2]) < 1e-9
+            y_u_prime = sysk.apply(y_u[i - 1])
+            assert torus_distance(y_u[i][:2], y_u_prime[:2]) < 1e-9
             # unstable-plaque membership relative to z_i
-            d = minimal_displacement(z[i - 1][:2], y_u[i][:2])
+            d = minimal_displacement(sweep.z[0, i][:2], y_u[i][:2])
             resid = np.linalg.norm(d - (d @ skew.v_u) * skew.v_u)
             assert resid < 1e-10
             assert torus_distance(y_u[i], X[i]) < 2 * eps / 3
@@ -196,14 +207,15 @@ class TestPropagate:
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=14)
         sysk = iterate_system(skew, p.k)
         X_neg = _subsampled(orbit, p.k, "neg")
-        z, zp, _ = backward_window(sysk, X_neg, p)
-        y0s, _, _ = backward_limit(sysk, X_neg, p)
-        y_s, y_s_prime = backward_propagate(sysk, X_neg, y0s, z, zp, p)
+        frame = _Frame(sysk)
+        sweep = _backward_sweep(sysk, np.array(X_neg)[None], p, frame)
+        y0s, _, _ = backward_limit(sysk, X_neg, p, frame=frame, sweep=sweep)
+        y_s, y_s_prime = (a[0] for a in _backward_propagate(sysk, sweep, frame, y0s))
+        assert torus_distance(y_s_prime[0], y0s) == 0.0
         for m in range(-1, -(len(X_neg) - 2), -1):
-            # y_m^s = F^-1((y_{m+1}^s)')
-            up = y0s if m == -1 else y_s_prime[m + 1]
-            assert torus_distance(y_s[m], sysk.apply_inverse(up)) < 1e-9
-            assert torus_distance(y_s[m], X_neg[-m]) < 2 * eps / 3
+            # y_m^s = F^-1((y_{m+1}^s)'), both indexed by -m
+            assert torus_distance(y_s[-m], sysk.apply_inverse(y_s_prime[-m - 1])) < 1e-9
+            assert torus_distance(y_s[-m], X_neg[-m]) < 2 * eps / 3
 
 
 class TestTimeReversal:
@@ -219,15 +231,18 @@ class TestTimeReversal:
         invk = iterate_system(inv, k)
         p_inv = delta_for_epsilon(inv, 1e-2)
 
-        X_pos = _subsampled(orbit, k, "pos")
-        z_f, zp_f, y_f = forward_window(sysk, X_pos, p)
+        X_pos = np.array(_subsampled(orbit, k, "pos"))[None]
+        frame, frame_inv = _Frame(sysk), _Frame(invk)
+        fwd = _forward_sweep(sysk, X_pos, p, frame)
         # the same list read as a backward orbit of f^-1
-        z_b, zp_b, y_b = backward_window(invk, X_pos, p_inv)
-        for j in range(len(z_f)):
-            assert torus_distance(z_b[j], zp_f[j]) < 1e-10
-            assert torus_distance(zp_b[j], z_f[j]) < 1e-10
-        # the shared anchor at index 0
-        assert torus_distance(y_b[-1], y_f[0]) < 1e-10
+        bwd = _backward_sweep(invk, X_pos, p_inv, frame_inv)
+        for j in range(1, X_pos.shape[1]):
+            assert torus_distance(bwd.z[0, j], fwd.zp[0, j]) < 1e-10
+            assert torus_distance(bwd.zp[0, j], fwd.z[0, j]) < 1e-10
+        # the shared anchor at index 0, from the whole window
+        y_f = _anchors(sysk, fwd, frame, stable=False)[0, -1]
+        y_b = _anchors(invk, bwd, frame_inv, stable=True)[0, -1]
+        assert torus_distance(y_b, y_f) < 1e-10
 
 
 class TestSplice:
@@ -426,6 +441,29 @@ class TestVerify:
         report = verify(skew, orbit, trace, eps)
         assert not report.passed
         assert set(report.failing_indices) == {q_bad, q_bad + 1}
+
+    def test_nan_motion_fails_its_index(self, skew):
+        # the gates are "not (value < bound)", so NaN cannot pass them
+        eps = 1e-2
+        orbit = generate_noisy(skew, X0, (-40, 40), 0.0, seed=9)
+        trace = quasi_shadow(skew, orbit, eps)
+        trace.center_motions[trace.index(5)] = np.nan
+        report = verify(skew, orbit, trace, eps)
+        assert not report.passed
+        assert report.failing_indices == [5]
+
+    def test_read_trace_rejects_non_finite_rows(self, tmp_path, skew):
+        orbit = generate_noisy(skew, X0, (-30, 30), 0.0, seed=10)
+        path = tmp_path / "trace.txt"
+        write_trace(quasi_shadow(skew, orbit, 1e-2), path, model_name="skew")
+        lines = path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("4 "))
+        for col, value in ((2, "nan"), (5, "1.5"), (8, "inf")):
+            parts = lines[row].split()
+            parts[col] = value
+            path.write_text("\n".join(lines[:row] + [" ".join(parts)] + lines[row + 1:]) + "\n")
+            with pytest.raises(ValueError, match="row 4"):
+                read_trace(path)
 
     def test_roundtrip_through_files(self, tmp_path, skew):
         p = delta_for_epsilon(skew, 1e-2)
