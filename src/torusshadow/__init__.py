@@ -2,7 +2,6 @@
 
 from .geometry import minimal_displacement, torus_distance, wrap
 from .models import (
-    IteratedSystem,
     SkewModel,
     SystemRates,
     TransversalityConstants,
@@ -10,7 +9,6 @@ from .models import (
     compute_constants,
     eigen_frame,
     inverse_system,
-    iterate_system,
     load_model,
     save_model,
 )

@@ -15,6 +15,7 @@ validity radii).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -43,13 +44,13 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _params_dict(p: shadowing.ShadowingParams) -> dict:
-    return {
-        "epsilon": p.epsilon, "delta": p.delta, "alpha": p.alpha, "r1": p.r1,
-        "r2": p.r2, "k": p.k, "limit_tol": p.limit_tol, "L0": p.L0,
-        "delta0": p.delta0, "delta1": p.delta1, "lam_k": p.lam_k,
-        "delta_step": p.delta_step, "lip_f": p.lip_f, "lip_f_inv": p.lip_f_inv,
-    }
+def _derived(sys_model, params: shadowing.ShadowingParams) -> dict:
+    """Every resolved parameter plus the model's rates and the margins."""
+    derived = dataclasses.asdict(params)
+    derived["lambda"] = sys_model.rates.lam
+    derived["mu"] = sys_model.rates.mu
+    derived["margins"] = params.margins()
+    return derived
 
 
 def _write_manifest(out: Path, command: str, args_dict: dict, sys_model,
@@ -62,10 +63,7 @@ def _write_manifest(out: Path, command: str, args_dict: dict, sys_model,
         "outputs": sorted(outputs),
     }
     if params is not None:
-        manifest["derived"] = _params_dict(params)
-        manifest["derived"]["lambda"] = sys_model.rates.lam
-        manifest["derived"]["mu"] = sys_model.rates.mu
-        manifest["derived"]["margins"] = params.margins()
+        manifest["derived"] = _derived(sys_model, params)
     _write_json(out / "manifest.json", manifest)
 
 
@@ -95,7 +93,8 @@ def cmd_constants(args) -> int:
     sys_model = _resolve_model(args.model)
     out = _out_dir(args)
     params = shadowing.delta_for_epsilon(sys_model, args.epsilon)
-    margins = params.margins()
+    payload = _derived(sys_model, params)
+    margins = payload["margins"]
     print(f"lambda = {sys_model.rates.lam:.17g}")
     print(f"mu = {sys_model.rates.mu:.17g}")
     print(f"L0 = {params.L0:.17g}")
@@ -107,10 +106,6 @@ def cmd_constants(args) -> int:
     print(f"delta = {params.delta:.17g}")
     for name, m in margins.items():
         print(f"margin[{name}] = {m:.6g}")
-    payload = _params_dict(params)
-    payload["lambda"] = sys_model.rates.lam
-    payload["mu"] = sys_model.rates.mu
-    payload["margins"] = margins
     _write_json(out / "constants.json", payload)
     _write_manifest(out, "constants", {"model": args.model, "epsilon": args.epsilon,
                                        "out": str(out)},
@@ -164,7 +159,7 @@ def cmd_verify(args) -> int:
     try:
         orbit = orbits.read_orbit(args.orbit)
         trace = shadowing.read_trace(args.trace)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"ERROR cannot read input files: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if trace.model_name != args.model or (trace.n_min, trace.n_max) != (orbit.n_min, orbit.n_max):
@@ -173,10 +168,13 @@ def cmd_verify(args) -> int:
               f"[{orbit.n_min}, {orbit.n_max}]", file=sys.stderr)
         return EXIT_INPUT
     params = shadowing.delta_for_epsilon(sys_model, args.epsilon)
-    if trace.params.epsilon != params.epsilon or trace.k != params.k:
+    differ = [f"{name} = {value!r} (resolved {getattr(params, name)!r})"
+              for name, value in dataclasses.asdict(trace.params).items()
+              if value != getattr(params, name)]
+    if differ:
         raise shadowing.ParameterError(
-            f"trace file {args.trace} was built with epsilon = {trace.params.epsilon!r}, "
-            f"k = {trace.k}; --epsilon {args.epsilon!r} resolves to k = {params.k}")
+            f"trace file {args.trace} was built with parameters that --epsilon "
+            f"{args.epsilon!r} does not resolve to: {', '.join(differ)}")
     report = shadowing.verify(sys_model, orbit, trace, args.epsilon)
     rows = slice(trace.index(trace.interior[0]), trace.index(trace.interior[1]) + 1)
     if sys_model.is_linear:

@@ -169,7 +169,6 @@ class SkewModel:
         if series_tol <= 0.0:
             raise ModelError("series_tol must be positive")
         self.series_tol = float(series_tol)
-        self.k = 1
 
         self.lip_phi = sum(
             TWO_PI * math.hypot(m1, m2) * math.hypot(s, c) for (m1, m2, s, c) in self.modes
@@ -198,10 +197,6 @@ class SkewModel:
         }
         # Exact integer powers A^n and A^-n as floats, grown on demand.
         self._powers = {True: np.eye(2)[None], False: np.eye(2)[None]}
-
-    @property
-    def base(self):
-        return self
 
     @property
     def is_linear(self) -> bool:
@@ -421,72 +416,6 @@ class SkewModel:
             raise IntersectionError("holonomy source outside the anchor plaque")
         return self.intersect("c", source, target_class, target_anchor, radius)
 
-    # -- iterates ------------------------------------------------------------
-
-    def iterate(self, k: int) -> "IteratedSystem":
-        return iterate_system(self, k)
-
-
-class IteratedSystem:
-    """The k-th power of a skew model.
-
-    apply/apply_inverse are k-fold compositions, the rates are the k-th
-    powers, and the foliation oracles (eigenframe, transfer series,
-    intersections) are shared with the base system: the invariant leaves
-    of f^k coincide with those of f.
-    """
-
-    def __init__(self, base: SkewModel, k: int):
-        if k < 1:
-            raise ModelError("iterate exponent k must be >= 1")
-        self._base = base
-        self.k = int(k)
-        self.v_s, self.v_u = base.v_s, base.v_u
-        self.eig_lam = base.eig_lam ** k
-        self.eig_mu = base.eig_mu ** k
-        self.rates = SystemRates(lam=base.rates.lam ** k, mu=base.rates.mu ** k,
-                                 delta1=base.rates.delta1)
-        self.L0 = base.L0
-        self.delta0 = base.delta0
-        self.series_tol = base.series_tol
-        self.lip_phi = base.lip_phi
-
-    @property
-    def base(self):
-        return self._base
-
-    @property
-    def is_linear(self):
-        return self._base.is_linear
-
-    def apply(self, x):
-        for _ in range(self.k):
-            x = self._base.apply(x)
-        return x
-
-    def apply_inverse(self, x):
-        for _ in range(self.k):
-            x = self._base.apply_inverse(x)
-        return x
-
-    def transfer_stable(self, p, q, tol=None):
-        return self._base.transfer_stable(p, q, tol=tol)
-
-    def transfer_unstable(self, p, q, tol=None):
-        return self._base.transfer_unstable(p, q, tol=tol)
-
-    def intersect(self, class_x, x, class_y, y, radius, errors=None):
-        return self._base.intersect(class_x, x, class_y, y, radius, errors=errors)
-
-    def holonomy_along_center(self, x_anchor, source, target_class, target_anchor, radius):
-        return self._base.holonomy_along_center(x_anchor, source, target_class,
-                                                target_anchor, radius)
-
-
-def iterate_system(sys: SkewModel, k: int) -> IteratedSystem:
-    """System handle for f^k with shared foliation oracles."""
-    return IteratedSystem(sys.base if isinstance(sys, IteratedSystem) else sys, k)
-
 
 def inverse_system(sys: SkewModel) -> SkewModel:
     """The inverse map as a skew model in the same family.
@@ -504,7 +433,7 @@ def inverse_system(sys: SkewModel) -> SkewModel:
                      series_tol=sys.series_tol)
 
 
-def compute_constants(sys, epsilon: float) -> TransversalityConstants:
+def compute_constants(sys: SkewModel, epsilon: float) -> TransversalityConstants:
     """Explicit transversality/holonomy constants for one tracing accuracy.
 
     L0 certifies the intersection blowup (solve conditioning * 1.1),
@@ -518,7 +447,7 @@ def compute_constants(sys, epsilon: float) -> TransversalityConstants:
         raise ModelError("epsilon must be positive")
     alpha = 0.45 * epsilon / 3.0
     r1 = 0.99 * sys.L0 * sys.delta0 / 3.0
-    slope = max(getattr(sys, "leaf_slope_s", sys.base.leaf_slope_s), 0.0)
+    slope = max(sys.leaf_slope_s, 0.0)
     k_hol = math.sqrt(1.0 + slope * slope)
     r2 = min(alpha / (1.5 * k_hol), r1)
     return TransversalityConstants(L0=sys.L0, delta0=sys.delta0, r1=r1, r2=r2, alpha=alpha)

@@ -80,6 +80,29 @@ def _ball_noise(rng, radius: float) -> np.ndarray:
     return v * (radius * rng.random() ** (1.0 / 3.0) / norm)
 
 
+def fill_window(x0, window, step, back_step) -> np.ndarray:
+    """Points of a window around index 0: x0 at 0, then x_{i+1} = step(x_i)
+    going up and x_{i-1} = back_step(x_i) going down, every forward step
+    taken before the first backward one.
+
+    x0 is one point (3,) or a stack (..., 3); the result is (..., N, 3).
+    """
+    n_min, n_max = int(window[0]), int(window[1])
+    if not n_min <= 0 <= n_max:
+        raise ValueError(f"window [{n_min}, {n_max}] must contain index 0")
+    pts = np.empty(x0.shape[:-1] + (n_max - n_min + 1, 3))
+    pts[..., -n_min, :] = x0
+    x = x0
+    for i in range(1 - n_min, n_max - n_min + 1):
+        x = step(x)
+        pts[..., i, :] = x
+    x = x0
+    for i in range(-n_min - 1, -1, -1):
+        x = back_step(x)
+        pts[..., i, :] = x
+    return pts
+
+
 def generate_noisy(sys: SkewModel, x0, window, delta: float, seed: int) -> PseudoOrbit:
     """Seeded pseudo-orbit: every step is the true image plus uniform noise
     of norm <= delta.
@@ -89,22 +112,15 @@ def generate_noisy(sys: SkewModel, x0, window, delta: float, seed: int) -> Pseud
     """
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    n_min, n_max = int(window[0]), int(window[1])
-    if not n_min <= 0 <= n_max:
-        raise ValueError(f"window [{n_min}, {n_max}] must contain index 0")
     rng = np.random.default_rng(seed)
-    x0 = wrap(np.asarray(x0, dtype=float))
-    pts = np.empty((n_max - n_min + 1, 3))
-    pts[-n_min] = x0
-    x = x0
-    for k in range(1, n_max + 1):
-        x = wrap(sys.apply(x) + (_ball_noise(rng, delta) if delta > 0.0 else 0.0))
-        pts[k - n_min] = x
-    x = x0
-    for k in range(-1, n_min - 1, -1):
-        x = sys.apply_inverse(wrap(x + (_ball_noise(rng, delta) if delta > 0.0 else 0.0)))
-        pts[k - n_min] = x
-    return PseudoOrbit(n_min, n_max, pts, delta,
+
+    def noise():
+        return _ball_noise(rng, delta) if delta > 0.0 else 0.0
+
+    pts = fill_window(wrap(np.asarray(x0, dtype=float)), window,
+                      lambda x: wrap(sys.apply(x) + noise()),
+                      lambda x: sys.apply_inverse(wrap(x + noise())))
+    return PseudoOrbit(int(window[0]), int(window[1]), pts, delta,
                        meta={"kind": "noisy", "seed": seed, "rng": "numpy-pcg64"})
 
 
@@ -216,21 +232,8 @@ def from_map(sys: SkewModel, g: PerturbedMap, x0, window) -> PseudoOrbit:
     x0 is one point (3,) or a stack (B, 3); a stack gives the (B, N, 3)
     orbits of all its points, every step taken for all rows at once.
     """
-    n_min, n_max = int(window[0]), int(window[1])
-    if not n_min <= 0 <= n_max:
-        raise ValueError(f"window [{n_min}, {n_max}] must contain index 0")
-    x0 = wrap(np.asarray(x0, dtype=float))
-    pts = np.empty(x0.shape[:-1] + (n_max - n_min + 1, 3))
-    pts[..., -n_min, :] = x0
-    x = x0
-    for k in range(1, n_max + 1):
-        x = g.apply(x)
-        pts[..., k - n_min, :] = x
-    x = x0
-    for k in range(-1, n_min - 1, -1):
-        x = g.apply_inverse(x)
-        pts[..., k - n_min, :] = x
-    return PseudoOrbit(n_min, n_max, pts, g.certified_bound(),
+    pts = fill_window(wrap(np.asarray(x0, dtype=float)), window, g.apply, g.apply_inverse)
+    return PseudoOrbit(int(window[0]), int(window[1]), pts, g.certified_bound(),
                        meta={"kind": "perturbed"})
 
 
@@ -251,11 +254,19 @@ def write_orbit(orbit: PseudoOrbit, path, model_name: str = "") -> None:
             fh.write(f"{k} {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
 
 
-def read_orbit(path) -> PseudoOrbit:
-    header = {}
-    rows = []
+def read_table(path, columns: int, required=()):
+    """Header and numeric rows of a line-oriented file.
+
+    `# key: value` lines make the header; every other non-blank line is a
+    row of `columns` numbers whose first column is the index.  Returns
+    (header, (n_min, n_max), rows) with the (N, columns) rows sorted by
+    index.  Raises ValueError when the `window` header or one in `required`
+    is missing, a row has another column count or a non-numeric field, or
+    the indices do not cover the declared window once each.
+    """
+    header, rows = {}, []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -263,16 +274,26 @@ def read_orbit(path) -> PseudoOrbit:
                 key, _, value = line[1:].partition(":")
                 header[key.strip()] = value.strip()
                 continue
-            parts = line.split()
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
-    if "window" not in header or "delta" not in header:
-        raise ValueError(f"orbit file {path} is missing window/delta headers")
+            tokens = line.split()
+            if len(tokens) != columns:
+                raise ValueError(f"{path} line {number} has {len(tokens)} columns, "
+                                 f"expected {columns}")
+            rows.append([float(tok) for tok in tokens])
+    missing = [key for key in ("window", *required) if key not in header]
+    if missing:
+        raise ValueError(f"{path} is missing header(s): {', '.join(missing)}")
     n_min, n_max = (int(tok) for tok in header["window"].split())
-    rows.sort(key=lambda r: r[0])
-    if [r[0] for r in rows] != list(range(n_min, n_max + 1)):
-        raise ValueError(f"orbit file {path} indices do not cover the declared window")
-    pts = np.array([[r[1], r[2], r[3]] for r in rows])
-    return PseudoOrbit(n_min, n_max, pts, float(header["delta"]),
+    rows = np.array(rows).reshape(-1, columns)
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    if not np.array_equal(rows[:, 0], np.arange(n_min, n_max + 1)):
+        raise ValueError(f"{path} indices do not cover the declared window "
+                         f"[{n_min}, {n_max}]")
+    return header, (n_min, n_max), rows
+
+
+def read_orbit(path) -> PseudoOrbit:
+    header, (n_min, n_max), rows = read_table(path, 4, required=("delta",))
+    return PseudoOrbit(n_min, n_max, rows[:, 1:].copy(), float(header["delta"]),
                        model_name=header.get("model", "unknown"),
                        meta={k: v for k, v in header.items()
                              if k not in ("window", "delta", "model")})

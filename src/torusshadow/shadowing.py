@@ -34,14 +34,14 @@ index, which `verify` checks from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import fiber_displacement, minimal_displacement, torus_distance, wrap
-from .models import SkewModel, _flag_rows, compute_constants, iterate_system
-from .orbits import PseudoOrbit, defects
+from .models import SkewModel, _flag_rows, compute_constants
+from .orbits import PseudoOrbit, defects, read_table
 
 __all__ = [
     "ShadowingParams",
@@ -127,7 +127,6 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
     Raises ParameterError naming the violated bound when epsilon exceeds
     the validity radii.
     """
-    sys = sys.base
     if epsilon <= 0.0:
         raise ParameterError("epsilon must be positive")
     consts = compute_constants(sys, epsilon)
@@ -179,16 +178,35 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
 
 
 class _Frame:
-    """Decomposition of base displacements into (unstable, stable) coefficients."""
+    """The power F = f^k the construction runs on, for k = params.k.
 
-    def __init__(self, sysk):
-        self.v_u = sysk.v_u
-        self.v_s = sysk.v_s
-        self._inv = np.linalg.inv(np.column_stack([sysk.v_u, sysk.v_s]))
+    Holds F and F^-1 as k steps of the map, and the decomposition of base
+    displacements into (unstable, stable) coefficients.  The invariant
+    leaves of F are those of f, so every leaf operation stays on `sys`.
+    """
+
+    def __init__(self, sys: SkewModel, k: int):
+        self.sys = sys
+        self.k = k
+        self.v_u = sys.v_u
+        self.v_s = sys.v_s
+        self._inv = np.linalg.inv(np.column_stack([sys.v_u, sys.v_s]))
         # Signed eigenvalues of the k-th matrix power drive the scalar
         # offset recursions.
-        self.contract_s = sysk.eig_lam        # A^k v_s = contract_s * v_s
-        self.contract_u = 1.0 / sysk.eig_mu   # A^-k v_u = contract_u * v_u
+        self.contract_s = sys.eig_lam ** k        # A^k v_s = contract_s * v_s
+        self.contract_u = 1.0 / sys.eig_mu ** k   # A^-k v_u = contract_u * v_u
+
+    def apply_k(self, x):
+        """F(x): k steps of f."""
+        for _ in range(self.k):
+            x = self.sys.apply(x)
+        return x
+
+    def apply_inverse_k(self, x):
+        """F^-1(x): k steps of f^-1."""
+        for _ in range(self.k):
+            x = self.sys.apply_inverse(x)
+        return x
 
     def coeffs(self, p_from, p_to):
         """(along v_u, along v_s) coefficients of the minimal displacements."""
@@ -202,12 +220,12 @@ def _point(base, fiber):
     return np.concatenate([base, wrap(fiber)[..., None]], axis=-1)
 
 
-def _on_leaf(sysk, anchor, offset, stable: bool, tol=None):
+def _on_leaf(sys, anchor, offset, stable: bool, tol=None):
     """Points of the strong stable (or unstable) leaves of `anchor` at base
     offsets `offset` along v_s (or v_u); anchor (..., 3) broadcasts
     against offset (...)."""
-    base = wrap(anchor[..., :2] + offset[..., None] * (sysk.v_s if stable else sysk.v_u))
-    transfer = sysk.transfer_stable if stable else sysk.transfer_unstable
+    base = wrap(anchor[..., :2] + offset[..., None] * (sys.v_s if stable else sys.v_u))
+    transfer = sys.transfer_stable if stable else sys.transfer_unstable
     return _point(base, anchor[..., 2] + transfer(anchor[..., :2], base, tol=tol))
 
 
@@ -239,7 +257,7 @@ class _Sweep(NamedTuple):
     coef: np.ndarray
 
 
-def _forward_sweep(sysk, X, params, frame, errors=None) -> _Sweep:
+def _forward_sweep(sys, X, params, frame, errors=None) -> _Sweep:
     """z/z' sweep over the positive subsampled half, one step for all rows.
 
     z_i is the cu-leaf-of-F(z_{i-1}) / stable-leaf-of-X_i intersection, z'_i
@@ -249,10 +267,10 @@ def _forward_sweep(sysk, X, params, frame, errors=None) -> _Sweep:
     found = {}
     radius = params.delta_step
     for i in range(1, X.shape[-2]):
-        fz = sysk.apply(z[..., i - 1, :])
+        fz = frame.apply_k(z[..., i - 1, :])
         step = {}
-        z[..., i, :] = sysk.intersect("cu", fz, "s", X[..., i, :], radius, errors=step)
-        zp[..., i, :] = sysk.intersect("cs", X[..., i, :], "u", fz, radius, errors=step)
+        z[..., i, :] = sys.intersect("cu", fz, "s", X[..., i, :], radius, errors=step)
+        zp[..., i, :] = sys.intersect("cs", X[..., i, :], "u", fz, radius, errors=step)
         for r, exc in step.items():
             found.setdefault(r, ConstructionError(f"forward sweep failed at index {i}: {exc}"))
         c[..., i] = frame.coeffs(fz[..., :2], z[..., i, :2])[0]
@@ -261,7 +279,7 @@ def _forward_sweep(sysk, X, params, frame, errors=None) -> _Sweep:
     return _Sweep(X, z, zp, c)
 
 
-def _backward_sweep(sysk, X, params, frame, errors=None) -> _Sweep:
+def _backward_sweep(sys, X, params, frame, errors=None) -> _Sweep:
     """Mirror sweep over the negative subsampled half, X[..., j, :] = X_{-j}.
 
     z_{-1} pairs F^-1(X_0) with X_{-1}; deeper steps anchor at F^-1(z'_{m+1}).
@@ -270,10 +288,10 @@ def _backward_sweep(sysk, X, params, frame, errors=None) -> _Sweep:
     found = {}
     radius = params.delta_step
     for j in range(1, X.shape[-2]):
-        anchor = sysk.apply_inverse(zp[..., j - 1, :])
+        anchor = frame.apply_inverse_k(zp[..., j - 1, :])
         step = {}
-        z[..., j, :] = sysk.intersect("cu", X[..., j, :], "s", anchor, radius, errors=step)
-        zp[..., j, :] = sysk.intersect("cs", anchor, "u", X[..., j, :], radius, errors=step)
+        z[..., j, :] = sys.intersect("cu", X[..., j, :], "s", anchor, radius, errors=step)
+        zp[..., j, :] = sys.intersect("cs", anchor, "u", X[..., j, :], radius, errors=step)
         for r, exc in step.items():
             found.setdefault(r, ConstructionError(f"backward sweep failed at index {-j}: {exc}"))
         d[..., j] = frame.coeffs(anchor[..., :2], z[..., j, :2])[1]
@@ -285,7 +303,7 @@ def _backward_sweep(sysk, X, params, frame, errors=None) -> _Sweep:
 # -- half-orbit anchors -------------------------------------------------------
 
 
-def _anchors(sysk, sweep: _Sweep, frame: _Frame, stable: bool, tol=None):
+def _anchors(sys, sweep: _Sweep, frame: _Frame, stable: bool, tol=None):
     """The window anchors y_{0,n} for every n = 1..n_max, shape (..., n_max, 3).
 
     y_{0,n} lies on the strong unstable leaf of X_0 (stable for the backward
@@ -295,19 +313,19 @@ def _anchors(sysk, sweep: _Sweep, frame: _Frame, stable: bool, tol=None):
     rate = frame.contract_s if stable else frame.contract_u
     n_max = sweep.coef.shape[-1] - 1
     offsets = np.cumsum(rate ** np.arange(1, n_max + 1) * sweep.coef[..., 1:], axis=-1)
-    return _on_leaf(sysk, sweep.X[..., :1, :], offsets, stable, tol=tol)
+    return _on_leaf(sys, sweep.X[..., :1, :], offsets, stable, tol=tol)
 
 
-def _limit(sysk, X, params, growth_step, frame, sweep, errors, stable: bool):
+def _limit(sys, X, params, growth_step, frame, sweep, errors, stable: bool):
     """First Cauchy-stable window anchor of each row (see forward_limit)."""
-    frame = frame or _Frame(sysk)
+    frame = frame or _Frame(sys, params.k)
     if sweep is None:
         run = _backward_sweep if stable else _forward_sweep
-        sweep = run(sysk, np.asarray(X, dtype=float), params, frame, errors)
+        sweep = run(sys, np.asarray(X, dtype=float), params, frame, errors)
     tol = params.limit_tol
     # The transfer runs at a tolerance well below the Cauchy gap resolved
     # here, so truncation jitter cannot mask convergence.
-    anchors = _anchors(sysk, sweep, frame, stable, tol=min(sysk.series_tol, 1e-3 * tol))
+    anchors = _anchors(sys, sweep, frame, stable, tol=min(sys.series_tol, 1e-3 * tol))
     n_max = anchors.shape[-2]
     ns = np.arange(1, n_max - 1, growth_step)   # candidates with n + 2 <= n_max
     if ns.size:
@@ -333,33 +351,33 @@ def _limit(sysk, X, params, growth_step, frame, sweep, errors, stable: bool):
     return anchor, depth[()], sweep
 
 
-def forward_limit(sysk, X, params, growth_step: int = 1, frame=None, sweep=None, errors=None):
+def forward_limit(sys, X, params, growth_step: int = 1, frame=None, sweep=None, errors=None):
     """First Cauchy-stable element of {y_{0,n}}: the anchor y_0^u on W^u(X_0).
 
-    X is one subsampled forward half X_0..X_n, shape (n+1, 3), or a stack
-    (B, n+1, 3).  Tries n along the growth schedule and accepts the first n
-    with d(y_{0,n}, y_{0,n+1}) and d(y_{0,n}, y_{0,n+2}) both below
-    limit_tol; all candidates come from one prefix sum and one transfer
+    X is one forward half X_0..X_n subsampled by k = params.k, shape
+    (n+1, 3), or a stack (B, n+1, 3).  Tries n along the growth schedule
+    and accepts the first n with d(y_{0,n}, y_{0,n+1}) and
+    d(y_{0,n}, y_{0,n+2}) both below limit_tol; all candidates come from one prefix sum and one transfer
     series call.  Returns (anchor, n, sweep), with one n per row.  A row
     whose anchor never settles raises InsufficientWindowError, or with a
     dict `errors` is recorded there.
     """
-    return _limit(sysk, X, params, growth_step, frame, sweep, errors, stable=False)
+    return _limit(sys, X, params, growth_step, frame, sweep, errors, stable=False)
 
 
-def backward_limit(sysk, X_neg, params, growth_step: int = 1, frame=None, sweep=None,
+def backward_limit(sys, X_neg, params, growth_step: int = 1, frame=None, sweep=None,
                    errors=None):
     """First Cauchy-stable element of {y_{0,-n}}: the anchor y_0^s on W^s(X_0).
 
     X_neg[..., j, :] = X_{-j}; otherwise as forward_limit.
     """
-    return _limit(sysk, X_neg, params, growth_step, frame, sweep, errors, stable=True)
+    return _limit(sys, X_neg, params, growth_step, frame, sweep, errors, stable=True)
 
 
 # -- propagation along the halves ------------------------------------------------
 
 
-def _forward_propagate(sysk, sweep: _Sweep, frame: _Frame, y0_u):
+def _forward_propagate(sys, sweep: _Sweep, frame: _Frame, y0_u):
     """Guides y_i^u = W^u(z_i) cap W^c(F(y_{i-1}^u)) for the whole half,
     (..., n+1, 3) with y_0^u at index 0.
 
@@ -374,11 +392,11 @@ def _forward_propagate(sysk, sweep: _Sweep, frame: _Frame, y0_u):
         u[..., i] = frame.contract_u * (c[..., i + 1] + u[..., i + 1])
     y_u = np.empty(sweep.z.shape)
     y_u[..., 0, :] = y0_u
-    y_u[..., 1:, :] = _on_leaf(sysk, sweep.z[..., 1:, :], u[..., 1:], stable=False)
+    y_u[..., 1:, :] = _on_leaf(sys, sweep.z[..., 1:, :], u[..., 1:], stable=False)
     return y_u
 
 
-def _backward_propagate(sysk, sweep: _Sweep, frame: _Frame, y0_s):
+def _backward_propagate(sys, sweep: _Sweep, frame: _Frame, y0_s):
     """Guides y_m^s and their corrected images (y_m^s)' for m = -1..-n, as
     (..., n+1, 3) arrays indexed by j = -m with y_0^s at index 0.
 
@@ -396,17 +414,17 @@ def _backward_propagate(sysk, sweep: _Sweep, frame: _Frame, y0_s):
     zp = sweep.zp[..., 1:, :]
     y_s_prime = np.empty(sweep.z.shape)
     y_s_prime[..., 0, :] = y0_s
-    y_s_prime[..., 1:, :] = _point(base, zp[..., 2] + sysk.transfer_stable(zp[..., :2], base))
+    y_s_prime[..., 1:, :] = _point(base, zp[..., 2] + sys.transfer_stable(zp[..., :2], base))
     y_s = np.empty(sweep.z.shape)
     y_s[..., 0, :] = y0_s
-    y_s[..., 1:, :] = _point(base, sysk.apply_inverse(y_s_prime[..., :-1, :])[..., 2])
+    y_s[..., 1:, :] = _point(base, frame.apply_inverse_k(y_s_prime[..., :-1, :])[..., 2])
     return y_s, y_s_prime
 
 
 # -- splice and full pipeline --------------------------------------------------
 
 
-def splice(sysk, y0_u, y0_s, params, frame=None, errors=None):
+def splice(sys, y0_u, y0_s, params, errors=None):
     """Close the two half-orbit anchors into y_0^* and (y_0^*)', row by row.
 
     y_0^* is the stable-leaf-of-y_0^u / cu-leaf-of-y_0^s intersection, its
@@ -422,12 +440,24 @@ def splice(sysk, y0_u, y0_s, params, frame=None, errors=None):
         lambda r: (f"splice margin violated at index 0: d(y0_s, y0_u) = {gap[r]:.3e} >= "
                    f"2 lam^k (L0 delta + alpha) = {cap:.3e}")),))
     step = {}
-    y0_star = sysk.intersect("cu", y0_s, "s", y0_u, cap, errors=step)
-    y0_star_prime = sysk.intersect("cs", y0_u, "u", y0_s, cap, errors=step)
+    y0_star = sys.intersect("cu", y0_s, "s", y0_u, cap, errors=step)
+    y0_star_prime = sys.intersect("cs", y0_u, "u", y0_s, cap, errors=step)
     for r, exc in step.items():
         found.setdefault(r, ConstructionError(f"splice intersection failed at index 0: {exc}"))
     _collect(errors, found)
     return y0_star, y0_star_prime
+
+
+def _sub_range(n_min: int, n_max: int, k: int) -> tuple:
+    """(M_min, M_max): the subsampled indices m with m k inside the window."""
+    return -((-n_min) // k), n_max // k
+
+
+def _base_residual(y_star, y_prime):
+    """Base distance between y*_q and y'_q = f(y*_{q-1}); 0 at the first index."""
+    res = np.zeros(y_star.shape[:-1])
+    res[..., 1:] = torus_distance(y_prime[..., 1:, :2], y_star[..., 1:, :2])
+    return res
 
 
 @dataclass
@@ -445,15 +475,20 @@ class ShadowingTrace:
     center_motions: np.ndarray  # (N,): signed fiber step from y_prime to y_star
     trace_dist: np.ndarray      # (N,): d(x_k, y*_k)
     base_residual: np.ndarray   # (N,): base distance between y*_k and f(y*_{k-1})
-    y0_u: np.ndarray
-    y0_s: np.ndarray
     params: ShadowingParams
     interior: tuple
-    k: int
-    sub_range: tuple            # (M_min, M_max) subsampled index range
     y_u: dict = field(default_factory=dict, repr=False)    # guides at subsampled m >= 0
     y_s: dict = field(default_factory=dict, repr=False)    # guides at subsampled m <= 0
     model_name: str = "unknown"
+
+    @property
+    def k(self) -> int:
+        return self.params.k
+
+    @property
+    def sub_range(self) -> tuple:
+        """(M_min, M_max) subsampled index range."""
+        return _sub_range(self.n_min, self.n_max, self.k)
 
     def index(self, k: int) -> int:
         return k - self.n_min
@@ -511,12 +546,10 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     InsufficientWindowError, with the stage and index in the message);
     those rows are NaN in the trace and never stop the others.
     """
-    sys = sys.base
     if params is None:
         params = delta_for_epsilon(sys, epsilon)
     k = params.k
-    M_min = -((-orbit.n_min) // k)   # ceil(n_min / k) for negative n_min
-    M_max = orbit.n_max // k
+    M_min, M_max = _sub_range(orbit.n_min, orbit.n_max, k)
     if M_max < 3 or M_min > -3:
         raise ParameterError(
             f"window [{orbit.n_min}, {orbit.n_max}] too short for power k = {k}"
@@ -525,17 +558,16 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     errors = {}
     _check_defects(sys, orbit, params, errors)
 
-    sysk = iterate_system(sys, k)
-    frame = _Frame(sysk)
+    frame = _Frame(sys, k)
     X_pos = pts[..., np.arange(M_max + 1) * k - orbit.n_min, :]
     X_neg = pts[..., -np.arange(-M_min + 1) * k - orbit.n_min, :]
-    fsweep = _forward_sweep(sysk, X_pos, params, frame, errors)
-    y0_u, _, _ = forward_limit(sysk, X_pos, params, growth_step, frame, fsweep, errors)
-    bsweep = _backward_sweep(sysk, X_neg, params, frame, errors)
-    y0_s, _, _ = backward_limit(sysk, X_neg, params, growth_step, frame, bsweep, errors)
-    y_u = _forward_propagate(sysk, fsweep, frame, y0_u)
-    y_s, y_s_prime = _backward_propagate(sysk, bsweep, frame, y0_s)
-    y0_star, y0_star_prime = splice(sysk, y0_u, y0_s, params, frame, errors)
+    fsweep = _forward_sweep(sys, X_pos, params, frame, errors)
+    y0_u, _, _ = forward_limit(sys, X_pos, params, growth_step, frame, fsweep, errors)
+    bsweep = _backward_sweep(sys, X_neg, params, frame, errors)
+    y0_s, _, _ = backward_limit(sys, X_neg, params, growth_step, frame, bsweep, errors)
+    y_u = _forward_propagate(sys, fsweep, frame, y0_u)
+    y_s, y_s_prime = _backward_propagate(sys, bsweep, frame, y0_s)
+    y0_star, y0_star_prime = splice(sys, y0_u, y0_s, params, errors)
 
     # Subsampled y*: stable offsets from the forward guides (contracting
     # forward), unstable offsets from the backward guides (contracting
@@ -545,7 +577,7 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     # one series call.
     sigma0 = frame.coeffs(y0_u[..., :2], y0_star[..., :2])[1]
     eta0 = frame.coeffs(y0_s[..., :2], y0_star_prime[..., :2])[0]
-    star_pos = _on_leaf(sysk, y_u[..., 1:, :],
+    star_pos = _on_leaf(sys, y_u[..., 1:, :],
                         sigma0[..., None] * frame.contract_s ** np.arange(1, M_max + 1),
                         stable=True)
     eta = eta0[..., None] * frame.contract_u ** np.arange(1, -M_min + 1)
@@ -553,9 +585,9 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     upper = np.empty(pts.shape[:-2] + (-M_min, 3))
     upper[..., 0, :] = y0_star_prime
     primed = y_s_prime[..., 1:-1, :]
-    upper[..., 1:, :] = _point(base[..., :-1, :], primed[..., 2] + sysk.transfer_unstable(
+    upper[..., 1:, :] = _point(base[..., :-1, :], primed[..., 2] + sys.transfer_unstable(
         primed[..., :2], base[..., :-1, :]))
-    star_neg = _point(base, sysk.apply_inverse(upper)[..., 2])
+    star_neg = _point(base, frame.apply_inverse_k(upper)[..., 2])
     star = np.concatenate([star_neg[..., ::-1, :], y0_star[..., None, :], star_pos], axis=-2)
 
     # Full resolution: exact map steps between the subsampled corrections,
@@ -577,22 +609,20 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     y_prime = y_star.copy()
     y_prime[..., 1:, :] = sys.apply(y_star[..., :-1, :])
     motions = np.zeros(y_star.shape[:-1])
-    base_res = np.zeros(y_star.shape[:-1])
     motions[..., 1:] = fiber_displacement(y_prime[..., 1:, 2], y_star[..., 1:, 2])
-    base_res[..., 1:] = torus_distance(y_prime[..., 1:, :2], y_star[..., 1:, :2])
+    base_res = _base_residual(y_star, y_prime)
     dist = torus_distance(pts, y_star)
 
     failed = sorted(errors)
     if failed:
-        for arr in (y_star, y_prime, motions, base_res, dist, y0_u, y0_s, y_u, y_s):
+        for arr in (y_star, y_prime, motions, base_res, dist, y_u, y_s):
             arr.reshape((-1,) + arr.shape[pts.ndim - 2:])[failed] = np.nan
     lo = max(orbit.n_min, M_min * k) + k
     hi = min(orbit.n_max, M_max * k) - k
     trace = ShadowingTrace(
         n_min=orbit.n_min, n_max=orbit.n_max, y_star=y_star, y_prime=y_prime,
         center_motions=motions, trace_dist=dist, base_residual=base_res,
-        y0_u=y0_u, y0_s=y0_s, params=params, interior=(lo, hi), k=k,
-        sub_range=(M_min, M_max),
+        params=params, interior=(lo, hi),
         y_u={m: y_u[..., m, :] for m in range(M_max + 1)},
         y_s={-j: y_s[..., j, :] for j in range(-M_min + 1)},
         model_name=orbit.model_name,
@@ -653,7 +683,6 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace, epsilon: f
     as `not (value < bound)`, so a NaN fails it.  Shares no state with the
     constructor.
     """
-    sys = sys.base
     lo, hi = trace.interior
     lo = max(lo, orbit.n_min + 1)
     q = np.arange(lo, hi + 1)
@@ -680,14 +709,26 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace, epsilon: f
 # -- trace files -----------------------------------------------------------------
 
 
+def write_params_header(fh, params: ShadowingParams) -> None:
+    """One `# name: value` line per ShadowingParams field; 17 significant
+    digits round-trip every float."""
+    for f in fields(ShadowingParams):
+        fh.write(f"# {f.name}: {getattr(params, f.name):.17g}\n")
+
+
+def _params_from_header(header: dict, source) -> ShadowingParams:
+    """The ShadowingParams a `write_params_header` block wrote, exactly."""
+    missing = [f.name for f in fields(ShadowingParams) if f.name not in header]
+    if missing:
+        raise ValueError(f"{source} is missing parameter header(s): {', '.join(missing)}")
+    return ShadowingParams(**{f.name: (int if f.type == "int" else float)(header[f.name])
+                              for f in fields(ShadowingParams)})
+
+
 def write_trace(trace: ShadowingTrace, path, model_name: str = "") -> None:
-    p = trace.params
     with open(path, "w") as fh:
         fh.write(f"# model: {model_name or trace.model_name}\n")
-        for key, val in (("epsilon", p.epsilon), ("delta", p.delta), ("alpha", p.alpha),
-                         ("r1", p.r1), ("r2", p.r2), ("limit_tol", p.limit_tol)):
-            fh.write(f"# {key}: {val:.17g}\n")
-        fh.write(f"# k: {p.k}\n")
+        write_params_header(fh, trace.params)
         fh.write(f"# window: {trace.n_min} {trace.n_max}\n")
         fh.write(f"# interior: {trace.interior[0]} {trace.interior[1]}\n")
         for q in range(trace.n_min, trace.n_max + 1):
@@ -701,47 +742,23 @@ def write_trace(trace: ShadowingTrace, path, model_name: str = "") -> None:
             )
 
 
-def read_trace(path, params: ShadowingParams = None) -> ShadowingTrace:
-    header = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                header[key.strip()] = value.strip()
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    n_min, n_max = (int(t) for t in header["window"].split())
+def read_trace(path) -> ShadowingTrace:
+    """A trace written by `write_trace`: the y*/y' columns, motions and
+    distances as written, the parameters from the header, and the base
+    residuals recomputed from the y*/y' columns."""
+    header, (n_min, n_max), arr = read_table(path, 9, required=("interior",))
     lo, hi = (int(t) for t in header["interior"].split())
-    rows.sort(key=lambda r: r[0])
-    if [int(r[0]) for r in rows] != list(range(n_min, n_max + 1)):
-        raise ValueError(f"trace file {path} indices do not cover the declared window")
-    if any(len(r) != 9 for r in rows):
-        raise ValueError(f"trace file {path} rows must have 9 columns")
-    arr = np.array(rows)
     # points in [0, 1), motion and distance finite; NaN fails both tests
     bad = ~(arr[:, 1:7] >= 0.0) | ~(arr[:, 1:7] < 1.0)
     bad = bad.any(axis=1) | ~np.isfinite(arr[:, 7:]).all(axis=1)
     if bad.any():
         raise ValueError(f"trace file {path} row {int(arr[bad][0, 0])} has a non-finite "
                          f"or out-of-[0, 1) value")
-    k = int(header["k"])
-    if params is None:
-        params = ShadowingParams(
-            epsilon=float(header["epsilon"]), delta=float(header["delta"]),
-            alpha=float(header["alpha"]), r1=float(header["r1"]), r2=float(header["r2"]),
-            k=k, limit_tol=float(header["limit_tol"]), L0=0.0, delta0=0.0, delta1=0.0,
-            lam_k=0.0, delta_step=0.0, lip_f=0.0, lip_f_inv=0.0,
-        )
-    n_pts = n_max - n_min + 1
+    y_star, y_prime = arr[:, 1:4].copy(), arr[:, 4:7].copy()
     return ShadowingTrace(
-        n_min=n_min, n_max=n_max,
-        y_star=arr[:, 1:4].copy(), y_prime=arr[:, 4:7].copy(),
+        n_min=n_min, n_max=n_max, y_star=y_star, y_prime=y_prime,
         center_motions=arr[:, 7].copy(), trace_dist=arr[:, 8].copy(),
-        base_residual=np.zeros(n_pts), y0_u=arr[n_pts // 2, 1:4].copy(),
-        y0_s=arr[n_pts // 2, 1:4].copy(), params=params, interior=(lo, hi), k=k,
-        sub_range=(n_min // k, n_max // k), model_name=header.get("model", "unknown"),
+        base_residual=_base_residual(y_star, y_prime),
+        params=_params_from_header(header, f"trace file {path}"), interior=(lo, hi),
+        model_name=header.get("model", "unknown"),
     )

@@ -19,12 +19,13 @@ import numpy as np
 
 from .geometry import fiber_displacement, torus_distance, wrap
 from .models import SkewModel
-from .orbits import PerturbedMap, from_map
+from .orbits import PerturbedMap, fill_window, from_map
 from .shadowing import (
     ParameterError,
     ShadowingParams,
     delta_for_epsilon,
     shadow_batch,
+    write_params_header,
 )
 
 __all__ = [
@@ -263,18 +264,12 @@ class ProbeReport:
 
 def _center_pseudo_orbit(sys: SkewModel, p0, z0: float, half: int, jitter, rng):
     """Orbit with exact base dynamics and fiber jitter <= eta per step."""
-    n = 2 * half + 1
-    pts = np.empty((n, 3))
-    pts[half] = np.array([p0[0], p0[1], z0])
-    x = pts[half]
-    for i in range(half + 1, n):
-        x = wrap(sys.apply(x) + np.array([0.0, 0.0, jitter * (2.0 * rng.random() - 1.0)]))
-        pts[i] = x
-    x = pts[half]
-    for i in range(half - 1, -1, -1):
-        x = sys.apply_inverse(wrap(x + np.array([0.0, 0.0, jitter * (2.0 * rng.random() - 1.0)])))
-        pts[i] = x
-    return pts
+    def kick():
+        return np.array([0.0, 0.0, jitter * (2.0 * rng.random() - 1.0)])
+
+    return fill_window(np.array([p0[0], p0[1], z0]), (-half, half),
+                       lambda x: wrap(sys.apply(x) + kick()),
+                       lambda x: sys.apply_inverse(wrap(x + kick())))
 
 
 def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: int,
@@ -332,16 +327,12 @@ def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: in
 def write_semiconjugacy(sc: SemiConjugacy, path, model_name: str = "",
                         perturbation: str = "") -> None:
     n1, n2, n3 = sc.grid_res
-    p = sc.params
     with open(path, "w") as fh:
         fh.write(f"# model: {model_name or sc.model_name}\n")
         fh.write(f"# perturbation: {perturbation}\n")
         fh.write(f"# grid: {n1} {n2} {n3}\n")
         fh.write(f"# half_length: {sc.window}\n")
-        for key, val in (("epsilon", p.epsilon), ("delta", p.delta), ("alpha", p.alpha),
-                         ("r1", p.r1), ("r2", p.r2), ("limit_tol", p.limit_tol)):
-            fh.write(f"# {key}: {val:.17g}\n")
-        fh.write(f"# k: {p.k}\n")
+        write_params_header(fh, sc.params)
         idx = 0
         for i1 in range(n1):
             for i2 in range(n2):

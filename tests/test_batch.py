@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from torusshadow.geometry import torus_distance, wrap
-from torusshadow.models import IntersectionError, iterate_system
+from torusshadow.models import IntersectionError
 from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map
 from torusshadow.shadowing import (
     ParameterError,
@@ -112,18 +112,17 @@ def test_sweep_failure_is_recorded_by_row(skew, grid_batch):
     # a failing intersection inside the sweep names the row, stage and index
     # and leaves the other rows of the sweep as they are alone
     _, params, _, orbit, _, _ = grid_batch
-    sysk = iterate_system(skew, params.k)
-    frame = _Frame(sysk)
+    frame = _Frame(skew, params.k)
     X = orbit.points[:4, -orbit.n_min::params.k].copy()
     X[2, 3] = wrap(X[2, 3] + [0.3, 0.0, 0.0])
     errors = {}
-    sweep = _forward_sweep(sysk, X, params, frame, errors)
+    sweep = _forward_sweep(skew, X, params, frame, errors)
     assert list(errors) == [2]
     assert "forward sweep failed at index 3" in str(errors[2])
     with pytest.raises(Exception, match="forward sweep failed at index 3"):
-        _forward_sweep(sysk, X[2:3], params, frame)
+        _forward_sweep(skew, X[2:3], params, frame)
     for r in (0, 1, 3):
-        alone = _forward_sweep(sysk, X[r:r + 1], params, frame)
+        alone = _forward_sweep(skew, X[r:r + 1], params, frame)
         assert np.array_equal(alone.z[0], sweep.z[r])
         assert np.array_equal(alone.zp[0], sweep.zp[r])
         assert np.array_equal(alone.coef[0], sweep.coef[r])

@@ -211,6 +211,32 @@ class TestInputGuards:
         assert self.verify() == 3
         assert "k = 3" in capsys.readouterr().err
 
+    def test_verify_names_every_differing_parameter(self, chain, capsys):
+        text = (chain / "s" / "trace.txt").read_text()
+        line = next(l for l in text.splitlines() if l.startswith("# L0: "))
+        (chain / "s" / "trace.txt").write_text(text.replace(line, "# L0: 1.5"))
+        assert self.verify() == 3
+        err = capsys.readouterr().err
+        # the one differing field is named, with its resolved value
+        assert "L0 = 1.5 (resolved " in err and err.count(" = ") == 1
+
+    def test_verify_trace_without_parameters_exit_2(self, chain, capsys):
+        text = (chain / "s" / "trace.txt").read_text()
+        (chain / "s" / "trace.txt").write_text("".join(
+            l for l in text.splitlines(keepends=True) if not l.startswith("# delta_step:")))
+        assert self.verify() == 2
+        assert "delta_step" in capsys.readouterr().err
+
+    def test_short_orbit_row_exit_2(self, chain, capsys):
+        lines = (chain / "o" / "orbit.txt").read_text().splitlines()
+        row = next(l for l in lines if l.startswith("1 "))
+        (chain / "o" / "orbit.txt").write_text(
+            "\n".join(l if l != row else "1 0.1 0.2" for l in lines) + "\n")
+        assert run(["shadow", "--model", "skew", "--orbit", "o/orbit.txt",
+                    "--epsilon", "1e-2", "--out", "s2"]) == 2
+        assert self.verify() == 2
+        assert "3 columns, expected 4" in capsys.readouterr().err
+
     def test_verify_model_mismatch_exit_2(self, chain, capsys):
         assert self.verify(model="linear") == 2
         assert "'skew'" in capsys.readouterr().err

@@ -17,12 +17,12 @@ from torusshadow.models import (
     compute_constants,
     eigen_frame,
     inverse_system,
-    iterate_system,
     load_model,
     model_from_dict,
     model_to_dict,
     save_model,
 )
+from torusshadow.shadowing import _Frame, delta_for_epsilon
 
 GOLDEN = math.sqrt(5.0)
 
@@ -270,44 +270,44 @@ class TestConstants:
 
 
 class TestIterate:
+    # the power F = f^k the construction runs on lives on _Frame
+
     def test_k1_identical(self, skew, rng):
-        it = iterate_system(skew, 1)
+        frame = _Frame(skew, 1)
         for _ in range(1000):
             x = rng.random(3)
-            assert np.allclose(it.apply(x), skew.apply(x), atol=0.0)
+            assert np.array_equal(frame.apply_k(x), skew.apply(x))
+            assert np.array_equal(frame.apply_inverse_k(x), skew.apply_inverse(x))
 
     def test_k2_linear_matches_matrix_square(self, linear, rng):
-        it = iterate_system(linear, 2)
+        frame = _Frame(linear, 2)
         A2 = np.asarray(linear.A @ linear.A, dtype=float)
         for _ in range(200):
             x = rng.random(3)
             expect = wrap(np.array([*(A2 @ x[:2]), x[2]]))
-            assert torus_distance(it.apply(x), expect) < 1e-13
+            assert torus_distance(frame.apply_k(x), expect) < 1e-13
+            assert torus_distance(frame.apply_inverse_k(expect), x) < 1e-13
 
     def test_k2_fiber_rotation_doubles(self):
         sys = SkewModel([[2, 1], [1, 1]], omega=0.05)
-        it = iterate_system(sys, 2)
         x = np.array([0.3, 0.5, 0.9])
-        out = it.apply(x)
+        out = _Frame(sys, 2).apply_k(x)
         assert out[2] == pytest.approx((0.9 + 2 * 0.05) % 1.0, abs=1e-13)
 
     def test_rates_are_powers(self, skew):
-        it = iterate_system(skew, 3)
-        assert it.rates.lam == pytest.approx(skew.rates.lam ** 3, rel=1e-12)
-        assert it.eig_mu == pytest.approx(skew.eig_mu ** 3, rel=1e-12)
-
-    def test_leaf_oracles_shared(self, skew, rng):
-        # intersections agree and the independently re-derived iterate
-        # transfer series coincides with the base one
-        it = iterate_system(skew, 2)
-        for _ in range(100):
-            x = rng.random(3)
-            v = rng.normal(size=3)
-            v *= 0.01 / np.linalg.norm(v)
-            y = wrap(x + v)
-            a = skew.intersect("cu", x, "s", y, 0.05)
-            b = it.intersect("cu", x, "s", y, 0.05)
-            assert torus_distance(a, b) < 1e-10
+        frame = _Frame(skew, 3)
+        assert frame.contract_s == pytest.approx(skew.eig_lam ** 3, rel=1e-12)
+        assert 1.0 / frame.contract_u == pytest.approx(skew.eig_mu ** 3, rel=1e-12)
+        # an unstable offset contracts under F^-1 by contract_u
+        p = np.array([0.3, 0.7])
+        q = wrap(p + 1e-3 * frame.v_u)
+        img = frame.apply_inverse_k(np.array([[*p, 0.0], [*q, 0.0]]))[:, :2]
+        du, ds = frame.coeffs(img[0], img[1])
+        assert du == pytest.approx(1e-3 * frame.contract_u, rel=1e-8)
+        assert abs(ds) < 1e-12
+        # the certified leaf rate of the power the parameters select
+        params = delta_for_epsilon(skew, 1e-2)
+        assert params.lam_k == pytest.approx(skew.rates.lam ** params.k, rel=1e-12)
 
     def test_iterate_transfer_rederivation(self, skew, rng):
         # f^2 as an explicit skew model: matrix A^2, coupling phi + phi(A .)

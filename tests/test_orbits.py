@@ -8,6 +8,7 @@ from torusshadow.models import ModelError
 from torusshadow.orbits import (
     PerturbedMap,
     PseudoOrbit,
+    fill_window,
     from_map,
     generate_noisy,
     read_orbit,
@@ -53,6 +54,26 @@ def test_backward_defect_bounded_by_mu(linear):
 def test_window_must_contain_zero(skew):
     with pytest.raises(ValueError):
         generate_noisy(skew, X0, (5, 30), 1e-4, seed=0)
+
+
+def test_fill_window_steps_forward_first():
+    # seeded generators draw their forward noise before the backward noise
+    calls = []
+
+    def step(x):
+        calls.append("up")
+        return x + 1.0
+
+    def back_step(x):
+        calls.append("down")
+        return x - 1.0
+
+    pts = fill_window(np.zeros((2, 3)), (-2, 3), step, back_step)
+    assert calls == ["up"] * 3 + ["down"] * 2
+    assert pts.shape == (2, 6, 3)
+    assert np.array_equal(pts[1, :, 2], np.arange(-2.0, 4.0))
+    with pytest.raises(ValueError, match="index 0"):
+        fill_window(np.zeros(3), (1, 3), step, back_step)
 
 
 class TestPerturbedMap:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torusshadow.geometry import torus_distance, wrap
-from torusshadow.models import inverse_system, iterate_system
+from torusshadow.models import inverse_system
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
 from torusshadow.orbits import generate_noisy, validate
 from torusshadow.shadowing import (
@@ -66,26 +66,25 @@ def _subsampled(orbit, k, side):
     return [orbit.point(-m * k) for m in range(0, (-orbit.n_min) // k + 1)]
 
 
-def _forward_half(sysk, X, p):
+def _forward_half(sys, X, p):
     """Forward sweep of one subsampled half, its anchor y_0^u and its guides."""
-    frame = _Frame(sysk)
-    sweep = _forward_sweep(sysk, np.asarray(X)[None], p, frame)
-    y0u, _, _ = forward_limit(sysk, X, p, frame=frame, sweep=sweep)
-    return frame, sweep, _forward_propagate(sysk, sweep, frame, y0u)[0]
+    frame = _Frame(sys, p.k)
+    sweep = _forward_sweep(sys, np.asarray(X)[None], p, frame)
+    y0u, _, _ = forward_limit(sys, X, p, frame=frame, sweep=sweep)
+    return frame, sweep, _forward_propagate(sys, sweep, frame, y0u)[0]
 
 
 class TestForwardWindow:
     def test_true_orbit_collapses(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (0, 20), 0.0, seed=0)
-        sysk = iterate_system(skew, p.k)
         X = _subsampled(orbit, p.k, "pos")
-        frame, sweep, y_u = _forward_half(sysk, X, p)
+        frame, sweep, y_u = _forward_half(skew, X, p)
         for i in range(1, len(X)):
             assert torus_distance(sweep.z[0, i], X[i]) < 1e-12
             assert torus_distance(sweep.zp[0, i], X[i]) < 1e-12
         # every window anchor y_{0,n} and every guide collapse onto the orbit
-        anchors = _anchors(sysk, sweep, frame, stable=False)[0]
+        anchors = _anchors(skew, sweep, frame, stable=False)[0]
         assert np.max(torus_distance(anchors, X[0])) < 1e-11
         for i, yi in enumerate(y_u):
             assert torus_distance(yi, X[i]) < 1e-11
@@ -94,11 +93,10 @@ class TestForwardWindow:
         p = delta_for_epsilon(linear, 5e-2)
         jump = 1e-4 * np.array([0.6, -0.3, 0.74])
         orbit = single_defect_orbit(linear, X0, (-10, 40), jump)
-        sysk = iterate_system(linear, p.k)
-        frame = _Frame(sysk)
+        frame = _Frame(linear, p.k)
         X = _subsampled(orbit, p.k, "pos")
-        sweep = _forward_sweep(sysk, np.array(X)[None], p, frame)
-        anchors = _anchors(sysk, sweep, frame, stable=False)[0, :15]   # n = 1..15
+        sweep = _forward_sweep(linear, np.array(X)[None], p, frame)
+        anchors = _anchors(linear, sweep, frame, stable=False)[0, :15]   # n = 1..15
         gaps = [torus_distance(anchors[i], anchors[i + 1]) for i in range(len(anchors) - 1)]
         # geometric convergence at the subsampled contraction rate
         for i in range(1, 6):
@@ -114,11 +112,10 @@ class TestForwardWindow:
         p = delta_for_epsilon(skew, eps)
         for seed in range(5):
             orbit = generate_noisy(skew, X0, (0, 40), p.delta, seed=seed)
-            sysk = iterate_system(skew, p.k)
             X = _subsampled(orbit, p.k, "pos")
-            frame, sweep, y_u = _forward_half(sysk, X, p)
+            frame, sweep, y_u = _forward_half(skew, X, p)
             assert max(torus_distance(y_u[i], X[i]) for i in range(len(y_u))) < 2 * eps / 3
-            anchors = _anchors(sysk, sweep, frame, stable=False)[0]
+            anchors = _anchors(skew, sweep, frame, stable=False)[0]
             assert np.max(torus_distance(anchors, X[0])) < 2 * eps / 3
 
 
@@ -126,11 +123,10 @@ class TestLimits:
     def test_true_orbit_immediate(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (-20, 20), 0.0, seed=0)
-        sysk = iterate_system(skew, p.k)
-        y0u, n_star, _ = forward_limit(sysk, _subsampled(orbit, p.k, "pos"), p)
+        y0u, n_star, _ = forward_limit(skew, _subsampled(orbit, p.k, "pos"), p)
         assert n_star == 1
         assert torus_distance(y0u, X0) < 1e-12
-        y0s, n_star_b, _ = backward_limit(sysk, _subsampled(orbit, p.k, "neg"), p)
+        y0s, n_star_b, _ = backward_limit(skew, _subsampled(orbit, p.k, "neg"), p)
         assert n_star_b == 1
         assert torus_distance(y0s, X0) < 1e-12
 
@@ -140,34 +136,30 @@ class TestLimits:
         p = delta_for_epsilon(linear, 5e-2)
         delta = 1e-4
         bound = int(np.ceil(np.log(p.limit_tol / delta) / np.log(p.lam_k))) + 2
-        sysk = iterate_system(linear, p.k)
         for seed in range(5):
             orbit = generate_noisy(linear, X0, (0, 100), delta, seed=seed)
-            _, n_star, _ = forward_limit(sysk, _subsampled(orbit, p.k, "pos"), p)
+            _, n_star, _ = forward_limit(linear, _subsampled(orbit, p.k, "pos"), p)
             assert n_star <= bound
 
     def test_growth_schedules_agree(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=4)
-        sysk = iterate_system(skew, p.k)
         X = _subsampled(orbit, p.k, "pos")
-        a, _, _ = forward_limit(sysk, X, p, growth_step=1)
-        b, _, _ = forward_limit(sysk, X, p, growth_step=5)
+        a, _, _ = forward_limit(skew, X, p, growth_step=1)
+        b, _, _ = forward_limit(skew, X, p, growth_step=5)
         assert torus_distance(a, b) < 2.0 * p.limit_tol
 
     def test_window_exhaustion_reported(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (0, 6), p.delta, seed=4)
-        sysk = iterate_system(skew, p.k)
         with pytest.raises(InsufficientWindowError, match="gap"):
-            forward_limit(sysk, _subsampled(orbit, p.k, "pos"), p)
+            forward_limit(skew, _subsampled(orbit, p.k, "pos"), p)
 
     def test_anchor_on_unstable_leaf(self, skew):
         # membership residual of y_0^u against W^u(X_0) stays below 1e-10
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (0, 50), p.delta, seed=6)
-        sysk = iterate_system(skew, p.k)
-        y0u, _, _ = forward_limit(sysk, _subsampled(orbit, p.k, "pos"), p)
+        y0u, _, _ = forward_limit(skew, _subsampled(orbit, p.k, "pos"), p)
         from torusshadow.geometry import minimal_displacement
         d = minimal_displacement(X0[:2], y0u[:2])
         resid = np.linalg.norm(d - (d @ skew.v_u) * skew.v_u)
@@ -183,13 +175,12 @@ class TestPropagate:
         eps = 1e-2
         p = delta_for_epsilon(skew, eps)
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=14)
-        sysk = iterate_system(skew, p.k)
         X = _subsampled(orbit, p.k, "pos")
-        _, sweep, y_u = _forward_half(sysk, X, p)
+        frame, sweep, y_u = _forward_half(skew, X, p)
         from torusshadow.geometry import minimal_displacement
         for i in range(1, len(X) - 1):
             # center-plaque relation: bases of the guide and its primed image
-            y_u_prime = sysk.apply(y_u[i - 1])
+            y_u_prime = frame.apply_k(y_u[i - 1])
             assert torus_distance(y_u[i][:2], y_u_prime[:2]) < 1e-9
             # unstable-plaque membership relative to z_i
             d = minimal_displacement(sweep.z[0, i][:2], y_u[i][:2])
@@ -205,16 +196,15 @@ class TestPropagate:
         eps = 1e-2
         p = delta_for_epsilon(skew, eps)
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=14)
-        sysk = iterate_system(skew, p.k)
         X_neg = _subsampled(orbit, p.k, "neg")
-        frame = _Frame(sysk)
-        sweep = _backward_sweep(sysk, np.array(X_neg)[None], p, frame)
-        y0s, _, _ = backward_limit(sysk, X_neg, p, frame=frame, sweep=sweep)
-        y_s, y_s_prime = (a[0] for a in _backward_propagate(sysk, sweep, frame, y0s))
+        frame = _Frame(skew, p.k)
+        sweep = _backward_sweep(skew, np.array(X_neg)[None], p, frame)
+        y0s, _, _ = backward_limit(skew, X_neg, p, frame=frame, sweep=sweep)
+        y_s, y_s_prime = (a[0] for a in _backward_propagate(skew, sweep, frame, y0s))
         assert torus_distance(y_s_prime[0], y0s) == 0.0
         for m in range(-1, -(len(X_neg) - 2), -1):
             # y_m^s = F^-1((y_{m+1}^s)'), both indexed by -m
-            assert torus_distance(y_s[-m], sysk.apply_inverse(y_s_prime[-m - 1])) < 1e-9
+            assert torus_distance(y_s[-m], frame.apply_inverse_k(y_s_prime[-m - 1])) < 1e-9
             assert torus_distance(y_s[-m], X_neg[-m]) < 2 * eps / 3
 
 
@@ -226,31 +216,28 @@ class TestTimeReversal:
         p = delta_for_epsilon(linear, 1e-2)
         orbit = generate_noisy(linear, X0, (-40, 40), p.delta, seed=8)
         k = p.k
-        sysk = iterate_system(linear, k)
         inv = inverse_system(linear)
-        invk = iterate_system(inv, k)
         p_inv = delta_for_epsilon(inv, 1e-2)
 
         X_pos = np.array(_subsampled(orbit, k, "pos"))[None]
-        frame, frame_inv = _Frame(sysk), _Frame(invk)
-        fwd = _forward_sweep(sysk, X_pos, p, frame)
+        frame, frame_inv = _Frame(linear, k), _Frame(inv, k)
+        fwd = _forward_sweep(linear, X_pos, p, frame)
         # the same list read as a backward orbit of f^-1
-        bwd = _backward_sweep(invk, X_pos, p_inv, frame_inv)
+        bwd = _backward_sweep(inv, X_pos, p_inv, frame_inv)
         for j in range(1, X_pos.shape[1]):
             assert torus_distance(bwd.z[0, j], fwd.zp[0, j]) < 1e-10
             assert torus_distance(bwd.zp[0, j], fwd.z[0, j]) < 1e-10
         # the shared anchor at index 0, from the whole window
-        y_f = _anchors(sysk, fwd, frame, stable=False)[0, -1]
-        y_b = _anchors(invk, bwd, frame_inv, stable=True)[0, -1]
+        y_f = _anchors(linear, fwd, frame, stable=False)[0, -1]
+        y_b = _anchors(inv, bwd, frame_inv, stable=True)[0, -1]
         assert torus_distance(y_b, y_f) < 1e-10
 
 
 class TestSplice:
     def test_equal_anchors_fixed(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
-        sysk = iterate_system(skew, p.k)
         y = np.array([0.3, 0.6, 0.2])
-        a, b = splice(sysk, y, y, p)
+        a, b = splice(skew, y, y, p)
         assert torus_distance(a, y) < 1e-13
         assert torus_distance(b, y) < 1e-13
 
@@ -258,15 +245,13 @@ class TestSplice:
         # frame-decomposition oracle: zero out the unstable component of the
         # base displacement, keep the fiber of the unstable-side anchor
         p = delta_for_epsilon(linear, 1e-2)
-        sysk = iterate_system(linear, p.k)
-        frame = _Frame(sysk)
         for _ in range(50):
             y0u = rng.random(3)
             cap = 2.0 * p.lam_k * (p.L0 * p.delta_step + p.alpha)
             du = rng.uniform(-cap / 4, cap / 4)
             ds = rng.uniform(-cap / 4, cap / 4)
             y0s = wrap(np.array([*(y0u[:2] + ds * linear.v_s + du * linear.v_u), y0u[2]]))
-            star, star_p = splice(sysk, y0u, y0s, p, frame)
+            star, star_p = splice(linear, y0u, y0s, p)
             expect_star = wrap(np.array([*(y0u[:2] + ds * linear.v_s), y0u[2]]))
             expect_p = wrap(np.array([*(y0u[:2] + ds * linear.v_s), y0s[2]]))
             assert torus_distance(star, expect_star) < 1e-12
@@ -274,11 +259,10 @@ class TestSplice:
 
     def test_margin_violation_rejected(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
-        sysk = iterate_system(skew, p.k)
         y0u = np.array([0.3, 0.6, 0.2])
         y0s = wrap(y0u + 0.05)
         with pytest.raises(ParameterError, match="splice margin"):
-            splice(sysk, y0u, y0s, p)
+            splice(skew, y0u, y0s, p)
 
 
 class TestQuasiShadow:
@@ -318,10 +302,10 @@ class TestQuasiShadow:
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=11)
         trace = quasi_shadow(skew, orbit, 1e-2)
-        sysk = iterate_system(skew, p.k)
+        frame = _Frame(skew, p.k)
         M_min, M_max = trace.sub_range
         for m in range(1, M_max):
-            prime = sysk.apply(trace.y_u[m - 1])
+            prime = frame.apply_k(trace.y_u[m - 1])
             gap = torus_distance(prime, trace.y_u[m])
             assert gap < p.alpha
 
@@ -476,6 +460,34 @@ class TestVerify:
         assert np.array_equal(back.center_motions, trace.center_motions)
         report = verify(skew, orbit, back, 1e-2)
         assert report.passed
+
+
+    def test_roundtrip_keeps_params_and_residuals(self, tmp_path, skew):
+        # window (-51, 51) with k = 2: the sub-range is (ceil(-51/2), 51 // 2)
+        p = delta_for_epsilon(skew, 1e-2)
+        orbit = generate_noisy(skew, X0, (-51, 51), p.delta, seed=12)
+        trace = quasi_shadow(skew, orbit, 1e-2, params=p)
+        path = tmp_path / "trace.txt"
+        write_trace(trace, path, model_name="skew")
+        back = read_trace(path)
+        assert back.params == trace.params
+        assert back.k == trace.k == 2
+        assert back.sub_range == trace.sub_range == (-25, 25)
+        assert back.max_residual == trace.max_residual > 0.0
+        assert np.array_equal(back.base_residual, trace.base_residual)
+        assert back.params.margins() == trace.params.margins()
+
+    def test_read_trace_requires_every_parameter(self, tmp_path, skew):
+        orbit = generate_noisy(skew, X0, (-30, 30), 0.0, seed=10)
+        path = tmp_path / "trace.txt"
+        write_trace(quasi_shadow(skew, orbit, 1e-2), path, model_name="skew")
+        text = path.read_text()
+        for name in ("L0", "lam_k", "interior"):
+            cut = "".join(line for line in text.splitlines(keepends=True)
+                          if not line.startswith(f"# {name}:"))
+            path.write_text(cut)
+            with pytest.raises(ValueError, match=name):
+                read_trace(path)
 
 
 class TestOracleEquivalence:
