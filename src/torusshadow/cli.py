@@ -53,12 +53,17 @@ def _derived(sys_model, params: shadowing.ShadowingParams) -> dict:
     return derived
 
 
-def _write_manifest(out: Path, command: str, args_dict: dict, sys_model,
-                    params=None, outputs=()) -> None:
+def _write_manifest(out: Path, args, sys_model, params=None, outputs=(), **resolved) -> None:
+    """manifest.json: the parsed arguments, with `out` as the directory
+    written and `resolved` replacing the values the command worked out
+    (orbit's drawn x0), plus the canonical argv that replays them."""
+    parameters = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "func")}
+    parameters.update(out=str(out), **resolved)
     manifest = {
-        "command": command,
-        "argv": _canonical_argv(command, args_dict),
-        "parameters": args_dict,
+        "command": args.command,
+        "argv": _canonical_argv(args.command, parameters),
+        "parameters": parameters,
         "model": models.model_to_dict(sys_model),
         "outputs": sorted(outputs),
     }
@@ -94,24 +99,15 @@ def cmd_constants(args) -> int:
     out = _out_dir(args)
     params = shadowing.delta_for_epsilon(sys_model, args.epsilon)
     payload = _derived(sys_model, params)
-    margins = payload["margins"]
-    print(f"lambda = {sys_model.rates.lam:.17g}")
-    print(f"mu = {sys_model.rates.mu:.17g}")
-    print(f"L0 = {params.L0:.17g}")
-    print(f"delta0 = {params.delta0:.17g}")
-    print(f"k = {params.k}")
-    print(f"alpha = {params.alpha:.17g}")
-    print(f"r1 = {params.r1:.17g}")
-    print(f"r2 = {params.r2:.17g}")
-    print(f"delta = {params.delta:.17g}")
-    for name, m in margins.items():
+    for name in ("lambda", "mu", "L0", "delta0", "k", "alpha", "r1", "r2", "delta"):
+        print(f"{name} = {payload[name]:.17g}")
+    for name, m in payload["margins"].items():
         print(f"margin[{name}] = {m:.6g}")
     _write_json(out / "constants.json", payload)
-    _write_manifest(out, "constants", {"model": args.model, "epsilon": args.epsilon,
-                                       "out": str(out)},
-                    sys_model, params, outputs=["constants.json"])
-    print(f"PASS all margins >= 2: {all(m >= 2.0 for m in margins.values())}")
-    return EXIT_PASS
+    _write_manifest(out, args, sys_model, params, outputs=["constants.json"])
+    passed = all(m >= 2.0 for m in payload["margins"].values())   # a NaN margin fails
+    print(f"{'PASS' if passed else 'FAIL'} all margins >= 2: {passed}")
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 def cmd_orbit(args) -> int:
@@ -124,11 +120,7 @@ def cmd_orbit(args) -> int:
     orbit = orbits.generate_noisy(sys_model, x0, args.window, args.delta, args.seed)
     fwd, bwd = orbits.validate(sys_model, orbit)
     orbits.write_orbit(orbit, out / "orbit.txt", model_name=args.model)
-    _write_manifest(out, "orbit",
-                    {"model": args.model, "delta": args.delta,
-                     "window": list(args.window), "seed": args.seed,
-                     "x0": [float(v) for v in x0], "out": str(out)},
-                    sys_model, outputs=["orbit.txt"])
+    _write_manifest(out, args, sys_model, outputs=["orbit.txt"], x0=[float(v) for v in x0])
     print(f"PASS orbit window=[{orbit.n_min},{orbit.n_max}] "
           f"forward_defect={fwd:.6e} backward_defect={bwd:.6e}")
     return EXIT_PASS
@@ -137,18 +129,11 @@ def cmd_orbit(args) -> int:
 def cmd_shadow(args) -> int:
     sys_model = _resolve_model(args.model)
     out = _out_dir(args)
-    try:
-        orbit = orbits.read_orbit(args.orbit)
-    except (OSError, ValueError) as exc:
-        print(f"ERROR cannot read orbit file: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    orbit = orbits.read_orbit(args.orbit)
     trace = shadowing.quasi_shadow(sys_model, orbit, args.epsilon)
     report = shadowing.verify(sys_model, orbit, trace, args.epsilon)
     shadowing.write_trace(trace, out / "trace.txt", model_name=args.model)
-    _write_manifest(out, "shadow",
-                    {"model": args.model, "orbit": str(args.orbit),
-                     "epsilon": args.epsilon, "out": str(out)},
-                    sys_model, trace.params, outputs=["trace.txt"])
+    _write_manifest(out, args, sys_model, trace.params, outputs=["trace.txt"])
     print(report.summary())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -156,17 +141,12 @@ def cmd_shadow(args) -> int:
 def cmd_verify(args) -> int:
     sys_model = _resolve_model(args.model)
     out = _out_dir(args)
-    try:
-        orbit = orbits.read_orbit(args.orbit)
-        trace = shadowing.read_trace(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"ERROR cannot read input files: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    orbit = orbits.read_orbit(args.orbit)
+    trace = shadowing.read_trace(args.trace)
     if trace.model_name != args.model or (trace.n_min, trace.n_max) != (orbit.n_min, orbit.n_max):
-        print(f"ERROR trace file {args.trace} is for model {trace.model_name!r} on window "
-              f"[{trace.n_min}, {trace.n_max}], not {args.model!r} on the orbit's "
-              f"[{orbit.n_min}, {orbit.n_max}]", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"trace file {args.trace} is for model {trace.model_name!r} on window "
+                         f"[{trace.n_min}, {trace.n_max}], not {args.model!r} on the orbit's "
+                         f"[{orbit.n_min}, {orbit.n_max}]")
     params = shadowing.delta_for_epsilon(sys_model, args.epsilon)
     differ = [f"{name} = {value!r} (resolved {getattr(params, name)!r})"
               for name, value in dataclasses.asdict(trace.params).items()
@@ -192,11 +172,7 @@ def cmd_verify(args) -> int:
         "interior": list(report.interior),
     }
     _write_json(out / "verify.json", payload)
-    _write_manifest(out, "verify",
-                    {"model": args.model, "orbit": str(args.orbit),
-                     "trace": str(args.trace), "epsilon": args.epsilon,
-                     "out": str(out)},
-                    sys_model, outputs=["verify.json"])
+    _write_manifest(out, args, sys_model, outputs=["verify.json"])
     print(report.summary())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -205,10 +181,14 @@ def _load_perturbation(sys_model, args) -> orbits.PerturbedMap:
     if args.perturbation:
         with open(args.perturbation) as fh:
             data = json.load(fh)
-        modes = [(m["coord"], m["freq"][0], m["freq"][1], m["freq"][2],
-                  m.get("sin", 0.0), m.get("cos", 0.0)) for m in data["modes"]]
-        return orbits.PerturbedMap(sys_model, modes, data["amplitude_bound"],
-                                   certification_grid=data.get("certification_grid", 128))
+        try:
+            modes = [(m["coord"], m["freq"][0], m["freq"][1], m["freq"][2],
+                      m.get("sin", 0.0), m.get("cos", 0.0)) for m in data["modes"]]
+            return orbits.PerturbedMap(sys_model, modes, data["amplitude_bound"],
+                                       certification_grid=data.get("certification_grid", 128))
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"perturbation file {args.perturbation} is malformed: "
+                             f"{type(exc).__name__}: {exc}") from exc
     if args.delta is None:
         raise ValueError("stability needs --perturbation <file> or --delta <amplitude>")
     amp = args.delta
@@ -221,11 +201,7 @@ def _load_perturbation(sys_model, args) -> orbits.PerturbedMap:
 def cmd_stability(args) -> int:
     sys_model = _resolve_model(args.model)
     out = _out_dir(args)
-    try:
-        g = _load_perturbation(sys_model, args)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"ERROR perturbation: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    g = _load_perturbation(sys_model, args)
     sc = stability.semiconjugacy(sys_model, g, tuple(args.grid), args.half_length,
                                  args.epsilon)
     identity = stability.check_identity(sys_model, sc, g)
@@ -249,12 +225,7 @@ def cmd_stability(args) -> int:
             "histogram": cont.histogram},
         "node_failures": sc.failures[:100],
     })
-    _write_manifest(out, "stability",
-                    {"model": args.model, "epsilon": args.epsilon,
-                     "grid": list(args.grid), "half_length": args.half_length,
-                     "delta": args.delta, "perturbation": args.perturbation,
-                     "out": str(out)},
-                    sys_model, sc.params,
+    _write_manifest(out, args, sys_model, sc.params,
                     outputs=["semiconjugacy.txt", "stability.json"])
     print(identity.summary())
     print(surj.summary())
@@ -279,11 +250,7 @@ def cmd_probe(args) -> int:
                     "predicted_steps": t.predicted_steps,
                     "conforms": t.conforms} for t in report.trials],
     })
-    _write_manifest(out, "probe",
-                    {"model": args.model, "eta": args.eta, "trials": args.trials,
-                     "seed": args.seed, "half_length": args.half_length,
-                     "out": str(out)},
-                    sys_model, outputs=["probe.json"])
+    _write_manifest(out, args, sys_model, outputs=["probe.json"])
     print(report.summary())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -349,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="plaque-expansiveness probe")
     _common(p)
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--half-length", type=_positive_int, default=30, dest="half_length")
     p.set_defaults(func=cmd_probe)
@@ -357,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place an exception becomes an exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -370,8 +338,8 @@ def main(argv=None) -> int:
     except (shadowing.ConstructionError, shadowing.InsufficientWindowError) as exc:
         print(f"ERROR construction: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except OSError as exc:
-        print(f"ERROR i/o: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"ERROR input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

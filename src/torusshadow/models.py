@@ -99,8 +99,6 @@ class SystemRates:
 
     lam: float
     mu: float
-    lam_prime: float = 1.0
-    mu_prime: float = 1.0
     delta1: float = 0.3
 
 

@@ -30,6 +30,11 @@ __all__ = [
     "read_orbit",
 ]
 
+# Fixed-point inversion of a PerturbedMap: the residual d(g(y), x) each row
+# must reach, and the iteration budget for it.
+INVERSE_RESIDUAL_TOL = 1e-13
+INVERSE_MAX_ITER = 200
+
 
 @dataclass
 class PseudoOrbit:
@@ -110,8 +115,8 @@ def generate_noisy(sys: SkewModel, x0, window, delta: float, seed: int) -> Pseud
     Backward indices are filled as x_{k-1} = f^-1(x_k + e_k) so the forward
     defect at every step is exactly |e_k| <= delta, both directions.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
     rng = np.random.default_rng(seed)
 
     def noise():
@@ -182,26 +187,26 @@ class PerturbedMap:
     def apply(self, x) -> np.ndarray:
         return wrap(self.sys.apply(x) + self.displacement(x))
 
-    def apply_inverse(self, x, residual_tol: float = 1e-13, max_iter: int = 200) -> np.ndarray:
+    def apply_inverse(self, x) -> np.ndarray:
         """Invert g by fixed-point iteration y -> f^-1(x - v(y)), row by row.
 
         Converges at rate Lip(f^-1) * Lip(v) << 1 for the small fields in
-        scope; each row is iterated until d(g(y), x) <= residual_tol and then
-        left alone, so a row's result does not depend on the others.
+        scope; each row is iterated until d(g(y), x) <= INVERSE_RESIDUAL_TOL
+        and then left alone, so a row's result does not depend on the others.
         """
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, 3)
         Y = self.sys.apply_inverse(X)
         active = np.arange(X.shape[0])
-        for _ in range(max_iter):
+        for _ in range(INVERSE_MAX_ITER):
             xa = X[active]
             ya = self.sys.apply_inverse(wrap(xa - self.displacement(Y[active])))
             Y[active] = ya
-            active = active[~(torus_distance(self.apply(ya), xa) <= residual_tol)]
+            active = active[~(torus_distance(self.apply(ya), xa) <= INVERSE_RESIDUAL_TOL)]
             if active.size == 0:
                 return Y.reshape(x.shape)
         raise RuntimeError(
-            f"perturbed-map inversion did not reach residual {residual_tol:g} "
+            f"perturbed-map inversion did not reach residual {INVERSE_RESIDUAL_TOL:g} "
             f"at {active.size} point(s)"
         )
 
@@ -217,12 +222,14 @@ class PerturbedMap:
                 V = self.displacement(G[start:start + 262144])
                 sup = max(sup, float(np.max(np.linalg.norm(V, axis=1))))
             slack = self.lip_v * (math.sqrt(3.0) / (2.0 * n))
-            self._certified = sup + slack
-            if self._certified > self.amplitude_bound:
+            bound = sup + slack
+            # a NaN bound fails this test and is never cached
+            if not bound <= self.amplitude_bound:
                 raise ModelError(
-                    f"certified d(f, g) = {self._certified:.6e} exceeds declared "
+                    f"certified d(f, g) = {bound:.6e} exceeds declared "
                     f"amplitude bound {self.amplitude_bound:.6e}"
                 )
+            self._certified = bound
         return self._certified
 
 
@@ -240,18 +247,25 @@ def from_map(sys: SkewModel, g: PerturbedMap, x0, window) -> PseudoOrbit:
 # -- orbit files --------------------------------------------------------------
 
 
-def write_orbit(orbit: PseudoOrbit, path, model_name: str = "") -> None:
-    """Line-oriented orbit file; 17 significant digits round-trip doubles."""
+def write_table(path, header: dict, rows) -> None:
+    """Line-oriented file that `read_table` reads back: one `# key: value`
+    line per header entry, then one line per row of `rows`; every float,
+    in the header and in the rows, at 17 significant digits, which
+    round-trips doubles and prints integral values without a decimal point.
+    """
+    rows = np.asarray(rows, dtype=float)
+    line = " ".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"# model: {model_name or orbit.model_name}\n")
-        fh.write(f"# delta: {orbit.delta:.17g}\n")
-        fh.write(f"# window: {orbit.n_min} {orbit.n_max}\n")
-        for key in ("seed", "rng", "kind"):
-            if key in orbit.meta:
-                fh.write(f"# {key}: {orbit.meta[key]}\n")
-        for k in orbit.indices():
-            p = orbit.point(k)
-            fh.write(f"{k} {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        fh.writelines(f"# {key}: {value:.17g}\n" if isinstance(value, float)
+                      else f"# {key}: {value}\n" for key, value in header.items())
+        fh.writelines(line % tuple(row) for row in rows.tolist())
+
+
+def write_orbit(orbit: PseudoOrbit, path, model_name: str = "") -> None:
+    header = {"model": model_name or orbit.model_name, "delta": float(orbit.delta),
+              "window": f"{orbit.n_min} {orbit.n_max}"}
+    header.update((key, orbit.meta[key]) for key in ("seed", "rng", "kind") if key in orbit.meta)
+    write_table(path, header, np.column_stack([orbit.indices(), orbit.points]))
 
 
 def read_table(path, columns: int, required=()):

@@ -34,14 +34,15 @@ index, which `verify` checks from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import fiber_displacement, minimal_displacement, torus_distance, wrap
 from .models import SkewModel, _flag_rows, compute_constants
-from .orbits import PseudoOrbit, defects, read_table
+from .orbits import PseudoOrbit, defects, read_table, write_table
 
 __all__ = [
     "ShadowingParams",
@@ -60,6 +61,10 @@ __all__ = [
     "write_trace",
     "read_trace",
 ]
+
+
+# Gate of `verify` on the recomputed base residuals and recorded columns.
+RESIDUAL_TOL = 1e-9
 
 
 class ParameterError(ValueError):
@@ -127,8 +132,8 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
     Raises ParameterError naming the violated bound when epsilon exceeds
     the validity radii.
     """
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
     consts = compute_constants(sys, epsilon)
     lam = sys.rates.lam
     L0 = consts.L0
@@ -476,7 +481,6 @@ class ShadowingTrace:
     trace_dist: np.ndarray      # (N,): d(x_k, y*_k)
     base_residual: np.ndarray   # (N,): base distance between y*_k and f(y*_{k-1})
     params: ShadowingParams
-    interior: tuple
     y_u: dict = field(default_factory=dict, repr=False)    # guides at subsampled m >= 0
     y_s: dict = field(default_factory=dict, repr=False)    # guides at subsampled m <= 0
     model_name: str = "unknown"
@@ -489,6 +493,13 @@ class ShadowingTrace:
     def sub_range(self) -> tuple:
         """(M_min, M_max) subsampled index range."""
         return _sub_range(self.n_min, self.n_max, self.k)
+
+    @property
+    def interior(self) -> tuple:
+        """(lo, hi): the window indices one subsampled step inside the
+        outermost subsampled ones, where `verify` checks the contract."""
+        M_min, M_max = self.sub_range
+        return (M_min + 1) * self.k, (M_max - 1) * self.k
 
     def index(self, k: int) -> int:
         return k - self.n_min
@@ -548,6 +559,9 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     """
     if params is None:
         params = delta_for_epsilon(sys, epsilon)
+    elif params.epsilon != epsilon:
+        raise ParameterError(f"params were resolved for epsilon = {params.epsilon!r}, "
+                             f"not {epsilon!r}")
     k = params.k
     M_min, M_max = _sub_range(orbit.n_min, orbit.n_max, k)
     if M_max < 3 or M_min > -3:
@@ -617,12 +631,10 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     if failed:
         for arr in (y_star, y_prime, motions, base_res, dist, y_u, y_s):
             arr.reshape((-1,) + arr.shape[pts.ndim - 2:])[failed] = np.nan
-    lo = max(orbit.n_min, M_min * k) + k
-    hi = min(orbit.n_max, M_max * k) - k
     trace = ShadowingTrace(
         n_min=orbit.n_min, n_max=orbit.n_max, y_star=y_star, y_prime=y_prime,
         center_motions=motions, trace_dist=dist, base_residual=base_res,
-        params=params, interior=(lo, hi),
+        params=params,
         y_u={m: y_u[..., m, :] for m in range(M_max + 1)},
         y_s={-j: y_s[..., j, :] for j in range(-M_min + 1)},
         model_name=orbit.model_name,
@@ -657,7 +669,6 @@ class VerifyReport:
     failing_indices: list
     interior: tuple
     epsilon: float
-    residual_tol: float
     oracle_gap: float = None
 
     def summary(self) -> str:
@@ -672,12 +683,12 @@ class VerifyReport:
         return line
 
 
-def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace, epsilon: float,
-           residual_tol: float = 1e-9) -> VerifyReport:
+def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace,
+           epsilon: float) -> VerifyReport:
     """Recompute the quasi-shadowing contract from serialized data only.
 
     Per interior index: tracing distance < epsilon, base coordinates of
-    y*_k and the freshly recomputed f(y*_{k-1}) agree within residual_tol,
+    y*_k and the freshly recomputed f(y*_{k-1}) agree within RESIDUAL_TOL,
     the center motion magnitude stays below epsilon, and the recorded
     y_prime/motion columns match the recomputation.  Every gate is written
     as `not (value < bound)`, so a NaN fails it.  Shares no state with the
@@ -695,29 +706,23 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace, epsilon: f
     rec_gap = torus_distance(fp, trace.y_prime[i])
     mot_gap = np.abs(mot - trace.center_motions[i])
     mot = np.abs(mot)
-    failing = (~(d < epsilon) | ~(res < residual_tol) | ~(mot < epsilon)
-               | ~(rec_gap < residual_tol) | ~(mot_gap < residual_tol))
+    failing = (~(d < epsilon) | ~(res < RESIDUAL_TOL) | ~(mot < epsilon)
+               | ~(rec_gap < RESIDUAL_TOL) | ~(mot_gap < RESIDUAL_TOL))
     return VerifyReport(
         passed=not failing.any(), max_distance=float(np.max(d, initial=0.0)),
         max_base_residual=float(np.max(res, initial=0.0)),
         max_motion=float(np.max(mot, initial=0.0)),
         failing_indices=[int(v) for v in q[failing]], interior=(lo, hi),
-        epsilon=epsilon, residual_tol=residual_tol,
+        epsilon=epsilon,
     )
 
 
 # -- trace files -----------------------------------------------------------------
 
 
-def write_params_header(fh, params: ShadowingParams) -> None:
-    """One `# name: value` line per ShadowingParams field; 17 significant
-    digits round-trip every float."""
-    for f in fields(ShadowingParams):
-        fh.write(f"# {f.name}: {getattr(params, f.name):.17g}\n")
-
-
 def _params_from_header(header: dict, source) -> ShadowingParams:
-    """The ShadowingParams a `write_params_header` block wrote, exactly."""
+    """The ShadowingParams whose fields `write_trace` wrote as header lines,
+    exactly."""
     missing = [f.name for f in fields(ShadowingParams) if f.name not in header]
     if missing:
         raise ValueError(f"{source} is missing parameter header(s): {', '.join(missing)}")
@@ -726,28 +731,20 @@ def _params_from_header(header: dict, source) -> ShadowingParams:
 
 
 def write_trace(trace: ShadowingTrace, path, model_name: str = "") -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# model: {model_name or trace.model_name}\n")
-        write_params_header(fh, trace.params)
-        fh.write(f"# window: {trace.n_min} {trace.n_max}\n")
-        fh.write(f"# interior: {trace.interior[0]} {trace.interior[1]}\n")
-        for q in range(trace.n_min, trace.n_max + 1):
-            i = trace.index(q)
-            y = trace.y_star[i]
-            yp = trace.y_prime[i]
-            fh.write(
-                f"{q} {y[0]:.17g} {y[1]:.17g} {y[2]:.17g} "
-                f"{yp[0]:.17g} {yp[1]:.17g} {yp[2]:.17g} "
-                f"{trace.center_motions[i]:.17g} {trace.trace_dist[i]:.17g}\n"
-            )
+    """One row per index: q, y*_q, y'_q, center motion, trace distance."""
+    header = {"model": model_name or trace.model_name, **asdict(trace.params),
+              "window": f"{trace.n_min} {trace.n_max}"}
+    q = np.arange(trace.n_min, trace.n_max + 1)
+    write_table(path, header, np.column_stack([q, trace.y_star, trace.y_prime,
+                                               trace.center_motions, trace.trace_dist]))
 
 
 def read_trace(path) -> ShadowingTrace:
     """A trace written by `write_trace`: the y*/y' columns, motions and
     distances as written, the parameters from the header, and the base
-    residuals recomputed from the y*/y' columns."""
-    header, (n_min, n_max), arr = read_table(path, 9, required=("interior",))
-    lo, hi = (int(t) for t in header["interior"].split())
+    residuals recomputed from the y*/y' columns.  The interior follows
+    from the window and k; an `interior` header is ignored."""
+    header, (n_min, n_max), arr = read_table(path, 9)
     # points in [0, 1), motion and distance finite; NaN fails both tests
     bad = ~(arr[:, 1:7] >= 0.0) | ~(arr[:, 1:7] < 1.0)
     bad = bad.any(axis=1) | ~np.isfinite(arr[:, 7:]).all(axis=1)
@@ -759,6 +756,6 @@ def read_trace(path) -> ShadowingTrace:
         n_min=n_min, n_max=n_max, y_star=y_star, y_prime=y_prime,
         center_motions=arr[:, 7].copy(), trace_dist=arr[:, 8].copy(),
         base_residual=_base_residual(y_star, y_prime),
-        params=_params_from_header(header, f"trace file {path}"), interior=(lo, hi),
+        params=_params_from_header(header, f"trace file {path}"),
         model_name=header.get("model", "unknown"),
     )

@@ -13,20 +13,14 @@ proxy, and probe plaque expansiveness on pairs of center-pseudo-orbits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .geometry import fiber_displacement, torus_distance, wrap
 from .models import SkewModel
-from .orbits import PerturbedMap, fill_window, from_map
-from .shadowing import (
-    ParameterError,
-    ShadowingParams,
-    delta_for_epsilon,
-    shadow_batch,
-    write_params_header,
-)
+from .orbits import PerturbedMap, fill_window, from_map, write_table
+from .shadowing import ParameterError, ShadowingParams, delta_for_epsilon, shadow_batch
 
 __all__ = [
     "SemiConjugacy",
@@ -37,6 +31,9 @@ __all__ = [
     "plaque_expansiveness_probe",
     "write_semiconjugacy",
 ]
+
+# Gate of `check_identity` on both sides of the intertwining identity.
+IDENTITY_TOL = 1e-8
 
 
 @dataclass
@@ -87,7 +84,7 @@ def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: fl
     if params is None:
         params = delta_for_epsilon(sys, epsilon)
     bound = g.certified_bound()
-    if bound >= params.delta:
+    if not bound < params.delta:
         raise ParameterError(
             f"certified d(f, g) = {bound:.4e} is not below the admissible "
             f"defect {params.delta:.4e} for epsilon = {epsilon:g}"
@@ -124,20 +121,19 @@ class IdentityReport:
                 f"failing_nodes={len(self.failing_nodes)}")
 
 
-def check_identity(sys: SkewModel, sc: SemiConjugacy, g: PerturbedMap,
-                   tol: float = 1e-8) -> IdentityReport:
+def check_identity(sys: SkewModel, sc: SemiConjugacy, g: PerturbedMap) -> IdentityReport:
     """Recompute both sides of the intertwining identity at every node.
 
     pi(g(x)) is read from the node's own trace; f(pi(x)) is applied fresh.
-    The base coordinates must agree within tol and the fiber gap must
-    equal the stored tau within tol.
+    The base coordinates must agree within IDENTITY_TOL and the fiber gap
+    must equal the stored tau within IDENTITY_TOL.
     """
     ok = ~np.isnan(sc.pi).any(axis=1)
     fp = sys.apply(sc.pi[ok])
     base_mismatch = torus_distance(fp[:, :2], sc.pi_g[ok, :2])
     fib_res = np.abs(fiber_displacement(fp[:, 2], sc.pi_g[ok, 2]) - sc.tau[ok])
     bad = np.ones(ok.shape, dtype=bool)
-    bad[ok] = ~(base_mismatch < tol) | ~(fib_res < tol)
+    bad[ok] = ~(base_mismatch < IDENTITY_TOL) | ~(fib_res < IDENTITY_TOL)
     failing = [int(i) for i in np.flatnonzero(bad)]
     return IdentityReport(passed=not failing,
                           max_base_mismatch=float(np.max(base_mismatch, initial=0.0)),
@@ -283,8 +279,8 @@ def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: in
     never an eta-close pair and must separate past a fixed macroscopic
     threshold within ceil(log(threshold / 2 eta) / log(mu)) + 3 steps.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
     rng = np.random.default_rng(seed)
     mu = abs(sys.eig_mu)
     threshold = 0.05
@@ -326,20 +322,9 @@ def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: in
 
 def write_semiconjugacy(sc: SemiConjugacy, path, model_name: str = "",
                         perturbation: str = "") -> None:
-    n1, n2, n3 = sc.grid_res
-    with open(path, "w") as fh:
-        fh.write(f"# model: {model_name or sc.model_name}\n")
-        fh.write(f"# perturbation: {perturbation}\n")
-        fh.write(f"# grid: {n1} {n2} {n3}\n")
-        fh.write(f"# half_length: {sc.window}\n")
-        write_params_header(fh, sc.params)
-        idx = 0
-        for i1 in range(n1):
-            for i2 in range(n2):
-                for i3 in range(n3):
-                    pi = sc.pi[idx]
-                    fh.write(
-                        f"{i1} {i2} {i3} {pi[0]:.17g} {pi[1]:.17g} {pi[2]:.17g} "
-                        f"{sc.tau[idx]:.17g} {sc.residual[idx]:.17g}\n"
-                    )
-                    idx += 1
+    """One row per lattice node: i1 i2 i3, pi, tau, identity residual."""
+    header = {"model": model_name or sc.model_name, "perturbation": perturbation,
+              "grid": " ".join(str(n) for n in sc.grid_res), "half_length": sc.window,
+              **asdict(sc.params)}
+    index = np.indices(sc.grid_res).reshape(3, -1).T
+    write_table(path, header, np.column_stack([index, sc.pi, sc.tau, sc.residual]))

@@ -237,6 +237,15 @@ class TestInputGuards:
         assert self.verify() == 2
         assert "3 columns, expected 4" in capsys.readouterr().err
 
+    def test_verify_ignores_an_edited_interior_header(self, chain, capsys):
+        # the interior follows from the window and k, not from the file
+        _edit_line(chain / "s" / "trace.txt", "3 ", 3, "0.5")
+        lines = (chain / "s" / "trace.txt").read_text().splitlines(keepends=True)
+        (chain / "s" / "trace.txt").write_text("# interior: 10 20\n" + "".join(
+            line for line in lines if not line.startswith("# interior:")))
+        assert self.verify() == 1
+        assert "failing=[3, 4]" in capsys.readouterr().out
+
     def test_verify_model_mismatch_exit_2(self, chain, capsys):
         assert self.verify(model="linear") == 2
         assert "'skew'" in capsys.readouterr().err
@@ -251,3 +260,32 @@ class TestInputGuards:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage" in err and "positive integer" in err
+
+
+def _exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:   # argparse rejected a value before any command ran
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["orbit", "--delta", "-1", "--window", "-5", "5"], 2),
+    (["orbit", "--delta", "0", "--window", "5", "-5"], 2),
+    (["orbit", "--delta", "0", "--window", "-5", "5", "--x0", "nan", "0", "0"], 2),
+    (["orbit", "--delta", "nan", "--window", "-5", "5"], 2),
+    (["probe", "--eta", "-1"], 2),
+    (["probe", "--eta", "1e-2", "--trials", "-3"], 2),
+    (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
+      "--perturbation", "pert.json"], 2),
+    (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2", "--delta", "nan"], 2),
+    (["constants", "--epsilon", "nan"], 3),
+])
+def test_bad_command_line_exits_with_error(workdir, capsys, argv, code):
+    (workdir / "pert.json").write_text(json.dumps({"amplitude_bound": 1e-3,
+                                                   "modes": [[0, 1]]}))
+    # an exception escaping main would fail the test before the asserts
+    assert _exit_code([*argv, "--model", "skew", "--out", "x"]) == code
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert any(line.startswith("ERROR") or ": error: " in line for line in err.splitlines())

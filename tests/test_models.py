@@ -266,7 +266,6 @@ class TestConstants:
     def test_rates_reciprocal(self, skew):
         assert skew.rates.lam * skew.rates.mu == pytest.approx(1.0, rel=1e-12)
         assert 0.0 < skew.rates.lam < 1.0 < skew.rates.mu
-        assert skew.rates.lam < skew.rates.lam_prime <= skew.rates.mu_prime < skew.rates.mu
 
 
 class TestIterate:

@@ -56,8 +56,9 @@ class TestDeltaForEpsilon:
             delta_for_epsilon(skew, 0.5)
 
     def test_positive_epsilon_required(self, skew):
-        with pytest.raises(ParameterError):
-            delta_for_epsilon(skew, -1.0)
+        for eps in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                delta_for_epsilon(skew, eps)
 
 
 def _subsampled(orbit, k, side):
@@ -328,6 +329,12 @@ class TestQuasiShadow:
         with pytest.raises(ParameterError, match="defect"):
             quasi_shadow(skew, orbit, 1e-2)
 
+    def test_params_for_another_epsilon_rejected(self, skew):
+        # one source for epsilon: params resolved at 1e-2 cannot run at 0.9
+        orbit = generate_noisy(skew, X0, (-30, 30), 0.0, seed=2)
+        with pytest.raises(ParameterError, match="epsilon = 0.01"):
+            quasi_shadow(skew, orbit, 0.9, params=delta_for_epsilon(skew, 1e-2))
+
     def test_window_too_short_rejected(self, skew):
         orbit = generate_noisy(skew, X0, (-4, 4), 0.0, seed=2)
         with pytest.raises(ParameterError, match="window"):
@@ -482,7 +489,7 @@ class TestVerify:
         path = tmp_path / "trace.txt"
         write_trace(quasi_shadow(skew, orbit, 1e-2), path, model_name="skew")
         text = path.read_text()
-        for name in ("L0", "lam_k", "interior"):
+        for name in ("L0", "lam_k"):
             cut = "".join(line for line in text.splitlines(keepends=True)
                           if not line.startswith(f"# {name}:"))
             path.write_text(cut)

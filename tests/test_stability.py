@@ -46,6 +46,11 @@ class TestSemiconjugacy:
         with pytest.raises(ParameterError, match="admissible defect"):
             semiconjugacy(skew, g, (4, 4, 4), 20, 1e-2)
 
+    def test_params_for_another_epsilon_rejected(self, skew):
+        g = PerturbedMap(skew, [], amplitude_bound=1e-12)
+        with pytest.raises(ParameterError, match="epsilon = 0.01"):
+            semiconjugacy(skew, g, (2, 2, 2), 20, 0.9, params=delta_for_epsilon(skew, 1e-2))
+
     def test_identity_residuals(self, skew, sc_small):
         g, sc = sc_small
         assert not sc.failures
