@@ -4,9 +4,7 @@ from .geometry import minimal_displacement, torus_distance, wrap
 from .models import (
     SkewModel,
     SystemRates,
-    TransversalityConstants,
     builtin_model,
-    compute_constants,
     eigen_frame,
     inverse_system,
     load_model,
@@ -17,13 +15,10 @@ from .shadowing import (
     ShadowingParams,
     ShadowingTrace,
     VerifyReport,
-    backward_limit,
     delta_for_epsilon,
-    forward_limit,
     quasi_shadow,
     read_trace,
     shadow_batch,
-    splice,
     verify,
     write_trace,
 )

@@ -102,45 +102,19 @@ class SystemRates:
     delta1: float = 0.3
 
 
-@dataclass(frozen=True)
-class TransversalityConstants:
-    """Intersection and holonomy constants for one system.
-
-    L0 bounds the blowup of the two-leaf intersection solve (conditioning
-    of [v_u | -v_s] times a 1.1 safety factor), delta0 is the validity
-    radius, and (r1, r2, alpha) are the holonomy modulus data: points
-    within r2 on a transversal map within alpha under center holonomy
-    inside plaques of radius r1.
-    """
-
-    L0: float
-    delta0: float
-    r1: float
-    r2: float
-    alpha: float
-
-
 def _flag_rows(errors, exc_type, checks):
-    """Report the failing rows of a batched check.
+    """Record the failing rows of a batched check in the dict `errors`.
 
     `checks` is a sequence of (bad, message) pairs: `bad` a boolean array
-    over rows and `message(r)` the text for row r; the first check a row
-    fails names its failure.  With `errors=None` the first failing row
-    raises `exc_type`.  Otherwise every failing row not yet in the dict
-    `errors` is recorded there as an `exc_type` instance, so one bad row
-    never stops the others.
+    over rows and `message(r)` the text for row r.  Each failing row is
+    recorded as an `exc_type` instance unless `errors` already holds it, so
+    a row's first failure names it and one bad row never stops the others.
     """
-    seen = False
     for bad, message in checks:
         bad = np.atleast_1d(bad)
-        if not bad.any():
-            continue
-        rows = np.flatnonzero(bad & ~seen)
-        if rows.size and errors is None:
-            raise exc_type(message(int(rows[0])))
-        for r in rows:
-            errors.setdefault(int(r), exc_type(message(int(r))))
-        seen = bad | seen
+        if bad.any():
+            for r in np.flatnonzero(bad):
+                errors.setdefault(int(r), exc_type(message(int(r))))
 
 
 def _norm(d):
@@ -171,11 +145,10 @@ class SkewModel:
         self.lip_phi = sum(
             TWO_PI * math.hypot(m1, m2) * math.hypot(s, c) for (m1, m2, s, c) in self.modes
         )
-        # Slope bounds of the transfer graphs over their base lines; the
-        # stable one includes the n = 0 term, the unstable one starts at 1.
+        # Slope bound of the stable transfer graph over its base line (the
+        # series includes the n = 0 term; the unstable one is flatter).
         abs_lam = abs(self.eig_lam)
         self.leaf_slope_s = self.lip_phi / (1.0 - abs_lam)
-        self.leaf_slope_u = self.lip_phi * abs_lam / (1.0 - abs_lam)
 
         # Certified flat-metric rates (exact eigenvalues for the linear model).
         lam_eff = abs_lam * math.sqrt(1.0 + self.leaf_slope_s ** 2)
@@ -247,7 +220,7 @@ class SkewModel:
         displacement is parallel to it within LEAF_PARALLEL_TOL."""
         d = minimal_displacement(p, q)
         t = d[..., 0] * direction[0] + d[..., 1] * direction[1]
-        residual = np.atleast_1d(_norm(d - t[..., None] * direction))
+        residual = _norm(d - t[..., None] * direction).reshape(-1)
         bad = np.flatnonzero(~(residual <= LEAF_PARALLEL_TOL))
         if bad.size:
             r = bad[0]
@@ -338,13 +311,14 @@ class SkewModel:
         solve in the minimal lift; the fiber comes from the transfer series
         of the strong leaf.  A row fails on lift ambiguity (base
         displacement > 0.25), a pair distance >= delta0, or a solution
-        farther than L0 * radius from either input: with `errors=None` the
-        first failing row raises IntersectionError, otherwise failures are
-        recorded in the dict `errors` by row (see `_flag_rows`).
+        farther than L0 * radius from either input.  Failing rows are
+        recorded in the dict `errors` (see `_flag_rows`); with `errors=None`
+        the lowest failing row raises IntersectionError after all rows ran.
         """
         pair = (class_x, class_y)
         if pair not in (("cu", "s"), ("cs", "u"), ("c", "u"), ("c", "s")):
             raise IntersectionError(f"unsupported leaf pair ({class_x}, {class_y})")
+        found = {} if errors is None else errors
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if x.shape != y.shape:
             x, y = np.broadcast_arrays(x, y)
@@ -353,28 +327,29 @@ class SkewModel:
         xb, yb = x[:, :2], y[:, :2]
         d_xy = minimal_displacement(xb, yb)
         base_sep = _norm(d_xy)
+        far = ~(base_sep < self.delta0)
         # Center leaves are full vertical circles here, so the class containing
         # the center direction places no constraint on the fiber gap; only the
         # base separation limits solvability.
-        _flag_rows(errors, IntersectionError, (
+        _flag_rows(found, IntersectionError, (
             (~(base_sep <= 0.25),
              lambda r: f"lift ambiguity: base displacement {base_sep[r]:.4f} > 0.25"),
-            (~(base_sep < self.delta0),
+            (far,
              lambda r: (f"points too far apart for leaf intersection: base separation "
                         f"{base_sep[r]:.4f} >= delta0 = {self.delta0}")),
         ))
         stable_y = class_y == "s"
         direction = self.v_s if stable_y else self.v_u
+        # Rejected rows get a zero offset so their series stays defined.
         if class_x == "c":
             d_yx = minimal_displacement(yb, xb)
             t = d_yx[:, 0] * direction[0] + d_yx[:, 1] * direction[1]
             off = _norm(d_yx - t[:, None] * direction)
             off_leaf = ~(off <= LEAF_PARALLEL_TOL)
-            # Rejected rows get a zero offset so their series stays defined.
             q = np.where(off_leaf[:, None], yb, xb)
         else:
             row = self._leaf_row[pair]
-            t = row[0] * d_xy[:, 0] + row[1] * d_xy[:, 1]
+            t = np.where(far, 0.0, row[0] * d_xy[:, 0] + row[1] * d_xy[:, 1])
             q = wrap(yb + t[:, None] * direction)
             off_leaf = np.zeros(t.shape, dtype=bool)
         h = self.transfer_stable(yb, q) if stable_y else self.transfer_unstable(yb, q)
@@ -388,7 +363,7 @@ class SkewModel:
         # so its full distance is pinned.
         dx = torus_distance(q, xb)
         dy = torus_distance(point, y)
-        _flag_rows(errors, IntersectionError, (
+        _flag_rows(found, IntersectionError, (
             (off_leaf,
              lambda r: (f"({class_x},{class_y}) intersection requires a common "
                         f"{'cs' if stable_y else 'cu'}-leaf; residual {off[r]:.3e}")),
@@ -396,6 +371,8 @@ class SkewModel:
              lambda r: (f"intersection outside L0*radius: d(x)={dx[r]:.3e}, "
                         f"d(y)={dy[r]:.3e}, cap={cap[r]:.3e}")),
         ))
+        if errors is None and found:
+            raise found[min(found)]
         return point.reshape(shape)
 
     def holonomy_along_center(self, x_anchor, source, target_class: str,
@@ -429,26 +406,6 @@ def inverse_system(sys: SkewModel) -> SkewModel:
         modes.append((int(mm[0]), int(mm[1]), -s, -c))
     return SkewModel(sys.A_inv, omega=-sys.omega, phi_modes=modes,
                      series_tol=sys.series_tol)
-
-
-def compute_constants(sys: SkewModel, epsilon: float) -> TransversalityConstants:
-    """Explicit transversality/holonomy constants for one tracing accuracy.
-
-    L0 certifies the intersection blowup (solve conditioning * 1.1),
-    delta0 = 0.2 keeps every solve far from the lift-ambiguity radius,
-    alpha = 0.45 * epsilon / 3 (linear in epsilon, with a 2x safety margin
-    against the epsilon/3 cap the construction needs), and r2 is sized so
-    the sampled holonomy modulus certificate d(h(z), h(z')) < alpha for
-    d(z, z') < r2 passes with the transfer-slope factor accounted for.
-    """
-    if epsilon <= 0.0:
-        raise ModelError("epsilon must be positive")
-    alpha = 0.45 * epsilon / 3.0
-    r1 = 0.99 * sys.L0 * sys.delta0 / 3.0
-    slope = max(sys.leaf_slope_s, 0.0)
-    k_hol = math.sqrt(1.0 + slope * slope)
-    r2 = min(alpha / (1.5 * k_hol), r1)
-    return TransversalityConstants(L0=sys.L0, delta0=sys.delta0, r1=r1, r2=r2, alpha=alpha)
 
 
 # -- sampling certificates --------------------------------------------------
@@ -486,15 +443,14 @@ def certify_rates(sys: SkewModel, n: int = 10_000, seed: int = 0):
     return stable_excess, unstable_excess
 
 
-def certify_intersections(sys, consts: TransversalityConstants, n: int, seed: int,
-                          delta: float):
+def certify_intersections(sys, params, n: int, seed: int, delta: float):
     """Max ratio d(intersection, input) / d(x, y) over random pairs.
 
-    Exercises both (cu, s) and (cs, u); the certificate passes when the
-    returned max ratio is <= L0.
+    Exercises both (cu, s) and (cs, u) at separations below params.delta0;
+    the certificate passes when the returned max ratio is <= params.L0.
     """
     rng = np.random.default_rng(seed)
-    delta = min(delta, 0.99 * consts.delta0)
+    delta = min(delta, 0.99 * params.delta0)
     worst = 0.0
     for _ in range(n):
         x = rng.random(3)
@@ -510,32 +466,33 @@ def certify_intersections(sys, consts: TransversalityConstants, n: int, seed: in
     return worst
 
 
-def certify_holonomy_modulus(sys, consts: TransversalityConstants, n: int, seed: int):
-    """Max image distance of the center holonomy over source pairs within r2.
+def certify_holonomy_modulus(sys, params, n: int, seed: int):
+    """Max image distance of the center holonomy over source pairs within
+    params.r2.
 
     Sources sit on one unstable plaque, targets on another inside a common
-    cu-plaque; passes when the result is < alpha.
+    cu-plaque of radius params.r1; passes when the result is < params.alpha.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
         anchor = rng.random(3)
         d1_anchor = anchor
-        shift = rng.uniform(-consts.r1 / 2, consts.r1 / 2)
-        fiber_shift = rng.uniform(-consts.r1 / 2, consts.r1 / 2)
+        shift = rng.uniform(-params.r1 / 2, params.r1 / 2)
+        fiber_shift = rng.uniform(-params.r1 / 2, params.r1 / 2)
         b = wrap(np.array([*(anchor[:2] + shift * sys.v_u), anchor[2] + fiber_shift]))
         d2_anchor = np.array([b[0], b[1], b[2]])
-        t1 = rng.uniform(-consts.r2 / 2, consts.r2 / 2)
-        t2 = t1 + rng.uniform(-consts.r2, consts.r2) / math.sqrt(2.0)
+        t1 = rng.uniform(-params.r2 / 2, params.r2 / 2)
+        t2 = t1 + rng.uniform(-params.r2, params.r2) / math.sqrt(2.0)
         pts = []
         for t in (t1, t2):
             base = wrap(d1_anchor[:2] + t * sys.v_u)
             fib = wrap(d1_anchor[2] + sys.transfer_unstable(d1_anchor[:2], base))
             pts.append(np.array([base[0], base[1], fib]))
-        if torus_distance(pts[0], pts[1]) >= consts.r2:
+        if torus_distance(pts[0], pts[1]) >= params.r2:
             continue
-        h0 = sys.holonomy_along_center(anchor, pts[0], "u", d2_anchor, consts.r1)
-        h1 = sys.holonomy_along_center(anchor, pts[1], "u", d2_anchor, consts.r1)
+        h0 = sys.holonomy_along_center(anchor, pts[0], "u", d2_anchor, params.r1)
+        h1 = sys.holonomy_along_center(anchor, pts[1], "u", d2_anchor, params.r1)
         worst = max(worst, torus_distance(h0, h1))
     return worst
 

@@ -162,9 +162,11 @@ class PerturbedMap:
         self.sys = sys
         self.modes = [(int(j), int(m1), int(m2), int(m3), float(s), float(c))
                       for (j, m1, m2, m3, s, c) in modes]
-        for (j, *_rest) in self.modes:
+        for (j, *_freq, s, c) in self.modes:
             if j not in (0, 1, 2):
                 raise ModelError(f"perturbation coordinate must be 0, 1, or 2, got {j}")
+            if not (math.isfinite(s) and math.isfinite(c)):
+                raise ModelError(f"perturbation mode amplitudes must be finite, got {s}, {c}")
         self.amplitude_bound = float(amplitude_bound)
         self.certification_grid = int(certification_grid)
         # Lipschitz bound of the vector field: rss over coordinates of the

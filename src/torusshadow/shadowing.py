@@ -3,9 +3,9 @@
 Given a delta-pseudo-orbit of a coherent skew product, this module builds a
 sequence {y*_k} with y*_k on the center plaque of f(y*_{k-1}) and
 d(x_k, y*_k) < epsilon, in three stages: a forward sweep producing guide
-points on center-unstable/strong-stable leaf intersections, a mirrored
-backward sweep, and a splice of the two half-orbit anchors.  Parameters
-(k, alpha, r1, r2, delta) are chosen so that
+points on center-unstable/strong-stable leaf intersections, the same sweep
+run backward with the leaf pairs swapped, and a splice of the two
+half-orbit anchors.  Parameters (k, alpha, r1, r2, delta) are chosen so that
 
     2 lam^k L0 < 1
     delta (1 + 2 L0 + 2 lam^k L0) < epsilon / 3
@@ -21,7 +21,8 @@ The construction runs on a stack of B orbits over one window at once
 are sequential in time, one (B,)-wide step per subsampled index; the limit
 search, the propagation of the anchors, the splice, the full-resolution fill
 and `verify` are array operations along time.  A row that fails a check is
-recorded with the stage and index and the other rows carry on.
+recorded in the batch's `errors` dict with the stage and index and the
+other rows carry on; only `quasi_shadow` raises a row's failure.
 
 Numerics: the defining recursions move offsets along the expanding
 direction of the relevant map power, which amplifies floating-point noise
@@ -41,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import fiber_displacement, minimal_displacement, torus_distance, wrap
-from .models import SkewModel, _flag_rows, compute_constants
+from .models import SkewModel, _flag_rows
 from .orbits import PseudoOrbit, defects, read_table, write_table
 
 __all__ = [
@@ -52,9 +53,6 @@ __all__ = [
     "InsufficientWindowError",
     "ConstructionError",
     "delta_for_epsilon",
-    "forward_limit",
-    "backward_limit",
-    "splice",
     "shadow_batch",
     "quasi_shadow",
     "verify",
@@ -88,6 +86,17 @@ class ShadowingParams:
     `delta_step` is the defect bound the subsampled construction works
     with; delta = delta_step / max(sum lip_f^j, sum lip_f_inv^j), which
     realizes the smaller-delta remark needed for the backward half.
+
+    The transversality and holonomy data come with it.  L0 bounds the
+    blowup of the two-leaf intersection solve (conditioning of
+    [v_u | -v_s] times a 1.1 safety factor) and delta0 = 0.2 is its
+    validity radius, far from the 0.25 lift-ambiguity radius.  (r1, r2,
+    alpha) are the holonomy modulus data: points within r2 on a transversal
+    map within alpha under center holonomy inside plaques of radius r1.
+    alpha = 0.45 epsilon / 3 is linear in epsilon, with a 2x margin against
+    the epsilon / 3 cap the construction needs, and r2 carries the
+    transfer-slope factor so that the sampled modulus certificate
+    d(h(z), h(z')) < alpha for d(z, z') < r2 passes.
     """
 
     epsilon: float
@@ -125,8 +134,8 @@ def _lip_bound(base_norm: float, lip_fiber: float) -> float:
 def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) -> ShadowingParams:
     """Admissible defect and construction parameters for a tracing accuracy.
 
-    Selects the smallest power k with 2 lam^k L0 < 1/2, takes the holonomy
-    data from compute_constants, and returns delta as half the largest
+    Selects the smallest power k with 2 lam^k L0 < 1/2, sizes the holonomy
+    data (see ShadowingParams), and returns delta as half the largest
     value compatible with the defect and holonomy-radius inequalities,
     divided by the worst subsampling/backward accumulation factor.
     Raises ParameterError naming the violated bound when epsilon exceeds
@@ -134,9 +143,11 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
     """
     if not 0.0 < epsilon < math.inf:
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
-    consts = compute_constants(sys, epsilon)
     lam = sys.rates.lam
-    L0 = consts.L0
+    L0 = sys.L0
+    alpha = 0.45 * epsilon / 3.0
+    r1 = 0.99 * L0 * sys.delta0 / 3.0
+    r2 = min(alpha / (1.5 * math.sqrt(1.0 + sys.leaf_slope_s * sys.leaf_slope_s)), r1)
 
     k = 1
     while 2.0 * lam ** k * L0 >= 0.5:
@@ -146,7 +157,7 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
     lam_k = lam ** k
 
     bound_defect = (epsilon / 3.0) / (1.0 + 2.0 * L0 + 2.0 * lam_k * L0)
-    bound_radius = (consts.r2 / lam_k - consts.alpha) / (2.0 * L0)
+    bound_radius = (r2 / lam_k - alpha) / (2.0 * L0)
     if bound_radius <= 0.0:
         raise ParameterError("holonomy radius r2 too small for this epsilon")
     # Half the feasible maximum, shaded so the reported margin stays >= 2
@@ -155,8 +166,8 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
 
     # Validity: every plaque the construction touches must fit inside the
     # lift-unambiguous workspace.
-    extent = L0 * (2.0 * epsilon / 3.0 + consts.alpha + 2.0 * L0 * delta_step)
-    workspace = min(L0 * consts.delta0, sys.rates.delta1)
+    extent = L0 * (2.0 * epsilon / 3.0 + alpha + 2.0 * L0 * delta_step)
+    workspace = min(L0 * sys.delta0, sys.rates.delta1)
     if extent >= workspace:
         raise ParameterError(
             f"epsilon too large: plaque extent {extent:.4f} exceeds the validity "
@@ -172,8 +183,8 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
     delta = delta_step / max(acc_fwd, acc_bwd)
 
     return ShadowingParams(
-        epsilon=epsilon, delta=delta, alpha=consts.alpha, r1=consts.r1, r2=consts.r2,
-        k=k, limit_tol=limit_tol, L0=L0, delta0=consts.delta0,
+        epsilon=epsilon, delta=delta, alpha=alpha, r1=r1, r2=r2,
+        k=k, limit_tol=limit_tol, L0=L0, delta0=sys.delta0,
         delta1=sys.rates.delta1, lam_k=lam_k, delta_step=delta_step,
         lip_f=lip_f, lip_f_inv=lip_f_inv,
     )
@@ -234,18 +245,24 @@ def _on_leaf(sys, anchor, offset, stable: bool, tol=None):
     return _point(base, anchor[..., 2] + transfer(anchor[..., :2], base, tol=tol))
 
 
-def _collect(errors, found):
-    """Merge row failures into `errors`, or raise the first row's failure when
-    `errors` is None."""
-    if errors is None:
-        if found:
-            raise found[min(found)]
-        return
-    for r, exc in found.items():
-        errors.setdefault(r, exc)
+def _leaf_pair(sys, p, q, radius, errors, stage: str, fallback):
+    """z = W^cu(p) cap W^s(q) and z' = W^cs(q) cap W^u(p), which share a base
+    point.  A row where either fails is recorded in `errors` as a
+    ConstructionError naming `stage`, and both its points are set to
+    `fallback` (p or q), so the stages after it stay defined on that row."""
+    step = {}
+    z = sys.intersect("cu", p, "s", q, radius, errors=step)
+    zp = sys.intersect("cs", q, "u", p, radius, errors=step)
+    if step:
+        rows = list(step)
+        for out in (z, zp):
+            out.reshape(-1, 3)[rows] = np.reshape(fallback, (-1, 3))[rows]
+        for r, exc in step.items():
+            errors.setdefault(r, ConstructionError(f"{stage}: {exc}"))
+    return z, zp
 
 
-# -- the two sweeps ---------------------------------------------------------------
+# -- the sweep ------------------------------------------------------------------
 
 
 class _Sweep(NamedTuple):
@@ -262,47 +279,31 @@ class _Sweep(NamedTuple):
     coef: np.ndarray
 
 
-def _forward_sweep(sys, X, params, frame, errors=None) -> _Sweep:
-    """z/z' sweep over the positive subsampled half, one step for all rows.
+def _sweep(sys, X, params, frame, errors, stable: bool) -> _Sweep:
+    """z/z' sweep over one subsampled half, one step for all rows.
 
-    z_i is the cu-leaf-of-F(z_{i-1}) / stable-leaf-of-X_i intersection, z'_i
-    the unstable / cs one; both share a base point.
+    Forward (stable=False), X[..., i, :] = X_i and the anchor is
+    a = F(z_{i-1}): z_i is the cu-leaf-of-a / stable-leaf-of-X_i
+    intersection, z'_i the cs-leaf-of-X_i / unstable-leaf-of-a one.
+    Backward (stable=True), X[..., j, :] = X_{-j}, the anchor is
+    a = F^-1(z'_{-j+1}) and X and a swap places in both pairs.  The
+    coefficient is the offset of z from a along the leaf the half moves
+    along (unstable forward, stable backward).
     """
-    z, zp, c = X.copy(), X.copy(), np.zeros(X.shape[:-1])
-    found = {}
+    z, zp, coef = X.copy(), X.copy(), np.zeros(X.shape[:-1])
     radius = params.delta_step
     for i in range(1, X.shape[-2]):
-        fz = frame.apply_k(z[..., i - 1, :])
-        step = {}
-        z[..., i, :] = sys.intersect("cu", fz, "s", X[..., i, :], radius, errors=step)
-        zp[..., i, :] = sys.intersect("cs", X[..., i, :], "u", fz, radius, errors=step)
-        for r, exc in step.items():
-            found.setdefault(r, ConstructionError(f"forward sweep failed at index {i}: {exc}"))
-        c[..., i] = frame.coeffs(fz[..., :2], z[..., i, :2])[0]
+        if stable:
+            a = frame.apply_inverse_k(zp[..., i - 1, :])
+            pair, stage = (X[..., i, :], a), f"backward sweep failed at index {-i}"
+        else:
+            a = frame.apply_k(z[..., i - 1, :])
+            pair, stage = (a, X[..., i, :]), f"forward sweep failed at index {i}"
+        # A failed row continues from the anchor, with a zero coefficient.
+        z[..., i, :], zp[..., i, :] = _leaf_pair(sys, *pair, radius, errors, stage, a)
+        coef[..., i] = frame.coeffs(a[..., :2], z[..., i, :2])[stable]
         radius = 2.0 * params.delta_step
-    _collect(errors, found)
-    return _Sweep(X, z, zp, c)
-
-
-def _backward_sweep(sys, X, params, frame, errors=None) -> _Sweep:
-    """Mirror sweep over the negative subsampled half, X[..., j, :] = X_{-j}.
-
-    z_{-1} pairs F^-1(X_0) with X_{-1}; deeper steps anchor at F^-1(z'_{m+1}).
-    """
-    z, zp, d = X.copy(), X.copy(), np.zeros(X.shape[:-1])
-    found = {}
-    radius = params.delta_step
-    for j in range(1, X.shape[-2]):
-        anchor = frame.apply_inverse_k(zp[..., j - 1, :])
-        step = {}
-        z[..., j, :] = sys.intersect("cu", X[..., j, :], "s", anchor, radius, errors=step)
-        zp[..., j, :] = sys.intersect("cs", anchor, "u", X[..., j, :], radius, errors=step)
-        for r, exc in step.items():
-            found.setdefault(r, ConstructionError(f"backward sweep failed at index {-j}: {exc}"))
-        d[..., j] = frame.coeffs(anchor[..., :2], z[..., j, :2])[1]
-        radius = 2.0 * params.delta_step
-    _collect(errors, found)
-    return _Sweep(X, z, zp, d)
+    return _Sweep(X, z, zp, coef)
 
 
 # -- half-orbit anchors -------------------------------------------------------
@@ -321,12 +322,8 @@ def _anchors(sys, sweep: _Sweep, frame: _Frame, stable: bool, tol=None):
     return _on_leaf(sys, sweep.X[..., :1, :], offsets, stable, tol=tol)
 
 
-def _limit(sys, X, params, growth_step, frame, sweep, errors, stable: bool):
+def _limit(sys, sweep, params, frame, errors, growth_step, stable: bool):
     """First Cauchy-stable window anchor of each row (see forward_limit)."""
-    frame = frame or _Frame(sys, params.k)
-    if sweep is None:
-        run = _backward_sweep if stable else _forward_sweep
-        sweep = run(sys, np.asarray(X, dtype=float), params, frame, errors)
     tol = params.limit_tol
     # The transfer runs at a tolerance well below the Cauchy gap resolved
     # here, so truncation jitter cannot mask convergence.
@@ -353,30 +350,30 @@ def _limit(sys, X, params, growth_step, frame, sweep, errors, stable: bool):
         ~converged,
         lambda r: (f"{side} anchor not Cauchy-stable within the window "
                    f"(n <= {n_max}); last gap {last_gap[r]:.3e}")),))
-    return anchor, depth[()], sweep
+    return anchor, depth[()]
 
 
-def forward_limit(sys, X, params, growth_step: int = 1, frame=None, sweep=None, errors=None):
+def forward_limit(sys, sweep: _Sweep, params, frame: _Frame, errors, growth_step: int = 1):
     """First Cauchy-stable element of {y_{0,n}}: the anchor y_0^u on W^u(X_0).
 
-    X is one forward half X_0..X_n subsampled by k = params.k, shape
-    (n+1, 3), or a stack (B, n+1, 3).  Tries n along the growth schedule
-    and accepts the first n with d(y_{0,n}, y_{0,n+1}) and
-    d(y_{0,n}, y_{0,n+2}) both below limit_tol; all candidates come from one prefix sum and one transfer
-    series call.  Returns (anchor, n, sweep), with one n per row.  A row
-    whose anchor never settles raises InsufficientWindowError, or with a
-    dict `errors` is recorded there.
+    `sweep` is the forward sweep of one subsampled half X_0..X_n, (n+1, 3)
+    or a stack (B, n+1, 3).  Tries n along the growth schedule and accepts
+    the first n with d(y_{0,n}, y_{0,n+1}) and d(y_{0,n}, y_{0,n+2}) both
+    below limit_tol; all candidates come from one prefix sum and one
+    transfer series call.  Returns (anchor, n), with one n per row.  A row
+    whose anchor never settles is recorded in `errors` as an
+    InsufficientWindowError.
     """
-    return _limit(sys, X, params, growth_step, frame, sweep, errors, stable=False)
+    return _limit(sys, sweep, params, frame, errors, growth_step, stable=False)
 
 
-def backward_limit(sys, X_neg, params, growth_step: int = 1, frame=None, sweep=None,
-                   errors=None):
+def backward_limit(sys, sweep: _Sweep, params, frame: _Frame, errors, growth_step: int = 1):
     """First Cauchy-stable element of {y_{0,-n}}: the anchor y_0^s on W^s(X_0).
 
-    X_neg[..., j, :] = X_{-j}; otherwise as forward_limit.
+    `sweep` is the backward sweep, X[..., j, :] = X_{-j}; otherwise as
+    forward_limit.
     """
-    return _limit(sys, X_neg, params, growth_step, frame, sweep, errors, stable=True)
+    return _limit(sys, sweep, params, frame, errors, growth_step, stable=True)
 
 
 # -- propagation along the halves ------------------------------------------------
@@ -429,28 +426,22 @@ def _backward_propagate(sys, sweep: _Sweep, frame: _Frame, y0_s):
 # -- splice and full pipeline --------------------------------------------------
 
 
-def splice(sys, y0_u, y0_s, params, errors=None):
+def splice(sys, y0_u, y0_s, params, errors):
     """Close the two half-orbit anchors into y_0^* and (y_0^*)', row by row.
 
     y_0^* is the stable-leaf-of-y_0^u / cu-leaf-of-y_0^s intersection, its
     primed partner the cs/unstable one; both share a base point, so the
-    step from (y_0^*)' to y_0^* is purely along the center fiber.  Failures
-    raise, or with a dict `errors` are recorded there by row.
+    step from (y_0^*)' to y_0^* is purely along the center fiber.  Failing
+    rows are recorded in `errors`.
     """
     gap = np.atleast_1d(torus_distance(y0_u, y0_s))
     cap = 2.0 * params.lam_k * (params.L0 * params.delta_step + params.alpha)
-    found = {}
-    _flag_rows(found, ParameterError, ((
+    _flag_rows(errors, ParameterError, ((
         ~(gap < cap),
         lambda r: (f"splice margin violated at index 0: d(y0_s, y0_u) = {gap[r]:.3e} >= "
                    f"2 lam^k (L0 delta + alpha) = {cap:.3e}")),))
-    step = {}
-    y0_star = sys.intersect("cu", y0_s, "s", y0_u, cap, errors=step)
-    y0_star_prime = sys.intersect("cs", y0_u, "u", y0_s, cap, errors=step)
-    for r, exc in step.items():
-        found.setdefault(r, ConstructionError(f"splice intersection failed at index 0: {exc}"))
-    _collect(errors, found)
-    return y0_star, y0_star_prime
+    return _leaf_pair(sys, y0_s, y0_u, cap, errors, "splice intersection failed at index 0",
+                      y0_u)
 
 
 def _sub_range(n_min: int, n_max: int, k: int) -> tuple:
@@ -575,10 +566,10 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     frame = _Frame(sys, k)
     X_pos = pts[..., np.arange(M_max + 1) * k - orbit.n_min, :]
     X_neg = pts[..., -np.arange(-M_min + 1) * k - orbit.n_min, :]
-    fsweep = _forward_sweep(sys, X_pos, params, frame, errors)
-    y0_u, _, _ = forward_limit(sys, X_pos, params, growth_step, frame, fsweep, errors)
-    bsweep = _backward_sweep(sys, X_neg, params, frame, errors)
-    y0_s, _, _ = backward_limit(sys, X_neg, params, growth_step, frame, bsweep, errors)
+    fsweep = _sweep(sys, X_pos, params, frame, errors, stable=False)
+    y0_u, _ = forward_limit(sys, fsweep, params, frame, errors, growth_step)
+    bsweep = _sweep(sys, X_neg, params, frame, errors, stable=True)
+    y0_s, _ = backward_limit(sys, bsweep, params, frame, errors, growth_step)
     y_u = _forward_propagate(sys, fsweep, frame, y0_u)
     y_s, y_s_prime = _backward_propagate(sys, bsweep, frame, y0_s)
     y0_star, y0_star_prime = splice(sys, y0_u, y0_s, params, errors)

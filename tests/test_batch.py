@@ -14,9 +14,10 @@ from torusshadow.geometry import torus_distance, wrap
 from torusshadow.models import IntersectionError
 from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map
 from torusshadow.shadowing import (
+    ConstructionError,
     ParameterError,
-    _forward_sweep,
     _Frame,
+    _sweep,
     delta_for_epsilon,
     shadow_batch,
 )
@@ -83,29 +84,32 @@ def test_permuting_rows_permutes_outputs(skew, grid_batch):
 
 
 def test_corrupted_row_fails_alone(skew, grid_batch):
-    # (c): a jump past delta0 at one index of one row
+    # (c): a jump past delta0 at one index of one row, once along the first
+    # axis and once past the lift-ambiguity radius, where the intersection
+    # pair is too far apart for its leaf offset to stay on the leaf line
     _, params, _, orbit, _, _ = grid_batch
     rows = [0, 5, 17, 33, 42, 63]
     bad_row, q = 17, 7
-    pts = orbit.points[rows].copy()
     i = rows.index(bad_row)
-    pts[i, q - orbit.n_min] = wrap(pts[i, q - orbit.n_min] + [0.25, 0.0, 0.0])
-    batch = PseudoOrbit(orbit.n_min, orbit.n_max, pts, orbit.delta)
-    trace, failures = shadow_batch(skew, batch, EPS, params)
-    assert [r for r, _ in failures] == [i]
-    exc = failures[0][1]
-    assert isinstance(exc, ParameterError)
-    assert "defect" in str(exc)
-    assert re.search(rf"step ({q - 1} -> {q}|{q} -> {q + 1})\b", str(exc)), str(exc)
-    assert np.isnan(trace.y_star[i]).all()
-    for j in range(len(rows)):
-        if j == i:
-            continue
-        one = PseudoOrbit(batch.n_min, batch.n_max, pts[j], batch.delta)
-        solo, solo_failures = shadow_batch(skew, one, EPS, params)
-        assert not solo_failures
-        for name in TRACE_FIELDS:
-            assert np.array_equal(getattr(trace, name)[j], getattr(solo, name)), name
+    solos = [shadow_batch(skew, PseudoOrbit(orbit.n_min, orbit.n_max, orbit.points[r],
+                                            orbit.delta), EPS, params) for r in rows]
+    assert not any(solo_failures for _, solo_failures in solos)
+    for jump in ([0.25, 0.0, 0.0], [0.45, 0.45, 0.0]):
+        pts = orbit.points[rows].copy()
+        pts[i, q - orbit.n_min] = wrap(pts[i, q - orbit.n_min] + jump)
+        batch = PseudoOrbit(orbit.n_min, orbit.n_max, pts, orbit.delta)
+        trace, failures = shadow_batch(skew, batch, EPS, params)
+        assert [r for r, _ in failures] == [i], jump
+        exc = failures[0][1]
+        assert isinstance(exc, ParameterError)
+        assert "forward defect" in str(exc)
+        assert re.search(rf"step ({q - 1} -> {q}|{q} -> {q + 1})\b", str(exc)), str(exc)
+        assert np.isnan(trace.y_star[i]).all()
+        for j, (solo, _) in enumerate(solos):
+            if j == i:
+                continue
+            for name in TRACE_FIELDS:
+                assert np.array_equal(getattr(trace, name)[j], getattr(solo, name)), name
 
 
 def test_sweep_failure_is_recorded_by_row(skew, grid_batch):
@@ -116,13 +120,18 @@ def test_sweep_failure_is_recorded_by_row(skew, grid_batch):
     X = orbit.points[:4, -orbit.n_min::params.k].copy()
     X[2, 3] = wrap(X[2, 3] + [0.3, 0.0, 0.0])
     errors = {}
-    sweep = _forward_sweep(skew, X, params, frame, errors)
+    sweep = _sweep(skew, X, params, frame, errors, stable=False)
     assert list(errors) == [2]
+    assert isinstance(errors[2], ConstructionError)
     assert "forward sweep failed at index 3" in str(errors[2])
-    with pytest.raises(Exception, match="forward sweep failed at index 3"):
-        _forward_sweep(skew, X[2:3], params, frame)
+    alone_errors = {}
+    _sweep(skew, X[2:3], params, frame, alone_errors, stable=False)
+    assert list(alone_errors) == [0]
+    assert str(alone_errors[0]) == str(errors[2])
     for r in (0, 1, 3):
-        alone = _forward_sweep(skew, X[r:r + 1], params, frame)
+        alone_errors = {}
+        alone = _sweep(skew, X[r:r + 1], params, frame, alone_errors, stable=False)
+        assert not alone_errors
         assert np.array_equal(alone.z[0], sweep.z[r])
         assert np.array_equal(alone.zp[0], sweep.zp[r])
         assert np.array_equal(alone.coef[0], sweep.coef[r])

@@ -193,6 +193,19 @@ class TestInputGuards:
         assert "index 3" in capsys.readouterr().err
         assert not (chain / "s2" / "trace.txt").exists()
 
+    def test_far_jump_in_orbit_exit_3(self, chain, capsys):
+        # row 8 is a subsampled index; shifted by (0.45, 0.45) it is past the
+        # lift-ambiguity radius of its intersections, and still only a defect
+        lines = (chain / "o" / "orbit.txt").read_text().splitlines()
+        row = next(line for line in lines if line.startswith("8 ")).split()
+        for col in (1, 2):
+            _edit_line(chain / "o" / "orbit.txt", "8 ", col,
+                       repr((float(row[col]) + 0.45) % 1.0))
+        assert run(["shadow", "--model", "skew", "--orbit", "o/orbit.txt",
+                    "--epsilon", "1e-2", "--out", "s2"]) == 3
+        err = capsys.readouterr().err
+        assert "forward defect" in err and "Traceback" not in err
+
     def test_nan_trace_row_exit_2(self, chain, capsys):
         _edit_line(chain / "s" / "trace.txt", "3 ", 1, "nan")
         assert self.verify() == 2
@@ -280,6 +293,7 @@ def _exit_code(argv):
       "--perturbation", "pert.json"], 2),
     (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2", "--delta", "nan"], 2),
     (["constants", "--epsilon", "nan"], 3),
+    (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2", "--delta", "inf"], 2),
 ])
 def test_bad_command_line_exits_with_error(workdir, capsys, argv, code):
     (workdir / "pert.json").write_text(json.dumps({"amplitude_bound": 1e-3,

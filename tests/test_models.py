@@ -14,7 +14,6 @@ from torusshadow.models import (
     certify_holonomy_modulus,
     certify_intersections,
     certify_rates,
-    compute_constants,
     eigen_frame,
     inverse_system,
     load_model,
@@ -133,6 +132,12 @@ class TestTransfers:
         q = wrap(p + 0.05 * skew.v_u)
         with pytest.raises(LeafError):
             skew.transfer_stable(p, q)
+        # a stacked (2, 3) batch names its off-leaf pair by flat position
+        P = np.broadcast_to(p, (2, 3, 2)).copy()
+        Q = wrap(P + 0.01 * skew.v_s)
+        Q[1, 1] = q
+        with pytest.raises(LeafError, match="residual 5.000e-02"):
+            skew.transfer_stable(P, Q)
 
     def test_vectorized_matches_scalar(self, skew, rng):
         P = rng.random((200, 2))
@@ -161,7 +166,6 @@ class TestIntersect:
     def test_skew_against_grid_search_oracle(self, skew, rng):
         # brute-force oracle: scan the stable-leaf parameterization of y at
         # step 1e-5 and certify the returned point sits on both local leaves
-        consts = compute_constants(skew, 1e-2)
         for _ in range(10):
             x = rng.random(3)
             v = rng.normal(size=3)
@@ -209,36 +213,36 @@ class TestIntersect:
             skew.intersect("c", x, "u", y, 0.05)
 
     def test_sampled_blowup_certificate(self, skew):
-        consts = compute_constants(skew, 1e-2)
-        worst = certify_intersections(skew, consts, 2000, seed=5, delta=0.1)
-        assert worst <= consts.L0
+        params = delta_for_epsilon(skew, 1e-2)
+        worst = certify_intersections(skew, params, 2000, seed=5, delta=0.1)
+        assert worst <= params.L0
 
 
 class TestHolonomy:
     def test_identity_plaque(self, skew):
-        consts = compute_constants(skew, 1e-2)
+        params = delta_for_epsilon(skew, 1e-2)
         anchor = np.array([0.3, 0.4, 0.5])
         src = wrap(anchor + 0.01 * np.array([*skew.v_u, 0.0]))
         src[2] = (anchor[2] + skew.transfer_unstable(anchor[:2], src[:2])) % 1.0
-        out = skew.holonomy_along_center(anchor, src, "u", anchor, consts.r1)
+        out = skew.holonomy_along_center(anchor, src, "u", anchor, params.r1)
         assert torus_distance(out, src) < 1e-12
 
     def test_linear_vertical_translation(self, linear):
         # between unstable plaques at fiber heights z1 and z2 the holonomy
         # keeps the base and moves the fiber to the target height
-        consts = compute_constants(linear, 1e-2)
+        params = delta_for_epsilon(linear, 1e-2)
         anchor = np.array([0.3, 0.4, 0.2])
         d2 = np.array([0.3, 0.4, 0.27])
         src = wrap(anchor + 0.01 * np.array([*linear.v_u, 0.0]))
         src[2] = anchor[2]
-        out = linear.holonomy_along_center(anchor, src, "u", d2, consts.r1)
+        out = linear.holonomy_along_center(anchor, src, "u", d2, params.r1)
         assert np.allclose(out[:2], src[:2], atol=1e-14)
         assert out[2] == pytest.approx(0.27, abs=1e-13)
 
     def test_modulus_certificate(self, skew):
-        consts = compute_constants(skew, 1e-2)
-        worst = certify_holonomy_modulus(skew, consts, 1000, seed=7)
-        assert worst < consts.alpha
+        params = delta_for_epsilon(skew, 1e-2)
+        worst = certify_holonomy_modulus(skew, params, 1000, seed=7)
+        assert worst < params.alpha
 
 
 class TestConstants:
@@ -247,12 +251,12 @@ class TestConstants:
         assert skew.L0 == pytest.approx(1.1, abs=1e-12)
 
     def test_alpha_linear_in_epsilon(self, skew):
-        c1 = compute_constants(skew, 1e-2)
-        c2 = compute_constants(skew, 2e-2)
+        c1 = delta_for_epsilon(skew, 1e-2)
+        c2 = delta_for_epsilon(skew, 2e-2)
         assert c2.alpha == pytest.approx(2.0 * c1.alpha, rel=1e-12)
 
     def test_radii_structure(self, skew):
-        c = compute_constants(skew, 1e-2)
+        c = delta_for_epsilon(skew, 1e-2)
         assert c.L0 > 1.0
         assert 0.0 < c.r1 < c.L0 * c.delta0 / 3.0
         assert 0.0 < c.r2 < c.L0 * c.delta0 / 3.0

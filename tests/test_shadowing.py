@@ -12,10 +12,9 @@ from torusshadow.shadowing import (
     ParameterError,
     _anchors,
     _backward_propagate,
-    _backward_sweep,
     _forward_propagate,
-    _forward_sweep,
     _Frame,
+    _sweep,
     backward_limit,
     delta_for_epsilon,
     forward_limit,
@@ -67,11 +66,29 @@ def _subsampled(orbit, k, side):
     return [orbit.point(-m * k) for m in range(0, (-orbit.n_min) // k + 1)]
 
 
+def _clean_sweep(sys, X, p, frame, stable=False):
+    """The sweep of one subsampled half, which must record no failure."""
+    errors = {}
+    sweep = _sweep(sys, np.asarray(X), p, frame, errors, stable)
+    assert not errors
+    return sweep
+
+
+def _half_limit(sys, X, p, stable=False, growth_step=1):
+    """Anchor, Cauchy depth and recorded failures of one subsampled half."""
+    frame, errors = _Frame(sys, p.k), {}
+    sweep = _sweep(sys, np.asarray(X), p, frame, errors, stable)
+    limit = backward_limit if stable else forward_limit
+    anchor, depth = limit(sys, sweep, p, frame, errors, growth_step)
+    return anchor, depth, errors
+
+
 def _forward_half(sys, X, p):
     """Forward sweep of one subsampled half, its anchor y_0^u and its guides."""
-    frame = _Frame(sys, p.k)
-    sweep = _forward_sweep(sys, np.asarray(X)[None], p, frame)
-    y0u, _, _ = forward_limit(sys, X, p, frame=frame, sweep=sweep)
+    frame, errors = _Frame(sys, p.k), {}
+    sweep = _clean_sweep(sys, np.asarray(X)[None], p, frame)
+    y0u, _ = forward_limit(sys, sweep, p, frame, errors)
+    assert not errors
     return frame, sweep, _forward_propagate(sys, sweep, frame, y0u)[0]
 
 
@@ -96,7 +113,7 @@ class TestForwardWindow:
         orbit = single_defect_orbit(linear, X0, (-10, 40), jump)
         frame = _Frame(linear, p.k)
         X = _subsampled(orbit, p.k, "pos")
-        sweep = _forward_sweep(linear, np.array(X)[None], p, frame)
+        sweep = _clean_sweep(linear, np.array(X)[None], p, frame)
         anchors = _anchors(linear, sweep, frame, stable=False)[0, :15]   # n = 1..15
         gaps = [torus_distance(anchors[i], anchors[i + 1]) for i in range(len(anchors) - 1)]
         # geometric convergence at the subsampled contraction rate
@@ -124,11 +141,12 @@ class TestLimits:
     def test_true_orbit_immediate(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (-20, 20), 0.0, seed=0)
-        y0u, n_star, _ = forward_limit(skew, _subsampled(orbit, p.k, "pos"), p)
-        assert n_star == 1
+        y0u, n_star, errors = _half_limit(skew, _subsampled(orbit, p.k, "pos"), p)
+        assert n_star == 1 and not errors
         assert torus_distance(y0u, X0) < 1e-12
-        y0s, n_star_b, _ = backward_limit(skew, _subsampled(orbit, p.k, "neg"), p)
-        assert n_star_b == 1
+        y0s, n_star_b, errors = _half_limit(skew, _subsampled(orbit, p.k, "neg"), p,
+                                            stable=True)
+        assert n_star_b == 1 and not errors
         assert torus_distance(y0s, X0) < 1e-12
 
     def test_cauchy_depth_bound(self, linear):
@@ -139,28 +157,32 @@ class TestLimits:
         bound = int(np.ceil(np.log(p.limit_tol / delta) / np.log(p.lam_k))) + 2
         for seed in range(5):
             orbit = generate_noisy(linear, X0, (0, 100), delta, seed=seed)
-            _, n_star, _ = forward_limit(linear, _subsampled(orbit, p.k, "pos"), p)
-            assert n_star <= bound
+            _, n_star, errors = _half_limit(linear, _subsampled(orbit, p.k, "pos"), p)
+            assert n_star <= bound and not errors
 
     def test_growth_schedules_agree(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=4)
         X = _subsampled(orbit, p.k, "pos")
-        a, _, _ = forward_limit(skew, X, p, growth_step=1)
-        b, _, _ = forward_limit(skew, X, p, growth_step=5)
+        a, _, errors_a = _half_limit(skew, X, p, growth_step=1)
+        b, _, errors_b = _half_limit(skew, X, p, growth_step=5)
+        assert not errors_a and not errors_b
         assert torus_distance(a, b) < 2.0 * p.limit_tol
 
     def test_window_exhaustion_reported(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (0, 6), p.delta, seed=4)
-        with pytest.raises(InsufficientWindowError, match="gap"):
-            forward_limit(skew, _subsampled(orbit, p.k, "pos"), p)
+        _, _, errors = _half_limit(skew, _subsampled(orbit, p.k, "pos"), p)
+        assert list(errors) == [0]
+        assert isinstance(errors[0], InsufficientWindowError)
+        assert "gap" in str(errors[0])
 
     def test_anchor_on_unstable_leaf(self, skew):
         # membership residual of y_0^u against W^u(X_0) stays below 1e-10
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (0, 50), p.delta, seed=6)
-        y0u, _, _ = forward_limit(skew, _subsampled(orbit, p.k, "pos"), p)
+        y0u, _, errors = _half_limit(skew, _subsampled(orbit, p.k, "pos"), p)
+        assert not errors
         from torusshadow.geometry import minimal_displacement
         d = minimal_displacement(X0[:2], y0u[:2])
         resid = np.linalg.norm(d - (d @ skew.v_u) * skew.v_u)
@@ -199,8 +221,10 @@ class TestPropagate:
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=14)
         X_neg = _subsampled(orbit, p.k, "neg")
         frame = _Frame(skew, p.k)
-        sweep = _backward_sweep(skew, np.array(X_neg)[None], p, frame)
-        y0s, _, _ = backward_limit(skew, X_neg, p, frame=frame, sweep=sweep)
+        sweep = _clean_sweep(skew, np.array(X_neg)[None], p, frame, stable=True)
+        errors = {}
+        y0s, _ = backward_limit(skew, sweep, p, frame, errors)
+        assert not errors
         y_s, y_s_prime = (a[0] for a in _backward_propagate(skew, sweep, frame, y0s))
         assert torus_distance(y_s_prime[0], y0s) == 0.0
         for m in range(-1, -(len(X_neg) - 2), -1):
@@ -222,9 +246,9 @@ class TestTimeReversal:
 
         X_pos = np.array(_subsampled(orbit, k, "pos"))[None]
         frame, frame_inv = _Frame(linear, k), _Frame(inv, k)
-        fwd = _forward_sweep(linear, X_pos, p, frame)
+        fwd = _clean_sweep(linear, X_pos, p, frame)
         # the same list read as a backward orbit of f^-1
-        bwd = _backward_sweep(inv, X_pos, p_inv, frame_inv)
+        bwd = _clean_sweep(inv, X_pos, p_inv, frame_inv, stable=True)
         for j in range(1, X_pos.shape[1]):
             assert torus_distance(bwd.z[0, j], fwd.zp[0, j]) < 1e-10
             assert torus_distance(bwd.zp[0, j], fwd.z[0, j]) < 1e-10
@@ -238,7 +262,9 @@ class TestSplice:
     def test_equal_anchors_fixed(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         y = np.array([0.3, 0.6, 0.2])
-        a, b = splice(skew, y, y, p)
+        errors = {}
+        a, b = splice(skew, y, y, p, errors)
+        assert not errors
         assert torus_distance(a, y) < 1e-13
         assert torus_distance(b, y) < 1e-13
 
@@ -252,7 +278,9 @@ class TestSplice:
             du = rng.uniform(-cap / 4, cap / 4)
             ds = rng.uniform(-cap / 4, cap / 4)
             y0s = wrap(np.array([*(y0u[:2] + ds * linear.v_s + du * linear.v_u), y0u[2]]))
-            star, star_p = splice(linear, y0u, y0s, p)
+            errors = {}
+            star, star_p = splice(linear, y0u, y0s, p, errors)
+            assert not errors
             expect_star = wrap(np.array([*(y0u[:2] + ds * linear.v_s), y0u[2]]))
             expect_p = wrap(np.array([*(y0u[:2] + ds * linear.v_s), y0s[2]]))
             assert torus_distance(star, expect_star) < 1e-12
@@ -262,8 +290,11 @@ class TestSplice:
         p = delta_for_epsilon(skew, 1e-2)
         y0u = np.array([0.3, 0.6, 0.2])
         y0s = wrap(y0u + 0.05)
-        with pytest.raises(ParameterError, match="splice margin"):
-            splice(skew, y0u, y0s, p)
+        errors = {}
+        splice(skew, y0u, y0s, p, errors)
+        assert list(errors) == [0]
+        assert isinstance(errors[0], ParameterError)
+        assert "splice margin" in str(errors[0])
 
 
 class TestQuasiShadow:

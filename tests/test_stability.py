@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torusshadow.geometry import torus_distance
+from torusshadow.geometry import torus_distance, wrap
 from torusshadow.orbits import PerturbedMap
 from torusshadow.shadowing import ParameterError, delta_for_epsilon
 from torusshadow.stability import (
@@ -103,7 +103,7 @@ class TestSemiconjugacy:
             gx = g.apply(sc.nodes[idx])
             i1, i2, i3 = (int(round(gx[0] * n1)) % n1, int(round(gx[1] * n2)) % n2,
                           int(round(gx[2] * n3)) % n3)
-            snapped = sc.flat_index(i1, i2, i3)
+            snapped = np.ravel_multi_index((i1, i2, i3), sc.grid_res, mode="wrap")
             snap_dist = torus_distance(gx, sc.nodes[snapped])
             gap = torus_distance(sc.pi_g[idx], sc.pi[snapped])
             assert gap <= snap_dist + 2.0 * sup + 1e-6
@@ -145,13 +145,42 @@ class TestContinuity:
                            pi_g=nodes.copy(), tau=np.zeros(len(nodes)),
                            residual=np.zeros(len(nodes)), window=0,
                            params=delta_for_epsilon(skew, 1e-2))
-        node = sc.flat_index(7, 7, 7)
+        node = np.ravel_multi_index((7, 7, 7), sc.grid_res, mode="wrap")
         sc.pi[node] = (sc.pi[node] + 0.404) % 1.0
         report = continuity_report(sc)
         expected = {node}
         for shift in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-            expected.add(sc.flat_index(7 + shift[0], 7 + shift[1], 7 + shift[2]))
+            expected.add(np.ravel_multi_index(np.add((7, 7, 7), shift), sc.grid_res,
+                                              mode="wrap"))
         assert set(report.anomalies) == expected
+
+    def test_edges_match_a_direct_loop(self, skew):
+        # non-cubic lattice with a smooth pi and one NaN node at the wrapping
+        # corner: the report's edge set equals a loop over every node and axis
+        from torusshadow.stability import SemiConjugacy, _lattice
+        grid = (8, 9, 10)
+        nodes = _lattice(grid)
+        pi = wrap(nodes + 0.01 * np.sin(2.0 * np.pi * nodes[:, [1, 2, 0]]))
+        pi[-1] = np.nan
+        sc = SemiConjugacy(grid_res=grid, nodes=nodes, pi=pi, pi_g=pi.copy(),
+                           tau=np.zeros(len(nodes)), residual=np.zeros(len(nodes)),
+                           window=0, params=delta_for_epsilon(skew, 1e-2))
+        report = continuity_report(sc)
+        per_axis = []
+        for shift in np.eye(3, dtype=int):
+            ratios = []
+            for a, index in enumerate(np.ndindex(*grid)):
+                b = np.ravel_multi_index(np.add(index, shift), grid, mode="wrap")
+                if not np.isnan(pi[[a, b]]).any():
+                    ratios.append(torus_distance(pi[a], pi[b])
+                                  / torus_distance(nodes[a], nodes[b]))
+            per_axis.append(ratios)
+        assert report.max_ratio_per_axis == tuple(max(r) for r in per_axis)
+        everything = np.concatenate(per_axis)
+        assert everything.size == 3 * len(nodes) - 6
+        assert report.median_ratio == float(np.median(everything))
+        assert [c for _, _, c in report.histogram] == np.histogram(everything, bins=10)[0].tolist()
+        assert report.anomalies == []
 
 
 class TestSurjectivity:
