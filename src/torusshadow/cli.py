@@ -244,11 +244,7 @@ def cmd_probe(args) -> int:
         sys_model, args.eta, args.trials, args.seed, half_window=args.half_length)
     _write_json(out / "probe.json", {
         "passed": report.passed, "eta": report.eta,
-        "trials": [{"kind": t.kind, "max_pair_distance": t.max_pair_distance,
-                    "base_mismatch": t.base_mismatch,
-                    "separation_steps": t.separation_steps,
-                    "predicted_steps": t.predicted_steps,
-                    "conforms": t.conforms} for t in report.trials],
+        "trials": [dataclasses.asdict(t) for t in report.trials],
     })
     _write_manifest(out, args, sys_model, outputs=["probe.json"])
     print(report.summary())

@@ -11,7 +11,9 @@ via convergent transfer series:
     h_u(p, q) = sum_{n>=1} phi(A^-n q) - phi(A^-n p)   (q on the unstable line)
 
 so (q, z + h_s(p, q)) lies on the strong stable leaf of (p, z), and
-similarly for h_u.  With phi == 0 and omega == 0 this degenerates to the
+similarly for h_u.  `SkewModel.leaf_point` builds every such point; center
+leaves are the vertical circles, so it is also the center holonomy onto a
+strong leaf.  With phi == 0 and omega == 0 this degenerates to the
 product of the toral automorphism with the identity circle fiber (the
 "linear" model).
 """
@@ -137,10 +139,15 @@ class SkewModel:
         self.A_inv = (np.array([[self.A[1, 1], -self.A[0, 1]],
                                 [-self.A[1, 0], self.A[0, 0]]], dtype=np.int64) * det)
         self.omega = float(omega)
+        if not math.isfinite(self.omega):
+            raise ModelError(f"omega must be finite, got {self.omega!r}")
         self.modes = [(int(m1), int(m2), float(s), float(c)) for (m1, m2, s, c) in phi_modes]
-        if series_tol <= 0.0:
-            raise ModelError("series_tol must be positive")
+        for (_, _, s, c) in self.modes:
+            if not (math.isfinite(s) and math.isfinite(c)):
+                raise ModelError(f"phi mode amplitudes must be finite, got {s}, {c}")
         self.series_tol = float(series_tol)
+        if not 0.0 < self.series_tol < math.inf:
+            raise ModelError(f"series_tol must be finite and positive, got {self.series_tol!r}")
 
         self.lip_phi = sum(
             TWO_PI * math.hypot(m1, m2) * math.hypot(s, c) for (m1, m2, s, c) in self.modes
@@ -300,23 +307,40 @@ class SkewModel:
         # h_s sums phi(A^n p) - phi(A^n q); h_u sums phi(A^-n q) - phi(A^-n p).
         return (total if stable else -total)[()]
 
-    # -- leaf intersections (single point by transversality) ----------------
+    # -- strong-leaf points and intersections ----------------------------------
+
+    def leaf_point(self, anchor, base, stable: bool, tol=None) -> np.ndarray:
+        """The point over `base` on the strong stable (or unstable) leaf of
+        `anchor`: (q, z + h(p, q)) for anchor (p, z) and base q.
+
+        anchor (..., 3) broadcasts against base (..., 2).  A base off the
+        leaf line of its anchor raises LeafError.  Center leaves are the
+        vertical circles, so this is also the center holonomy from the
+        point over `base` onto the strong leaf of `anchor`.
+        """
+        anchor = np.asarray(anchor, dtype=float)
+        transfer = self.transfer_stable if stable else self.transfer_unstable
+        fiber = wrap(anchor[..., 2] + transfer(anchor[..., :2], base, tol=tol))
+        # column writes cost a fifth of broadcast_to + concatenate on one point
+        point = np.empty(fiber.shape + (3,))
+        point[..., :2] = base
+        point[..., 2] = fiber
+        return point
 
     def intersect(self, class_x: str, x, class_y: str, y, radius, errors=None) -> np.ndarray:
         """Unique intersection of the local `class_x` leaf of x with the
         local `class_y` leaf of y, row by row.
 
-        Supported pairs: (cu, s), (cs, u), and, within a common cu-/cs-leaf,
-        (c, u) and (c, s).  The base point comes from the 2x2 eigenframe
-        solve in the minimal lift; the fiber comes from the transfer series
-        of the strong leaf.  A row fails on lift ambiguity (base
+        Supported pairs: (cu, s) and (cs, u).  The base point comes from
+        the 2x2 eigenframe solve in the minimal lift; the fiber is the
+        `leaf_point` of y over it.  A row fails on lift ambiguity (base
         displacement > 0.25), a pair distance >= delta0, or a solution
         farther than L0 * radius from either input.  Failing rows are
         recorded in the dict `errors` (see `_flag_rows`); with `errors=None`
         the lowest failing row raises IntersectionError after all rows ran.
         """
         pair = (class_x, class_y)
-        if pair not in (("cu", "s"), ("cs", "u"), ("c", "u"), ("c", "s")):
+        if pair not in self._leaf_row:
             raise IntersectionError(f"unsupported leaf pair ({class_x}, {class_y})")
         found = {} if errors is None else errors
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -339,23 +363,11 @@ class SkewModel:
                         f"{base_sep[r]:.4f} >= delta0 = {self.delta0}")),
         ))
         stable_y = class_y == "s"
-        direction = self.v_s if stable_y else self.v_u
+        row = self._leaf_row[pair]
         # Rejected rows get a zero offset so their series stays defined.
-        if class_x == "c":
-            d_yx = minimal_displacement(yb, xb)
-            t = d_yx[:, 0] * direction[0] + d_yx[:, 1] * direction[1]
-            off = _norm(d_yx - t[:, None] * direction)
-            off_leaf = ~(off <= LEAF_PARALLEL_TOL)
-            q = np.where(off_leaf[:, None], yb, xb)
-        else:
-            row = self._leaf_row[pair]
-            t = np.where(far, 0.0, row[0] * d_xy[:, 0] + row[1] * d_xy[:, 1])
-            q = wrap(yb + t[:, None] * direction)
-            off_leaf = np.zeros(t.shape, dtype=bool)
-        h = self.transfer_stable(yb, q) if stable_y else self.transfer_unstable(yb, q)
-        point = np.empty(x.shape)
-        point[:, :2] = q
-        point[:, 2] = wrap(y[:, 2] + h)
+        t = np.where(far, 0.0, row[0] * d_xy[:, 0] + row[1] * d_xy[:, 1])
+        q = wrap(yb + t[:, None] * (self.v_s if stable_y else self.v_u))
+        point = self.leaf_point(y, q, stable_y)
 
         cap = np.broadcast_to(self.L0 * np.asarray(radius, dtype=float).reshape(-1), t.shape)
         # The x-side class always contains the center direction, so measure its
@@ -363,33 +375,13 @@ class SkewModel:
         # so its full distance is pinned.
         dx = torus_distance(q, xb)
         dy = torus_distance(point, y)
-        _flag_rows(found, IntersectionError, (
-            (off_leaf,
-             lambda r: (f"({class_x},{class_y}) intersection requires a common "
-                        f"{'cs' if stable_y else 'cu'}-leaf; residual {off[r]:.3e}")),
-            (~(dx <= cap) | ~(dy <= cap),
-             lambda r: (f"intersection outside L0*radius: d(x)={dx[r]:.3e}, "
-                        f"d(y)={dy[r]:.3e}, cap={cap[r]:.3e}")),
-        ))
+        _flag_rows(found, IntersectionError, ((
+            ~(dx <= cap) | ~(dy <= cap),
+            lambda r: (f"intersection outside L0*radius: d(x)={dx[r]:.3e}, "
+                       f"d(y)={dy[r]:.3e}, cap={cap[r]:.3e}")),))
         if errors is None and found:
             raise found[min(found)]
         return point.reshape(shape)
-
-    def holonomy_along_center(self, x_anchor, source, target_class: str,
-                              target_anchor, radius: float) -> np.ndarray:
-        """Slide `source` along its center leaf onto the plaque
-        W^{target_class}_radius(target_anchor).
-
-        For these models center leaves are vertical circles, so the holonomy
-        preserves the base coordinate and only moves the fiber.  `x_anchor`
-        is the anchor of the surrounding cu- (for unstable holonomy) or cs-
-        plaque; the source must lie within its radius.
-        """
-        if target_class not in ("u", "s"):
-            raise IntersectionError(f"holonomy target must be 'u' or 's', got {target_class!r}")
-        if np.any(~(torus_distance(source, x_anchor) <= radius * self.L0)):
-            raise IntersectionError("holonomy source outside the anchor plaque")
-        return self.intersect("c", source, target_class, target_anchor, radius)
 
 
 def inverse_system(sys: SkewModel) -> SkewModel:
@@ -411,18 +403,6 @@ def inverse_system(sys: SkewModel) -> SkewModel:
 # -- sampling certificates --------------------------------------------------
 
 
-def _sample_leaf_pairs(sys: SkewModel, n: int, seed: int, max_t: float, stable: bool):
-    """Random pairs (x, y) with y on the local stable (or unstable) leaf of
-    x, at leaf offsets |t| <= max_t."""
-    rng = np.random.default_rng(seed)
-    X = rng.random((n, 3))
-    t = rng.uniform(-max_t, max_t, size=n)
-    Qb = wrap(X[:, :2] + t[:, None] * (sys.v_s if stable else sys.v_u))
-    transfer = sys.transfer_stable if stable else sys.transfer_unstable
-    Y = np.column_stack([Qb, wrap(X[:, 2] + transfer(X[:, :2], Qb))])
-    return X, Y
-
-
 def certify_rates(sys: SkewModel, n: int = 10_000, seed: int = 0):
     """Worst sampled violation of the certified leaf rates.
 
@@ -432,15 +412,16 @@ def certify_rates(sys: SkewModel, n: int = 10_000, seed: int = 0):
     """
     lam = sys.rates.lam
     d1 = sys.rates.delta1
-
-    X, Y = _sample_leaf_pairs(sys, n, seed, d1, stable=True)
-    stable_excess = float(np.max(torus_distance(sys.apply(X), sys.apply(Y))
-                                 - lam * torus_distance(X, Y)))
-
-    X, Y = _sample_leaf_pairs(sys, n, seed + 1, d1, stable=False)
-    unstable_excess = float(np.max(torus_distance(sys.apply_inverse(X), sys.apply_inverse(Y))
-                                   - lam * torus_distance(X, Y)))
-    return stable_excess, unstable_excess
+    excess = []
+    for stable, step, v in ((True, sys.apply, sys.v_s), (False, sys.apply_inverse, sys.v_u)):
+        # y on the strong leaf of x at leaf offset |t| <= delta1
+        rng = np.random.default_rng(seed if stable else seed + 1)
+        X = rng.random((n, 3))
+        t = rng.uniform(-d1, d1, size=n)
+        Y = sys.leaf_point(X, wrap(X[:, :2] + t[:, None] * v), stable)
+        excess.append(float(np.max(torus_distance(step(X), step(Y))
+                                   - lam * torus_distance(X, Y))))
+    return tuple(excess)
 
 
 def certify_intersections(sys, params, n: int, seed: int, delta: float):
@@ -451,19 +432,14 @@ def certify_intersections(sys, params, n: int, seed: int, delta: float):
     """
     rng = np.random.default_rng(seed)
     delta = min(delta, 0.99 * params.delta0)
-    worst = 0.0
-    for _ in range(n):
-        x = rng.random(3)
-        v = rng.normal(size=3)
-        v *= (delta * rng.random() ** (1.0 / 3.0)) / np.linalg.norm(v)
-        y = wrap(x + v)
-        d = torus_distance(x, y)
-        if d < 1e-9:
-            continue
-        for pair in (("cu", "s"), ("cs", "u")):
-            pt = sys.intersect(pair[0], x, pair[1], y, delta)
-            worst = max(worst, torus_distance(pt, x) / d, torus_distance(pt, y) / d)
-    return worst
+    X = rng.random((n, 3))
+    V = rng.normal(size=(n, 3))
+    V *= (delta * rng.random(n) ** (1.0 / 3.0) / np.linalg.norm(V, axis=1))[:, None]
+    Y = wrap(X + V)
+    d = torus_distance(X, Y)
+    X, Y, d = X[d >= 1e-9], Y[d >= 1e-9], d[d >= 1e-9]
+    pts = (sys.intersect("cu", X, "s", Y, delta), sys.intersect("cs", X, "u", Y, delta))
+    return float(np.max([torus_distance(pt, Z) / d for pt in pts for Z in (X, Y)], initial=0.0))
 
 
 def certify_holonomy_modulus(sys, params, n: int, seed: int):
@@ -471,36 +447,31 @@ def certify_holonomy_modulus(sys, params, n: int, seed: int):
     params.r2.
 
     Sources sit on one unstable plaque, targets on another inside a common
-    cu-plaque of radius params.r1; passes when the result is < params.alpha.
+    cu-plaque of radius params.r1; a source or image farther than L0 * r1
+    from its plaque's anchor raises IntersectionError.  Passes when the
+    result is < params.alpha.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n):
-        anchor = rng.random(3)
-        d1_anchor = anchor
-        shift = rng.uniform(-params.r1 / 2, params.r1 / 2)
-        fiber_shift = rng.uniform(-params.r1 / 2, params.r1 / 2)
-        b = wrap(np.array([*(anchor[:2] + shift * sys.v_u), anchor[2] + fiber_shift]))
-        d2_anchor = np.array([b[0], b[1], b[2]])
-        t1 = rng.uniform(-params.r2 / 2, params.r2 / 2)
-        t2 = t1 + rng.uniform(-params.r2, params.r2) / math.sqrt(2.0)
-        pts = []
-        for t in (t1, t2):
-            base = wrap(d1_anchor[:2] + t * sys.v_u)
-            fib = wrap(d1_anchor[2] + sys.transfer_unstable(d1_anchor[:2], base))
-            pts.append(np.array([base[0], base[1], fib]))
-        if torus_distance(pts[0], pts[1]) >= params.r2:
-            continue
-        h0 = sys.holonomy_along_center(anchor, pts[0], "u", d2_anchor, params.r1)
-        h1 = sys.holonomy_along_center(anchor, pts[1], "u", d2_anchor, params.r1)
-        worst = max(worst, torus_distance(h0, h1))
-    return worst
+    cap = params.L0 * params.r1
+    anchor = rng.random((n, 3))
+    shift = rng.uniform(-params.r1 / 2, params.r1 / 2, size=(n, 2))   # along v_u, fiber
+    target = wrap(np.column_stack([anchor[:, :2] + shift[:, :1] * sys.v_u,
+                                   anchor[:, 2] + shift[:, 1]]))
+    t1 = rng.uniform(-params.r2 / 2, params.r2 / 2, size=n)
+    t2 = t1 + rng.uniform(-params.r2, params.r2, size=n) / math.sqrt(2.0)
+    offset = np.column_stack([t1, t2])[..., None] * sys.v_u
+    source = sys.leaf_point(anchor[:, None], wrap(anchor[:, None, :2] + offset), stable=False)
+    keep = torus_distance(source[:, 0], source[:, 1]) < params.r2
+    anchor, target, source = anchor[keep, None], target[keep, None], source[keep]
+    if np.any(~(torus_distance(source, anchor) <= cap)):
+        raise IntersectionError("holonomy source outside the anchor plaque")
+    image = sys.leaf_point(target, source[..., :2], stable=False)
+    if np.any(~(torus_distance(image, target) <= cap)):
+        raise IntersectionError("holonomy image outside the target plaque")
+    return float(np.max(torus_distance(image[:, 0], image[:, 1]), initial=0.0))
 
 
 # -- model files -------------------------------------------------------------
-
-_MODEL_FIELDS = ("matrix", "omega", "phi_modes", "series_tol")
-
 
 def model_to_dict(sys: SkewModel) -> dict:
     return {

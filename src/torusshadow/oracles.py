@@ -13,7 +13,6 @@ routes is what the equivalence criteria check.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .geometry import minimal_displacement
 
@@ -38,6 +37,9 @@ def _banded_corrections(defect_s, defect_u, lam, mu):
     Stable:   a_{k+1} - lam * a_k = -e_s[k],  a_0 = 0  (lower bidiagonal)
     Unstable: -mu * b_k + b_{k+1} = -e_u[k],  b_N = 0  (upper bidiagonal)
     """
+    # imported here: scipy.linalg is most of the package's import time
+    from scipy.linalg import solve_banded
+
     n = len(defect_s) + 1  # number of points
     ab = np.zeros((2, n))
     ab[0, :] = 1.0          # diagonal (row for solve_banded l_and_u=(1,0))

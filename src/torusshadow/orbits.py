@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -168,7 +169,10 @@ class PerturbedMap:
             if not (math.isfinite(s) and math.isfinite(c)):
                 raise ModelError(f"perturbation mode amplitudes must be finite, got {s}, {c}")
         self.amplitude_bound = float(amplitude_bound)
-        self.certification_grid = int(certification_grid)
+        grid = certification_grid
+        if isinstance(grid, bool) or not isinstance(grid, Integral) or grid < 1:
+            raise ModelError(f"certification_grid must be a positive integer, got {grid!r}")
+        self.certification_grid = int(grid)
         # Lipschitz bound of the vector field: rss over coordinates of the
         # per-coordinate trig Lipschitz bounds.
         per_coord = [0.0, 0.0, 0.0]

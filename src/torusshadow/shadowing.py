@@ -237,12 +237,9 @@ def _point(base, fiber):
 
 
 def _on_leaf(sys, anchor, offset, stable: bool, tol=None):
-    """Points of the strong stable (or unstable) leaves of `anchor` at base
-    offsets `offset` along v_s (or v_u); anchor (..., 3) broadcasts
-    against offset (...)."""
+    """`leaf_point` of `anchor` at base offsets `offset` along v_s (or v_u)."""
     base = wrap(anchor[..., :2] + offset[..., None] * (sys.v_s if stable else sys.v_u))
-    transfer = sys.transfer_stable if stable else sys.transfer_unstable
-    return _point(base, anchor[..., 2] + transfer(anchor[..., :2], base, tol=tol))
+    return sys.leaf_point(anchor, base, stable, tol)
 
 
 def _leaf_pair(sys, p, q, radius, errors, stage: str, fallback):
@@ -413,10 +410,9 @@ def _backward_propagate(sys, sweep: _Sweep, frame: _Frame, y0_s):
     for j in range(d.shape[-1] - 2, 0, -1):
         s[..., j] = frame.contract_s * (s[..., j + 1] + d[..., j + 1])
     base = wrap(sweep.z[..., 1:, :2] + s[..., 1:, None] * frame.v_s)
-    zp = sweep.zp[..., 1:, :]
     y_s_prime = np.empty(sweep.z.shape)
     y_s_prime[..., 0, :] = y0_s
-    y_s_prime[..., 1:, :] = _point(base, zp[..., 2] + sys.transfer_stable(zp[..., :2], base))
+    y_s_prime[..., 1:, :] = sys.leaf_point(sweep.zp[..., 1:, :], base, stable=True)
     y_s = np.empty(sweep.z.shape)
     y_s[..., 0, :] = y0_s
     y_s[..., 1:, :] = _point(base, frame.apply_inverse_k(y_s_prime[..., :-1, :])[..., 2])
@@ -589,9 +585,7 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     base = wrap(y_s[..., 1:, :2] + eta[..., None] * frame.v_u)
     upper = np.empty(pts.shape[:-2] + (-M_min, 3))
     upper[..., 0, :] = y0_star_prime
-    primed = y_s_prime[..., 1:-1, :]
-    upper[..., 1:, :] = _point(base[..., :-1, :], primed[..., 2] + sys.transfer_unstable(
-        primed[..., :2], base[..., :-1, :]))
+    upper[..., 1:, :] = sys.leaf_point(y_s_prime[..., 1:-1, :], base[..., :-1, :], stable=False)
     star_neg = _point(base, frame.apply_inverse_k(upper)[..., 2])
     star = np.concatenate([star_neg[..., ::-1, :], y0_star[..., None, :], star_pos], axis=-2)
 

@@ -294,13 +294,10 @@ def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: in
         direction /= np.linalg.norm(direction)
         q0 = wrap(p0 + 2.0 * eta * direction)
         c = _center_pseudo_orbit(sys, q0, z0, half_window, eta, rng)
-        sep = -1
-        for step in range(half_window + 1):
-            fwd = torus_distance(a[half_window + step], c[half_window + step])
-            bwd = torus_distance(a[half_window - step], c[half_window - step])
-            if max(fwd, bwd) > threshold:
-                sep = step
-                break
+        # separation after s steps: the pair's larger gap at indices +s and -s
+        apart = np.maximum(torus_distance(a[half_window:], c[half_window:]),
+                           torus_distance(a[half_window::-1], c[half_window::-1])) > threshold
+        sep = int(np.argmax(apart)) if apart.any() else -1
         predicted = math.ceil(math.log(threshold / (2.0 * eta)) / math.log(mu)) + 3
         conforms = 0 <= sep <= predicted
         passed &= conforms

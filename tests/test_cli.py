@@ -303,3 +303,31 @@ def test_bad_command_line_exits_with_error(workdir, capsys, argv, code):
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert any(line.startswith("ERROR") or ": error: " in line for line in err.splitlines())
+
+
+SKEW_FILE = {"matrix": [[2, 1], [1, 1]], "omega": 0.05,
+             "phi_modes": [{"freq": [1, 0], "sin": 0.02, "cos": 0.0}]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"series_tol": float("nan")}, "series_tol must be finite and positive"),
+    ({"series_tol": float("inf")}, "series_tol must be finite and positive"),
+    ({"omega": float("nan")}, "omega must be finite"),
+    ({"phi_modes": [{"freq": [1, 0], "sin": float("nan")}]}, "amplitudes must be finite"),
+], ids=["series_tol-nan", "series_tol-inf", "omega-nan", "sin-nan"])
+def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
+    (workdir / "model.json").write_text(json.dumps({**SKEW_FILE, **edit}))
+    assert run(["constants", "--model", "model.json", "--epsilon", "1e-2", "--out", "c"]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.startswith("ERROR model: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_bad_certification_grid_exit_2(workdir, capsys):
+    (workdir / "pert.json").write_text(json.dumps({
+        "amplitude_bound": 1.2e-3, "certification_grid": 0,
+        "modes": [{"coord": 2, "freq": [1, 0, 0], "sin": 1e-3}]}))
+    assert run(["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                "--perturbation", "pert.json", "--out", "st"]) == 2
+    assert "certification_grid must be a positive integer" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Model family: eigenframes, transfers, intersections, holonomy, constants."""
+"""Model family: eigenframes, transfers, strong-leaf points (and center
+holonomy through them), intersections, constants."""
 
 import math
 
@@ -191,8 +192,9 @@ class TestIntersect:
 
     def test_unsupported_pair(self, linear):
         x = np.array([0.1, 0.1, 0.1])
-        with pytest.raises(IntersectionError):
-            linear.intersect("s", x, "u", x, 0.05)
+        for pair in (("s", "u"), ("c", "u"), ("c", "s")):
+            with pytest.raises(IntersectionError, match="unsupported leaf pair"):
+                linear.intersect(pair[0], x, pair[1], x, 0.05)
 
     def test_lift_ambiguity(self, linear):
         x = np.array([0.0, 0.0, 0.0])
@@ -207,10 +209,29 @@ class TestIntersect:
             linear.intersect("cu", x, "s", y, 1e-4)
 
     def test_common_leaf_required_for_center_pairs(self, skew):
+        # the center leaf of x meets the unstable leaf of y only over a base
+        # on y's unstable line
         x = np.array([0.2, 0.3, 0.1])
         y = wrap(x + 0.01 * np.array([*skew.v_s, 0.0]))  # stable line, not unstable
-        with pytest.raises(IntersectionError):
-            skew.intersect("c", x, "u", y, 0.05)
+        with pytest.raises(LeafError, match="off the leaf line"):
+            skew.leaf_point(y, x[:2], stable=False)
+
+    def test_leaf_point_broadcast_and_intersect_fiber(self, skew, rng):
+        # a (B, 1, 3) anchor against a (B, n, 2) base, as the window anchors
+        # use it, equals one call per row bitwise
+        anchor = rng.random((4, 1, 3))
+        for stable, v in ((True, skew.v_s), (False, skew.v_u)):
+            base = wrap(anchor[..., :2] + rng.uniform(-0.1, 0.1, (4, 5, 1)) * v)
+            out = skew.leaf_point(anchor, base, stable)
+            assert out.shape == (4, 5, 3)
+            for b in range(4):
+                assert np.array_equal(out[b], skew.leaf_point(anchor[b, 0], base[b], stable))
+        # an intersection is the leaf point of y over its base
+        x = rng.random((6, 3))
+        y = wrap(x + rng.uniform(-0.01, 0.01, (6, 3)))
+        for cx, cy in (("cu", "s"), ("cs", "u")):
+            pt = skew.intersect(cx, x, cy, y, 0.05)
+            assert np.array_equal(pt, skew.leaf_point(y, pt[..., :2], cy == "s"))
 
     def test_sampled_blowup_certificate(self, skew):
         params = delta_for_epsilon(skew, 1e-2)
@@ -224,7 +245,9 @@ class TestHolonomy:
         anchor = np.array([0.3, 0.4, 0.5])
         src = wrap(anchor + 0.01 * np.array([*skew.v_u, 0.0]))
         src[2] = (anchor[2] + skew.transfer_unstable(anchor[:2], src[:2])) % 1.0
-        out = skew.holonomy_along_center(anchor, src, "u", anchor, params.r1)
+        assert torus_distance(src, anchor) <= params.L0 * params.r1
+        # center holonomy onto the unstable leaf of the anchor: the leaf point
+        out = skew.leaf_point(anchor, src[:2], stable=False)
         assert torus_distance(out, src) < 1e-12
 
     def test_linear_vertical_translation(self, linear):
@@ -235,7 +258,8 @@ class TestHolonomy:
         d2 = np.array([0.3, 0.4, 0.27])
         src = wrap(anchor + 0.01 * np.array([*linear.v_u, 0.0]))
         src[2] = anchor[2]
-        out = linear.holonomy_along_center(anchor, src, "u", d2, params.r1)
+        assert torus_distance(src, anchor) <= params.L0 * params.r1
+        out = linear.leaf_point(d2, src[:2], stable=False)
         assert np.allclose(out[:2], src[:2], atol=1e-14)
         assert out[2] == pytest.approx(0.27, abs=1e-13)
 

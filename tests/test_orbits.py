@@ -101,6 +101,12 @@ class TestPerturbedMap:
         with pytest.raises(ModelError):
             g.certified_bound()
 
+    def test_bad_certification_grid_rejected(self, skew):
+        for grid in (0, -3, 2.5, True):
+            with pytest.raises(ModelError, match="certification_grid"):
+                PerturbedMap(skew, [(2, 1, 0, 0, 1e-3, 0.0)], amplitude_bound=1.2e-3,
+                             certification_grid=grid)
+
     def test_inverse_fixed_point(self, skew, rng):
         # iterate-and-check oracle: g(g^-1(x)) == x to the stated residual
         g = self._field(skew, 1e-3)
