@@ -119,6 +119,14 @@ def _flag_rows(errors, exc_type, checks):
                 errors.setdefault(int(r), exc_type(message(int(r))))
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """`values` as int64; ModelError if one is not an integer (NaN and inf are not)."""
+    a = np.asarray(values, dtype=float)
+    if not (a % 1.0 == 0.0).all():
+        raise ModelError(f"{what} must be integers, got {values!r}")
+    return a.astype(np.int64)
+
+
 def _norm(d):
     return np.sqrt((d * d).sum(axis=-1))
 
@@ -131,9 +139,7 @@ class SkewModel:
     """
 
     def __init__(self, matrix, omega=0.0, phi_modes=(), series_tol=1e-12):
-        self.A = np.asarray(matrix, dtype=np.int64)
-        if self.A.shape != (2, 2):
-            raise ModelError("base matrix must be 2x2")
+        self.A = _integers(matrix, "base matrix entries")
         self.v_s, self.v_u, self.eig_lam, self.eig_mu = eigen_frame(self.A)
         det = int(round(float(np.linalg.det(self.A))))
         self.A_inv = (np.array([[self.A[1, 1], -self.A[0, 1]],
@@ -141,7 +147,8 @@ class SkewModel:
         self.omega = float(omega)
         if not math.isfinite(self.omega):
             raise ModelError(f"omega must be finite, got {self.omega!r}")
-        self.modes = [(int(m1), int(m2), float(s), float(c)) for (m1, m2, s, c) in phi_modes]
+        self.modes = [(*_integers((m1, m2), "phi mode frequencies").tolist(), float(s), float(c))
+                      for (m1, m2, s, c) in phi_modes]
         for (_, _, s, c) in self.modes:
             if not (math.isfinite(s) and math.isfinite(c)):
                 raise ModelError(f"phi mode amplitudes must be finite, got {s}, {c}")
@@ -344,8 +351,6 @@ class SkewModel:
             raise IntersectionError(f"unsupported leaf pair ({class_x}, {class_y})")
         found = {} if errors is None else errors
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if x.shape != y.shape:
-            x, y = np.broadcast_arrays(x, y)
         shape = x.shape
         x, y = x.reshape(-1, 3), y.reshape(-1, 3)
         xb, yb = x[:, :2], y[:, :2]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import minimal_displacement
+from .geometry import minimal_displacement, wrap
 
 __all__ = ["cat_map_shadow", "linear_model_shadow"]
 
@@ -69,20 +69,13 @@ def cat_map_shadow(A, base_points: np.ndarray) -> np.ndarray:
     """
     base_points = np.asarray(base_points, dtype=float)
     v_s, v_u, lam, mu = _eigen2(A)
-    n = base_points.shape[0]
-    defects = np.empty((n - 1, 2))
-    A = np.asarray(A, dtype=float)
-    for k in range(n - 1):
-        img = (A @ base_points[k]) % 1.0
-        img[img >= 1.0] = 0.0
-        defects[k] = minimal_displacement(img, base_points[k + 1])
+    defects = minimal_displacement(wrap(base_points[:-1] @ np.asarray(A, dtype=float).T),
+                                   base_points[1:])
     frame_inv = np.linalg.inv(np.column_stack([v_u, v_s]))
     comps = defects @ frame_inv.T  # rows: (e_u, e_s)
     a, b = _banded_corrections(comps[:, 1], comps[:, 0], lam, mu)
     corrections = np.outer(a, v_s) + np.outer(b, v_u)
-    out = (base_points + corrections) % 1.0
-    out[out >= 1.0] = 0.0
-    return out
+    return wrap(base_points + corrections)
 
 
 def linear_model_shadow(sys, orbit, k: int) -> np.ndarray:
@@ -99,10 +92,6 @@ def linear_model_shadow(sys, orbit, k: int) -> np.ndarray:
         raise ValueError("linear_model_shadow requires the linear model")
     pts = orbit.points
     base = cat_map_shadow(sys.A, pts[:, :2])
-    fiber = np.empty(pts.shape[0])
-    for q in range(orbit.n_min, orbit.n_max + 1):
-        m = q // k
-        anchor = m * k if m >= 0 else (m + 1) * k
-        anchor = min(max(anchor, orbit.n_min), orbit.n_max)
-        fiber[q - orbit.n_min] = pts[anchor - orbit.n_min, 2]
-    return np.column_stack([base, fiber])
+    m = np.arange(orbit.n_min, orbit.n_max + 1) // k
+    anchor = np.clip(np.where(m >= 0, m, m + 1) * k, orbit.n_min, orbit.n_max)
+    return np.column_stack([base, pts[anchor - orbit.n_min, 2]])

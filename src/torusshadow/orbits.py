@@ -18,7 +18,7 @@ from numbers import Integral
 import numpy as np
 
 from .geometry import torus_distance, wrap
-from .models import TWO_PI, ModelError, SkewModel
+from .models import TWO_PI, ModelError, SkewModel, _integers
 
 __all__ = [
     "PseudoOrbit",
@@ -161,8 +161,8 @@ class PerturbedMap:
     def __init__(self, sys: SkewModel, modes, amplitude_bound: float,
                  certification_grid: int = 64):
         self.sys = sys
-        self.modes = [(int(j), int(m1), int(m2), int(m3), float(s), float(c))
-                      for (j, m1, m2, m3, s, c) in modes]
+        self.modes = [(*_integers((j, m1, m2, m3), "perturbation coordinates and frequencies")
+                       .tolist(), float(s), float(c)) for (j, m1, m2, m3, s, c) in modes]
         for (j, *_freq, s, c) in self.modes:
             if j not in (0, 1, 2):
                 raise ModelError(f"perturbation coordinate must be 0, 1, or 2, got {j}")
@@ -221,12 +221,12 @@ class PerturbedMap:
         if self._certified is None:
             n = self.certification_grid
             axis = (np.arange(n) + 0.5) / n
-            G = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+            plane = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
             sup = 0.0
-            # chunked to bound memory on fine grids
-            for start in range(0, G.shape[0], 262144):
-                V = self.displacement(G[start:start + 262144])
-                sup = max(sup, float(np.max(np.linalg.norm(V, axis=1))))
+            # slabs of whole planes x = const, about 262144 points each, to bound memory
+            for x in np.array_split(axis, min(n, max(1, n ** 3 // 262144))):
+                G = np.column_stack([np.repeat(x, plane.shape[0]), np.tile(plane, (x.size, 1))])
+                sup = max(sup, float(np.max(np.linalg.norm(self.displacement(G), axis=1))))
             slack = self.lip_v * (math.sqrt(3.0) / (2.0 * n))
             bound = sup + slack
             # a NaN bound fails this test and is never cached

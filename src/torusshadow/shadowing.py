@@ -17,18 +17,16 @@ the k-subsampled orbit and intermediate indices are filled with exact map
 steps.
 
 The construction runs on a stack of B orbits over one window at once
-(`shadow_batch`; `quasi_shadow` is the one-orbit case).  Only the two sweeps
-are sequential in time, one (B,)-wide step per subsampled index; the limit
-search, the propagation of the anchors, the splice, the full-resolution fill
-and `verify` are array operations along time.  A row that fails a check is
-recorded in the batch's `errors` dict with the stage and index and the
-other rows carry on; only `quasi_shadow` raises a row's failure.
+(`shadow_batch`; `quasi_shadow` is the one-orbit case), and every stage, the
+sweeps included, is an array operation along time.  A row that fails a
+check is recorded in the batch's `errors` dict with the stage and index and
+the other rows carry on; only `quasi_shadow` raises a row's failure.
 
 Numerics: the defining recursions move offsets along the expanding
 direction of the relevant map power, which amplifies floating-point noise
 by mu^k per step.  All offset sequences here are therefore evaluated
-through their equivalent contracting forms (scalar coefficient recursions
-in the eigenframe, anchored to the sweep data); the defining one-step
+through their equivalent contracting forms (first-order linear recurrences
+in the eigenframe, summed by the log-depth `_scan`); the defining one-step
 relations then hold to well below the 1e-9 verification gate at every
 index, which `verify` checks from scratch.
 """
@@ -242,21 +240,15 @@ def _on_leaf(sys, anchor, offset, stable: bool, tol=None):
     return sys.leaf_point(anchor, base, stable, tol)
 
 
-def _leaf_pair(sys, p, q, radius, errors, stage: str, fallback):
-    """z = W^cu(p) cap W^s(q) and z' = W^cs(q) cap W^u(p), which share a base
-    point.  A row where either fails is recorded in `errors` as a
-    ConstructionError naming `stage`, and both its points are set to
-    `fallback` (p or q), so the stages after it stay defined on that row."""
-    step = {}
-    z = sys.intersect("cu", p, "s", q, radius, errors=step)
-    zp = sys.intersect("cs", q, "u", p, radius, errors=step)
-    if step:
-        rows = list(step)
-        for out in (z, zp):
-            out.reshape(-1, 3)[rows] = np.reshape(fallback, (-1, 3))[rows]
-        for r, exc in step.items():
-            errors.setdefault(r, ConstructionError(f"{stage}: {exc}"))
-    return z, zp
+def _scan(x, rate):
+    """x_i + rate x_{i-1} + rate^2 x_{i-2} + ... along the last axis: the
+    solution of t_i = x_i + rate t_{i-1}, t_{-1} = 0, in log2(n) array passes."""
+    x = np.array(x, dtype=float)
+    s = 1
+    while s < x.shape[-1]:
+        x[..., s:] += rate ** s * x[..., :-s]
+        s *= 2
+    return x
 
 
 # -- the sweep ------------------------------------------------------------------
@@ -277,7 +269,7 @@ class _Sweep(NamedTuple):
 
 
 def _sweep(sys, X, params, frame, errors, stable: bool) -> _Sweep:
-    """z/z' sweep over one subsampled half, one step for all rows.
+    """z/z' sweep over one subsampled half, all rows and indices at once.
 
     Forward (stable=False), X[..., i, :] = X_i and the anchor is
     a = F(z_{i-1}): z_i is the cu-leaf-of-a / stable-leaf-of-X_i
@@ -286,20 +278,43 @@ def _sweep(sys, X, params, frame, errors, stable: bool) -> _Sweep:
     a = F^-1(z'_{-j+1}) and X and a swap places in both pairs.  The
     coefficient is the offset of z from a along the leaf the half moves
     along (unstable forward, stable backward).
+
+    The recursive point (z forward, z' backward) lies on the strong leaf of
+    X_i that F contracts (F^-1 backward) at offset t_i = e_i + rate t_{i-1},
+    e_i the leaf coefficient of the defect F(X_{i-1}) -> X_i: one `_scan`
+    gives every anchor base, and both intersections are rebuilt from their
+    anchors and checked.  A row's first failure is recorded in `errors` as a
+    ConstructionError naming the index.  Up to it, scanned and rebuilt
+    anchors agree: a defect under delta0 is far inside the lift-unambiguous
+    range, and a zeroed one leaves its pair beyond the L0 * radius caps.
     """
-    z, zp, coef = X.copy(), X.copy(), np.zeros(X.shape[:-1])
-    radius = params.delta_step
-    for i in range(1, X.shape[-2]):
-        if stable:
-            a = frame.apply_inverse_k(zp[..., i - 1, :])
-            pair, stage = (X[..., i, :], a), f"backward sweep failed at index {-i}"
-        else:
-            a = frame.apply_k(z[..., i - 1, :])
-            pair, stage = (a, X[..., i, :]), f"forward sweep failed at index {i}"
-        # A failed row continues from the anchor, with a zero coefficient.
-        z[..., i, :], zp[..., i, :] = _leaf_pair(sys, *pair, radius, errors, stage, a)
-        coef[..., i] = frame.coeffs(a[..., :2], z[..., i, :2])[stable]
-        radius = 2.0 * params.delta_step
+    step = frame.apply_inverse_k if stable else frame.apply_k
+    image, X1 = step(X[..., :-1, :])[..., :2], X[..., 1:, :]
+    # A pair at least delta0 apart gets offset 0, as in `intersect`.
+    e = np.where(torus_distance(image, X1[..., :2]) < params.delta0,
+                 -frame.coeffs(image, X1[..., :2])[not stable], 0.0)
+    t = _scan(e, frame.contract_u if stable else frame.contract_s)
+    # The recursive intersection reads only its anchor's base, and F maps the
+    # base without reading the fiber, so X's fibers stand in for now.
+    src = X[..., :-1, :].copy()
+    src[..., 1:, :2] += t[..., :-1, None] * (frame.v_u if stable else frame.v_s)
+    radius = np.full(e.shape, 2.0 * params.delta_step)
+    radius[..., 0] = params.delta_step
+    pairs, found = (("cu", "s"), ("cs", "u")), ({}, {})    # z's pair, z''s pair
+    (cx, cy), (ox, oy) = pairs[stable], pairs[not stable]
+    rec = sys.intersect(cx, step(wrap(src)), cy, X1, radius, errors=found[stable])
+    a = step(np.concatenate([X[..., :1, :], rec[..., :-1, :]], axis=-2))
+    other = sys.intersect(ox, X1, oy, a, radius, errors=found[not stable])
+    z, zp = X.copy(), X.copy()
+    z[..., 1:, :], zp[..., 1:, :] = (other, rec) if stable else (rec, other)
+    found = {**found[1], **found[0]}    # where both fail, z's failure names the pair
+    for r in sorted(found):
+        i = r % e.shape[-1] + 1
+        errors.setdefault(r // e.shape[-1], ConstructionError(
+            f"{'backward' if stable else 'forward'} sweep failed at index "
+            f"{-i if stable else i}: {found[r]}"))
+    coef = np.zeros(X.shape[:-1])
+    coef[..., 1:] = frame.coeffs(a[..., :2], z[..., 1:, :2])[stable]
     return _Sweep(X, z, zp, coef)
 
 
@@ -327,20 +342,14 @@ def _limit(sys, sweep, params, frame, errors, growth_step, stable: bool):
     anchors = _anchors(sys, sweep, frame, stable, tol=min(sys.series_tol, 1e-3 * tol))
     n_max = anchors.shape[-2]
     ns = np.arange(1, n_max - 1, growth_step)   # candidates with n + 2 <= n_max
-    if ns.size:
-        g1 = torus_distance(anchors[..., ns - 1, :], anchors[..., ns, :])
-        g2 = torus_distance(anchors[..., ns - 1, :], anchors[..., ns + 1, :])
-        cauchy = (g1 < tol) & (g2 < tol)
-        first = np.argmax(cauchy, axis=-1)
-        converged = np.take_along_axis(cauchy, first[..., None], axis=-1)[..., 0]
-        last_gap = np.maximum(g1[..., -1], g2[..., -1])
-        depth = ns[first]
-        anchor = np.take_along_axis(anchors, (depth - 1)[..., None, None], axis=-2)[..., 0, :]
-    else:
-        converged = np.zeros(anchors.shape[:-2], dtype=bool)
-        last_gap = np.full(anchors.shape[:-2], np.inf)
-        depth = np.zeros(anchors.shape[:-2], dtype=int)
-        anchor = sweep.X[..., 0, :]
+    g1 = torus_distance(anchors[..., ns - 1, :], anchors[..., ns, :])
+    g2 = torus_distance(anchors[..., ns - 1, :], anchors[..., ns + 1, :])
+    cauchy = (g1 < tol) & (g2 < tol)
+    first = np.argmax(cauchy, axis=-1)
+    converged = np.take_along_axis(cauchy, first[..., None], axis=-1)[..., 0]
+    last_gap = np.maximum(g1[..., -1], g2[..., -1])
+    depth = ns[first]
+    anchor = np.take_along_axis(anchors, (depth - 1)[..., None, None], axis=-2)[..., 0, :]
     side = "backward" if stable else "forward"
     last_gap = np.atleast_1d(last_gap)
     _flag_rows(errors, InsufficientWindowError, ((
@@ -381,17 +390,15 @@ def _forward_propagate(sys, sweep: _Sweep, frame: _Frame, y0_u):
     (..., n+1, 3) with y_0^u at index 0.
 
     The unstable offsets u_i of y_i^u from z_i solve u_i = mu^k u_{i-1} - c_i;
-    the bounded solution u_i = sum_m mu^{-km} c_{i+m} is evaluated by the
-    contracting backward accumulation (zero at the window end), after which
-    all guides come from one series call.
+    the bounded solution u_i = sum_{m>=1} mu^{-km} c_{i+m} (zero at the
+    window end) is w_i - c_i for w the contracting `_scan` of c run
+    backward, after which all guides come from one series call.
     """
-    c = sweep.coef
-    u = np.zeros(c.shape)
-    for i in range(c.shape[-1] - 2, 0, -1):
-        u[..., i] = frame.contract_u * (c[..., i + 1] + u[..., i + 1])
+    c = sweep.coef[..., 1:]
+    u = _scan(c[..., ::-1], frame.contract_u)[..., ::-1] - c
     y_u = np.empty(sweep.z.shape)
     y_u[..., 0, :] = y0_u
-    y_u[..., 1:, :] = _on_leaf(sys, sweep.z[..., 1:, :], u[..., 1:], stable=False)
+    y_u[..., 1:, :] = _on_leaf(sys, sweep.z[..., 1:, :], u, stable=False)
     return y_u
 
 
@@ -401,15 +408,14 @@ def _backward_propagate(sys, sweep: _Sweep, frame: _Frame, y0_s):
 
     y_{-1}^s = F^-1(y_0^s); (y_m^s)' sits on the stable plaque of z'_m over
     the center plaque of y_m^s, and y_{m-1}^s = F^-1((y_m^s)').  Stable
-    offsets from z_m are evaluated by the contracting forward accumulation
-    (zero at the window start).  The primed guides need only the sweep, so
-    they come from one series call and the unprimed ones from one F^-1.
+    offsets from z_m (over the base of z'_m) come from `_scan` as in
+    `_forward_propagate`, zero at the window start.  The primed guides need
+    only the sweep, so they come from one series call and the unprimed ones
+    from one F^-1.
     """
-    d = sweep.coef
-    s = np.zeros(d.shape)
-    for j in range(d.shape[-1] - 2, 0, -1):
-        s[..., j] = frame.contract_s * (s[..., j + 1] + d[..., j + 1])
-    base = wrap(sweep.z[..., 1:, :2] + s[..., 1:, None] * frame.v_s)
+    d = sweep.coef[..., 1:]
+    s = _scan(d[..., ::-1], frame.contract_s)[..., ::-1] - d
+    base = wrap(sweep.zp[..., 1:, :2] + s[..., None] * frame.v_s)
     y_s_prime = np.empty(sweep.z.shape)
     y_s_prime[..., 0, :] = y0_s
     y_s_prime[..., 1:, :] = sys.leaf_point(sweep.zp[..., 1:, :], base, stable=True)
@@ -436,8 +442,12 @@ def splice(sys, y0_u, y0_s, params, errors):
         ~(gap < cap),
         lambda r: (f"splice margin violated at index 0: d(y0_s, y0_u) = {gap[r]:.3e} >= "
                    f"2 lam^k (L0 delta + alpha) = {cap:.3e}")),))
-    return _leaf_pair(sys, y0_s, y0_u, cap, errors, "splice intersection failed at index 0",
-                      y0_u)
+    found = {}
+    y0_star = sys.intersect("cu", y0_s, "s", y0_u, cap, errors=found)
+    y0_star_prime = sys.intersect("cs", y0_u, "u", y0_s, cap, errors=found)
+    for r, exc in found.items():
+        errors.setdefault(r, ConstructionError(f"splice intersection failed at index 0: {exc}"))
+    return y0_star, y0_star_prime
 
 
 def _sub_range(n_min: int, n_max: int, k: int) -> tuple:

@@ -60,11 +60,7 @@ class SemiConjugacy:
 
 
 def _lattice(grid_res) -> np.ndarray:
-    n1, n2, n3 = grid_res
-    g1 = np.arange(n1) / n1
-    g2 = np.arange(n2) / n2
-    g3 = np.arange(n3) / n3
-    return np.stack(np.meshgrid(g1, g2, g3, indexing="ij"), axis=-1).reshape(-1, 3)
+    return np.indices(grid_res).reshape(3, -1).T / np.asarray(grid_res)
 
 
 def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: float,

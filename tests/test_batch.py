@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from torusshadow.geometry import torus_distance, wrap
-from torusshadow.models import IntersectionError
-from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map
+from torusshadow.models import IntersectionError, SkewModel
+from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map, generate_noisy
 from torusshadow.shadowing import (
     ConstructionError,
     ParameterError,
@@ -135,6 +135,45 @@ def test_sweep_failure_is_recorded_by_row(skew, grid_batch):
         assert np.array_equal(alone.z[0], sweep.z[r])
         assert np.array_equal(alone.zp[0], sweep.zp[r])
         assert np.array_equal(alone.coef[0], sweep.coef[r])
+
+
+def test_random_jumps_fail_only_their_row(skew, linear):
+    # seeded stress run: one row of four jumped at 1-3 subsampled indices by
+    # a base step of 0.05-0.5 (and any fiber step); the batch never raises,
+    # only that row fails, the sweep of each jumped half fails first at its
+    # first jumped index, and every other row is its solo run
+    rng = np.random.default_rng(180)
+    det_m1 = SkewModel([[-1, 1], [1, 0]], omega=0.03, phi_modes=[(1, 0, 0.02, 0.0)])
+    for sys in (skew, linear, det_m1):
+        params = delta_for_epsilon(sys, 1e-2)
+        frame, k = _Frame(sys, params.k), params.k
+        clean = np.array([generate_noisy(sys, rng.random(3), (-60, 60), params.delta,
+                                         seed=s).points for s in range(4)])
+        solos = [shadow_batch(sys, PseudoOrbit(-60, 60, clean[r], params.delta), 1e-2,
+                              params)[0] for r in range(4)]
+        subsampled = np.r_[-(60 // k):0, 1:60 // k + 1]
+        for _ in range(20):
+            row = int(rng.integers(4))
+            ms = rng.choice(subsampled, size=rng.integers(1, 4), replace=False)
+            pts = clean.copy()
+            for m in ms:
+                base = rng.normal(size=2)
+                base *= rng.uniform(0.05, 0.5) / np.linalg.norm(base)
+                pts[row, 60 + m * k] = wrap(pts[row, 60 + m * k]
+                                            + [*base, rng.uniform(-0.5, 0.5)])
+            trace, failures = shadow_batch(sys, PseudoOrbit(-60, 60, pts, params.delta),
+                                           1e-2, params)
+            assert [r for r, _ in failures] == [row]
+            for r in set(range(4)) - {row}:
+                for name in TRACE_FIELDS:
+                    assert np.array_equal(getattr(trace, name)[r], getattr(solos[r], name))
+            for stable, jumped in ((False, ms[ms > 0]), (True, -ms[ms < 0])):
+                if jumped.size:
+                    errors = {}
+                    _sweep(sys, pts[:, 60::-k if stable else k], params, frame, errors, stable)
+                    first = -jumped.min() if stable else jumped.min()
+                    assert list(errors) == [row]
+                    assert f"sweep failed at index {first}:" in str(errors[row])
 
 
 def test_intersect_reports_rows(skew, rng):

@@ -294,10 +294,19 @@ def _exit_code(argv):
     (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2", "--delta", "nan"], 2),
     (["constants", "--epsilon", "nan"], 3),
     (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2", "--delta", "inf"], 2),
+    (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
+      "--perturbation", "pert-coord.json"], 2),
+    (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
+      "--perturbation", "pert-freq.json"], 2),
 ])
 def test_bad_command_line_exits_with_error(workdir, capsys, argv, code):
     (workdir / "pert.json").write_text(json.dumps({"amplitude_bound": 1e-3,
                                                    "modes": [[0, 1]]}))
+    # non-integer coordinate and frequency, once read as coordinate 0, frequency 1
+    for name, mode in (("coord", {"coord": 0.6, "freq": [1, 0, 0]}),
+                       ("freq", {"coord": 0, "freq": [1.5, 0, 0]})):
+        (workdir / f"pert-{name}.json").write_text(json.dumps({
+            "amplitude_bound": 1.2e-3, "modes": [{**mode, "sin": 1e-3}]}))
     # an exception escaping main would fail the test before the asserts
     assert _exit_code([*argv, "--model", "skew", "--out", "x"]) == code
     out, err = capsys.readouterr()
@@ -314,7 +323,10 @@ SKEW_FILE = {"matrix": [[2, 1], [1, 1]], "omega": 0.05,
     ({"series_tol": float("inf")}, "series_tol must be finite and positive"),
     ({"omega": float("nan")}, "omega must be finite"),
     ({"phi_modes": [{"freq": [1, 0], "sin": float("nan")}]}, "amplitudes must be finite"),
-], ids=["series_tol-nan", "series_tol-inf", "omega-nan", "sin-nan"])
+    ({"matrix": [[2.7, 1], [1, 1.9]]}, "base matrix entries must be integers"),
+    ({"phi_modes": [{"freq": [1.5, 0], "sin": 0.02}]}, "phi mode frequencies must be integers"),
+], ids=["series_tol-nan", "series_tol-inf", "omega-nan", "sin-nan", "matrix-fraction",
+        "freq-fraction"])
 def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
     (workdir / "model.json").write_text(json.dumps({**SKEW_FILE, **edit}))
     assert run(["constants", "--model", "model.json", "--epsilon", "1e-2", "--out", "c"]) == 2

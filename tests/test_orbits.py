@@ -1,5 +1,7 @@
 """Pseudo-orbit generation, validation, perturbed maps, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,26 @@ class TestPerturbedMap:
         g = PerturbedMap(skew, [(2, 1, 0, 0, 1e-3, 0.0)], amplitude_bound=5e-4)
         with pytest.raises(ModelError):
             g.certified_bound()
+
+    def test_certified_bound_memory_and_value(self, skew):
+        # the grid is swept in slabs: the 128^3 certificate never holds the
+        # whole 50 MiB grid, and the slabs see exactly the full grid's points
+        modes = [(0, 0, 1, 0, 5e-4, 0.0), (2, 1, 2, 3, 1e-4, 2e-4)]
+        g = PerturbedMap(skew, modes, amplitude_bound=1e-3, certification_grid=128)
+        tracemalloc.start()
+        try:
+            g.certified_bound()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        n = 32
+        axis = (np.arange(n) + 0.5) / n
+        G = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        full = float(np.max(np.linalg.norm(g.displacement(G), axis=1)))
+        slack = g.lip_v * (np.sqrt(3.0) / (2.0 * n))
+        small = PerturbedMap(skew, modes, amplitude_bound=1e-3, certification_grid=n)
+        assert small.certified_bound() == full + slack
 
     def test_bad_certification_grid_rejected(self, skew):
         for grid in (0, -3, 2.5, True):

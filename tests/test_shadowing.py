@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torusshadow.geometry import torus_distance, wrap
-from torusshadow.models import inverse_system
+from torusshadow.models import SkewModel, inverse_system
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
 from torusshadow.orbits import generate_noisy, validate
 from torusshadow.shadowing import (
@@ -231,6 +231,29 @@ class TestPropagate:
             # y_m^s = F^-1((y_{m+1}^s)'), both indexed by -m
             assert torus_distance(y_s[-m], frame.apply_inverse_k(y_s_prime[-m - 1])) < 1e-9
             assert torus_distance(y_s[-m], X_neg[-m]) < 2 * eps / 3
+
+    def test_sweep_matches_defining_step(self, skew):
+        # every z_i / z'_i of the scanned sweep is the intersection built from
+        # F^{+-1} of the previous point, as the one-step definition has it
+        det_m1 = SkewModel([[-1, 1], [1, 0]], omega=0.03, phi_modes=[(1, 0, 0.02, 0.0)])
+        for sys in (skew, det_m1):
+            p = delta_for_epsilon(sys, 1e-2)
+            assert p.k == (2 if sys is skew else 4)
+            frame = _Frame(sys, p.k)
+            orbit = generate_noisy(sys, X0, (-60, 60), p.delta, seed=21)
+            for side, stable in (("pos", False), ("neg", True)):
+                X = np.array(_subsampled(orbit, p.k, side))
+                sweep = _clean_sweep(sys, X[None], p, frame, stable)
+                if stable:
+                    a = frame.apply_inverse_k(sweep.zp[0, :-1])
+                    pair = (X[1:], a)
+                else:
+                    a = frame.apply_k(sweep.z[0, :-1])
+                    pair = (a, X[1:])
+                z = sys.intersect("cu", pair[0], "s", pair[1], 2 * p.delta_step)
+                zp = sys.intersect("cs", pair[1], "u", pair[0], 2 * p.delta_step)
+                assert np.max(torus_distance(z, sweep.z[0, 1:])) <= 1e-12
+                assert np.max(torus_distance(zp, sweep.zp[0, 1:])) <= 1e-12
 
 
 class TestTimeReversal:
