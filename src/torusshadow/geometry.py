@@ -38,9 +38,10 @@ def wrap(v) -> np.ndarray:
 def minimal_displacement(p, q) -> np.ndarray:
     """Componentwise minimal representative of q - p, in [-0.5, 0.5).
 
-    Ties at exactly 0.5 resolve to -0.5, so wrap(p + d) == q always holds
-    and the result is deterministic.  Scalars are treated as points of the
-    circle.
+    Ties at exactly 0.5 resolve to -0.5, so the result is deterministic.
+    wrap(p + d) equals q on the circle up to one rounding: at the 0/1 seam
+    it can land on the other side, e.g. p = 0.3, q = 1 - 2**-53 gives 0.0.
+    Scalars are treated as points of the circle.
     """
     d = (np.asarray(q, dtype=float) - np.asarray(p, dtype=float)) % 1.0
     # d is in [0, 1], and d - 1 is exact there, so 1.0 lands on 0.0

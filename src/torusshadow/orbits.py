@@ -5,8 +5,14 @@ step lands within a certified defect delta of the true image.  Orbits come
 from seeded uniform noise injection or from iterating a nearby map g, whose
 C0 distance to f is certified by a grid supremum plus a Lipschitz slack.
 
-Noise is drawn from numpy's default PCG64 generator; reproducibility across
-implementations is by the recorded orbit files, not by PRNG identity.
+Noise is drawn from numpy's default PCG64 generator, every kick of an orbit
+in one call (the forward kicks, then the backward ones), so an orbit for a
+given seed differs from the one earlier versions drew stepwise;
+reproducibility across implementations is by the recorded orbit files, not
+by PRNG identity.  Noisy orbits never step the map: the base of both halves
+runs as one stacked integer-matrix recursion and the fiber follows from one
+phi call and a wrapped scan.  Orbits of a nearby map g are stepped with
+`fill_window`.
 """
 
 from __future__ import annotations
@@ -77,25 +83,15 @@ class PseudoOrbit:
         return range(self.n_min, self.n_max + 1)
 
 
-def _ball_noise(rng, radius: float) -> np.ndarray:
-    """Uniform draw from the closed radius-ball in R^3."""
-    v = rng.normal(size=3)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return np.zeros(3)
-    return v * (radius * rng.random() ** (1.0 / 3.0) / norm)
-
-
 def fill_window(x0, window, step, back_step) -> np.ndarray:
     """Points of a window around index 0: x0 at 0, then x_{i+1} = step(x_i)
     going up and x_{i-1} = back_step(x_i) going down, every forward step
-    taken before the first backward one.
+    taken before the first backward one.  `from_map` steps a PerturbedMap
+    with it, whose base and fiber are coupled.
 
     x0 is one point (3,) or a stack (..., 3); the result is (..., N, 3).
     """
-    n_min, n_max = int(window[0]), int(window[1])
-    if not n_min <= 0 <= n_max:
-        raise ValueError(f"window [{n_min}, {n_max}] must contain index 0")
+    n_min, n_max = _split_window(window)
     pts = np.empty(x0.shape[:-1] + (n_max - n_min + 1, 3))
     pts[..., -n_min, :] = x0
     x = x0
@@ -109,24 +105,87 @@ def fill_window(x0, window, step, back_step) -> np.ndarray:
     return pts
 
 
+def _split_window(window):
+    n_min, n_max = int(window[0]), int(window[1])
+    if not n_min <= 0 <= n_max:
+        raise ValueError(f"window [{n_min}, {n_max}] must contain index 0")
+    return n_min, n_max
+
+
+def _wrapped_cumsum(x):
+    """Cumulative sums mod 1 along the last axis, in log2(n) array passes,
+    each reduced mod 1 so the rounding stays that of numbers below 2."""
+    x = np.array(x, dtype=float)
+    s = 1
+    while s < x.shape[-1]:
+        x[..., s:] = (x[..., s:] + x[..., :-s]) % 1.0
+        s *= 2
+    return x
+
+
+def _kicked_window(sys: SkewModel, x0, window, kicks) -> np.ndarray:
+    """The (N, 3) points x_{k+1} = f(x_k) + e_k going up and
+    x_{k-1} = f^-1(x_k + e'_k) going down from x0 at index 0, all mod 1.
+
+    `kicks` is (N - 1, 3): the n_max forward kicks e_0, e_1, ..., then the
+    -n_min backward kicks e'_0, e'_-1, and so on.  The map is never stepped:
+    the base of both halves runs as one (2, 2) stack, p <- A p + e forward
+    and p <- A^-1 (p + e') backward, then one phi call over the whole
+    window gives every fiber increment and a wrapped scan sums them.
+    """
+    n_min, n_max = _split_window(window)
+    x0 = wrap(np.asarray(x0, dtype=float))
+    L = max(n_max, -n_min) + 1
+    # Position i of half 0 (forward) and half 1 (backward) holds the point
+    # i steps from index 0 and the kick that leaves it.
+    e = np.zeros((L, 2, 3))
+    e[:n_max, 0] = kicks[:n_max]
+    e[:-n_min, 1] = kicks[n_max:]
+    e_in = e[..., :2] * [[0.0], [1.0]]  # backward base kicks enter before A^-1
+    e_out = e[..., :2] * [[1.0], [0.0]]  # forward base kicks after A
+    M = np.stack([sys.A, sys.A_inv]).astype(float)
+    P = np.empty((L, 2, 2))
+    P[0] = x0[:2]
+    for i in range(L - 1):
+        P[i + 1] = wrap((M @ (P[i] + e_in[i])[..., None])[..., 0] + e_out[i])
+    phi = np.broadcast_to(sys.phi(P[..., 0], P[..., 1]), (L, 2))
+    # Forward, z_{i+1} - z_i = omega + phi(p_i) + e_i; backward,
+    # z_{-i-1} - z_{-i} = e'_{-i} - omega - phi(p_{-i-1}).
+    dz = np.empty((2, L))
+    dz[:, 0] = x0[2]
+    dz[0, 1:] = sys.omega + phi[:-1, 0] + e[:-1, 0, 2]
+    dz[1, 1:] = e[:-1, 1, 2] - sys.omega - phi[1:, 1]
+    z = _wrapped_cumsum(dz)
+    pts = np.empty((n_max - n_min + 1, 3))
+    pts[-n_min:, :2] = P[:n_max + 1, 0]
+    pts[-n_min:, 2] = z[0, :n_max + 1]
+    pts[:-n_min, :2] = P[-n_min:0:-1, 1]
+    pts[:-n_min, 2] = z[1, -n_min:0:-1]
+    return wrap(pts)
+
+
 def generate_noisy(sys: SkewModel, x0, window, delta: float, seed: int) -> PseudoOrbit:
     """Seeded pseudo-orbit: every step is the true image plus uniform noise
     of norm <= delta.
 
     Backward indices are filled as x_{k-1} = f^-1(x_k + e_k) so the forward
-    defect at every step is exactly |e_k| <= delta, both directions.
+    defect at every step is exactly |e_k| <= delta, both directions.  All
+    N - 1 kicks come from one draw, the forward ones first, so the orbit of
+    a seed differs from the stepwise draws of earlier versions; the points
+    come from `_kicked_window`, which never steps the map.
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
-    rng = np.random.default_rng(seed)
-
-    def noise():
-        return _ball_noise(rng, delta) if delta > 0.0 else 0.0
-
-    pts = fill_window(wrap(np.asarray(x0, dtype=float)), window,
-                      lambda x: wrap(sys.apply(x) + noise()),
-                      lambda x: sys.apply_inverse(wrap(x + noise())))
-    return PseudoOrbit(int(window[0]), int(window[1]), pts, delta,
+    n_min, n_max = _split_window(window)
+    kicks = np.zeros((n_max - n_min, 3))
+    if delta > 0.0:
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=kicks.shape)
+        radius = delta * rng.random(kicks.shape[0]) ** (1.0 / 3.0)
+        norm = np.sqrt((v * v).sum(axis=-1))
+        kicks = v * np.divide(radius, norm, out=np.zeros_like(norm), where=norm > 0.0)[:, None]
+    pts = _kicked_window(sys, x0, (n_min, n_max), kicks)
+    return PseudoOrbit(n_min, n_max, pts, delta,
                        meta={"kind": "noisy", "seed": seed, "rng": "numpy-pcg64"})
 
 
@@ -203,12 +262,16 @@ class PerturbedMap:
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, 3)
         Y = self.sys.apply_inverse(X)
+        v = self.displacement(Y)
         active = np.arange(X.shape[0])
         for _ in range(INVERSE_MAX_ITER):
             xa = X[active]
-            ya = self.sys.apply_inverse(wrap(xa - self.displacement(Y[active])))
+            ya = self.sys.apply_inverse(wrap(xa - v))
             Y[active] = ya
-            active = active[~(torus_distance(self.apply(ya), xa) <= INVERSE_RESIDUAL_TOL)]
+            # v(ya) serves the residual g(ya) = f(ya) + v(ya) and the next step
+            v = self.displacement(ya)
+            keep = ~(torus_distance(wrap(self.sys.apply(ya) + v), xa) <= INVERSE_RESIDUAL_TOL)
+            active, v = active[keep], v[keep]
             if active.size == 0:
                 return Y.reshape(x.shape)
         raise RuntimeError(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import fiber_displacement, torus_distance, wrap
 from .models import SkewModel
-from .orbits import PerturbedMap, fill_window, from_map, write_table
+from .orbits import PerturbedMap, _kicked_window, from_map, write_table
 from .shadowing import ParameterError, ShadowingParams, delta_for_epsilon, shadow_batch
 
 __all__ = [
@@ -249,12 +249,9 @@ class ProbeReport:
 
 def _center_pseudo_orbit(sys: SkewModel, p0, z0: float, half: int, jitter, rng):
     """Orbit with exact base dynamics and fiber jitter <= eta per step."""
-    def kick():
-        return np.array([0.0, 0.0, jitter * (2.0 * rng.random() - 1.0)])
-
-    return fill_window(np.array([p0[0], p0[1], z0]), (-half, half),
-                       lambda x: wrap(sys.apply(x) + kick()),
-                       lambda x: sys.apply_inverse(wrap(x + kick())))
+    kicks = np.zeros((2 * half, 3))
+    kicks[:, 2] = jitter * (2.0 * rng.random(2 * half) - 1.0)
+    return _kicked_window(sys, (p0[0], p0[1], z0), (-half, half), kicks)
 
 
 def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: int,

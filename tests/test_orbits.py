@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusshadow.geometry import torus_distance
-from torusshadow.models import ModelError
+from torusshadow.models import ModelError, SkewModel
 from torusshadow.orbits import (
     PerturbedMap,
     PseudoOrbit,
@@ -17,6 +17,7 @@ from torusshadow.orbits import (
     validate,
     write_orbit,
 )
+from torusshadow.shadowing import delta_for_epsilon
 
 X0 = np.array([0.2, 0.35, 0.81])
 
@@ -58,8 +59,63 @@ def test_window_must_contain_zero(skew):
         generate_noisy(skew, X0, (5, 30), 1e-4, seed=0)
 
 
+# det -1 base with drift and one phi mode, next to the two builtin models
+FLIP = {"matrix": [[-1, 1], [1, 0]], "omega": 0.03, "phi_modes": [(1, 0, 0.02, 0.0)]}
+
+
+@pytest.fixture(params=["linear", "skew", "flip"])
+def model(request):
+    if request.param == "flip":
+        return SkewModel(**FLIP)
+    return request.getfixturevalue(request.param)
+
+
+def test_noisy_defects_within_accounting_on_long_windows(model):
+    # validate steps f and f^-1 one point at a time: an independent check of
+    # the stacked base recursion and the wrapped fiber scan
+    delta = 1e-4
+    lip_f_inv = delta_for_epsilon(model, 1e-2).lip_f_inv
+    for seed in range(5):
+        orbit = generate_noisy(model, X0, (-1000, 1000), delta, seed=seed)
+        fwd, bwd = validate(model, orbit)
+        assert fwd <= delta * (1 + 1e-9)
+        assert bwd <= lip_f_inv * delta * (1 + 1e-9)
+
+
+def test_zero_delta_long_window_is_true_orbit(model):
+    # the fiber scan reduces mod 1 at every pass: defects stay below 5e-15
+    # here, where an unreduced cumulative sum reaches 3.4e-14 on skew
+    orbit = generate_noisy(model, X0, (-2000, 2000), 0.0, seed=0)
+    fwd, bwd = validate(model, orbit)
+    assert fwd < 1e-14
+    assert bwd < 1e-14
+
+
+def count_calls(monkeypatch, counts, cls, *names):
+    """Count every call of the methods `names` of `cls` in the dict `counts`."""
+    def counted(name, method):
+        def wrapper(self, *args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+
+
+def test_generation_map_calls_do_not_grow_with_window(skew, monkeypatch):
+    counts = {}
+    count_calls(monkeypatch, counts, SkewModel, "apply", "apply_inverse", "phi")
+    per_window = []
+    for half in (10, 1000):
+        counts.clear()
+        generate_noisy(skew, X0, (-half, half), 1e-4, seed=0)
+        per_window.append(dict(counts))
+    assert per_window[0] == per_window[1]
+
+
 def test_fill_window_steps_forward_first():
-    # seeded generators draw their forward noise before the backward noise
+    # every forward step of a nearby map is taken before the first backward one
     calls = []
 
     def step(x):
@@ -151,6 +207,15 @@ class TestPerturbedMap:
             fwd, _ = validate(skew, orbit)
             assert fwd <= orbit.delta
             assert orbit.delta == g.certified_bound()
+
+    def test_inverse_evaluates_the_field_once_per_iterate(self, skew, rng, monkeypatch):
+        g = self._field(skew, 1e-3)
+        counts = {}
+        count_calls(monkeypatch, counts, PerturbedMap, "displacement")
+        count_calls(monkeypatch, counts, SkewModel, "apply_inverse")
+        g.apply_inverse(rng.random((64, 3)))
+        assert counts["apply_inverse"] > 2
+        assert counts["displacement"] == counts["apply_inverse"]
 
     def test_backward_points_are_g_preimages(self, skew):
         g = self._field(skew, 1e-3)
