@@ -170,16 +170,11 @@ class SkewModel:
             raise ModelError("fiber coupling too strong: no certified leaf contraction")
         self.rates = SystemRates(lam=lam_eff, mu=1.0 / lam_eff)
 
-        # Conditioning of the 2x2 intersection solve, with safety factor.
-        frame = np.column_stack([self.v_u, -self.v_s])
-        self.L0 = 1.1 * float(np.linalg.norm(np.linalg.inv(frame), ord=2))
+        # The inverse eigenframe, and the conditioning of the 2x2 intersection
+        # solve through it, with safety factor.
+        self._inv = np.linalg.inv(np.column_stack([self.v_u, self.v_s]))
+        self.L0 = 1.1 * float(np.linalg.norm(self._inv, ord=2))
         self.delta0 = 0.2
-        # Row of the inverse frame that gives the offset along the y-side
-        # strong leaf: p_x + s dir_x = p_y + t dir_y.
-        self._leaf_row = {
-            ("cu", "s"): np.linalg.inv(frame)[1],
-            ("cs", "u"): np.linalg.inv(np.column_stack([self.v_s, -self.v_u]))[1],
-        }
         # Exact integer powers A^n and A^-n as floats, grown on demand.
         self._powers = {True: np.eye(2)[None], False: np.eye(2)[None]}
 
@@ -226,6 +221,12 @@ class SkewModel:
         out[..., :2] = wrap(out[..., :2])
         out[..., 2] = x[..., 2] - self.omega - self.phi(out[..., 0], out[..., 1])
         return wrap(out)
+
+    def coeffs(self, d):
+        """(along v_u, along v_s) coefficients of base displacements d (..., 2)."""
+        inv = self._inv
+        return (inv[0, 0] * d[..., 0] + inv[0, 1] * d[..., 1],
+                inv[1, 0] * d[..., 0] + inv[1, 1] * d[..., 1])
 
     # -- transfer series ---------------------------------------------------
 
@@ -346,8 +347,7 @@ class SkewModel:
         recorded in the dict `errors` (see `_flag_rows`); with `errors=None`
         the lowest failing row raises IntersectionError after all rows ran.
         """
-        pair = (class_x, class_y)
-        if pair not in self._leaf_row:
+        if (class_x, class_y) not in (("cu", "s"), ("cs", "u")):
             raise IntersectionError(f"unsupported leaf pair ({class_x}, {class_y})")
         found = {} if errors is None else errors
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -368,9 +368,9 @@ class SkewModel:
                         f"{base_sep[r]:.4f} >= delta0 = {self.delta0}")),
         ))
         stable_y = class_y == "s"
-        row = self._leaf_row[pair]
-        # Rejected rows get a zero offset so their series stays defined.
-        t = np.where(far, 0.0, row[0] * d_xy[:, 0] + row[1] * d_xy[:, 1])
+        # p_x + s dir_x = p_y + t dir_y, so t is minus the y-side coefficient
+        # of d_xy.  Rejected rows get a zero offset so their series stays defined.
+        t = np.where(far, 0.0, -self.coeffs(d_xy)[stable_y])
         q = wrap(yb + t[:, None] * (self.v_s if stable_y else self.v_u))
         point = self.leaf_point(y, q, stable_y)
 

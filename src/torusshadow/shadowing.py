@@ -20,13 +20,17 @@ The construction runs on a stack of B orbits over one window at once
 (`shadow_batch`; `quasi_shadow` is the one-orbit case), and every stage, the
 sweeps included, is an array operation along time.  A row that fails a
 check is recorded in the batch's `errors` dict with the stage and index and
-the other rows carry on; only `quasi_shadow` raises a row's failure.
+the other rows carry on; only `quasi_shadow` raises a row's failure.  The
+two halves mirror each other in time and share one code path: one sweep
+(`_sweep`), one limit search and one guide recursion (`_propagate`), the
+backward half with the leaf pair and the rate swapped.
 
 Numerics: the defining recursions move offsets along the expanding
 direction of the relevant map power, which amplifies floating-point noise
 by mu^k per step.  All offset sequences here are therefore evaluated
 through their equivalent contracting forms (first-order linear recurrences
-in the eigenframe, summed by the log-depth `_scan`); the defining one-step
+in the model's one eigenframe, `SkewModel.coeffs`, summed by the log-depth
+`_scan`); the defining one-step
 relations then hold to well below the 1e-9 verification gate at every
 index, which `verify` checks from scratch.
 """
@@ -188,46 +192,20 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
     )
 
 
-# -- eigenframe bookkeeping ---------------------------------------------------
+# -- the power F = f^k and its leaves ------------------------------------------
+#
+# The construction runs on F = f^k, k = params.k.  Its invariant leaves are
+# those of f, so every leaf operation stays on `sys`, and base offsets along
+# v_s (v_u) contract under F (F^-1) by lam^k (mu^-k), the signed eigenvalues
+# of the k-th matrix power.
 
 
-class _Frame:
-    """The power F = f^k the construction runs on, for k = params.k.
-
-    Holds F and F^-1 as k steps of the map, and the decomposition of base
-    displacements into (unstable, stable) coefficients.  The invariant
-    leaves of F are those of f, so every leaf operation stays on `sys`.
-    """
-
-    def __init__(self, sys: SkewModel, k: int):
-        self.sys = sys
-        self.k = k
-        self.v_u = sys.v_u
-        self.v_s = sys.v_s
-        self._inv = np.linalg.inv(np.column_stack([sys.v_u, sys.v_s]))
-        # Signed eigenvalues of the k-th matrix power drive the scalar
-        # offset recursions.
-        self.contract_s = sys.eig_lam ** k        # A^k v_s = contract_s * v_s
-        self.contract_u = 1.0 / sys.eig_mu ** k   # A^-k v_u = contract_u * v_u
-
-    def apply_k(self, x):
-        """F(x): k steps of f."""
-        for _ in range(self.k):
-            x = self.sys.apply(x)
-        return x
-
-    def apply_inverse_k(self, x):
-        """F^-1(x): k steps of f^-1."""
-        for _ in range(self.k):
-            x = self.sys.apply_inverse(x)
-        return x
-
-    def coeffs(self, p_from, p_to):
-        """(along v_u, along v_s) coefficients of the minimal displacements."""
-        d = minimal_displacement(p_from, p_to)
-        inv = self._inv
-        return (inv[0, 0] * d[..., 0] + inv[0, 1] * d[..., 1],
-                inv[1, 0] * d[..., 0] + inv[1, 1] * d[..., 1])
+def _iterate(sys, x, k: int, inverse: bool = False):
+    """F(x), or F^-1(x) when `inverse`: k steps of f (or f^-1)."""
+    step = sys.apply_inverse if inverse else sys.apply
+    for _ in range(k):
+        x = step(x)
+    return x
 
 
 def _point(base, fiber):
@@ -268,7 +246,7 @@ class _Sweep(NamedTuple):
     coef: np.ndarray
 
 
-def _sweep(sys, X, params, frame, errors, stable: bool) -> _Sweep:
+def _sweep(sys, X, params, errors, stable: bool) -> _Sweep:
     """z/z' sweep over one subsampled half, all rows and indices at once.
 
     Forward (stable=False), X[..., i, :] = X_i and the anchor is
@@ -288,22 +266,24 @@ def _sweep(sys, X, params, frame, errors, stable: bool) -> _Sweep:
     anchors agree: a defect under delta0 is far inside the lift-unambiguous
     range, and a zeroed one leaves its pair beyond the L0 * radius caps.
     """
-    step = frame.apply_inverse_k if stable else frame.apply_k
-    image, X1 = step(X[..., :-1, :])[..., :2], X[..., 1:, :]
+    k = params.k
+    image, X1 = _iterate(sys, X[..., :-1, :], k, inverse=stable)[..., :2], X[..., 1:, :]
     # A pair at least delta0 apart gets offset 0, as in `intersect`.
     e = np.where(torus_distance(image, X1[..., :2]) < params.delta0,
-                 -frame.coeffs(image, X1[..., :2])[not stable], 0.0)
-    t = _scan(e, frame.contract_u if stable else frame.contract_s)
+                 -sys.coeffs(minimal_displacement(image, X1[..., :2]))[not stable], 0.0)
+    t = _scan(e, 1.0 / sys.eig_mu ** k if stable else sys.eig_lam ** k)
     # The recursive intersection reads only its anchor's base, and F maps the
     # base without reading the fiber, so X's fibers stand in for now.
     src = X[..., :-1, :].copy()
-    src[..., 1:, :2] += t[..., :-1, None] * (frame.v_u if stable else frame.v_s)
+    src[..., 1:, :2] += t[..., :-1, None] * (sys.v_u if stable else sys.v_s)
     radius = np.full(e.shape, 2.0 * params.delta_step)
     radius[..., 0] = params.delta_step
     pairs, found = (("cu", "s"), ("cs", "u")), ({}, {})    # z's pair, z''s pair
     (cx, cy), (ox, oy) = pairs[stable], pairs[not stable]
-    rec = sys.intersect(cx, step(wrap(src)), cy, X1, radius, errors=found[stable])
-    a = step(np.concatenate([X[..., :1, :], rec[..., :-1, :]], axis=-2))
+    rec = sys.intersect(cx, _iterate(sys, wrap(src), k, inverse=stable), cy, X1, radius,
+                        errors=found[stable])
+    a = _iterate(sys, np.concatenate([X[..., :1, :], rec[..., :-1, :]], axis=-2), k,
+                 inverse=stable)
     other = sys.intersect(ox, X1, oy, a, radius, errors=found[not stable])
     z, zp = X.copy(), X.copy()
     z[..., 1:, :], zp[..., 1:, :] = (other, rec) if stable else (rec, other)
@@ -314,32 +294,32 @@ def _sweep(sys, X, params, frame, errors, stable: bool) -> _Sweep:
             f"{'backward' if stable else 'forward'} sweep failed at index "
             f"{-i if stable else i}: {found[r]}"))
     coef = np.zeros(X.shape[:-1])
-    coef[..., 1:] = frame.coeffs(a[..., :2], z[..., 1:, :2])[stable]
+    coef[..., 1:] = sys.coeffs(minimal_displacement(a[..., :2], z[..., 1:, :2]))[stable]
     return _Sweep(X, z, zp, coef)
 
 
 # -- half-orbit anchors -------------------------------------------------------
 
 
-def _anchors(sys, sweep: _Sweep, frame: _Frame, stable: bool, tol=None):
+def _anchors(sys, sweep: _Sweep, k: int, stable: bool, tol=None):
     """The window anchors y_{0,n} for every n = 1..n_max, shape (..., n_max, 3).
 
     y_{0,n} lies on the strong unstable leaf of X_0 (stable for the backward
     half) at offset sum_{i=1..n} contract^i coef_i, so one prefix sum gives
     every candidate and one series call gives their fibers.
     """
-    rate = frame.contract_s if stable else frame.contract_u
+    rate = sys.eig_lam ** k if stable else 1.0 / sys.eig_mu ** k
     n_max = sweep.coef.shape[-1] - 1
     offsets = np.cumsum(rate ** np.arange(1, n_max + 1) * sweep.coef[..., 1:], axis=-1)
     return _on_leaf(sys, sweep.X[..., :1, :], offsets, stable, tol=tol)
 
 
-def _limit(sys, sweep, params, frame, errors, growth_step, stable: bool):
+def _limit(sys, sweep, params, errors, growth_step, stable: bool):
     """First Cauchy-stable window anchor of each row (see forward_limit)."""
     tol = params.limit_tol
     # The transfer runs at a tolerance well below the Cauchy gap resolved
     # here, so truncation jitter cannot mask convergence.
-    anchors = _anchors(sys, sweep, frame, stable, tol=min(sys.series_tol, 1e-3 * tol))
+    anchors = _anchors(sys, sweep, params.k, stable, tol=min(sys.series_tol, 1e-3 * tol))
     n_max = anchors.shape[-2]
     ns = np.arange(1, n_max - 1, growth_step)   # candidates with n + 2 <= n_max
     g1 = torus_distance(anchors[..., ns - 1, :], anchors[..., ns, :])
@@ -359,7 +339,7 @@ def _limit(sys, sweep, params, frame, errors, growth_step, stable: bool):
     return anchor, depth[()]
 
 
-def forward_limit(sys, sweep: _Sweep, params, frame: _Frame, errors, growth_step: int = 1):
+def forward_limit(sys, sweep: _Sweep, params, errors, growth_step: int = 1):
     """First Cauchy-stable element of {y_{0,n}}: the anchor y_0^u on W^u(X_0).
 
     `sweep` is the forward sweep of one subsampled half X_0..X_n, (n+1, 3)
@@ -370,59 +350,39 @@ def forward_limit(sys, sweep: _Sweep, params, frame: _Frame, errors, growth_step
     whose anchor never settles is recorded in `errors` as an
     InsufficientWindowError.
     """
-    return _limit(sys, sweep, params, frame, errors, growth_step, stable=False)
+    return _limit(sys, sweep, params, errors, growth_step, stable=False)
 
 
-def backward_limit(sys, sweep: _Sweep, params, frame: _Frame, errors, growth_step: int = 1):
+def backward_limit(sys, sweep: _Sweep, params, errors, growth_step: int = 1):
     """First Cauchy-stable element of {y_{0,-n}}: the anchor y_0^s on W^s(X_0).
 
     `sweep` is the backward sweep, X[..., j, :] = X_{-j}; otherwise as
     forward_limit.
     """
-    return _limit(sys, sweep, params, frame, errors, growth_step, stable=True)
+    return _limit(sys, sweep, params, errors, growth_step, stable=True)
 
 
 # -- propagation along the halves ------------------------------------------------
 
 
-def _forward_propagate(sys, sweep: _Sweep, frame: _Frame, y0_u):
-    """Guides y_i^u = W^u(z_i) cap W^c(F(y_{i-1}^u)) for the whole half,
-    (..., n+1, 3) with y_0^u at index 0.
+def _propagate(sys, sweep: _Sweep, y0, k: int, stable: bool):
+    """The guides of one half, (..., n+1, 3) with the anchor y0 at index 0.
 
-    The unstable offsets u_i of y_i^u from z_i solve u_i = mu^k u_{i-1} - c_i;
-    the bounded solution u_i = sum_{m>=1} mu^{-km} c_{i+m} (zero at the
-    window end) is w_i - c_i for w the contracting `_scan` of c run
-    backward, after which all guides come from one series call.
+    Forward, y_i^u = W^u(z_i) cap W^c(F(y_{i-1}^u)).  Backward, the same scan
+    with the leaf and the rate swapped gives the primed guides (y_m^s)',
+    indexed by j = -m: on the stable plaque of z'_m and the center plaque of
+    y_m^s = F^-1((y_{m+1}^s)').  The guides' leaf offsets from z_i (z'_m)
+    solve t_i = t_{i-1} / rate - coef_i with rate = mu^-k (lam^k), and the
+    bounded solution t_i = sum_{m>=1} rate^m coef_{i+m} (zero at the window
+    end) is w_i - coef_i for w the contracting `_scan` of coef run backward,
+    after which all guides come from one series call.
     """
     c = sweep.coef[..., 1:]
-    u = _scan(c[..., ::-1], frame.contract_u)[..., ::-1] - c
-    y_u = np.empty(sweep.z.shape)
-    y_u[..., 0, :] = y0_u
-    y_u[..., 1:, :] = _on_leaf(sys, sweep.z[..., 1:, :], u, stable=False)
-    return y_u
-
-
-def _backward_propagate(sys, sweep: _Sweep, frame: _Frame, y0_s):
-    """Guides y_m^s and their corrected images (y_m^s)' for m = -1..-n, as
-    (..., n+1, 3) arrays indexed by j = -m with y_0^s at index 0.
-
-    y_{-1}^s = F^-1(y_0^s); (y_m^s)' sits on the stable plaque of z'_m over
-    the center plaque of y_m^s, and y_{m-1}^s = F^-1((y_m^s)').  Stable
-    offsets from z_m (over the base of z'_m) come from `_scan` as in
-    `_forward_propagate`, zero at the window start.  The primed guides need
-    only the sweep, so they come from one series call and the unprimed ones
-    from one F^-1.
-    """
-    d = sweep.coef[..., 1:]
-    s = _scan(d[..., ::-1], frame.contract_s)[..., ::-1] - d
-    base = wrap(sweep.zp[..., 1:, :2] + s[..., None] * frame.v_s)
-    y_s_prime = np.empty(sweep.z.shape)
-    y_s_prime[..., 0, :] = y0_s
-    y_s_prime[..., 1:, :] = sys.leaf_point(sweep.zp[..., 1:, :], base, stable=True)
-    y_s = np.empty(sweep.z.shape)
-    y_s[..., 0, :] = y0_s
-    y_s[..., 1:, :] = _point(base, frame.apply_inverse_k(y_s_prime[..., :-1, :])[..., 2])
-    return y_s, y_s_prime
+    t = _scan(c[..., ::-1], sys.eig_lam ** k if stable else 1.0 / sys.eig_mu ** k)[..., ::-1]
+    y = np.empty(sweep.z.shape)
+    y[..., 0, :] = y0
+    y[..., 1:, :] = _on_leaf(sys, (sweep.zp if stable else sweep.z)[..., 1:, :], t - c, stable)
+    return y
 
 
 # -- splice and full pipeline --------------------------------------------------
@@ -569,15 +529,18 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     errors = {}
     _check_defects(sys, orbit, params, errors)
 
-    frame = _Frame(sys, k)
     X_pos = pts[..., np.arange(M_max + 1) * k - orbit.n_min, :]
     X_neg = pts[..., -np.arange(-M_min + 1) * k - orbit.n_min, :]
-    fsweep = _sweep(sys, X_pos, params, frame, errors, stable=False)
-    y0_u, _ = forward_limit(sys, fsweep, params, frame, errors, growth_step)
-    bsweep = _sweep(sys, X_neg, params, frame, errors, stable=True)
-    y0_s, _ = backward_limit(sys, bsweep, params, frame, errors, growth_step)
-    y_u = _forward_propagate(sys, fsweep, frame, y0_u)
-    y_s, y_s_prime = _backward_propagate(sys, bsweep, frame, y0_s)
+    fsweep = _sweep(sys, X_pos, params, errors, stable=False)
+    y0_u, _ = forward_limit(sys, fsweep, params, errors, growth_step)
+    bsweep = _sweep(sys, X_neg, params, errors, stable=True)
+    y0_s, _ = backward_limit(sys, bsweep, params, errors, growth_step)
+    y_u = _propagate(sys, fsweep, y0_u, k, stable=False)
+    y_s_prime = _propagate(sys, bsweep, y0_s, k, stable=True)
+    # y_m^s = F^-1((y_{m+1}^s)') lies on the center plaque of (y_m^s)': its
+    # fiber over that base.
+    y_s = y_s_prime.copy()
+    y_s[..., 1:, 2] = _iterate(sys, y_s_prime[..., :-1, :], k, inverse=True)[..., 2]
     y0_star, y0_star_prime = splice(sys, y0_u, y0_s, params, errors)
 
     # Subsampled y*: stable offsets from the forward guides (contracting
@@ -586,17 +549,17 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     # the fiber of y*_m is that of F^-1 of the point over it on the unstable
     # plaque of (y_{m+1}^s)', and those points need no y*, so each side is
     # one series call.
-    sigma0 = frame.coeffs(y0_u[..., :2], y0_star[..., :2])[1]
-    eta0 = frame.coeffs(y0_s[..., :2], y0_star_prime[..., :2])[0]
+    sigma0 = sys.coeffs(minimal_displacement(y0_u[..., :2], y0_star[..., :2]))[1]
+    eta0 = sys.coeffs(minimal_displacement(y0_s[..., :2], y0_star_prime[..., :2]))[0]
     star_pos = _on_leaf(sys, y_u[..., 1:, :],
-                        sigma0[..., None] * frame.contract_s ** np.arange(1, M_max + 1),
+                        sigma0[..., None] * (sys.eig_lam ** k) ** np.arange(1, M_max + 1),
                         stable=True)
-    eta = eta0[..., None] * frame.contract_u ** np.arange(1, -M_min + 1)
-    base = wrap(y_s[..., 1:, :2] + eta[..., None] * frame.v_u)
+    eta = eta0[..., None] * (1.0 / sys.eig_mu ** k) ** np.arange(1, -M_min + 1)
+    base = wrap(y_s[..., 1:, :2] + eta[..., None] * sys.v_u)
     upper = np.empty(pts.shape[:-2] + (-M_min, 3))
     upper[..., 0, :] = y0_star_prime
     upper[..., 1:, :] = sys.leaf_point(y_s_prime[..., 1:-1, :], base[..., :-1, :], stable=False)
-    star_neg = _point(base, frame.apply_inverse_k(upper)[..., 2])
+    star_neg = _point(base, _iterate(sys, upper, k, inverse=True)[..., 2])
     star = np.concatenate([star_neg[..., ::-1, :], y0_star[..., None, :], star_pos], axis=-2)
 
     # Full resolution: exact map steps between the subsampled corrections,

@@ -204,7 +204,8 @@ class SurjectivityReport:
 
 def surjectivity_density(sc: SemiConjugacy, epsilon: float) -> SurjectivityReport:
     """Empirical surjectivity proxy: the pi-image is epsilon-dense and pi
-    stays within epsilon of the identity."""
+    stays within epsilon of the identity.  With every node failed the image
+    is empty and the gap is inf."""
     ok = ~np.isnan(sc.pi[:, 0])
     image = sc.pi[ok]
     gap = 0.0
@@ -212,7 +213,7 @@ def surjectivity_density(sc: SemiConjugacy, epsilon: float) -> SurjectivityRepor
     for start in range(0, sc.nodes.shape[0], 256):
         block = sc.nodes[start:start + 256]
         dist = torus_distance(block[:, None, :], image[None, :, :])
-        gap = max(gap, float(np.max(np.min(dist, axis=1))))
+        gap = max(gap, float(np.max(np.min(dist, axis=1, initial=math.inf))))
     spacing = max(1.0 / r for r in sc.grid_res)
     sufficient = spacing <= epsilon
     sup = sc.sup_pi_id
@@ -264,12 +265,18 @@ def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: in
     center plaques).  Adversarial trials: base points offset by 2*eta are
     never an eta-close pair and must separate past a fixed macroscopic
     threshold within ceil(log(threshold / 2 eta) / log(mu)) + 3 steps.
+    A half window shorter than that prediction cannot show the separation
+    and raises ParameterError before any trial.
     """
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
     rng = np.random.default_rng(seed)
-    mu = abs(sys.eig_mu)
     threshold = 0.05
+    predicted = math.ceil(math.log(threshold / (2.0 * eta)) / math.log(abs(sys.eig_mu))) + 3
+    if predicted > half_window:
+        raise ParameterError(
+            f"half window {half_window} is shorter than the {predicted} steps an "
+            f"adversarial pair at eta = {eta:g} is predicted to take to separate")
     out = []
     passed = True
     for _ in range(trials):
@@ -291,7 +298,6 @@ def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: in
         apart = np.maximum(torus_distance(a[half_window:], c[half_window:]),
                            torus_distance(a[half_window::-1], c[half_window::-1])) > threshold
         sep = int(np.argmax(apart)) if apart.any() else -1
-        predicted = math.ceil(math.log(threshold / (2.0 * eta)) / math.log(mu)) + 3
         conforms = 0 <= sep <= predicted
         passed &= conforms
         out.append(ProbeTrial("adversarial", dmax, base_mismatch,

@@ -16,7 +16,6 @@ from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map, generate_noi
 from torusshadow.shadowing import (
     ConstructionError,
     ParameterError,
-    _Frame,
     _sweep,
     delta_for_epsilon,
     shadow_batch,
@@ -116,21 +115,20 @@ def test_sweep_failure_is_recorded_by_row(skew, grid_batch):
     # a failing intersection inside the sweep names the row, stage and index
     # and leaves the other rows of the sweep as they are alone
     _, params, _, orbit, _, _ = grid_batch
-    frame = _Frame(skew, params.k)
     X = orbit.points[:4, -orbit.n_min::params.k].copy()
     X[2, 3] = wrap(X[2, 3] + [0.3, 0.0, 0.0])
     errors = {}
-    sweep = _sweep(skew, X, params, frame, errors, stable=False)
+    sweep = _sweep(skew, X, params, errors, stable=False)
     assert list(errors) == [2]
     assert isinstance(errors[2], ConstructionError)
     assert "forward sweep failed at index 3" in str(errors[2])
     alone_errors = {}
-    _sweep(skew, X[2:3], params, frame, alone_errors, stable=False)
+    _sweep(skew, X[2:3], params, alone_errors, stable=False)
     assert list(alone_errors) == [0]
     assert str(alone_errors[0]) == str(errors[2])
     for r in (0, 1, 3):
         alone_errors = {}
-        alone = _sweep(skew, X[r:r + 1], params, frame, alone_errors, stable=False)
+        alone = _sweep(skew, X[r:r + 1], params, alone_errors, stable=False)
         assert not alone_errors
         assert np.array_equal(alone.z[0], sweep.z[r])
         assert np.array_equal(alone.zp[0], sweep.zp[r])
@@ -146,7 +144,7 @@ def test_random_jumps_fail_only_their_row(skew, linear):
     det_m1 = SkewModel([[-1, 1], [1, 0]], omega=0.03, phi_modes=[(1, 0, 0.02, 0.0)])
     for sys in (skew, linear, det_m1):
         params = delta_for_epsilon(sys, 1e-2)
-        frame, k = _Frame(sys, params.k), params.k
+        k = params.k
         clean = np.array([generate_noisy(sys, rng.random(3), (-60, 60), params.delta,
                                          seed=s).points for s in range(4)])
         solos = [shadow_batch(sys, PseudoOrbit(-60, 60, clean[r], params.delta), 1e-2,
@@ -170,7 +168,7 @@ def test_random_jumps_fail_only_their_row(skew, linear):
             for stable, jumped in ((False, ms[ms > 0]), (True, -ms[ms < 0])):
                 if jumped.size:
                     errors = {}
-                    _sweep(sys, pts[:, 60::-k if stable else k], params, frame, errors, stable)
+                    _sweep(sys, pts[:, 60::-k if stable else k], params, errors, stable)
                     first = -jumped.min() if stable else jumped.min()
                     assert list(errors) == [row]
                     assert f"sweep failed at index {first}:" in str(errors[row])

@@ -148,6 +148,20 @@ class TestStabilityAndProbe:
                     "--grid", "4", "4", "4", "--half-length", "30",
                     "--perturbation", pert_file, "--out", "st"]) == 0
 
+    def test_stability_every_node_failed(self, workdir, capsys):
+        # no anchor settles in a half-length-8 window: FAIL with files, not a crash
+        assert run(["stability", "--model", "skew", "--epsilon", "0.216",
+                    "--grid", "2", "2", "2", "--half-length", "8",
+                    "--delta", "1e-3", "--out", "st"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL surjectivity: density_gap=inf" in out
+        assert "FAIL stability" in out and "node_failures=8" in out
+        data = json.loads((workdir / "st" / "stability.json").read_text())
+        assert not data["surjectivity"]["passed"]
+        assert data["surjectivity"]["density_gap"] == float("inf")
+        assert len(data["node_failures"]) == 8
+        assert (workdir / "st" / "semiconjugacy.txt").exists()
+
     def test_probe(self, workdir, capsys):
         assert run(["probe", "--model", "skew", "--eta", "1e-2", "--trials", "5",
                     "--seed", "2", "--out", "p"]) == 0
@@ -298,6 +312,8 @@ def _exit_code(argv):
       "--perturbation", "pert-coord.json"], 2),
     (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
       "--perturbation", "pert-freq.json"], 2),
+    (["probe", "--eta", "1e-3", "--half-length", "3"], 3),
+    (["probe", "--eta", "1e-14"], 3),
 ])
 def test_bad_command_line_exits_with_error(workdir, capsys, argv, code):
     (workdir / "pert.json").write_text(json.dumps({"amplitude_bound": 1e-3,

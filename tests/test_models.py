@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from torusshadow.geometry import minimal_displacement, torus_distance, wrap
 from torusshadow.models import (
@@ -22,7 +24,7 @@ from torusshadow.models import (
     model_to_dict,
     save_model,
 )
-from torusshadow.shadowing import _Frame, delta_for_epsilon
+from torusshadow.shadowing import _iterate, delta_for_epsilon
 
 GOLDEN = math.sqrt(5.0)
 
@@ -56,6 +58,18 @@ class TestEigenFrame:
         v_s, v_u, lam, mu = eigen_frame([[1, 1], [1, 0]])
         assert abs(lam) < 1.0 < abs(mu)
         assert lam * mu == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("matrix", [[[2, 1], [1, 1]], [[-1, 1], [1, 0]], [[-3, 1], [-1, 0]]],
+                             ids=["cat", "det-minus-one", "negative-trace"])
+    @given(d=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+    @settings(max_examples=200, deadline=None)
+    @seed(9)
+    def test_coeffs_reconstruct_displacement(self, matrix, d):
+        # d = c_u v_u + c_s v_s; the last matrix has a non-orthogonal frame
+        sys = SkewModel(matrix)
+        d = np.array(d)
+        c_u, c_s = sys.coeffs(d)
+        assert np.linalg.norm(c_u * sys.v_u + c_s * sys.v_s - d) <= 1e-15
 
 
 class TestApply:
@@ -297,40 +311,39 @@ class TestConstants:
 
 
 class TestIterate:
-    # the power F = f^k the construction runs on lives on _Frame
+    # the power F = f^k the construction runs on is k steps of the map
 
     def test_k1_identical(self, skew, rng):
-        frame = _Frame(skew, 1)
         for _ in range(1000):
             x = rng.random(3)
-            assert np.array_equal(frame.apply_k(x), skew.apply(x))
-            assert np.array_equal(frame.apply_inverse_k(x), skew.apply_inverse(x))
+            assert np.array_equal(_iterate(skew, x, 1), skew.apply(x))
+            assert np.array_equal(_iterate(skew, x, 1, inverse=True), skew.apply_inverse(x))
 
     def test_k2_linear_matches_matrix_square(self, linear, rng):
-        frame = _Frame(linear, 2)
         A2 = np.asarray(linear.A @ linear.A, dtype=float)
         for _ in range(200):
             x = rng.random(3)
             expect = wrap(np.array([*(A2 @ x[:2]), x[2]]))
-            assert torus_distance(frame.apply_k(x), expect) < 1e-13
-            assert torus_distance(frame.apply_inverse_k(expect), x) < 1e-13
+            assert torus_distance(_iterate(linear, x, 2), expect) < 1e-13
+            assert torus_distance(_iterate(linear, expect, 2, inverse=True), x) < 1e-13
 
     def test_k2_fiber_rotation_doubles(self):
         sys = SkewModel([[2, 1], [1, 1]], omega=0.05)
         x = np.array([0.3, 0.5, 0.9])
-        out = _Frame(sys, 2).apply_k(x)
+        out = _iterate(sys, x, 2)
         assert out[2] == pytest.approx((0.9 + 2 * 0.05) % 1.0, abs=1e-13)
 
     def test_rates_are_powers(self, skew):
-        frame = _Frame(skew, 3)
-        assert frame.contract_s == pytest.approx(skew.eig_lam ** 3, rel=1e-12)
-        assert 1.0 / frame.contract_u == pytest.approx(skew.eig_mu ** 3, rel=1e-12)
-        # an unstable offset contracts under F^-1 by contract_u
+        # the construction's rates lam^k and mu^-k are the eigenvalues of A^k
+        _, _, lam3, mu3 = eigen_frame(np.linalg.matrix_power(skew.A, 3))
+        assert lam3 == pytest.approx(skew.eig_lam ** 3, rel=1e-12)
+        assert mu3 == pytest.approx(skew.eig_mu ** 3, rel=1e-12)
+        # an unstable offset contracts under F^-1 by mu^-k
         p = np.array([0.3, 0.7])
-        q = wrap(p + 1e-3 * frame.v_u)
-        img = frame.apply_inverse_k(np.array([[*p, 0.0], [*q, 0.0]]))[:, :2]
-        du, ds = frame.coeffs(img[0], img[1])
-        assert du == pytest.approx(1e-3 * frame.contract_u, rel=1e-8)
+        q = wrap(p + 1e-3 * skew.v_u)
+        img = _iterate(skew, np.array([[*p, 0.0], [*q, 0.0]]), 3, inverse=True)[:, :2]
+        du, ds = skew.coeffs(minimal_displacement(img[0], img[1]))
+        assert du == pytest.approx(1e-3 / skew.eig_mu ** 3, rel=1e-8)
         assert abs(ds) < 1e-12
         # the certified leaf rate of the power the parameters select
         params = delta_for_epsilon(skew, 1e-2)

@@ -11,9 +11,8 @@ from torusshadow.shadowing import (
     InsufficientWindowError,
     ParameterError,
     _anchors,
-    _backward_propagate,
-    _forward_propagate,
-    _Frame,
+    _iterate,
+    _propagate,
     _sweep,
     backward_limit,
     delta_for_epsilon,
@@ -66,30 +65,30 @@ def _subsampled(orbit, k, side):
     return [orbit.point(-m * k) for m in range(0, (-orbit.n_min) // k + 1)]
 
 
-def _clean_sweep(sys, X, p, frame, stable=False):
+def _clean_sweep(sys, X, p, stable=False):
     """The sweep of one subsampled half, which must record no failure."""
     errors = {}
-    sweep = _sweep(sys, np.asarray(X), p, frame, errors, stable)
+    sweep = _sweep(sys, np.asarray(X), p, errors, stable)
     assert not errors
     return sweep
 
 
 def _half_limit(sys, X, p, stable=False, growth_step=1):
     """Anchor, Cauchy depth and recorded failures of one subsampled half."""
-    frame, errors = _Frame(sys, p.k), {}
-    sweep = _sweep(sys, np.asarray(X), p, frame, errors, stable)
+    errors = {}
+    sweep = _sweep(sys, np.asarray(X), p, errors, stable)
     limit = backward_limit if stable else forward_limit
-    anchor, depth = limit(sys, sweep, p, frame, errors, growth_step)
+    anchor, depth = limit(sys, sweep, p, errors, growth_step)
     return anchor, depth, errors
 
 
 def _forward_half(sys, X, p):
     """Forward sweep of one subsampled half, its anchor y_0^u and its guides."""
-    frame, errors = _Frame(sys, p.k), {}
-    sweep = _clean_sweep(sys, np.asarray(X)[None], p, frame)
-    y0u, _ = forward_limit(sys, sweep, p, frame, errors)
+    errors = {}
+    sweep = _clean_sweep(sys, np.asarray(X)[None], p)
+    y0u, _ = forward_limit(sys, sweep, p, errors)
     assert not errors
-    return frame, sweep, _forward_propagate(sys, sweep, frame, y0u)[0]
+    return sweep, _propagate(sys, sweep, y0u, p.k, stable=False)[0]
 
 
 class TestForwardWindow:
@@ -97,12 +96,12 @@ class TestForwardWindow:
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (0, 20), 0.0, seed=0)
         X = _subsampled(orbit, p.k, "pos")
-        frame, sweep, y_u = _forward_half(skew, X, p)
+        sweep, y_u = _forward_half(skew, X, p)
         for i in range(1, len(X)):
             assert torus_distance(sweep.z[0, i], X[i]) < 1e-12
             assert torus_distance(sweep.zp[0, i], X[i]) < 1e-12
         # every window anchor y_{0,n} and every guide collapse onto the orbit
-        anchors = _anchors(skew, sweep, frame, stable=False)[0]
+        anchors = _anchors(skew, sweep, p.k, stable=False)[0]
         assert np.max(torus_distance(anchors, X[0])) < 1e-11
         for i, yi in enumerate(y_u):
             assert torus_distance(yi, X[i]) < 1e-11
@@ -111,10 +110,9 @@ class TestForwardWindow:
         p = delta_for_epsilon(linear, 5e-2)
         jump = 1e-4 * np.array([0.6, -0.3, 0.74])
         orbit = single_defect_orbit(linear, X0, (-10, 40), jump)
-        frame = _Frame(linear, p.k)
         X = _subsampled(orbit, p.k, "pos")
-        sweep = _clean_sweep(linear, np.array(X)[None], p, frame)
-        anchors = _anchors(linear, sweep, frame, stable=False)[0, :15]   # n = 1..15
+        sweep = _clean_sweep(linear, np.array(X)[None], p)
+        anchors = _anchors(linear, sweep, p.k, stable=False)[0, :15]   # n = 1..15
         gaps = [torus_distance(anchors[i], anchors[i + 1]) for i in range(len(anchors) - 1)]
         # geometric convergence at the subsampled contraction rate
         for i in range(1, 6):
@@ -131,9 +129,9 @@ class TestForwardWindow:
         for seed in range(5):
             orbit = generate_noisy(skew, X0, (0, 40), p.delta, seed=seed)
             X = _subsampled(orbit, p.k, "pos")
-            frame, sweep, y_u = _forward_half(skew, X, p)
+            sweep, y_u = _forward_half(skew, X, p)
             assert max(torus_distance(y_u[i], X[i]) for i in range(len(y_u))) < 2 * eps / 3
-            anchors = _anchors(skew, sweep, frame, stable=False)[0]
+            anchors = _anchors(skew, sweep, p.k, stable=False)[0]
             assert np.max(torus_distance(anchors, X[0])) < 2 * eps / 3
 
 
@@ -199,11 +197,11 @@ class TestPropagate:
         p = delta_for_epsilon(skew, eps)
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=14)
         X = _subsampled(orbit, p.k, "pos")
-        frame, sweep, y_u = _forward_half(skew, X, p)
+        sweep, y_u = _forward_half(skew, X, p)
         from torusshadow.geometry import minimal_displacement
         for i in range(1, len(X) - 1):
             # center-plaque relation: bases of the guide and its primed image
-            y_u_prime = frame.apply_k(y_u[i - 1])
+            y_u_prime = _iterate(skew, y_u[i - 1], p.k)
             assert torus_distance(y_u[i][:2], y_u_prime[:2]) < 1e-9
             # unstable-plaque membership relative to z_i
             d = minimal_displacement(sweep.z[0, i][:2], y_u[i][:2])
@@ -220,17 +218,21 @@ class TestPropagate:
         p = delta_for_epsilon(skew, eps)
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=14)
         X_neg = _subsampled(orbit, p.k, "neg")
-        frame = _Frame(skew, p.k)
-        sweep = _clean_sweep(skew, np.array(X_neg)[None], p, frame, stable=True)
+        sweep = _clean_sweep(skew, np.array(X_neg)[None], p, stable=True)
         errors = {}
-        y0s, _ = backward_limit(skew, sweep, p, frame, errors)
+        y0s, _ = backward_limit(skew, sweep, p, errors)
         assert not errors
-        y_s, y_s_prime = (a[0] for a in _backward_propagate(skew, sweep, frame, y0s))
+        y_s_prime = _propagate(skew, sweep, y0s, p.k, stable=True)[0]
         assert torus_distance(y_s_prime[0], y0s) == 0.0
+        # the pipeline's guides y_m^s sit over the bases of the primed ones
+        trace = quasi_shadow(skew, orbit, eps, params=p)
         for m in range(-1, -(len(X_neg) - 2), -1):
+            y_s = trace.y_s[m]
+            assert torus_distance(y_s[:2], y_s_prime[-m, :2]) < 1e-12
             # y_m^s = F^-1((y_{m+1}^s)'), both indexed by -m
-            assert torus_distance(y_s[-m], frame.apply_inverse_k(y_s_prime[-m - 1])) < 1e-9
-            assert torus_distance(y_s[-m], X_neg[-m]) < 2 * eps / 3
+            step = _iterate(skew, y_s_prime[-m - 1], p.k, inverse=True)
+            assert torus_distance(y_s, step) < 1e-9
+            assert torus_distance(y_s, X_neg[-m]) < 2 * eps / 3
 
     def test_sweep_matches_defining_step(self, skew):
         # every z_i / z'_i of the scanned sweep is the intersection built from
@@ -239,16 +241,15 @@ class TestPropagate:
         for sys in (skew, det_m1):
             p = delta_for_epsilon(sys, 1e-2)
             assert p.k == (2 if sys is skew else 4)
-            frame = _Frame(sys, p.k)
             orbit = generate_noisy(sys, X0, (-60, 60), p.delta, seed=21)
             for side, stable in (("pos", False), ("neg", True)):
                 X = np.array(_subsampled(orbit, p.k, side))
-                sweep = _clean_sweep(sys, X[None], p, frame, stable)
+                sweep = _clean_sweep(sys, X[None], p, stable)
                 if stable:
-                    a = frame.apply_inverse_k(sweep.zp[0, :-1])
+                    a = _iterate(sys, sweep.zp[0, :-1], p.k, inverse=True)
                     pair = (X[1:], a)
                 else:
-                    a = frame.apply_k(sweep.z[0, :-1])
+                    a = _iterate(sys, sweep.z[0, :-1], p.k)
                     pair = (a, X[1:])
                 z = sys.intersect("cu", pair[0], "s", pair[1], 2 * p.delta_step)
                 zp = sys.intersect("cs", pair[1], "u", pair[0], 2 * p.delta_step)
@@ -268,16 +269,15 @@ class TestTimeReversal:
         p_inv = delta_for_epsilon(inv, 1e-2)
 
         X_pos = np.array(_subsampled(orbit, k, "pos"))[None]
-        frame, frame_inv = _Frame(linear, k), _Frame(inv, k)
-        fwd = _clean_sweep(linear, X_pos, p, frame)
+        fwd = _clean_sweep(linear, X_pos, p)
         # the same list read as a backward orbit of f^-1
-        bwd = _clean_sweep(inv, X_pos, p_inv, frame_inv, stable=True)
+        bwd = _clean_sweep(inv, X_pos, p_inv, stable=True)
         for j in range(1, X_pos.shape[1]):
             assert torus_distance(bwd.z[0, j], fwd.zp[0, j]) < 1e-10
             assert torus_distance(bwd.zp[0, j], fwd.z[0, j]) < 1e-10
         # the shared anchor at index 0, from the whole window
-        y_f = _anchors(linear, fwd, frame, stable=False)[0, -1]
-        y_b = _anchors(inv, bwd, frame_inv, stable=True)[0, -1]
+        y_f = _anchors(linear, fwd, k, stable=False)[0, -1]
+        y_b = _anchors(inv, bwd, k, stable=True)[0, -1]
         assert torus_distance(y_b, y_f) < 1e-10
 
 
@@ -357,10 +357,9 @@ class TestQuasiShadow:
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=11)
         trace = quasi_shadow(skew, orbit, 1e-2)
-        frame = _Frame(skew, p.k)
         M_min, M_max = trace.sub_range
         for m in range(1, M_max):
-            prime = frame.apply_k(trace.y_u[m - 1])
+            prime = _iterate(skew, trace.y_u[m - 1], p.k)
             gap = torus_distance(prime, trace.y_u[m])
             assert gap < p.alpha
 

@@ -203,6 +203,15 @@ class TestSurjectivity:
         report = surjectivity_density(sc, 1e-2)
         assert not report.resolution_sufficient  # spacing 0.25 > epsilon
 
+    def test_every_node_failed_gives_inf_gap(self, skew):
+        # a window too short for any anchor to settle leaves the image empty
+        sc = semiconjugacy(skew, default_field(skew, 1e-3), (2, 2, 2), 8, EPS)
+        assert len(sc.failures) == 8
+        report = surjectivity_density(sc, EPS)
+        assert report.density_gap == np.inf
+        assert report.sup_pi_id == np.inf
+        assert not report.passed
+
 
 class TestProbe:
     def test_probe_passes(self, skew):
@@ -225,6 +234,13 @@ class TestProbe:
         f_steps = max(t.separation_steps for t in fast.trials if t.kind == "adversarial")
         s_steps = min(t.separation_steps for t in slow.trials if t.kind == "adversarial")
         assert s_steps > f_steps  # smaller eta takes longer to separate
+
+    @pytest.mark.parametrize("eta, half_window, predicted", [(1e-3, 3, 7), (1e-14, 30, 33)])
+    def test_window_shorter_than_prediction_rejected(self, skew, eta, half_window, predicted):
+        # the window could not show the separation, so no trial runs
+        match = rf"half window {half_window} .* {predicted} steps"
+        with pytest.raises(ParameterError, match=match):
+            plaque_expansiveness_probe(skew, eta=eta, trials=1, seed=0, half_window=half_window)
 
     def test_eta_positive_required(self, skew):
         with pytest.raises(ValueError):
