@@ -3,9 +3,9 @@
 Subcommands: constants, orbit, shadow, verify, stability, probe.  Every run
 writes a manifest echoing all resolved parameters (including the derived
 constants L0, delta, alpha, r1, r2, k), so any result can be reproduced
-from the manifest alone; outputs are line-oriented text or JSON with
-17-significant-digit decimals and no timestamps, so identical configs give
-byte-identical files.
+from the manifest alone; outputs are line-oriented text or strict JSON
+(non-finite floats as null) with 17-significant-digit decimals and no
+timestamps, so identical configs give byte-identical files.
 
 Exit codes: 0 on PASS, 1 on contract FAIL, 2 on input errors, 3 on
 parameter-validity errors (e.g. an epsilon too large for the model's
@@ -39,9 +39,20 @@ def _resolve_model(name_or_path: str) -> models.SkewModel:
 
 
 def _write_json(path: Path, obj) -> None:
+    """Strict JSON: a non-finite float (an infinite density gap) is null."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
 
 
 def _derived(sys_model, params: shadowing.ShadowingParams) -> dict:

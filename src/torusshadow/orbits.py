@@ -9,10 +9,10 @@ Noise is drawn from numpy's default PCG64 generator, every kick of an orbit
 in one call (the forward kicks, then the backward ones), so an orbit for a
 given seed differs from the one earlier versions drew stepwise;
 reproducibility across implementations is by the recorded orbit files, not
-by PRNG identity.  Noisy orbits never step the map: the base of both halves
-runs as one stacked integer-matrix recursion and the fiber follows from one
-phi call and a wrapped scan.  Orbits of a nearby map g are stepped with
-`fill_window`.
+by PRNG identity.  Noisy orbits never step the map: the base of each half
+is a scalar integer-matrix recursion on Python floats and the fiber follows
+from one phi call and a wrapped scan.  Orbits of a nearby map g are stepped
+with `fill_window`.
 """
 
 from __future__ import annotations
@@ -129,8 +129,9 @@ def _kicked_window(sys: SkewModel, x0, window, kicks) -> np.ndarray:
 
     `kicks` is (N - 1, 3): the n_max forward kicks e_0, e_1, ..., then the
     -n_min backward kicks e'_0, e'_-1, and so on.  The map is never stepped:
-    the base of both halves runs as one (2, 2) stack, p <- A p + e forward
-    and p <- A^-1 (p + e') backward, then one phi call over the whole
+    the base of each half is a scalar recursion on Python floats,
+    p <- A p + e forward and p <- A^-1 (p + e') backward, each step reduced
+    mod 1 with `wrap`'s fold of 1.0 to 0.0; then one phi call over the whole
     window gives every fiber increment and a wrapped scan sums them.
     """
     n_min, n_max = _split_window(window)
@@ -141,13 +142,10 @@ def _kicked_window(sys: SkewModel, x0, window, kicks) -> np.ndarray:
     e = np.zeros((L, 2, 3))
     e[:n_max, 0] = kicks[:n_max]
     e[:-n_min, 1] = kicks[n_max:]
-    e_in = e[..., :2] * [[0.0], [1.0]]  # backward base kicks enter before A^-1
-    e_out = e[..., :2] * [[1.0], [0.0]]  # forward base kicks after A
-    M = np.stack([sys.A, sys.A_inv]).astype(float)
-    P = np.empty((L, 2, 2))
-    P[0] = x0[:2]
-    for i in range(L - 1):
-        P[i + 1] = wrap((M @ (P[i] + e_in[i])[..., None])[..., 0] + e_out[i])
+    p0 = x0[:2].tolist()
+    P = np.zeros((L, 2, 2))
+    P[:n_max + 1, 0] = _base_recursion(sys.A, p0, kicks[:n_max, :2], after=True)
+    P[:1 - n_min, 1] = _base_recursion(sys.A_inv, p0, kicks[n_max:, :2], after=False)
     phi = np.broadcast_to(sys.phi(P[..., 0], P[..., 1]), (L, 2))
     # Forward, z_{i+1} - z_i = omega + phi(p_i) + e_i; backward,
     # z_{-i-1} - z_{-i} = e'_{-i} - omega - phi(p_{-i-1}).
@@ -162,6 +160,27 @@ def _kicked_window(sys: SkewModel, x0, window, kicks) -> np.ndarray:
     pts[:-n_min, :2] = P[-n_min:0:-1, 1]
     pts[:-n_min, 2] = z[1, -n_min:0:-1]
     return wrap(pts)
+
+
+def _base_recursion(M, p, kicks, after: bool) -> list:
+    """[p, M p + e_0, ...] mod 1 for (n, 2) kicks e_i added after the
+    integer matrix M (`after`), or [p, M (p + e_0), ...] mod 1 for kicks
+    added before it.  The steps run on Python floats: per step, a numpy
+    product and `wrap` on two coordinates cost more than the arithmetic,
+    and these give the same bits."""
+    (a, b), (c, d) = M.tolist()
+    p0, p1 = p
+    out = [p]
+    for k0, k1 in kicks.tolist():
+        if after:
+            q0, q1 = (a * p0 + b * p1 + k0) % 1.0, (c * p0 + d * p1 + k1) % 1.0
+        else:
+            p0, p1 = p0 + k0, p1 + k1
+            q0, q1 = (a * p0 + b * p1) % 1.0, (c * p0 + d * p1) % 1.0
+        # x % 1.0 rounds up to 1.0 for tiny negative x; fold it as `wrap` does
+        p0, p1 = (0.0 if q0 >= 1.0 else q0), (0.0 if q1 >= 1.0 else q1)
+        out.append((p0, p1))
+    return out
 
 
 def generate_noisy(sys: SkewModel, x0, window, delta: float, seed: int) -> PseudoOrbit:
@@ -327,7 +346,7 @@ def write_table(path, header: dict, rows) -> None:
     with open(path, "w") as fh:
         fh.writelines(f"# {key}: {value:.17g}\n" if isinstance(value, float)
                       else f"# {key}: {value}\n" for key, value in header.items())
-        fh.writelines(line % tuple(row) for row in rows.tolist())
+        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def write_orbit(orbit: PseudoOrbit, path, model_name: str = "") -> None:
@@ -347,7 +366,7 @@ def read_table(path, columns: int, required=()):
     is missing, a row has another column count or a non-numeric field, or
     the indices do not cover the declared window once each.
     """
-    header, rows = {}, []
+    header, tokens, lines = {}, [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -357,21 +376,40 @@ def read_table(path, columns: int, required=()):
                 key, _, value = line[1:].partition(":")
                 header[key.strip()] = value.strip()
                 continue
-            tokens = line.split()
-            if len(tokens) != columns:
-                raise ValueError(f"{path} line {number} has {len(tokens)} columns, "
+            row = line.split()
+            if len(row) != columns:
+                # a bad field on an earlier line is reported first
+                _floats(tokens, lines, columns, path)
+                raise ValueError(f"{path} line {number} has {len(row)} columns, "
                                  f"expected {columns}")
-            rows.append([float(tok) for tok in tokens])
+            tokens += row
+            lines.append(number)
+    values = _floats(tokens, lines, columns, path)
     missing = [key for key in ("window", *required) if key not in header]
     if missing:
         raise ValueError(f"{path} is missing header(s): {', '.join(missing)}")
     n_min, n_max = (int(tok) for tok in header["window"].split())
-    rows = np.array(rows).reshape(-1, columns)
+    rows = values.reshape(-1, columns)
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     if not np.array_equal(rows[:, 0], np.arange(n_min, n_max + 1)):
         raise ValueError(f"{path} indices do not cover the declared window "
                          f"[{n_min}, {n_max}]")
     return header, (n_min, n_max), rows
+
+
+def _floats(tokens, lines, columns: int, path) -> np.ndarray:
+    """The row tokens as one float array; a non-numeric one raises
+    ValueError naming its file line (`lines` holds one per row)."""
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        for i, tok in enumerate(tokens):
+            try:
+                float(tok)
+            except ValueError:
+                raise ValueError(f"{path} line {lines[i // columns]} has a non-numeric "
+                                 f"field {tok!r}") from None
+        raise
 
 
 def read_orbit(path) -> PseudoOrbit:

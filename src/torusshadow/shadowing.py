@@ -208,10 +208,6 @@ def _iterate(sys, x, k: int, inverse: bool = False):
     return x
 
 
-def _point(base, fiber):
-    return np.concatenate([base, wrap(fiber)[..., None]], axis=-1)
-
-
 def _on_leaf(sys, anchor, offset, stable: bool, tol=None):
     """`leaf_point` of `anchor` at base offsets `offset` along v_s (or v_u)."""
     base = wrap(anchor[..., :2] + offset[..., None] * (sys.v_s if stable else sys.v_u))
@@ -559,7 +555,9 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     upper = np.empty(pts.shape[:-2] + (-M_min, 3))
     upper[..., 0, :] = y0_star_prime
     upper[..., 1:, :] = sys.leaf_point(y_s_prime[..., 1:-1, :], base[..., :-1, :], stable=False)
-    star_neg = _point(base, _iterate(sys, upper, k, inverse=True)[..., 2])
+    star_neg = np.empty(upper.shape)
+    star_neg[..., :2] = base
+    star_neg[..., 2] = _iterate(sys, upper, k, inverse=True)[..., 2]
     star = np.concatenate([star_neg[..., ::-1, :], y0_star[..., None, :], star_pos], axis=-2)
 
     # Full resolution: exact map steps between the subsampled corrections,

@@ -19,6 +19,10 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def read_bytes_map(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
@@ -156,9 +160,10 @@ class TestStabilityAndProbe:
         out = capsys.readouterr().out
         assert "FAIL surjectivity: density_gap=inf" in out
         assert "FAIL stability" in out and "node_failures=8" in out
-        data = json.loads((workdir / "st" / "stability.json").read_text())
-        assert not data["surjectivity"]["passed"]
-        assert data["surjectivity"]["density_gap"] == float("inf")
+        data = json.loads((workdir / "st" / "stability.json").read_text(),
+                          parse_constant=_reject_constant)
+        assert data["surjectivity"]["passed"] is False
+        assert data["surjectivity"]["density_gap"] is None
         assert len(data["node_failures"]) == 8
         assert (workdir / "st" / "semiconjugacy.txt").exists()
 
@@ -206,6 +211,23 @@ class TestInputGuards:
         assert self.verify() == 2
         assert "index 3" in capsys.readouterr().err
         assert not (chain / "s2" / "trace.txt").exists()
+
+    def test_non_numeric_field_names_its_line_exit_2(self, chain, capsys):
+        orbit, trace = chain / "o" / "orbit.txt", chain / "s" / "trace.txt"
+        clean = orbit.read_text()
+        _edit_line(orbit, "3 ", 2, "abc")
+        number = next(i for i, l in enumerate(orbit.read_text().splitlines(), 1) if "abc" in l)
+        message = f"o/orbit.txt line {number} has a non-numeric field 'abc'"
+        assert run(["shadow", "--model", "skew", "--orbit", "o/orbit.txt",
+                    "--epsilon", "1e-2", "--out", "s2"]) == 2
+        assert message in capsys.readouterr().err
+        assert self.verify() == 2
+        assert message in capsys.readouterr().err
+        orbit.write_text(clean)
+        _edit_line(trace, "3 ", 5, "abc")
+        number = next(i for i, l in enumerate(trace.read_text().splitlines(), 1) if "abc" in l)
+        assert self.verify() == 2
+        assert f"s/trace.txt line {number} has a non-numeric field 'abc'" in capsys.readouterr().err
 
     def test_far_jump_in_orbit_exit_3(self, chain, capsys):
         # row 8 is a subsampled index; shifted by (0.45, 0.45) it is past the

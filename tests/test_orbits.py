@@ -5,17 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torusshadow.geometry import torus_distance
+from torusshadow.geometry import torus_distance, wrap
 from torusshadow.models import ModelError, SkewModel
 from torusshadow.orbits import (
     PerturbedMap,
     PseudoOrbit,
+    _kicked_window,
+    _wrapped_cumsum,
     fill_window,
     from_map,
     generate_noisy,
     read_orbit,
+    read_table,
     validate,
     write_orbit,
+    write_table,
 )
 from torusshadow.shadowing import delta_for_epsilon
 
@@ -72,7 +76,7 @@ def model(request):
 
 def test_noisy_defects_within_accounting_on_long_windows(model):
     # validate steps f and f^-1 one point at a time: an independent check of
-    # the stacked base recursion and the wrapped fiber scan
+    # the scalar base recursion and the wrapped fiber scan
     delta = 1e-4
     lip_f_inv = delta_for_epsilon(model, 1e-2).lip_f_inv
     for seed in range(5):
@@ -89,6 +93,54 @@ def test_zero_delta_long_window_is_true_orbit(model):
     fwd, bwd = validate(model, orbit)
     assert fwd < 1e-14
     assert bwd < 1e-14
+
+
+def stacked_kicked_window(sys, x0, window, kicks):
+    """Reference `_kicked_window`: both base halves as one (2, 2) stack,
+    one matrix product and one `wrap` per step."""
+    n_min, n_max = window
+    x0 = wrap(np.asarray(x0, dtype=float))
+    L = max(n_max, -n_min) + 1
+    e = np.zeros((L, 2, 3))
+    e[:n_max, 0] = kicks[:n_max]
+    e[:-n_min, 1] = kicks[n_max:]
+    e_in = e[..., :2] * [[0.0], [1.0]]
+    e_out = e[..., :2] * [[1.0], [0.0]]
+    M = np.stack([sys.A, sys.A_inv]).astype(float)
+    P = np.empty((L, 2, 2))
+    P[0] = x0[:2]
+    for i in range(L - 1):
+        P[i + 1] = wrap((M @ (P[i] + e_in[i])[..., None])[..., 0] + e_out[i])
+    phi = np.broadcast_to(sys.phi(P[..., 0], P[..., 1]), (L, 2))
+    dz = np.empty((2, L))
+    dz[:, 0] = x0[2]
+    dz[0, 1:] = sys.omega + phi[:-1, 0] + e[:-1, 0, 2]
+    dz[1, 1:] = e[:-1, 1, 2] - sys.omega - phi[1:, 1]
+    z = _wrapped_cumsum(dz)
+    pts = np.empty((n_max - n_min + 1, 3))
+    pts[-n_min:, :2] = P[:n_max + 1, 0]
+    pts[-n_min:, 2] = z[0, :n_max + 1]
+    pts[:-n_min, :2] = P[-n_min:0:-1, 1]
+    pts[:-n_min, 2] = z[1, -n_min:0:-1]
+    return wrap(pts)
+
+
+def test_kicked_window_matches_stacked_recursion(model):
+    rng = np.random.default_rng(17)
+    for window in ((-1000, 1000), (0, 30), (-30, 0)):
+        n = window[1] - window[0]
+        for scale in (0.0, 1e-4, 0.3):
+            kicks = scale * rng.uniform(-1.0, 1.0, (n, 3))
+            x0 = rng.random(3)
+            assert np.array_equal(_kicked_window(model, x0, window, kicks),
+                                  stacked_kicked_window(model, x0, window, kicks))
+        # kicks of -1e-17 from the origin: every base step rounds up to 1.0
+        # mod 1 and folds back to 0.0
+        kicks = np.full((n, 3), -1e-17)
+        x0 = np.array([0.0, 0.0, 0.5])
+        out = _kicked_window(model, x0, window, kicks)
+        assert np.array_equal(out, stacked_kicked_window(model, x0, window, kicks))
+        assert ((out >= 0.0) & (out < 1.0)).all()
 
 
 def count_calls(monkeypatch, counts, cls, *names):
@@ -234,6 +286,51 @@ class TestOrbitFiles:
         assert back.n_min == orbit.n_min and back.n_max == orbit.n_max
         assert np.array_equal(back.points, orbit.points)
         assert back.delta == orbit.delta
+
+    def test_write_table_matches_row_by_row_format(self, tmp_path):
+        rows = np.array([[-3.0, -0.0, 1e-300, 1.0 - 2.0 ** -53],
+                         [0.0, 2.0, 1.0 / 3.0, -1e300],
+                         [7.0, 0.1, 5e-324, 12345678.0]])
+        header = {"model": "skew", "delta": 0.1, "window": "-3 7"}
+        path = tmp_path / "table.txt"
+        write_table(path, header, rows)
+        line = "%.17g %.17g %.17g %.17g\n"
+        expected = ("# model: skew\n# delta: 0.10000000000000001\n# window: -3 7\n"
+                    + "".join(line % tuple(row) for row in rows.tolist()))
+        assert path.read_bytes() == expected.encode()
+
+    def test_read_table_bit_exact_through_layout(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rows = np.column_stack([np.arange(-5, 6), rng.random((11, 2)) - 0.5])
+        rows[3, 1], rows[4, 2], rows[5, 1] = -0.0, 1e-300, 1.0 - 2.0 ** -53
+        path = tmp_path / "table.txt"
+        write_table(path, {"window": "-5 5", "delta": 0.25}, rows)
+        text = path.read_text().splitlines()
+        body = [text[2 + i] for i in rng.permutation(11)]
+        body = ["\t" + row.replace(" ", "  \t ") + "   " for row in body]
+        path.write_text("\n\n".join(text[:2] + body) + "\n\n")
+        header, window, back = read_table(path, 3)
+        assert header == {"window": "-5 5", "delta": "0.25"} and window == (-5, 5)
+        assert back.tobytes() == rows.tobytes()
+
+    def test_read_table_keeps_nan_for_the_orbit_check(self, tmp_path):
+        path = tmp_path / "orbit.txt"
+        path.write_text("# delta: 0\n# window: 0 1\n1 0.5 NaN 0.5\n0 0.1 0.2 0.3\n")
+        _, _, rows = read_table(path, 4)
+        assert np.isnan(rows[1, 2]) and np.array_equal(rows[0], [0.0, 0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="index 1"):
+            read_orbit(path)
+
+    def test_read_table_names_the_first_bad_line(self, tmp_path):
+        path = tmp_path / "orbit.txt"
+        path.write_text("# delta: 0\n# window: 0 2\n0 0.1 0.2 0.3\n\n1 0.1 x2 0.3\n"
+                        "2 0.1 0.2\n")
+        with pytest.raises(ValueError, match=r"line 5 has a non-numeric field 'x2'"):
+            read_orbit(path)
+        path.write_text("# delta: 0\n# window: 0 2\n0 0.1 0.2 0.3\n\n1 0.1 0.2 0.3\n"
+                        "2 0.1 0.2\n")
+        with pytest.raises(ValueError, match=r"line 6 has 3 columns, expected 4"):
+            read_orbit(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "orbit.txt"
