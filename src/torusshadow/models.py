@@ -33,6 +33,10 @@ TWO_PI = 2.0 * math.pi
 # Parallelism tolerance for leaf-membership preconditions.
 LEAF_PARALLEL_TOL = 1e-10
 
+# Row x term elements of one transfer-series block (128 KiB per temporary);
+# `orbits.write_table` sizes its row blocks from it too.
+_BLOCK_ELEMENTS = 2 ** 14
+
 
 class ModelError(ValueError):
     """Invalid model data (non-hyperbolic matrix, bad determinant, ...)."""
@@ -275,7 +279,7 @@ class SkewModel:
         return cached[:count]
 
     def _transfer_series(self, p, t, stable: bool, tol=None):
-        """Evaluate the transfer series of every row in one pass.
+        """Evaluate the transfer series of every row, in blocks of rows.
 
         The pair (A^n p, A^n q) is never iterated as two points: floating-point
         noise in the expanding direction of the iteration would separate them
@@ -285,6 +289,11 @@ class SkewModel:
         to both evaluation points cancels in the phi difference.  Row r sums
         the terms whose tail bound is still >= its tolerance, in order, so its
         value does not depend on the other rows.
+
+        Blocks of leading rows, about _BLOCK_ELEMENTS row x term elements
+        each, keep the temporaries in the cache at any batch size.  Blocking
+        is exact: each block runs the pass's term count, and the terms past a
+        row's live ones add 0.0 to its sequential sum.
         """
         t = np.asarray(t, dtype=float)
         if self.lip_phi == 0.0:
@@ -303,15 +312,30 @@ class SkewModel:
         terms = int(math.log(need) / -math.log(abs(rate))) + 2 - skip
         if terms > 500:  # unreachable for valid tolerances; hard stop
             raise RuntimeError("transfer series failed to converge")
-        cur = t[..., None] * rate ** np.arange(skip, terms + skip)
-        live = tail * np.abs(cur) >= (tol[..., None] if tol.ndim else tol)
+        decay = rate ** np.arange(skip, terms + skip)
         powers = self._anchor_powers(stable, terms + skip)[skip:]
         p = np.asarray(p, dtype=float)
-        p1, p2 = p[..., 0, None], p[..., 1, None]
-        a1 = (powers[:, 0, 0] * p1 + powers[:, 0, 1] * p2) % 1.0
-        a2 = (powers[:, 1, 0] * p1 + powers[:, 1, 1] * p2) % 1.0
-        diff = self.phi(a1, a2) - self.phi(a1 + cur * v[0], a2 + cur * v[1])
-        total = np.cumsum(np.where(live, diff, 0.0), axis=-1)[..., -1]
+
+        def block(p, t, tol):
+            cur = t[..., None] * decay
+            live = tail * np.abs(cur) >= (tol[..., None] if tol.ndim else tol)
+            p1, p2 = p[..., 0, None], p[..., 1, None]
+            a1 = (powers[:, 0, 0] * p1 + powers[:, 0, 1] * p2) % 1.0
+            a2 = (powers[:, 1, 0] * p1 + powers[:, 1, 1] * p2) % 1.0
+            diff = self.phi(a1, a2) - self.phi(a1 + cur * v[0], a2 + cur * v[1])
+            return np.cumsum(np.where(live, diff, 0.0), axis=-1)[..., -1]
+
+        shape = np.broadcast(p[..., 0], t, tol).shape
+        rows = max(1, _BLOCK_ELEMENTS // max(1, terms * math.prod(shape[1:])))
+        if rows >= math.prod(shape[:1]):
+            total = block(p, t, tol)
+        else:
+            total = np.empty(shape)
+            # an operand without the leading axis goes whole into every block
+            lead = [a.ndim == len(shape) and a.shape[0] > 1 for a in (p[..., 0], t, tol)]
+            for lo in range(0, shape[0], rows):
+                total[lo:lo + rows] = block(*(a[lo:lo + rows] if cut else a
+                                              for a, cut in zip((p, t, tol), lead)))
         # h_s sums phi(A^n p) - phi(A^n q); h_u sums phi(A^-n q) - phi(A^-n p).
         return (total if stable else -total)[()]
 
@@ -403,77 +427,6 @@ def inverse_system(sys: SkewModel) -> SkewModel:
         modes.append((int(mm[0]), int(mm[1]), -s, -c))
     return SkewModel(sys.A_inv, omega=-sys.omega, phi_modes=modes,
                      series_tol=sys.series_tol)
-
-
-# -- sampling certificates --------------------------------------------------
-
-
-def certify_rates(sys: SkewModel, n: int = 10_000, seed: int = 0):
-    """Worst sampled violation of the certified leaf rates.
-
-    Returns (stable_excess, unstable_excess): max over samples of
-    d(f(x), f(y)) - lam * d(x, y) on stable pairs within delta1, and the
-    mirror under f^-1 on unstable pairs.  Both should be < 1e-12.
-    """
-    lam = sys.rates.lam
-    d1 = sys.rates.delta1
-    excess = []
-    for stable, step, v in ((True, sys.apply, sys.v_s), (False, sys.apply_inverse, sys.v_u)):
-        # y on the strong leaf of x at leaf offset |t| <= delta1
-        rng = np.random.default_rng(seed if stable else seed + 1)
-        X = rng.random((n, 3))
-        t = rng.uniform(-d1, d1, size=n)
-        Y = sys.leaf_point(X, wrap(X[:, :2] + t[:, None] * v), stable)
-        excess.append(float(np.max(torus_distance(step(X), step(Y))
-                                   - lam * torus_distance(X, Y))))
-    return tuple(excess)
-
-
-def certify_intersections(sys, params, n: int, seed: int, delta: float):
-    """Max ratio d(intersection, input) / d(x, y) over random pairs.
-
-    Exercises both (cu, s) and (cs, u) at separations below params.delta0;
-    the certificate passes when the returned max ratio is <= params.L0.
-    """
-    rng = np.random.default_rng(seed)
-    delta = min(delta, 0.99 * params.delta0)
-    X = rng.random((n, 3))
-    V = rng.normal(size=(n, 3))
-    V *= (delta * rng.random(n) ** (1.0 / 3.0) / np.linalg.norm(V, axis=1))[:, None]
-    Y = wrap(X + V)
-    d = torus_distance(X, Y)
-    X, Y, d = X[d >= 1e-9], Y[d >= 1e-9], d[d >= 1e-9]
-    pts = (sys.intersect("cu", X, "s", Y, delta), sys.intersect("cs", X, "u", Y, delta))
-    return float(np.max([torus_distance(pt, Z) / d for pt in pts for Z in (X, Y)], initial=0.0))
-
-
-def certify_holonomy_modulus(sys, params, n: int, seed: int):
-    """Max image distance of the center holonomy over source pairs within
-    params.r2.
-
-    Sources sit on one unstable plaque, targets on another inside a common
-    cu-plaque of radius params.r1; a source or image farther than L0 * r1
-    from its plaque's anchor raises IntersectionError.  Passes when the
-    result is < params.alpha.
-    """
-    rng = np.random.default_rng(seed)
-    cap = params.L0 * params.r1
-    anchor = rng.random((n, 3))
-    shift = rng.uniform(-params.r1 / 2, params.r1 / 2, size=(n, 2))   # along v_u, fiber
-    target = wrap(np.column_stack([anchor[:, :2] + shift[:, :1] * sys.v_u,
-                                   anchor[:, 2] + shift[:, 1]]))
-    t1 = rng.uniform(-params.r2 / 2, params.r2 / 2, size=n)
-    t2 = t1 + rng.uniform(-params.r2, params.r2, size=n) / math.sqrt(2.0)
-    offset = np.column_stack([t1, t2])[..., None] * sys.v_u
-    source = sys.leaf_point(anchor[:, None], wrap(anchor[:, None, :2] + offset), stable=False)
-    keep = torus_distance(source[:, 0], source[:, 1]) < params.r2
-    anchor, target, source = anchor[keep, None], target[keep, None], source[keep]
-    if np.any(~(torus_distance(source, anchor) <= cap)):
-        raise IntersectionError("holonomy source outside the anchor plaque")
-    image = sys.leaf_point(target, source[..., :2], stable=False)
-    if np.any(~(torus_distance(image, target) <= cap)):
-        raise IntersectionError("holonomy image outside the target plaque")
-    return float(np.max(torus_distance(image[:, 0], image[:, 1]), initial=0.0))
 
 
 # -- model files -------------------------------------------------------------

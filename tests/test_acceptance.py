@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from torusshadow.geometry import torus_distance, wrap
-from torusshadow.models import builtin_model, certify_rates
+from torusshadow.models import builtin_model
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
 from torusshadow.orbits import PerturbedMap, generate_noisy
 from torusshadow.shadowing import delta_for_epsilon, quasi_shadow, verify
 from torusshadow.stability import check_identity, semiconjugacy, surjectivity_density
+
+from tests_helpers import certify_rates, single_defect_orbit
 
 LINEAR = builtin_model("linear")
 SKEW = builtin_model("skew")
@@ -214,7 +216,6 @@ def test_criterion_10_uniqueness_up_to_center_plaque():
 
 
 def test_criterion_11_locality_of_corrections():
-    from tests_helpers import single_defect_orbit
     eps = 5e-2
     params = delta_for_epsilon(LINEAR, eps)
     direction = np.array([0.53, -0.31, 0.62])

@@ -2,21 +2,20 @@
 holonomy through them), intersections, constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from torusshadow import models
 from torusshadow.geometry import minimal_displacement, torus_distance, wrap
 from torusshadow.models import (
     IntersectionError,
     LeafError,
     ModelError,
     SkewModel,
-    certify_holonomy_modulus,
-    certify_intersections,
-    certify_rates,
     eigen_frame,
     inverse_system,
     load_model,
@@ -25,6 +24,8 @@ from torusshadow.models import (
     save_model,
 )
 from torusshadow.shadowing import _iterate, delta_for_epsilon
+
+from tests_helpers import certify_holonomy_modulus, certify_intersections, certify_rates
 
 GOLDEN = math.sqrt(5.0)
 
@@ -161,6 +162,44 @@ class TestTransfers:
         H = skew.transfer_stable(P, Q)
         for i in range(0, 200, 17):
             assert H[i] == pytest.approx(skew.transfer_stable(P[i], Q[i]), abs=1e-11)
+
+    @pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
+    def test_blocked_series_is_exact(self, skew, monkeypatch, stable):
+        # one row per block and one block for everything give the default's bits
+        rng = np.random.default_rng(11)
+        B, n = 300, 20
+        cases = [
+            (rng.random((B, 1, 2)), rng.uniform(-0.05, 0.05, (B, n)), None),   # _anchors/_limit
+            (rng.random((B, n, 2)), rng.uniform(-0.05, 0.05, (B, n)), 1e-15),
+            (rng.random((B, 1, 2)), rng.uniform(-0.05, 0.05, (B, n)),
+             10.0 ** rng.uniform(-15.0, -9.0, (B, n))),                        # per-row tol
+            (rng.random((B, 2)), rng.uniform(-0.05, 0.05, B),
+             10.0 ** rng.uniform(-15.0, -9.0, (B, 1))[:, 0]),
+            (rng.random(2), rng.uniform(-0.05, 0.05, n), None),                # one anchor
+            (rng.random(2), 0.04, None),                                       # one point
+        ]
+        for p, t, tol in cases:
+            default = skew._transfer_series(p, t, stable, tol=tol)
+            for block in (1, 2 ** 40):
+                monkeypatch.setattr(models, "_BLOCK_ELEMENTS", block)
+                assert np.array_equal(skew._transfer_series(p, t, stable, tol=tol), default)
+            monkeypatch.undo()
+            assert np.shape(default) == np.broadcast(np.asarray(p)[..., 0], t).shape
+
+    def test_series_memory_is_set_by_the_block(self, skew):
+        # 2048 x 20 offsets against (2048, 1) anchors: unblocked, each
+        # (row, term) temporary alone is about 9 MiB
+        rng = np.random.default_rng(12)
+        p, t = rng.random((2048, 1, 2)), rng.uniform(-0.05, 0.05, (2048, 20))
+        skew._transfer_series(p, t, stable=True, tol=1e-15)
+        for stable in (True, False):
+            tracemalloc.start()
+            try:
+                skew._transfer_series(p, t, stable, tol=1e-15)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < t.nbytes + 8 * 8 * models._BLOCK_ELEMENTS
 
 
 class TestIntersect:

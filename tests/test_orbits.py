@@ -1,10 +1,14 @@
 """Pseudo-orbit generation, validation, perturbed maps, and serialization."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
+from torusshadow import orbits
 from torusshadow.geometry import torus_distance, wrap
 from torusshadow.models import ModelError, SkewModel
 from torusshadow.orbits import (
@@ -21,7 +25,7 @@ from torusshadow.orbits import (
     write_orbit,
     write_table,
 )
-from torusshadow.shadowing import delta_for_epsilon
+from torusshadow.shadowing import delta_for_epsilon, quasi_shadow, write_trace
 
 X0 = np.array([0.2, 0.35, 0.81])
 
@@ -186,6 +190,37 @@ def test_fill_window_steps_forward_first():
         fill_window(np.zeros(3), (1, 3), step, back_step)
 
 
+def reference_displacement(g, x):
+    """The field as a sum over modes of full-argument sin and cos terms."""
+    v = np.zeros(x.shape)
+    for (j, m1, m2, m3, s, c) in g.modes:
+        th = 2.0 * math.pi * (m1 * x[..., 0] + m2 * x[..., 1] + m3 * x[..., 2])
+        v[..., j] += s * np.sin(th) + c * np.cos(th)
+    return v
+
+
+def reference_certificate(g):
+    """The certificate on the flattened n^3 grid, built slab by slab."""
+    n = g.certification_grid
+    axis = (np.arange(n) + 0.5) / n
+    plane = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    sup = 0.0
+    for x in np.array_split(axis, min(n, max(1, n ** 3 // 262144))):
+        G = np.column_stack([np.repeat(x, plane.shape[0]), np.tile(plane, (x.size, 1))])
+        sup = max(sup, float(np.max(np.linalg.norm(reference_displacement(g, G), axis=1))))
+    return sup + g.lip_v * (math.sqrt(3.0) / (2.0 * n))
+
+
+# modes over zero, unit and negative frequencies, the constant mode among
+# them, and zero amplitudes; several may perturb one coordinate
+MODES = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(-3, 3),
+                           st.integers(-3, 3), st.sampled_from([0.0, 1e-4, -3e-4, 2.5e-4]),
+                           st.sampled_from([0.0, 2e-4, -1e-4])), max_size=5)
+CRITERION_9_MODES = [(0, 0, 1, 0, 1e-3 / math.sqrt(3.0), 0.0),
+                     (1, 0, 0, 1, 1e-3 / math.sqrt(3.0), 0.0),
+                     (2, 1, 0, 0, 1e-3 / math.sqrt(3.0), 0.0)]
+
+
 class TestPerturbedMap:
     def _field(self, sys, amp):
         a = amp / np.sqrt(3.0)
@@ -230,6 +265,32 @@ class TestPerturbedMap:
         slack = g.lip_v * (np.sqrt(3.0) / (2.0 * n))
         small = PerturbedMap(skew, modes, amplitude_bound=1e-3, certification_grid=n)
         assert small.certified_bound() == full + slack
+
+    @given(modes=MODES, grid=st.sampled_from([1, 7, 33]))
+    @example(modes=[(0, 0, 1, 0, 3e-4, 0.0), (0, 0, -1, 2, 1e-4, -1e-4), (1, 0, 0, 0, 0.0, 2e-4),
+                    (2, 1, 0, 0, 2.5e-4, 2e-4), (2, -2, 1, 0, -3e-4, 0.0)], grid=100)
+    @example(modes=CRITERION_9_MODES + [(2, 0, 0, -1, 0.0, 2e-4)], grid=128)
+    @settings(max_examples=40, deadline=None)
+    @seed(21)
+    def test_field_matches_full_argument_sum(self, skew, modes, grid):
+        g = PerturbedMap(skew, modes, amplitude_bound=1.0, certification_grid=grid)
+        assert g.certified_bound() == reference_certificate(g)
+        x = np.random.default_rng(grid).random((5, 7, 3))
+        for pts in (x, x[0, 0]):
+            assert g.displacement(pts).tobytes() == reference_displacement(g, pts).tobytes()
+
+    def test_certificate_memory_follows_the_axes_read(self, skew):
+        # each criterion-9 mode reads one axis; the flattened 128^3 grid
+        # peaked at 22 MiB
+        g = PerturbedMap(skew, CRITERION_9_MODES, amplitude_bound=1.1e-3,
+                         certification_grid=128)
+        tracemalloc.start()
+        try:
+            g.certified_bound()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_bad_certification_grid_rejected(self, skew):
         for grid in (0, -3, 2.5, True):
@@ -298,6 +359,32 @@ class TestOrbitFiles:
         expected = ("# model: skew\n# delta: 0.10000000000000001\n# window: -3 7\n"
                     + "".join(line % tuple(row) for row in rows.tolist()))
         assert path.read_bytes() == expected.encode()
+
+    def test_write_table_blocks_match_one_block(self, tmp_path, monkeypatch):
+        rows = np.random.default_rng(5).random((37, 3)) - 0.5
+        paths = []
+        for block in (1, 100, 2 ** 40):    # row blocks of 1, 4 and all rows
+            monkeypatch.setattr(orbits, "_BLOCK_ELEMENTS", block)
+            paths.append(tmp_path / f"table{block}.txt")
+            write_table(paths[-1], {"window": "0 36"}, rows)
+        line = "%.17g %.17g %.17g\n"
+        expected = "# window: 0 36\n" + "".join(line % tuple(row) for row in rows.tolist())
+        for path in paths:
+            assert path.read_bytes() == expected.encode()
+
+    def test_write_trace_memory(self, tmp_path, linear):
+        # a +-1000 trace formatted in one piece peaked at 1.13 MiB
+        params = delta_for_epsilon(linear, 5e-2)
+        orbit = generate_noisy(linear, X0, (-1000, 1000), params.delta, seed=2)
+        trace = quasi_shadow(linear, orbit, 5e-2, params=params)
+        write_trace(trace, tmp_path / "warm.txt")
+        tracemalloc.start()
+        try:
+            write_trace(trace, tmp_path / "trace.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.9 * 2**20
 
     def test_read_table_bit_exact_through_layout(self, tmp_path):
         rng = np.random.default_rng(4)
