@@ -7,6 +7,13 @@ Everything here works for any dimension and on stacks of points (the last
 axis holds the coordinates); the rest of the package uses n = 3 (two base
 coordinates, one fiber coordinate), n = 2 (the base torus) and n = 1 (the
 fiber circle).
+
+Every reduction mod 1 goes through `_frac(x) = x - floor(x)`.  For finite
+x it gives the bits of numpy's `x % 1.0`, without the cost of numpy's
+float remainder: fmod(x, 1) is exact, and numpy adds 1.0 to a negative
+remainder, which is one rounding of the exact x - floor(x); the
+subtraction here rounds that same exact value once.  Both give +0.0 for a negative integer.  Like
+`x % 1.0`, it can round up to exactly 1.0 for a tiny negative x.
 """
 
 from __future__ import annotations
@@ -21,18 +28,23 @@ __all__ = [
 ]
 
 
+def _frac(x) -> np.ndarray:
+    """x mod 1 with the bits of numpy's `x % 1.0` for finite x (see above)."""
+    return x - np.floor(x)
+
+
 def wrap(v) -> np.ndarray:
     """Reduce a real vector mod 1 so every coordinate lies in [0, 1).
 
-    `v % 1.0` can round up to exactly 1.0 for tiny negative inputs
-    (e.g. -1e-17); those are folded back to 0.0 so the [0, 1) contract
-    holds unconditionally.
+    The reduction is `_frac`, bit-identical to `v % 1.0`; both can round
+    up to exactly 1.0 for tiny negative inputs (e.g. -1e-17), and those are
+    folded back to 0.0 so the [0, 1) contract holds unconditionally.
     """
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError(f"wrap: non-finite input {v!r}")
-    out = v % 1.0
-    return np.where(out >= 1.0, 0.0, out)
+    out = _frac(v)
+    return out - (out >= 1.0)
 
 
 def minimal_displacement(p, q) -> np.ndarray:
@@ -43,7 +55,7 @@ def minimal_displacement(p, q) -> np.ndarray:
     it can land on the other side, e.g. p = 0.3, q = 1 - 2**-53 gives 0.0.
     Scalars are treated as points of the circle.
     """
-    d = (np.asarray(q, dtype=float) - np.asarray(p, dtype=float)) % 1.0
+    d = _frac(np.asarray(q, dtype=float) - np.asarray(p, dtype=float))
     # d is in [0, 1], and d - 1 is exact there, so 1.0 lands on 0.0
     return d - (d >= 0.5)
 

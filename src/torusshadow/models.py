@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import minimal_displacement, torus_distance, wrap
+from .geometry import _frac, minimal_displacement, torus_distance, wrap
 
 TWO_PI = 2.0 * math.pi
 
@@ -320,8 +320,9 @@ class SkewModel:
             cur = t[..., None] * decay
             live = tail * np.abs(cur) >= (tol[..., None] if tol.ndim else tol)
             p1, p2 = p[..., 0, None], p[..., 1, None]
-            a1 = (powers[:, 0, 0] * p1 + powers[:, 0, 1] * p2) % 1.0
-            a2 = (powers[:, 1, 0] * p1 + powers[:, 1, 1] * p2) % 1.0
+            # bare _frac, not wrap: a fold of 1.0 to 0.0 would move phi's bits
+            a1 = _frac(powers[:, 0, 0] * p1 + powers[:, 0, 1] * p2)
+            a2 = _frac(powers[:, 1, 0] * p1 + powers[:, 1, 1] * p2)
             diff = self.phi(a1, a2) - self.phi(a1 + cur * v[0], a2 + cur * v[1])
             return np.cumsum(np.where(live, diff, 0.0), axis=-1)[..., -1]
 

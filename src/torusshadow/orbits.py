@@ -25,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import torus_distance, wrap
+from .geometry import _frac, torus_distance, wrap
 from .models import _BLOCK_ELEMENTS, TWO_PI, ModelError, SkewModel, _integers
 
 __all__ = [
@@ -120,7 +120,7 @@ def _wrapped_cumsum(x):
     x = np.array(x, dtype=float)
     s = 1
     while s < x.shape[-1]:
-        x[..., s:] = (x[..., s:] + x[..., :-s]) % 1.0
+        x[..., s:] = _frac(x[..., s:] + x[..., :-s])
         s *= 2
     return x
 
@@ -392,9 +392,11 @@ def read_table(path, columns: int, required=()):
     (header, (n_min, n_max), rows) with the (N, columns) rows sorted by
     index.  Raises ValueError when the `window` header or one in `required`
     is missing, a row has another column count or a non-numeric field, or
-    the indices do not cover the declared window once each.
+    the indices do not cover the declared window once each.  Tokens become
+    floats in blocks of about _BLOCK_ELEMENTS / 8, `write_table`'s budget,
+    so the text of the whole file is never held at once.
     """
-    header, tokens, lines = {}, [], []
+    header, tokens, lines, blocks = {}, [], [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
@@ -412,7 +414,11 @@ def read_table(path, columns: int, required=()):
                                  f"expected {columns}")
             tokens += row
             lines.append(number)
-    values = _floats(tokens, lines, columns, path)
+            if len(tokens) >= _BLOCK_ELEMENTS // 8:
+                blocks.append(_floats(tokens, lines, columns, path))
+                tokens, lines = [], []
+    blocks.append(_floats(tokens, lines, columns, path))
+    values = np.concatenate(blocks)
     missing = [key for key in ("window", *required) if key not in header]
     if missing:
         raise ValueError(f"{path} is missing header(s): {', '.join(missing)}")

@@ -71,7 +71,9 @@ def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: fl
     come from one `from_map` call and are shadowed as one batch.  The
     certified d(f, g) must be below the admissible defect; per-node
     shadowing failures are recorded in the report as (node, message) rather
-    than raised, and leave the node's pi, tau and residual NaN.
+    than raised, and leave the node's pi, tau and residual NaN.  The report
+    holds no trace memory: its arrays own their data, so the batch's
+    (B, 2N + 1, 3) trace is freed when this returns.
     """
     if params is None:
         params = delta_for_epsilon(sys, epsilon)
@@ -84,9 +86,10 @@ def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: fl
     nodes = _lattice(grid_res)
     orbit = from_map(sys, g, nodes, (-N, N))
     trace, failed = shadow_batch(sys, orbit, epsilon, params=params)
-    pi = trace.point(0)
-    pi_g = trace.point(1)
-    tau = trace.center_motions[:, trace.index(1)]
+    # copies, not views: a view would keep the whole trace alive
+    pi = trace.point(0).copy()
+    pi_g = trace.point(1).copy()
+    tau = trace.center_motions[:, trace.index(1)].copy()
     residual = np.full(nodes.shape[0], np.nan)
     ok = ~np.isnan(tau)
     fp = sys.apply(pi[ok])

@@ -1,13 +1,16 @@
 """Flat-torus geometry: wrapping, minimal displacements, the quotient metric."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import torusshadow
 from torusshadow.geometry import fiber_displacement, minimal_displacement, torus_distance, wrap
 
 
@@ -131,3 +134,78 @@ def test_fiber_displacement():
     assert fiber_displacement(0.9, 0.1) == pytest.approx(0.2)
     assert fiber_displacement(0.1, 0.9) == pytest.approx(-0.2)
     assert fiber_displacement(0.25, 0.75) == -0.5
+
+
+# -- the mod-1 rule: x - floor(x) has the bits of x % 1.0 ---------------------
+
+
+def reference_wrap(v):
+    out = np.asarray(v, dtype=float) % 1.0
+    return np.where(out >= 1.0, 0.0, out)
+
+
+def reference_displacement(p, q):
+    d = (np.asarray(q, dtype=float) - np.asarray(p, dtype=float)) % 1.0
+    return d - (d >= 0.5)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# any finite double, plus mantissas in [-1, 1] scaled by 1e-20 ... 1e15
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-20, 15)),
+)
+EDGES = [-1e-17, 0.0, -0.0, -1.0, -3.0, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
+         5e-324, -5e-324, 1e300, -1e300]
+
+
+@given(st.lists(FINITE, min_size=1, max_size=8))
+@settings(max_examples=500, deadline=None)
+@seed(12)
+@example(EDGES)
+def test_wrap_bits_match_remainder(v):
+    assert np.array_equal(bits(wrap(v)), bits(reference_wrap(v)))
+
+
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=8))
+@settings(max_examples=500, deadline=None)
+@seed(13)
+@example([(0.0, x) for x in EDGES] + [(x, 0.0) for x in EDGES])
+@example([(0.3, np.nextafter(1.0, 0.0)), (1e300, -1e300), (-1e-17, 1e-17)])
+def test_minimal_displacement_bits_match_remainder(pairs):
+    p, q = np.array(pairs).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        # q - p may overflow to inf, which neither form reduces: NaN
+        ok = np.isfinite(q - p)
+        d, expected = minimal_displacement(p, q), reference_displacement(p, q)
+    assert np.array_equal(bits(d[ok]), bits(expected[ok]))
+    assert np.isnan(d[~ok]).all()
+
+
+def test_no_remainder_by_one_in_src():
+    # every numpy reduction mod 1 goes through geometry._frac; `% 1.0` stays
+    # only on Python floats (`_base_recursion`) and in `_integers`, where
+    # floor(inf) == inf would let an infinite entry pass as an integer
+    allowed = {"_base_recursion", "_integers"}
+    offenders = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = where | {node.name}
+        op, right = None, None
+        if isinstance(node, ast.BinOp):
+            op, right = node.op, node.right
+        elif isinstance(node, ast.AugAssign):
+            op, right = node.op, node.value
+        if (isinstance(op, ast.Mod) and isinstance(right, ast.Constant)
+                and right.value == 1.0 and not where & allowed):
+            offenders.append((path.name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(torusshadow.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), frozenset())
+    assert not offenders

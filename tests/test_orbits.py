@@ -25,7 +25,7 @@ from torusshadow.orbits import (
     write_orbit,
     write_table,
 )
-from torusshadow.shadowing import delta_for_epsilon, quasi_shadow, write_trace
+from torusshadow.shadowing import delta_for_epsilon, quasi_shadow, read_trace, write_trace
 
 X0 = np.array([0.2, 0.35, 0.81])
 
@@ -338,6 +338,14 @@ class TestPerturbedMap:
             assert torus_distance(img, orbit.point(k + 1)) < 1e-12
 
 
+@pytest.fixture(scope="module")
+def long_trace(linear):
+    """A linear trace on [-1000, 1000], the size the file-memory tests use."""
+    params = delta_for_epsilon(linear, 5e-2)
+    orbit = generate_noisy(linear, X0, (-1000, 1000), params.delta, seed=2)
+    return quasi_shadow(linear, orbit, 5e-2, params=params)
+
+
 class TestOrbitFiles:
     def test_roundtrip_bit_exact(self, tmp_path, skew):
         orbit = generate_noisy(skew, X0, (-15, 15), 1e-4, seed=3)
@@ -372,19 +380,30 @@ class TestOrbitFiles:
         for path in paths:
             assert path.read_bytes() == expected.encode()
 
-    def test_write_trace_memory(self, tmp_path, linear):
+    def test_write_trace_memory(self, tmp_path, long_trace):
         # a +-1000 trace formatted in one piece peaked at 1.13 MiB
-        params = delta_for_epsilon(linear, 5e-2)
-        orbit = generate_noisy(linear, X0, (-1000, 1000), params.delta, seed=2)
-        trace = quasi_shadow(linear, orbit, 5e-2, params=params)
-        write_trace(trace, tmp_path / "warm.txt")
+        write_trace(long_trace, tmp_path / "warm.txt")
         tracemalloc.start()
         try:
-            write_trace(trace, tmp_path / "trace.txt")
+            write_trace(long_trace, tmp_path / "trace.txt")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 0.9 * 2**20
+
+    def test_read_trace_memory(self, tmp_path, long_trace):
+        # holding every token of this file as a string peaked at 1.60 MiB;
+        # converted in blocks the read peaks near 0.57 MiB
+        write_trace(long_trace, tmp_path / "trace.txt")
+        read_trace(tmp_path / "trace.txt")
+        tracemalloc.start()
+        try:
+            back = read_trace(tmp_path / "trace.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.y_star, long_trace.y_star)
+        assert peak <= 0.8 * 2**20
 
     def test_read_table_bit_exact_through_layout(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -417,6 +436,30 @@ class TestOrbitFiles:
         path.write_text("# delta: 0\n# window: 0 2\n0 0.1 0.2 0.3\n\n1 0.1 0.2 0.3\n"
                         "2 0.1 0.2\n")
         with pytest.raises(ValueError, match=r"line 6 has 3 columns, expected 4"):
+            read_orbit(path)
+
+    def test_read_table_across_blocks(self, tmp_path):
+        # 1500 rows of 4 fields span several conversion blocks; values, the
+        # line of a bad field and the order of the two errors are kept
+        rows = np.column_stack([np.arange(1500), np.random.default_rng(5).random((1500, 3))])
+        path = tmp_path / "orbit.txt"
+        write_table(path, {"window": "0 1499", "delta": 0.0}, rows)
+        assert read_table(path, 4)[2].tobytes() == rows.tobytes()
+        text = path.read_text().splitlines()
+        bad = list(text)
+        bad[2 + 1200] = "1200 0.1 x2 0.3"
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=r"line 1203 has a non-numeric field 'x2'"):
+            read_orbit(path)
+        bad[2 + 700] = "700 0.1 y7 0.3"
+        bad[2 + 1300] = "1300 0.1 0.2"
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=r"line 703 has a non-numeric field 'y7'"):
+            read_orbit(path)
+        bad[2 + 700] = text[2 + 700]
+        bad[2 + 1200] = text[2 + 1200]
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=r"line 1303 has 3 columns, expected 4"):
             read_orbit(path)
 
     def test_missing_header_rejected(self, tmp_path):

@@ -64,6 +64,14 @@ class TestSemiconjugacy:
         _, sc = sc_small
         assert sc.sup_pi_id < EPS
 
+    def test_report_holds_no_trace_memory(self, sc_small):
+        # a view into the batch trace would keep all of its (B, 2N + 1, 3)
+        # points alive for as long as the report lives
+        _, sc = sc_small
+        for name in ("nodes", "pi", "pi_g", "tau", "residual"):
+            arr = getattr(sc, name)
+            assert arr.flags.owndata and arr.base is None, name
+
     def test_injected_fault_flags_single_node(self, skew, sc_small):
         g, sc = sc_small
         import copy
