@@ -29,8 +29,13 @@ __all__ = [
 
 
 def _frac(x) -> np.ndarray:
-    """x mod 1 with the bits of numpy's `x % 1.0` for finite x (see above)."""
-    return x - np.floor(x)
+    """x mod 1 with the bits of numpy's `x % 1.0` for finite x (see above).
+
+    An array result reuses the floor array, so one array is allocated."""
+    f = np.floor(x)
+    if isinstance(f, np.ndarray):
+        return np.subtract(x, f, out=f)
+    return x - f
 
 
 def wrap(v) -> np.ndarray:

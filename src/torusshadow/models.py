@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -121,6 +122,11 @@ def _flag_rows(errors, exc_type, checks):
         if bad.any():
             for r in np.flatnonzero(bad):
                 errors.setdefault(int(r), exc_type(message(int(r))))
+
+
+def _is_positive_int(value) -> bool:
+    """True for a positive Python or numpy integer; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
 def _integers(values, what: str) -> np.ndarray:

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from .geometry import _frac, torus_distance, wrap
-from .models import _BLOCK_ELEMENTS, TWO_PI, ModelError, SkewModel, _integers
+from .models import _BLOCK_ELEMENTS, TWO_PI, ModelError, SkewModel, _integers, _is_positive_int
 
 __all__ = [
     "PseudoOrbit",
@@ -251,7 +250,7 @@ class PerturbedMap:
                 raise ModelError(f"perturbation mode amplitudes must be finite, got {s}, {c}")
         self.amplitude_bound = float(amplitude_bound)
         grid = certification_grid
-        if isinstance(grid, bool) or not isinstance(grid, Integral) or grid < 1:
+        if not _is_positive_int(grid):
             raise ModelError(f"certification_grid must be a positive integer, got {grid!r}")
         self.certification_grid = int(grid)
         # Lipschitz bound of the vector field: rss over coordinates of the

@@ -18,7 +18,10 @@ steps.
 
 The construction runs on a stack of B orbits over one window at once
 (`shadow_batch`; `quasi_shadow` is the one-orbit case), and every stage, the
-sweeps included, is an array operation along time.  A row that fails a
+sweeps included, is an array operation along time.  `shadow_batch` is an
+anchor stage (checks, sweeps, limits and splice: y*_0 and every row
+failure) followed by a trace stage (guides, subsampled y*, fill); the
+semiconjugacy runs the anchor stage alone.  A row that fails a
 check is recorded in the batch's `errors` dict with the stage and index and
 the other rows carry on; only `quasi_shadow` raises a row's failure.  The
 two halves mirror each other in time and share one code path: one sweep
@@ -493,23 +496,27 @@ def _check_defects(sys, orbit: PseudoOrbit, params: ShadowingParams, errors) -> 
     ))
 
 
-def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
-                 params: ShadowingParams = None, growth_step: int = 1):
-    """Quasi-shadow a stack of pseudo-orbits over one window in one pass.
+class _Anchors(NamedTuple):
+    """The anchor stage of a batch: the resolved parameters, both sweeps,
+    the half-orbit anchors y_0^u and y_0^s, the spliced y_0^* and
+    (y_0^*)', and the first failure of every failed row."""
 
-    `orbit.points` is a stack (B, N, 3) or one orbit (N, 3).  Subsample by
-    k, run the three-stage construction on all rows at once, fill the
-    intermediate indices with exact map steps, so center motions
-    concentrate at multiples of k.  Every row's forward defect must be
-    within params.delta and its backward defect within lip_f_inv *
-    params.delta.
+    params: ShadowingParams
+    fsweep: _Sweep
+    bsweep: _Sweep
+    y0_u: np.ndarray
+    y0_s: np.ndarray
+    y0_star: np.ndarray
+    y0_star_prime: np.ndarray
+    errors: dict
 
-    Returns (trace, failures): the trace arrays carry the batch axis of
-    the input, if any, and `failures` lists (row, exception) pairs, by row,
-    for the rows that failed a check (ParameterError, ConstructionError or
-    InsufficientWindowError, with the stage and index in the message);
-    those rows are NaN in the trace and never stop the others.
-    """
+
+def _anchor_stage(sys, orbit: PseudoOrbit, epsilon: float, params,
+                  growth_step: int = 1) -> _Anchors:
+    """Everything up to and including `splice`: check the parameters, the
+    window and the defects, run both sweeps and both limit searches, and
+    splice the anchors.  Every row failure of the construction is recorded
+    here."""
     if params is None:
         params = delta_for_epsilon(sys, epsilon)
     elif params.epsilon != epsilon:
@@ -531,34 +538,56 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     y0_u, _ = forward_limit(sys, fsweep, params, errors, growth_step)
     bsweep = _sweep(sys, X_neg, params, errors, stable=True)
     y0_s, _ = backward_limit(sys, bsweep, params, errors, growth_step)
-    y_u = _propagate(sys, fsweep, y0_u, k, stable=False)
-    y_s_prime = _propagate(sys, bsweep, y0_s, k, stable=True)
+    y0_star, y0_star_prime = splice(sys, y0_u, y0_s, params, errors)
+    return _Anchors(params, fsweep, bsweep, y0_u, y0_s, y0_star, y0_star_prime, errors)
+
+
+def _upward(sys, st: _Anchors):
+    """The forward guides y_u, (..., M_max + 1, 3), and the subsampled y*_m
+    for m = 1..M_max, (..., M_max, 3).
+
+    Stable offsets come from the forward guides, contracting forward: y*_m
+    is on the stable leaf of y_m^u at offset sigma0 lam^(m k), sigma0 the
+    stable offset of y_0^* from y_0^u, so all of them are one series call.
+    """
+    k = st.params.k
+    y_u = _propagate(sys, st.fsweep, st.y0_u, k, stable=False)
+    sigma0 = sys.coeffs(minimal_displacement(st.y0_u[..., :2], st.y0_star[..., :2]))[1]
+    star_pos = _on_leaf(sys, y_u[..., 1:, :],
+                        sigma0[..., None] * (sys.eig_lam ** k) ** np.arange(1, y_u.shape[-2]),
+                        stable=True)
+    return y_u, star_pos
+
+
+def _trace_stage(sys, orbit: PseudoOrbit, st: _Anchors) -> ShadowingTrace:
+    """The full-resolution trace from the anchor stage: both guide
+    recursions, the subsampled y*, the exact-step fill, y', motions,
+    residuals and distances; the rows failed in `st.errors` are NaN."""
+    k = st.params.k
+    M_min, M_max = _sub_range(orbit.n_min, orbit.n_max, k)
+    pts = orbit.points
+    y_u, star_pos = _upward(sys, st)
+    y_s_prime = _propagate(sys, st.bsweep, st.y0_s, k, stable=True)
     # y_m^s = F^-1((y_{m+1}^s)') lies on the center plaque of (y_m^s)': its
     # fiber over that base.
     y_s = y_s_prime.copy()
     y_s[..., 1:, 2] = _iterate(sys, y_s_prime[..., :-1, :], k, inverse=True)[..., 2]
-    y0_star, y0_star_prime = splice(sys, y0_u, y0_s, params, errors)
 
-    # Subsampled y*: stable offsets from the forward guides (contracting
-    # forward), unstable offsets from the backward guides (contracting
-    # backward); the center component rides the strong leaves.  Going down,
-    # the fiber of y*_m is that of F^-1 of the point over it on the unstable
-    # plaque of (y_{m+1}^s)', and those points need no y*, so each side is
-    # one series call.
-    sigma0 = sys.coeffs(minimal_displacement(y0_u[..., :2], y0_star[..., :2]))[1]
-    eta0 = sys.coeffs(minimal_displacement(y0_s[..., :2], y0_star_prime[..., :2]))[0]
-    star_pos = _on_leaf(sys, y_u[..., 1:, :],
-                        sigma0[..., None] * (sys.eig_lam ** k) ** np.arange(1, M_max + 1),
-                        stable=True)
+    # Subsampled y* below index 0: unstable offsets from the backward guides
+    # (contracting backward); the center component rides the strong leaves.
+    # Going down, the fiber of y*_m is that of F^-1 of the point over it on
+    # the unstable plaque of (y_{m+1}^s)', and those points need no y*, so
+    # this side is one series call too.
+    eta0 = sys.coeffs(minimal_displacement(st.y0_s[..., :2], st.y0_star_prime[..., :2]))[0]
     eta = eta0[..., None] * (1.0 / sys.eig_mu ** k) ** np.arange(1, -M_min + 1)
     base = wrap(y_s[..., 1:, :2] + eta[..., None] * sys.v_u)
     upper = np.empty(pts.shape[:-2] + (-M_min, 3))
-    upper[..., 0, :] = y0_star_prime
+    upper[..., 0, :] = st.y0_star_prime
     upper[..., 1:, :] = sys.leaf_point(y_s_prime[..., 1:-1, :], base[..., :-1, :], stable=False)
     star_neg = np.empty(upper.shape)
     star_neg[..., :2] = base
     star_neg[..., 2] = _iterate(sys, upper, k, inverse=True)[..., 2]
-    star = np.concatenate([star_neg[..., ::-1, :], y0_star[..., None, :], star_pos], axis=-2)
+    star = np.concatenate([star_neg[..., ::-1, :], st.y0_star[..., None, :], star_pos], axis=-2)
 
     # Full resolution: exact map steps between the subsampled corrections,
     # exact preimages below the window of m = M_min.
@@ -583,19 +612,41 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     base_res = _base_residual(y_star, y_prime)
     dist = torus_distance(pts, y_star)
 
-    failed = sorted(errors)
+    failed = sorted(st.errors)
     if failed:
         for arr in (y_star, y_prime, motions, base_res, dist, y_u, y_s):
             arr.reshape((-1,) + arr.shape[pts.ndim - 2:])[failed] = np.nan
-    trace = ShadowingTrace(
+    return ShadowingTrace(
         n_min=orbit.n_min, n_max=orbit.n_max, y_star=y_star, y_prime=y_prime,
         center_motions=motions, trace_dist=dist, base_residual=base_res,
-        params=params,
+        params=st.params,
         y_u={m: y_u[..., m, :] for m in range(M_max + 1)},
         y_s={-j: y_s[..., j, :] for j in range(-M_min + 1)},
         model_name=orbit.model_name,
     )
-    return trace, [(r, errors[r]) for r in failed]
+
+
+def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
+                 params: ShadowingParams = None, growth_step: int = 1):
+    """Quasi-shadow a stack of pseudo-orbits over one window in one pass.
+
+    `orbit.points` is a stack (B, N, 3) or one orbit (N, 3).  Subsample by
+    k, run the three-stage construction on all rows at once, fill the
+    intermediate indices with exact map steps, so center motions
+    concentrate at multiples of k.  Every row's forward defect must be
+    within params.delta and its backward defect within lip_f_inv *
+    params.delta.  This is the anchor stage (`_anchor_stage`, which ends
+    at `splice`) followed by the trace stage (`_trace_stage`).
+
+    Returns (trace, failures): the trace arrays carry the batch axis of
+    the input, if any, and `failures` lists (row, exception) pairs, by row,
+    for the rows that failed a check (ParameterError, ConstructionError or
+    InsufficientWindowError, with the stage and index in the message);
+    those rows are NaN in the trace and never stop the others.
+    """
+    st = _anchor_stage(sys, orbit, epsilon, params, growth_step)
+    trace = _trace_stage(sys, orbit, st)
+    return trace, [(r, st.errors[r]) for r in sorted(st.errors)]
 
 
 def quasi_shadow(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,

@@ -1,8 +1,9 @@
 """The batched construction: one (B, N, 3) stack shadowed at once, row by row.
 
-Everything here goes through `shadow_batch`, the entry point `semiconjugacy`
-uses, and checks that a row's result is its own: it matches the row's solo
-run, follows a permutation of the rows, and survives a neighbour failing.
+Everything here goes through `shadow_batch`, whose anchor stage
+`semiconjugacy` runs, and checks that a row's result is its own: it matches
+the row's solo run, follows a permutation of the rows, and survives a
+neighbour failing.
 """
 
 import re
@@ -10,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from torusshadow import shadowing
 from torusshadow.geometry import torus_distance, wrap
 from torusshadow.models import IntersectionError, SkewModel
 from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map, generate_noisy
@@ -64,7 +66,56 @@ def test_semiconjugacy_reads_the_batched_rows(skew, grid_batch):
     sc = semiconjugacy(skew, g, (4, 4, 4), 20, EPS, params=params)
     assert np.array_equal(sc.pi, trace.point(0))
     assert np.array_equal(sc.pi_g, trace.point(1))
+    assert np.array_equal(sc.tau, trace.center_motions[:, trace.index(1)])
     assert np.nanmax(sc.residual) < 1e-8
+
+
+def test_semiconjugacy_reads_the_batched_rows_at_k1():
+    # at k = 1 index 1 is a subsampled index: pi(g(x)) is the first upward
+    # correction, off f(pi(x)) along the fiber, so tau is not zero
+    sys = SkewModel([[5, 2], [2, 1]], omega=0.03, phi_modes=[(1, 0, 0.005, 0.0)])
+    eps = 0.1
+    params = delta_for_epsilon(sys, eps)
+    assert params.k == 1
+    g = PerturbedMap(sys, [(2, 1, 0, 0, 0.1 * params.delta, 0.0)],
+                     amplitude_bound=0.2 * params.delta)
+    sc = semiconjugacy(sys, g, (4, 4, 4), 20, eps)
+    trace, failures = shadow_batch(sys, from_map(sys, g, _lattice((4, 4, 4)), (-20, 20)), eps)
+    assert not failures and not sc.failures
+    assert np.array_equal(sc.pi, trace.point(0))
+    assert np.array_equal(sc.pi_g, trace.point(1))
+    assert np.array_equal(sc.tau, trace.center_motions[:, trace.index(1)])
+    assert np.max(np.abs(sc.tau)) > 0.0
+    assert np.max(sc.residual) < 1e-8
+
+
+def test_semiconjugacy_builds_no_trace(skew, grid_batch, monkeypatch):
+    # at k >= 2 pi, pi_g and tau come from the anchor stage alone: with the
+    # guide recursion unavailable the grid still runs, to the same bits
+    g, params, _, _, trace, _ = grid_batch
+    assert params.k >= 2
+    # a grid whose nodes partly fail, run through shadow_batch first
+    mixed = shadow_batch(skew, from_map(skew, g, _lattice((4, 4, 4)), (-24, 24)), EPS)
+
+    def no_propagate(*args, **kwargs):
+        raise AssertionError("semiconjugacy ran the guide recursion")
+
+    monkeypatch.setattr(shadowing, "_propagate", no_propagate)
+    sc = semiconjugacy(skew, g, (4, 4, 4), 20, EPS, params=params)
+    assert not sc.failures
+    assert np.array_equal(sc.pi, trace.point(0))
+    assert np.array_equal(sc.pi_g, trace.point(1))
+    assert np.array_equal(sc.tau, trace.center_motions[:, trace.index(1)])
+
+    mixed_trace, mixed_failures = mixed
+    sc = semiconjugacy(skew, g, (4, 4, 4), 24, EPS)
+    assert 0 < len(sc.failures) < 64
+    assert sc.failures == [(r, str(exc)) for r, exc in mixed_failures]
+    failed = [r for r, _ in sc.failures]
+    assert np.array_equal(np.flatnonzero(np.isnan(sc.pi[:, 0])), failed)
+    for name, expected in (("pi", mixed_trace.point(0)), ("pi_g", mixed_trace.point(1)),
+                           ("tau", mixed_trace.center_motions[:, mixed_trace.index(1)])):
+        assert np.array_equal(getattr(sc, name), expected, equal_nan=True), name
 
 
 def test_permuting_rows_permutes_outputs(skew, grid_batch):

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,13 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import torusshadow
-from torusshadow.geometry import fiber_displacement, minimal_displacement, torus_distance, wrap
+from torusshadow.geometry import (
+    _frac,
+    fiber_displacement,
+    minimal_displacement,
+    torus_distance,
+    wrap,
+)
 
 
 def brute_minimal(p, q):
@@ -183,6 +190,21 @@ def test_minimal_displacement_bits_match_remainder(pairs):
         d, expected = minimal_displacement(p, q), reference_displacement(p, q)
     assert np.array_equal(bits(d[ok]), bits(expected[ok]))
     assert np.isnan(d[~ok]).all()
+
+
+def test_frac_allocates_one_array():
+    # the floor array is reused for the difference: no second array
+    x = np.linspace(-3.0, 3.0, 2 ** 17)
+    tracemalloc.start()
+    try:
+        out = _frac(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * x.nbytes
+    assert np.array_equal(bits(out), bits(x - np.floor(x)))
+    assert isinstance(_frac(-0.25), float) and _frac(-0.25) == 0.75
+    assert _frac(np.array(-1.25)) == 0.75
 
 
 def test_no_remainder_by_one_in_src():

@@ -51,6 +51,27 @@ class TestSemiconjugacy:
         with pytest.raises(ParameterError, match="epsilon = 0.01"):
             semiconjugacy(skew, g, (2, 2, 2), 20, 0.9, params=delta_for_epsilon(skew, 1e-2))
 
+    @pytest.mark.parametrize("grid_res", [(0, 2, 2), (2.5, 4, 4), (True, 4, 4), (4, 4)],
+                             ids=["zero", "float", "bool", "two-axes"])
+    def test_grid_res_must_be_three_positive_integers(self, skew, grid_res):
+        # (0, 2, 2) used to return an empty report and (2.5, 4, 4) a numpy TypeError
+        g = PerturbedMap(skew, [], amplitude_bound=1e-12)
+        with pytest.raises(ValueError, match="grid_res must be three positive integers"):
+            semiconjugacy(skew, g, grid_res, 20, EPS)
+
+    @pytest.mark.parametrize("N", [20.7, 0, True], ids=["float", "zero", "bool"])
+    def test_window_must_be_a_positive_integer(self, skew, N):
+        # N = 20.7 used to run the window [-20, 20] and record 20.7 as its length
+        g = PerturbedMap(skew, [], amplitude_bound=1e-12)
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            semiconjugacy(skew, g, (2, 2, 2), N, EPS)
+
+    def test_numpy_integer_arguments_accepted(self, skew):
+        g = PerturbedMap(skew, [], amplitude_bound=1e-12)
+        sc = semiconjugacy(skew, g, np.array([2, 2, 2]), np.int64(20), 1e-2)
+        assert sc.grid_res == (2, 2, 2) and sc.window == 20
+        assert not sc.failures
+
     def test_identity_residuals(self, skew, sc_small):
         g, sc = sc_small
         assert not sc.failures
