@@ -8,7 +8,6 @@ from .models import (
     eigen_frame,
     inverse_system,
     load_model,
-    save_model,
 )
 from .orbits import PerturbedMap, PseudoOrbit, from_map, generate_noisy, read_orbit, validate, write_orbit
 from .shadowing import (

@@ -348,6 +348,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"ERROR input: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        # an input that asks for more memory than there is (a huge certification_grid)
+        print(f"ERROR input: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -478,9 +478,3 @@ def load_model(path) -> SkewModel:
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_dict(data)
-
-
-def save_model(sys: SkewModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(sys), fh, indent=2, sort_keys=True)
-        fh.write("\n")

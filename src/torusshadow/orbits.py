@@ -14,7 +14,7 @@ reproducibility across implementations is by the recorded orbit files, not
 by PRNG identity.  Noisy orbits never step the map: the base of each half
 is a scalar integer-matrix recursion on Python floats and the fiber follows
 from one phi call and a wrapped scan.  Orbits of a nearby map g are stepped
-with `fill_window`.
+by `from_map`, all rows at once.
 """
 
 from __future__ import annotations
@@ -82,28 +82,6 @@ class PseudoOrbit:
 
     def indices(self):
         return range(self.n_min, self.n_max + 1)
-
-
-def fill_window(x0, window, step, back_step) -> np.ndarray:
-    """Points of a window around index 0: x0 at 0, then x_{i+1} = step(x_i)
-    going up and x_{i-1} = back_step(x_i) going down, every forward step
-    taken before the first backward one.  `from_map` steps a PerturbedMap
-    with it, whose base and fiber are coupled.
-
-    x0 is one point (3,) or a stack (..., 3); the result is (..., N, 3).
-    """
-    n_min, n_max = _split_window(window)
-    pts = np.empty(x0.shape[:-1] + (n_max - n_min + 1, 3))
-    pts[..., -n_min, :] = x0
-    x = x0
-    for i in range(1 - n_min, n_max - n_min + 1):
-        x = step(x)
-        pts[..., i, :] = x
-    x = x0
-    for i in range(-n_min - 1, -1, -1):
-        x = back_step(x)
-        pts[..., i, :] = x
-    return pts
 
 
 def _split_window(window):
@@ -347,11 +325,22 @@ def from_map(sys: SkewModel, g: PerturbedMap, x0, window) -> PseudoOrbit:
     """The g-orbit of x0 as a pseudo-orbit of f, with delta = certified d(f, g).
 
     x0 is one point (3,) or a stack (B, 3); a stack gives the (B, N, 3)
-    orbits of all its points, every step taken for all rows at once.
+    orbits of all its points, every step taken for all rows at once.  The
+    window must contain index 0; every forward step of g is taken before
+    the first backward one.
     """
-    pts = fill_window(wrap(np.asarray(x0, dtype=float)), window, g.apply, g.apply_inverse)
-    return PseudoOrbit(int(window[0]), int(window[1]), pts, g.certified_bound(),
-                       meta={"kind": "perturbed"})
+    x = x0 = wrap(np.asarray(x0, dtype=float))
+    n_min, n_max = _split_window(window)
+    pts = np.empty(x0.shape[:-1] + (n_max - n_min + 1, 3))
+    pts[..., -n_min, :] = x0
+    for i in range(1 - n_min, n_max - n_min + 1):
+        x = g.apply(x)
+        pts[..., i, :] = x
+    x = x0
+    for i in range(-n_min - 1, -1, -1):
+        x = g.apply_inverse(x)
+        pts[..., i, :] = x
+    return PseudoOrbit(n_min, n_max, pts, g.certified_bound(), meta={"kind": "perturbed"})
 
 
 # -- orbit files --------------------------------------------------------------
@@ -421,7 +410,11 @@ def read_table(path, columns: int, required=()):
     missing = [key for key in ("window", *required) if key not in header]
     if missing:
         raise ValueError(f"{path} is missing header(s): {', '.join(missing)}")
-    n_min, n_max = (int(tok) for tok in header["window"].split())
+    try:
+        n_min, n_max = (int(tok) for tok in header["window"].split())
+    except ValueError:
+        raise ValueError(f"{path} has a malformed window header {header['window']!r}, "
+                         f"expected two integers") from None
     rows = values.reshape(-1, columns)
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     if not np.array_equal(rows[:, 0], np.arange(n_min, n_max + 1)):

@@ -20,13 +20,15 @@ The construction runs on a stack of B orbits over one window at once
 (`shadow_batch`; `quasi_shadow` is the one-orbit case), and every stage, the
 sweeps included, is an array operation along time.  `shadow_batch` is an
 anchor stage (checks, sweeps, limits and splice: y*_0 and every row
-failure) followed by a trace stage (guides, subsampled y*, fill); the
-semiconjugacy runs the anchor stage alone.  A row that fails a
+failure) followed by a trace stage (`_half` per side for the guides and
+the subsampled y*, then the fill); the semiconjugacy runs the anchor
+stage alone.  A row that fails a
 check is recorded in the batch's `errors` dict with the stage and index and
 the other rows carry on; only `quasi_shadow` raises a row's failure.  The
 two halves mirror each other in time and share one code path: one sweep
-(`_sweep`), one limit search and one guide recursion (`_propagate`), the
-backward half with the leaf pair and the rate swapped.
+(`_sweep`), one limit search, one guide recursion (`_propagate`) and one
+correction kernel (`_half`), the backward half with the leaf pair and the
+rate swapped.
 
 Numerics: the defining recursions move offsets along the expanding
 direction of the relevant map power, which amplifies floating-point noise
@@ -414,13 +416,6 @@ def _sub_range(n_min: int, n_max: int, k: int) -> tuple:
     return -((-n_min) // k), n_max // k
 
 
-def _base_residual(y_star, y_prime):
-    """Base distance between y*_q and y'_q = f(y*_{q-1}); 0 at the first index."""
-    res = np.zeros(y_star.shape[:-1])
-    res[..., 1:] = torus_distance(y_prime[..., 1:, :2], y_star[..., 1:, :2])
-    return res
-
-
 @dataclass
 class ShadowingTrace:
     """Full output of a quasi-shadowing run, at original resolution.
@@ -435,7 +430,6 @@ class ShadowingTrace:
     y_prime: np.ndarray         # (N, 3): f(y*_{k-1}); row 0 repeats y*_{n_min}
     center_motions: np.ndarray  # (N,): signed fiber step from y_prime to y_star
     trace_dist: np.ndarray      # (N,): d(x_k, y*_k)
-    base_residual: np.ndarray   # (N,): base distance between y*_k and f(y*_{k-1})
     params: ShadowingParams
     y_u: dict = field(default_factory=dict, repr=False)    # guides at subsampled m >= 0
     y_s: dict = field(default_factory=dict, repr=False)    # guides at subsampled m <= 0
@@ -467,11 +461,6 @@ class ShadowingTrace:
     def max_distance(self) -> float:
         lo, hi = self.interior
         return float(np.max(self.trace_dist[..., self.index(lo): self.index(hi) + 1]))
-
-    @property
-    def max_residual(self) -> float:
-        lo, hi = self.interior
-        return float(np.max(self.base_residual[..., self.index(lo): self.index(hi) + 1]))
 
 
 def _check_defects(sys, orbit: PseudoOrbit, params: ShadowingParams, errors) -> None:
@@ -542,51 +531,42 @@ def _anchor_stage(sys, orbit: PseudoOrbit, epsilon: float, params,
     return _Anchors(params, fsweep, bsweep, y0_u, y0_s, y0_star, y0_star_prime, errors)
 
 
-def _upward(sys, st: _Anchors):
-    """The forward guides y_u, (..., M_max + 1, 3), and the subsampled y*_m
-    for m = 1..M_max, (..., M_max, 3).
+def _half(sys, st: _Anchors, stable: bool):
+    """One half's guides, (..., n + 1, 3) with its anchor at index 0, and
+    its subsampled y*_m, (..., n, 3), both indexed by |m|.
 
-    Stable offsets come from the forward guides, contracting forward: y*_m
-    is on the stable leaf of y_m^u at offset sigma0 lam^(m k), sigma0 the
-    stable offset of y_0^* from y_0^u, so all of them are one series call.
+    Forward the guides are y_m^u; backward, y_m^s = F^-1((y_{m+1}^s)'),
+    which lies over the base of (y_m^s)', so only its fiber is computed.
+    y*_m is the point on the leaf of y_m that F (F^-1) contracts, at the
+    offset of y_0^* ((y_0^*)') from y_0^u (y_0^s) times lam^(k m) (mu^(k m)).
     """
     k = st.params.k
-    y_u = _propagate(sys, st.fsweep, st.y0_u, k, stable=False)
-    sigma0 = sys.coeffs(minimal_displacement(st.y0_u[..., :2], st.y0_star[..., :2]))[1]
-    star_pos = _on_leaf(sys, y_u[..., 1:, :],
-                        sigma0[..., None] * (sys.eig_lam ** k) ** np.arange(1, y_u.shape[-2]),
-                        stable=True)
-    return y_u, star_pos
+    if stable:
+        primed = _propagate(sys, st.bsweep, st.y0_s, k, stable=True)
+        guides = primed.copy()
+        guides[..., 1:, 2] = _iterate(sys, primed[..., :-1, :], k, inverse=True)[..., 2]
+        anchor, star0, rate = st.y0_s, st.y0_star_prime, 1.0 / sys.eig_mu ** k
+    else:
+        guides = _propagate(sys, st.fsweep, st.y0_u, k, stable=False)
+        anchor, star0, rate = st.y0_u, st.y0_star, sys.eig_lam ** k
+    offset0 = sys.coeffs(minimal_displacement(anchor[..., :2], star0[..., :2]))[not stable]
+    star = _on_leaf(sys, guides[..., 1:, :],
+                    offset0[..., None] * rate ** np.arange(1, guides.shape[-2]), stable=not stable)
+    return guides, star
 
 
 def _trace_stage(sys, orbit: PseudoOrbit, st: _Anchors) -> ShadowingTrace:
-    """The full-resolution trace from the anchor stage: both guide
-    recursions, the subsampled y*, the exact-step fill, y', motions,
-    residuals and distances; the rows failed in `st.errors` are NaN."""
+    """The full-resolution trace from the anchor stage: both halves' guides
+    and subsampled y*, the exact-step fill, y', motions and distances; the
+    rows failed in `st.errors` are NaN."""
     k = st.params.k
     M_min, M_max = _sub_range(orbit.n_min, orbit.n_max, k)
     pts = orbit.points
-    y_u, star_pos = _upward(sys, st)
-    y_s_prime = _propagate(sys, st.bsweep, st.y0_s, k, stable=True)
-    # y_m^s = F^-1((y_{m+1}^s)') lies on the center plaque of (y_m^s)': its
-    # fiber over that base.
-    y_s = y_s_prime.copy()
-    y_s[..., 1:, 2] = _iterate(sys, y_s_prime[..., :-1, :], k, inverse=True)[..., 2]
-
-    # Subsampled y* below index 0: unstable offsets from the backward guides
-    # (contracting backward); the center component rides the strong leaves.
-    # Going down, the fiber of y*_m is that of F^-1 of the point over it on
-    # the unstable plaque of (y_{m+1}^s)', and those points need no y*, so
-    # this side is one series call too.
-    eta0 = sys.coeffs(minimal_displacement(st.y0_s[..., :2], st.y0_star_prime[..., :2]))[0]
-    eta = eta0[..., None] * (1.0 / sys.eig_mu ** k) ** np.arange(1, -M_min + 1)
-    base = wrap(y_s[..., 1:, :2] + eta[..., None] * sys.v_u)
-    upper = np.empty(pts.shape[:-2] + (-M_min, 3))
-    upper[..., 0, :] = st.y0_star_prime
-    upper[..., 1:, :] = sys.leaf_point(y_s_prime[..., 1:-1, :], base[..., :-1, :], stable=False)
-    star_neg = np.empty(upper.shape)
-    star_neg[..., :2] = base
-    star_neg[..., 2] = _iterate(sys, upper, k, inverse=True)[..., 2]
+    # Strong leaves are F-invariant: F^-1 maps the unstable leaf of
+    # (y_{m+1}^s)' onto that of y_m^s, so each y*_m, m < 0 as m > 0, is one
+    # leaf point off its own guide and the two halves mirror each other.
+    y_u, star_pos = _half(sys, st, stable=False)
+    y_s, star_neg = _half(sys, st, stable=True)
     star = np.concatenate([star_neg[..., ::-1, :], st.y0_star[..., None, :], star_pos], axis=-2)
 
     # Full resolution: exact map steps between the subsampled corrections,
@@ -609,17 +589,15 @@ def _trace_stage(sys, orbit: PseudoOrbit, st: _Anchors) -> ShadowingTrace:
     y_prime[..., 1:, :] = sys.apply(y_star[..., :-1, :])
     motions = np.zeros(y_star.shape[:-1])
     motions[..., 1:] = fiber_displacement(y_prime[..., 1:, 2], y_star[..., 1:, 2])
-    base_res = _base_residual(y_star, y_prime)
     dist = torus_distance(pts, y_star)
 
     failed = sorted(st.errors)
     if failed:
-        for arr in (y_star, y_prime, motions, base_res, dist, y_u, y_s):
+        for arr in (y_star, y_prime, motions, dist, y_u, y_s):
             arr.reshape((-1,) + arr.shape[pts.ndim - 2:])[failed] = np.nan
     return ShadowingTrace(
         n_min=orbit.n_min, n_max=orbit.n_max, y_star=y_star, y_prime=y_prime,
-        center_motions=motions, trace_dist=dist, base_residual=base_res,
-        params=st.params,
+        center_motions=motions, trace_dist=dist, params=st.params,
         y_u={m: y_u[..., m, :] for m in range(M_max + 1)},
         y_s={-j: y_s[..., j, :] for j in range(-M_min + 1)},
         model_name=orbit.model_name,
@@ -699,10 +677,13 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace,
     the center motion magnitude stays below epsilon, and the recorded
     y_prime/motion columns match the recomputation.  Every gate is written
     as `not (value < bound)`, so a NaN fails it.  Shares no state with the
-    constructor.
+    constructor.  A window with no interior index raises ParameterError.
     """
     lo, hi = trace.interior
     lo = max(lo, orbit.n_min + 1)
+    if hi < lo:
+        raise ParameterError(f"window [{trace.n_min}, {trace.n_max}] has no interior index "
+                             f"to verify for power k = {trace.k}")
     q = np.arange(lo, hi + 1)
     i = q - trace.n_min
     y = trace.y_star[i]
@@ -748,9 +729,8 @@ def write_trace(trace: ShadowingTrace, path, model_name: str = "") -> None:
 
 def read_trace(path) -> ShadowingTrace:
     """A trace written by `write_trace`: the y*/y' columns, motions and
-    distances as written, the parameters from the header, and the base
-    residuals recomputed from the y*/y' columns.  The interior follows
-    from the window and k; an `interior` header is ignored."""
+    distances as written and the parameters from the header.  The interior
+    follows from the window and k; an `interior` header is ignored."""
     header, (n_min, n_max), arr = read_table(path, 9)
     # points in [0, 1), motion and distance finite; NaN fails both tests
     bad = ~(arr[:, 1:7] >= 0.0) | ~(arr[:, 1:7] < 1.0)
@@ -758,11 +738,9 @@ def read_trace(path) -> ShadowingTrace:
     if bad.any():
         raise ValueError(f"trace file {path} row {int(arr[bad][0, 0])} has a non-finite "
                          f"or out-of-[0, 1) value")
-    y_star, y_prime = arr[:, 1:4].copy(), arr[:, 4:7].copy()
     return ShadowingTrace(
-        n_min=n_min, n_max=n_max, y_star=y_star, y_prime=y_prime,
+        n_min=n_min, n_max=n_max, y_star=arr[:, 1:4].copy(), y_prime=arr[:, 4:7].copy(),
         center_motions=arr[:, 7].copy(), trace_dist=arr[:, 8].copy(),
-        base_residual=_base_residual(y_star, y_prime),
         params=_params_from_header(header, f"trace file {path}"),
         model_name=header.get("model", "unknown"),
     )

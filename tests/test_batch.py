@@ -25,7 +25,7 @@ from torusshadow.shadowing import (
 from torusshadow.stability import _lattice, semiconjugacy
 
 EPS = 0.216
-TRACE_FIELDS = ("y_star", "y_prime", "center_motions", "trace_dist", "base_residual")
+TRACE_FIELDS = ("y_star", "y_prime", "center_motions", "trace_dist")
 
 
 def default_field(sys, amp=1e-3):

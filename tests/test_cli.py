@@ -1,5 +1,6 @@
 """CLI contract: subcommand chain, exit codes, manifests, determinism."""
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -7,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from torusshadow.cli import main
+from torusshadow.models import builtin_model
+from torusshadow.orbits import PerturbedMap, write_table
+from torusshadow.shadowing import delta_for_epsilon
 
 
 def run(argv):
@@ -381,3 +385,35 @@ def test_bad_certification_grid_exit_2(workdir, capsys):
     assert run(["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",
                 "--perturbation", "pert.json", "--out", "st"]) == 2
     assert "certification_grid must be a positive integer" in capsys.readouterr().err
+
+
+def test_verify_empty_interior_exit_3(workdir, capsys):
+    # on [0, 2] with k = 2 there is no interior index to check: a parameter
+    # error, never PASS and never a numpy traceback
+    assert run(["orbit", "--model", "skew", "--delta", "0", "--window", "0", "2",
+                "--out", "o"]) == 0
+    params = dataclasses.asdict(delta_for_epsilon(builtin_model("skew"), 1e-2))
+    # every y* and y' at 0.5, about 0.3 from the orbit
+    write_table(workdir / "trace.txt", {"model": "skew", **params, "window": "0 2"},
+                [[q, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.3] for q in range(3)])
+    capsys.readouterr()
+    assert run(["verify", "--model", "skew", "--orbit", "o/orbit.txt", "--trace", "trace.txt",
+                "--epsilon", "1e-2", "--out", "v"]) == 3
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.startswith("ERROR parameters: ") and "window [0, 2]" in err
+    assert not (workdir / "v" / "verify.json").exists()
+
+
+def test_out_of_memory_exit_2(workdir, capsys, monkeypatch):
+    # an input that needs more memory than there is (a huge certification_grid)
+    # is an input error; the certificate is patched, so nothing is allocated
+    def out_of_memory(self):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(PerturbedMap, "certified_bound", out_of_memory)
+    assert run(["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                "--delta", "1e-3", "--out", "st"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR input: ") and "7.28 TiB" in err
+    assert len(err.splitlines()) == 1

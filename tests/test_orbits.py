@@ -16,7 +16,6 @@ from torusshadow.orbits import (
     PseudoOrbit,
     _kicked_window,
     _wrapped_cumsum,
-    fill_window,
     from_map,
     generate_noisy,
     read_orbit,
@@ -170,24 +169,28 @@ def test_generation_map_calls_do_not_grow_with_window(skew, monkeypatch):
     assert per_window[0] == per_window[1]
 
 
-def test_fill_window_steps_forward_first():
+def test_from_map_steps_forward_first(skew):
     # every forward step of a nearby map is taken before the first backward one
     calls = []
 
-    def step(x):
-        calls.append("up")
-        return x + 1.0
+    class Stepper:
+        def apply(self, x):
+            calls.append("up")
+            return x + 0.125
 
-    def back_step(x):
-        calls.append("down")
-        return x - 1.0
+        def apply_inverse(self, x):
+            calls.append("down")
+            return x - 0.125
 
-    pts = fill_window(np.zeros((2, 3)), (-2, 3), step, back_step)
+        def certified_bound(self):
+            return 0.0
+
+    orbit = from_map(skew, Stepper(), np.full((2, 3), 0.375), (-2, 3))
     assert calls == ["up"] * 3 + ["down"] * 2
-    assert pts.shape == (2, 6, 3)
-    assert np.array_equal(pts[1, :, 2], np.arange(-2.0, 4.0))
+    assert orbit.points.shape == (2, 6, 3)
+    assert np.array_equal(orbit.points[1, :, 2], 0.375 + 0.125 * np.arange(-2.0, 4.0))
     with pytest.raises(ValueError, match="index 0"):
-        fill_window(np.zeros(3), (1, 3), step, back_step)
+        from_map(skew, Stepper(), np.full(3, 0.375), (1, 3))
 
 
 def reference_displacement(g, x):
@@ -436,6 +439,15 @@ class TestOrbitFiles:
         path.write_text("# delta: 0\n# window: 0 2\n0 0.1 0.2 0.3\n\n1 0.1 0.2 0.3\n"
                         "2 0.1 0.2\n")
         with pytest.raises(ValueError, match=r"line 6 has 3 columns, expected 4"):
+            read_orbit(path)
+
+    @pytest.mark.parametrize("window", ["-50", "-50 fifty", "0 2 4", ""],
+                             ids=["one-value", "non-integer", "three-values", "empty"])
+    def test_malformed_window_header_is_named(self, tmp_path, window):
+        path = tmp_path / "orbit.txt"
+        path.write_text(f"# delta: 0\n# window: {window}\n0 0.1 0.2 0.3\n")
+        with pytest.raises(ValueError, match=f"{path} has a malformed window header "
+                                             f"'{window}', expected two integers"):
             read_orbit(path)
 
     def test_read_table_across_blocks(self, tmp_path):

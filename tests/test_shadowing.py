@@ -1,12 +1,14 @@
 """The quasi-shadowing engine: parameters, sweeps, limits, splice, verify."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from torusshadow.geometry import torus_distance, wrap
 from torusshadow.models import SkewModel, inverse_system
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
-from torusshadow.orbits import generate_noisy, validate
+from torusshadow.orbits import generate_noisy, validate, write_table
 from torusshadow.shadowing import (
     InsufficientWindowError,
     ParameterError,
@@ -334,7 +336,7 @@ class TestQuasiShadow:
         lo, hi = trace.interior
         for q in range(lo, hi + 1):
             i = trace.index(q)
-            assert trace.base_residual[i] < 1e-10
+            assert torus_distance(trace.y_prime[i, :2], trace.y_star[i, :2]) < 1e-10
             assert abs(trace.center_motions[i]) < 1e-2
         # motions concentrate at multiples of k
         for q in range(lo, hi + 1):
@@ -436,6 +438,29 @@ class TestSignedEigenvalues:
         assert gap < 1e-8
 
 
+@pytest.mark.parametrize("matrix,omega,mode,k", [
+    ([[2, 1], [1, 1]], 0.05, (1, 0, 0.02, 0.0), 2),      # the builtin skew model
+    ([[1, 1], [1, 0]], 0.03, (1, 0, 0.02, 0.0), 4),      # det -1, golden mean
+    ([[5, 2], [2, 1]], 0.03, (1, 0, 0.005, 0.0), 1),
+], ids=["skew", "golden", "k1"])
+def test_negative_corrections_ride_the_unstable_leaves(matrix, omega, mode, k):
+    # F = f^k maps the unstable leaf of y_m^s onto that of F(y_m^s) =
+    # (y_{m+1}^s)', so for every m < 0 F(y*_m) is the point over its own base
+    # on the unstable leaf of F(y_m^s)
+    sys = SkewModel(matrix, omega=omega, phi_modes=[mode])
+    p = delta_for_epsilon(sys, 1e-2)
+    assert p.k == k
+    orbit = generate_noisy(sys, [0.2, 0.6, 0.4], (-60, 60), p.delta, seed=7)
+    trace = quasi_shadow(sys, orbit, 1e-2, params=p)
+    ms = range(trace.sub_range[0], 0)
+    image = np.stack([trace.point(m * k) for m in ms])
+    guide = np.stack([trace.y_s[m] for m in ms])
+    for _ in range(k):
+        image, guide = sys.apply(image), sys.apply(guide)
+    on_leaf = sys.leaf_point(guide, image[:, :2], stable=False)
+    assert np.max(torus_distance(image, on_leaf)) < 10.0 * sys.series_tol
+
+
 class TestMultiModeCoupling:
     def test_full_pipeline_with_three_modes(self):
         from torusshadow.models import SkewModel, inverse_system
@@ -466,6 +491,20 @@ class TestMultiModeCoupling:
 
 
 class TestVerify:
+    def test_empty_interior_is_a_parameter_error(self, tmp_path, skew):
+        # on [0, 2] with k = 2 the interior (2, 0) is empty: nothing may PASS,
+        # however far the y* are from the orbit
+        p = delta_for_epsilon(skew, 1e-2)
+        orbit = generate_noisy(skew, X0, (0, 2), 0.0, seed=0)
+        path = tmp_path / "trace.txt"
+        write_table(path, {"model": "skew", **asdict(p), "window": "0 2"},
+                    [[q, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.3] for q in range(3)])
+        trace = read_trace(path)
+        assert trace.k == 2 and trace.interior == (2, 0)
+        with pytest.raises(ParameterError, match=r"window \[0, 2\] has no interior index "
+                                                 r"to verify for power k = 2"):
+            verify(skew, orbit, trace, 1e-2)
+
     def test_true_orbit_residuals(self, skew):
         orbit = generate_noisy(skew, X0, (-40, 40), 0.0, seed=0)
         trace = quasi_shadow(skew, orbit, 1e-2)
@@ -533,8 +572,9 @@ class TestVerify:
         assert back.params == trace.params
         assert back.k == trace.k == 2
         assert back.sub_range == trace.sub_range == (-25, 25)
-        assert back.max_residual == trace.max_residual > 0.0
-        assert np.array_equal(back.base_residual, trace.base_residual)
+        assert np.array_equal(back.y_prime, trace.y_prime)
+        residual = verify(skew, orbit, trace, 1e-2).max_base_residual
+        assert verify(skew, orbit, back, 1e-2).max_base_residual == residual > 0.0
         assert back.params.margins() == trace.params.margins()
 
     def test_read_trace_requires_every_parameter(self, tmp_path, skew):
