@@ -7,11 +7,12 @@ fiber direction, the base eigenframe gives the stable/unstable directions,
 and the strong stable/unstable leaves are graphs over the base eigenlines
 via convergent transfer series:
 
-    h_s(p, q) = sum_{n>=0} phi(A^n p) - phi(A^n q)     (q on the stable line)
-    h_u(p, q) = sum_{n>=1} phi(A^-n q) - phi(A^-n p)   (q on the unstable line)
+    h_s(p, t) = sum_{n>=0} phi(A^n p) - phi(A^n q)     (q = p + t v_s)
+    h_u(p, t) = sum_{n>=1} phi(A^-n q) - phi(A^-n p)   (q = p + t v_u)
 
-so (q, z + h_s(p, q)) lies on the strong stable leaf of (p, z), and
-similarly for h_u.  `SkewModel.leaf_point` builds every such point; center
+so (q, z + h_s(p, t)) lies on the strong stable leaf of (p, z), and
+similarly for h_u: a strong-leaf point is named by its anchor and one
+signed offset t.  `SkewModel.leaf_point` builds every such point; center
 leaves are the vertical circles, so it is also the center holonomy onto a
 strong leaf.  With phi == 0 and omega == 0 this degenerates to the
 product of the toral automorphism with the identity circle fiber (the
@@ -31,9 +32,6 @@ from .geometry import _frac, minimal_displacement, torus_distance, wrap
 
 TWO_PI = 2.0 * math.pi
 
-# Parallelism tolerance for leaf-membership preconditions.
-LEAF_PARALLEL_TOL = 1e-10
-
 # Row x term elements of one transfer-series block (128 KiB per temporary);
 # `orbits.write_table` sizes its row blocks from it too.
 _BLOCK_ELEMENTS = 2 ** 14
@@ -41,10 +39,6 @@ _BLOCK_ELEMENTS = 2 ** 14
 
 class ModelError(ValueError):
     """Invalid model data (non-hyperbolic matrix, bad determinant, ...)."""
-
-
-class LeafError(ValueError):
-    """A point is not on the leaf an operation requires."""
 
 
 class IntersectionError(RuntimeError):
@@ -240,35 +234,17 @@ class SkewModel:
 
     # -- transfer series ---------------------------------------------------
 
-    def _leaf_coefficient(self, p, q, direction):
-        """Signed coordinates of q - p along `direction`, after checking each
-        displacement is parallel to it within LEAF_PARALLEL_TOL."""
-        d = minimal_displacement(p, q)
-        t = d[..., 0] * direction[0] + d[..., 1] * direction[1]
-        residual = _norm(d - t[..., None] * direction).reshape(-1)
-        bad = np.flatnonzero(~(residual <= LEAF_PARALLEL_TOL))
-        if bad.size:
-            r = bad[0]
-            raise LeafError(
-                f"base displacement {d.reshape(-1, 2)[r]} is off the leaf line "
-                f"(residual {residual[r]:.3e})"
-            )
-        return t
+    def transfer_stable(self, p, t, tol=None):
+        """Fiber offsets h_s(p, t) so that (p + t v_s, z + h_s) is on W^s((p, z)).
 
-    def transfer_stable(self, p, q, tol=None):
-        """Fiber offsets h_s(p, q) so that (q, z + h_s) is on W^s((p, z)).
-
-        Each q must lie on the local stable line of its p.  The geometric
-        tail bound Lip(phi) * |lam|^n * d(p, q) / (1 - |lam|) sets each
-        row's term count at series_tol, or at the caller's `tol` (a scalar
-        or one value per row).
+        The geometric tail bound Lip(phi) * |lam|^n * |t| / (1 - |lam|) sets
+        each row's term count at series_tol, or at the caller's `tol` (a
+        scalar or one value per row).
         """
-        t = self._leaf_coefficient(p, q, self.v_s)
         return self._transfer_series(p, t, stable=True, tol=tol)
 
-    def transfer_unstable(self, p, q, tol=None):
-        """Fiber offsets h_u(p, q) for q on the local unstable line of p."""
-        t = self._leaf_coefficient(p, q, self.v_u)
+    def transfer_unstable(self, p, t, tol=None):
+        """Fiber offsets h_u(p, t) for the point p + t v_u of the unstable line."""
         return self._transfer_series(p, t, stable=False, tol=tol)
 
     def _anchor_powers(self, stable: bool, count: int) -> np.ndarray:
@@ -348,21 +324,23 @@ class SkewModel:
 
     # -- strong-leaf points and intersections ----------------------------------
 
-    def leaf_point(self, anchor, base, stable: bool, tol=None) -> np.ndarray:
-        """The point over `base` on the strong stable (or unstable) leaf of
-        `anchor`: (q, z + h(p, q)) for anchor (p, z) and base q.
+    def leaf_point(self, anchor, offset, stable: bool, tol=None) -> np.ndarray:
+        """The point at signed base offset `offset` along v_s (or v_u) on the
+        strong stable (or unstable) leaf of `anchor`: (q, z + h(p, offset))
+        with q = p + offset v for anchor (p, z).
 
-        anchor (..., 3) broadcasts against base (..., 2).  A base off the
-        leaf line of its anchor raises LeafError.  Center leaves are the
-        vertical circles, so this is also the center holonomy from the
-        point over `base` onto the strong leaf of `anchor`.
+        anchor (..., 3) broadcasts against offset (...).  Center leaves are
+        the vertical circles, so this is also the center holonomy from the
+        point over q onto the strong leaf of `anchor`.
         """
         anchor = np.asarray(anchor, dtype=float)
+        offset = np.asarray(offset, dtype=float)
+        p = anchor[..., :2]
         transfer = self.transfer_stable if stable else self.transfer_unstable
-        fiber = wrap(anchor[..., 2] + transfer(anchor[..., :2], base, tol=tol))
+        fiber = wrap(anchor[..., 2] + transfer(p, offset, tol=tol))
         # column writes cost a fifth of broadcast_to + concatenate on one point
         point = np.empty(fiber.shape + (3,))
-        point[..., :2] = base
+        point[..., :2] = wrap(p + offset[..., None] * (self.v_s if stable else self.v_u))
         point[..., 2] = fiber
         return point
 
@@ -370,13 +348,14 @@ class SkewModel:
         """Unique intersection of the local `class_x` leaf of x with the
         local `class_y` leaf of y, row by row.
 
-        Supported pairs: (cu, s) and (cs, u).  The base point comes from
-        the 2x2 eigenframe solve in the minimal lift; the fiber is the
-        `leaf_point` of y over it.  A row fails on lift ambiguity (base
-        displacement > 0.25), a pair distance >= delta0, or a solution
-        farther than L0 * radius from either input.  Failing rows are
-        recorded in the dict `errors` (see `_flag_rows`); with `errors=None`
-        the lowest failing row raises IntersectionError after all rows ran.
+        Supported pairs: (cu, s) and (cs, u).  The offset along y's strong
+        leaf comes from the 2x2 eigenframe solve in the minimal lift; the
+        point is the `leaf_point` of y at that offset.  A row fails on lift
+        ambiguity (base displacement > 0.25), a pair distance >= delta0, or
+        a solution farther than L0 * radius from either input.  Failing rows
+        are recorded in the dict `errors` (see `_flag_rows`); with
+        `errors=None` the lowest failing row raises IntersectionError after
+        all rows ran.
         """
         if (class_x, class_y) not in (("cu", "s"), ("cs", "u")):
             raise IntersectionError(f"unsupported leaf pair ({class_x}, {class_y})")
@@ -402,14 +381,13 @@ class SkewModel:
         # p_x + s dir_x = p_y + t dir_y, so t is minus the y-side coefficient
         # of d_xy.  Rejected rows get a zero offset so their series stays defined.
         t = np.where(far, 0.0, -self.coeffs(d_xy)[stable_y])
-        q = wrap(yb + t[:, None] * (self.v_s if stable_y else self.v_u))
-        point = self.leaf_point(y, q, stable_y)
+        point = self.leaf_point(y, t, stable_y)
 
         cap = np.broadcast_to(self.L0 * np.asarray(radius, dtype=float).reshape(-1), t.shape)
         # The x-side class always contains the center direction, so measure its
         # distance center-transversally (base only); the y-side leaf is strong,
         # so its full distance is pinned.
-        dx = torus_distance(q, xb)
+        dx = torus_distance(point[:, :2], xb)
         dy = torus_distance(point, y)
         _flag_rows(found, IntersectionError, ((
             ~(dx <= cap) | ~(dy <= cap),
@@ -450,6 +428,8 @@ def model_to_dict(sys: SkewModel) -> dict:
 
 
 def model_from_dict(data: dict) -> SkewModel:
+    if not isinstance(data, dict):
+        raise ModelError(f"model description must be a JSON object, got {type(data).__name__}")
     try:
         modes = [(m["freq"][0], m["freq"][1], m.get("sin", 0.0), m.get("cos", 0.0))
                  for m in data.get("phi_modes", [])]

@@ -213,12 +213,6 @@ def _iterate(sys, x, k: int, inverse: bool = False):
     return x
 
 
-def _on_leaf(sys, anchor, offset, stable: bool, tol=None):
-    """`leaf_point` of `anchor` at base offsets `offset` along v_s (or v_u)."""
-    base = wrap(anchor[..., :2] + offset[..., None] * (sys.v_s if stable else sys.v_u))
-    return sys.leaf_point(anchor, base, stable, tol)
-
-
 def _scan(x, rate):
     """x_i + rate x_{i-1} + rate^2 x_{i-2} + ... along the last axis: the
     solution of t_i = x_i + rate t_{i-1}, t_{-1} = 0, in log2(n) array passes."""
@@ -312,7 +306,7 @@ def _anchors(sys, sweep: _Sweep, k: int, stable: bool, tol=None):
     rate = sys.eig_lam ** k if stable else 1.0 / sys.eig_mu ** k
     n_max = sweep.coef.shape[-1] - 1
     offsets = np.cumsum(rate ** np.arange(1, n_max + 1) * sweep.coef[..., 1:], axis=-1)
-    return _on_leaf(sys, sweep.X[..., :1, :], offsets, stable, tol=tol)
+    return sys.leaf_point(sweep.X[..., :1, :], offsets, stable, tol=tol)
 
 
 def _limit(sys, sweep, params, errors, growth_step, stable: bool):
@@ -382,7 +376,7 @@ def _propagate(sys, sweep: _Sweep, y0, k: int, stable: bool):
     t = _scan(c[..., ::-1], sys.eig_lam ** k if stable else 1.0 / sys.eig_mu ** k)[..., ::-1]
     y = np.empty(sweep.z.shape)
     y[..., 0, :] = y0
-    y[..., 1:, :] = _on_leaf(sys, (sweep.zp if stable else sweep.z)[..., 1:, :], t - c, stable)
+    y[..., 1:, :] = sys.leaf_point((sweep.zp if stable else sweep.z)[..., 1:, :], t - c, stable)
     return y
 
 
@@ -550,8 +544,9 @@ def _half(sys, st: _Anchors, stable: bool):
         guides = _propagate(sys, st.fsweep, st.y0_u, k, stable=False)
         anchor, star0, rate = st.y0_u, st.y0_star, sys.eig_lam ** k
     offset0 = sys.coeffs(minimal_displacement(anchor[..., :2], star0[..., :2]))[not stable]
-    star = _on_leaf(sys, guides[..., 1:, :],
-                    offset0[..., None] * rate ** np.arange(1, guides.shape[-2]), stable=not stable)
+    star = sys.leaf_point(guides[..., 1:, :],
+                          offset0[..., None] * rate ** np.arange(1, guides.shape[-2]),
+                          stable=not stable)
     return guides, star
 
 

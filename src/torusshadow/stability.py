@@ -285,13 +285,18 @@ def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: in
     center plaques).  Adversarial trials: base points offset by 2*eta are
     never an eta-close pair and must separate past a fixed macroscopic
     threshold within ceil(log(threshold / 2 eta) / log(mu)) + 3 steps.
-    A half window shorter than that prediction cannot show the separation
-    and raises ParameterError before any trial.
+    An eta at or above threshold / 2 (a pair already apart at step 0) or a
+    half window shorter than the prediction cannot show the separation and
+    raises ParameterError before any trial.
     """
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta must be positive and finite, got {eta!r}")
     rng = np.random.default_rng(seed)
     threshold = 0.05
+    if not eta < threshold / 2.0:
+        raise ParameterError(
+            f"eta = {eta:g} must be below threshold / 2 = {threshold / 2.0:g}: adversarial "
+            f"pairs start 2 eta apart, already past the separation threshold")
     predicted = math.ceil(math.log(threshold / (2.0 * eta)) / math.log(abs(sys.eig_mu))) + 3
     if predicted > half_window:
         raise ParameterError(

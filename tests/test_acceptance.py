@@ -130,15 +130,17 @@ def test_criterion_6_transfer_identities():
     worst_antisym = 0.0
     for _ in range(1000):
         p = rng.random(2)
-        q = wrap(p + rng.uniform(-0.1, 0.1) * SKEW.v_s)
-        lhs = SKEW.transfer_stable(wrap(SKEW.A @ p), wrap(SKEW.A @ q))
-        rhs = SKEW.transfer_stable(p, q) + SKEW.phi(*q) - SKEW.phi(*p)
+        t = rng.uniform(-0.1, 0.1)
+        q = wrap(p + t * SKEW.v_s)
+        lhs = SKEW.transfer_stable(wrap(SKEW.A @ p), SKEW.eig_lam * t)
+        rhs = SKEW.transfer_stable(p, t) + SKEW.phi(*q) - SKEW.phi(*p)
         worst_cocycle = max(worst_cocycle, abs(lhs - rhs))
     for _ in range(1000):
         p = rng.random(2)
-        q = wrap(p + rng.uniform(-0.1, 0.1) * SKEW.v_u)
+        t = rng.uniform(-0.1, 0.1)
+        q = wrap(p + t * SKEW.v_u)
         worst_antisym = max(worst_antisym,
-                            abs(SKEW.transfer_unstable(p, q) + SKEW.transfer_unstable(q, p)))
+                            abs(SKEW.transfer_unstable(p, t) + SKEW.transfer_unstable(q, -t)))
     ok = worst_cocycle < tol and worst_antisym < tol
     report(6, ok, f"cocycle residual={worst_cocycle:.3e}, antisymmetry="
                   f"{worst_antisym:.3e} (<2*series_tol={tol:.1e})")

@@ -45,11 +45,15 @@ class TestConstants:
                     "--out", "c"]) == 3
         assert "validity radius" in capsys.readouterr().err
 
-    def test_bad_model_file_exit_2(self, workdir, tmp_path):
+    def test_bad_model_file_exit_2(self, workdir, tmp_path, capsys):
+        # broken JSON, and JSON that is not an object
         bad = tmp_path / "bad.json"
-        bad.write_text("{")
-        assert run(["constants", "--model", bad, "--epsilon", "1e-2",
-                    "--out", "c"]) == 2
+        for text, named in (("{", "not valid JSON"), ("[1, 2]", "got list"),
+                            ('"skew"', "got str"), ("3", "got int")):
+            bad.write_text(text)
+            assert run(["constants", "--model", bad, "--epsilon", "1e-2",
+                        "--out", "c"]) == 2
+            assert named in capsys.readouterr().err
 
     def test_determinism(self, workdir):
         run(["constants", "--model", "skew", "--epsilon", "1e-2", "--out", "a"])
@@ -340,6 +344,7 @@ def _exit_code(argv):
       "--perturbation", "pert-freq.json"], 2),
     (["probe", "--eta", "1e-3", "--half-length", "3"], 3),
     (["probe", "--eta", "1e-14"], 3),
+    (["probe", "--eta", "0.1"], 3),
 ])
 def test_bad_command_line_exits_with_error(workdir, capsys, argv, code):
     (workdir / "pert.json").write_text(json.dumps({"amplitude_bound": 1e-3,

@@ -14,7 +14,6 @@ from torusshadow import models
 from torusshadow.geometry import minimal_displacement, torus_distance, wrap
 from torusshadow.models import (
     IntersectionError,
-    LeafError,
     ModelError,
     SkewModel,
     eigen_frame,
@@ -103,32 +102,35 @@ class TestApply:
 class TestTransfers:
     def test_equal_points(self, skew):
         p = np.array([0.3, 0.7])
-        assert skew.transfer_stable(p, p) == 0.0
-        assert skew.transfer_unstable(p, p) == 0.0
+        assert skew.transfer_stable(p, 0.0) == 0.0
+        assert skew.transfer_unstable(p, 0.0) == 0.0
 
     def test_linear_model_vanishes(self, linear, rng):
         for _ in range(50):
             p = rng.random(2)
-            q = wrap(p + rng.uniform(-0.1, 0.1) * linear.v_s)
-            assert linear.transfer_stable(p, q) == 0.0
+            assert linear.transfer_stable(p, rng.uniform(-0.1, 0.1)) == 0.0
 
     def test_stable_cocycle_identity(self, skew, rng):
-        # h_s(Ap, Aq) - h_s(p, q) - phi(q) + phi(p) == 0, both sides evaluated
+        # h_s(Ap, lam t) - h_s(p, t) - phi(p + t v_s) + phi(p) == 0, both
+        # sides evaluated
         worst = 0.0
         for _ in range(1000):
             p = rng.random(2)
-            q = wrap(p + rng.uniform(-0.1, 0.1) * skew.v_s)
-            lhs = skew.transfer_stable(wrap(skew.A @ p), wrap(skew.A @ q))
-            rhs = skew.transfer_stable(p, q) + skew.phi(*q) - skew.phi(*p)
+            t = rng.uniform(-0.1, 0.1)
+            q = wrap(p + t * skew.v_s)
+            lhs = skew.transfer_stable(wrap(skew.A @ p), skew.eig_lam * t)
+            rhs = skew.transfer_stable(p, t) + skew.phi(*q) - skew.phi(*p)
             worst = max(worst, abs(lhs - rhs))
         assert worst < 2.0 * skew.series_tol
 
     def test_unstable_antisymmetry(self, skew, rng):
+        # h_u(p, t) + h_u(p + t v_u, -t) == 0
         worst = 0.0
         for _ in range(1000):
             p = rng.random(2)
-            q = wrap(p + rng.uniform(-0.1, 0.1) * skew.v_u)
-            worst = max(worst, abs(skew.transfer_unstable(p, q) + skew.transfer_unstable(q, p)))
+            t = rng.uniform(-0.1, 0.1)
+            q = wrap(p + t * skew.v_u)
+            worst = max(worst, abs(skew.transfer_unstable(p, t) + skew.transfer_unstable(q, -t)))
         assert worst < 2.0 * skew.series_tol
 
     def test_unstable_invariance_identity(self, skew, rng):
@@ -136,32 +138,20 @@ class TestTransfers:
         Ainv = skew.A_inv
         for _ in range(1000):
             p = rng.random(2)
-            q = wrap(p + rng.uniform(-0.1, 0.1) * skew.v_u)
-            lhs = skew.transfer_unstable(wrap(Ainv @ p), wrap(Ainv @ q))
-            rhs = (skew.transfer_unstable(p, q)
+            t = rng.uniform(-0.1, 0.1)
+            q = wrap(p + t * skew.v_u)
+            lhs = skew.transfer_unstable(wrap(Ainv @ p), t / skew.eig_mu)
+            rhs = (skew.transfer_unstable(p, t)
                    - skew.phi(*wrap(Ainv @ q)) + skew.phi(*wrap(Ainv @ p)))
             worst = max(worst, abs(lhs - rhs))
         assert worst < 2.0 * skew.series_tol
 
-    def test_off_leaf_rejected(self, skew):
-        p = np.array([0.3, 0.7])
-        q = wrap(p + 0.05 * skew.v_u)
-        with pytest.raises(LeafError):
-            skew.transfer_stable(p, q)
-        # a stacked (2, 3) batch names its off-leaf pair by flat position
-        P = np.broadcast_to(p, (2, 3, 2)).copy()
-        Q = wrap(P + 0.01 * skew.v_s)
-        Q[1, 1] = q
-        with pytest.raises(LeafError, match="residual 5.000e-02"):
-            skew.transfer_stable(P, Q)
-
     def test_vectorized_matches_scalar(self, skew, rng):
         P = rng.random((200, 2))
         t = rng.uniform(-0.1, 0.1, size=200)
-        Q = (P + t[:, None] * skew.v_s) % 1.0
-        H = skew.transfer_stable(P, Q)
+        H = skew.transfer_stable(P, t)
         for i in range(0, 200, 17):
-            assert H[i] == pytest.approx(skew.transfer_stable(P[i], Q[i]), abs=1e-11)
+            assert H[i] == pytest.approx(skew.transfer_stable(P[i], t[i]), abs=1e-11)
 
     @pytest.mark.parametrize("stable", [True, False], ids=["stable", "unstable"])
     def test_blocked_series_is_exact(self, skew, monkeypatch, stable):
@@ -228,8 +218,7 @@ class TestIntersect:
             pt = skew.intersect("cu", x, "s", y, 0.05)
             ts = np.arange(-0.05, 0.05, 1e-5)
             bases = (y[:2] + ts[:, None] * skew.v_s) % 1.0
-            fibers = (y[2] + skew.transfer_stable(
-                np.tile(y[:2], (ts.size, 1)), bases)) % 1.0
+            fibers = (y[2] + skew.transfer_stable(np.tile(y[:2], (ts.size, 1)), ts)) % 1.0
             d = (np.column_stack([bases, fibers]) - pt) % 1.0
             d[d >= 1.0] = 0.0
             d[d >= 0.5] -= 1.0
@@ -240,7 +229,8 @@ class TestIntersect:
             resid = np.linalg.norm(db - (db @ skew.v_u) * skew.v_u)
             assert resid < 1e-12
             # fiber residual against the transfer series at the solved base
-            leaf_fiber = (y[2] + skew.transfer_stable(y[:2], pt[:2])) % 1.0
+            t = minimal_displacement(y[:2], pt[:2]) @ skew.v_s
+            leaf_fiber = (y[2] + skew.transfer_stable(y[:2], t)) % 1.0
             assert abs(leaf_fiber - pt[2]) < 10.0 * skew.series_tol
 
     def test_unsupported_pair(self, linear):
@@ -261,30 +251,40 @@ class TestIntersect:
         with pytest.raises(IntersectionError):
             linear.intersect("cu", x, "s", y, 1e-4)
 
-    def test_common_leaf_required_for_center_pairs(self, skew):
-        # the center leaf of x meets the unstable leaf of y only over a base
-        # on y's unstable line
-        x = np.array([0.2, 0.3, 0.1])
-        y = wrap(x + 0.01 * np.array([*skew.v_s, 0.0]))  # stable line, not unstable
-        with pytest.raises(LeafError, match="off the leaf line"):
-            skew.leaf_point(y, x[:2], stable=False)
-
     def test_leaf_point_broadcast_and_intersect_fiber(self, skew, rng):
-        # a (B, 1, 3) anchor against a (B, n, 2) base, as the window anchors
+        # a (B, 1, 3) anchor against (B, n) offsets, as the window anchors
         # use it, equals one call per row bitwise
         anchor = rng.random((4, 1, 3))
-        for stable, v in ((True, skew.v_s), (False, skew.v_u)):
-            base = wrap(anchor[..., :2] + rng.uniform(-0.1, 0.1, (4, 5, 1)) * v)
-            out = skew.leaf_point(anchor, base, stable)
+        for stable in (True, False):
+            offset = rng.uniform(-0.1, 0.1, (4, 5))
+            out = skew.leaf_point(anchor, offset, stable)
             assert out.shape == (4, 5, 3)
             for b in range(4):
-                assert np.array_equal(out[b], skew.leaf_point(anchor[b, 0], base[b], stable))
-        # an intersection is the leaf point of y over its base
+                assert np.array_equal(out[b], skew.leaf_point(anchor[b, 0], offset[b], stable))
+        # an intersection is the leaf point of y at the offset solved from
+        # the eigenframe coefficients of the minimal x -> y displacement
         x = rng.random((6, 3))
         y = wrap(x + rng.uniform(-0.01, 0.01, (6, 3)))
         for cx, cy in (("cu", "s"), ("cs", "u")):
             pt = skew.intersect(cx, x, cy, y, 0.05)
-            assert np.array_equal(pt, skew.leaf_point(y, pt[..., :2], cy == "s"))
+            t = -skew.coeffs(minimal_displacement(x[:, :2], y[:, :2]))[cy == "s"]
+            assert np.array_equal(pt, skew.leaf_point(y, t, cy == "s"))
+
+    def test_leaf_point_base_is_the_offset_point(self, skew, monkeypatch, rng):
+        # the base is wrap(p + t v) itself: no displacement is measured and
+        # projected back onto the leaf line
+        calls = []
+
+        def counted(p, q):
+            calls.append(1)
+            return minimal_displacement(p, q)
+
+        monkeypatch.setattr(models, "minimal_displacement", counted)
+        anchor, t = rng.random((50, 3)), rng.uniform(-0.1, 0.1, 50)
+        for stable, v in ((True, skew.v_s), (False, skew.v_u)):
+            out = skew.leaf_point(anchor, t, stable)
+            assert np.array_equal(out[:, :2], wrap(anchor[:, :2] + t[:, None] * v))
+        assert calls == []
 
     def test_sampled_blowup_certificate(self, skew):
         params = delta_for_epsilon(skew, 1e-2)
@@ -297,10 +297,10 @@ class TestHolonomy:
         params = delta_for_epsilon(skew, 1e-2)
         anchor = np.array([0.3, 0.4, 0.5])
         src = wrap(anchor + 0.01 * np.array([*skew.v_u, 0.0]))
-        src[2] = (anchor[2] + skew.transfer_unstable(anchor[:2], src[:2])) % 1.0
+        src[2] = (anchor[2] + skew.transfer_unstable(anchor[:2], 0.01)) % 1.0
         assert torus_distance(src, anchor) <= params.L0 * params.r1
         # center holonomy onto the unstable leaf of the anchor: the leaf point
-        out = skew.leaf_point(anchor, src[:2], stable=False)
+        out = skew.leaf_point(anchor, 0.01, stable=False)
         assert torus_distance(out, src) < 1e-12
 
     def test_linear_vertical_translation(self, linear):
@@ -312,7 +312,7 @@ class TestHolonomy:
         src = wrap(anchor + 0.01 * np.array([*linear.v_u, 0.0]))
         src[2] = anchor[2]
         assert torus_distance(src, anchor) <= params.L0 * params.r1
-        out = linear.leaf_point(d2, src[:2], stable=False)
+        out = linear.leaf_point(d2, 0.01, stable=False)
         assert np.allclose(out[:2], src[:2], atol=1e-14)
         assert out[2] == pytest.approx(0.27, abs=1e-13)
 
@@ -402,9 +402,8 @@ class TestIterate:
         for _ in range(200):
             p = rng.random(2)
             t = rng.uniform(-0.05, 0.05)
-            q = wrap(p + t * skew.v_s)
-            assert f2.transfer_stable(p, q) == pytest.approx(
-                skew.transfer_stable(p, q), abs=1e-10)
+            assert f2.transfer_stable(p, t) == pytest.approx(
+                skew.transfer_stable(p, t), abs=1e-10)
 
 
 class TestInverseSystem:

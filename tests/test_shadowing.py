@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from torusshadow.geometry import torus_distance, wrap
+from torusshadow.geometry import minimal_displacement, torus_distance, wrap
 from torusshadow.models import SkewModel, inverse_system
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
 from torusshadow.orbits import generate_noisy, validate, write_table
@@ -183,11 +183,10 @@ class TestLimits:
         orbit = generate_noisy(skew, X0, (0, 50), p.delta, seed=6)
         y0u, _, errors = _half_limit(skew, _subsampled(orbit, p.k, "pos"), p)
         assert not errors
-        from torusshadow.geometry import minimal_displacement
         d = minimal_displacement(X0[:2], y0u[:2])
         resid = np.linalg.norm(d - (d @ skew.v_u) * skew.v_u)
         assert resid < 1e-10
-        leaf_fiber = (X0[2] + skew.transfer_unstable(X0[:2], y0u[:2])) % 1.0
+        leaf_fiber = (X0[2] + skew.transfer_unstable(X0[:2], d @ skew.v_u)) % 1.0
         assert abs(leaf_fiber - y0u[2]) < 1e-10
 
 
@@ -200,7 +199,6 @@ class TestPropagate:
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=14)
         X = _subsampled(orbit, p.k, "pos")
         sweep, y_u = _forward_half(skew, X, p)
-        from torusshadow.geometry import minimal_displacement
         for i in range(1, len(X) - 1):
             # center-plaque relation: bases of the guide and its primed image
             y_u_prime = _iterate(skew, y_u[i - 1], p.k)
@@ -457,7 +455,8 @@ def test_negative_corrections_ride_the_unstable_leaves(matrix, omega, mode, k):
     guide = np.stack([trace.y_s[m] for m in ms])
     for _ in range(k):
         image, guide = sys.apply(image), sys.apply(guide)
-    on_leaf = sys.leaf_point(guide, image[:, :2], stable=False)
+    offset = sys.coeffs(minimal_displacement(guide[:, :2], image[:, :2]))[0]
+    on_leaf = sys.leaf_point(guide, offset, stable=False)
     assert np.max(torus_distance(image, on_leaf)) < 10.0 * sys.series_tol
 
 
@@ -471,9 +470,10 @@ class TestMultiModeCoupling:
         rng = np.random.default_rng(2)
         for _ in range(100):
             p = rng.random(2)
-            q = wrap(p + rng.uniform(-0.05, 0.05) * sys.v_s)
-            lhs = sys.transfer_stable(wrap(sys.A @ p), wrap(sys.A @ q))
-            rhs = sys.transfer_stable(p, q) + sys.phi(*q) - sys.phi(*p)
+            t = rng.uniform(-0.05, 0.05)
+            q = wrap(p + t * sys.v_s)
+            lhs = sys.transfer_stable(wrap(sys.A @ p), sys.eig_lam * t)
+            rhs = sys.transfer_stable(p, t) + sys.phi(*q) - sys.phi(*p)
             assert abs(lhs - rhs) < 2.0 * sys.series_tol
         inv = inverse_system(sys)
         x = rng.random(3)

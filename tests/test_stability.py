@@ -271,6 +271,13 @@ class TestProbe:
         with pytest.raises(ParameterError, match=match):
             plaque_expansiveness_probe(skew, eta=eta, trials=1, seed=0, half_window=half_window)
 
+    @pytest.mark.parametrize("eta", [0.025, 0.1, 0.4])
+    def test_eta_past_half_threshold_rejected(self, skew, eta):
+        # adversarial pairs would start past the separation threshold and
+        # conform at step 0 without showing anything
+        with pytest.raises(ParameterError, match=r"threshold / 2 = 0\.025"):
+            plaque_expansiveness_probe(skew, eta=eta, trials=1, seed=0)
+
     def test_eta_positive_required(self, skew):
         with pytest.raises(ValueError):
             plaque_expansiveness_probe(skew, eta=0.0, trials=1, seed=0)

@@ -36,12 +36,12 @@ def certify_rates(sys, n: int = 10_000, seed: int = 0):
     lam = sys.rates.lam
     d1 = sys.rates.delta1
     excess = []
-    for stable, step, v in ((True, sys.apply, sys.v_s), (False, sys.apply_inverse, sys.v_u)):
+    for stable, step in ((True, sys.apply), (False, sys.apply_inverse)):
         # y on the strong leaf of x at leaf offset |t| <= delta1
         rng = np.random.default_rng(seed if stable else seed + 1)
         X = rng.random((n, 3))
         t = rng.uniform(-d1, d1, size=n)
-        Y = sys.leaf_point(X, wrap(X[:, :2] + t[:, None] * v), stable)
+        Y = sys.leaf_point(X, t, stable)
         excess.append(float(np.max(torus_distance(step(X), step(Y))
                                    - lam * torus_distance(X, Y))))
     return tuple(excess)
@@ -82,13 +82,14 @@ def certify_holonomy_modulus(sys, params, n: int, seed: int):
                                    anchor[:, 2] + shift[:, 1]]))
     t1 = rng.uniform(-params.r2 / 2, params.r2 / 2, size=n)
     t2 = t1 + rng.uniform(-params.r2, params.r2, size=n) / math.sqrt(2.0)
-    offset = np.column_stack([t1, t2])[..., None] * sys.v_u
-    source = sys.leaf_point(anchor[:, None], wrap(anchor[:, None, :2] + offset), stable=False)
+    offset = np.column_stack([t1, t2])
+    source = sys.leaf_point(anchor[:, None], offset, stable=False)
     keep = torus_distance(source[:, 0], source[:, 1]) < params.r2
     anchor, target, source = anchor[keep, None], target[keep, None], source[keep]
     if np.any(~(torus_distance(source, anchor) <= cap)):
         raise IntersectionError("holonomy source outside the anchor plaque")
-    image = sys.leaf_point(target, source[..., :2], stable=False)
+    # the target sits shift[:, 0] along v_u from the anchor
+    image = sys.leaf_point(target, offset[keep] - shift[keep, :1], stable=False)
     if np.any(~(torus_distance(image, target) <= cap)):
         raise IntersectionError("holonomy image outside the target plaque")
     return float(np.max(torus_distance(image[:, 0], image[:, 1]), initial=0.0))
