@@ -26,9 +26,9 @@ stage alone.  A row that fails a
 check is recorded in the batch's `errors` dict with the stage and index and
 the other rows carry on; only `quasi_shadow` raises a row's failure.  The
 two halves mirror each other in time and share one code path: one sweep
-(`_sweep`), one limit search, one guide recursion (`_propagate`) and one
-correction kernel (`_half`), the backward half with the leaf pair and the
-rate swapped.
+(`_sweep`), one certified limit (`_limit`), one guide recursion
+(`_propagate`) and one correction kernel (`_half`), the backward half with
+the leaf pair and the rate swapped.
 
 Numerics: the defining recursions move offsets along the expanding
 direction of the relevant map power, which amplifies floating-point noise
@@ -77,7 +77,8 @@ class ParameterError(ValueError):
 
 
 class InsufficientWindowError(RuntimeError):
-    """The orbit window ended before the half-orbit anchors converged."""
+    """The window is too short to certify a half-orbit anchor: the tail
+    bound at the window end is not below limit_tol."""
 
 
 class ConstructionError(RuntimeError):
@@ -146,10 +147,13 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
     value compatible with the defect and holonomy-radius inequalities,
     divided by the worst subsampling/backward accumulation factor.
     Raises ParameterError naming the violated bound when epsilon exceeds
-    the validity radii.
+    the validity radii, and naming epsilon or limit_tol when either is not
+    positive and finite.
     """
     if not 0.0 < epsilon < math.inf:
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not 0.0 < limit_tol < math.inf:
+        raise ParameterError(f"limit_tol must be positive and finite, got {limit_tol!r}")
     lam = sys.rates.lam
     L0 = sys.L0
     alpha = 0.45 * epsilon / 3.0
@@ -296,65 +300,56 @@ def _sweep(sys, X, params, errors, stable: bool) -> _Sweep:
 # -- half-orbit anchors -------------------------------------------------------
 
 
-def _anchors(sys, sweep: _Sweep, k: int, stable: bool, tol=None):
-    """The window anchors y_{0,n} for every n = 1..n_max, shape (..., n_max, 3).
-
-    y_{0,n} lies on the strong unstable leaf of X_0 (stable for the backward
-    half) at offset sum_{i=1..n} contract^i coef_i, so one prefix sum gives
-    every candidate and one series call gives their fibers.
-    """
-    rate = sys.eig_lam ** k if stable else 1.0 / sys.eig_mu ** k
-    n_max = sweep.coef.shape[-1] - 1
-    offsets = np.cumsum(rate ** np.arange(1, n_max + 1) * sweep.coef[..., 1:], axis=-1)
-    return sys.leaf_point(sweep.X[..., :1, :], offsets, stable, tol=tol)
-
-
-def _limit(sys, sweep, params, errors, growth_step, stable: bool):
-    """First Cauchy-stable window anchor of each row (see forward_limit)."""
+def _limit(sys, sweep, params, errors, stable: bool):
+    """The full-window anchor of each row and its certified depth (see
+    forward_limit)."""
     tol = params.limit_tol
-    # The transfer runs at a tolerance well below the Cauchy gap resolved
-    # here, so truncation jitter cannot mask convergence.
-    anchors = _anchors(sys, sweep, params.k, stable, tol=min(sys.series_tol, 1e-3 * tol))
-    n_max = anchors.shape[-2]
-    ns = np.arange(1, n_max - 1, growth_step)   # candidates with n + 2 <= n_max
-    g1 = torus_distance(anchors[..., ns - 1, :], anchors[..., ns, :])
-    g2 = torus_distance(anchors[..., ns - 1, :], anchors[..., ns + 1, :])
-    cauchy = (g1 < tol) & (g2 < tol)
-    first = np.argmax(cauchy, axis=-1)
-    converged = np.take_along_axis(cauchy, first[..., None], axis=-1)[..., 0]
-    last_gap = np.maximum(g1[..., -1], g2[..., -1])
-    depth = ns[first]
-    anchor = np.take_along_axis(anchors, (depth - 1)[..., None, None], axis=-2)[..., 0, :]
+    rate = sys.eig_lam ** params.k if stable else 1.0 / sys.eig_mu ** params.k
+    n_max = sweep.coef.shape[-1] - 1
+    # The transfer runs well below limit_tol, so its truncation stays far
+    # inside the certified distance.
+    offset = np.sum(rate ** np.arange(n_max + 1) * sweep.coef, axis=-1)
+    anchor = sys.leaf_point(sweep.X[..., 0, :], offset, stable,
+                            tol=min(sys.series_tol, 1e-3 * tol))
+    # Bound on d(y_{0,n}, limit) for n = 1..n_max: the offset tail past n
+    # times the leaf's slope factor.
+    scale = (np.max(np.abs(sweep.coef), axis=-1, keepdims=True)
+             * math.sqrt(1.0 + sys.leaf_slope_s ** 2) / (1.0 - abs(rate)))
+    bound = abs(rate) ** np.arange(2, n_max + 2) * scale
+    certified = bound < tol
+    tail = np.atleast_1d(bound[..., -1])
     side = "backward" if stable else "forward"
-    last_gap = np.atleast_1d(last_gap)
     _flag_rows(errors, InsufficientWindowError, ((
-        ~converged,
-        lambda r: (f"{side} anchor not Cauchy-stable within the window "
-                   f"(n <= {n_max}); last gap {last_gap[r]:.3e}")),))
-    return anchor, depth[()]
+        ~certified[..., -1],
+        lambda r: (f"{side} anchor tail bound {tail[r]:.3e} not below limit_tol "
+                   f"{tol:.3e} within the window (n <= {n_max})")),))
+    # The bound falls with n, so the uncertified n come first.
+    return anchor, (np.sum(~certified, axis=-1) + 1)[()]
 
 
-def forward_limit(sys, sweep: _Sweep, params, errors, growth_step: int = 1):
-    """First Cauchy-stable element of {y_{0,n}}: the anchor y_0^u on W^u(X_0).
+def forward_limit(sys, sweep: _Sweep, params, errors):
+    """The anchor y_0^u on W^u(X_0): the limit of the window anchors y_{0,n},
+    taken at the full window and certified by its tail bound.
 
     `sweep` is the forward sweep of one subsampled half X_0..X_n, (n+1, 3)
-    or a stack (B, n+1, 3).  Tries n along the growth schedule and accepts
-    the first n with d(y_{0,n}, y_{0,n+1}) and d(y_{0,n}, y_{0,n+2}) both
-    below limit_tol; all candidates come from one prefix sum and one
-    transfer series call.  Returns (anchor, n), with one n per row.  A row
-    whose anchor never settles is recorded in `errors` as an
-    InsufficientWindowError.
+    or a stack (B, n+1, 3).  The anchor is the unstable-leaf point of X_0 at
+    offset sum_{i<=n} mu^(-k i) c_i, one series call for all rows.  Past
+    window length m that offset changes by at most |mu|^(-k (m+1)) max|c_i|
+    / (1 - |mu|^-k), and the point by sqrt(1 + leaf_slope_s^2) times that
+    (an a-posteriori bound in the sense of Coomes, Kocak and Palmer).
+    Returns (anchor, depth): depth, one per row, is the smallest m >= 1
+    whose bound is below limit_tol.  A row whose bound at m = n is not,
+    depth n + 1, is recorded in `errors` as an InsufficientWindowError.
     """
-    return _limit(sys, sweep, params, errors, growth_step, stable=False)
+    return _limit(sys, sweep, params, errors, stable=False)
 
 
-def backward_limit(sys, sweep: _Sweep, params, errors, growth_step: int = 1):
-    """First Cauchy-stable element of {y_{0,-n}}: the anchor y_0^s on W^s(X_0).
-
-    `sweep` is the backward sweep, X[..., j, :] = X_{-j}; otherwise as
-    forward_limit.
+def backward_limit(sys, sweep: _Sweep, params, errors):
+    """The anchor y_0^s on W^s(X_0), from the backward sweep
+    (X[..., j, :] = X_{-j}) with the stable leaf and rate lam^k; otherwise
+    as forward_limit.
     """
-    return _limit(sys, sweep, params, errors, growth_step, stable=True)
+    return _limit(sys, sweep, params, errors, stable=True)
 
 
 # -- propagation along the halves ------------------------------------------------
@@ -494,12 +489,10 @@ class _Anchors(NamedTuple):
     errors: dict
 
 
-def _anchor_stage(sys, orbit: PseudoOrbit, epsilon: float, params,
-                  growth_step: int = 1) -> _Anchors:
+def _anchor_stage(sys, orbit: PseudoOrbit, epsilon: float, params) -> _Anchors:
     """Everything up to and including `splice`: check the parameters, the
-    window and the defects, run both sweeps and both limit searches, and
-    splice the anchors.  Every row failure of the construction is recorded
-    here."""
+    window and the defects, run both sweeps and both limits, and splice
+    the anchors.  Every row failure of the construction is recorded here."""
     if params is None:
         params = delta_for_epsilon(sys, epsilon)
     elif params.epsilon != epsilon:
@@ -518,9 +511,9 @@ def _anchor_stage(sys, orbit: PseudoOrbit, epsilon: float, params,
     X_pos = pts[..., np.arange(M_max + 1) * k - orbit.n_min, :]
     X_neg = pts[..., -np.arange(-M_min + 1) * k - orbit.n_min, :]
     fsweep = _sweep(sys, X_pos, params, errors, stable=False)
-    y0_u, _ = forward_limit(sys, fsweep, params, errors, growth_step)
+    y0_u, _ = forward_limit(sys, fsweep, params, errors)
     bsweep = _sweep(sys, X_neg, params, errors, stable=True)
-    y0_s, _ = backward_limit(sys, bsweep, params, errors, growth_step)
+    y0_s, _ = backward_limit(sys, bsweep, params, errors)
     y0_star, y0_star_prime = splice(sys, y0_u, y0_s, params, errors)
     return _Anchors(params, fsweep, bsweep, y0_u, y0_s, y0_star, y0_star_prime, errors)
 
@@ -600,7 +593,7 @@ def _trace_stage(sys, orbit: PseudoOrbit, st: _Anchors) -> ShadowingTrace:
 
 
 def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
-                 params: ShadowingParams = None, growth_step: int = 1):
+                 params: ShadowingParams = None):
     """Quasi-shadow a stack of pseudo-orbits over one window in one pass.
 
     `orbit.points` is a stack (B, N, 3) or one orbit (N, 3).  Subsample by
@@ -617,13 +610,13 @@ def shadow_batch(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     InsufficientWindowError, with the stage and index in the message);
     those rows are NaN in the trace and never stop the others.
     """
-    st = _anchor_stage(sys, orbit, epsilon, params, growth_step)
+    st = _anchor_stage(sys, orbit, epsilon, params)
     trace = _trace_stage(sys, orbit, st)
     return trace, [(r, st.errors[r]) for r in sorted(st.errors)]
 
 
 def quasi_shadow(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
-                 params: ShadowingParams = None, growth_step: int = 1) -> ShadowingTrace:
+                 params: ShadowingParams = None) -> ShadowingTrace:
     """Full pipeline for one orbit: `shadow_batch` on an (N, 3) orbit.
 
     Raises the orbit's failure: ParameterError (defect or window), or
@@ -631,7 +624,7 @@ def quasi_shadow(sys: SkewModel, orbit: PseudoOrbit, epsilon: float,
     """
     if orbit.points.ndim != 2:
         raise ValueError("quasi_shadow takes one orbit; use shadow_batch for a stack")
-    trace, failures = shadow_batch(sys, orbit, epsilon, params, growth_step)
+    trace, failures = shadow_batch(sys, orbit, epsilon, params)
     if failures:
         raise failures[0][1]
     return trace

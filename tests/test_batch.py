@@ -38,7 +38,7 @@ def default_field(sys, amp=1e-3):
 @pytest.fixture(scope="module")
 def grid_batch(skew):
     """g-orbits of a (4, 4, 4) lattice on [-20, 20] and their batched trace
-    (amplitude 3e-4 and limit_tol 1e-10, so the anchors settle within N = 20)."""
+    (amplitude 3e-4 and limit_tol 1e-10, so the anchors certify within N = 20)."""
     g = default_field(skew, 3e-4)
     params = delta_for_epsilon(skew, EPS, limit_tol=1e-10)
     nodes = _lattice((4, 4, 4))
@@ -94,8 +94,9 @@ def test_semiconjugacy_builds_no_trace(skew, grid_batch, monkeypatch):
     # guide recursion unavailable the grid still runs, to the same bits
     g, params, _, _, trace, _ = grid_batch
     assert params.k >= 2
-    # a grid whose nodes partly fail, run through shadow_batch first
-    mixed = shadow_batch(skew, from_map(skew, g, _lattice((4, 4, 4)), (-24, 24)), EPS)
+    # at the default limit_tol most nodes fail to certify on N = 20: a grid
+    # whose nodes partly fail, run through shadow_batch first
+    mixed = shadow_batch(skew, from_map(skew, g, _lattice((4, 4, 4)), (-20, 20)), EPS)
 
     def no_propagate(*args, **kwargs):
         raise AssertionError("semiconjugacy ran the guide recursion")
@@ -108,7 +109,7 @@ def test_semiconjugacy_builds_no_trace(skew, grid_batch, monkeypatch):
     assert np.array_equal(sc.tau, trace.center_motions[:, trace.index(1)])
 
     mixed_trace, mixed_failures = mixed
-    sc = semiconjugacy(skew, g, (4, 4, 4), 24, EPS)
+    sc = semiconjugacy(skew, g, (4, 4, 4), 20, EPS)
     assert 0 < len(sc.failures) < 64
     assert sc.failures == [(r, str(exc)) for r, exc in mixed_failures]
     failed = [r for r, _ in sc.failures]

@@ -161,7 +161,7 @@ class TestStabilityAndProbe:
                     "--perturbation", pert_file, "--out", "st"]) == 0
 
     def test_stability_every_node_failed(self, workdir, capsys):
-        # no anchor settles in a half-length-8 window: FAIL with files, not a crash
+        # no anchor certifies in a half-length-8 window: FAIL with files, not a crash
         assert run(["stability", "--model", "skew", "--epsilon", "0.216",
                     "--grid", "2", "2", "2", "--half-length", "8",
                     "--delta", "1e-3", "--out", "st"]) == 1

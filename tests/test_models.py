@@ -159,7 +159,7 @@ class TestTransfers:
         rng = np.random.default_rng(11)
         B, n = 300, 20
         cases = [
-            (rng.random((B, 1, 2)), rng.uniform(-0.05, 0.05, (B, n)), None),   # _anchors/_limit
+            (rng.random((B, 1, 2)), rng.uniform(-0.05, 0.05, (B, n)), None),   # row anchor broadcast
             (rng.random((B, n, 2)), rng.uniform(-0.05, 0.05, (B, n)), 1e-15),
             (rng.random((B, 1, 2)), rng.uniform(-0.05, 0.05, (B, n)),
              10.0 ** rng.uniform(-15.0, -9.0, (B, n))),                        # per-row tol

@@ -8,11 +8,10 @@ import pytest
 from torusshadow.geometry import minimal_displacement, torus_distance, wrap
 from torusshadow.models import SkewModel, inverse_system
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
-from torusshadow.orbits import generate_noisy, validate, write_table
+from torusshadow.orbits import PseudoOrbit, generate_noisy, write_table
 from torusshadow.shadowing import (
     InsufficientWindowError,
     ParameterError,
-    _anchors,
     _iterate,
     _propagate,
     _sweep,
@@ -60,6 +59,11 @@ class TestDeltaForEpsilon:
             with pytest.raises(ParameterError, match="positive and finite"):
                 delta_for_epsilon(skew, eps)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_limit_tol_must_be_positive_and_finite(self, skew, tol):
+        with pytest.raises(ParameterError, match="limit_tol must be positive and finite"):
+            delta_for_epsilon(skew, 1e-2, limit_tol=tol)
+
 
 def _subsampled(orbit, k, side):
     if side == "pos":
@@ -75,13 +79,22 @@ def _clean_sweep(sys, X, p, stable=False):
     return sweep
 
 
-def _half_limit(sys, X, p, stable=False, growth_step=1):
-    """Anchor, Cauchy depth and recorded failures of one subsampled half."""
+def _half_limit(sys, X, p, stable=False):
+    """Anchor, certified depth and recorded failures of one subsampled half."""
     errors = {}
     sweep = _sweep(sys, np.asarray(X), p, errors, stable)
     limit = backward_limit if stable else forward_limit
-    anchor, depth = limit(sys, sweep, p, errors, growth_step)
+    anchor, depth = limit(sys, sweep, p, errors)
     return anchor, depth, errors
+
+
+def _window_anchors(sys, sweep, k, stable=False):
+    """Every window anchor y_{0,n}, n = 1..n_max, (..., n_max, 3): the strong
+    leaf point of X_0 at offset sum_{i<=n} rate^i coef_i."""
+    rate = sys.eig_lam ** k if stable else 1.0 / sys.eig_mu ** k
+    n_max = sweep.coef.shape[-1] - 1
+    offsets = np.cumsum(rate ** np.arange(1, n_max + 1) * sweep.coef[..., 1:], axis=-1)
+    return sys.leaf_point(sweep.X[..., :1, :], offsets, stable)
 
 
 def _forward_half(sys, X, p):
@@ -103,7 +116,7 @@ class TestForwardWindow:
             assert torus_distance(sweep.z[0, i], X[i]) < 1e-12
             assert torus_distance(sweep.zp[0, i], X[i]) < 1e-12
         # every window anchor y_{0,n} and every guide collapse onto the orbit
-        anchors = _anchors(skew, sweep, p.k, stable=False)[0]
+        anchors = _window_anchors(skew, sweep, p.k)[0]
         assert np.max(torus_distance(anchors, X[0])) < 1e-11
         for i, yi in enumerate(y_u):
             assert torus_distance(yi, X[i]) < 1e-11
@@ -114,7 +127,7 @@ class TestForwardWindow:
         orbit = single_defect_orbit(linear, X0, (-10, 40), jump)
         X = _subsampled(orbit, p.k, "pos")
         sweep = _clean_sweep(linear, np.array(X)[None], p)
-        anchors = _anchors(linear, sweep, p.k, stable=False)[0, :15]   # n = 1..15
+        anchors = _window_anchors(linear, sweep, p.k)[0, :15]   # n = 1..15
         gaps = [torus_distance(anchors[i], anchors[i + 1]) for i in range(len(anchors) - 1)]
         # geometric convergence at the subsampled contraction rate
         for i in range(1, 6):
@@ -133,7 +146,7 @@ class TestForwardWindow:
             X = _subsampled(orbit, p.k, "pos")
             sweep, y_u = _forward_half(skew, X, p)
             assert max(torus_distance(y_u[i], X[i]) for i in range(len(y_u))) < 2 * eps / 3
-            anchors = _anchors(skew, sweep, p.k, stable=False)[0]
+            anchors = _window_anchors(skew, sweep, p.k)[0]
             assert np.max(torus_distance(anchors, X[0])) < 2 * eps / 3
 
 
@@ -149,33 +162,32 @@ class TestLimits:
         assert n_star_b == 1 and not errors
         assert torus_distance(y0s, X0) < 1e-12
 
-    def test_cauchy_depth_bound(self, linear):
-        # gaps decay like lam^(k n), so the stop index obeys
+    def test_certified_depth_bound(self, linear):
+        # the certified depth is the smallest n whose tail bound
+        # |rate|^(n+1) max|c_i| / (1 - |rate|) is below limit_tol (leaf slope 0
+        # here), and at defect delta it obeys
         # n* <= ceil(log(limit_tol / delta) / log lam^k) + 2
         p = delta_for_epsilon(linear, 5e-2)
         delta = 1e-4
         bound = int(np.ceil(np.log(p.limit_tol / delta) / np.log(p.lam_k))) + 2
+        rate = abs(linear.eig_mu) ** -p.k
         for seed in range(5):
             orbit = generate_noisy(linear, X0, (0, 100), delta, seed=seed)
-            _, n_star, errors = _half_limit(linear, _subsampled(orbit, p.k, "pos"), p)
+            sweep = _clean_sweep(linear, _subsampled(orbit, p.k, "pos"), p)
+            errors = {}
+            _, n_star = forward_limit(linear, sweep, p, errors)
             assert n_star <= bound and not errors
-
-    def test_growth_schedules_agree(self, skew):
-        p = delta_for_epsilon(skew, 1e-2)
-        orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=4)
-        X = _subsampled(orbit, p.k, "pos")
-        a, _, errors_a = _half_limit(skew, X, p, growth_step=1)
-        b, _, errors_b = _half_limit(skew, X, p, growth_step=5)
-        assert not errors_a and not errors_b
-        assert torus_distance(a, b) < 2.0 * p.limit_tol
+            tail = rate ** np.array([n_star, n_star + 1]) * np.max(np.abs(sweep.coef)) / (1.0 - rate)
+            assert tail[1] < p.limit_tol <= tail[0]
 
     def test_window_exhaustion_reported(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (0, 6), p.delta, seed=4)
-        _, _, errors = _half_limit(skew, _subsampled(orbit, p.k, "pos"), p)
+        _, depth, errors = _half_limit(skew, _subsampled(orbit, p.k, "pos"), p)
+        assert depth == 4    # past n_max = 3: no window depth certifies
         assert list(errors) == [0]
         assert isinstance(errors[0], InsufficientWindowError)
-        assert "gap" in str(errors[0])
+        assert "forward anchor tail bound" in str(errors[0])
 
     def test_anchor_on_unstable_leaf(self, skew):
         # membership residual of y_0^u against W^u(X_0) stays below 1e-10
@@ -234,6 +246,21 @@ class TestPropagate:
             assert torus_distance(y_s, step) < 1e-9
             assert torus_distance(y_s, X_neg[-m]) < 2 * eps / 3
 
+    def test_anchors_close_with_their_guides(self, skew):
+        # each anchor is the limit on the window its guides are built on, so
+        # F(y_0^u) lies over the base of y_1^u and F^-1(y_0^s) over that of
+        # y_{-1}^s
+        p = delta_for_epsilon(skew, 1e-2)
+        worst = 0.0
+        for seed in range(10):
+            orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=seed)
+            trace = quasi_shadow(skew, orbit, 1e-2, params=p)
+            fwd = _iterate(skew, trace.y_u[0], p.k)
+            bwd = _iterate(skew, trace.y_s[0], p.k, inverse=True)
+            worst = max(worst, torus_distance(fwd[:2], trace.y_u[1][:2]),
+                        torus_distance(bwd[:2], trace.y_s[-1][:2]))
+        assert worst < 1e-12
+
     def test_sweep_matches_defining_step(self, skew):
         # every z_i / z'_i of the scanned sweep is the intersection built from
         # F^{+-1} of the previous point, as the one-step definition has it
@@ -276,8 +303,8 @@ class TestTimeReversal:
             assert torus_distance(bwd.z[0, j], fwd.zp[0, j]) < 1e-10
             assert torus_distance(bwd.zp[0, j], fwd.z[0, j]) < 1e-10
         # the shared anchor at index 0, from the whole window
-        y_f = _anchors(linear, fwd, k, stable=False)[0, -1]
-        y_b = _anchors(inv, bwd, k, stable=True)[0, -1]
+        y_f = _window_anchors(linear, fwd, k)[0, -1]
+        y_b = _window_anchors(inv, bwd, k, stable=True)[0, -1]
         assert torus_distance(y_b, y_f) < 1e-10
 
 
@@ -394,22 +421,18 @@ class TestQuasiShadow:
             quasi_shadow(skew, orbit, 1e-2)
 
     def test_uniqueness_under_tolerances_and_schedules(self, skew):
+        # two limit tolerances x two windows (+-50 and the same orbit cut to
+        # +-40) agree over |q| <= 20, away from the window-end truncation
         eps = 1e-2
         base = delta_for_epsilon(skew, eps)
         orbit = generate_noisy(skew, X0, (-50, 50), base.delta, seed=13)
-        traces = []
-        for tol in (1e-10, 1e-12):
-            for step in (1, 5):
-                params = delta_for_epsilon(skew, eps, limit_tol=tol)
-                traces.append(quasi_shadow(skew, orbit, eps, params=params,
-                                           growth_step=step))
+        cut = PseudoOrbit(-40, 40, orbit.points[10:91], orbit.delta)
+        traces = [quasi_shadow(skew, o, eps, params=delta_for_epsilon(skew, eps, limit_tol=tol))
+                  for tol in (1e-10, 1e-12) for o in (orbit, cut)]
         ref = traces[0]
-        lo, hi = ref.interior
         for other in traces[1:]:
-            for q in range(lo, hi + 1):
-                gap = torus_distance(ref.y_star[ref.index(q)][:2],
-                                     other.y_star[other.index(q)][:2])
-                assert gap < 1e-8
+            for q in range(-20, 21):
+                assert torus_distance(ref.point(q)[:2], other.point(q)[:2]) < 1e-8
 
 
 class TestSignedEigenvalues:

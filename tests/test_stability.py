@@ -233,7 +233,7 @@ class TestSurjectivity:
         assert not report.resolution_sufficient  # spacing 0.25 > epsilon
 
     def test_every_node_failed_gives_inf_gap(self, skew):
-        # a window too short for any anchor to settle leaves the image empty
+        # a window too short for any anchor to certify leaves the image empty
         sc = semiconjugacy(skew, default_field(skew, 1e-3), (2, 2, 2), 8, EPS)
         assert len(sc.failures) == 8
         report = surjectivity_density(sc, EPS)
