@@ -206,16 +206,20 @@ class SkewModel:
     # -- the map -----------------------------------------------------------
 
     def apply(self, x) -> np.ndarray:
+        """f(x) for points (..., 3), or A x for base points (..., 2), which
+        skips phi and gives the bits of the full step's base columns."""
         x = np.asarray(x, dtype=float)
         A = self.A
         out = np.empty(x.shape)
         p1, p2 = x[..., 0], x[..., 1]
         out[..., 0] = A[0, 0] * p1 + A[0, 1] * p2
         out[..., 1] = A[1, 0] * p1 + A[1, 1] * p2
-        out[..., 2] = x[..., 2] + self.omega + self.phi(p1, p2)
+        if x.shape[-1] == 3:
+            out[..., 2] = x[..., 2] + self.omega + self.phi(p1, p2)
         return wrap(out)
 
     def apply_inverse(self, x) -> np.ndarray:
+        """f^-1(x), or A^-1 x for base points (..., 2), as `apply`."""
         x = np.asarray(x, dtype=float)
         A = self.A_inv
         out = np.empty(x.shape)
@@ -223,7 +227,8 @@ class SkewModel:
         out[..., 0] = A[0, 0] * p1 + A[0, 1] * p2
         out[..., 1] = A[1, 0] * p1 + A[1, 1] * p2
         out[..., :2] = wrap(out[..., :2])
-        out[..., 2] = x[..., 2] - self.omega - self.phi(out[..., 0], out[..., 1])
+        if x.shape[-1] == 3:
+            out[..., 2] = x[..., 2] - self.omega - self.phi(out[..., 0], out[..., 1])
         return wrap(out)
 
     def coeffs(self, d):
@@ -345,25 +350,27 @@ class SkewModel:
         return point
 
     def intersect(self, class_x: str, x, class_y: str, y, radius, errors=None) -> np.ndarray:
-        """Unique intersection of the local `class_x` leaf of x with the
-        local `class_y` leaf of y, row by row.
+        """The signed offset along y's strong leaf of the unique intersection
+        of the local `class_x` leaf of x with the local `class_y` leaf of y,
+        row by row, read from the bases of x and y (..., 2 or 3); the point
+        is `leaf_point(y, offset, class_y == "s")`.
 
-        Supported pairs: (cu, s) and (cs, u).  The offset along y's strong
-        leaf comes from the 2x2 eigenframe solve in the minimal lift; the
-        point is the `leaf_point` of y at that offset.  A row fails on lift
-        ambiguity (base displacement > 0.25), a pair distance >= delta0, or
-        a solution farther than L0 * radius from either input.  Failing rows
-        are recorded in the dict `errors` (see `_flag_rows`); with
-        `errors=None` the lowest failing row raises IntersectionError after
-        all rows ran.
+        Supported pairs: (cu, s) and (cs, u).  The offset comes from the 2x2
+        eigenframe solve in the minimal lift.  A row fails on lift ambiguity
+        (base displacement > 0.25), a pair distance >= delta0, or a point
+        farther than L0 * radius from either input.  For that last check,
+        d(point, y) <= sqrt(1 + leaf_slope_s^2) |offset| clears most rows
+        (1e-12 covers rounding); the rest, every failing row among them, get
+        the exact distance, in which y's fiber cancels.  Failing rows are
+        recorded in `errors` (see `_flag_rows`); with `errors=None` the
+        lowest failing row raises IntersectionError after all rows ran.
         """
         if (class_x, class_y) not in (("cu", "s"), ("cs", "u")):
             raise IntersectionError(f"unsupported leaf pair ({class_x}, {class_y})")
         found = {} if errors is None else errors
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        shape = x.shape
-        x, y = x.reshape(-1, 3), y.reshape(-1, 3)
-        xb, yb = x[:, :2], y[:, :2]
+        shape = x.shape[:-1]
+        xb, yb = x[..., :2].reshape(-1, 2), y[..., :2].reshape(-1, 2)
         d_xy = minimal_displacement(xb, yb)
         base_sep = _norm(d_xy)
         far = ~(base_sep < self.delta0)
@@ -381,21 +388,24 @@ class SkewModel:
         # p_x + s dir_x = p_y + t dir_y, so t is minus the y-side coefficient
         # of d_xy.  Rejected rows get a zero offset so their series stays defined.
         t = np.where(far, 0.0, -self.coeffs(d_xy)[stable_y])
-        point = self.leaf_point(y, t, stable_y)
 
         cap = np.broadcast_to(self.L0 * np.asarray(radius, dtype=float).reshape(-1), t.shape)
         # The x-side class always contains the center direction, so measure its
-        # distance center-transversally (base only); the y-side leaf is strong,
-        # so its full distance is pinned.
-        dx = torus_distance(point[:, :2], xb)
-        dy = torus_distance(point, y)
+        # distance center-transversally (base only, the base `leaf_point`
+        # builds); the y-side leaf is strong, so its full distance is pinned.
+        dx = torus_distance(wrap(yb + t[:, None] * (self.v_s if stable_y else self.v_u)), xb)
+        dy = math.sqrt(1.0 + self.leaf_slope_s ** 2) * np.abs(t)
+        exact = ~(dy + 1e-12 < cap) | ~(dx <= cap)
+        if exact.any():
+            y0 = np.pad(yb[exact], ((0, 0), (0, 1)))    # fiber 0
+            dy[exact] = torus_distance(self.leaf_point(y0, t[exact], stable_y), y0)
         _flag_rows(found, IntersectionError, ((
             ~(dx <= cap) | ~(dy <= cap),
             lambda r: (f"intersection outside L0*radius: d(x)={dx[r]:.3e}, "
                        f"d(y)={dy[r]:.3e}, cap={cap[r]:.3e}")),))
         if errors is None and found:
             raise found[min(found)]
-        return point.reshape(shape)
+        return t.reshape(shape)[()]
 
 
 def inverse_system(sys: SkewModel) -> SkewModel:

@@ -22,13 +22,15 @@ sweeps included, is an array operation along time.  `shadow_batch` is an
 anchor stage (checks, sweeps, limits and splice: y*_0 and every row
 failure) followed by a trace stage (`_half` per side for the guides and
 the subsampled y*, then the fill); the semiconjugacy runs the anchor
-stage alone.  A row that fails a
-check is recorded in the batch's `errors` dict with the stage and index and
-the other rows carry on; only `quasi_shadow` raises a row's failure.  The
-two halves mirror each other in time and share one code path: one sweep
-(`_sweep`), one certified limit (`_limit`), one guide recursion
-(`_propagate`) and one correction kernel (`_half`), the backward half with
-the leaf pair and the rate swapped.
+stage alone.  A row that fails a check is recorded in the batch's `errors`
+dict with the stage and index and the other rows carry on; only
+`quasi_shadow` raises a row's failure.  The two halves mirror each other in
+time and share one code path: one sweep (`_sweep`), one certified limit
+(`_limit`), one guide recursion (`_propagate`) and one correction kernel
+(`_half`), the backward half with the leaf pair and the rate swapped.
+Strong leaves are graphs over the base and F moves a base by A^k alone, so
+the sweeps run on bases and leaf offsets; the transfer series runs for the
+limits, the splice, `_propagate` and the checks a slope bound cannot clear.
 
 Numerics: the defining recursions move offsets along the expanding
 direction of the relevant map power, which amplifies floating-point noise
@@ -234,14 +236,16 @@ def _scan(x, rate):
 class _Sweep(NamedTuple):
     """One half's sweep over a stack of subsampled orbits.
 
-    X, z, zp are (B, n+1, 3) with index 0 holding X_0; `coef` is (B, n+1):
-    forward, c_i is the unstable offset of z_i from F(z_{i-1}); backward,
-    d_j is the stable offset of z_{-j} from its anchor F^-1(z'_{-j+1}).
+    X is (B, n+1, 3) with index 0 holding X_0; `offset` and `coef` are
+    (B, n+1), 0 at index 0.  `offset` places the recursive point (z_i
+    forward, z'_{-j} backward) on the strong leaf of X_i that F (F^-1)
+    contracts; forward, c_i is the unstable offset of z_i from F(z_{i-1});
+    backward, d_j is the stable offset of z_{-j} from its anchor
+    F^-1(z'_{-j+1}).  `_propagate` builds the one fibered point read.
     """
 
     X: np.ndarray
-    z: np.ndarray
-    zp: np.ndarray
+    offset: np.ndarray
     coef: np.ndarray
 
 
@@ -256,45 +260,49 @@ def _sweep(sys, X, params, errors, stable: bool) -> _Sweep:
     coefficient is the offset of z from a along the leaf the half moves
     along (unstable forward, stable backward).
 
-    The recursive point (z forward, z' backward) lies on the strong leaf of
-    X_i that F contracts (F^-1 backward) at offset t_i = e_i + rate t_{i-1},
-    e_i the leaf coefficient of the defect F(X_{i-1}) -> X_i: one `_scan`
-    gives every anchor base, and both intersections are rebuilt from their
-    anchors and checked.  A row's first failure is recorded in `errors` as a
+    Every strong leaf is a graph over the base and F moves a base point by
+    A^k alone, so the sweep runs on base points and leaf offsets: no phi,
+    and a series only for the checks `intersect`'s slope bound leaves open.
+    The recursive point lies on the strong leaf of X_i that F contracts
+    (F^-1 backward) at offset t_i = e_i + rate t_{i-1}, e_i the leaf
+    coefficient of the defect F(X_{i-1}) -> X_i: one `_scan` gives every
+    anchor base, and both intersections are rebuilt from their anchors and
+    checked.  A row's first failure is recorded in `errors` as a
     ConstructionError naming the index.  Up to it, scanned and rebuilt
     anchors agree: a defect under delta0 is far inside the lift-unambiguous
     range, and a zeroed one leaves its pair beyond the L0 * radius caps.
     """
     k = params.k
-    image, X1 = _iterate(sys, X[..., :-1, :], k, inverse=stable)[..., :2], X[..., 1:, :]
+    base = X[..., :2]
+    image, X1 = _iterate(sys, base[..., :-1, :], k, inverse=stable), base[..., 1:, :]
     # A pair at least delta0 apart gets offset 0, as in `intersect`.
-    e = np.where(torus_distance(image, X1[..., :2]) < params.delta0,
-                 -sys.coeffs(minimal_displacement(image, X1[..., :2]))[not stable], 0.0)
+    e = np.where(torus_distance(image, X1) < params.delta0,
+                 -sys.coeffs(minimal_displacement(image, X1))[not stable], 0.0)
     t = _scan(e, 1.0 / sys.eig_mu ** k if stable else sys.eig_lam ** k)
-    # The recursive intersection reads only its anchor's base, and F maps the
-    # base without reading the fiber, so X's fibers stand in for now.
-    src = X[..., :-1, :].copy()
-    src[..., 1:, :2] += t[..., :-1, None] * (sys.v_u if stable else sys.v_s)
+    v = sys.v_u if stable else sys.v_s
+    src = base[..., :-1, :].copy()
+    src[..., 1:, :] += t[..., :-1, None] * v
     radius = np.full(e.shape, 2.0 * params.delta_step)
     radius[..., 0] = params.delta_step
     pairs, found = (("cu", "s"), ("cs", "u")), ({}, {})    # z's pair, z''s pair
     (cx, cy), (ox, oy) = pairs[stable], pairs[not stable]
-    rec = sys.intersect(cx, _iterate(sys, wrap(src), k, inverse=stable), cy, X1, radius,
-                        errors=found[stable])
-    a = _iterate(sys, np.concatenate([X[..., :1, :], rec[..., :-1, :]], axis=-2), k,
-                 inverse=stable)
-    other = sys.intersect(ox, X1, oy, a, radius, errors=found[not stable])
-    z, zp = X.copy(), X.copy()
-    z[..., 1:, :], zp[..., 1:, :] = (other, rec) if stable else (rec, other)
+    offset = np.zeros(X.shape[:-1])
+    offset[..., 1:] = sys.intersect(cx, _iterate(sys, wrap(src), k, inverse=stable), cy, X1,
+                                    radius, errors=found[stable])
+    rec = wrap(base + offset[..., None] * v)    # the recursive points' bases, as leaf_point's
+    a = _iterate(sys, rec[..., :-1, :], k, inverse=stable)
+    t_other = sys.intersect(ox, X1, oy, a, radius, errors=found[not stable])
     found = {**found[1], **found[0]}    # where both fail, z's failure names the pair
     for r in sorted(found):
         i = r % e.shape[-1] + 1
         errors.setdefault(r // e.shape[-1], ConstructionError(
             f"{'backward' if stable else 'forward'} sweep failed at index "
             f"{-i if stable else i}: {found[r]}"))
+    # z's base as its leaf_point builds it: on X_i's stable leaf forward, a's backward
+    z = wrap(a + t_other[..., None] * sys.v_s) if stable else rec[..., 1:, :]
     coef = np.zeros(X.shape[:-1])
-    coef[..., 1:] = sys.coeffs(minimal_displacement(a[..., :2], z[..., 1:, :2]))[stable]
-    return _Sweep(X, z, zp, coef)
+    coef[..., 1:] = sys.coeffs(minimal_displacement(a, z))[stable]
+    return _Sweep(X, offset, coef)
 
 
 # -- half-orbit anchors -------------------------------------------------------
@@ -364,14 +372,16 @@ def _propagate(sys, sweep: _Sweep, y0, k: int, stable: bool):
     y_m^s = F^-1((y_{m+1}^s)').  The guides' leaf offsets from z_i (z'_m)
     solve t_i = t_{i-1} / rate - coef_i with rate = mu^-k (lam^k), and the
     bounded solution t_i = sum_{m>=1} rate^m coef_{i+m} (zero at the window
-    end) is w_i - coef_i for w the contracting `_scan` of coef run backward,
-    after which all guides come from one series call.
+    end) is w_i - coef_i for w the contracting `_scan` of coef run backward.
+    The recursive points come from the sweep's offsets by one series call,
+    and all guides from one more.
     """
     c = sweep.coef[..., 1:]
     t = _scan(c[..., ::-1], sys.eig_lam ** k if stable else 1.0 / sys.eig_mu ** k)[..., ::-1]
-    y = np.empty(sweep.z.shape)
+    z = sys.leaf_point(sweep.X[..., 1:, :], sweep.offset[..., 1:], not stable)
+    y = np.empty(sweep.X.shape)
     y[..., 0, :] = y0
-    y[..., 1:, :] = sys.leaf_point((sweep.zp if stable else sweep.z)[..., 1:, :], t - c, stable)
+    y[..., 1:, :] = sys.leaf_point(z, t - c, stable)
     return y
 
 
@@ -393,11 +403,11 @@ def splice(sys, y0_u, y0_s, params, errors):
         lambda r: (f"splice margin violated at index 0: d(y0_s, y0_u) = {gap[r]:.3e} >= "
                    f"2 lam^k (L0 delta + alpha) = {cap:.3e}")),))
     found = {}
-    y0_star = sys.intersect("cu", y0_s, "s", y0_u, cap, errors=found)
-    y0_star_prime = sys.intersect("cs", y0_u, "u", y0_s, cap, errors=found)
+    t_star = sys.intersect("cu", y0_s, "s", y0_u, cap, errors=found)
+    t_prime = sys.intersect("cs", y0_u, "u", y0_s, cap, errors=found)
     for r, exc in found.items():
         errors.setdefault(r, ConstructionError(f"splice intersection failed at index 0: {exc}"))
-    return y0_star, y0_star_prime
+    return sys.leaf_point(y0_u, t_star, True), sys.leaf_point(y0_s, t_prime, False)
 
 
 def _sub_range(n_min: int, n_max: int, k: int) -> tuple:
@@ -502,8 +512,8 @@ def _anchor_stage(sys, orbit: PseudoOrbit, epsilon: float, params) -> _Anchors:
     M_min, M_max = _sub_range(orbit.n_min, orbit.n_max, k)
     if M_max < 3 or M_min > -3:
         raise ParameterError(
-            f"window [{orbit.n_min}, {orbit.n_max}] too short for power k = {k}"
-        )
+            f"window [{orbit.n_min}, {orbit.n_max}] must contain index 0 and at least 3 "
+            f"subsampled steps on each side, [{-3 * k}, {3 * k}] for power k = {k}")
     pts = orbit.points
     errors = {}
     _check_defects(sys, orbit, params, errors)

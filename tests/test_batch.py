@@ -119,6 +119,26 @@ def test_semiconjugacy_builds_no_trace(skew, grid_batch, monkeypatch):
         assert np.array_equal(getattr(sc, name), expected, equal_nan=True), name
 
 
+def test_semiconjugacy_sums_the_series_only_where_a_point_is_read(skew, grid_batch,
+                                                                   monkeypatch):
+    # the sweeps run on bases and offsets, and the slope bound clears every
+    # intersection of a clean grid: the series runs for the two limits and
+    # the two splice points only, B rows each
+    g, params, _, _, _, _ = grid_batch
+    rows = []
+    series = SkewModel._transfer_series
+
+    def counted(self, p, t, stable, tol=None):
+        rows.append((stable, np.shape(t)))
+        return series(self, p, t, stable, tol)
+
+    monkeypatch.setattr(SkewModel, "_transfer_series", counted)
+    sc = semiconjugacy(skew, g, (4, 4, 4), 20, EPS, params=params)
+    assert not sc.failures
+    # forward limit, backward limit, y_0^* on W^s(y_0^u), (y_0^*)' on W^u(y_0^s)
+    assert rows == [(False, (64,)), (True, (64,)), (True, (64,)), (False, (64,))]
+
+
 def test_permuting_rows_permutes_outputs(skew, grid_batch):
     # (b)
     _, params, _, orbit, trace, _ = grid_batch
@@ -182,8 +202,7 @@ def test_sweep_failure_is_recorded_by_row(skew, grid_batch):
         alone_errors = {}
         alone = _sweep(skew, X[r:r + 1], params, alone_errors, stable=False)
         assert not alone_errors
-        assert np.array_equal(alone.z[0], sweep.z[r])
-        assert np.array_equal(alone.zp[0], sweep.zp[r])
+        assert np.array_equal(alone.offset[0], sweep.offset[r])
         assert np.array_equal(alone.coef[0], sweep.coef[r])
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from torusshadow.cli import main
 from torusshadow.models import builtin_model
-from torusshadow.orbits import PerturbedMap, write_table
+from torusshadow.orbits import PerturbedMap, generate_noisy, write_table
 from torusshadow.shadowing import delta_for_epsilon
 
 
@@ -408,6 +408,23 @@ def test_verify_empty_interior_exit_3(workdir, capsys):
     assert "PASS" not in out
     assert err.startswith("ERROR parameters: ") and "window [0, 2]" in err
     assert not (workdir / "v" / "verify.json").exists()
+
+
+@pytest.mark.parametrize("window", [(5, 100), (-100, -5)], ids=["above-0", "below-0"])
+def test_window_missing_index_0_exit_3(workdir, capsys, window):
+    # 96 steps, but none on one side of index 0: the message names index 0
+    # and the 3 subsampled steps each side needs, not the window's length
+    sys = builtin_model("skew")
+    orbit = generate_noisy(sys, [0.1, 0.2, 0.3], (-100, 100), 0.0, seed=0)
+    a, b = window
+    write_table(workdir / "orbit.txt", {"model": "skew", "delta": 0.0, "window": f"{a} {b}"},
+                [[q, *orbit.point(q)] for q in range(a, b + 1)])
+    assert run(["shadow", "--model", "skew", "--orbit", "orbit.txt", "--epsilon", "1e-2",
+                "--out", "s"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR parameters: ") and len(err.splitlines()) == 1
+    assert f"window [{a}, {b}] must contain index 0" in err
+    assert "3 subsampled steps on each side, [-6, 6] for power k = 2" in err
 
 
 def test_out_of_memory_exit_2(workdir, capsys, monkeypatch):

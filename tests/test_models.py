@@ -89,6 +89,32 @@ class TestApply:
         for z in (0.0, 0.25, 0.9):
             assert np.allclose(linear.apply_inverse([0.0, 0.0, z]), [0.0, 0.0, z])
 
+    @pytest.mark.parametrize("matrix, omega, mode", [
+        ([[2, 1], [1, 1]], 0.05, (1, 0, 0.02, 0.0)),
+        ([[-1, 1], [1, 0]], 0.03, (1, 0, 0.02, 0.0)),
+        ([[5, 2], [2, 1]], 0.03, (1, 0, 0.005, 0.0)),
+    ], ids=["skew", "det-minus-one", "k1"])
+    def test_base_only_step(self, matrix, omega, mode, monkeypatch, rng):
+        # a (..., 2) step, and F = f^k of one, gives the bits of the base
+        # columns of the 3-D step and never evaluates phi
+        sys = SkewModel(matrix, omega=omega, phi_modes=[mode])
+        k = delta_for_epsilon(sys, 1e-2).k
+        assert k == {2: 2, -1: 4, 5: 1}[matrix[0][0]]
+        X = rng.random((4, 25, 3))
+        full = [sys.apply(X), sys.apply_inverse(X), sys.apply(X[0, 0]),
+                sys.apply_inverse(X[0, 0]), _iterate(sys, X, k), _iterate(sys, X, k, True)]
+
+        def no_phi(*args):
+            raise AssertionError("a base-only step evaluated phi")
+
+        monkeypatch.setattr(SkewModel, "phi", no_phi)
+        base = [sys.apply(X[..., :2]), sys.apply_inverse(X[..., :2]), sys.apply(X[0, 0, :2]),
+                sys.apply_inverse(X[0, 0, :2]), _iterate(sys, X[..., :2], k),
+                _iterate(sys, X[..., :2], k, True)]
+        for b, f in zip(base, full):
+            assert b.shape == f.shape[:-1] + (2,)
+            assert np.array_equal(b, f[..., :2])
+
     def test_scalar_matches_vectorized(self, skew, rng):
         # one point at a time and the whole stack at once give the same rows
         X = rng.random((100, 3))
@@ -197,14 +223,14 @@ class TestIntersect:
         x = np.array([0.0, 0.0, 0.2])
         yb = wrap(0.01 * linear.v_s)
         y = np.array([yb[0], yb[1], 0.7])
-        pt = linear.intersect("cu", x, "s", y, 0.05)
+        pt = linear.leaf_point(y, linear.intersect("cu", x, "s", y, 0.05), True)
         assert np.allclose(pt[:2], [0.0, 0.0], atol=1e-13)
         assert pt[2] == pytest.approx(0.7, abs=1e-13)
 
     def test_coincident_bases(self, linear):
         x = np.array([0.4, 0.6, 0.1])
         y = np.array([0.4, 0.6, 0.8])
-        pt = linear.intersect("cu", x, "s", y, 0.05)
+        pt = linear.leaf_point(y, linear.intersect("cu", x, "s", y, 0.05), True)
         assert np.allclose(pt, [0.4, 0.6, 0.8], atol=1e-14)
 
     def test_skew_against_grid_search_oracle(self, skew, rng):
@@ -215,7 +241,7 @@ class TestIntersect:
             v = rng.normal(size=3)
             v *= 0.01 / np.linalg.norm(v)
             y = wrap(x + v)
-            pt = skew.intersect("cu", x, "s", y, 0.05)
+            pt = skew.leaf_point(y, skew.intersect("cu", x, "s", y, 0.05), True)
             ts = np.arange(-0.05, 0.05, 1e-5)
             bases = (y[:2] + ts[:, None] * skew.v_s) % 1.0
             fibers = (y[2] + skew.transfer_stable(np.tile(y[:2], (ts.size, 1)), ts)) % 1.0
@@ -261,14 +287,45 @@ class TestIntersect:
             assert out.shape == (4, 5, 3)
             for b in range(4):
                 assert np.array_equal(out[b], skew.leaf_point(anchor[b, 0], offset[b], stable))
-        # an intersection is the leaf point of y at the offset solved from
-        # the eigenframe coefficients of the minimal x -> y displacement
+        # an intersection is the leaf offset along y solved from the
+        # eigenframe coefficients of the minimal x -> y displacement, from
+        # the bases alone
         x = rng.random((6, 3))
         y = wrap(x + rng.uniform(-0.01, 0.01, (6, 3)))
         for cx, cy in (("cu", "s"), ("cs", "u")):
-            pt = skew.intersect(cx, x, cy, y, 0.05)
             t = -skew.coeffs(minimal_displacement(x[:, :2], y[:, :2]))[cy == "s"]
-            assert np.array_equal(pt, skew.leaf_point(y, t, cy == "s"))
+            assert np.array_equal(skew.intersect(cx, x, cy, y, 0.05), t)
+            assert np.array_equal(skew.intersect(cx, x[:, :2], cy, y[:, :2], 0.05), t)
+
+    def test_distance_check_agrees_with_exact_distance(self, rng):
+        # strongly coupled: sqrt(1 + leaf_slope_s^2) ~ 1.12 exceeds L0's 1.1
+        # safety factor, so the slope bound alone would reject rows whose
+        # exact d(point, y) passes; every row's outcome, and the d(y) a
+        # failing row prints, must be the exact distance's
+        sys = SkewModel([[2, 1], [1, 1]], omega=0.05, phi_modes=[(1, 0, 0.05, 0.0)])
+        slope = math.sqrt(1.0 + sys.leaf_slope_s ** 2)
+        assert slope > 1.1 and sys.rates.lam < 0.45
+        radius, n = 0.05, 400
+        cap = sys.L0 * radius
+        for (cx, cy), (v_x, v_y) in ((("cu", "s"), (sys.v_u, sys.v_s)),
+                                     (("cs", "u"), (sys.v_s, sys.v_u))):
+            stable = cy == "s"
+            y = rng.random((n, 3))
+            t = rng.choice([-1.0, 1.0], n) * rng.uniform(cap / 1.12, cap, n)
+            c = rng.uniform(-1e-3, 1e-3, n) * cap     # x-side coefficient near 0
+            x = wrap(np.column_stack([y[:, :2] + t[:, None] * v_y + c[:, None] * v_x,
+                                      rng.random(n)]))
+            errors = {}
+            offset = sys.intersect(cx, x, cy, y, radius, errors=errors)
+            assert np.max(np.abs(offset - t)) < 1e-14
+            dy = torus_distance(sys.leaf_point(y, offset, stable), y)
+            passes = dy <= cap
+            assert sorted(errors) == list(np.flatnonzero(~passes))
+            for r in errors:
+                assert f"d(y)={dy[r]:.3e}," in str(errors[r])
+            # rows only the exact distance clears, and rows it rejects
+            assert np.sum(passes & (slope * np.abs(offset) > cap)) >= 20
+            assert np.sum(~passes) >= 5
 
     def test_leaf_point_base_is_the_offset_point(self, skew, monkeypatch, rng):
         # the base is wrap(p + t v) itself: no displacement is measured and

@@ -97,6 +97,19 @@ def _window_anchors(sys, sweep, k, stable=False):
     return sys.leaf_point(sweep.X[..., :1, :], offsets, stable)
 
 
+def _sweep_points(sys, sweep, k, stable=False):
+    """The sweep's z and z', (..., n+1, 3) with X_0 at index 0, rebuilt from
+    its offsets: the recursive point (z forward, z' backward) is the strong
+    leaf point of X_i at `sweep.offset`, the other one the leaf point of its
+    anchor a_i = F^{+-1} of the previous recursive point at `sweep.coef`."""
+    X = sweep.X
+    rec, other = X.copy(), X.copy()
+    rec[..., 1:, :] = sys.leaf_point(X[..., 1:, :], sweep.offset[..., 1:], not stable)
+    a = _iterate(sys, rec[..., :-1, :], k, inverse=stable)
+    other[..., 1:, :] = sys.leaf_point(a, sweep.coef[..., 1:], stable)
+    return (other, rec) if stable else (rec, other)
+
+
 def _forward_half(sys, X, p):
     """Forward sweep of one subsampled half, its anchor y_0^u and its guides."""
     errors = {}
@@ -112,9 +125,10 @@ class TestForwardWindow:
         orbit = generate_noisy(skew, X0, (0, 20), 0.0, seed=0)
         X = _subsampled(orbit, p.k, "pos")
         sweep, y_u = _forward_half(skew, X, p)
+        z, zp = _sweep_points(skew, sweep, p.k)
         for i in range(1, len(X)):
-            assert torus_distance(sweep.z[0, i], X[i]) < 1e-12
-            assert torus_distance(sweep.zp[0, i], X[i]) < 1e-12
+            assert torus_distance(z[0, i], X[i]) < 1e-12
+            assert torus_distance(zp[0, i], X[i]) < 1e-12
         # every window anchor y_{0,n} and every guide collapse onto the orbit
         anchors = _window_anchors(skew, sweep, p.k)[0]
         assert np.max(torus_distance(anchors, X[0])) < 1e-11
@@ -211,12 +225,13 @@ class TestPropagate:
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=14)
         X = _subsampled(orbit, p.k, "pos")
         sweep, y_u = _forward_half(skew, X, p)
+        z = _sweep_points(skew, sweep, p.k)[0]
         for i in range(1, len(X) - 1):
             # center-plaque relation: bases of the guide and its primed image
             y_u_prime = _iterate(skew, y_u[i - 1], p.k)
             assert torus_distance(y_u[i][:2], y_u_prime[:2]) < 1e-9
             # unstable-plaque membership relative to z_i
-            d = minimal_displacement(sweep.z[0, i][:2], y_u[i][:2])
+            d = minimal_displacement(z[0, i][:2], y_u[i][:2])
             resid = np.linalg.norm(d - (d @ skew.v_u) * skew.v_u)
             assert resid < 1e-10
             assert torus_distance(y_u[i], X[i]) < 2 * eps / 3
@@ -263,7 +278,8 @@ class TestPropagate:
 
     def test_sweep_matches_defining_step(self, skew):
         # every z_i / z'_i of the scanned sweep is the intersection built from
-        # F^{+-1} of the previous point, as the one-step definition has it
+        # F^{+-1} of the previous point, as the one-step definition has it;
+        # the sweep keeps offsets, so both sides are rebuilt as leaf points
         det_m1 = SkewModel([[-1, 1], [1, 0]], omega=0.03, phi_modes=[(1, 0, 0.02, 0.0)])
         for sys in (skew, det_m1):
             p = delta_for_epsilon(sys, 1e-2)
@@ -272,16 +288,19 @@ class TestPropagate:
             for side, stable in (("pos", False), ("neg", True)):
                 X = np.array(_subsampled(orbit, p.k, side))
                 sweep = _clean_sweep(sys, X[None], p, stable)
+                sz, szp = _sweep_points(sys, sweep, p.k, stable)
                 if stable:
-                    a = _iterate(sys, sweep.zp[0, :-1], p.k, inverse=True)
+                    a = _iterate(sys, szp[0, :-1], p.k, inverse=True)
                     pair = (X[1:], a)
                 else:
-                    a = _iterate(sys, sweep.z[0, :-1], p.k)
+                    a = _iterate(sys, sz[0, :-1], p.k)
                     pair = (a, X[1:])
-                z = sys.intersect("cu", pair[0], "s", pair[1], 2 * p.delta_step)
-                zp = sys.intersect("cs", pair[1], "u", pair[0], 2 * p.delta_step)
-                assert np.max(torus_distance(z, sweep.z[0, 1:])) <= 1e-12
-                assert np.max(torus_distance(zp, sweep.zp[0, 1:])) <= 1e-12
+                z = sys.leaf_point(pair[1], sys.intersect("cu", pair[0], "s", pair[1],
+                                                          2 * p.delta_step), True)
+                zp = sys.leaf_point(pair[0], sys.intersect("cs", pair[1], "u", pair[0],
+                                                           2 * p.delta_step), False)
+                assert np.max(torus_distance(z, sz[0, 1:])) <= 1e-12
+                assert np.max(torus_distance(zp, szp[0, 1:])) <= 1e-12
 
 
 class TestTimeReversal:
@@ -299,9 +318,10 @@ class TestTimeReversal:
         fwd = _clean_sweep(linear, X_pos, p)
         # the same list read as a backward orbit of f^-1
         bwd = _clean_sweep(inv, X_pos, p_inv, stable=True)
+        (fz, fzp), (bz, bzp) = _sweep_points(linear, fwd, k), _sweep_points(inv, bwd, k, True)
         for j in range(1, X_pos.shape[1]):
-            assert torus_distance(bwd.z[0, j], fwd.zp[0, j]) < 1e-10
-            assert torus_distance(bwd.zp[0, j], fwd.z[0, j]) < 1e-10
+            assert torus_distance(bz[0, j], fzp[0, j]) < 1e-10
+            assert torus_distance(bzp[0, j], fz[0, j]) < 1e-10
         # the shared anchor at index 0, from the whole window
         y_f = _window_anchors(linear, fwd, k)[0, -1]
         y_b = _window_anchors(inv, bwd, k, stable=True)[0, -1]

@@ -61,7 +61,8 @@ def certify_intersections(sys, params, n: int, seed: int, delta: float):
     Y = wrap(X + V)
     d = torus_distance(X, Y)
     X, Y, d = X[d >= 1e-9], Y[d >= 1e-9], d[d >= 1e-9]
-    pts = (sys.intersect("cu", X, "s", Y, delta), sys.intersect("cs", X, "u", Y, delta))
+    pts = (sys.leaf_point(Y, sys.intersect("cu", X, "s", Y, delta), True),
+           sys.leaf_point(Y, sys.intersect("cs", X, "u", Y, delta), False))
     return float(np.max([torus_distance(pt, Z) / d for pt in pts for Z in (X, Y)], initial=0.0))
 
 
