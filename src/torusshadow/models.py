@@ -173,6 +173,13 @@ class SkewModel:
         if lam_eff >= 1.0:
             raise ModelError("fiber coupling too strong: no certified leaf contraction")
         self.rates = SystemRates(lam=lam_eff, mu=1.0 / lam_eff)
+        # Lipschitz bounds of f and f^-1: the norms of [[|A|, 0], [Lip(phi), 1]]
+        # and [[|A^-1|, 0], [Lip(phi) |A^-1|, 1]].
+        n, n_inv = (float(np.linalg.norm(np.asarray(M, dtype=float), ord=2))
+                    for M in (self.A, self.A_inv))
+        self.lip_f, self.lip_f_inv = (
+            float(np.linalg.norm(np.array([[b, 0.0], [lip, 1.0]]), ord=2))
+            for b, lip in ((n, self.lip_phi), (n_inv, self.lip_phi * n_inv)))
 
         # The inverse eigenframe, and the conditioning of the 2x2 intersection
         # solve through it, with safety factor.
@@ -228,8 +235,8 @@ class SkewModel:
         out[..., 1] = A[1, 0] * p1 + A[1, 1] * p2
         out[..., :2] = wrap(out[..., :2])
         if x.shape[-1] == 3:
-            out[..., 2] = x[..., 2] - self.omega - self.phi(out[..., 0], out[..., 1])
-        return wrap(out)
+            out[..., 2] = wrap(x[..., 2] - self.omega - self.phi(out[..., 0], out[..., 1]))
+        return out
 
     def coeffs(self, d):
         """(along v_u, along v_s) coefficients of base displacements d (..., 2)."""

@@ -14,7 +14,9 @@ reproducibility across implementations is by the recorded orbit files, not
 by PRNG identity.  Noisy orbits never step the map: the base of each half
 is a scalar integer-matrix recursion on Python floats and the fiber follows
 from one phi call and a wrapped scan.  Orbits of a nearby map g are stepped
-by `from_map`, all rows at once.
+by `from_map`, all rows at once; g^-1 is a chord iteration from f^-1(x),
+one g evaluation a step, and `PerturbedMap` rejects a field with
+lip_v Lip(f^-1) >= 1, whose preimages need not be unique.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _frac, torus_distance, wrap
-from .models import _BLOCK_ELEMENTS, TWO_PI, ModelError, SkewModel, _integers, _is_positive_int
+from .geometry import _frac, minimal_displacement, torus_distance, wrap
+from .models import (_BLOCK_ELEMENTS, TWO_PI, ModelError, SkewModel, _integers,
+                     _is_positive_int, _norm)
 
 __all__ = [
     "PseudoOrbit",
@@ -38,7 +41,7 @@ __all__ = [
     "read_orbit",
 ]
 
-# Fixed-point inversion of a PerturbedMap: the residual d(g(y), x) each row
+# Chord inversion of a PerturbedMap: the residual d(g(y), x) each row
 # must reach, and the iteration budget for it.
 INVERSE_RESIDUAL_TOL = 1e-13
 INVERSE_MAX_ITER = 200
@@ -237,6 +240,11 @@ class PerturbedMap:
         for (j, m1, m2, m3, s, c) in self.modes:
             per_coord[j] += TWO_PI * math.sqrt(m1 * m1 + m2 * m2 + m3 * m3) * math.hypot(s, c)
         self.lip_v = math.sqrt(sum(l * l for l in per_coord))
+        if not self.lip_v * sys.lip_f_inv < 1.0:
+            raise ModelError(
+                f"perturbation too steep for a unique inverse: lip_v = {self.lip_v:.6e} "
+                f"times Lip(f^-1) = {sys.lip_f_inv:.6e} is {self.lip_v * sys.lip_f_inv:.4g} >= 1"
+            )
         self._certified = None
 
     def _field(self, x0, x1, x2):
@@ -267,28 +275,60 @@ class PerturbedMap:
     def apply(self, x) -> np.ndarray:
         return wrap(self.sys.apply(x) + self.displacement(x))
 
-    def apply_inverse(self, x) -> np.ndarray:
-        """Invert g by fixed-point iteration y -> f^-1(x - v(y)), row by row.
+    def _chord(self, y):
+        """-v(y), which is x - g(y) up to rounding at y = f^-1(x), and K =
+        Dg(y)^-1 as (3, 3, B) for points y (B, 3).  Dg = [[A, 0], [grad phi,
+        1]] + Dv takes each mode's 2 pi (s cos - c sin) times its frequency,
+        from the sin and cos that give v; K is the adjugate over the
+        determinant."""
+        J = [[float(a) for a in row] + [0.0] for row in self.sys.A] + [[0.0, 0.0, 1.0]]
+        r = np.zeros(y.shape)
+        phi_modes = [(2, m1, m2, 0, s, c, False) for (m1, m2, s, c) in self.sys.modes]
+        for (j, *freq, s, c, field) in phi_modes + [(*mode, True) for mode in self.modes]:
+            th = TWO_PI * sum(m * y[:, k] for k, m in enumerate(freq) if m)
+            sn, cs = np.sin(th), np.cos(th)
+            if field:
+                r[:, j] -= s * sn + c * cs if c else s * sn
+            d = TWO_PI * s * cs - TWO_PI * c * sn if c else TWO_PI * s * cs
+            for k, m in enumerate(freq):
+                if m:
+                    J[j][k] = J[j][k] + m * d
+        # cof[k][i] is the (k, i) cofactor, and K[i, k] = cof[k][i] / det
+        cof = [[J[(k + 1) % 3][(i + 1) % 3] * J[(k + 2) % 3][(i + 2) % 3]
+                - J[(k + 1) % 3][(i + 2) % 3] * J[(k + 2) % 3][(i + 1) % 3] for i in range(3)]
+               for k in range(3)]
+        inv_det = 1.0 / (J[0][0] * cof[0][0] + J[0][1] * cof[0][1] + J[0][2] * cof[0][2])
+        K = np.empty((3, 3, y.shape[0]))
+        for i in range(3):
+            for k in range(3):
+                K[i, k] = cof[k][i] * inv_det
+        return r, K
 
-        Converges at rate Lip(f^-1) * Lip(v) << 1 for the small fields in
-        scope; each row is iterated until d(g(y), x) <= INVERSE_RESIDUAL_TOL
-        and then left alone, so a row's result does not depend on the others.
-        """
+    def apply_inverse(self, x) -> np.ndarray:
+        """Invert g by a chord iteration (simplified Newton), row by row: from
+        y = f^-1(x), y <- y + K (x - g(y)) with K = Dg^-1 frozen at the start
+        and re-taken every 4th step (the first step reads -v(y) for x - g(y)).
+        A step costs one g, and its residual d(g(y), x) is the stopping test:
+        a row is left alone once it is <= INVERSE_RESIDUAL_TOL.  All
+        arithmetic is elementwise, so no row depends on another.  __init__
+        rejects lip_v Lip(f^-1) >= 1: below it y -> f^-1(x - v(y)) contracts,
+        so the preimage is unique and Dg = Df (I + Df^-1 Dv) is invertible."""
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, 3)
         Y = self.sys.apply_inverse(X)
-        v = self.displacement(Y)
-        active = np.arange(X.shape[0])
-        for _ in range(INVERSE_MAX_ITER):
-            xa = X[active]
-            ya = self.sys.apply_inverse(wrap(xa - v))
-            Y[active] = ya
-            # v(ya) serves the residual g(ya) = f(ya) + v(ya) and the next step
-            v = self.displacement(ya)
-            keep = ~(torus_distance(wrap(self.sys.apply(ya) + v), xa) <= INVERSE_RESIDUAL_TOL)
-            active, v = active[keep], v[keep]
+        r, K = self._chord(Y)
+        active, y, xa = np.arange(X.shape[0]), Y, X
+        for step in range(1, INVERSE_MAX_ITER + 1):
+            y = wrap(y + (K[:, 0] * r[:, 0] + K[:, 1] * r[:, 1] + K[:, 2] * r[:, 2]).T)
+            Y[active] = y
+            r = minimal_displacement(self.apply(y), xa)
+            keep = ~(_norm(r) <= INVERSE_RESIDUAL_TOL)
+            if not keep.all():
+                active, y, r, K, xa = active[keep], y[keep], r[keep], K[..., keep], xa[keep]
             if active.size == 0:
                 return Y.reshape(x.shape)
+            if step % 4 == 0:    # a curved field slows a frozen K; take it afresh
+                K = self._chord(y)[1]
         raise RuntimeError(
             f"perturbed-map inversion did not reach residual {INVERSE_RESIDUAL_TOL:g} "
             f"at {active.size} point(s)"

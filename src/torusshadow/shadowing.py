@@ -135,12 +135,6 @@ class ShadowingParams:
         }
 
 
-def _lip_bound(base_norm: float, lip_fiber: float) -> float:
-    """Operator-norm bound of [[base_norm, 0], [lip_fiber, 1]]."""
-    m = np.array([[base_norm, 0.0], [lip_fiber, 1.0]])
-    return float(np.linalg.norm(m, ord=2))
-
-
 def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) -> ShadowingParams:
     """Admissible defect and construction parameters for a tracing accuracy.
 
@@ -187,10 +181,7 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
             f"radius min(L0*delta0, delta1) = {workspace:.4f}"
         )
 
-    base_norm = float(np.linalg.norm(np.asarray(sys.A, dtype=float), ord=2))
-    base_inv_norm = float(np.linalg.norm(np.asarray(sys.A_inv, dtype=float), ord=2))
-    lip_f = _lip_bound(base_norm, sys.lip_phi)
-    lip_f_inv = _lip_bound(base_inv_norm, sys.lip_phi * base_inv_norm)
+    lip_f, lip_f_inv = sys.lip_f, sys.lip_f_inv
     acc_fwd = sum(lip_f ** j for j in range(k))
     acc_bwd = sum(lip_f_inv ** j for j in range(1, k + 1))
     delta = delta_step / max(acc_fwd, acc_bwd)

@@ -392,6 +392,21 @@ def test_bad_certification_grid_exit_2(workdir, capsys):
     assert "certification_grid must be a positive integer" in capsys.readouterr().err
 
 
+def test_steep_perturbation_exit_2(workdir, capsys):
+    # the certified sup |v| = 5.0e-4 is admissible, but lip_v Lip(f^-1) =
+    # 4.98 >= 1, so g^-1 need not be unique; the inversion used to end in a
+    # RuntimeError traceback
+    (workdir / "pert.json").write_text(json.dumps({
+        "amplitude_bound": 1.0575e-3, "certification_grid": 8192,
+        "modes": [{"coord": 1, "freq": [0, 1000, 0], "sin": 3e-4}]}))
+    assert run(["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                "--half-length", "10", "--perturbation", "pert.json", "--out", "st"]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.startswith("ERROR model: ") and "Lip(f^-1) = 2.64" in err and "4.98" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_empty_interior_exit_3(workdir, capsys):
     # on [0, 2] with k = 2 there is no interior index to check: a parameter
     # error, never PASS and never a numpy traceback

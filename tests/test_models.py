@@ -115,6 +115,38 @@ class TestApply:
             assert b.shape == f.shape[:-1] + (2,)
             assert np.array_equal(b, f[..., :2])
 
+    @pytest.mark.parametrize("matrix, omega, mode", [
+        ([[2, 1], [1, 1]], 0.05, (1, 0, 0.02, 0.0)),
+        ([[-1, 1], [1, 0]], 0.03, (1, 1, 0.02, -0.01)),
+        ([[2, 1], [1, 1]], 0.0, (0, 0, 0.0, 0.0)),
+    ], ids=["skew", "det-minus-one", "linear"])
+    def test_inverse_wraps_the_base_once(self, matrix, omega, mode, rng):
+        # the base columns are wrapped once and the fiber alone at the end;
+        # the whole-point wrap this replaces is the identity on the wrapped
+        # base, so random, seam and base-only points keep their bits
+        sys = SkewModel(matrix, omega=omega, phi_modes=[mode])
+
+        def whole_point_wrap(x):
+            out = np.empty(x.shape)
+            out[..., 0] = sys.A_inv[0, 0] * x[..., 0] + sys.A_inv[0, 1] * x[..., 1]
+            out[..., 1] = sys.A_inv[1, 0] * x[..., 0] + sys.A_inv[1, 1] * x[..., 1]
+            out[..., :2] = wrap(out[..., :2])
+            if x.shape[-1] == 3:
+                out[..., 2] = x[..., 2] - sys.omega - sys.phi(out[..., 0], out[..., 1])
+            return wrap(out)
+
+        seam = 1.0 - 2.0 ** -53
+        axis = np.concatenate([np.arange(8) / 8, [seam, 2.0 ** -60]])
+        P = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        # fibers that land within an ulp of the seam once omega + phi is taken off
+        z0 = (sys.omega + sys.phi(*wrap(P @ sys.A_inv.T).T) + np.zeros(P.shape[0])) % 1.0
+        Z = np.concatenate([np.full(P.shape[0], z) for z in (0.0, seam, 1e-300, 1e-17)]
+                           + [z0, (z0 + 1e-17) % 1.0, np.nextafter(z0, 0.0), np.nextafter(z0, 1.0)])
+        seam_points = wrap(np.column_stack([np.tile(P, (8, 1)), Z]))
+        for x in (rng.random((1000, 3)), seam_points, rng.random((7, 5, 3)), seam_points[5]):
+            assert np.array_equal(sys.apply_inverse(x), whole_point_wrap(x))
+            assert np.array_equal(sys.apply_inverse(x[..., :2]), whole_point_wrap(x[..., :2]))
+
     def test_scalar_matches_vectorized(self, skew, rng):
         # one point at a time and the whole stack at once give the same rows
         X = rng.random((100, 3))

@@ -303,11 +303,51 @@ class TestPerturbedMap:
 
     def test_inverse_fixed_point(self, skew, rng):
         # iterate-and-check oracle: g(g^-1(x)) == x to the stated residual
-        g = self._field(skew, 1e-3)
-        for _ in range(100):
-            x = rng.random(3)
-            y = g.apply_inverse(x)
-            assert torus_distance(g.apply(y), x) <= 1e-13
+        for amp in (1e-4, 1e-3, 1e-2):
+            g = self._field(skew, amp)
+            for _ in range(100):
+                x = rng.random(3)
+                y = g.apply_inverse(x)
+                assert torus_distance(g.apply(y), x) <= 1e-13
+
+    def test_inverse_meets_the_residual_on_strong_fields(self, skew):
+        # one-axis modes on every coordinate, up to frequency 140, with
+        # lip_v Lip(f^-1) from 0.5 to 0.99; with K frozen at the start the
+        # slowest rows took 118 steps at 0.9 and over INVERSE_MAX_ITER at 0.99
+        x = np.random.default_rng(7).random((2000, 3))
+        for j in range(3):
+            for axis in range(3):
+                for m in (1, 54, 140):
+                    for rate in (0.5, 0.9, 0.99):
+                        freq = [0, 0, 0]
+                        freq[axis] = m
+                        s = rate / (skew.lip_f_inv * 2.0 * math.pi * m)
+                        g = PerturbedMap(skew, [(j, *freq, s, 0.0)], amplitude_bound=1.0)
+                        y = g.apply_inverse(x)
+                        assert np.max(torus_distance(g.apply(y), x)) <= 1e-13
+
+    @given(modes=MODES)
+    @settings(max_examples=30, deadline=None)
+    @seed(5)
+    def test_inverse_rows_are_solo_inversions(self, skew, modes):
+        # the residual contract on every row, and each row of a batch has
+        # the bits of its own one-point inversion
+        g = PerturbedMap(skew, modes, amplitude_bound=1.0)
+        x = np.random.default_rng(len(modes)).random((24, 3))
+        x[:4] = [[0.0, 0.0, 0.0], [1.0 - 2.0 ** -53] * 3, [0.125, 0.875, 1e-300],
+                 [0.5, 0.25, 1.0 - 2.0 ** -53]]
+        y = g.apply_inverse(x)
+        assert np.max(torus_distance(g.apply(y), x)) <= 1e-13
+        for row, y_row in zip(x, y):
+            assert np.array_equal(g.apply_inverse(row), y_row)
+
+    def test_steep_field_rejected(self, skew):
+        # sup |v| = 3e-4 is small, but lip_v Lip(f^-1) = 4.98 >= 1: the
+        # preimage of g need not be unique
+        with pytest.raises(ModelError, match=r"lip_v = 1\.88.* Lip\(f\^-1\) = 2\.64"):
+            PerturbedMap(skew, [(1, 0, 1000, 0, 3e-4, 0.0)], amplitude_bound=1.0575e-3)
+        rate = 0.999 / (skew.lip_f_inv * 2.0 * math.pi * 1000)
+        PerturbedMap(skew, [(1, 0, 1000, 0, rate, 0.0)], amplitude_bound=1.0575e-3)
 
     def test_from_map_zero_perturbation(self, skew):
         g = PerturbedMap(skew, [], amplitude_bound=1e-12)
@@ -325,13 +365,16 @@ class TestPerturbedMap:
             assert orbit.delta == g.certified_bound()
 
     def test_inverse_evaluates_the_field_once_per_iterate(self, skew, rng, monkeypatch):
-        g = self._field(skew, 1e-3)
+        # one f^-1 for the start, then one g, and so one field evaluation,
+        # per chord step; criterion 9's field needs at most 4 steps
+        g = PerturbedMap(skew, CRITERION_9_MODES, amplitude_bound=1.1e-3)
         counts = {}
-        count_calls(monkeypatch, counts, PerturbedMap, "displacement")
+        count_calls(monkeypatch, counts, PerturbedMap, "apply", "displacement")
         count_calls(monkeypatch, counts, SkewModel, "apply_inverse")
-        g.apply_inverse(rng.random((64, 3)))
-        assert counts["apply_inverse"] > 2
-        assert counts["displacement"] == counts["apply_inverse"]
+        g.apply_inverse(rng.random((256, 3)))
+        assert counts["apply_inverse"] == 1
+        assert 1 <= counts["apply"] <= 4
+        assert counts["displacement"] == counts["apply"]
 
     def test_backward_points_are_g_preimages(self, skew):
         g = self._field(skew, 1e-3)
