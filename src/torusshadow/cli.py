@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -68,8 +69,7 @@ def _write_manifest(out: Path, args, sys_model, params=None, outputs=(), **resol
     """manifest.json: the parsed arguments, with `out` as the directory
     written and `resolved` replacing the values the command worked out
     (orbit's drawn x0), plus the canonical argv that replays them."""
-    parameters = {key: value for key, value in vars(args).items()
-                  if key not in ("command", "func")}
+    parameters = {key: value for key, value in vars(args).items() if key != "command"}
     parameters.update(out=str(out), **resolved)
     manifest = {
         "command": args.command,
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="resolved construction constants and margins")
     _common(p)
     p.add_argument("--epsilon", type=float, required=True)
-    p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("orbit", help="generate a seeded noisy pseudo-orbit")
     _common(p)
@@ -294,20 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, nargs=2, required=True, metavar=("A", "B"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--x0", type=float, nargs=3, default=None)
-    p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("shadow", help="quasi-shadow an orbit file")
     _common(p)
     p.add_argument("--orbit", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.set_defaults(func=cmd_shadow)
 
     p = sub.add_parser("verify", help="re-verify a trace file against its orbit")
     _common(p)
     p.add_argument("--orbit", required=True)
     p.add_argument("--trace", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stability", help="sampled semiconjugacy for a perturbed map")
     _common(p)
@@ -318,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None,
                    help="amplitude of the default perturbation field")
     p.add_argument("--perturbation", default=None, help="perturbation JSON file")
-    p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("probe", help="plaque-expansiveness probe")
     _common(p)
@@ -326,16 +321,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--half-length", type=_positive_int, default=30, dest="half_length")
-    p.set_defaults(func=cmd_probe)
     return parser
 
 
+_parser = functools.cache(build_parser)   # built on the first `main` call, not at import
+
+
 def main(argv=None) -> int:
-    """Run one subcommand; the one place an exception becomes an exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the one place an exception becomes an exit code.
+
+    The parser is built once per process; the subcommand is looked up as
+    this module's `cmd_<name>` on every call, so a function put in its
+    place later (a tracer's wrapper) is the one that runs."""
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except models.ModelError as exc:
         print(f"ERROR model: {exc}", file=sys.stderr)
         return EXIT_INPUT

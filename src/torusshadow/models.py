@@ -304,8 +304,9 @@ class SkewModel:
         if not need * abs(rate) ** skip >= 1.0:
             return np.zeros(t.shape)[()]
         terms = int(math.log(need) / -math.log(abs(rate))) + 2 - skip
-        if terms > 500:  # unreachable for valid tolerances; hard stop
-            raise RuntimeError("transfer series failed to converge")
+        if terms > 500:  # only a tiny series_tol gets here; hard stop
+            raise ModelError(f"transfer series needs {terms} terms, over the limit of 500, "
+                             f"to reach tolerance {float(np.min(tol)):.3g}")
         decay = rate ** np.arange(skip, terms + skip)
         powers = self._anchor_powers(stable, terms + skip)[skip:]
         p = np.asarray(p, dtype=float)

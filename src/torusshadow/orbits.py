@@ -21,6 +21,7 @@ lip_v Lip(f^-1) >= 1, whose preimages need not be unique.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -329,10 +330,9 @@ class PerturbedMap:
                 return Y.reshape(x.shape)
             if step % 4 == 0:    # a curved field slows a frozen K; take it afresh
                 K = self._chord(y)[1]
-        raise RuntimeError(
-            f"perturbed-map inversion did not reach residual {INVERSE_RESIDUAL_TOL:g} "
-            f"at {active.size} point(s)"
-        )
+        raise ModelError(f"perturbed-map inversion did not reach residual "
+                         f"{INVERSE_RESIDUAL_TOL:g} in {INVERSE_MAX_ITER} steps at "
+                         f"{active.size} point(s)")
 
     def certified_bound(self) -> float:
         """Certified sup d(f, g): grid supremum of |v| plus Lipschitz slack.
@@ -415,38 +415,33 @@ def write_orbit(orbit: PseudoOrbit, path, model_name: str = "") -> None:
 def read_table(path, columns: int, required=()):
     """Header and numeric rows of a line-oriented file.
 
-    `# key: value` lines make the header; every other non-blank line is a
-    row of `columns` numbers whose first column is the index.  Returns
-    (header, (n_min, n_max), rows) with the (N, columns) rows sorted by
+    `# key: value` lines before the first row make the header; from the
+    first other non-blank line on, every non-blank line is a row of
+    `columns` numbers, index first, and one `np.loadtxt` call reads them.
+    Returns (header, (n_min, n_max), rows), the (N, columns) rows sorted by
     index.  Raises ValueError when the `window` header or one in `required`
-    is missing, a row has another column count or a non-numeric field, or
-    the indices do not cover the declared window once each.  Tokens become
-    floats in blocks of about _BLOCK_ELEMENTS / 8, `write_table`'s budget,
-    so the text of the whole file is never held at once.
+    is missing, a line from the first row on is not a row (`_bad_line`
+    names the first), or the indices do not cover the window once each.
     """
-    header, tokens, lines, blocks = {}, [], [], []
+    header, rows = {}, np.empty((0, columns))
     with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
+        for number in itertools.count(1):
+            start, line = fh.tell(), fh.readline()
+            text = line.strip()
+            if text.startswith("#"):
+                key, _, value = text[1:].partition(":")
                 header[key.strip()] = value.strip()
-                continue
-            row = line.split()
-            if len(row) != columns:
-                # a bad field on an earlier line is reported first
-                _floats(tokens, lines, columns, path)
-                raise ValueError(f"{path} line {number} has {len(row)} columns, "
-                                 f"expected {columns}")
-            tokens += row
-            lines.append(number)
-            if len(tokens) >= _BLOCK_ELEMENTS // 8:
-                blocks.append(_floats(tokens, lines, columns, path))
-                tokens, lines = [], []
-    blocks.append(_floats(tokens, lines, columns, path))
-    values = np.concatenate(blocks)
+            elif text or not line:
+                break
+        if text:
+            fh.seek(start)
+            try:
+                rows = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+            except ValueError:
+                rows = None
+            if rows is None or rows.shape[1] != columns:
+                fh.seek(start)
+                raise _bad_line(fh, number, columns, path)
     missing = [key for key in ("window", *required) if key not in header]
     if missing:
         raise ValueError(f"{path} is missing header(s): {', '.join(missing)}")
@@ -455,7 +450,6 @@ def read_table(path, columns: int, required=()):
     except ValueError:
         raise ValueError(f"{path} has a malformed window header {header['window']!r}, "
                          f"expected two integers") from None
-    rows = values.reshape(-1, columns)
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     if not np.array_equal(rows[:, 0], np.arange(n_min, n_max + 1)):
         raise ValueError(f"{path} indices do not cover the declared window "
@@ -463,19 +457,22 @@ def read_table(path, columns: int, required=()):
     return header, (n_min, n_max), rows
 
 
-def _floats(tokens, lines, columns: int, path) -> np.ndarray:
-    """The row tokens as one float array; a non-numeric one raises
-    ValueError naming its file line (`lines` holds one per row)."""
-    try:
-        return np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:
-        for i, tok in enumerate(tokens):
+def _bad_line(lines, number: int, columns: int, path) -> ValueError:
+    """The error naming the first of `lines`, numbered from `number`, that is
+    not a row: a `#` line, another column count (named before its fields), or
+    a field np.loadtxt refuses: one float() refuses, or one with `_` or non-ASCII."""
+    for number, line in enumerate(lines, number):
+        row = line.split()
+        if row and row[0].startswith("#"):
+            return ValueError(f"{path} line {number} is a '#' line after the first row")
+        if row and len(row) != columns:
+            return ValueError(f"{path} line {number} has {len(row)} columns, expected {columns}")
+        for tok in row:
             try:
-                float(tok)
+                float(tok if tok.isascii() and "_" not in tok else "not a float")
             except ValueError:
-                raise ValueError(f"{path} line {lines[i // columns]} has a non-numeric "
-                                 f"field {tok!r}") from None
-        raise
+                return ValueError(f"{path} line {number} has a non-numeric field {tok!r}")
+    return ValueError(f"{path} has a row that np.loadtxt cannot read")
 
 
 def read_orbit(path) -> PseudoOrbit:

@@ -2,11 +2,16 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import torusshadow
+from torusshadow import cli, orbits
 from torusshadow.cli import main
 from torusshadow.models import builtin_model
 from torusshadow.orbits import PerturbedMap, generate_noisy, write_table
@@ -405,6 +410,68 @@ def test_steep_perturbation_exit_2(workdir, capsys):
     assert "PASS" not in out
     assert err.startswith("ERROR model: ") and "Lip(f^-1) = 2.64" in err and "4.98" in err
     assert len(err.splitlines()) == 1
+
+
+def test_series_non_convergence_exit_2(workdir, capsys):
+    # a series_tol this small needs more transfer-series terms than the
+    # hard stop allows; it used to end in a RuntimeError traceback
+    (workdir / "model.json").write_text(json.dumps({**SKEW_FILE, "series_tol": 1e-300}))
+    assert run(["orbit", "--model", "model.json", "--delta", "1e-6", "--window", "-20", "20",
+                "--seed", "3", "--out", "o"]) == 0
+    capsys.readouterr()
+    assert run(["shadow", "--model", "model.json", "--orbit", "o/orbit.txt",
+                "--epsilon", "5e-2", "--out", "s"]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.startswith("ERROR model: transfer series needs ") and "terms" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_inverse_non_convergence_exit_2(workdir, capsys, monkeypatch):
+    # one chord step leaves the default field's preimages short of the
+    # residual; it used to end in a RuntimeError traceback
+    monkeypatch.setattr(orbits, "INVERSE_MAX_ITER", 1)
+    assert run(["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                "--half-length", "10", "--delta", "1e-3", "--out", "st"]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.startswith("ERROR model: perturbed-map inversion did not reach residual ")
+    assert "in 1 steps" in err and len(err.splitlines()) == 1
+
+
+def test_one_process_matches_fresh_processes(workdir, tmp_path):
+    # main builds its parser once per process: a chain, a rejected command
+    # line and a rerun in this process write the bytes that a fresh
+    # `python -m torusshadow.cli` writes for each command
+    chain = [(["orbit", "--model", "skew", "--delta", "2e-5", "--window", "-30", "30",
+               "--seed", "9", "--out", "o"], 0),
+             (["shadow", "--model", "skew", "--orbit", "o/orbit.txt", "--epsilon", "1e-2",
+               "--out", "s"], 0),
+             (["verify", "--model", "skew", "--orbit", "o/orbit.txt", "--trace", "s/trace.txt",
+               "--epsilon", "1e-2", "--out", "v"], 0),
+             (["shadow", "--orbit", "o/orbit.txt", "--epsilon", "1e-2", "--out", "x"], 2),
+             (["shadow", "--model", "skew", "--orbit", "o/orbit.txt", "--epsilon", "1e-2",
+               "--out", "s2"], 0)]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(torusshadow.__file__).parents[1])}
+    for argv, code in chain:
+        assert subprocess.run([sys.executable, "-m", "torusshadow.cli", *argv], cwd=fresh,
+                              env=env, capture_output=True).returncode == code
+        assert _exit_code(argv) == code
+    for out in ("o", "s", "v", "s2"):
+        assert read_bytes_map(workdir / out) == read_bytes_map(fresh / out)
+    assert not (workdir / "x").exists() and not (fresh / "x").exists()
+
+
+def test_main_runs_the_command_bound_at_call_time(workdir, monkeypatch):
+    # a function put in place of cmd_<name> after the parser was built (as
+    # a tracer does) is the one main runs
+    assert run(["constants", "--model", "skew", "--epsilon", "1e-2", "--out", "c"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_constants", lambda args: seen.append(vars(args)) or 7)
+    assert run(["constants", "--model", "skew", "--epsilon", "1e-2", "--out", "c"]) == 7
+    assert seen == [{"command": "constants", "model": "skew", "epsilon": 1e-2, "out": "c"}]
 
 
 def test_verify_empty_interior_exit_3(workdir, capsys):
