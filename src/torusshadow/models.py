@@ -186,8 +186,15 @@ class SkewModel:
         self._inv = np.linalg.inv(np.column_stack([self.v_u, self.v_s]))
         self.L0 = 1.1 * float(np.linalg.norm(self._inv, ord=2))
         self.delta0 = 0.2
-        # Exact integer powers A^n and A^-n as floats, grown on demand.
-        self._powers = {True: np.eye(2)[None], False: np.eye(2)[None]}
+        # Per-class tables of the strong leaves, indexed by `stable` (0 for
+        # the unstable class, 1 for the stable one): the leaf vector and the
+        # transfer series' rate, first term and sign, and the series tables
+        # of each term count used (`_series_table`).
+        self._leaf = np.array([self.v_u, self.v_s])
+        self._rate = (1.0 / self.eig_mu, self.eig_lam)
+        self._skip = (1, 0)
+        self._sign = np.array([-1.0, 1.0])
+        self._tables = {}
 
     @property
     def is_linear(self) -> bool:
@@ -213,20 +220,18 @@ class SkewModel:
     # -- the map -----------------------------------------------------------
 
     def apply(self, x) -> np.ndarray:
-        """f(x) for points (..., 3), or A x for base points (..., 2), which
-        skips phi and gives the bits of the full step's base columns."""
+        """f(x) for points (..., 3)."""
         x = np.asarray(x, dtype=float)
         A = self.A
         out = np.empty(x.shape)
         p1, p2 = x[..., 0], x[..., 1]
         out[..., 0] = A[0, 0] * p1 + A[0, 1] * p2
         out[..., 1] = A[1, 0] * p1 + A[1, 1] * p2
-        if x.shape[-1] == 3:
-            out[..., 2] = x[..., 2] + self.omega + self.phi(p1, p2)
+        out[..., 2] = x[..., 2] + self.omega + self.phi(p1, p2)
         return wrap(out)
 
     def apply_inverse(self, x) -> np.ndarray:
-        """f^-1(x), or A^-1 x for base points (..., 2), as `apply`."""
+        """f^-1(x) for points (..., 3)."""
         x = np.asarray(x, dtype=float)
         A = self.A_inv
         out = np.empty(x.shape)
@@ -234,8 +239,7 @@ class SkewModel:
         out[..., 0] = A[0, 0] * p1 + A[0, 1] * p2
         out[..., 1] = A[1, 0] * p1 + A[1, 1] * p2
         out[..., :2] = wrap(out[..., :2])
-        if x.shape[-1] == 3:
-            out[..., 2] = wrap(x[..., 2] - self.omega - self.phi(out[..., 0], out[..., 1]))
+        out[..., 2] = wrap(x[..., 2] - self.omega - self.phi(out[..., 0], out[..., 1]))
         return out
 
     def coeffs(self, d):
@@ -259,126 +263,159 @@ class SkewModel:
         """Fiber offsets h_u(p, t) for the point p + t v_u of the unstable line."""
         return self._transfer_series(p, t, stable=False, tol=tol)
 
-    def _anchor_powers(self, stable: bool, count: int) -> np.ndarray:
-        """A^n (stable) or A^-n (unstable) for n < count, as (count, 2, 2)
-        floats rounded once from exact integer products."""
-        cached = self._powers[stable]
-        if cached.shape[0] < count:
-            (a, b), (c, d) = (self.A if stable else self.A_inv).tolist()
-            mats = [((1, 0), (0, 1))]
-            for _ in range(count - 1):
-                (p, q), (r, s) = mats[-1]
-                mats.append(((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d)))
-            cached = self._powers[stable] = np.array(mats, dtype=float)
-        return cached[:count]
+    def _series_table(self, terms: int) -> np.ndarray:
+        """(5, 2, terms), kept per term count: for each class, the decay
+        rate^(n + skip) of its first `terms` terms and the entries a, b, c, d
+        of their anchor matrices, A^-n for n = 1..terms (unstable) and A^n
+        for n < terms (stable), floats rounded once from exact integer
+        products."""
+        table = self._tables.get(terms)
+        if table is None:
+            powers = []
+            for ((a, b), (c, d)), skip in zip((self.A_inv.tolist(), self.A.tolist()), self._skip):
+                mats = [(1, 0, 0, 1)]
+                for _ in range(terms + skip - 1):
+                    p, q, r, s = mats[-1]
+                    mats.append((p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d))
+                powers.append(mats[skip:])
+            decay = np.array(self._rate)[:, None] ** (np.arange(terms) + np.array(self._skip)[:, None])
+            table = self._tables[terms] = np.concatenate(
+                [decay[None], np.array(powers, dtype=float).transpose(2, 0, 1)])
+        return table
 
-    def _transfer_series(self, p, t, stable: bool, tol=None):
+    def _transfer_series(self, p, t, stable, tol=None):
         """Evaluate the transfer series of every row, in blocks of rows.
 
-        The pair (A^n p, A^n q) is never iterated as two points: floating-point
-        noise in the expanding direction of the iteration would separate them
-        exponentially and turn the late terms into garbage.  Instead the anchor
-        A^n p comes from the exact integer power and the other point is
-        reconstructed as anchor + lam^n t v, which decays exactly; drift common
-        to both evaluation points cancels in the phi difference.  Row r sums
-        the terms whose tail bound is still >= its tolerance, in order, so its
-        value does not depend on the other rows.
+        `stable` names the leaf class: a bool, or a bool array broadcasting
+        over the rows, one class per row.  The pair (A^n p, A^n q) is never
+        iterated as two points: floating-point noise in the expanding
+        direction of the iteration would separate them exponentially and turn
+        the late terms into garbage.  Instead the anchor A^n p comes from the
+        exact integer power and the other point is reconstructed as anchor +
+        lam^n t v, which decays exactly; drift common to both evaluation
+        points cancels in the phi difference.  Row r sums the terms whose tail
+        bound is still >= its tolerance, in order, so its value does not
+        depend on the other rows or their classes.
 
-        Blocks of leading rows, about _BLOCK_ELEMENTS row x term elements
-        each, keep the temporaries in the cache at any batch size.  Blocking
-        is exact: each block runs the pass's term count, and the terms past a
-        row's live ones add 0.0 to its sequential sum.
+        Blocks of rows, about _BLOCK_ELEMENTS row x term elements each, keep
+        the temporaries in the cache at any batch size; the rows are the
+        flattened axes before the last (the elements of a 1-D stack).
+        Blocking is exact: each block runs the pass's term count, and the
+        terms past a row's live ones add 0.0 to its sequential sum.
         """
         t = np.asarray(t, dtype=float)
         if self.lip_phi == 0.0:
             return np.zeros(t.shape)[()]
         tol = np.asarray(self.series_tol if tol is None else tol, dtype=float)
+        cls = np.asarray(stable, dtype=np.intp)
+        mixed = cls.ndim > 0
+        cls = cls if mixed else int(cls)    # one class indexes its tables as views
         tail = self.lip_phi / (1.0 - abs(self.eig_lam))
-        if stable:
-            rate, v, skip = self.eig_lam, self.v_s, 0    # A^n q = A^n p + lam^n t v_s
-        else:
-            rate, v, skip = 1.0 / self.eig_mu, self.v_u, 1  # A^-n q = A^-n p + mu^-n t v_u
         # Term n is live while its tail bound tail * |t rate^(n + skip)| is
-        # >= tol; size the pass for the row that needs most, plus one spare.
+        # >= tol; size the pass for the row and class that need most, plus
+        # one spare.
         need = float(np.max(tail * np.abs(t) / tol, initial=0.0))
-        if not need * abs(rate) ** skip >= 1.0:
+        terms = 0
+        for c in (0, 1) if mixed else (cls,):
+            rate, skip = abs(self._rate[c]), self._skip[c]
+            if need * rate ** skip >= 1.0:
+                terms = max(terms, int(math.log(need) / -math.log(rate)) + 2 - skip)
+        if not terms:
             return np.zeros(t.shape)[()]
-        terms = int(math.log(need) / -math.log(abs(rate))) + 2 - skip
         if terms > 500:  # only a tiny series_tol gets here; hard stop
             raise ModelError(f"transfer series needs {terms} terms, over the limit of 500, "
                              f"to reach tolerance {float(np.min(tol)):.3g}")
-        decay = rate ** np.arange(skip, terms + skip)
-        powers = self._anchor_powers(stable, terms + skip)[skip:]
+        table = self._series_table(terms)
         p = np.asarray(p, dtype=float)
 
-        def block(p, t, tol):
+        def block(p, t, tol, cls):
+            # A^n q = A^n p + lam^n t v_s; A^-n q = A^-n p + mu^-n t v_u
+            decay, a, b, c, d = table[:, cls]
             cur = t[..., None] * decay
             live = tail * np.abs(cur) >= (tol[..., None] if tol.ndim else tol)
             p1, p2 = p[..., 0, None], p[..., 1, None]
             # bare _frac, not wrap: a fold of 1.0 to 0.0 would move phi's bits
-            a1 = _frac(powers[:, 0, 0] * p1 + powers[:, 0, 1] * p2)
-            a2 = _frac(powers[:, 1, 0] * p1 + powers[:, 1, 1] * p2)
-            diff = self.phi(a1, a2) - self.phi(a1 + cur * v[0], a2 + cur * v[1])
+            a1, a2 = _frac(a * p1 + b * p2), _frac(c * p1 + d * p2)
+            v = self._leaf[cls, ..., None]
+            diff = self.phi(a1, a2) - self.phi(a1 + cur * v[..., 0, :], a2 + cur * v[..., 1, :])
             return np.cumsum(np.where(live, diff, 0.0), axis=-1)[..., -1]
 
-        shape = np.broadcast(p[..., 0], t, tol).shape
-        rows = max(1, _BLOCK_ELEMENTS // max(1, terms * math.prod(shape[1:])))
-        if rows >= math.prod(shape[:1]):
-            total = block(p, t, tol)
+        shape = np.broadcast(p[..., 0], t, tol, cls).shape
+        lead = shape[:-1] if len(shape) > 1 else shape
+        trail, n_rows = len(shape) - len(lead), math.prod(lead)
+        rows = max(1, _BLOCK_ELEMENTS // max(1, terms * math.prod(shape[len(lead):])))
+        if rows >= n_rows:
+            total = block(p, t, tol, cls)
         else:
-            total = np.empty(shape)
-            # an operand without the leading axis goes whole into every block
-            lead = [a.ndim == len(shape) and a.shape[0] > 1 for a in (p[..., 0], t, tol)]
-            for lo in range(0, shape[0], rows):
-                total[lo:lo + rows] = block(*(a[lo:lo + rows] if cut else a
-                                              for a, cut in zip((p, t, tol), lead)))
+            total = np.empty((n_rows,) + shape[len(lead):])
+            # an operand without the leading axes goes whole into every block
+            parts = []
+            for a, keep in ((p, 1), (t, 0), (tol, 0), (cls, 0)):
+                own = np.shape(a)[np.ndim(a) - trail - keep:]
+                parts.append((np.broadcast_to(a, lead + own).reshape((n_rows,) + own), True)
+                             if np.ndim(a) > trail + keep else (a, False))
+            for lo in range(0, n_rows, rows):
+                total[lo:lo + rows] = block(*(a[lo:lo + rows] if cut else a for a, cut in parts))
+            total = total.reshape(shape)
         # h_s sums phi(A^n p) - phi(A^n q); h_u sums phi(A^-n q) - phi(A^-n p).
-        return (total if stable else -total)[()]
+        return (total * self._sign[cls])[()]
 
     # -- strong-leaf points and intersections ----------------------------------
 
-    def leaf_point(self, anchor, offset, stable: bool, tol=None) -> np.ndarray:
+    def leaf_point(self, anchor, offset, stable, tol=None) -> np.ndarray:
         """The point at signed base offset `offset` along v_s (or v_u) on the
         strong stable (or unstable) leaf of `anchor`: (q, z + h(p, offset))
         with q = p + offset v for anchor (p, z).
 
-        anchor (..., 3) broadcasts against offset (...).  Center leaves are
-        the vertical circles, so this is also the center holonomy from the
+        anchor (..., 3) broadcasts against offset (...), and `stable` is a
+        bool or a bool array broadcasting against offset, one leaf class per
+        row; a row gets the bits of its own single-class call.  Center leaves
+        are the vertical circles, so this is also the center holonomy from the
         point over q onto the strong leaf of `anchor`.
         """
         anchor = np.asarray(anchor, dtype=float)
         offset = np.asarray(offset, dtype=float)
         p = anchor[..., :2]
-        transfer = self.transfer_stable if stable else self.transfer_unstable
-        fiber = wrap(anchor[..., 2] + transfer(p, offset, tol=tol))
+        cls = np.asarray(stable, dtype=np.intp)
+        if cls.ndim:
+            h = self._transfer_series(p, offset, stable, tol=tol)
+        else:
+            h = (self.transfer_stable if cls else self.transfer_unstable)(p, offset, tol=tol)
+        fiber = wrap(anchor[..., 2] + h)
         # column writes cost a fifth of broadcast_to + concatenate on one point
         point = np.empty(fiber.shape + (3,))
-        point[..., :2] = wrap(p + offset[..., None] * (self.v_s if stable else self.v_u))
+        point[..., :2] = wrap(p + offset[..., None] * self._leaf[cls])
         point[..., 2] = fiber
         return point
 
-    def intersect(self, class_x: str, x, class_y: str, y, radius, errors=None) -> np.ndarray:
+    def intersect(self, class_x, x, class_y, y, radius, errors=None) -> np.ndarray:
         """The signed offset along y's strong leaf of the unique intersection
         of the local `class_x` leaf of x with the local `class_y` leaf of y,
         row by row, read from the bases of x and y (..., 2 or 3); the point
         is `leaf_point(y, offset, class_y == "s")`.
 
-        Supported pairs: (cu, s) and (cs, u).  The offset comes from the 2x2
-        eigenframe solve in the minimal lift.  A row fails on lift ambiguity
-        (base displacement > 0.25), a pair distance >= delta0, or a point
-        farther than L0 * radius from either input.  For that last check,
-        d(point, y) <= sqrt(1 + leaf_slope_s^2) |offset| clears most rows
-        (1e-12 covers rounding); the rest, every failing row among them, get
-        the exact distance, in which y's fiber cancels.  Failing rows are
-        recorded in `errors` (see `_flag_rows`); with `errors=None` the
-        lowest failing row raises IntersectionError after all rows ran.
+        Supported pairs: (cu, s) and (cs, u), named by two strings or by two
+        string arrays broadcasting over the rows, one pair per row (two
+        strings keep `leaf_point` on its single-class path).  The offset
+        comes from the 2x2 eigenframe solve in the minimal lift.  A row fails
+        on lift ambiguity (base displacement > 0.25), a pair distance >=
+        delta0, or a point farther than L0 * radius from either input.  For
+        that last check, d(point, y) <= sqrt(1 + leaf_slope_s^2) |offset|
+        clears most rows (1e-12 covers rounding); the rest, every failing row
+        among them, get the exact distance, in which y's fiber cancels.
+        Failing rows are recorded in `errors` (see `_flag_rows`); with
+        `errors=None` the lowest failing row raises IntersectionError after
+        all rows ran.
         """
-        if (class_x, class_y) not in (("cu", "s"), ("cs", "u")):
+        if not all(pair in (("cu", "s"), ("cs", "u")) for pair in np.broadcast(class_x, class_y)):
             raise IntersectionError(f"unsupported leaf pair ({class_x}, {class_y})")
         found = {} if errors is None else errors
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         shape = x.shape[:-1]
         xb, yb = x[..., :2].reshape(-1, 2), y[..., :2].reshape(-1, 2)
+        stable_y = np.asarray(class_y) == "s"
+        if stable_y.ndim:
+            stable_y = np.broadcast_to(stable_y, shape).reshape(-1)
         d_xy = minimal_displacement(xb, yb)
         base_sep = _norm(d_xy)
         far = ~(base_sep < self.delta0)
@@ -392,21 +429,22 @@ class SkewModel:
              lambda r: (f"points too far apart for leaf intersection: base separation "
                         f"{base_sep[r]:.4f} >= delta0 = {self.delta0}")),
         ))
-        stable_y = class_y == "s"
         # p_x + s dir_x = p_y + t dir_y, so t is minus the y-side coefficient
         # of d_xy.  Rejected rows get a zero offset so their series stays defined.
-        t = np.where(far, 0.0, -self.coeffs(d_xy)[stable_y])
+        cu, cs = self.coeffs(d_xy)
+        t = np.where(far, 0.0, -np.where(stable_y, cs, cu))
 
         cap = np.broadcast_to(self.L0 * np.asarray(radius, dtype=float).reshape(-1), t.shape)
         # The x-side class always contains the center direction, so measure its
         # distance center-transversally (base only, the base `leaf_point`
         # builds); the y-side leaf is strong, so its full distance is pinned.
-        dx = torus_distance(wrap(yb + t[:, None] * (self.v_s if stable_y else self.v_u)), xb)
+        dx = torus_distance(wrap(yb + t[:, None] * self._leaf[stable_y.astype(np.intp)]), xb)
         dy = math.sqrt(1.0 + self.leaf_slope_s ** 2) * np.abs(t)
         exact = ~(dy + 1e-12 < cap) | ~(dx <= cap)
         if exact.any():
             y0 = np.pad(yb[exact], ((0, 0), (0, 1)))    # fiber 0
-            dy[exact] = torus_distance(self.leaf_point(y0, t[exact], stable_y), y0)
+            cls = stable_y[exact] if stable_y.ndim else stable_y
+            dy[exact] = torus_distance(self.leaf_point(y0, t[exact], cls), y0)
         _flag_rows(found, IntersectionError, ((
             ~(dx <= cap) | ~(dy <= cap),
             lambda r: (f"intersection outside L0*radius: d(x)={dx[r]:.3e}, "

@@ -18,19 +18,24 @@ steps.
 
 The construction runs on a stack of B orbits over one window at once
 (`shadow_batch`; `quasi_shadow` is the one-orbit case), and every stage, the
-sweeps included, is an array operation along time.  `shadow_batch` is an
-anchor stage (checks, sweeps, limits and splice: y*_0 and every row
-failure) followed by a trace stage (`_half` per side for the guides and
-the subsampled y*, then the fill); the semiconjugacy runs the anchor
-stage alone.  A row that fails a check is recorded in the batch's `errors`
-dict with the stage and index and the other rows carry on; only
-`quasi_shadow` raises a row's failure.  The two halves mirror each other in
-time and share one code path: one sweep (`_sweep`), one certified limit
-(`_limit`), one guide recursion (`_propagate`) and one correction kernel
-(`_half`), the backward half with the leaf pair and the rate swapped.
-Strong leaves are graphs over the base and F moves a base by A^k alone, so
-the sweeps run on bases and leaf offsets; the transfer series runs for the
-limits, the splice, `_propagate` and the checks a slope bound cannot clear.
+sweep included, is an array operation along time.  `shadow_batch` is an
+anchor stage (checks, sweep, limits and splice: y*_0 and every row
+failure) followed by a trace stage (`_half` for the guides and the
+subsampled y*, then the fill); the semiconjugacy runs the anchor stage
+alone.  A row that fails a check is recorded in the batch's `errors` dict
+with the stage and index and the other rows carry on; only `quasi_shadow`
+raises a row's failure.  The two halves mirror each other in time and are
+independent until the splice, so they run as one array pass: stacked on a
+leading axis of length 2, forward first, they go through one sweep
+(`_sweep`), one guide recursion (`_propagate`) and one correction step
+(`_half`), with the leaf class (the leaf pair, the rate, A or A^-1) as a
+per-row array, the backward half's swapped against the forward one's.
+The shorter half of an asymmetric window is padded at its far end, inertly.
+Only the certified limits (`forward_limit`, `backward_limit`) run per half,
+on views cut to each half's length.  Strong leaves are graphs over the base
+and F moves a base by A^k alone, so the sweep runs on bases and leaf
+offsets; the transfer series runs for the limits, the splice, `_propagate`
+and the checks a slope bound cannot clear.
 
 Numerics: the defining recursions move offsets along the expanding
 direction of the relevant map power, which amplifies floating-point noise
@@ -202,8 +207,21 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
 # of the k-th matrix power.
 
 
-def _iterate(sys, x, k: int, inverse: bool = False):
-    """F(x), or F^-1(x) when `inverse`: k steps of f (or f^-1)."""
+def _iterate(sys, x, k: int, inverse=False):
+    """F(x), or F^-1(x) when `inverse`: k steps of f (or f^-1).
+
+    Base points (..., 2) take k wrapped steps of A or A^-1 alone, the bits of
+    the full step's base columns, and there `inverse` may also be a bool
+    array broadcasting over the rows, one direction per row."""
+    if x.shape[-1] == 2:
+        M = np.where(np.asarray(inverse)[..., None, None], sys.A_inv, sys.A).astype(float)
+        a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+        for _ in range(k):
+            out = np.empty(x.shape)
+            out[..., 0] = a * x[..., 0] + b * x[..., 1]
+            out[..., 1] = c * x[..., 0] + d * x[..., 1]
+            x = wrap(out)
+        return x
     step = sys.apply_inverse if inverse else sys.apply
     for _ in range(k):
         x = step(x)
@@ -212,12 +230,16 @@ def _iterate(sys, x, k: int, inverse: bool = False):
 
 def _scan(x, rate):
     """x_i + rate x_{i-1} + rate^2 x_{i-2} + ... along the last axis: the
-    solution of t_i = x_i + rate t_{i-1}, t_{-1} = 0, in log2(n) array passes."""
+    solution of t_i = x_i + rate t_{i-1}, t_{-1} = 0, in log2(n) array passes.
+    `rate` is a float or an array of them broadcasting over the rows; its
+    powers are taken in Python floats, which numpy's array power can round
+    differently."""
     x = np.array(x, dtype=float)
-    s = 1
-    while s < x.shape[-1]:
-        x[..., s:] += rate ** s * x[..., :-s]
-        s *= 2
+    shifts = [2 ** j for j in range((x.shape[-1] - 1).bit_length())]
+    rates = np.ravel(rate).tolist()
+    powers = np.array([[r ** s for r in rates] for s in shifts])
+    for s, power in zip(shifts, powers.reshape((len(shifts),) + np.shape(rate))):
+        x[..., s:] += power * x[..., :-s]
     return x
 
 
@@ -225,10 +247,10 @@ def _scan(x, rate):
 
 
 class _Sweep(NamedTuple):
-    """One half's sweep over a stack of subsampled orbits.
+    """The sweep over a stack of subsampled halves.
 
-    X is (B, n+1, 3) with index 0 holding X_0; `offset` and `coef` are
-    (B, n+1), 0 at index 0.  `offset` places the recursive point (z_i
+    X is (..., n+1, 3) with index 0 holding X_0; `offset` and `coef` are
+    (..., n+1), 0 at index 0.  `offset` places the recursive point (z_i
     forward, z'_{-j} backward) on the strong leaf of X_i that F (F^-1)
     contracts; forward, c_i is the unstable offset of z_i from F(z_{i-1});
     backward, d_j is the stable offset of z_{-j} from its anchor
@@ -239,17 +261,28 @@ class _Sweep(NamedTuple):
     offset: np.ndarray
     coef: np.ndarray
 
+    def half(self, h: int, n: int) -> "_Sweep":
+        """Half h of a sweep stacked on a leading axis, cut to its n + 1
+        indices."""
+        return _Sweep(self.X[h, ..., :n + 1, :], self.offset[h, ..., :n + 1],
+                      self.coef[h, ..., :n + 1])
 
-def _sweep(sys, X, params, errors, stable: bool) -> _Sweep:
-    """z/z' sweep over one subsampled half, all rows and indices at once.
 
-    Forward (stable=False), X[..., i, :] = X_i and the anchor is
-    a = F(z_{i-1}): z_i is the cu-leaf-of-a / stable-leaf-of-X_i
-    intersection, z'_i the cs-leaf-of-X_i / unstable-leaf-of-a one.
-    Backward (stable=True), X[..., j, :] = X_{-j}, the anchor is
-    a = F^-1(z'_{-j+1}) and X and a swap places in both pairs.  The
-    coefficient is the offset of z from a along the leaf the half moves
-    along (unstable forward, stable backward).
+def _sweep(sys, X, params, errors, stable, n=None) -> _Sweep:
+    """z/z' sweep over subsampled halves, all rows and indices at once.
+
+    `stable` is False for a forward half, True for a backward one, or a
+    bool array broadcasting over the rows of X (..., n+1, 3), one side per
+    row: the stacked forward and backward halves run as one pass.  Forward,
+    X[..., i, :] = X_i and the anchor is a = F(z_{i-1}): z_i is the
+    cu-leaf-of-a / stable-leaf-of-X_i intersection, z'_i the
+    cs-leaf-of-X_i / unstable-leaf-of-a one.  Backward, X[..., j, :] =
+    X_{-j}, the anchor is a = F^-1(z'_{-j+1}) and X and a swap places in
+    both pairs.  The coefficient is the offset of z from a along the leaf
+    the half moves along (unstable forward, stable backward).  A row whose
+    half is shorter than X is padded past its length `n` (an array
+    broadcasting like `stable`): its padded indices get defect coefficient,
+    offset and coef 0 and record no failure.
 
     Every strong leaf is a graph over the base and F moves a base point by
     A^k alone, so the sweep runs on base points and leaf offsets: no phi,
@@ -258,41 +291,53 @@ def _sweep(sys, X, params, errors, stable: bool) -> _Sweep:
     (F^-1 backward) at offset t_i = e_i + rate t_{i-1}, e_i the leaf
     coefficient of the defect F(X_{i-1}) -> X_i: one `_scan` gives every
     anchor base, and both intersections are rebuilt from their anchors and
-    checked.  A row's first failure is recorded in `errors` as a
+    checked.  A row's first failure is recorded in `errors`, keyed by the
+    row's index among the flattened leading axes of X, as a
     ConstructionError naming the index.  Up to it, scanned and rebuilt
     anchors agree: a defect under delta0 is far inside the lift-unambiguous
     range, and a zeroed one leaves its pair beyond the L0 * radius caps.
     """
     k = params.k
+    stable = np.asarray(stable)
     base = X[..., :2]
     image, X1 = _iterate(sys, base[..., :-1, :], k, inverse=stable), base[..., 1:, :]
+    live = True if n is None else np.arange(1, X.shape[-2]) <= np.asarray(n)
+    cu, cs = sys.coeffs(minimal_displacement(image, X1))
     # A pair at least delta0 apart gets offset 0, as in `intersect`.
-    e = np.where(torus_distance(image, X1) < params.delta0,
-                 -sys.coeffs(minimal_displacement(image, X1))[not stable], 0.0)
-    t = _scan(e, 1.0 / sys.eig_mu ** k if stable else sys.eig_lam ** k)
-    v = sys.v_u if stable else sys.v_s
+    e = np.where(live & (torus_distance(image, X1) < params.delta0),
+                 -np.where(stable, cu, cs), 0.0)
+    t = _scan(e, np.where(stable, 1.0 / sys.eig_mu ** k, sys.eig_lam ** k))
+    v = np.where(stable[..., None], sys.v_u, sys.v_s)
     src = base[..., :-1, :].copy()
     src[..., 1:, :] += t[..., :-1, None] * v
     radius = np.full(e.shape, 2.0 * params.delta_step)
     radius[..., 0] = params.delta_step
-    pairs, found = (("cu", "s"), ("cs", "u")), ({}, {})    # z's pair, z''s pair
-    (cx, cy), (ox, oy) = pairs[stable], pairs[not stable]
+    # z's pair is (cu, s) forward and (cs, u) backward, z''s the other one
+    cx, cy, ox, oy = np.array([["cu", "cs"], ["s", "u"], ["cs", "cu"], ["u", "s"]])[
+        :, stable.astype(np.intp)]
+    found = ({}, {})    # the first and the second intersection's failures
     offset = np.zeros(X.shape[:-1])
-    offset[..., 1:] = sys.intersect(cx, _iterate(sys, wrap(src), k, inverse=stable), cy, X1,
-                                    radius, errors=found[stable])
+    offset[..., 1:] = np.where(live, sys.intersect(
+        cx, _iterate(sys, wrap(src), k, inverse=stable), cy, X1, radius, errors=found[0]), 0.0)
     rec = wrap(base + offset[..., None] * v)    # the recursive points' bases, as leaf_point's
     a = _iterate(sys, rec[..., :-1, :], k, inverse=stable)
-    t_other = sys.intersect(ox, X1, oy, a, radius, errors=found[not stable])
-    found = {**found[1], **found[0]}    # where both fail, z's failure names the pair
-    for r in sorted(found):
-        i = r % e.shape[-1] + 1
+    t_other = sys.intersect(ox, X1, oy, a, radius, errors=found[1])
+    for r in sorted(found[0].keys() | found[1].keys()):
+        at = np.unravel_index(r, e.shape)
+        if not np.broadcast_to(live, e.shape)[at]:
+            continue
+        side = int(np.broadcast_to(stable, e.shape)[at])
+        # where both fail, z's failure names the pair: the first forward, the second backward
+        exc = found[side].get(r) or found[1 - side][r]
+        i = at[-1] + 1
         errors.setdefault(r // e.shape[-1], ConstructionError(
-            f"{'backward' if stable else 'forward'} sweep failed at index "
-            f"{-i if stable else i}: {found[r]}"))
+            f"{'backward' if side else 'forward'} sweep failed at index "
+            f"{-i if side else i}: {exc}"))
     # z's base as its leaf_point builds it: on X_i's stable leaf forward, a's backward
-    z = wrap(a + t_other[..., None] * sys.v_s) if stable else rec[..., 1:, :]
+    z = np.where(stable[..., None], wrap(a + t_other[..., None] * sys.v_s), rec[..., 1:, :])
+    cu, cs = sys.coeffs(minimal_displacement(a, z))
     coef = np.zeros(X.shape[:-1])
-    coef[..., 1:] = sys.coeffs(minimal_displacement(a, z))[stable]
+    coef[..., 1:] = np.where(live, np.where(stable, cs, cu), 0.0)
     return _Sweep(X, offset, coef)
 
 
@@ -354,8 +399,9 @@ def backward_limit(sys, sweep: _Sweep, params, errors):
 # -- propagation along the halves ------------------------------------------------
 
 
-def _propagate(sys, sweep: _Sweep, y0, k: int, stable: bool):
-    """The guides of one half, (..., n+1, 3) with the anchor y0 at index 0.
+def _propagate(sys, sweep: _Sweep, y0, k: int, stable):
+    """The guides of one half, (..., n+1, 3) with the anchor y0 at index 0,
+    or of the stacked halves when `stable` is an array (see `_sweep`).
 
     Forward, y_i^u = W^u(z_i) cap W^c(F(y_{i-1}^u)).  Backward, the same scan
     with the leaf and the rate swapped gives the primed guides (y_m^s)',
@@ -368,8 +414,8 @@ def _propagate(sys, sweep: _Sweep, y0, k: int, stable: bool):
     and all guides from one more.
     """
     c = sweep.coef[..., 1:]
-    t = _scan(c[..., ::-1], sys.eig_lam ** k if stable else 1.0 / sys.eig_mu ** k)[..., ::-1]
-    z = sys.leaf_point(sweep.X[..., 1:, :], sweep.offset[..., 1:], not stable)
+    t = _scan(c[..., ::-1], np.where(stable, sys.eig_lam ** k, 1.0 / sys.eig_mu ** k))[..., ::-1]
+    z = sys.leaf_point(sweep.X[..., 1:, :], sweep.offset[..., 1:], np.logical_not(stable))
     y = np.empty(sweep.X.shape)
     y[..., 0, :] = y0
     y[..., 1:, :] = sys.leaf_point(z, t - c, stable)
@@ -476,13 +522,13 @@ def _check_defects(sys, orbit: PseudoOrbit, params: ShadowingParams, errors) -> 
 
 
 class _Anchors(NamedTuple):
-    """The anchor stage of a batch: the resolved parameters, both sweeps,
-    the half-orbit anchors y_0^u and y_0^s, the spliced y_0^* and
+    """The anchor stage of a batch: the resolved parameters, the sweep of
+    both halves stacked on a leading axis (forward first, the shorter half
+    padded), the half-orbit anchors y_0^u and y_0^s, the spliced y_0^* and
     (y_0^*)', and the first failure of every failed row."""
 
     params: ShadowingParams
-    fsweep: _Sweep
-    bsweep: _Sweep
+    sweep: _Sweep
     y0_u: np.ndarray
     y0_s: np.ndarray
     y0_star: np.ndarray
@@ -490,10 +536,18 @@ class _Anchors(NamedTuple):
     errors: dict
 
 
+def _sides(ndim: int) -> np.ndarray:
+    """`stable` of the two stacked halves, forward then backward, shaped to
+    broadcast over the other ndim - 1 axes of their rows and indices."""
+    return np.array([False, True]).reshape((2,) + (1,) * (ndim - 1))
+
+
 def _anchor_stage(sys, orbit: PseudoOrbit, epsilon: float, params) -> _Anchors:
     """Everything up to and including `splice`: check the parameters, the
-    window and the defects, run both sweeps and both limits, and splice
-    the anchors.  Every row failure of the construction is recorded here."""
+    window and the defects, run the sweep of both halves and both limits,
+    and splice the anchors.  Every row failure of the construction is
+    recorded here, in the order forward sweep, forward limit, backward
+    sweep, backward limit, splice."""
     if params is None:
         params = delta_for_epsilon(sys, epsilon)
     elif params.epsilon != epsilon:
@@ -509,19 +563,30 @@ def _anchor_stage(sys, orbit: PseudoOrbit, epsilon: float, params) -> _Anchors:
     errors = {}
     _check_defects(sys, orbit, params, errors)
 
-    X_pos = pts[..., np.arange(M_max + 1) * k - orbit.n_min, :]
-    X_neg = pts[..., -np.arange(-M_min + 1) * k - orbit.n_min, :]
-    fsweep = _sweep(sys, X_pos, params, errors, stable=False)
-    y0_u, _ = forward_limit(sys, fsweep, params, errors)
-    bsweep = _sweep(sys, X_neg, params, errors, stable=True)
-    y0_s, _ = backward_limit(sys, bsweep, params, errors)
-    y0_star, y0_star_prime = splice(sys, y0_u, y0_s, params, errors)
-    return _Anchors(params, fsweep, bsweep, y0_u, y0_s, y0_star, y0_star_prime, errors)
+    # X_m and X_{-m} for m = 0..n, a shorter half repeating its far end
+    m = np.array([[1], [-1]]) * np.arange(max(M_max, -M_min) + 1)
+    at = np.minimum(np.maximum(m, M_min), M_max) * k - orbit.n_min
+    X = np.array([pts[..., i, :] for i in at])
+    stable, lengths = _sides(X.ndim - 1), (M_max, -M_min)
+    swept = {}
+    sweep = _sweep(sys, X, params, swept, stable, n=np.reshape(lengths, stable.shape))
+    rows = math.prod(pts.shape[:-2])
+    y0 = []
+    for h, limit in enumerate((forward_limit, backward_limit)):
+        for r in sorted(swept):
+            if r // rows == h:
+                errors.setdefault(r % rows, swept[r])
+        y0.append(limit(sys, sweep.half(h, lengths[h]), params, errors)[0])
+    y0_star, y0_star_prime = splice(sys, *y0, params, errors)
+    return _Anchors(params, sweep, *y0, y0_star, y0_star_prime, errors)
 
 
-def _half(sys, st: _Anchors, stable: bool):
-    """One half's guides, (..., n + 1, 3) with its anchor at index 0, and
-    its subsampled y*_m, (..., n, 3), both indexed by |m|.
+def _half(sys, st: _Anchors, both=True):
+    """Both halves' guides, (2, ..., n + 1, 3) with the anchors at index 0,
+    and their subsampled y*_m, (2, ..., n, 3), forward then backward, each
+    indexed by |m| (past its own length, the padding of `st.sweep`).  With
+    `both` False, the forward half's alone, (..., n + 1, 3) and (..., n, 3):
+    the bool case of the same kernels.
 
     Forward the guides are y_m^u; backward, y_m^s = F^-1((y_{m+1}^s)'),
     which lies over the base of (y_m^s)', so only its fiber is computed.
@@ -529,18 +594,21 @@ def _half(sys, st: _Anchors, stable: bool):
     offset of y_0^* ((y_0^*)') from y_0^u (y_0^s) times lam^(k m) (mu^(k m)).
     """
     k = st.params.k
-    if stable:
-        primed = _propagate(sys, st.bsweep, st.y0_s, k, stable=True)
-        guides = primed.copy()
-        guides[..., 1:, 2] = _iterate(sys, primed[..., :-1, :], k, inverse=True)[..., 2]
-        anchor, star0, rate = st.y0_s, st.y0_star_prime, 1.0 / sys.eig_mu ** k
+    if both:
+        sweep, stable = st.sweep, _sides(st.sweep.X.ndim - 1)
+        anchor, star0 = np.array([st.y0_u, st.y0_s]), np.array([st.y0_star, st.y0_star_prime])
     else:
-        guides = _propagate(sys, st.fsweep, st.y0_u, k, stable=False)
-        anchor, star0, rate = st.y0_u, st.y0_star, sys.eig_lam ** k
-    offset0 = sys.coeffs(minimal_displacement(anchor[..., :2], star0[..., :2]))[not stable]
+        sweep, stable = _Sweep(*(a[0] for a in st.sweep)), np.False_
+        anchor, star0 = st.y0_u, st.y0_star
+    guides = _propagate(sys, sweep, anchor, k, stable)
+    if both:
+        guides[1, ..., 1:, 2] = _iterate(sys, guides[1, ..., :-1, :], k, inverse=True)[..., 2]
+    cu, cs = sys.coeffs(minimal_displacement(anchor[..., :2], star0[..., :2]))
+    rate = np.where(stable, 1.0 / sys.eig_mu ** k, sys.eig_lam ** k)
     star = sys.leaf_point(guides[..., 1:, :],
-                          offset0[..., None] * rate ** np.arange(1, guides.shape[-2]),
-                          stable=not stable)
+                          np.where(stable, cu[..., None], cs[..., None])
+                          * rate ** np.arange(1, guides.shape[-2]),
+                          np.logical_not(stable))
     return guides, star
 
 
@@ -554,9 +622,10 @@ def _trace_stage(sys, orbit: PseudoOrbit, st: _Anchors) -> ShadowingTrace:
     # Strong leaves are F-invariant: F^-1 maps the unstable leaf of
     # (y_{m+1}^s)' onto that of y_m^s, so each y*_m, m < 0 as m > 0, is one
     # leaf point off its own guide and the two halves mirror each other.
-    y_u, star_pos = _half(sys, st, stable=False)
-    y_s, star_neg = _half(sys, st, stable=True)
-    star = np.concatenate([star_neg[..., ::-1, :], st.y0_star[..., None, :], star_pos], axis=-2)
+    guides, star = _half(sys, st)
+    y_u, y_s = guides[0, ..., :M_max + 1, :], guides[1, ..., :1 - M_min, :]
+    star = np.concatenate([star[1, ..., -M_min - 1::-1, :], st.y0_star[..., None, :],
+                           star[0, ..., :M_max, :]], axis=-2)
 
     # Full resolution: exact map steps between the subsampled corrections,
     # exact preimages below the window of m = M_min.
@@ -666,8 +735,11 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace,
     the center motion magnitude stays below epsilon, and the recorded
     y_prime/motion columns match the recomputation.  Every gate is written
     as `not (value < bound)`, so a NaN fails it.  Shares no state with the
-    constructor.  A window with no interior index raises ParameterError.
+    constructor.  A window with no interior index raises ParameterError,
+    and a stack of orbits or traces a ValueError.
     """
+    if orbit.points.ndim != 2 or trace.y_star.ndim != 2:
+        raise ValueError("verify takes one orbit and its trace; verify a stack row by row")
     lo, hi = trace.interior
     lo = max(lo, orbit.n_min + 1)
     if hi < lo:

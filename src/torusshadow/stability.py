@@ -103,7 +103,7 @@ def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: fl
     orbit = from_map(sys, g, nodes, (-N, N))
     st = _anchor_stage(sys, orbit, epsilon, params)
     fp = sys.apply(st.y0_star)
-    pi_g = fp if params.k > 1 else _half(sys, st, stable=False)[1][:, 0, :].copy()
+    pi_g = fp if params.k > 1 else _half(sys, st, both=False)[1][:, 0, :].copy()
     tau = fiber_displacement(fp[:, 2], pi_g[:, 2]).copy()   # a view of its result otherwise
     # the identity residual's fiber term, |gap - tau|, is 0 by this tau
     residual = torus_distance(fp[:, :2], pi_g[:, :2])

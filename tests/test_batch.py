@@ -7,6 +7,7 @@ neighbour failing.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from torusshadow.shadowing import (
     _sweep,
     delta_for_epsilon,
     shadow_batch,
+    verify,
 )
 from torusshadow.stability import _lattice, semiconjugacy
 
@@ -70,16 +72,26 @@ def test_semiconjugacy_reads_the_batched_rows(skew, grid_batch):
     assert np.nanmax(sc.residual) < 1e-8
 
 
-def test_semiconjugacy_reads_the_batched_rows_at_k1():
+def test_semiconjugacy_reads_the_batched_rows_at_k1(monkeypatch):
     # at k = 1 index 1 is a subsampled index: pi(g(x)) is the first upward
-    # correction, off f(pi(x)) along the fiber, so tau is not zero
+    # correction, off f(pi(x)) along the fiber, so tau is not zero; only
+    # the forward half's guides are built for it
     sys = SkewModel([[5, 2], [2, 1]], omega=0.03, phi_modes=[(1, 0, 0.005, 0.0)])
     eps = 0.1
     params = delta_for_epsilon(sys, eps)
     assert params.k == 1
     g = PerturbedMap(sys, [(2, 1, 0, 0, 0.1 * params.delta, 0.0)],
                      amplitude_bound=0.2 * params.delta)
+    sides, propagate = [], shadowing._propagate
+
+    def recorded(sys, sweep, y0, k, stable):
+        sides.append(np.asarray(stable).tolist())
+        return propagate(sys, sweep, y0, k, stable)
+
+    monkeypatch.setattr(shadowing, "_propagate", recorded)
     sc = semiconjugacy(sys, g, (4, 4, 4), 20, eps)
+    assert sides == [False]
+    monkeypatch.undo()
     trace, failures = shadow_batch(sys, from_map(sys, g, _lattice((4, 4, 4)), (-20, 20)), eps)
     assert not failures and not sc.failures
     assert np.array_equal(sc.pi, trace.point(0))
@@ -243,6 +255,55 @@ def test_random_jumps_fail_only_their_row(skew, linear):
                     first = -jumped.min() if stable else jumped.min()
                     assert list(errors) == [row]
                     assert f"sweep failed at index {first}:" in str(errors[row])
+
+
+def test_stacked_halves_keep_the_failure_order(skew):
+    # the halves run as one sweep, but a row's failures still merge in the
+    # order forward sweep, forward limit, backward sweep, backward limit.  A
+    # defect bound of 1 lets jumps past delta0 reach the sweep; a half of 3
+    # subsampled steps cannot certify its anchor, and its padding records
+    # nothing of its own
+    params = delta_for_epsilon(skew, 1e-2)
+    k = params.k
+    clean = np.array([generate_noisy(skew, np.random.default_rng(s).random(3), (-40, 40),
+                                     params.delta, seed=s).points for s in range(3)])
+
+    def failures(lo, hi, jumps):
+        pts = clean[:, lo + 40:hi + 41].copy()
+        for row, m in jumps:
+            pts[row, m * k - lo] = wrap(pts[row, m * k - lo] + [0.3, 0.0, 0.0])
+        orbit = PseudoOrbit(lo, hi, pts, 1.0)
+        return {r: str(exc) for r, exc in
+                shadow_batch(skew, orbit, 1e-2, replace(params, delta=1.0))[1]}
+
+    got = failures(-40, 40, [(1, 5), (1, -3), (2, -3)])
+    assert list(got) == [1, 2]
+    assert got[1].startswith("forward sweep failed at index 5:")
+    assert got[2].startswith("backward sweep failed at index -3:")
+    got = failures(-40, 3 * k, [(1, 2), (1, -3), (2, -3)])
+    assert got[1].startswith("forward sweep failed at index 2:")
+    assert got[0].startswith("forward anchor tail bound")
+    assert got[2].startswith("forward anchor tail bound")
+    got = failures(-3 * k, 40, [(1, -2), (2, 5)])
+    assert got[0].startswith("backward anchor tail bound")
+    assert got[1].startswith("backward sweep failed at index -2:")
+    assert got[2].startswith("forward sweep failed at index 5:")
+
+
+def test_verify_takes_one_orbit(skew):
+    # a stacked trace used to fail inside numpy's broadcasting
+    params = delta_for_epsilon(skew, 1e-2)
+    pts = np.array([generate_noisy(skew, np.random.default_rng(s).random(3), (-30, 30),
+                                   params.delta, seed=s).points for s in range(3)])
+    orbit = PseudoOrbit(-30, 30, pts, params.delta)
+    trace, failures = shadow_batch(skew, orbit, 1e-2, params)
+    assert not failures
+    with pytest.raises(ValueError, match="verify takes one orbit"):
+        verify(skew, orbit, trace, 1e-2)
+    solo = shadow_batch(skew, PseudoOrbit(-30, 30, pts[1], params.delta), 1e-2, params)[0]
+    with pytest.raises(ValueError, match="verify takes one orbit"):
+        verify(skew, orbit, solo, 1e-2)
+    assert verify(skew, PseudoOrbit(-30, 30, pts[1], params.delta), solo, 1e-2).passed
 
 
 def test_intersect_reports_rows(skew, rng):

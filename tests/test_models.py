@@ -95,22 +95,24 @@ class TestApply:
         ([[5, 2], [2, 1]], 0.03, (1, 0, 0.005, 0.0)),
     ], ids=["skew", "det-minus-one", "k1"])
     def test_base_only_step(self, matrix, omega, mode, monkeypatch, rng):
-        # a (..., 2) step, and F = f^k of one, gives the bits of the base
-        # columns of the 3-D step and never evaluates phi
+        # F = f^k of base points (..., 2), one direction for all rows or one
+        # per row, gives the bits of the base columns of the 3-D step and
+        # never evaluates phi
         sys = SkewModel(matrix, omega=omega, phi_modes=[mode])
         k = delta_for_epsilon(sys, 1e-2).k
         assert k == {2: 2, -1: 4, 5: 1}[matrix[0][0]]
         X = rng.random((4, 25, 3))
-        full = [sys.apply(X), sys.apply_inverse(X), sys.apply(X[0, 0]),
-                sys.apply_inverse(X[0, 0]), _iterate(sys, X, k), _iterate(sys, X, k, True)]
+        fwd, bwd = _iterate(sys, X, k), _iterate(sys, X, k, True)
+        per_row = np.array([True, False, False, True])[:, None]
+        full = [fwd, bwd, fwd[0, 0], bwd[0, 0], np.where(per_row[..., None], bwd, fwd)]
 
         def no_phi(*args):
             raise AssertionError("a base-only step evaluated phi")
 
         monkeypatch.setattr(SkewModel, "phi", no_phi)
-        base = [sys.apply(X[..., :2]), sys.apply_inverse(X[..., :2]), sys.apply(X[0, 0, :2]),
-                sys.apply_inverse(X[0, 0, :2]), _iterate(sys, X[..., :2], k),
-                _iterate(sys, X[..., :2], k, True)]
+        base = [_iterate(sys, X[..., :2], k), _iterate(sys, X[..., :2], k, True),
+                _iterate(sys, X[0, 0, :2], k), _iterate(sys, X[0, 0, :2], k, True),
+                _iterate(sys, X[..., :2], k, per_row)]
         for b, f in zip(base, full):
             assert b.shape == f.shape[:-1] + (2,)
             assert np.array_equal(b, f[..., :2])
@@ -123,7 +125,7 @@ class TestApply:
     def test_inverse_wraps_the_base_once(self, matrix, omega, mode, rng):
         # the base columns are wrapped once and the fiber alone at the end;
         # the whole-point wrap this replaces is the identity on the wrapped
-        # base, so random, seam and base-only points keep their bits
+        # base, so random and seam points keep their bits
         sys = SkewModel(matrix, omega=omega, phi_modes=[mode])
 
         def whole_point_wrap(x):
@@ -131,8 +133,7 @@ class TestApply:
             out[..., 0] = sys.A_inv[0, 0] * x[..., 0] + sys.A_inv[0, 1] * x[..., 1]
             out[..., 1] = sys.A_inv[1, 0] * x[..., 0] + sys.A_inv[1, 1] * x[..., 1]
             out[..., :2] = wrap(out[..., :2])
-            if x.shape[-1] == 3:
-                out[..., 2] = x[..., 2] - sys.omega - sys.phi(out[..., 0], out[..., 1])
+            out[..., 2] = x[..., 2] - sys.omega - sys.phi(out[..., 0], out[..., 1])
             return wrap(out)
 
         seam = 1.0 - 2.0 ** -53
@@ -145,7 +146,6 @@ class TestApply:
         seam_points = wrap(np.column_stack([np.tile(P, (8, 1)), Z]))
         for x in (rng.random((1000, 3)), seam_points, rng.random((7, 5, 3)), seam_points[5]):
             assert np.array_equal(sys.apply_inverse(x), whole_point_wrap(x))
-            assert np.array_equal(sys.apply_inverse(x[..., :2]), whole_point_wrap(x[..., :2]))
 
     def test_scalar_matches_vectorized(self, skew, rng):
         # one point at a time and the whole stack at once give the same rows
@@ -248,6 +248,92 @@ class TestTransfers:
             finally:
                 tracemalloc.stop()
             assert peak < t.nbytes + 8 * 8 * models._BLOCK_ELEMENTS
+
+    def test_stacked_series_memory_is_set_by_the_block(self, skew):
+        # both halves of 2048 x 20 offsets in one call, one class per half:
+        # the blocks run over the flattened (half, row) rows, so the bound
+        # is that of one half's call
+        rng = np.random.default_rng(13)
+        p, t = rng.random((2, 2048, 1, 2)), rng.uniform(-0.05, 0.05, (2, 2048, 20))
+        stable = np.array([False, True])[:, None, None]
+        skew._transfer_series(p, t, stable, tol=1e-15)
+        tracemalloc.start()
+        try:
+            skew._transfer_series(p, t, stable, tol=1e-15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.nbytes + 8 * 8 * models._BLOCK_ELEMENTS
+
+
+class TestMixedClasses:
+    # a leaf class (or leaf pair) per row gives every row the bits of its
+    # own single-class call, whatever the blocking
+
+    MODELS = {
+        "skew": ([[2, 1], [1, 1]], 0.05, [(1, 0, 0.02, 0.0)]),
+        "linear": ([[2, 1], [1, 1]], 0.0, []),
+        "det-minus-one": ([[-1, 1], [1, 0]], 0.03, [(1, 1, 0.02, -0.01)]),
+    }
+
+    @staticmethod
+    def _layouts(rng):
+        """(stable, anchors, offsets, tol): a random class per row of a
+        (B, n) stack, and one class per half of a (2, B, n) stack."""
+        B, n = 30, 7
+        per_row = (rng.random((B, 1)) < 0.5, rng.random((B, n, 3)),
+                   rng.uniform(-0.05, 0.05, (B, n)), 10.0 ** rng.uniform(-15.0, -9.0, (B, 1)))
+        halves = (np.array([False, True])[:, None, None], rng.random((2, B, 1, 3)),
+                  rng.uniform(-0.05, 0.05, (2, B, n)), None)
+        return per_row, halves
+
+    @pytest.mark.parametrize("block", [1, 2 ** 40], ids=["row-blocks", "one-block"])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_leaf_point_and_series_rows_are_their_own(self, name, block, monkeypatch):
+        matrix, omega, modes = self.MODELS[name]
+        sys = SkewModel(matrix, omega=omega, phi_modes=modes)
+        monkeypatch.setattr(models, "_BLOCK_ELEMENTS", block)
+        for stable, anchor, t, tol in self._layouts(np.random.default_rng(21)):
+            series = sys._transfer_series(anchor[..., :2], t, stable, tol=tol)
+            point = sys.leaf_point(anchor, t, stable, tol=tol)
+            assert point.shape == t.shape + (3,)
+            for cls in (False, True):
+                rows = np.broadcast_to(stable == cls, t.shape)
+                alone = sys._transfer_series(anchor[..., :2], t, cls, tol=tol)
+                assert np.array_equal(np.broadcast_to(series, t.shape)[rows],
+                                      np.broadcast_to(alone, t.shape)[rows])
+                assert np.array_equal(point[rows], sys.leaf_point(anchor, t, cls, tol=tol)[rows])
+
+    @pytest.mark.parametrize("block", [1, 2 ** 40], ids=["row-blocks", "one-block"])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_intersect_rows_are_their_own(self, name, block, monkeypatch):
+        # radii down to 0.004 send some rows to the exact distance and fail
+        # some; the offsets and the recorded failures are the single pair's
+        matrix, omega, modes = self.MODELS[name]
+        sys = SkewModel(matrix, omega=omega, phi_modes=modes)
+        monkeypatch.setattr(models, "_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(22)
+        for stable, _, t, _ in self._layouts(rng):
+            x = rng.random(t.shape + (3,))
+            y = wrap(x + rng.uniform(-0.01, 0.01, x.shape))
+            radius = rng.uniform(0.004, 0.05, t.shape)
+            found = {}
+            offset = sys.intersect(np.where(stable, "cu", "cs"), x, np.where(stable, "s", "u"),
+                                   y, radius, errors=found)
+            assert found
+            for cls, pair in ((False, ("cs", "u")), (True, ("cu", "s"))):
+                rows = np.broadcast_to(stable == cls, t.shape)
+                alone_found = {}
+                alone = sys.intersect(pair[0], x, pair[1], y, radius, errors=alone_found)
+                assert np.array_equal(offset[rows], alone[rows])
+                flat = np.flatnonzero(rows)
+                assert ({r: str(found[r]) for r in flat if r in found}
+                        == {r: str(alone_found[r]) for r in flat if r in alone_found})
+
+    def test_mixed_pair_must_be_supported(self, linear):
+        x = np.zeros((2, 3))
+        with pytest.raises(IntersectionError, match="unsupported leaf pair"):
+            linear.intersect(np.array(["cu", "cs"]), x, np.array(["s", "s"]), x, 0.05)
 
 
 class TestIntersect:

@@ -12,6 +12,7 @@ from torusshadow.orbits import PseudoOrbit, generate_noisy, write_table
 from torusshadow.shadowing import (
     InsufficientWindowError,
     ParameterError,
+    _anchor_stage,
     _iterate,
     _propagate,
     _sweep,
@@ -20,6 +21,7 @@ from torusshadow.shadowing import (
     forward_limit,
     quasi_shadow,
     read_trace,
+    shadow_batch,
     splice,
     verify,
     write_trace,
@@ -422,6 +424,36 @@ class TestQuasiShadow:
         # edge fills are exact orbit steps
         assert torus_distance(skew.apply(trace.point(-51)), trace.point(-50)) < 1e-13
         assert torus_distance(skew.apply(trace.point(48)), trace.point(49)) < 1e-13
+
+    @pytest.mark.parametrize("matrix, omega, mode", [
+        ([[2, 1], [1, 1]], 0.05, (1, 0, 0.02, 0.0)),
+        ([[-1, 1], [1, 0]], 0.03, (1, 0, 0.02, 0.0)),
+    ], ids=["skew", "negative-eigenvalues"])
+    def test_asymmetric_windows_pad_inertly(self, matrix, omega, mode):
+        # the halves run as one stacked sweep, the shorter one padded past
+        # its end: the padding records no failure, every trace verifies, and
+        # the half two windows share keeps its sweep and anchor bit for bit
+        sys = SkewModel(matrix, omega=omega, phi_modes=[mode])
+        p = delta_for_epsilon(sys, 1e-2)
+        assert p.k == {2: 2, -1: 4}[matrix[0][0]]
+        full = generate_noisy(sys, X0, (-80, 80), p.delta, seed=7)
+        halves = {}
+        for lo, hi in ((-40, 80), (-80, 40), (-40, 40)):
+            orbit = PseudoOrbit(lo, hi, full.points[lo + 80:hi + 81], p.delta)
+            trace, failures = shadow_batch(sys, orbit, 1e-2, p)
+            assert not failures
+            assert verify(sys, orbit, trace, 1e-2).passed
+            st = _anchor_stage(sys, orbit, 1e-2, p)
+            M_min, M_max = trace.sub_range
+            for h, n in enumerate((M_max, -M_min)):
+                assert not st.sweep.coef[h, n + 1:].any() and not st.sweep.offset[h, n + 1:].any()
+            halves[lo, hi] = ((st.sweep.half(0, M_max), st.y0_u),
+                              (st.sweep.half(1, -M_min), st.y0_s))
+        for longer, h in (((-40, 80), 1), ((-80, 40), 0)):
+            (sweep, anchor), (ref, ref_anchor) = halves[longer][h], halves[-40, 40][h]
+            assert np.array_equal(sweep.offset, ref.offset)
+            assert np.array_equal(sweep.coef, ref.coef)
+            assert np.array_equal(anchor, ref_anchor)
 
     def test_defect_too_large_rejected(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
