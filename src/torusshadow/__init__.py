@@ -6,7 +6,6 @@ from .models import (
     SystemRates,
     builtin_model,
     eigen_frame,
-    inverse_system,
     load_model,
 )
 from .orbits import PerturbedMap, PseudoOrbit, from_map, generate_noisy, read_orbit, validate, write_orbit
@@ -25,7 +24,6 @@ from .stability import (
     SemiConjugacy,
     check_identity,
     continuity_report,
-    plaque_expansiveness_probe,
     semiconjugacy,
     surjectivity_density,
 )

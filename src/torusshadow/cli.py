@@ -1,6 +1,6 @@
 """Command-line front end for reproducible shadowing/stability experiments.
 
-Subcommands: constants, orbit, shadow, verify, stability, probe.  Every run
+Subcommands: constants, orbit, shadow, verify, stability.  Every run
 writes a manifest echoing all resolved parameters (including the derived
 constants L0, delta, alpha, r1, r2, k), so any result can be reproduced
 from the manifest alone; outputs are line-oriented text or strict JSON
@@ -248,20 +248,6 @@ def cmd_stability(args) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_probe(args) -> int:
-    sys_model = _resolve_model(args.model)
-    out = _out_dir(args)
-    report = stability.plaque_expansiveness_probe(
-        sys_model, args.eta, args.trials, args.seed, half_window=args.half_length)
-    _write_json(out / "probe.json", {
-        "passed": report.passed, "eta": report.eta,
-        "trials": [dataclasses.asdict(t) for t in report.trials],
-    })
-    _write_manifest(out, args, sys_model, outputs=["probe.json"])
-    print(report.summary())
-    return EXIT_PASS if report.passed else EXIT_FAIL
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -315,12 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="amplitude of the default perturbation field")
     p.add_argument("--perturbation", default=None, help="perturbation JSON file")
 
-    p = sub.add_parser("probe", help="plaque-expansiveness probe")
-    _common(p)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--trials", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--half-length", type=_positive_int, default=30, dest="half_length")
     return parser
 
 

@@ -36,6 +36,11 @@ TWO_PI = 2.0 * math.pi
 # `orbits.write_table` sizes its row blocks from it too.
 _BLOCK_ELEMENTS = 2 ** 14
 
+# Hard stop on a transfer series' terms, and the largest base displacement
+# `intersect` lifts: each model sums an offset that long within the stop.
+_SERIES_MAX_TERMS = 500
+_LIFT_RADIUS = 0.25
+
 
 class ModelError(ValueError):
     """Invalid model data (non-hyperbolic matrix, bad determinant, ...)."""
@@ -195,6 +200,16 @@ class SkewModel:
         self._skip = (1, 0)
         self._sign = np.array([-1.0, 1.0])
         self._tables = {}
+        reach = self.leaf_slope_s * _LIFT_RADIUS
+        if self._series_terms(reach / self.series_tol, (0, 1)) > _SERIES_MAX_TERMS:
+            # the count fits while reach / tol < |rate|^-(max - 1 + skip); the
+            # factor clears the rounding of the count and of the printed value
+            least = max(reach * abs(rate) ** (_SERIES_MAX_TERMS - 1 + skip)
+                        for rate, skip in zip(self._rate, self._skip)) * (1.0 + 1e-10)
+            raise ModelError(
+                f"series_tol = {self.series_tol!r} needs more than {_SERIES_MAX_TERMS} "
+                f"transfer-series terms at offset {_LIFT_RADIUS}; the smallest admissible "
+                f"value is {least:.12g}")
 
     @property
     def is_linear(self) -> bool:
@@ -283,6 +298,18 @@ class SkewModel:
                 [decay[None], np.array(powers, dtype=float).transpose(2, 0, 1)])
         return table
 
+    def _series_terms(self, need: float, classes) -> int:
+        """Terms of a series pass over the leaf `classes` (0 unstable, 1
+        stable) whose neediest row has tail * |t| / tol = `need`: term n is
+        live while need * |rate|^(n + skip) >= 1; 0 when none is."""
+        need = min(need, np.finfo(float).max)    # a tol near 0 overflows to inf
+        terms = 0
+        for c in classes:
+            rate, skip = abs(self._rate[c]), self._skip[c]
+            if need * rate ** skip >= 1.0:
+                terms = max(terms, int(math.log(need) / -math.log(rate)) + 2 - skip)
+        return terms
+
     def _transfer_series(self, p, t, stable, tol=None):
         """Evaluate the transfer series of every row, in blocks of rows.
 
@@ -315,16 +342,12 @@ class SkewModel:
         # >= tol; size the pass for the row and class that need most, plus
         # one spare.
         need = float(np.max(tail * np.abs(t) / tol, initial=0.0))
-        terms = 0
-        for c in (0, 1) if mixed else (cls,):
-            rate, skip = abs(self._rate[c]), self._skip[c]
-            if need * rate ** skip >= 1.0:
-                terms = max(terms, int(math.log(need) / -math.log(rate)) + 2 - skip)
+        terms = self._series_terms(need, (0, 1) if mixed else (cls,))
         if not terms:
             return np.zeros(t.shape)[()]
-        if terms > 500:  # only a tiny series_tol gets here; hard stop
-            raise ModelError(f"transfer series needs {terms} terms, over the limit of 500, "
-                             f"to reach tolerance {float(np.min(tol)):.3g}")
+        if terms > _SERIES_MAX_TERMS:  # a caller's tol below the model's; hard stop
+            raise ModelError(f"transfer series needs {terms} terms, over the limit of "
+                             f"{_SERIES_MAX_TERMS}, to reach tolerance {float(np.min(tol)):.3g}")
         table = self._series_table(terms)
         p = np.asarray(p, dtype=float)
 
@@ -423,8 +446,8 @@ class SkewModel:
         # the center direction places no constraint on the fiber gap; only the
         # base separation limits solvability.
         _flag_rows(found, IntersectionError, (
-            (~(base_sep <= 0.25),
-             lambda r: f"lift ambiguity: base displacement {base_sep[r]:.4f} > 0.25"),
+            (~(base_sep <= _LIFT_RADIUS),
+             lambda r: f"lift ambiguity: base displacement {base_sep[r]:.4f} > {_LIFT_RADIUS}"),
             (far,
              lambda r: (f"points too far apart for leaf intersection: base separation "
                         f"{base_sep[r]:.4f} >= delta0 = {self.delta0}")),
@@ -452,22 +475,6 @@ class SkewModel:
         if errors is None and found:
             raise found[min(found)]
         return t.reshape(shape)[()]
-
-
-def inverse_system(sys: SkewModel) -> SkewModel:
-    """The inverse map as a skew model in the same family.
-
-    f^-1(p, z) = (A^-1 p, z - omega - phi(A^-1 p)); the composed coupling
-    -phi(A^-1 p) is again a trigonometric polynomial with frequencies
-    (A^-1)^T m.
-    """
-    At = sys.A_inv.T
-    modes = []
-    for (m1, m2, s, c) in sys.modes:
-        mm = At @ np.array([m1, m2])
-        modes.append((int(mm[0]), int(mm[1]), -s, -c))
-    return SkewModel(sys.A_inv, omega=-sys.omega, phi_modes=modes,
-                     series_tol=sys.series_tol)
 
 
 # -- model files -------------------------------------------------------------

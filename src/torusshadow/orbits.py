@@ -476,7 +476,8 @@ def _bad_line(lines, number: int, columns: int, path) -> ValueError:
 
 
 def read_orbit(path) -> PseudoOrbit:
-    header, (n_min, n_max), rows = read_table(path, 4, required=("delta",))
+    header, window, rows = read_table(path, 4, required=("delta",))
+    n_min, n_max = _split_window(window)
     return PseudoOrbit(n_min, n_max, rows[:, 1:].copy(), float(header["delta"]),
                        model_name=header.get("model", "unknown"),
                        meta={k: v for k, v in header.items()

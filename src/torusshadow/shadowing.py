@@ -430,8 +430,9 @@ def splice(sys, y0_u, y0_s, params, errors):
 
     y_0^* is the stable-leaf-of-y_0^u / cu-leaf-of-y_0^s intersection, its
     primed partner the cs/unstable one; both share a base point, so the
-    step from (y_0^*)' to y_0^* is purely along the center fiber.  Failing
-    rows are recorded in `errors`.
+    step from (y_0^*)' to y_0^* is purely along the center fiber.  Both run
+    as one stacked pass; a failing row is recorded in `errors`, by y_0^*'s
+    failure where both fail.
     """
     gap = np.atleast_1d(torus_distance(y0_u, y0_s))
     cap = 2.0 * params.lam_k * (params.L0 * params.delta_step + params.alpha)
@@ -439,12 +440,15 @@ def splice(sys, y0_u, y0_s, params, errors):
         ~(gap < cap),
         lambda r: (f"splice margin violated at index 0: d(y0_s, y0_u) = {gap[r]:.3e} >= "
                    f"2 lam^k (L0 delta + alpha) = {cap:.3e}")),))
+    # y_0^* on the stable leaf of y_0^u, then (y_0^*)' on the unstable leaf of y_0^s
+    x, y, stable = np.array([y0_s, y0_u]), np.array([y0_u, y0_s]), ~_sides(np.ndim(y0_u))
     found = {}
-    t_star = sys.intersect("cu", y0_s, "s", y0_u, cap, errors=found)
-    t_prime = sys.intersect("cs", y0_u, "u", y0_s, cap, errors=found)
-    for r, exc in found.items():
-        errors.setdefault(r, ConstructionError(f"splice intersection failed at index 0: {exc}"))
-    return sys.leaf_point(y0_u, t_star, True), sys.leaf_point(y0_s, t_prime, False)
+    t = sys.intersect(np.where(stable, "cu", "cs"), x, np.where(stable, "s", "u"), y, cap,
+                      errors=found)
+    for r in sorted(found):
+        errors.setdefault(r % gap.size, ConstructionError(
+            f"splice intersection failed at index 0: {found[r]}"))
+    return tuple(sys.leaf_point(y, t, stable))
 
 
 def _sub_range(n_min: int, n_max: int, k: int) -> tuple:

@@ -6,8 +6,8 @@ the sequence tracing the g-orbit of x.  Along the center fibration this
 yields the intertwining pi(g(x)) = tau_x(f(pi(x))) with tau_x the signed
 fiber motion at the next step.  pi is sampled on a regular lattice; the
 reports below check the intertwining identity by recomputation, estimate a
-continuity modulus, test epsilon-density of the image as the surjectivity
-proxy, and probe plaque expansiveness on pairs of center-pseudo-orbits.
+continuity modulus, and test epsilon-density of the image as the
+surjectivity proxy.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import fiber_displacement, torus_distance, wrap
+from .geometry import fiber_displacement, torus_distance
 from .models import SkewModel, _is_positive_int
-from .orbits import PerturbedMap, _kicked_window, from_map, write_table
+from .orbits import PerturbedMap, from_map, write_table
 from .shadowing import (
     ParameterError,
     ShadowingParams,
@@ -34,7 +34,6 @@ __all__ = [
     "check_identity",
     "continuity_report",
     "surjectivity_density",
-    "plaque_expansiveness_probe",
     "write_semiconjugacy",
 ]
 
@@ -240,95 +239,6 @@ def surjectivity_density(sc: SemiConjugacy, epsilon: float) -> SurjectivityRepor
     return SurjectivityReport(density_gap=gap, sup_pi_id=sup, epsilon=epsilon,
                               grid_spacing=spacing, resolution_sufficient=sufficient,
                               passed=(gap < epsilon and sup < epsilon))
-
-
-# -- plaque expansiveness probe -------------------------------------------------
-
-
-@dataclass
-class ProbeTrial:
-    kind: str
-    max_pair_distance: float
-    base_mismatch: float
-    separation_steps: int = -1
-    predicted_steps: int = -1
-    conforms: bool = True
-
-
-@dataclass
-class ProbeReport:
-    eta: float
-    trials: list
-    passed: bool
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        n_adv = sum(1 for t in self.trials if t.kind == "adversarial")
-        return (f"{status} plaque-expansiveness probe: eta={self.eta:g} "
-                f"trials={len(self.trials)} adversarial={n_adv}")
-
-
-def _center_pseudo_orbit(sys: SkewModel, p0, z0: float, half: int, jitter, rng):
-    """Orbit with exact base dynamics and fiber jitter <= eta per step."""
-    kicks = np.zeros((2 * half, 3))
-    kicks[:, 2] = jitter * (2.0 * rng.random(2 * half) - 1.0)
-    return _kicked_window(sys, (p0[0], p0[1], z0), (-half, half), kicks)
-
-
-def plaque_expansiveness_probe(sys: SkewModel, eta: float, trials: int, seed: int,
-                               half_window: int = 30) -> ProbeReport:
-    """Probe the two sides of plaque expansiveness on the model family.
-
-    Conforming trials: two center-pseudo-orbits over the same exact base
-    orbit with independent fiber jitter; their base coordinates must agree
-    within 1e-8 at every index (the concrete form of lying in common
-    center plaques).  Adversarial trials: base points offset by 2*eta are
-    never an eta-close pair and must separate past a fixed macroscopic
-    threshold within ceil(log(threshold / 2 eta) / log(mu)) + 3 steps.
-    An eta at or above threshold / 2 (a pair already apart at step 0) or a
-    half window shorter than the prediction cannot show the separation and
-    raises ParameterError before any trial.
-    """
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta!r}")
-    rng = np.random.default_rng(seed)
-    threshold = 0.05
-    if not eta < threshold / 2.0:
-        raise ParameterError(
-            f"eta = {eta:g} must be below threshold / 2 = {threshold / 2.0:g}: adversarial "
-            f"pairs start 2 eta apart, already past the separation threshold")
-    predicted = math.ceil(math.log(threshold / (2.0 * eta)) / math.log(abs(sys.eig_mu))) + 3
-    if predicted > half_window:
-        raise ParameterError(
-            f"half window {half_window} is shorter than the {predicted} steps an "
-            f"adversarial pair at eta = {eta:g} is predicted to take to separate")
-    out = []
-    passed = True
-    for _ in range(trials):
-        p0 = rng.random(2)
-        z0 = rng.random()
-        a = _center_pseudo_orbit(sys, p0, z0, half_window, eta, rng)
-        b = _center_pseudo_orbit(sys, p0, z0, half_window, eta, rng)
-        dmax = float(np.max(torus_distance(a, b)))
-        base_mismatch = float(np.max(torus_distance(a[:, :2], b[:, :2])))
-        conforms = base_mismatch < 1e-8
-        passed &= conforms
-        out.append(ProbeTrial("same-base", dmax, base_mismatch, conforms=conforms))
-
-        direction = rng.normal(size=2)
-        direction /= np.linalg.norm(direction)
-        q0 = wrap(p0 + 2.0 * eta * direction)
-        c = _center_pseudo_orbit(sys, q0, z0, half_window, eta, rng)
-        # separation after s steps: the pair's larger gap at indices +s and -s
-        apart = np.maximum(torus_distance(a[half_window:], c[half_window:]),
-                           torus_distance(a[half_window::-1], c[half_window::-1])) > threshold
-        sep = int(np.argmax(apart)) if apart.any() else -1
-        conforms = 0 <= sep <= predicted
-        passed &= conforms
-        out.append(ProbeTrial("adversarial", dmax, base_mismatch,
-                              separation_steps=sep, predicted_steps=predicted,
-                              conforms=conforms))
-    return ProbeReport(eta=eta, trials=out, passed=passed)
 
 
 # -- semiconjugacy files ----------------------------------------------------------

@@ -134,21 +134,22 @@ def test_semiconjugacy_builds_no_trace(skew, grid_batch, monkeypatch):
 def test_semiconjugacy_sums_the_series_only_where_a_point_is_read(skew, grid_batch,
                                                                    monkeypatch):
     # the sweeps run on bases and offsets, and the slope bound clears every
-    # intersection of a clean grid: the series runs for the two limits and
-    # the two splice points only, B rows each
+    # intersection of a clean grid: the series runs for the two limits, B
+    # rows each, and for the two splice points, as one stack of 2B rows
     g, params, _, _, _, _ = grid_batch
     rows = []
     series = SkewModel._transfer_series
 
     def counted(self, p, t, stable, tol=None):
-        rows.append((stable, np.shape(t)))
+        rows.append((np.asarray(stable).tolist(), np.shape(t)))
         return series(self, p, t, stable, tol)
 
     monkeypatch.setattr(SkewModel, "_transfer_series", counted)
     sc = semiconjugacy(skew, g, (4, 4, 4), 20, EPS, params=params)
     assert not sc.failures
-    # forward limit, backward limit, y_0^* on W^s(y_0^u), (y_0^*)' on W^u(y_0^s)
-    assert rows == [(False, (64,)), (True, (64,)), (True, (64,)), (False, (64,))]
+    # forward limit, backward limit, then y_0^* on W^s(y_0^u) stacked over
+    # (y_0^*)' on W^u(y_0^s), one leaf class per half of the stack
+    assert rows == [(False, (64,)), (True, (64,)), ([[True], [False]], (2, 64))]
 
 
 def test_permuting_rows_permutes_outputs(skew, grid_batch):

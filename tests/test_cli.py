@@ -180,13 +180,6 @@ class TestStabilityAndProbe:
         assert len(data["node_failures"]) == 8
         assert (workdir / "st" / "semiconjugacy.txt").exists()
 
-    def test_probe(self, workdir, capsys):
-        assert run(["probe", "--model", "skew", "--eta", "1e-2", "--trials", "5",
-                    "--seed", "2", "--out", "p"]) == 0
-        data = json.loads((workdir / "p" / "probe.json").read_text())
-        assert data["passed"]
-        assert len(data["trials"]) == 10
-
 
 def _edit_line(path: Path, prefix: str, column: int, value: str) -> None:
     """Replace one whitespace-separated field of the first line starting with prefix."""
@@ -336,20 +329,15 @@ def _exit_code(argv):
     (["orbit", "--delta", "0", "--window", "5", "-5"], 2),
     (["orbit", "--delta", "0", "--window", "-5", "5", "--x0", "nan", "0", "0"], 2),
     (["orbit", "--delta", "nan", "--window", "-5", "5"], 2),
-    (["probe", "--eta", "-1"], 2),
-    (["probe", "--eta", "1e-2", "--trials", "-3"], 2),
     (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
       "--perturbation", "pert.json"], 2),
     (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2", "--delta", "nan"], 2),
-    (["constants", "--epsilon", "nan"], 3),
     (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2", "--delta", "inf"], 2),
     (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
       "--perturbation", "pert-coord.json"], 2),
+    (["constants", "--epsilon", "nan"], 3),
     (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
       "--perturbation", "pert-freq.json"], 2),
-    (["probe", "--eta", "1e-3", "--half-length", "3"], 3),
-    (["probe", "--eta", "1e-14"], 3),
-    (["probe", "--eta", "0.1"], 3),
 ])
 def test_bad_command_line_exits_with_error(workdir, capsys, argv, code):
     (workdir / "pert.json").write_text(json.dumps({"amplitude_bound": 1e-3,
@@ -377,8 +365,10 @@ SKEW_FILE = {"matrix": [[2, 1], [1, 1]], "omega": 0.05,
     ({"phi_modes": [{"freq": [1, 0], "sin": float("nan")}]}, "amplitudes must be finite"),
     ({"matrix": [[2.7, 1], [1, 1.9]]}, "base matrix entries must be integers"),
     ({"phi_modes": [{"freq": [1.5, 0], "sin": 0.02}]}, "phi mode frequencies must be integers"),
+    ({"series_tol": 1e-300}, "series_tol = 1e-300 needs more than 500 transfer-series terms"),
+    ({"series_tol": 5e-324}, "series_tol = 5e-324 needs more than 500 transfer-series terms"),
 ], ids=["series_tol-nan", "series_tol-inf", "omega-nan", "sin-nan", "matrix-fraction",
-        "freq-fraction"])
+        "freq-fraction", "series_tol-tiny", "series_tol-subnormal"])
 def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
     (workdir / "model.json").write_text(json.dumps({**SKEW_FILE, **edit}))
     assert run(["constants", "--model", "model.json", "--epsilon", "1e-2", "--out", "c"]) == 2
@@ -409,21 +399,6 @@ def test_steep_perturbation_exit_2(workdir, capsys):
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert err.startswith("ERROR model: ") and "Lip(f^-1) = 2.64" in err and "4.98" in err
-    assert len(err.splitlines()) == 1
-
-
-def test_series_non_convergence_exit_2(workdir, capsys):
-    # a series_tol this small needs more transfer-series terms than the
-    # hard stop allows; it used to end in a RuntimeError traceback
-    (workdir / "model.json").write_text(json.dumps({**SKEW_FILE, "series_tol": 1e-300}))
-    assert run(["orbit", "--model", "model.json", "--delta", "1e-6", "--window", "-20", "20",
-                "--seed", "3", "--out", "o"]) == 0
-    capsys.readouterr()
-    assert run(["shadow", "--model", "model.json", "--orbit", "o/orbit.txt",
-                "--epsilon", "5e-2", "--out", "s"]) == 2
-    out, err = capsys.readouterr()
-    assert "PASS" not in out
-    assert err.startswith("ERROR model: transfer series needs ") and "terms" in err
     assert len(err.splitlines()) == 1
 
 
@@ -492,21 +467,24 @@ def test_verify_empty_interior_exit_3(workdir, capsys):
     assert not (workdir / "v" / "verify.json").exists()
 
 
-@pytest.mark.parametrize("window", [(5, 100), (-100, -5)], ids=["above-0", "below-0"])
-def test_window_missing_index_0_exit_3(workdir, capsys, window):
-    # 96 steps, but none on one side of index 0: the message names index 0
-    # and the 3 subsampled steps each side needs, not the window's length
+@pytest.mark.parametrize("window, code, error", [
+    ((5, 100), 2, "ERROR input: window [5, 100] must contain index 0"),
+    ((-100, -5), 2, "ERROR input: window [-100, -5] must contain index 0"),
+    ((-4, 100), 3, "ERROR parameters: window [-4, 100] must contain index 0 and at least 3 "
+                   "subsampled steps on each side, [-6, 6] for power k = 2"),
+], ids=["above-0", "below-0", "short-below"])
+def test_orbit_file_window_rule(workdir, capsys, window, code, error):
+    # a header window without index 0 is an input error when the file is
+    # read, as it is for `orbit --window`; one around index 0 with too few
+    # subsampled steps on a side is a parameter error of the construction
     sys = builtin_model("skew")
     orbit = generate_noisy(sys, [0.1, 0.2, 0.3], (-100, 100), 0.0, seed=0)
     a, b = window
     write_table(workdir / "orbit.txt", {"model": "skew", "delta": 0.0, "window": f"{a} {b}"},
                 [[q, *orbit.point(q)] for q in range(a, b + 1)])
     assert run(["shadow", "--model", "skew", "--orbit", "orbit.txt", "--epsilon", "1e-2",
-                "--out", "s"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("ERROR parameters: ") and len(err.splitlines()) == 1
-    assert f"window [{a}, {b}] must contain index 0" in err
-    assert "3 subsampled steps on each side, [-6, 6] for power k = 2" in err
+                "--out", "s"]) == code
+    assert capsys.readouterr().err == error + "\n"
 
 
 def test_out_of_memory_exit_2(workdir, capsys, monkeypatch):

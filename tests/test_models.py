@@ -17,14 +17,18 @@ from torusshadow.models import (
     ModelError,
     SkewModel,
     eigen_frame,
-    inverse_system,
     load_model,
     model_from_dict,
     model_to_dict,
 )
 from torusshadow.shadowing import _iterate, delta_for_epsilon
 
-from tests_helpers import certify_holonomy_modulus, certify_intersections, certify_rates
+from tests_helpers import (
+    certify_holonomy_modulus,
+    certify_intersections,
+    certify_rates,
+    inverse_system,
+)
 
 GOLDEN = math.sqrt(5.0)
 
@@ -264,6 +268,22 @@ class TestTransfers:
         finally:
             tracemalloc.stop()
         assert peak < t.nbytes + 8 * 8 * models._BLOCK_ELEMENTS
+
+    def test_series_tol_lower_bound(self, skew):
+        # a series_tol at which an offset of the lift radius 0.25 needs more
+        # terms than the hard stop allows is rejected, naming the least one
+        # that does not
+        with pytest.raises(ModelError, match="series_tol = 1e-300 needs more than 500") as exc:
+            SkewModel(skew.A, skew.omega, skew.modes, series_tol=1e-300)
+        least = float(str(exc.value).rsplit(" ", 1)[1])
+        assert SkewModel(skew.A, skew.omega, skew.modes, series_tol=least).series_tol == least
+        with pytest.raises(ModelError):
+            SkewModel(skew.A, skew.omega, skew.modes, series_tol=least * (1.0 - 1e-9))
+
+    def test_series_hard_stop(self, skew):
+        # a caller's tolerance below the model's can still ask for too many terms
+        with pytest.raises(ModelError, match="transfer series needs 715 terms, over the limit"):
+            skew.transfer_stable(np.array([0.1, 0.2]), 0.1, tol=1e-300)
 
 
 class TestMixedClasses:

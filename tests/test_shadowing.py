@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusshadow.geometry import minimal_displacement, torus_distance, wrap
-from torusshadow.models import SkewModel, inverse_system
+from torusshadow.models import SkewModel
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
 from torusshadow.orbits import PseudoOrbit, generate_noisy, write_table
 from torusshadow.shadowing import (
@@ -27,7 +27,7 @@ from torusshadow.shadowing import (
     write_trace,
 )
 
-from tests_helpers import single_defect_orbit
+from tests_helpers import inverse_system, single_defect_orbit
 
 X0 = np.array([0.2, 0.35, 0.81])
 
@@ -537,7 +537,7 @@ def test_negative_corrections_ride_the_unstable_leaves(matrix, omega, mode, k):
 
 class TestMultiModeCoupling:
     def test_full_pipeline_with_three_modes(self):
-        from torusshadow.models import SkewModel, inverse_system
+        from torusshadow.models import SkewModel
         sys = SkewModel([[2, 1], [1, 1]], omega=0.07,
                         phi_modes=[(1, 0, 0.01, 0.005), (1, 1, 0.0, 0.008),
                                    (0, 2, -0.006, 0.0)])

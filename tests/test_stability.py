@@ -1,4 +1,4 @@
-"""Semiconjugacy sampling, identity/continuity/surjectivity reports, probe."""
+"""Semiconjugacy sampling and the identity/continuity/surjectivity reports."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from torusshadow.shadowing import ParameterError, delta_for_epsilon
 from torusshadow.stability import (
     check_identity,
     continuity_report,
-    plaque_expansiveness_probe,
     semiconjugacy,
     surjectivity_density,
     write_semiconjugacy,
@@ -241,43 +240,3 @@ class TestSurjectivity:
         assert report.sup_pi_id == np.inf
         assert not report.passed
 
-
-class TestProbe:
-    def test_probe_passes(self, skew):
-        report = plaque_expansiveness_probe(skew, eta=1e-2, trials=10, seed=3)
-        assert report.passed
-        same = [t for t in report.trials if t.kind == "same-base"]
-        adv = [t for t in report.trials if t.kind == "adversarial"]
-        assert len(same) == len(adv) == 10
-        for t in same:
-            # both orbits of a pair run the same base recursion without kicks
-            assert t.base_mismatch == 0.0
-        for t in adv:
-            assert 0 <= t.separation_steps <= t.predicted_steps
-            # offset pairs start beyond eta, so they never qualify as close
-            assert t.max_pair_distance > report.eta
-
-    def test_separation_rate_scales_with_eta(self, skew):
-        fast = plaque_expansiveness_probe(skew, eta=1e-2, trials=5, seed=1)
-        slow = plaque_expansiveness_probe(skew, eta=1e-5, trials=5, seed=1)
-        f_steps = max(t.separation_steps for t in fast.trials if t.kind == "adversarial")
-        s_steps = min(t.separation_steps for t in slow.trials if t.kind == "adversarial")
-        assert s_steps > f_steps  # smaller eta takes longer to separate
-
-    @pytest.mark.parametrize("eta, half_window, predicted", [(1e-3, 3, 7), (1e-14, 30, 33)])
-    def test_window_shorter_than_prediction_rejected(self, skew, eta, half_window, predicted):
-        # the window could not show the separation, so no trial runs
-        match = rf"half window {half_window} .* {predicted} steps"
-        with pytest.raises(ParameterError, match=match):
-            plaque_expansiveness_probe(skew, eta=eta, trials=1, seed=0, half_window=half_window)
-
-    @pytest.mark.parametrize("eta", [0.025, 0.1, 0.4])
-    def test_eta_past_half_threshold_rejected(self, skew, eta):
-        # adversarial pairs would start past the separation threshold and
-        # conform at step 0 without showing anything
-        with pytest.raises(ParameterError, match=r"threshold / 2 = 0\.025"):
-            plaque_expansiveness_probe(skew, eta=eta, trials=1, seed=0)
-
-    def test_eta_positive_required(self, skew):
-        with pytest.raises(ValueError):
-            plaque_expansiveness_probe(skew, eta=0.0, trials=1, seed=0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from torusshadow.geometry import torus_distance, wrap
-from torusshadow.models import IntersectionError
+from torusshadow.models import IntersectionError, SkewModel
 from torusshadow.orbits import PseudoOrbit
 
 
@@ -24,6 +24,22 @@ def single_defect_orbit(sys, x0, window, jump):
         x = sys.apply(x)
         pts[k - n_min] = x
     return PseudoOrbit(n_min, n_max, pts, float(np.linalg.norm(jump)))
+
+
+def inverse_system(sys):
+    """The inverse map as a skew model in the same family.
+
+    f^-1(p, z) = (A^-1 p, z - omega - phi(A^-1 p)); the composed coupling
+    -phi(A^-1 p) is again a trigonometric polynomial with frequencies
+    (A^-1)^T m.
+    """
+    At = sys.A_inv.T
+    modes = []
+    for (m1, m2, s, c) in sys.modes:
+        mm = At @ np.array([m1, m2])
+        modes.append((int(mm[0]), int(mm[1]), -s, -c))
+    return SkewModel(sys.A_inv, omega=-sys.omega, phi_modes=modes,
+                     series_tol=sys.series_tol)
 
 
 def certify_rates(sys, n: int = 10_000, seed: int = 0):
