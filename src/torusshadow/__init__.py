@@ -23,7 +23,6 @@ from .shadowing import (
 from .stability import (
     SemiConjugacy,
     check_identity,
-    continuity_report,
     semiconjugacy,
     surjectivity_density,
 )

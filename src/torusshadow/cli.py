@@ -40,7 +40,7 @@ def _resolve_model(name_or_path: str) -> models.SkewModel:
 
 
 def _write_json(path: Path, obj) -> None:
-    """Strict JSON: a non-finite float (an infinite density gap) is null."""
+    """Strict JSON: a non-finite float (sup d(pi, id) of an all-failed grid) is null."""
     with open(path, "w") as fh:
         json.dump(_finite(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -217,7 +217,6 @@ def cmd_stability(args) -> int:
                                  args.epsilon)
     identity = stability.check_identity(sys_model, sc, g)
     surj = stability.surjectivity_density(sc, args.epsilon)
-    cont = stability.continuity_report(sc) if min(args.grid) >= 8 else None
     stability.write_semiconjugacy(sc, out / "semiconjugacy.txt",
                                   model_name=args.model,
                                   perturbation=args.perturbation or f"delta={args.delta}")
@@ -226,22 +225,14 @@ def cmd_stability(args) -> int:
                      "max_base_mismatch": identity.max_base_mismatch,
                      "max_fiber_residual": identity.max_fiber_residual,
                      "failing_nodes": identity.failing_nodes[:100]},
-        "surjectivity": {"passed": surj.passed, "density_gap": surj.density_gap,
-                         "sup_pi_id": surj.sup_pi_id,
-                         "resolution_sufficient": surj.resolution_sufficient},
-        "continuity": None if cont is None else {
-            "max_ratio_per_axis": list(cont.max_ratio_per_axis),
-            "median_ratio": cont.median_ratio,
-            "anomalies": cont.anomalies[:100],
-            "histogram": cont.histogram},
+        "surjectivity": {"passed": surj.passed, "sup_pi_id": surj.sup_pi_id,
+                         "modulus": surj.modulus},
         "node_failures": sc.failures[:100],
     })
     _write_manifest(out, args, sys_model, sc.params,
                     outputs=["semiconjugacy.txt", "stability.json"])
     print(identity.summary())
     print(surj.summary())
-    if cont is not None:
-        print(cont.summary())
     passed = identity.passed and surj.passed and not sc.failures
     print(f"{'PASS' if passed else 'FAIL'} stability grid={args.grid} "
           f"half_length={args.half_length} node_failures={len(sc.failures)}")

@@ -5,9 +5,9 @@ quasi-shadowing engine assigns to each point x the anchor pi(x) = y*_0 of
 the sequence tracing the g-orbit of x.  Along the center fibration this
 yields the intertwining pi(g(x)) = tau_x(f(pi(x))) with tau_x the signed
 fiber motion at the next step.  pi is sampled on a regular lattice; the
-reports below check the intertwining identity by recomputation, estimate a
-continuity modulus, and test epsilon-density of the image as the
-surjectivity proxy.
+reports below check the intertwining identity by recomputation and check
+that pi has degree 1, hence is onto, from its distance to the identity and
+its modulus over lattice edges.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import fiber_displacement, torus_distance
+from .geometry import fiber_displacement, minimal_displacement, torus_distance
 from .models import SkewModel, _is_positive_int
 from .orbits import PerturbedMap, from_map, write_table
 from .shadowing import (
@@ -32,7 +32,6 @@ __all__ = [
     "SemiConjugacy",
     "semiconjugacy",
     "check_identity",
-    "continuity_report",
     "surjectivity_density",
     "write_semiconjugacy",
 ]
@@ -159,86 +158,37 @@ def check_identity(sys: SkewModel, sc: SemiConjugacy, g: PerturbedMap) -> Identi
 
 
 @dataclass
-class ContinuityReport:
-    max_ratio_per_axis: tuple
-    median_ratio: float
-    histogram: list            # (edge_lo, edge_hi, count) triples
-    anomalies: list            # flat node indices with an incident ratio > 10x median
-
-    def summary(self) -> str:
-        axes = " ".join(f"{r:.4g}" for r in self.max_ratio_per_axis)
-        return (f"continuity: max_ratio_per_axis=[{axes}] median={self.median_ratio:.4g} "
-                f"anomalies={len(self.anomalies)}")
-
-
-def continuity_report(sc: SemiConjugacy) -> ContinuityReport:
-    """Difference-quotient table d(pi(x), pi(x')) / d(x, x') over grid edges.
-
-    Qualitative by design: no PASS/FAIL, but any ratio above 10x the median
-    flags its incident nodes as anomalies.
-    """
-    grid = tuple(sc.grid_res)
-    if min(grid) < 8:
-        raise ValueError("continuity_report needs grid resolution >= 8 per axis")
-    nodes, pi = sc.nodes.reshape(grid + (3,)), sc.pi.reshape(grid + (3,))
-    flat = np.arange(sc.nodes.shape[0]).reshape(grid)
-    edges = []   # (ratio, node, neighbour) per axis; a NaN pi drops its edges
-    for axis in range(3):
-        ratio = (torus_distance(pi, np.roll(pi, -1, axis))
-                 / torus_distance(nodes, np.roll(nodes, -1, axis))).ravel()
-        keep = ~np.isnan(ratio)
-        edges.append((ratio[keep], flat.ravel()[keep], np.roll(flat, -1, axis).ravel()[keep]))
-    all_ratios = np.concatenate([r for r, _, _ in edges])
-    med = float(np.median(all_ratios)) if all_ratios.size else 0.0
-    hot = np.zeros(flat.size, dtype=bool)
-    if med > 0.0:
-        for r, a, b in edges:
-            over = r > 10.0 * med
-            hot[a[over]] = True
-            hot[b[over]] = True
-    hist, bin_edges = np.histogram(all_ratios, bins=10)
-    histogram = [(float(bin_edges[i]), float(bin_edges[i + 1]), int(hist[i]))
-                 for i in range(len(hist))]
-    return ContinuityReport(
-        max_ratio_per_axis=tuple(float(np.max(r, initial=0.0)) for r, _, _ in edges),
-        median_ratio=med, histogram=histogram,
-        anomalies=np.flatnonzero(hot).tolist())
-
-
-@dataclass
 class SurjectivityReport:
-    density_gap: float
     sup_pi_id: float
+    modulus: float
     epsilon: float
-    grid_spacing: float
-    resolution_sufficient: bool
     passed: bool
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        note = "" if self.resolution_sufficient else " (grid spacing exceeds epsilon)"
-        return (f"{status} surjectivity: density_gap={self.density_gap:.6e} "
-                f"sup_d(pi,id)={self.sup_pi_id:.6e} epsilon={self.epsilon:g}{note}")
+        return (f"{status} surjectivity: sup_d(pi,id)={self.sup_pi_id:.6e} "
+                f"modulus={self.modulus:.6e} epsilon={self.epsilon:g}")
 
 
 def surjectivity_density(sc: SemiConjugacy, epsilon: float) -> SurjectivityReport:
-    """Empirical surjectivity proxy: the pi-image is epsilon-dense and pi
-    stays within epsilon of the identity.  With every node failed the image
-    is empty and the gap is inf."""
-    ok = ~np.isnan(sc.pi[:, 0])
-    image = sc.pi[ok]
-    gap = 0.0
-    # nearest pi-image for every grid node, chunked pairwise distances
-    for start in range(0, sc.nodes.shape[0], 256):
-        block = sc.nodes[start:start + 256]
-        dist = torus_distance(block[:, None, :], image[None, :, :])
-        gap = max(gap, float(np.max(np.min(dist, axis=1, initial=math.inf))))
-    spacing = max(1.0 / r for r in sc.grid_res)
-    sufficient = spacing <= epsilon
+    """Degree check for pi on the lattice, the surjectivity half of quasi-stability.
+
+    D = minimal_displacement(x, pi(x)) lifts pi to x + D(x).  The modulus
+    is the largest |D(x) - D(x')| over lattice neighbours x, x' (edges
+    with a failed end are dropped; with no edge it is 0).  PASS needs no
+    failed node, sup |D| < epsilon and sup |D| + modulus < 1/2: then no
+    lattice edge hides a wrap of the lift, x + t D(x) is a homotopy from
+    id to pi, so pi has degree 1 and is onto (Walters, Topology 9, 1970).
+    Continuity of pi between the nodes is assumed, not tested.  With every
+    node failed, sup |D| is inf.
+    """
+    disp = minimal_displacement(sc.nodes, sc.pi).reshape(*sc.grid_res, 3)
+    jumps = np.concatenate([np.linalg.norm(disp - np.roll(disp, -1, axis), axis=-1).ravel()
+                            for axis in range(3)])
+    modulus = float(np.max(jumps[~np.isnan(jumps)], initial=0.0))
     sup = sc.sup_pi_id
-    return SurjectivityReport(density_gap=gap, sup_pi_id=sup, epsilon=epsilon,
-                              grid_spacing=spacing, resolution_sufficient=sufficient,
-                              passed=(gap < epsilon and sup < epsilon))
+    passed = not np.isnan(sc.pi).any() and sup < epsilon and sup + modulus < 0.5
+    return SurjectivityReport(sup_pi_id=sup, modulus=modulus, epsilon=epsilon, passed=passed)
 
 
 # -- semiconjugacy files ----------------------------------------------------------

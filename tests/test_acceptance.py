@@ -186,10 +186,10 @@ def test_criterion_9_semiconjugacy_identity():
     elapsed = time.perf_counter() - start
     max_res = float(np.nanmax(sc.residual))
     ok = (not sc.failures and identity.passed and max_res < 1e-8
-          and sc.sup_pi_id < eps and surj.density_gap < eps and elapsed < 120.0)
+          and sc.sup_pi_id < eps and surj.passed and elapsed < 120.0)
     report(9, ok, f"grid 16x16x8, N=40, amplitude 1e-3 (eps={eps}): node "
                   f"residuals<={max_res:.3e} (<1e-8), sup d(pi,id)={sc.sup_pi_id:.3e} "
-                  f"(<eps), density gap={surj.density_gap:.3e} (<eps), "
+                  f"(<eps), modulus={surj.modulus:.3e} (sup + modulus < 1/2), "
                   f"failures={len(sc.failures)}, runtime={elapsed:.0f}s (<120s)")
 
 

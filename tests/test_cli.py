@@ -141,7 +141,7 @@ class TestPipeline:
             assert (workdir / src / fname).read_bytes() == (workdir / dst / fname).read_bytes()
 
 
-class TestStabilityAndProbe:
+class TestStability:
     def test_stability_small_grid(self, workdir, capsys):
         assert run(["stability", "--model", "skew", "--epsilon", "0.216",
                     "--grid", "8", "8", "8", "--half-length", "30",
@@ -171,12 +171,12 @@ class TestStabilityAndProbe:
                     "--grid", "2", "2", "2", "--half-length", "8",
                     "--delta", "1e-3", "--out", "st"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL surjectivity: density_gap=inf" in out
+        assert "FAIL surjectivity: sup_d(pi,id)=inf" in out
         assert "FAIL stability" in out and "node_failures=8" in out
         data = json.loads((workdir / "st" / "stability.json").read_text(),
                           parse_constant=_reject_constant)
         assert data["surjectivity"]["passed"] is False
-        assert data["surjectivity"]["density_gap"] is None
+        assert data["surjectivity"]["sup_pi_id"] is None
         assert len(data["node_failures"]) == 8
         assert (workdir / "st" / "semiconjugacy.txt").exists()
 
@@ -324,20 +324,24 @@ def _exit_code(argv):
         return exc.code
 
 
+# each row names its own id, so deleting a row renames no other
 @pytest.mark.parametrize("argv, code", [
-    (["orbit", "--delta", "-1", "--window", "-5", "5"], 2),
-    (["orbit", "--delta", "0", "--window", "5", "-5"], 2),
-    (["orbit", "--delta", "0", "--window", "-5", "5", "--x0", "nan", "0", "0"], 2),
-    (["orbit", "--delta", "nan", "--window", "-5", "5"], 2),
-    (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
-      "--perturbation", "pert.json"], 2),
-    (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2", "--delta", "nan"], 2),
-    (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2", "--delta", "inf"], 2),
-    (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
-      "--perturbation", "pert-coord.json"], 2),
-    (["constants", "--epsilon", "nan"], 3),
-    (["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
-      "--perturbation", "pert-freq.json"], 2),
+    pytest.param(["orbit", "--delta", "-1", "--window", "-5", "5"], 2, id="argv0-2"),
+    pytest.param(["orbit", "--delta", "0", "--window", "5", "-5"], 2, id="argv1-2"),
+    pytest.param(["orbit", "--delta", "0", "--window", "-5", "5", "--x0", "nan", "0", "0"], 2,
+                 id="argv2-2"),
+    pytest.param(["orbit", "--delta", "nan", "--window", "-5", "5"], 2, id="argv3-2"),
+    pytest.param(["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                  "--perturbation", "pert.json"], 2, id="argv4-2"),
+    pytest.param(["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                  "--delta", "nan"], 2, id="argv5-2"),
+    pytest.param(["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                  "--delta", "inf"], 2, id="argv6-2"),
+    pytest.param(["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                  "--perturbation", "pert-coord.json"], 2, id="argv7-2"),
+    pytest.param(["constants", "--epsilon", "nan"], 3, id="argv8-3"),
+    pytest.param(["stability", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                  "--perturbation", "pert-freq.json"], 2, id="argv9-2"),
 ])
 def test_bad_command_line_exits_with_error(workdir, capsys, argv, code):
     (workdir / "pert.json").write_text(json.dumps({"amplitude_bound": 1e-3,

@@ -1,14 +1,17 @@
-"""Semiconjugacy sampling and the identity/continuity/surjectivity reports."""
+"""Semiconjugacy sampling and the identity and surjectivity (degree) reports."""
+
+import time
 
 import numpy as np
 import pytest
 
-from torusshadow.geometry import torus_distance, wrap
+from torusshadow.geometry import minimal_displacement, torus_distance, wrap
 from torusshadow.orbits import PerturbedMap
 from torusshadow.shadowing import ParameterError, delta_for_epsilon
 from torusshadow.stability import (
+    SemiConjugacy,
+    _lattice,
     check_identity,
-    continuity_report,
     semiconjugacy,
     surjectivity_density,
     write_semiconjugacy,
@@ -147,68 +150,50 @@ class TestSemiconjugacy:
         assert len(first) == 8
 
 
+def synthetic(skew, grid, pi):
+    """A SemiConjugacy holding pi(nodes) on the lattice, with no shadowing run."""
+    nodes = _lattice(grid)
+    return SemiConjugacy(grid_res=grid, nodes=nodes, pi=pi(nodes), pi_g=nodes.copy(),
+                         tau=np.zeros(len(nodes)), residual=np.zeros(len(nodes)),
+                         window=0, params=delta_for_epsilon(skew, 1e-2))
+
+
+def fiber_shift(nodes, shift):
+    return wrap(nodes + np.outer(shift, [0.0, 0.0, 1.0]))
+
+
 class TestContinuity:
-    def test_identity_map_ratios_one(self, skew):
-        g = PerturbedMap(skew, [], amplitude_bound=1e-12)
-        sc = semiconjugacy(skew, g, (8, 8, 8), 20, 1e-2)
-        report = continuity_report(sc)
-        for r in report.max_ratio_per_axis:
-            assert r == pytest.approx(1.0, abs=1e-9)
-        assert not report.anomalies
-
-    def test_small_grid_rejected(self, skew):
-        g = PerturbedMap(skew, [], amplitude_bound=1e-12)
-        sc = semiconjugacy(skew, g, (4, 4, 4), 20, 1e-2)
-        with pytest.raises(ValueError):
-            continuity_report(sc)
-
-    def test_anomaly_injection_flags_incident_nodes(self, skew):
-        # synthetic pi = identity on a 16^3 lattice, one node corrupted far
-        # enough that its six incident difference quotients exceed 10x the
-        # median; the report is the unit under test, so no shadowing run
-        from torusshadow.shadowing import delta_for_epsilon
-        from torusshadow.stability import SemiConjugacy, _lattice
-        nodes = _lattice((16, 16, 16))
-        sc = SemiConjugacy(grid_res=(16, 16, 16), nodes=nodes, pi=nodes.copy(),
-                           pi_g=nodes.copy(), tau=np.zeros(len(nodes)),
-                           residual=np.zeros(len(nodes)), window=0,
-                           params=delta_for_epsilon(skew, 1e-2))
-        node = np.ravel_multi_index((7, 7, 7), sc.grid_res, mode="wrap")
-        sc.pi[node] = (sc.pi[node] + 0.404) % 1.0
-        report = continuity_report(sc)
-        expected = {node}
-        for shift in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-            expected.add(np.ravel_multi_index(np.add((7, 7, 7), shift), sc.grid_res,
-                                              mode="wrap"))
-        assert set(report.anomalies) == expected
-
     def test_edges_match_a_direct_loop(self, skew):
         # non-cubic lattice with a smooth pi and one NaN node at the wrapping
-        # corner: the report's edge set equals a loop over every node and axis
-        from torusshadow.stability import SemiConjugacy, _lattice
+        # corner: the modulus equals a loop over every node and axis
+        def pi(nodes):
+            out = wrap(nodes + 0.01 * np.sin(2.0 * np.pi * nodes[:, [1, 2, 0]]))
+            out[-1] = np.nan
+            return out
         grid = (8, 9, 10)
-        nodes = _lattice(grid)
-        pi = wrap(nodes + 0.01 * np.sin(2.0 * np.pi * nodes[:, [1, 2, 0]]))
-        pi[-1] = np.nan
-        sc = SemiConjugacy(grid_res=grid, nodes=nodes, pi=pi, pi_g=pi.copy(),
-                           tau=np.zeros(len(nodes)), residual=np.zeros(len(nodes)),
-                           window=0, params=delta_for_epsilon(skew, 1e-2))
-        report = continuity_report(sc)
-        per_axis = []
+        sc = synthetic(skew, grid, pi)
+        report = surjectivity_density(sc, 0.35)
+        disp = minimal_displacement(sc.nodes, sc.pi)
+        jumps = []
         for shift in np.eye(3, dtype=int):
-            ratios = []
             for a, index in enumerate(np.ndindex(*grid)):
                 b = np.ravel_multi_index(np.add(index, shift), grid, mode="wrap")
-                if not np.isnan(pi[[a, b]]).any():
-                    ratios.append(torus_distance(pi[a], pi[b])
-                                  / torus_distance(nodes[a], nodes[b]))
-            per_axis.append(ratios)
-        assert report.max_ratio_per_axis == tuple(max(r) for r in per_axis)
-        everything = np.concatenate(per_axis)
-        assert everything.size == 3 * len(nodes) - 6
-        assert report.median_ratio == float(np.median(everything))
-        assert [c for _, _, c in report.histogram] == np.histogram(everything, bins=10)[0].tolist()
-        assert report.anomalies == []
+                if not np.isnan(sc.pi[[a, b]]).any():
+                    diff = disp[a] - disp[b]
+                    jumps.append(np.sqrt(np.sum(diff * diff)))
+        assert len(jumps) == 3 * len(sc.nodes) - 6
+        assert report.modulus == max(jumps)
+        assert not report.passed   # the NaN node
+
+    def test_planted_jump_fails_by_degree_alone(self, skew):
+        # a fiber jump of 0.3 on half the lattice: no failed node and
+        # sup d(pi, id) < epsilon, but sup + modulus >= 1/2
+        sc = synthetic(skew, (8, 8, 8), lambda x: fiber_shift(x, 0.3 * (x[:, 0] < 0.5)))
+        report = surjectivity_density(sc, 0.35)
+        assert not np.isnan(sc.pi).any()
+        assert report.sup_pi_id < 0.35
+        assert report.modulus == pytest.approx(0.3, abs=1e-12)
+        assert not report.passed
 
 
 class TestSurjectivity:
@@ -216,27 +201,46 @@ class TestSurjectivity:
         g = PerturbedMap(skew, [], amplitude_bound=1e-12)
         sc = semiconjugacy(skew, g, (6, 6, 6), 20, 1e-2)
         report = surjectivity_density(sc, 1e-2)
-        assert report.density_gap < 1e-9
+        assert report.sup_pi_id < 1e-9
+        assert report.modulus < 1e-9
         assert report.passed
 
     def test_perturbed_density(self, sc_small):
         _, sc = sc_small
         report = surjectivity_density(sc, EPS)
         assert report.passed
-        assert report.density_gap < EPS
+        assert report.sup_pi_id + report.modulus < EPS
 
-    def test_coarse_grid_flagged(self, skew):
-        g = PerturbedMap(skew, [], amplitude_bound=1e-12)
-        sc = semiconjugacy(skew, g, (4, 4, 4), 20, 1e-2)
-        report = surjectivity_density(sc, 1e-2)
-        assert not report.resolution_sufficient  # spacing 0.25 > epsilon
+    def test_constant_shift_passes(self, skew):
+        sc = synthetic(skew, (8, 8, 8), lambda x: fiber_shift(x, 0.3))
+        report = surjectivity_density(sc, 0.35)
+        assert report.sup_pi_id == pytest.approx(0.3, abs=1e-12)
+        assert report.modulus < 1e-12
+        assert report.passed
+
+    def test_one_nan_node_fails(self, skew):
+        def pi(nodes):
+            out = nodes.copy()
+            out[137] = np.nan
+            return out
+        report = surjectivity_density(synthetic(skew, (8, 8, 8), pi), 0.35)
+        assert report.sup_pi_id == 0.0 and report.modulus == 0.0
+        assert not report.passed
 
     def test_every_node_failed_gives_inf_gap(self, skew):
         # a window too short for any anchor to certify leaves the image empty
         sc = semiconjugacy(skew, default_field(skew, 1e-3), (2, 2, 2), 8, EPS)
         assert len(sc.failures) == 8
         report = surjectivity_density(sc, EPS)
-        assert report.density_gap == np.inf
         assert report.sup_pi_id == np.inf
         assert not report.passed
+        assert "FAIL surjectivity: sup_d(pi,id)=inf" in report.summary()
 
+    def test_linear_in_the_node_count(self, skew):
+        # 131,072 nodes: a search quadratic in the node count would take minutes
+        sc = synthetic(skew, (64, 64, 32),
+                       lambda nodes: wrap(nodes + 1e-3 * np.sin(2.0 * np.pi * nodes)))
+        start = time.perf_counter()
+        report = surjectivity_density(sc, EPS)
+        assert time.perf_counter() - start < 10.0
+        assert report.passed
