@@ -47,7 +47,7 @@ class ModelError(ValueError):
 
 
 class IntersectionError(RuntimeError):
-    """Leaf intersection failed: bad pair, lift ambiguity, or out of range."""
+    """Leaf intersection failed: lift ambiguity, points too far apart, or out of range."""
 
 
 def eigen_frame(matrix):
@@ -314,15 +314,16 @@ class SkewModel:
         """Evaluate the transfer series of every row, in blocks of rows.
 
         `stable` names the leaf class: a bool, or a bool array broadcasting
-        over the rows, one class per row.  The pair (A^n p, A^n q) is never
-        iterated as two points: floating-point noise in the expanding
-        direction of the iteration would separate them exponentially and turn
-        the late terms into garbage.  Instead the anchor A^n p comes from the
-        exact integer power and the other point is reconstructed as anchor +
-        lam^n t v, which decays exactly; drift common to both evaluation
-        points cancels in the phi difference.  Row r sums the terms whose tail
-        bound is still >= its tolerance, in order, so its value does not
-        depend on the other rows or their classes.
+        over the rows, one class per row; the pass runs the term count of the
+        classes present, so a one-class array runs the bool's.  The pair
+        (A^n p, A^n q) is never iterated as two points: floating-point noise
+        in the expanding direction of the iteration would separate them
+        exponentially and turn the late terms into garbage.  Instead the
+        anchor A^n p comes from the exact integer power and the other point is
+        reconstructed as anchor + lam^n t v, which decays exactly; drift
+        common to both evaluation points cancels in the phi difference.  Row
+        r sums the terms whose tail bound is still >= its tolerance, in order,
+        so its value does not depend on the other rows or their classes.
 
         Blocks of rows, about _BLOCK_ELEMENTS row x term elements each, keep
         the temporaries in the cache at any batch size; the rows are the
@@ -334,15 +335,13 @@ class SkewModel:
         if self.lip_phi == 0.0:
             return np.zeros(t.shape)[()]
         tol = np.asarray(self.series_tol if tol is None else tol, dtype=float)
-        cls = np.asarray(stable, dtype=np.intp)
-        mixed = cls.ndim > 0
-        cls = cls if mixed else int(cls)    # one class indexes its tables as views
+        cls = np.asarray(stable, dtype=np.intp)[()]    # one class indexes its tables as views
         tail = self.lip_phi / (1.0 - abs(self.eig_lam))
         # Term n is live while its tail bound tail * |t rate^(n + skip)| is
-        # >= tol; size the pass for the row and class that need most, plus
-        # one spare.
+        # >= tol; size the pass for the row and the class present that need
+        # most, plus one spare (no rows, no classes, no terms).
         need = float(np.max(tail * np.abs(t) / tol, initial=0.0))
-        terms = self._series_terms(need, (0, 1) if mixed else (cls,))
+        terms = self._series_terms(need, range(cls.min(initial=1), cls.max(initial=0) + 1))
         if not terms:
             return np.zeros(t.shape)[()]
         if terms > _SERIES_MAX_TERMS:  # a caller's tol below the model's; hard stop
@@ -392,9 +391,10 @@ class SkewModel:
 
         anchor (..., 3) broadcasts against offset (...), and `stable` is a
         bool or a bool array broadcasting against offset, one leaf class per
-        row; a row gets the bits of its own single-class call.  Center leaves
-        are the vertical circles, so this is also the center holonomy from the
-        point over q onto the strong leaf of `anchor`.
+        row (the flag `intersect` takes for y's leaf); a row gets the bits of
+        its own single-class call.  Center leaves are the vertical circles, so
+        this is also the center holonomy from the point over q onto the strong
+        leaf of `anchor`.
         """
         anchor = np.asarray(anchor, dtype=float)
         offset = np.asarray(offset, dtype=float)
@@ -411,34 +411,30 @@ class SkewModel:
         point[..., 2] = fiber
         return point
 
-    def intersect(self, class_x, x, class_y, y, radius, errors=None) -> np.ndarray:
+    def intersect(self, x, y, stable, radius, errors=None) -> np.ndarray:
         """The signed offset along y's strong leaf of the unique intersection
-        of the local `class_x` leaf of x with the local `class_y` leaf of y,
-        row by row, read from the bases of x and y (..., 2 or 3); the point
-        is `leaf_point(y, offset, class_y == "s")`.
+        of the local center-containing leaf of x with the local strong leaf of
+        y, row by row, read from the bases of x and y (..., 2 or 3); the point
+        is `leaf_point(y, offset, stable)`.
 
-        Supported pairs: (cu, s) and (cs, u), named by two strings or by two
-        string arrays broadcasting over the rows, one pair per row (two
-        strings keep `leaf_point` on its single-class path).  The offset
-        comes from the 2x2 eigenframe solve in the minimal lift.  A row fails
-        on lift ambiguity (base displacement > 0.25), a pair distance >=
-        delta0, or a point farther than L0 * radius from either input.  For
-        that last check, d(point, y) <= sqrt(1 + leaf_slope_s^2) |offset|
-        clears most rows (1e-12 covers rounding); the rest, every failing row
-        among them, get the exact distance, in which y's fiber cancels.
-        Failing rows are recorded in `errors` (see `_flag_rows`); with
-        `errors=None` the lowest failing row raises IntersectionError after
-        all rows ran.
+        `stable` names y's strong leaf as `leaf_point` does: a bool, or a bool
+        array broadcasting over the rows, one leaf pair per row.  x's leaf is
+        its partner: cu for a stable y (the pair (cu, s)), cs for an unstable
+        one (the pair (cs, u)).  The offset comes from the 2x2 eigenframe
+        solve in the minimal lift.  A row fails on lift ambiguity (base
+        displacement > 0.25), a pair distance >= delta0, or a point farther
+        than L0 * radius from either input.  For that last check, d(point, y)
+        <= sqrt(1 + leaf_slope_s^2) |offset| clears most rows (1e-12 covers
+        rounding); the rest, every failing row among them, get the exact
+        distance, in which y's fiber cancels.  Failing rows are recorded in
+        `errors` (see `_flag_rows`); with `errors=None` the lowest failing row
+        raises IntersectionError after all rows ran.
         """
-        if not all(pair in (("cu", "s"), ("cs", "u")) for pair in np.broadcast(class_x, class_y)):
-            raise IntersectionError(f"unsupported leaf pair ({class_x}, {class_y})")
         found = {} if errors is None else errors
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         shape = x.shape[:-1]
         xb, yb = x[..., :2].reshape(-1, 2), y[..., :2].reshape(-1, 2)
-        stable_y = np.asarray(class_y) == "s"
-        if stable_y.ndim:
-            stable_y = np.broadcast_to(stable_y, shape).reshape(-1)
+        stable = np.broadcast_to(stable, shape).reshape(-1)
         d_xy = minimal_displacement(xb, yb)
         base_sep = _norm(d_xy)
         far = ~(base_sep < self.delta0)
@@ -455,19 +451,18 @@ class SkewModel:
         # p_x + s dir_x = p_y + t dir_y, so t is minus the y-side coefficient
         # of d_xy.  Rejected rows get a zero offset so their series stays defined.
         cu, cs = self.coeffs(d_xy)
-        t = np.where(far, 0.0, -np.where(stable_y, cs, cu))
+        t = np.where(far, 0.0, -np.where(stable, cs, cu))
 
         cap = np.broadcast_to(self.L0 * np.asarray(radius, dtype=float).reshape(-1), t.shape)
         # The x-side class always contains the center direction, so measure its
         # distance center-transversally (base only, the base `leaf_point`
         # builds); the y-side leaf is strong, so its full distance is pinned.
-        dx = torus_distance(wrap(yb + t[:, None] * self._leaf[stable_y.astype(np.intp)]), xb)
+        dx = torus_distance(wrap(yb + t[:, None] * self._leaf[stable.astype(np.intp)]), xb)
         dy = math.sqrt(1.0 + self.leaf_slope_s ** 2) * np.abs(t)
         exact = ~(dy + 1e-12 < cap) | ~(dx <= cap)
         if exact.any():
             y0 = np.pad(yb[exact], ((0, 0), (0, 1)))    # fiber 0
-            cls = stable_y[exact] if stable_y.ndim else stable_y
-            dy[exact] = torus_distance(self.leaf_point(y0, t[exact], cls), y0)
+            dy[exact] = torus_distance(self.leaf_point(y0, t[exact], stable[exact]), y0)
         _flag_rows(found, IntersectionError, ((
             ~(dx <= cap) | ~(dy <= cap),
             lambda r: (f"intersection outside L0*radius: d(x)={dx[r]:.3e}, "

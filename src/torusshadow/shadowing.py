@@ -28,8 +28,9 @@ raises a row's failure.  The two halves mirror each other in time and are
 independent until the splice, so they run as one array pass: stacked on a
 leading axis of length 2, forward first, they go through one sweep
 (`_sweep`), one guide recursion (`_propagate`) and one correction step
-(`_half`), with the leaf class (the leaf pair, the rate, A or A^-1) as a
-per-row array, the backward half's swapped against the forward one's.
+(`_half`), with the leaf class as a per-row bool `stable`, the backward
+half's swapped against the forward one's: the one bit names the rate, A or
+A^-1, the leaf `leaf_point` builds and the pair `intersect` solves.
 The shorter half of an asymmetric window is padded at its far end, inertly.
 Only the certified limits (`forward_limit`, `backward_limit`) run per half,
 on views cut to each half's length.  Strong leaves are graphs over the base
@@ -274,15 +275,17 @@ def _sweep(sys, X, params, errors, stable, n=None) -> _Sweep:
     `stable` is False for a forward half, True for a backward one, or a
     bool array broadcasting over the rows of X (..., n+1, 3), one side per
     row: the stacked forward and backward halves run as one pass.  Forward,
-    X[..., i, :] = X_i and the anchor is a = F(z_{i-1}): z_i is the
-    cu-leaf-of-a / stable-leaf-of-X_i intersection, z'_i the
-    cs-leaf-of-X_i / unstable-leaf-of-a one.  Backward, X[..., j, :] =
-    X_{-j}, the anchor is a = F^-1(z'_{-j+1}) and X and a swap places in
-    both pairs.  The coefficient is the offset of z from a along the leaf
-    the half moves along (unstable forward, stable backward).  A row whose
-    half is shorter than X is padded past its length `n` (an array
-    broadcasting like `stable`): its padded indices get defect coefficient,
-    offset and coef 0 and record no failure.
+    X[..., i, :] = X_i and the anchor is a = F(z_{i-1}); backward,
+    X[..., j, :] = X_{-j} and a = F^-1(z'_{-j+1}).  Each index meets both
+    leaf pairs (see `intersect`): the recursive point, on X_i's strong leaf
+    that F (F^-1) contracts, is `intersect(a, X_i, ~stable)`, and the
+    other, on a's other strong leaf, `intersect(X_i, a, stable)`; forward
+    they are z_i and z'_i, backward z'_{-j} and z_{-j}.  The coefficient is
+    the offset of z from a along the leaf the half moves along (unstable
+    forward, stable backward).  A row whose half is shorter than X is
+    padded past its length `n` (an array broadcasting like `stable`): its
+    padded indices get defect coefficient, offset and coef 0 and record no
+    failure.
 
     Every strong leaf is a graph over the base and F moves a base point by
     A^k alone, so the sweep runs on base points and leaf offsets: no phi,
@@ -312,16 +315,13 @@ def _sweep(sys, X, params, errors, stable, n=None) -> _Sweep:
     src[..., 1:, :] += t[..., :-1, None] * v
     radius = np.full(e.shape, 2.0 * params.delta_step)
     radius[..., 0] = params.delta_step
-    # z's pair is (cu, s) forward and (cs, u) backward, z''s the other one
-    cx, cy, ox, oy = np.array([["cu", "cs"], ["s", "u"], ["cs", "cu"], ["u", "s"]])[
-        :, stable.astype(np.intp)]
     found = ({}, {})    # the first and the second intersection's failures
     offset = np.zeros(X.shape[:-1])
     offset[..., 1:] = np.where(live, sys.intersect(
-        cx, _iterate(sys, wrap(src), k, inverse=stable), cy, X1, radius, errors=found[0]), 0.0)
+        _iterate(sys, wrap(src), k, inverse=stable), X1, ~stable, radius, errors=found[0]), 0.0)
     rec = wrap(base + offset[..., None] * v)    # the recursive points' bases, as leaf_point's
     a = _iterate(sys, rec[..., :-1, :], k, inverse=stable)
-    t_other = sys.intersect(ox, X1, oy, a, radius, errors=found[1])
+    t_other = sys.intersect(X1, a, stable, radius, errors=found[1])
     for r in sorted(found[0].keys() | found[1].keys()):
         at = np.unravel_index(r, e.shape)
         if not np.broadcast_to(live, e.shape)[at]:
@@ -428,10 +428,11 @@ def _propagate(sys, sweep: _Sweep, y0, k: int, stable):
 def splice(sys, y0_u, y0_s, params, errors):
     """Close the two half-orbit anchors into y_0^* and (y_0^*)', row by row.
 
-    y_0^* is the stable-leaf-of-y_0^u / cu-leaf-of-y_0^s intersection, its
-    primed partner the cs/unstable one; both share a base point, so the
-    step from (y_0^*)' to y_0^* is purely along the center fiber.  Both run
-    as one stacked pass; a failing row is recorded in `errors`, by y_0^*'s
+    y_0^* is `intersect(y_0^s, y_0^u, True)`, on the stable leaf of y_0^u
+    and the cu leaf of y_0^s, and (y_0^*)' is `intersect(y_0^u, y_0^s,
+    False)`, the cs/unstable point; both share a base point, so the step
+    from (y_0^*)' to y_0^* is purely along the center fiber.  Both run as
+    one stacked pass; a failing row is recorded in `errors`, by y_0^*'s
     failure where both fail.
     """
     gap = np.atleast_1d(torus_distance(y0_u, y0_s))
@@ -440,11 +441,9 @@ def splice(sys, y0_u, y0_s, params, errors):
         ~(gap < cap),
         lambda r: (f"splice margin violated at index 0: d(y0_s, y0_u) = {gap[r]:.3e} >= "
                    f"2 lam^k (L0 delta + alpha) = {cap:.3e}")),))
-    # y_0^* on the stable leaf of y_0^u, then (y_0^*)' on the unstable leaf of y_0^s
     x, y, stable = np.array([y0_s, y0_u]), np.array([y0_u, y0_s]), ~_sides(np.ndim(y0_u))
     found = {}
-    t = sys.intersect(np.where(stable, "cu", "cs"), x, np.where(stable, "s", "u"), y, cap,
-                      errors=found)
+    t = sys.intersect(x, y, stable, cap, errors=found)
     for r in sorted(found):
         errors.setdefault(r % gap.size, ConstructionError(
             f"splice intersection failed at index 0: {found[r]}"))
@@ -775,12 +774,15 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace,
 
 def _params_from_header(header: dict, source) -> ShadowingParams:
     """The ShadowingParams whose fields `write_trace` wrote as header lines,
-    exactly."""
+    exactly; a power k below 1 is rejected."""
     missing = [f.name for f in fields(ShadowingParams) if f.name not in header]
     if missing:
         raise ValueError(f"{source} is missing parameter header(s): {', '.join(missing)}")
-    return ShadowingParams(**{f.name: (int if f.type == "int" else float)(header[f.name])
-                              for f in fields(ShadowingParams)})
+    params = ShadowingParams(**{f.name: (int if f.type == "int" else float)(header[f.name])
+                                for f in fields(ShadowingParams)})
+    if params.k < 1:
+        raise ValueError(f"{source} has power k = {params.k}; k must be at least 1")
+    return params
 
 
 def write_trace(trace: ShadowingTrace, path, model_name: str = "") -> None:

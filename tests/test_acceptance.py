@@ -1,4 +1,5 @@
-"""Acceptance suite: the eleven desk-scale contracts, one test each.
+"""Acceptance suite: the twelve desk-scale contracts, one test each, and
+criterion 12's negative control.
 
 Every test prints a single PASS/FAIL line with the measured quantity and
 its gate (run with `pytest tests/test_acceptance.py -s` to see them all);
@@ -11,13 +12,13 @@ import numpy as np
 import pytest
 
 from torusshadow.geometry import torus_distance, wrap
-from torusshadow.models import builtin_model
+from torusshadow.models import SkewModel, builtin_model
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
 from torusshadow.orbits import PerturbedMap, PseudoOrbit, generate_noisy
 from torusshadow.shadowing import delta_for_epsilon, quasi_shadow, verify
 from torusshadow.stability import check_identity, semiconjugacy, surjectivity_density
 
-from tests_helpers import certify_rates, single_defect_orbit
+from tests_helpers import certify_rates, closing_gap, periodic_pseudo_orbit, single_defect_orbit
 
 LINEAR = builtin_model("linear")
 SKEW = builtin_model("skew")
@@ -233,3 +234,42 @@ def test_criterion_11_locality_of_corrections():
     ok = worst < 1e-3
     report(11, ok, f"single-defect decay over |k|<=30: fitted ratio within "
                    f"{worst:.2e} of lam^k={params.lam_k:.6f} (<1e-3)")
+
+
+def _closing_models():
+    """(name, model, k): skew and two other base matrices with skew's omega and phi."""
+    return [("skew", SKEW, 2)] + [
+        (name, SkewModel(matrix, omega=SKEW.omega, phi_modes=SKEW.modes), k)
+        for name, matrix, k in (("golden", [[-1, 1], [1, 0]], 4), ("k1", [[5, 2], [2, 1]], 1))]
+
+
+def test_criterion_12_quasi_closing_rational_oracle():
+    # a P-periodic base pseudo-orbit has an A-periodic base shadow: base(y*_0)
+    # is the rational point q_0 = (A^P - I)^-1 m mod 1, computed exactly
+    eps = 1e-2
+    worst, all_pass, runs = 0.0, True, 0
+    for name, sys, k in _closing_models():
+        params = delta_for_epsilon(sys, eps)
+        assert params.k == k, name
+        for P in range(1, 9):
+            for seed in range(5):
+                orbit, q0 = periodic_pseudo_orbit(sys, P, params.delta, seed=100 * P + seed)
+                trace = quasi_shadow(sys, orbit, eps, params=params)
+                all_pass &= verify(sys, orbit, trace, eps).passed
+                worst = max(worst, closing_gap(trace, q0))
+                runs += 1
+    ok = all_pass and worst < 1e-8
+    report(12, ok, f"{runs} periodic orbits (3 models, P<=8): verify_pass={all_pass}, "
+                   f"sup |base(y*_0) - q_0|={worst:.3e} (<1e-8)")
+
+
+def test_criterion_12_negative_control():
+    # the gate reads the trace: y*_0's base moved by 1e-6 must fail it
+    params = delta_for_epsilon(SKEW, 1e-2)
+    orbit, q0 = periodic_pseudo_orbit(SKEW, 3, params.delta, seed=7)
+    trace = quasi_shadow(SKEW, orbit, 1e-2, params=params)
+    assert closing_gap(trace, q0) < 1e-8
+    at = trace.index(0)
+    trace.y_star[at, :2] = wrap(trace.y_star[at, :2] + 1e-6 * SKEW.v_s)
+    gap = closing_gap(trace, q0)
+    assert not gap < 1e-8 and gap == pytest.approx(1e-6, rel=1e-6)

@@ -63,6 +63,17 @@ def test_batched_matches_per_node_runs(skew, grid_batch):
     assert worst <= 1e-12
 
 
+def test_empty_stack(skew):
+    # no rows: every stage, the series of no class among them, runs on empty
+    # arrays and returns an empty trace with no failure
+    params = delta_for_epsilon(skew, EPS)
+    trace, failures = shadow_batch(skew, PseudoOrbit(-20, 20, np.zeros((0, 41, 3)),
+                                                     params.delta), EPS, params)
+    assert not failures
+    assert trace.y_star.shape == (0, 41, 3) and trace.y_u[1].shape == (0, 3)
+    assert skew.leaf_point(np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=bool)).shape == (0, 3)
+
+
 def test_semiconjugacy_reads_the_batched_rows(skew, grid_batch):
     g, params, nodes, _, trace, _ = grid_batch
     sc = semiconjugacy(skew, g, (4, 4, 4), 20, EPS, params=params)
@@ -312,13 +323,13 @@ def test_intersect_reports_rows(skew, rng):
     y = wrap(x + 0.01 * rng.normal(size=(5, 3)))
     y[3] = wrap(x[3] + [0.21, 0.0, 0.0])          # base separation >= delta0
     errors = {}
-    pts = skew.intersect("cu", x, "s", y, 0.05, errors=errors)
+    pts = skew.intersect(x, y, True, 0.05, errors=errors)
     assert list(errors) == [3]
     assert "delta0" in str(errors[3])
     for r in (0, 1, 2, 4):
-        assert np.array_equal(pts[r], skew.intersect("cu", x[r], "s", y[r], 0.05))
+        assert np.array_equal(pts[r], skew.intersect(x[r], y[r], True, 0.05))
     with pytest.raises(IntersectionError, match="delta0"):
-        skew.intersect("cu", x, "s", y, 0.05)
+        skew.intersect(x, y, True, 0.05)
 
 
 def test_transfer_series_honours_tol_per_row(skew, rng):

@@ -266,6 +266,14 @@ class TestInputGuards:
         assert self.verify() == 3
         assert "k = 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_verify_power_below_one_exit_2(self, chain, capsys, k):
+        # an input error, found before the parameter comparison
+        text = (chain / "s" / "trace.txt").read_text()
+        (chain / "s" / "trace.txt").write_text(text.replace("# k: 2\n", f"# k: {k}\n"))
+        assert self.verify() == 2
+        assert f"trace file s/trace.txt has power k = {k};" in capsys.readouterr().err
+
     def test_verify_names_every_differing_parameter(self, chain, capsys):
         text = (chain / "s" / "trace.txt").read_text()
         line = next(l for l in text.splitlines() if l.startswith("# L0: "))

@@ -299,13 +299,17 @@ class TestMixedClasses:
     @staticmethod
     def _layouts(rng):
         """(stable, anchors, offsets, tol): a random class per row of a
-        (B, n) stack, and one class per half of a (2, B, n) stack."""
+        (B, n) stack, one class per half of a (2, B, n) stack, and one class
+        for every row of a (B, n) stack."""
         B, n = 30, 7
         per_row = (rng.random((B, 1)) < 0.5, rng.random((B, n, 3)),
                    rng.uniform(-0.05, 0.05, (B, n)), 10.0 ** rng.uniform(-15.0, -9.0, (B, 1)))
         halves = (np.array([False, True])[:, None, None], rng.random((2, B, 1, 3)),
                   rng.uniform(-0.05, 0.05, (2, B, n)), None)
-        return per_row, halves
+        # one class as an array runs the term count of the bool's call
+        one_class = (np.ones((B, 1), dtype=bool), rng.random((B, 1, 3)),
+                     rng.uniform(-0.05, 0.05, (B, n)), 10.0 ** rng.uniform(-15.0, -9.0, (B, n)))
+        return per_row, halves, one_class
 
     @pytest.mark.parametrize("block", [1, 2 ** 40], ids=["row-blocks", "one-block"])
     @pytest.mark.parametrize("name", list(MODELS))
@@ -338,22 +342,16 @@ class TestMixedClasses:
             y = wrap(x + rng.uniform(-0.01, 0.01, x.shape))
             radius = rng.uniform(0.004, 0.05, t.shape)
             found = {}
-            offset = sys.intersect(np.where(stable, "cu", "cs"), x, np.where(stable, "s", "u"),
-                                   y, radius, errors=found)
+            offset = sys.intersect(x, y, stable, radius, errors=found)
             assert found
-            for cls, pair in ((False, ("cs", "u")), (True, ("cu", "s"))):
+            for cls in (False, True):
                 rows = np.broadcast_to(stable == cls, t.shape)
                 alone_found = {}
-                alone = sys.intersect(pair[0], x, pair[1], y, radius, errors=alone_found)
+                alone = sys.intersect(x, y, cls, radius, errors=alone_found)
                 assert np.array_equal(offset[rows], alone[rows])
                 flat = np.flatnonzero(rows)
                 assert ({r: str(found[r]) for r in flat if r in found}
                         == {r: str(alone_found[r]) for r in flat if r in alone_found})
-
-    def test_mixed_pair_must_be_supported(self, linear):
-        x = np.zeros((2, 3))
-        with pytest.raises(IntersectionError, match="unsupported leaf pair"):
-            linear.intersect(np.array(["cu", "cs"]), x, np.array(["s", "s"]), x, 0.05)
 
 
 class TestIntersect:
@@ -361,14 +359,14 @@ class TestIntersect:
         x = np.array([0.0, 0.0, 0.2])
         yb = wrap(0.01 * linear.v_s)
         y = np.array([yb[0], yb[1], 0.7])
-        pt = linear.leaf_point(y, linear.intersect("cu", x, "s", y, 0.05), True)
+        pt = linear.leaf_point(y, linear.intersect(x, y, True, 0.05), True)
         assert np.allclose(pt[:2], [0.0, 0.0], atol=1e-13)
         assert pt[2] == pytest.approx(0.7, abs=1e-13)
 
     def test_coincident_bases(self, linear):
         x = np.array([0.4, 0.6, 0.1])
         y = np.array([0.4, 0.6, 0.8])
-        pt = linear.leaf_point(y, linear.intersect("cu", x, "s", y, 0.05), True)
+        pt = linear.leaf_point(y, linear.intersect(x, y, True, 0.05), True)
         assert np.allclose(pt, [0.4, 0.6, 0.8], atol=1e-14)
 
     def test_skew_against_grid_search_oracle(self, skew, rng):
@@ -379,7 +377,7 @@ class TestIntersect:
             v = rng.normal(size=3)
             v *= 0.01 / np.linalg.norm(v)
             y = wrap(x + v)
-            pt = skew.leaf_point(y, skew.intersect("cu", x, "s", y, 0.05), True)
+            pt = skew.leaf_point(y, skew.intersect(x, y, True, 0.05), True)
             ts = np.arange(-0.05, 0.05, 1e-5)
             bases = (y[:2] + ts[:, None] * skew.v_s) % 1.0
             fibers = (y[2] + skew.transfer_stable(np.tile(y[:2], (ts.size, 1)), ts)) % 1.0
@@ -397,23 +395,17 @@ class TestIntersect:
             leaf_fiber = (y[2] + skew.transfer_stable(y[:2], t)) % 1.0
             assert abs(leaf_fiber - pt[2]) < 10.0 * skew.series_tol
 
-    def test_unsupported_pair(self, linear):
-        x = np.array([0.1, 0.1, 0.1])
-        for pair in (("s", "u"), ("c", "u"), ("c", "s")):
-            with pytest.raises(IntersectionError, match="unsupported leaf pair"):
-                linear.intersect(pair[0], x, pair[1], x, 0.05)
-
     def test_lift_ambiguity(self, linear):
         x = np.array([0.0, 0.0, 0.0])
         y = np.array([0.4, 0.4, 0.0])
         with pytest.raises(IntersectionError):
-            linear.intersect("cu", x, "s", y, 0.5)
+            linear.intersect(x, y, True, 0.5)
 
     def test_out_of_range(self, linear):
         x = np.array([0.0, 0.0, 0.0])
         y = wrap(x + 0.05 * np.array([*linear.v_s, 0.0]))
         with pytest.raises(IntersectionError):
-            linear.intersect("cu", x, "s", y, 1e-4)
+            linear.intersect(x, y, True, 1e-4)
 
     def test_leaf_point_broadcast_and_intersect_fiber(self, skew, rng):
         # a (B, 1, 3) anchor against (B, n) offsets, as the window anchors
@@ -430,10 +422,10 @@ class TestIntersect:
         # the bases alone
         x = rng.random((6, 3))
         y = wrap(x + rng.uniform(-0.01, 0.01, (6, 3)))
-        for cx, cy in (("cu", "s"), ("cs", "u")):
-            t = -skew.coeffs(minimal_displacement(x[:, :2], y[:, :2]))[cy == "s"]
-            assert np.array_equal(skew.intersect(cx, x, cy, y, 0.05), t)
-            assert np.array_equal(skew.intersect(cx, x[:, :2], cy, y[:, :2], 0.05), t)
+        for stable in (True, False):
+            t = -skew.coeffs(minimal_displacement(x[:, :2], y[:, :2]))[stable]
+            assert np.array_equal(skew.intersect(x, y, stable, 0.05), t)
+            assert np.array_equal(skew.intersect(x[:, :2], y[:, :2], stable, 0.05), t)
 
     def test_distance_check_agrees_with_exact_distance(self, rng):
         # strongly coupled: sqrt(1 + leaf_slope_s^2) ~ 1.12 exceeds L0's 1.1
@@ -445,16 +437,14 @@ class TestIntersect:
         assert slope > 1.1 and sys.rates.lam < 0.45
         radius, n = 0.05, 400
         cap = sys.L0 * radius
-        for (cx, cy), (v_x, v_y) in ((("cu", "s"), (sys.v_u, sys.v_s)),
-                                     (("cs", "u"), (sys.v_s, sys.v_u))):
-            stable = cy == "s"
+        for stable, (v_x, v_y) in ((True, (sys.v_u, sys.v_s)), (False, (sys.v_s, sys.v_u))):
             y = rng.random((n, 3))
             t = rng.choice([-1.0, 1.0], n) * rng.uniform(cap / 1.12, cap, n)
             c = rng.uniform(-1e-3, 1e-3, n) * cap     # x-side coefficient near 0
             x = wrap(np.column_stack([y[:, :2] + t[:, None] * v_y + c[:, None] * v_x,
                                       rng.random(n)]))
             errors = {}
-            offset = sys.intersect(cx, x, cy, y, radius, errors=errors)
+            offset = sys.intersect(x, y, stable, radius, errors=errors)
             assert np.max(np.abs(offset - t)) < 1e-14
             dy = torus_distance(sys.leaf_point(y, offset, stable), y)
             passes = dy <= cap

@@ -297,9 +297,9 @@ class TestPropagate:
                 else:
                     a = _iterate(sys, sz[0, :-1], p.k)
                     pair = (a, X[1:])
-                z = sys.leaf_point(pair[1], sys.intersect("cu", pair[0], "s", pair[1],
+                z = sys.leaf_point(pair[1], sys.intersect(pair[0], pair[1], True,
                                                           2 * p.delta_step), True)
-                zp = sys.leaf_point(pair[0], sys.intersect("cs", pair[1], "u", pair[0],
+                zp = sys.leaf_point(pair[0], sys.intersect(pair[1], pair[0], False,
                                                            2 * p.delta_step), False)
                 assert np.max(torus_distance(z, sz[0, 1:])) <= 1e-12
                 assert np.max(torus_distance(zp, szp[0, 1:])) <= 1e-12
@@ -663,6 +663,18 @@ class TestVerify:
             path.write_text(cut)
             with pytest.raises(ValueError, match=name):
                 read_trace(path)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_read_trace_rejects_a_power_below_one(self, tmp_path, skew, k):
+        # verify divided by zero at k = 0 and indexed past the window at k = -3
+        orbit = generate_noisy(skew, X0, (-30, 30), 0.0, seed=10)
+        path = tmp_path / "trace.txt"
+        write_trace(quasi_shadow(skew, orbit, 1e-2), path, model_name="skew")
+        text = path.read_text()
+        assert "# k: 2\n" in text
+        path.write_text(text.replace("# k: 2\n", f"# k: {k}\n"))
+        with pytest.raises(ValueError, match=f"trace file {path} has power k = {k};"):
+            read_trace(path)
 
 
 class TestOracleEquivalence:

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +25,62 @@ def single_defect_orbit(sys, x0, window, jump):
         x = sys.apply(x)
         pts[k - n_min] = x
     return PseudoOrbit(n_min, n_max, pts, float(np.linalg.norm(jump)))
+
+
+def rational_periodic_orbit(matrix, P: int, m):
+    """The exact orbit q_0, ..., q_{P-1} of q_0 = (A^P - I)^-1 m mod 1, in
+    Fractions, for an integer vector m.
+
+    (A^P - I) q_0 = m is an integer vector, so A^P q_0 = q_0 mod 1: q_0 is
+    a periodic point of A with period dividing P, with denominator
+    |det(A^P - I)| (nonzero for a hyperbolic A).
+    """
+    (a, b), (c, d) = [[int(v) for v in row] for row in matrix]
+    p, q, r, s = 1, 0, 0, 1
+    for _ in range(P):
+        p, q, r, s = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    p, s = p - 1, s - 1
+    det = p * s - q * r
+    m1, m2 = (int(v) for v in m)
+    orbit = [(Fraction(s * m1 - q * m2, det) % 1, Fraction(p * m2 - r * m1, det) % 1)]
+    for _ in range(P - 1):
+        x, y = orbit[-1]
+        orbit.append(((a * x + b * y) % 1, (c * x + d * y) % 1))
+    return orbit
+
+
+def periodic_pseudo_orbit(sys, P: int, delta: float, seed: int, window=(-60, 60)):
+    """A delta-pseudo-orbit whose base is P-periodic around an exact
+    rational periodic point; returns (orbit, q_0).
+
+    One period of float(q_i) plus base kicks of norm at most
+    0.9 delta / (|A| + 1) is tiled over the window, so every base defect
+    |A kick_i - kick_{i+1}| is at most 0.9 delta and the base stays exactly
+    periodic (iterating a noisy point would lose the period to rounding).
+    The fibers follow the recursion of f from a seeded start, with kicks of
+    at most 0.3 delta.  The base shadow of the bi-infinite orbit is the
+    periodic orbit of q_0 (Anosov closing, seen through the base factor).
+    """
+    rng = np.random.default_rng(seed)
+    q = rational_periodic_orbit(sys.A, P, rng.integers(-20, 21, size=2))
+    direction = rng.normal(size=(P, 2))
+    radius = 0.9 * delta / (np.linalg.norm(sys.A.astype(float), ord=2) + 1.0)
+    kick = direction * (radius * rng.random(P) / np.linalg.norm(direction, axis=1))[:, None]
+    n_min, n_max = window
+    base = wrap(np.array([[float(x), float(y)] for x, y in q]) + kick)[
+        np.arange(n_min, n_max + 1) % P]
+    # z_{i+1} = z_i + omega + phi(p_i) + kick_i, from z_0 both ways
+    step = (sys.omega + sys.phi(base[:-1, 0], base[:-1, 1])
+            + rng.uniform(-0.3 * delta, 0.3 * delta, n_max - n_min))
+    fiber = np.concatenate([[0.0], np.cumsum(step)])
+    fiber = wrap(fiber - fiber[-n_min] + rng.random())
+    points = np.column_stack([base, fiber])
+    return PseudoOrbit(n_min, n_max, points, delta), q[0]
+
+
+def closing_gap(trace, q0) -> float:
+    """d(base(y*_0), q_0) on the base torus."""
+    return float(torus_distance(trace.point(0)[:2], np.array([float(v) for v in q0])))
 
 
 def inverse_system(sys):
@@ -77,8 +134,8 @@ def certify_intersections(sys, params, n: int, seed: int, delta: float):
     Y = wrap(X + V)
     d = torus_distance(X, Y)
     X, Y, d = X[d >= 1e-9], Y[d >= 1e-9], d[d >= 1e-9]
-    pts = (sys.leaf_point(Y, sys.intersect("cu", X, "s", Y, delta), True),
-           sys.leaf_point(Y, sys.intersect("cs", X, "u", Y, delta), False))
+    pts = tuple(sys.leaf_point(Y, sys.intersect(X, Y, stable, delta), stable)
+                for stable in (True, False))
     return float(np.max([torus_distance(pt, Z) / d for pt in pts for Z in (X, Y)], initial=0.0))
 
 
