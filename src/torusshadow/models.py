@@ -150,9 +150,9 @@ class SkewModel:
     def __init__(self, matrix, omega=0.0, phi_modes=(), series_tol=1e-12):
         self.A = _integers(matrix, "base matrix entries")
         self.v_s, self.v_u, self.eig_lam, self.eig_mu = eigen_frame(self.A)
-        det = int(round(float(np.linalg.det(self.A))))
-        self.A_inv = (np.array([[self.A[1, 1], -self.A[0, 1]],
-                                [-self.A[1, 0], self.A[0, 0]]], dtype=np.int64) * det)
+        (a, b), (c, d) = self.A.tolist()
+        det = a * d - b * c  # eigen_frame checked |det| = 1, so A^-1 = det adj(A)
+        self.A_inv = np.array([[d, -b], [-c, a]], dtype=np.int64) * det
         self.omega = float(omega)
         if not math.isfinite(self.omega):
             raise ModelError(f"omega must be finite, got {self.omega!r}")

@@ -1,13 +1,13 @@
-"""Independent shadowing oracles based on banded linear solves.
+"""Independent shadowing oracles based on bidiagonal linear solves.
 
 These solve the orbit-correction equations of hyperbolic shadowing
 directly: writing y_k = x_k + w_k in the minimal lift, an exact orbit
 satisfies w_{k+1} = A w_k - e_k with e_k the pseudo-orbit defect, and the
 stable/unstable eigencomponents of w are the unique solution of two
-bidiagonal (banded) systems with a zero stable correction at the window
-start and a zero unstable correction at the window end.  Nothing here
-shares code with the geometric construction; agreement between the two
-routes is what the equivalence criteria check.
+bidiagonal systems with a zero stable correction at the window start and
+a zero unstable correction at the window end, solved by forward and back
+substitution.  Nothing here shares code with the geometric construction;
+agreement between the two routes is what the equivalence criteria check.
 """
 
 from __future__ import annotations
@@ -32,31 +32,24 @@ def _eigen2(A):
 
 
 def _banded_corrections(defect_s, defect_u, lam, mu):
-    """Solve the two bidiagonal correction systems.
+    """Solve the two bidiagonal correction systems by substitution.
 
-    Stable:   a_{k+1} - lam * a_k = -e_s[k],  a_0 = 0  (lower bidiagonal)
-    Unstable: -mu * b_k + b_{k+1} = -e_u[k],  b_N = 0  (upper bidiagonal)
+    Stable:   a_{k+1} - lam * a_k = -e_s[k],  a_0 = 0  (forward)
+    Unstable: -mu * b_k + b_{k+1} = -e_u[k],  b_N = 0  (backward)
+
+    The diagonals are constant and nonzero, so the substitutions are the
+    whole solve; they run on Python floats, as `orbits._base_recursion`
+    does, because a numpy step per index costs more than its arithmetic.
     """
-    # imported here: scipy.linalg is most of the package's import time
-    from scipy.linalg import solve_banded
-
-    n = len(defect_s) + 1  # number of points
-    ab = np.zeros((2, n))
-    ab[0, :] = 1.0          # diagonal (row for solve_banded l_and_u=(1,0))
-    ab[1, :-1] = -lam       # subdiagonal
-    rhs = np.zeros(n)
-    rhs[1:] = -defect_s
-    a = solve_banded((1, 0), ab, rhs)
-
-    ab = np.zeros((2, n))
-    ab[1, :] = -mu          # diagonal for (0,1): second row is the diagonal
-    ab[0, 1:] = 1.0         # superdiagonal
-    ab[1, -1] = 1.0         # boundary row: b_N = 0
-    rhs = np.zeros(n)
-    rhs[:-1] = -defect_u
-    rhs[-1] = 0.0
-    b = solve_banded((0, 1), ab, rhs)
-    return a, b
+    a, x = [0.0], 0.0
+    for e in defect_s.tolist():
+        x = lam * x - e
+        a.append(x)
+    b, x = [0.0], 0.0
+    for e in reversed(defect_u.tolist()):
+        x = (x + e) / mu
+        b.append(x)
+    return np.array(a), np.array(b[::-1])
 
 
 def cat_map_shadow(A, base_points: np.ndarray) -> np.ndarray:

@@ -451,6 +451,29 @@ def test_one_process_matches_fresh_processes(workdir, tmp_path):
     assert not (workdir / "x").exists() and not (fresh / "x").exists()
 
 
+def test_cli_chain_does_not_import_scipy(tmp_path):
+    # both oracle branches of verify (linear_model_shadow on linear,
+    # cat_map_shadow on skew) run in a fresh process that never loads scipy
+    script = """
+import sys
+from torusshadow.cli import main
+for model in ("linear", "skew"):
+    for argv in (["orbit", "--model", model, "--delta", "2e-5", "--window", "-30", "30",
+                  "--seed", "9", "--out", "o"],
+                 ["shadow", "--model", model, "--orbit", "o/orbit.txt", "--epsilon", "1e-2",
+                  "--out", "s"],
+                 ["verify", "--model", model, "--orbit", "o/orbit.txt", "--trace",
+                  "s/trace.txt", "--epsilon", "1e-2", "--out", "v"]):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(torusshadow.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_main_runs_the_command_bound_at_call_time(workdir, monkeypatch):
     # a function put in place of cmd_<name> after the parser was built (as
     # a tracer does) is the one main runs

@@ -131,6 +131,9 @@ class TestApply:
         # the whole-point wrap this replaces is the identity on the wrapped
         # base, so random and seam points keep their bits
         sys = SkewModel(matrix, omega=omega, phi_modes=[mode])
+        # A^-1 is the exact integer inverse, so the base step below is exact
+        assert sys.A_inv.dtype == np.int64
+        assert np.array_equal(sys.A @ sys.A_inv, np.eye(2, dtype=np.int64))
 
         def whole_point_wrap(x):
             out = np.empty(x.shape)

@@ -1,4 +1,4 @@
-"""The banded-solve oracles, checked against direct recursion solutions."""
+"""The bidiagonal-solve oracles, checked against dense solves and closed forms."""
 
 import numpy as np
 import pytest
@@ -8,21 +8,23 @@ from torusshadow.oracles import _banded_corrections, cat_map_shadow
 
 
 def test_banded_solves_match_recursions(rng):
+    # the substitutions against a dense solve of the two bidiagonal systems,
+    # boundary rows included; n = 1 is a one-point window with no defect
     lam, mu = 0.382, 2.618
-    n = 40
-    e_s = rng.normal(size=n - 1) * 1e-4
-    e_u = rng.normal(size=n - 1) * 1e-4
-    a, b = _banded_corrections(e_s, e_u, lam, mu)
-    # forward substitution oracle for the stable component
-    a_ref = np.zeros(n)
-    for k in range(n - 1):
-        a_ref[k + 1] = lam * a_ref[k] - e_s[k]
-    # backward substitution oracle for the unstable component
-    b_ref = np.zeros(n)
-    for k in range(n - 2, -1, -1):
-        b_ref[k] = (b_ref[k + 1] + e_u[k]) / mu
-    assert np.max(np.abs(a - a_ref)) < 1e-15
-    assert np.max(np.abs(b - b_ref)) < 1e-15
+    for n in (1, 2, 40):
+        e_s = rng.normal(size=n - 1) * 1e-4
+        e_u = rng.normal(size=n - 1) * 1e-4
+        a, b = _banded_corrections(e_s, e_u, lam, mu)
+        # stable: a_0 = 0, a_{k+1} - lam a_k = -e_s[k]
+        lower = np.eye(n) - lam * np.eye(n, k=-1)
+        a_ref = np.linalg.solve(lower, np.concatenate([[0.0], -e_s]))
+        # unstable: -mu b_k + b_{k+1} = -e_u[k], and the boundary row b_N = 0
+        upper = -mu * np.eye(n) + np.eye(n, k=1)
+        upper[-1, -1] = 1.0
+        b_ref = np.linalg.solve(upper, np.concatenate([-e_u, [0.0]]))
+        assert a.shape == b.shape == (n,)
+        assert np.max(np.abs(a - a_ref)) < 1e-15
+        assert np.max(np.abs(b - b_ref)) < 1e-15
 
 
 def test_exact_orbit_needs_no_correction(linear, rng):
