@@ -43,13 +43,14 @@ def wrap(v) -> np.ndarray:
 
     The reduction is `_frac`, bit-identical to `v % 1.0`; both can round
     up to exactly 1.0 for tiny negative inputs (e.g. -1e-17), and those are
-    folded back to 0.0 so the [0, 1) contract holds unconditionally.
+    folded back to 0.0 so the [0, 1) contract holds unconditionally, but only
+    when a max reduction finds one: a whole-array bool-to-float cast costs more.
     """
     v = np.asarray(v, dtype=float)
     if not np.isfinite(v).all():
         raise ValueError(f"wrap: non-finite input {v!r}")
     out = _frac(v)
-    return out - (out >= 1.0)
+    return out - (out >= 1.0) if out.max(initial=0.0) >= 1.0 else out
 
 
 def minimal_displacement(p, q) -> np.ndarray:

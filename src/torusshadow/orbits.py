@@ -14,8 +14,8 @@ reproducibility across implementations is by the recorded orbit files, not
 by PRNG identity.  Noisy orbits never step the map: the base of each half
 is a scalar integer-matrix recursion on Python floats and the fiber follows
 from one phi call and a wrapped scan.  Orbits of a nearby map g are stepped
-by `from_map`, all rows at once; g^-1 is a chord iteration from f^-1(x),
-one g evaluation a step, and `PerturbedMap` rejects a field with
+by `from_map`, all rows at once; g^-1 is Newton's method from f^-1(x),
+one f and one field pass a step, and `PerturbedMap` rejects a field with
 lip_v Lip(f^-1) >= 1, whose preimages need not be unique.
 """
 
@@ -42,8 +42,8 @@ __all__ = [
     "read_orbit",
 ]
 
-# Chord inversion of a PerturbedMap: the residual d(g(y), x) each row
-# must reach, and the iteration budget for it.
+# Newton inversion of a PerturbedMap: the residual d(g(y), x) each row
+# must reach, and the budget of Newton steps for it.
 INVERSE_RESIDUAL_TOL = 1e-13
 INVERSE_MAX_ITER = 200
 
@@ -210,6 +210,15 @@ def validate(sys: SkewModel, orbit: PseudoOrbit):
     return np.max(fwd, axis=-1, initial=0.0)[()], np.max(bwd, axis=-1, initial=0.0)[()]
 
 
+def _angle(freq, coords):
+    """2 pi m.x, summing only the terms of nonzero frequency (0.0 if none).
+    Leaving out a 0.0 start can only turn a +0.0 argument into -0.0; its sin
+    term is then a zero of either sign, and as each field sum starts at 0.0,
+    the sums keep their bits."""
+    terms = [x if m == 1 else m * x for m, x in zip(freq, coords) if m]
+    return TWO_PI * sum(terms[1:], terms[0]) if terms else 0.0
+
+
 class PerturbedMap:
     """g(x) = f(x) + v(x) for a finite trigonometric displacement field v.
 
@@ -248,22 +257,24 @@ class PerturbedMap:
             )
         self._certified = None
 
-    def _field(self, x0, x1, x2):
+    def _field(self, x0, x1, x2, slopes=None):
         """The components [v0, v1, v2] of v at coordinate arrays that
         broadcast together.  As in `SkewModel.phi`, a mode reads only the
         axes of its nonzero frequencies and skips zero amplitudes: each
-        skipped product would add a zero, so the sums keep their bits."""
+        skipped product would add a zero, so the sums keep their bits.  Given
+        a list `slopes`, each mode also appends its derivative factor 2 pi
+        (s cos - c sin) of its argument, from the same sin and cos."""
         v = [0.0, 0.0, 0.0]
         for (j, m1, m2, m3, s, c) in self.modes:
-            arg = 0.0
-            for m, x in ((m1, x0), (m2, x1), (m3, x2)):
-                if m:
-                    arg = arg + (x if m == 1 else m * x)
-            th = TWO_PI * arg
+            th = _angle((m1, m2, m3), (x0, x1, x2))
+            sn = np.sin(th) if s or slopes is not None else 0.0
+            cs = np.cos(th) if c or slopes is not None else 0.0
             if s:
-                v[j] = v[j] + (s * np.sin(th) + c * np.cos(th) if c else s * np.sin(th))
+                v[j] = v[j] + (s * sn + c * cs if c else s * sn)
             elif c:
-                v[j] = v[j] + c * np.cos(th)
+                v[j] = v[j] + c * cs
+            if slopes is not None:
+                slopes.append(TWO_PI * s * cs - TWO_PI * c * sn if c else TWO_PI * s * cs)
         return v
 
     def displacement(self, x) -> np.ndarray:
@@ -276,60 +287,66 @@ class PerturbedMap:
     def apply(self, x) -> np.ndarray:
         return wrap(self.sys.apply(x) + self.displacement(x))
 
-    def _chord(self, y):
-        """-v(y), which is x - g(y) up to rounding at y = f^-1(x), and K =
-        Dg(y)^-1 as (3, 3, B) for points y (B, 3).  Dg = [[A, 0], [grad phi,
-        1]] + Dv takes each mode's 2 pi (s cos - c sin) times its frequency,
-        from the sin and cos that give v; K is the adjugate over the
-        determinant."""
-        J = [[float(a) for a in row] + [0.0] for row in self.sys.A] + [[0.0, 0.0, 1.0]]
-        r = np.zeros(y.shape)
-        phi_modes = [(2, m1, m2, 0, s, c, False) for (m1, m2, s, c) in self.sys.modes]
-        for (j, *freq, s, c, field) in phi_modes + [(*mode, True) for mode in self.modes]:
-            th = TWO_PI * sum(m * y[:, k] for k, m in enumerate(freq) if m)
-            sn, cs = np.sin(th), np.cos(th)
-            if field:
-                r[:, j] -= s * sn + c * cs if c else s * sn
-            d = TWO_PI * s * cs - TWO_PI * c * sn if c else TWO_PI * s * cs
+    def _inverse_jacobian(self, y, slopes):
+        """K = Dg(y)^-1 as (3, 3, B) for points y (B, 3), given the field's
+        derivative factors `slopes` there (see `_field`).  Dg = [[A, 0],
+        [grad phi, 1]] + Dv takes each mode's factor times its frequency;
+        K is the adjugate over the determinant."""
+        J = [[float(a), float(b), 0.0] for a, b in self.sys.A.tolist()] + [[0.0, 0.0, 1.0]]
+        terms = [(mode[:4], d) for mode, d in zip(self.modes, slopes)]
+        for (m1, m2, s, c) in self.sys.modes:
+            th = _angle((m1, m2), (y[:, 0], y[:, 1]))
+            d = TWO_PI * s * np.cos(th)
+            terms.append(((2, m1, m2, 0), d - TWO_PI * c * np.sin(th) if c else d))
+        for (j, *freq), d in terms:
             for k, m in enumerate(freq):
                 if m:
-                    J[j][k] = J[j][k] + m * d
+                    J[j][k] = J[j][k] + (d if m == 1 else m * d)
         # cof[k][i] is the (k, i) cofactor, and K[i, k] = cof[k][i] / det
         cof = [[J[(k + 1) % 3][(i + 1) % 3] * J[(k + 2) % 3][(i + 2) % 3]
                 - J[(k + 1) % 3][(i + 2) % 3] * J[(k + 2) % 3][(i + 1) % 3] for i in range(3)]
                for k in range(3)]
-        inv_det = 1.0 / (J[0][0] * cof[0][0] + J[0][1] * cof[0][1] + J[0][2] * cof[0][2])
         K = np.empty((3, 3, y.shape[0]))
         for i in range(3):
             for k in range(3):
-                K[i, k] = cof[k][i] * inv_det
-        return r, K
+                K[i, k] = cof[k][i]
+        K *= 1.0 / (J[0][0] * cof[0][0] + J[0][1] * cof[0][1] + J[0][2] * cof[0][2])
+        return K
 
     def apply_inverse(self, x) -> np.ndarray:
-        """Invert g by a chord iteration (simplified Newton), row by row: from
-        y = f^-1(x), y <- y + K (x - g(y)) with K = Dg^-1 frozen at the start
-        and re-taken every 4th step (the first step reads -v(y) for x - g(y)).
-        A step costs one g, and its residual d(g(y), x) is the stopping test:
-        a row is left alone once it is <= INVERSE_RESIDUAL_TOL.  All
-        arithmetic is elementwise, so no row depends on another.  __init__
-        rejects lip_v Lip(f^-1) >= 1: below it y -> f^-1(x - v(y)) contracts,
-        so the preimage is unique and Dg = Df (I + Df^-1 Dv) is invertible."""
+        """Invert g by Newton's method, row by row, from y = f^-1(x), where
+        x - g(y) is -v(y) up to rounding.  A step is y <- y + K (x - g(y))
+        with K = Dg(y)^-1; then f(y) from `SkewModel.apply` and v(y) from one
+        `_field` pass give the residual with the bits of `apply`, and the
+        same sin and cos give the next K, taken for the rows still active
+        only.  A row is left alone once its residual is <=
+        INVERSE_RESIDUAL_TOL; criterion 9's field retires every row after 2
+        steps.  All arithmetic is elementwise, so no row depends on another.
+        __init__ rejects lip_v Lip(f^-1) >= 1: below it y -> f^-1(x - v(y))
+        contracts, so the preimage is unique and Dg = Df (I + Df^-1 Dv) is
+        invertible."""
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, 3)
         Y = self.sys.apply_inverse(X)
-        r, K = self._chord(Y)
         active, y, xa = np.arange(X.shape[0]), Y, X
-        for step in range(1, INVERSE_MAX_ITER + 1):
+        for step in range(INVERSE_MAX_ITER + 1):
+            slopes, v = [], np.empty(y.shape)
+            v[:, 0], v[:, 1], v[:, 2] = self._field(y[:, 0], y[:, 1], y[:, 2], slopes)
+            if step == 0:    # x - g(y) is -v(y) up to rounding at y = f^-1(x)
+                r = -v
+            else:
+                r = minimal_displacement(wrap(self.sys.apply(y) + v), xa)
+                keep = ~(_norm(r) <= INVERSE_RESIDUAL_TOL)
+                if not keep.all():
+                    active, y, r, xa = active[keep], y[keep], r[keep], xa[keep]
+                    slopes = [d[keep] if np.ndim(d) else d for d in slopes]
+                if active.size == 0:
+                    return Y.reshape(x.shape)
+                if step == INVERSE_MAX_ITER:
+                    break
+            K = self._inverse_jacobian(y, slopes)
             y = wrap(y + (K[:, 0] * r[:, 0] + K[:, 1] * r[:, 1] + K[:, 2] * r[:, 2]).T)
             Y[active] = y
-            r = minimal_displacement(self.apply(y), xa)
-            keep = ~(_norm(r) <= INVERSE_RESIDUAL_TOL)
-            if not keep.all():
-                active, y, r, K, xa = active[keep], y[keep], r[keep], K[..., keep], xa[keep]
-            if active.size == 0:
-                return Y.reshape(x.shape)
-            if step % 4 == 0:    # a curved field slows a frozen K; take it afresh
-                K = self._chord(y)[1]
         raise ModelError(f"perturbed-map inversion did not reach residual "
                          f"{INVERSE_RESIDUAL_TOL:g} in {INVERSE_MAX_ITER} steps at "
                          f"{active.size} point(s)")

@@ -415,7 +415,7 @@ def test_steep_perturbation_exit_2(workdir, capsys):
 
 
 def test_inverse_non_convergence_exit_2(workdir, capsys, monkeypatch):
-    # one chord step leaves the default field's preimages short of the
+    # one Newton step leaves the default field's preimages short of the
     # residual; it used to end in a RuntimeError traceback
     monkeypatch.setattr(orbits, "INVERSE_MAX_ITER", 1)
     assert run(["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",

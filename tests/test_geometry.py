@@ -3,6 +3,7 @@
 import ast
 import itertools
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,6 +176,27 @@ EDGES = [-1e-17, 0.0, -0.0, -1.0, -3.0, np.nextafter(1.0, 0.0), -np.nextafter(1.
 @example(EDGES)
 def test_wrap_bits_match_remainder(v):
     assert np.array_equal(bits(wrap(v)), bits(reference_wrap(v)))
+
+
+def test_wrap_large_array_bits_and_errors():
+    # 2**15 + 4 elements, far past the small arrays above; -1e-17, which
+    # `% 1.0` rounds to 1.0, is planted alone at each end and in between,
+    # then at all of these places at once
+    v = np.random.default_rng(15).uniform(-4.0, 4.0, (2 ** 13 + 1, 4))
+    planted = [0, 7, 2 ** 14, v.size - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(bits(wrap(v)), bits(reference_wrap(v)))
+        for at in [[i] for i in planted] + [planted]:
+            w = v.copy()
+            w.flat[at] = -1e-17
+            out = wrap(w)
+            assert np.array_equal(bits(out), bits(reference_wrap(w)))
+            assert (out.flat[at] == 0.0).all() and out.max() < 1.0
+        for bad in (np.nan, np.inf, -np.inf):
+            v.flat[-1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                wrap(v)
 
 
 @given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=8))

@@ -9,9 +9,10 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from torusshadow import orbits
-from torusshadow.geometry import torus_distance, wrap
-from torusshadow.models import ModelError, SkewModel
+from torusshadow.geometry import minimal_displacement, torus_distance, wrap
+from torusshadow.models import ModelError, SkewModel, _norm
 from torusshadow.orbits import (
+    INVERSE_RESIDUAL_TOL,
     PerturbedMap,
     PseudoOrbit,
     _kicked_window,
@@ -25,6 +26,7 @@ from torusshadow.orbits import (
     write_table,
 )
 from torusshadow.shadowing import delta_for_epsilon, quasi_shadow, read_trace, write_trace
+from torusshadow.stability import _lattice
 
 X0 = np.array([0.2, 0.35, 0.81])
 
@@ -222,6 +224,13 @@ MODES = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(-3
 CRITERION_9_MODES = [(0, 0, 1, 0, 1e-3 / math.sqrt(3.0), 0.0),
                      (1, 0, 0, 1, 1e-3 / math.sqrt(3.0), 0.0),
                      (2, 1, 0, 0, 1e-3 / math.sqrt(3.0), 0.0)]
+# criterion 9's modes with each amplitude split between sin and cos, as the
+# semiconj-grid benchmark draws them
+SPLIT_MODES = [(j, *freq, s * math.cos(t), s * math.sin(t))
+               for (j, *freq, s, _c), t in zip(CRITERION_9_MODES, (0.4, 2.1, 4.9))]
+# modes that read two or three axes, each with both sin and cos
+CROSS_MODES = [(0, 1, 2, 0, 2e-4, -1e-4), (1, 0, 1, -1, -1.5e-4, 2e-4), (2, 1, -1, 2, 1e-4, 1e-4),
+               (2, 2, 0, 1, -5e-5, 1.2e-4)]
 
 
 class TestPerturbedMap:
@@ -313,7 +322,9 @@ class TestPerturbedMap:
     def test_inverse_meets_the_residual_on_strong_fields(self, skew):
         # one-axis modes on every coordinate, up to frequency 140, with
         # lip_v Lip(f^-1) from 0.5 to 0.99; with K frozen at the start the
-        # slowest rows took 118 steps at 0.9 and over INVERSE_MAX_ITER at 0.99
+        # slowest rows took 118 steps at 0.9 and over INVERSE_MAX_ITER at 0.99,
+        # with K re-taken every 4th step 10 and 14; Newton's method, a fresh K
+        # every step, takes at most 5 at either rate
         x = np.random.default_rng(7).random((2000, 3))
         for j in range(3):
             for axis in range(3):
@@ -365,16 +376,61 @@ class TestPerturbedMap:
             assert orbit.delta == g.certified_bound()
 
     def test_inverse_evaluates_the_field_once_per_iterate(self, skew, rng, monkeypatch):
-        # one f^-1 for the start, then one g, and so one field evaluation,
-        # per chord step; criterion 9's field needs at most 4 steps
+        # the start is one f^-1 and one field pass at f^-1(x), where the
+        # residual is -v; then each Newton step is one f and one field pass,
+        # and g.apply is never called; criterion 9's field retires every row
+        # in at most 2 steps
         g = PerturbedMap(skew, CRITERION_9_MODES, amplitude_bound=1.1e-3)
-        counts = {}
-        count_calls(monkeypatch, counts, PerturbedMap, "apply", "displacement")
-        count_calls(monkeypatch, counts, SkewModel, "apply_inverse")
+        on_g, on_f = {}, {}
+        count_calls(monkeypatch, on_g, PerturbedMap, "apply", "displacement", "_field")
+        count_calls(monkeypatch, on_f, SkewModel, "apply", "apply_inverse")
         g.apply_inverse(rng.random((256, 3)))
-        assert counts["apply_inverse"] == 1
-        assert 1 <= counts["apply"] <= 4
-        assert counts["displacement"] == counts["apply"]
+        assert on_f["apply_inverse"] == 1
+        assert 1 <= on_f["apply"] <= 2
+        assert on_g == {"_field": on_f["apply"] + 1}
+
+    @pytest.mark.parametrize("modes", [CRITERION_9_MODES, SPLIT_MODES], ids=["sin", "sin-cos"])
+    def test_from_map_rows_retire_within_two_steps(self, skew, modes, monkeypatch):
+        # the 8x8x4 lattice's backward orbits on N = 40: each of the 40
+        # inversions runs at most 2 Newton steps, one f each, so every row
+        # retires within 2
+        g = PerturbedMap(skew, modes, amplitude_bound=1.1e-3)
+        counts, steps = {}, []
+        count_calls(monkeypatch, counts, SkewModel, "apply")
+        inverse = PerturbedMap.apply_inverse
+
+        def counted(self, x):
+            before = counts.get("apply", 0)
+            y = inverse(self, x)
+            steps.append(counts["apply"] - before)
+            return y
+
+        monkeypatch.setattr(PerturbedMap, "apply_inverse", counted)
+        from_map(skew, g, _lattice((8, 8, 4)), (-40, 40))
+        assert len(steps) == 40
+        assert max(steps) <= 2
+
+    @pytest.mark.parametrize("modes", [CRITERION_9_MODES, SPLIT_MODES, CROSS_MODES],
+                             ids=["criterion-9", "sin-cos", "cross"])
+    def test_stopping_residual_has_the_bits_of_apply(self, skew, modes, monkeypatch):
+        # every residual the stopping test reads is recorded; replaying which
+        # rows retire at each step gives each row's last residual, which must
+        # be x - g(y) with g.apply's bits at the returned y
+        g = PerturbedMap(skew, modes, amplitude_bound=1.0)
+        x = np.random.default_rng(500).random((506, 3))
+        seam = 1.0 - 2.0 ** -53
+        x[500:] = [[0.0, 0.0, 0.0], [seam] * 3, [0.0, seam, 0.0], [seam, 0.0, seam],
+                   [0.0, 0.5, seam], [seam, seam, 0.0]]
+        seen = []
+        monkeypatch.setattr(orbits, "_norm", lambda r: seen.append(r) or _norm(r))
+        y = g.apply_inverse(x)
+        last, active = np.full(x.shape, np.nan), np.arange(x.shape[0])
+        for r in seen:
+            done = _norm(r) <= INVERSE_RESIDUAL_TOL
+            last[active[done]] = r[done]
+            active = active[~done]
+        assert active.size == 0
+        assert np.array_equal(last, minimal_displacement(g.apply(y), x))
 
     def test_backward_points_are_g_preimages(self, skew):
         g = self._field(skew, 1e-3)
