@@ -288,9 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_positive_int, nargs=3, required=True,
                    metavar=("N1", "N2", "N3"))
     p.add_argument("--half-length", type=_positive_int, default=40, dest="half_length")
-    p.add_argument("--delta", type=float, default=None,
-                   help="amplitude of the default perturbation field")
-    p.add_argument("--perturbation", default=None, help="perturbation JSON file")
+    field = p.add_mutually_exclusive_group()
+    field.add_argument("--delta", type=float, default=None,
+                       help="amplitude of the default perturbation field")
+    field.add_argument("--perturbation", default=None, help="perturbation JSON file")
 
     return parser
 

@@ -436,9 +436,10 @@ def read_table(path, columns: int, required=()):
     first other non-blank line on, every non-blank line is a row of
     `columns` numbers, index first, and one `np.loadtxt` call reads them.
     Returns (header, (n_min, n_max), rows), the (N, columns) rows sorted by
-    index.  Raises ValueError when the `window` header or one in `required`
-    is missing, a line from the first row on is not a row (`_bad_line`
-    names the first), or the indices do not cover the window once each.
+    index.  Raises ValueError when a header key repeats (naming the
+    line), the `window` header or one in `required` is missing, a line
+    from the first row on is not a row (`_bad_line` names the first), or
+    the indices do not cover the window once each.
     """
     header, rows = {}, np.empty((0, columns))
     with open(path) as fh:
@@ -446,8 +447,10 @@ def read_table(path, columns: int, required=()):
             start, line = fh.tell(), fh.readline()
             text = line.strip()
             if text.startswith("#"):
-                key, _, value = text[1:].partition(":")
-                header[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in text[1:].partition(":"))
+                if key in header:
+                    raise ValueError(f"{path} line {number} repeats the header {key!r}")
+                header[key] = value
             elif text or not line:
                 break
         if text:

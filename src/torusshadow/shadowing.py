@@ -76,7 +76,7 @@ __all__ = [
 ]
 
 
-# Gate of `verify` on the recomputed base residuals and recorded columns.
+# Gate of `verify` on the recomputed base residuals.
 RESIDUAL_TOL = 1e-9
 
 
@@ -459,16 +459,15 @@ def _sub_range(n_min: int, n_max: int, k: int) -> tuple:
 class ShadowingTrace:
     """Full output of a quasi-shadowing run, at original resolution.
 
-    The shapes below are for one orbit; a trace of a stack of orbits has a
-    leading batch axis on every array.
+    y* is the one array stored: f(y*_{k-1}), the center motions and the
+    tracing distances are functions of it and the orbit, which `verify`
+    recomputes.  The shapes below are for one orbit; a trace of a stack of
+    orbits has a leading batch axis on every array.
     """
 
     n_min: int
     n_max: int
     y_star: np.ndarray          # (N, 3)
-    y_prime: np.ndarray         # (N, 3): f(y*_{k-1}); row 0 repeats y*_{n_min}
-    center_motions: np.ndarray  # (N,): signed fiber step from y_prime to y_star
-    trace_dist: np.ndarray      # (N,): d(x_k, y*_k)
     params: ShadowingParams
     y_u: dict = field(default_factory=dict, repr=False)    # guides at subsampled m >= 0
     y_s: dict = field(default_factory=dict, repr=False)    # guides at subsampled m <= 0
@@ -495,11 +494,6 @@ class ShadowingTrace:
 
     def point(self, k: int) -> np.ndarray:
         return self.y_star[..., self.index(k), :]
-
-    @property
-    def max_distance(self) -> float:
-        lo, hi = self.interior
-        return float(np.max(self.trace_dist[..., self.index(lo): self.index(hi) + 1]))
 
 
 def _check_defects(sys, orbit: PseudoOrbit, params: ShadowingParams, errors) -> None:
@@ -617,8 +611,8 @@ def _half(sys, st: _Anchors, both=True):
 
 def _trace_stage(sys, orbit: PseudoOrbit, st: _Anchors) -> ShadowingTrace:
     """The full-resolution trace from the anchor stage: both halves' guides
-    and subsampled y*, the exact-step fill, y', motions and distances; the
-    rows failed in `st.errors` are NaN."""
+    and subsampled y*, then the exact-step fill; the rows failed in
+    `st.errors` are NaN."""
     k = st.params.k
     M_min, M_max = _sub_range(orbit.n_min, orbit.n_max, k)
     pts = orbit.points
@@ -646,19 +640,12 @@ def _trace_stage(sys, orbit: PseudoOrbit, st: _Anchors) -> ShadowingTrace:
         cur = sys.apply_inverse(cur)
         y_star[..., q, :] = cur
 
-    y_prime = y_star.copy()
-    y_prime[..., 1:, :] = sys.apply(y_star[..., :-1, :])
-    motions = np.zeros(y_star.shape[:-1])
-    motions[..., 1:] = fiber_displacement(y_prime[..., 1:, 2], y_star[..., 1:, 2])
-    dist = torus_distance(pts, y_star)
-
     failed = sorted(st.errors)
     if failed:
-        for arr in (y_star, y_prime, motions, dist, y_u, y_s):
+        for arr in (y_star, y_u, y_s):
             arr.reshape((-1,) + arr.shape[pts.ndim - 2:])[failed] = np.nan
     return ShadowingTrace(
-        n_min=orbit.n_min, n_max=orbit.n_max, y_star=y_star, y_prime=y_prime,
-        center_motions=motions, trace_dist=dist, params=st.params,
+        n_min=orbit.n_min, n_max=orbit.n_max, y_star=y_star, params=st.params,
         y_u={m: y_u[..., m, :] for m in range(M_max + 1)},
         y_s={-j: y_s[..., j, :] for j in range(-M_min + 1)},
         model_name=orbit.model_name,
@@ -731,15 +718,17 @@ class VerifyReport:
 
 def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace,
            epsilon: float) -> VerifyReport:
-    """Recompute the quasi-shadowing contract from serialized data only.
+    """Recompute the quasi-shadowing contract from the orbit and y* alone.
 
     Per interior index: tracing distance < epsilon, base coordinates of
-    y*_k and the freshly recomputed f(y*_{k-1}) agree within RESIDUAL_TOL,
-    the center motion magnitude stays below epsilon, and the recorded
-    y_prime/motion columns match the recomputation.  Every gate is written
-    as `not (value < bound)`, so a NaN fails it.  Shares no state with the
-    constructor.  A window with no interior index raises ParameterError,
-    and a stack of orbits or traces a ValueError.
+    y*_k and the freshly computed f(y*_{k-1}) agree within RESIDUAL_TOL,
+    and the center motion magnitude stays below epsilon.  Every gate is
+    written as `not (value < bound)`, so a NaN fails it.  Shares no state
+    with the constructor, and a trace stores nothing derived from y* for it
+    to compare: an edit of y* fails exactly when the edited sequence breaks
+    the contract, so a fiber edit below epsilon, which leaves another valid
+    quasi-shadowing sequence, passes.  A window with no interior index
+    raises ParameterError, and a stack of orbits or traces a ValueError.
     """
     if orbit.points.ndim != 2 or trace.y_star.ndim != 2:
         raise ValueError("verify takes one orbit and its trace; verify a stack row by row")
@@ -750,16 +739,15 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace,
                              f"to verify for power k = {trace.k}")
     q = np.arange(lo, hi + 1)
     i = q - trace.n_min
-    y = trace.y_star[i]
-    fp = sys.apply(trace.y_star[i - 1])
+    y, prev = trace.y_star[i], trace.y_star[i - 1]
+    # f refuses NaN: a NaN point's image stays NaN and fails each gate it meets
+    ok = np.isfinite(prev).all(axis=1)
+    fp = np.full(prev.shape, np.nan)
+    fp[ok] = sys.apply(prev[ok])
     d = torus_distance(orbit.points[q - orbit.n_min], y)
     res = torus_distance(fp[:, :2], y[:, :2])
-    mot = fiber_displacement(fp[:, 2], y[:, 2])
-    rec_gap = torus_distance(fp, trace.y_prime[i])
-    mot_gap = np.abs(mot - trace.center_motions[i])
-    mot = np.abs(mot)
-    failing = (~(d < epsilon) | ~(res < RESIDUAL_TOL) | ~(mot < epsilon)
-               | ~(rec_gap < RESIDUAL_TOL) | ~(mot_gap < RESIDUAL_TOL))
+    mot = np.abs(fiber_displacement(fp[:, 2], y[:, 2]))
+    failing = ~(d < epsilon) | ~(res < RESIDUAL_TOL) | ~(mot < epsilon)
     return VerifyReport(
         passed=not failing.any(), max_distance=float(np.max(d, initial=0.0)),
         max_base_residual=float(np.max(res, initial=0.0)),
@@ -786,28 +774,25 @@ def _params_from_header(header: dict, source) -> ShadowingParams:
 
 
 def write_trace(trace: ShadowingTrace, path, model_name: str = "") -> None:
-    """One row per index: q, y*_q, y'_q, center motion, trace distance."""
+    """One row per index: q and y*_q."""
     header = {"model": model_name or trace.model_name, **asdict(trace.params),
               "window": f"{trace.n_min} {trace.n_max}"}
     q = np.arange(trace.n_min, trace.n_max + 1)
-    write_table(path, header, np.column_stack([q, trace.y_star, trace.y_prime,
-                                               trace.center_motions, trace.trace_dist]))
+    write_table(path, header, np.column_stack([q, trace.y_star]))
 
 
 def read_trace(path) -> ShadowingTrace:
-    """A trace written by `write_trace`: the y*/y' columns, motions and
-    distances as written and the parameters from the header.  The interior
+    """A trace written by `write_trace`: `q y1 y2 y3` rows, every coordinate
+    finite and in [0, 1), and the parameters from the header.  The interior
     follows from the window and k; an `interior` header is ignored."""
-    header, (n_min, n_max), arr = read_table(path, 9)
-    # points in [0, 1), motion and distance finite; NaN fails both tests
-    bad = ~(arr[:, 1:7] >= 0.0) | ~(arr[:, 1:7] < 1.0)
-    bad = bad.any(axis=1) | ~np.isfinite(arr[:, 7:]).all(axis=1)
+    header, (n_min, n_max), arr = read_table(path, 4)
+    # NaN fails both tests
+    bad = (~(arr[:, 1:] >= 0.0) | ~(arr[:, 1:] < 1.0)).any(axis=1)
     if bad.any():
         raise ValueError(f"trace file {path} row {int(arr[bad][0, 0])} has a non-finite "
                          f"or out-of-[0, 1) value")
     return ShadowingTrace(
-        n_min=n_min, n_max=n_max, y_star=arr[:, 1:4].copy(), y_prime=arr[:, 4:7].copy(),
-        center_motions=arr[:, 7].copy(), trace_dist=arr[:, 8].copy(),
+        n_min=n_min, n_max=n_max, y_star=arr[:, 1:].copy(),
         params=_params_from_header(header, f"trace file {path}"),
         model_name=header.get("model", "unknown"),
     )

@@ -4,10 +4,11 @@ For g C0-close to f, every g-orbit is a pseudo-orbit of f, so the
 quasi-shadowing engine assigns to each point x the anchor pi(x) = y*_0 of
 the sequence tracing the g-orbit of x.  Along the center fibration this
 yields the intertwining pi(g(x)) = tau_x(f(pi(x))) with tau_x the signed
-fiber motion at the next step.  pi is sampled on a regular lattice; the
-reports below check the intertwining identity by recomputation and check
-that pi has degree 1, hence is onto, from its distance to the identity and
-its modulus over lattice edges.
+fiber motion at the next step.  pi is sampled on a regular lattice, which
+stores pi, pi(g(x)) and tau alone; the reports below recompute the
+intertwining identity's residuals from them and check that pi has degree
+1, hence is onto, from its distance to the identity and its modulus over
+lattice edges.
 """
 
 from __future__ import annotations
@@ -42,14 +43,14 @@ IDENTITY_TOL = 1e-8
 
 @dataclass
 class SemiConjugacy:
-    """pi and tau sampled on a regular lattice, with per-node residuals."""
+    """pi, pi(g(x)) and tau sampled on a regular lattice; `check_identity`
+    computes the identity's residuals from them."""
 
     grid_res: tuple
     nodes: np.ndarray        # (N, 3) lattice points
     pi: np.ndarray           # (N, 3) pi(x) = y*_0 of the g-orbit's construction
     pi_g: np.ndarray         # (N, 3) pi(g(x)) = y*_1 of the same construction
     tau: np.ndarray          # (N,) signed center motion from f(pi(x)) to pi(g(x))
-    residual: np.ndarray     # (N,) recomputed identity residual
     window: int
     params: ShadowingParams
     failures: list = field(default_factory=list)   # (node, message) per failed node
@@ -82,7 +83,7 @@ def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: fl
     fiber gap from f(pi).  The certified d(f, g) must be below the
     admissible defect; per-node shadowing failures are recorded in the
     report as (node, message) rather than raised, and leave the node's pi,
-    pi_g, tau and residual NaN.  The report's arrays own their data.
+    pi_g and tau NaN.  The report's arrays own their data.
     """
     grid = tuple(grid_res) if np.iterable(grid_res) else ()
     if len(grid) != 3 or not all(_is_positive_int(n) for n in grid):
@@ -103,14 +104,12 @@ def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: fl
     fp = sys.apply(st.y0_star)
     pi_g = fp if params.k > 1 else _half(sys, st, both=False)[1][:, 0, :].copy()
     tau = fiber_displacement(fp[:, 2], pi_g[:, 2]).copy()   # a view of its result otherwise
-    # the identity residual's fiber term, |gap - tau|, is 0 by this tau
-    residual = torus_distance(fp[:, :2], pi_g[:, :2])
     pi = st.y0_star.copy()
     failed = sorted(st.errors)
-    for arr in (pi, pi_g, tau, residual):
+    for arr in (pi, pi_g, tau):
         arr[failed] = np.nan
     return SemiConjugacy(grid_res=tuple(int(n) for n in grid), nodes=nodes, pi=pi,
-                         pi_g=pi_g, tau=tau, residual=residual, window=int(N), params=params,
+                         pi_g=pi_g, tau=tau, window=int(N), params=params,
                          failures=[(r, str(st.errors[r])) for r in failed])
 
 
@@ -136,10 +135,9 @@ def check_identity(sys: SkewModel, sc: SemiConjugacy, g: PerturbedMap) -> Identi
     IDENTITY_TOL and the fiber gap must equal the stored tau within
     IDENTITY_TOL.  Since y*_1 and tau come from the same construction that
     put y*_1 on the center plaque of f(y*_0), the identity holds by
-    construction; this recomputes it but does not test it independently.
-    For k >= 2 it is exact: pi_g = f(pi) and tau = 0, so both residuals
-    are 0, which is why the criterion-9 acceptance test prints a zero
-    residual.  `g` is accepted but not read:
+    construction; this computes its residuals, the one place they are
+    computed, but does not test it independently.  For k >= 2 both are
+    exactly 0, since pi_g = f(pi) and tau = 0.  `g` is accepted but not read:
     it stays in the signature for an independent check that traces the
     g-orbit of g(x) on its own, and callers (the CLI, the benchmark
     workloads) already pass it.
@@ -196,9 +194,9 @@ def surjectivity_density(sc: SemiConjugacy, epsilon: float) -> SurjectivityRepor
 
 def write_semiconjugacy(sc: SemiConjugacy, path, model_name: str = "",
                         perturbation: str = "") -> None:
-    """One row per lattice node: i1 i2 i3, pi, tau, identity residual."""
+    """One row per lattice node: i1 i2 i3, pi, tau."""
     header = {"model": model_name or sc.model_name, "perturbation": perturbation,
               "grid": " ".join(str(n) for n in sc.grid_res), "half_length": sc.window,
               **asdict(sc.params)}
     index = np.indices(sc.grid_res).reshape(3, -1).T
-    write_table(path, header, np.column_stack([index, sc.pi, sc.tau, sc.residual]))
+    write_table(path, header, np.column_stack([index, sc.pi, sc.tau]))

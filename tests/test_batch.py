@@ -24,10 +24,12 @@ from torusshadow.shadowing import (
     shadow_batch,
     verify,
 )
-from torusshadow.stability import _lattice, semiconjugacy
+from torusshadow.stability import _lattice, check_identity, semiconjugacy
+
+from tests_helpers import center_motions
 
 EPS = 0.216
-TRACE_FIELDS = ("y_star", "y_prime", "center_motions", "trace_dist")
+TRACE_FIELDS = ("y_star",)
 
 
 def default_field(sys, amp=1e-3):
@@ -79,8 +81,8 @@ def test_semiconjugacy_reads_the_batched_rows(skew, grid_batch):
     sc = semiconjugacy(skew, g, (4, 4, 4), 20, EPS, params=params)
     assert np.array_equal(sc.pi, trace.point(0))
     assert np.array_equal(sc.pi_g, trace.point(1))
-    assert np.array_equal(sc.tau, trace.center_motions[:, trace.index(1)])
-    assert np.nanmax(sc.residual) < 1e-8
+    assert np.array_equal(sc.tau, center_motions(skew, trace.y_star)[:, trace.index(1)])
+    assert check_identity(skew, sc, g).max_base_mismatch < 1e-8
 
 
 def test_semiconjugacy_reads_the_batched_rows_at_k1(monkeypatch):
@@ -107,9 +109,9 @@ def test_semiconjugacy_reads_the_batched_rows_at_k1(monkeypatch):
     assert not failures and not sc.failures
     assert np.array_equal(sc.pi, trace.point(0))
     assert np.array_equal(sc.pi_g, trace.point(1))
-    assert np.array_equal(sc.tau, trace.center_motions[:, trace.index(1)])
+    assert np.array_equal(sc.tau, center_motions(sys, trace.y_star)[:, trace.index(1)])
     assert np.max(np.abs(sc.tau)) > 0.0
-    assert np.max(sc.residual) < 1e-8
+    assert check_identity(sys, sc, g).max_base_mismatch < 1e-8
 
 
 def test_semiconjugacy_builds_no_trace(skew, grid_batch, monkeypatch):
@@ -129,7 +131,7 @@ def test_semiconjugacy_builds_no_trace(skew, grid_batch, monkeypatch):
     assert not sc.failures
     assert np.array_equal(sc.pi, trace.point(0))
     assert np.array_equal(sc.pi_g, trace.point(1))
-    assert np.array_equal(sc.tau, trace.center_motions[:, trace.index(1)])
+    assert np.array_equal(sc.tau, center_motions(skew, trace.y_star)[:, trace.index(1)])
 
     mixed_trace, mixed_failures = mixed
     sc = semiconjugacy(skew, g, (4, 4, 4), 20, EPS)
@@ -138,7 +140,8 @@ def test_semiconjugacy_builds_no_trace(skew, grid_batch, monkeypatch):
     failed = [r for r, _ in sc.failures]
     assert np.array_equal(np.flatnonzero(np.isnan(sc.pi[:, 0])), failed)
     for name, expected in (("pi", mixed_trace.point(0)), ("pi_g", mixed_trace.point(1)),
-                           ("tau", mixed_trace.center_motions[:, mixed_trace.index(1)])):
+                           ("tau", center_motions(skew, mixed_trace.y_star)[
+                               :, mixed_trace.index(1)])):
         assert np.array_equal(getattr(sc, name), expected, equal_nan=True), name
 
 

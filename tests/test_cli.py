@@ -230,7 +230,7 @@ class TestInputGuards:
         assert self.verify() == 2
         assert message in capsys.readouterr().err
         orbit.write_text(clean)
-        _edit_line(trace, "3 ", 5, "abc")
+        _edit_line(trace, "3 ", 2, "abc")
         number = next(i for i, l in enumerate(trace.read_text().splitlines(), 1) if "abc" in l)
         assert self.verify() == 2
         assert f"s/trace.txt line {number} has a non-numeric field 'abc'" in capsys.readouterr().err
@@ -313,6 +313,36 @@ class TestInputGuards:
         assert self.verify(model="linear") == 2
         assert "'skew'" in capsys.readouterr().err
 
+    def test_trace_rows_hold_y_star_alone(self, chain, capsys):
+        # `q y1 y2 y3`; a row that also carries y', the motion and the
+        # distance, nine columns in all, is an input error naming the count
+        path = chain / "s" / "trace.txt"
+        lines = path.read_text().splitlines()
+        rows = [line.split() for line in lines if not line.startswith("#")]
+        assert len(rows) == 61 and all(len(row) == 4 for row in rows)
+        path.write_text("\n".join(line if line.startswith("#") else
+                                   line + " " + " ".join(line.split()[1:]) + " 0 0"
+                                   for line in lines) + "\n")
+        assert self.verify() == 2
+        assert "has 9 columns, expected 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, line, after", [
+        ("s/trace.txt", "# r1: 0.5", False),     # the last value won: PASS
+        ("s/trace.txt", "# r1: 0.5", True),      # a parameter mismatch: exit 3
+        ("o/orbit.txt", "# delta: 0.001", False),
+    ], ids=["trace-before", "trace-after", "orbit"])
+    def test_repeated_header_key_exit_2(self, chain, capsys, name, line, after):
+        path = chain / name
+        lines = path.read_text().splitlines()
+        key = line.partition(":")[0]
+        at = next(i for i, l in enumerate(lines) if l.startswith(key + ":"))
+        lines.insert(at + after, line)
+        path.write_text("\n".join(lines) + "\n")
+        assert self.verify() == 2
+        second = [i for i, l in enumerate(lines, 1) if l.startswith(key + ":")][1]
+        assert (f"{name} line {second} repeats the header {key[2:]!r}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("flags", [["--grid", "0", "2", "2"],
                                        ["--grid", "2", "2", "2", "--half-length", "0"],
                                        ["--grid", "2", "-1", "2"]])
@@ -323,6 +353,17 @@ class TestInputGuards:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "usage" in err and "positive integer" in err
+
+    @pytest.mark.parametrize("flags", [["--delta", "1e-3", "--perturbation", "pert.json"],
+                                       ["--perturbation", "pert.json", "--delta", "1e-3"]])
+    def test_perturbation_and_delta_exit_2(self, workdir, capsys, flags):
+        # one field or the other: the run would read the file and record both
+        with pytest.raises(SystemExit) as exc:
+            run(["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                 *flags, "--out", "st"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "not allowed with argument" in err
 
 
 def _exit_code(argv):
@@ -490,9 +531,9 @@ def test_verify_empty_interior_exit_3(workdir, capsys):
     assert run(["orbit", "--model", "skew", "--delta", "0", "--window", "0", "2",
                 "--out", "o"]) == 0
     params = dataclasses.asdict(delta_for_epsilon(builtin_model("skew"), 1e-2))
-    # every y* and y' at 0.5, about 0.3 from the orbit
+    # every y* at 0.5, about 0.3 from the orbit
     write_table(workdir / "trace.txt", {"model": "skew", **params, "window": "0 2"},
-                [[q, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.3] for q in range(3)])
+                [[q, 0.5, 0.5, 0.5] for q in range(3)])
     capsys.readouterr()
     assert run(["verify", "--model", "skew", "--orbit", "o/orbit.txt", "--trace", "trace.txt",
                 "--epsilon", "1e-2", "--out", "v"]) == 3

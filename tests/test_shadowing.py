@@ -27,7 +27,7 @@ from torusshadow.shadowing import (
     write_trace,
 )
 
-from tests_helpers import inverse_system, single_defect_orbit
+from tests_helpers import center_motions, inverse_system, single_defect_orbit
 
 X0 = np.array([0.2, 0.35, 0.81])
 
@@ -373,22 +373,24 @@ class TestQuasiShadow:
     def test_idempotence_on_true_orbit(self, skew):
         orbit = generate_noisy(skew, X0, (-60, 60), 0.0, seed=0)
         trace = quasi_shadow(skew, orbit, 1e-2)
-        assert trace.max_distance < 1e-9
-        assert np.max(np.abs(trace.center_motions)) < 1e-9
+        assert verify(skew, orbit, trace, 1e-2).max_distance < 1e-9
+        assert np.max(np.abs(center_motions(skew, trace.y_star))) < 1e-9
 
     def test_center_plaque_structure(self, skew):
         p = delta_for_epsilon(skew, 1e-2)
         orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=3)
         trace = quasi_shadow(skew, orbit, 1e-2)
         lo, hi = trace.interior
+        motions = center_motions(skew, trace.y_star)
         for q in range(lo, hi + 1):
             i = trace.index(q)
-            assert torus_distance(trace.y_prime[i, :2], trace.y_star[i, :2]) < 1e-10
-            assert abs(trace.center_motions[i]) < 1e-2
+            y_prime = skew.apply(trace.y_star[i - 1])
+            assert torus_distance(y_prime[:2], trace.y_star[i, :2]) < 1e-10
+            assert abs(motions[i]) < 1e-2
         # motions concentrate at multiples of k
         for q in range(lo, hi + 1):
             if q % trace.k != 0:
-                assert abs(trace.center_motions[trace.index(q)]) < 1e-12
+                assert abs(motions[trace.index(q)]) < 1e-12
 
     def test_half_orbit_guides_bounded(self, skew):
         eps = 1e-2
@@ -573,7 +575,7 @@ class TestVerify:
         orbit = generate_noisy(skew, X0, (0, 2), 0.0, seed=0)
         path = tmp_path / "trace.txt"
         write_table(path, {"model": "skew", **asdict(p), "window": "0 2"},
-                    [[q, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.3] for q in range(3)])
+                    [[q, 0.5, 0.5, 0.5] for q in range(3)])
         trace = read_trace(path)
         assert trace.k == 2 and trace.interior == (2, 0)
         with pytest.raises(ParameterError, match=r"window \[0, 2\] has no interior index "
@@ -601,14 +603,15 @@ class TestVerify:
         assert set(report.failing_indices) == {q_bad, q_bad + 1}
 
     def test_nan_motion_fails_its_index(self, skew):
-        # the gates are "not (value < bound)", so NaN cannot pass them
+        # the gates are "not (value < bound)", so NaN cannot pass them: a NaN
+        # fiber at index 5 makes the motions into and out of it NaN
         eps = 1e-2
         orbit = generate_noisy(skew, X0, (-40, 40), 0.0, seed=9)
         trace = quasi_shadow(skew, orbit, eps)
-        trace.center_motions[trace.index(5)] = np.nan
+        trace.y_star[trace.index(5), 2] = np.nan
         report = verify(skew, orbit, trace, eps)
         assert not report.passed
-        assert report.failing_indices == [5]
+        assert report.failing_indices == [5, 6]
 
     def test_read_trace_rejects_non_finite_rows(self, tmp_path, skew):
         orbit = generate_noisy(skew, X0, (-30, 30), 0.0, seed=10)
@@ -616,7 +619,7 @@ class TestVerify:
         write_trace(quasi_shadow(skew, orbit, 1e-2), path, model_name="skew")
         lines = path.read_text().splitlines()
         row = next(i for i, line in enumerate(lines) if line.startswith("4 "))
-        for col, value in ((2, "nan"), (5, "1.5"), (8, "inf")):
+        for col, value in ((2, "nan"), (3, "1.5"), (1, "inf")):
             parts = lines[row].split()
             parts[col] = value
             path.write_text("\n".join(lines[:row] + [" ".join(parts)] + lines[row + 1:]) + "\n")
@@ -631,7 +634,6 @@ class TestVerify:
         write_trace(trace, path, model_name="skew")
         back = read_trace(path)
         assert np.array_equal(back.y_star, trace.y_star)
-        assert np.array_equal(back.center_motions, trace.center_motions)
         report = verify(skew, orbit, back, 1e-2)
         assert report.passed
 
@@ -647,7 +649,7 @@ class TestVerify:
         assert back.params == trace.params
         assert back.k == trace.k == 2
         assert back.sub_range == trace.sub_range == (-25, 25)
-        assert np.array_equal(back.y_prime, trace.y_prime)
+        assert np.array_equal(back.y_star, trace.y_star)
         residual = verify(skew, orbit, trace, 1e-2).max_base_residual
         assert verify(skew, orbit, back, 1e-2).max_base_residual == residual > 0.0
         assert back.params.margins() == trace.params.margins()
@@ -703,12 +705,13 @@ class TestOracleEquivalence:
         jump = 2e-4 * np.array([0.53, -0.31, 0.62]) / np.linalg.norm([0.53, -0.31, 0.62])
         orbit = single_defect_orbit(linear, X0, (-44, 44), jump)
         trace = quasi_shadow(linear, orbit, 5e-2)
+        dist = torus_distance(orbit.points, trace.y_star)
         k = trace.k
         ratios = []
         for side in (1, -1):
             ds = []
             for m in range(1, 30 // k + 1):
-                ds.append(trace.trace_dist[trace.index(side * m * k)])
+                ds.append(dist[trace.index(side * m * k)])
             ds = np.array(ds)
             keep = ds > 1e-11
             logs = np.log(ds[keep])

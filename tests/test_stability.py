@@ -77,7 +77,6 @@ class TestSemiconjugacy:
     def test_identity_residuals(self, skew, sc_small):
         g, sc = sc_small
         assert not sc.failures
-        assert np.nanmax(sc.residual) < 1e-8
         report = check_identity(skew, sc, g)
         assert report.passed
         assert report.max_base_mismatch < 1e-8
@@ -91,7 +90,7 @@ class TestSemiconjugacy:
         # a view into the batch trace would keep all of its (B, 2N + 1, 3)
         # points alive for as long as the report lives
         _, sc = sc_small
-        for name in ("nodes", "pi", "pi_g", "tau", "residual"):
+        for name in ("nodes", "pi", "pi_g", "tau"):
             arr = getattr(sc, name)
             assert arr.flags.owndata and arr.base is None, name
 
@@ -147,15 +146,14 @@ class TestSemiconjugacy:
         assert len(lines) == 512
         first = lines[0].split()
         assert [int(v) for v in first[:3]] == [0, 0, 0]
-        assert len(first) == 8
+        assert len(first) == 7
 
 
 def synthetic(skew, grid, pi):
     """A SemiConjugacy holding pi(nodes) on the lattice, with no shadowing run."""
     nodes = _lattice(grid)
     return SemiConjugacy(grid_res=grid, nodes=nodes, pi=pi(nodes), pi_g=nodes.copy(),
-                         tau=np.zeros(len(nodes)), residual=np.zeros(len(nodes)),
-                         window=0, params=delta_for_epsilon(skew, 1e-2))
+                         tau=np.zeros(len(nodes)), window=0, params=delta_for_epsilon(skew, 1e-2))
 
 
 def fiber_shift(nodes, shift):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from torusshadow.geometry import torus_distance, wrap
+from torusshadow.geometry import fiber_displacement, torus_distance, wrap
 from torusshadow.models import IntersectionError, SkewModel
 from torusshadow.orbits import PseudoOrbit
 
@@ -25,6 +25,16 @@ def single_defect_orbit(sys, x0, window, jump):
         x = sys.apply(x)
         pts[k - n_min] = x
     return PseudoOrbit(n_min, n_max, pts, float(np.linalg.norm(jump)))
+
+
+def center_motions(sys, y_star):
+    """The signed fiber step from f(y*_{k-1}) to y*_k at every index of a
+    trace's y* (..., N, 3), 0 at the first.  A failed row's NaN points step
+    as 0 through f, which refuses NaN, and its NaN fibers make its motions NaN."""
+    image = sys.apply(np.nan_to_num(y_star[..., :-1, :]))
+    motions = np.zeros(y_star.shape[:-1])
+    motions[..., 1:] = fiber_displacement(image[..., 2], y_star[..., 1:, 2])
+    return motions
 
 
 def rational_periodic_orbit(matrix, P: int, m):
