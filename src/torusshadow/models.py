@@ -129,11 +129,58 @@ def _is_positive_int(value) -> bool:
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """`values` as int64; ModelError if one is not an integer (NaN and inf are not)."""
+    """`values` as int64; ModelError if one is not an integer in int64's
+    range [-2**63, 2**63) (NaN and inf are not)."""
     a = np.asarray(values, dtype=float)
-    if not (a % 1.0 == 0.0).all():
-        raise ModelError(f"{what} must be integers, got {values!r}")
+    if not ((a % 1.0 == 0.0) & (a >= -2.0 ** 63) & (a < 2.0 ** 63)).all():
+        raise ModelError(f"{what} must be integers in [-2**63, 2**63), got {values!r}")
     return a.astype(np.int64)
+
+
+def _trig_modes(modes, what: str, axes: int, components: int = 1):
+    """Checked modes (j, *m, s, c), each adding s sin(2 pi m.x) + c cos(2 pi
+    m.x) to component j, with m over `axes` coordinates, and the field's
+    Lipschitz bound: the rss over components of sum 2 pi |m| |(s, c)| (one
+    component's sum itself).  ModelError, naming `what`, for a bad length, j,
+    integer or amplitude; a one-component field's j is its caller's 0."""
+    checked, lip = [], [0.0] * components
+    for mode in modes:
+        j, *m, s, c = mode
+        if len(m) != axes:
+            raise ModelError(f"{what} mode {tuple(mode)!r} needs {axes} frequencies")
+        if components == 1:
+            m = _integers(tuple(m), f"{what} mode frequencies").tolist()
+        else:
+            j, *m = _integers((j, *m), f"{what} coordinates and frequencies").tolist()
+            if not 0 <= j < components:
+                raise ModelError(f"{what} coordinate must be 0, 1, or 2, got {j}")
+        s, c = float(s), float(c)
+        if not (math.isfinite(s) and math.isfinite(c)):
+            raise ModelError(f"{what} mode amplitudes must be finite, got {s}, {c}")
+        checked.append((j, *m, s, c))
+        lip[j] += TWO_PI * math.hypot(*m) * math.hypot(s, c)
+    return checked, lip[0] if components == 1 else math.sqrt(sum(l * l for l in lip))
+
+
+def _trig_field(modes, coords, components: int, slopes=None) -> list:
+    """The components of the field of `modes` (`_trig_modes`) at coordinate
+    arrays that broadcast together.  A mode reads only the axes of nonzero
+    frequency and skips zero amplitudes: each skipped product would add a
+    zero to a sum that starts at 0.0, so the bits stay.  Given a list
+    `slopes`, each mode appends its factor 2 pi (s cos - c sin) to it."""
+    v = [0.0] * components
+    for (j, *m, s, c) in modes:
+        terms = [x if k == 1 else k * x for k, x in zip(m, coords) if k]
+        th = TWO_PI * sum(terms[1:], terms[0]) if terms else 0.0
+        sn = np.sin(th) if s or slopes is not None else 0.0
+        cs = np.cos(th) if c or slopes is not None else 0.0
+        if s:
+            v[j] = v[j] + (s * sn + c * cs if c else s * sn)
+        elif c:
+            v[j] = v[j] + c * cs
+        if slopes is not None:
+            slopes.append(TWO_PI * s * cs - TWO_PI * c * sn if c else TWO_PI * s * cs)
+    return v
 
 
 def _norm(d):
@@ -156,18 +203,14 @@ class SkewModel:
         self.omega = float(omega)
         if not math.isfinite(self.omega):
             raise ModelError(f"omega must be finite, got {self.omega!r}")
-        self.modes = [(*_integers((m1, m2), "phi mode frequencies").tolist(), float(s), float(c))
-                      for (m1, m2, s, c) in phi_modes]
-        for (_, _, s, c) in self.modes:
-            if not (math.isfinite(s) and math.isfinite(c)):
-                raise ModelError(f"phi mode amplitudes must be finite, got {s}, {c}")
+        # phi is a one-component field; `modes` are its (m1, m2, s, c)
+        self._phi_modes, self.lip_phi = _trig_modes(
+            [(0, m1, m2, s, c) for (m1, m2, s, c) in phi_modes], "phi", axes=2)
+        self.modes = [mode[1:] for mode in self._phi_modes]
         self.series_tol = float(series_tol)
         if not 0.0 < self.series_tol < math.inf:
             raise ModelError(f"series_tol must be finite and positive, got {self.series_tol!r}")
 
-        self.lip_phi = sum(
-            TWO_PI * math.hypot(m1, m2) * math.hypot(s, c) for (m1, m2, s, c) in self.modes
-        )
         # Slope bound of the stable transfer graph over its base line (the
         # series includes the n = 0 term; the unstable one is flatter).
         abs_lam = abs(self.eig_lam)
@@ -219,18 +262,7 @@ class SkewModel:
 
     def phi(self, p1, p2):
         """phi at base points given by their coordinate arrays p1, p2."""
-        total = 0.0
-        for (m1, m2, s, c) in self.modes:
-            # Zero and unit frequencies are skipped exactly (0 * p adds 0.0).
-            arg = m1 * p1 if m1 != 1 else p1
-            if m2:
-                arg = arg + (m2 * p2 if m2 != 1 else p2) if m1 else m2 * p2
-            th = TWO_PI * np.asarray(arg, dtype=float)
-            if s:
-                total = total + s * np.sin(th)
-            if c:
-                total = total + c * np.cos(th)
-        return total
+        return _trig_field(self._phi_modes, (p1, p2), 1)[0]
 
     # -- the map -----------------------------------------------------------
 

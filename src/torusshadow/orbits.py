@@ -15,8 +15,9 @@ by PRNG identity.  Noisy orbits never step the map: the base of each half
 is a scalar integer-matrix recursion on Python floats and the fiber follows
 from one phi call and a wrapped scan.  Orbits of a nearby map g are stepped
 by `from_map`, all rows at once; g^-1 is Newton's method from f^-1(x),
-one f and one field pass a step, and `PerturbedMap` rejects a field with
-lip_v Lip(f^-1) >= 1, whose preimages need not be unique.
+one f and one field pass (v and phi's modes in one call of the kernel that
+evaluates phi) a step, and `PerturbedMap` rejects a field with lip_v
+Lip(f^-1) >= 1, whose preimages need not be unique.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _frac, minimal_displacement, torus_distance, wrap
-from .models import (_BLOCK_ELEMENTS, TWO_PI, ModelError, SkewModel, _integers,
-                     _is_positive_int, _norm)
+from .models import (_BLOCK_ELEMENTS, ModelError, SkewModel, _is_positive_int, _norm,
+                     _trig_field, _trig_modes)
 
 __all__ = [
     "PseudoOrbit",
@@ -210,20 +211,12 @@ def validate(sys: SkewModel, orbit: PseudoOrbit):
     return np.max(fwd, axis=-1, initial=0.0)[()], np.max(bwd, axis=-1, initial=0.0)[()]
 
 
-def _angle(freq, coords):
-    """2 pi m.x, summing only the terms of nonzero frequency (0.0 if none).
-    Leaving out a 0.0 start can only turn a +0.0 argument into -0.0; its sin
-    term is then a zero of either sign, and as each field sum starts at 0.0,
-    the sums keep their bits."""
-    terms = [x if m == 1 else m * x for m, x in zip(freq, coords) if m]
-    return TWO_PI * sum(terms[1:], terms[0]) if terms else 0.0
-
-
 class PerturbedMap:
     """g(x) = f(x) + v(x) for a finite trigonometric displacement field v.
 
     Each mode perturbs one coordinate: v_j(x) += s*sin(2 pi m.x) +
-    c*cos(2 pi m.x) with m an integer frequency triple.  The C0 distance
+    c*cos(2 pi m.x) with m an integer frequency triple, checked and summed
+    by phi's kernel (`models._trig_modes`, `_trig_field`).  The C0 distance
     d(f, g) = sup |v| is certified on a sampling grid plus a Lipschitz
     slack term and must stay below the declared amplitude bound; a mode
     costs sin and cos only on the grid axes its frequency reads.
@@ -232,24 +225,15 @@ class PerturbedMap:
     def __init__(self, sys: SkewModel, modes, amplitude_bound: float,
                  certification_grid: int = 64):
         self.sys = sys
-        self.modes = [(*_integers((j, m1, m2, m3), "perturbation coordinates and frequencies")
-                       .tolist(), float(s), float(c)) for (j, m1, m2, m3, s, c) in modes]
-        for (j, *_freq, s, c) in self.modes:
-            if j not in (0, 1, 2):
-                raise ModelError(f"perturbation coordinate must be 0, 1, or 2, got {j}")
-            if not (math.isfinite(s) and math.isfinite(c)):
-                raise ModelError(f"perturbation mode amplitudes must be finite, got {s}, {c}")
+        self.modes, self.lip_v = _trig_modes(modes, "perturbation", axes=3, components=3)
+        # Newton's field pass takes phi's modes too, as a fourth component
+        # whose derivative factors go to Dg's fiber row
+        self._newton_modes = self.modes + [(3, m1, m2, 0, s, c) for (m1, m2, s, c) in sys.modes]
         self.amplitude_bound = float(amplitude_bound)
         grid = certification_grid
         if not _is_positive_int(grid):
             raise ModelError(f"certification_grid must be a positive integer, got {grid!r}")
         self.certification_grid = int(grid)
-        # Lipschitz bound of the vector field: rss over coordinates of the
-        # per-coordinate trig Lipschitz bounds.
-        per_coord = [0.0, 0.0, 0.0]
-        for (j, m1, m2, m3, s, c) in self.modes:
-            per_coord[j] += TWO_PI * math.sqrt(m1 * m1 + m2 * m2 + m3 * m3) * math.hypot(s, c)
-        self.lip_v = math.sqrt(sum(l * l for l in per_coord))
         if not self.lip_v * sys.lip_f_inv < 1.0:
             raise ModelError(
                 f"perturbation too steep for a unique inverse: lip_v = {self.lip_v:.6e} "
@@ -257,51 +241,27 @@ class PerturbedMap:
             )
         self._certified = None
 
-    def _field(self, x0, x1, x2, slopes=None):
-        """The components [v0, v1, v2] of v at coordinate arrays that
-        broadcast together.  As in `SkewModel.phi`, a mode reads only the
-        axes of its nonzero frequencies and skips zero amplitudes: each
-        skipped product would add a zero, so the sums keep their bits.  Given
-        a list `slopes`, each mode also appends its derivative factor 2 pi
-        (s cos - c sin) of its argument, from the same sin and cos."""
-        v = [0.0, 0.0, 0.0]
-        for (j, m1, m2, m3, s, c) in self.modes:
-            th = _angle((m1, m2, m3), (x0, x1, x2))
-            sn = np.sin(th) if s or slopes is not None else 0.0
-            cs = np.cos(th) if c or slopes is not None else 0.0
-            if s:
-                v[j] = v[j] + (s * sn + c * cs if c else s * sn)
-            elif c:
-                v[j] = v[j] + c * cs
-            if slopes is not None:
-                slopes.append(TWO_PI * s * cs - TWO_PI * c * sn if c else TWO_PI * s * cs)
-        return v
-
     def displacement(self, x) -> np.ndarray:
         """The field v at points x, shape (..., 3)."""
         x = np.asarray(x, dtype=float)
         v = np.empty(x.shape)
-        v[..., 0], v[..., 1], v[..., 2] = self._field(x[..., 0], x[..., 1], x[..., 2])
+        v[..., 0], v[..., 1], v[..., 2] = _trig_field(self.modes, [x[..., i] for i in range(3)], 3)
         return v
 
     def apply(self, x) -> np.ndarray:
         return wrap(self.sys.apply(x) + self.displacement(x))
 
     def _inverse_jacobian(self, y, slopes):
-        """K = Dg(y)^-1 as (3, 3, B) for points y (B, 3), given the field's
-        derivative factors `slopes` there (see `_field`).  Dg = [[A, 0],
-        [grad phi, 1]] + Dv takes each mode's factor times its frequency;
-        K is the adjugate over the determinant."""
+        """K = Dg(y)^-1 as (3, 3, B) for points y (B, 3), given the factors
+        `slopes` there of `_newton_modes`.  Dg = [[A, 0], [grad phi, 1]] + Dv
+        takes each mode's factor times its frequency, phi's (component 3)
+        in the fiber row; K is the adjugate over the determinant."""
         J = [[float(a), float(b), 0.0] for a, b in self.sys.A.tolist()] + [[0.0, 0.0, 1.0]]
-        terms = [(mode[:4], d) for mode, d in zip(self.modes, slopes)]
-        for (m1, m2, s, c) in self.sys.modes:
-            th = _angle((m1, m2), (y[:, 0], y[:, 1]))
-            d = TWO_PI * s * np.cos(th)
-            terms.append(((2, m1, m2, 0), d - TWO_PI * c * np.sin(th) if c else d))
-        for (j, *freq), d in terms:
+        for (j, *freq, _s, _c), d in zip(self._newton_modes, slopes):
+            row = J[min(j, 2)]
             for k, m in enumerate(freq):
                 if m:
-                    J[j][k] = J[j][k] + (d if m == 1 else m * d)
+                    row[k] = row[k] + (d if m == 1 else m * d)
         # cof[k][i] is the (k, i) cofactor, and K[i, k] = cof[k][i] / det
         cof = [[J[(k + 1) % 3][(i + 1) % 3] * J[(k + 2) % 3][(i + 2) % 3]
                 - J[(k + 1) % 3][(i + 2) % 3] * J[(k + 2) % 3][(i + 1) % 3] for i in range(3)]
@@ -317,9 +277,9 @@ class PerturbedMap:
         """Invert g by Newton's method, row by row, from y = f^-1(x), where
         x - g(y) is -v(y) up to rounding.  A step is y <- y + K (x - g(y))
         with K = Dg(y)^-1; then f(y) from `SkewModel.apply` and v(y) from one
-        `_field` pass give the residual with the bits of `apply`, and the
-        same sin and cos give the next K, taken for the rows still active
-        only.  A row is left alone once its residual is <=
+        field pass over v's and phi's modes give the residual with the bits
+        of `apply`, and the same sin and cos give the next K, taken for the
+        rows still active only.  A row is left alone once its residual is <=
         INVERSE_RESIDUAL_TOL; criterion 9's field retires every row after 2
         steps.  All arithmetic is elementwise, so no row depends on another.
         __init__ rejects lip_v Lip(f^-1) >= 1: below it y -> f^-1(x - v(y))
@@ -331,7 +291,7 @@ class PerturbedMap:
         active, y, xa = np.arange(X.shape[0]), Y, X
         for step in range(INVERSE_MAX_ITER + 1):
             slopes, v = [], np.empty(y.shape)
-            v[:, 0], v[:, 1], v[:, 2] = self._field(y[:, 0], y[:, 1], y[:, 2], slopes)
+            v[:, 0], v[:, 1], v[:, 2], _ = _trig_field(self._newton_modes, tuple(y.T), 4, slopes)
             if step == 0:    # x - g(y) is -v(y) up to rounding at y = f^-1(x)
                 r = -v
             else:
@@ -354,9 +314,9 @@ class PerturbedMap:
     def certified_bound(self) -> float:
         """Certified sup d(f, g): grid supremum of |v| plus Lipschitz slack.
 
-        `_field` runs on the grid's axis vectors, so a mode takes sin and cos
-        only on the axes it reads and only the sum of squares spans a slab:
-        a 128^3 certificate of one-axis modes takes a few ms and MiB.
+        The field runs on the grid's axis vectors, so a mode takes sin and
+        cos only on the axes it reads and only the sum of squares spans a
+        slab: a 128^3 certificate of one-axis modes takes a few ms and MiB.
         """
         if self._certified is None:
             n = self.certification_grid
@@ -364,7 +324,7 @@ class PerturbedMap:
             sup = 0.0
             # slabs of whole planes x = const, about 262144 points each, to bound memory
             for x in np.array_split(axis, min(n, max(1, n ** 3 // 262144))):
-                v0, v1, v2 = self._field(x[:, None, None], axis[:, None], axis)
+                v0, v1, v2 = _trig_field(self.modes, (x[:, None, None], axis[:, None], axis), 3)
                 sup = max(sup, float(np.max(v0 * v0 + v1 * v1 + v2 * v2)))
             # sqrt is monotone: the root of the largest square is the largest norm
             bound = math.sqrt(sup) + self.lip_v * (math.sqrt(3.0) / (2.0 * n))

@@ -578,28 +578,20 @@ def _anchor_stage(sys, orbit: PseudoOrbit, epsilon: float, params) -> _Anchors:
     return _Anchors(params, sweep, *y0, y0_star, y0_star_prime, errors)
 
 
-def _half(sys, st: _Anchors, both=True):
+def _half(sys, st: _Anchors):
     """Both halves' guides, (2, ..., n + 1, 3) with the anchors at index 0,
     and their subsampled y*_m, (2, ..., n, 3), forward then backward, each
-    indexed by |m| (past its own length, the padding of `st.sweep`).  With
-    `both` False, the forward half's alone, (..., n + 1, 3) and (..., n, 3):
-    the bool case of the same kernels.
+    indexed by |m| (past its own length, the padding of `st.sweep`).
 
     Forward the guides are y_m^u; backward, y_m^s = F^-1((y_{m+1}^s)'),
     which lies over the base of (y_m^s)', so only its fiber is computed.
     y*_m is the point on the leaf of y_m that F (F^-1) contracts, at the
     offset of y_0^* ((y_0^*)') from y_0^u (y_0^s) times lam^(k m) (mu^(k m)).
     """
-    k = st.params.k
-    if both:
-        sweep, stable = st.sweep, _sides(st.sweep.X.ndim - 1)
-        anchor, star0 = np.array([st.y0_u, st.y0_s]), np.array([st.y0_star, st.y0_star_prime])
-    else:
-        sweep, stable = _Sweep(*(a[0] for a in st.sweep)), np.False_
-        anchor, star0 = st.y0_u, st.y0_star
-    guides = _propagate(sys, sweep, anchor, k, stable)
-    if both:
-        guides[1, ..., 1:, 2] = _iterate(sys, guides[1, ..., :-1, :], k, inverse=True)[..., 2]
+    k, stable = st.params.k, _sides(st.sweep.X.ndim - 1)
+    anchor, star0 = np.array([st.y0_u, st.y0_s]), np.array([st.y0_star, st.y0_star_prime])
+    guides = _propagate(sys, st.sweep, anchor, k, stable)
+    guides[1, ..., 1:, 2] = _iterate(sys, guides[1, ..., :-1, :], k, inverse=True)[..., 2]
     cu, cs = sys.coeffs(minimal_displacement(anchor[..., :2], star0[..., :2]))
     rate = np.where(stable, 1.0 / sys.eig_mu ** k, sys.eig_lam ** k)
     star = sys.leaf_point(guides[..., 1:, :],

@@ -87,8 +87,8 @@ def test_semiconjugacy_reads_the_batched_rows(skew, grid_batch):
 
 def test_semiconjugacy_reads_the_batched_rows_at_k1(monkeypatch):
     # at k = 1 index 1 is a subsampled index: pi(g(x)) is the first upward
-    # correction, off f(pi(x)) along the fiber, so tau is not zero; only
-    # the forward half's guides are built for it
+    # correction, off f(pi(x)) along the fiber, so tau is not zero; it is
+    # read from the stacked halves' guides, one `_propagate` call
     sys = SkewModel([[5, 2], [2, 1]], omega=0.03, phi_modes=[(1, 0, 0.005, 0.0)])
     eps = 0.1
     params = delta_for_epsilon(sys, eps)
@@ -103,7 +103,7 @@ def test_semiconjugacy_reads_the_batched_rows_at_k1(monkeypatch):
 
     monkeypatch.setattr(shadowing, "_propagate", recorded)
     sc = semiconjugacy(sys, g, (4, 4, 4), 20, eps)
-    assert sides == [False]
+    assert [np.ravel(side).tolist() for side in sides] == [[False, True]]
     monkeypatch.undo()
     trace, failures = shadow_batch(sys, from_map(sys, g, _lattice((4, 4, 4)), (-20, 20)), eps)
     assert not failures and not sc.failures

@@ -420,11 +420,25 @@ SKEW_FILE = {"matrix": [[2, 1], [1, 1]], "omega": 0.05,
     ({"phi_modes": [{"freq": [1.5, 0], "sin": 0.02}]}, "phi mode frequencies must be integers"),
     ({"series_tol": 1e-300}, "series_tol = 1e-300 needs more than 500 transfer-series terms"),
     ({"series_tol": 5e-324}, "series_tol = 5e-324 needs more than 500 transfer-series terms"),
+    # integral, but outside int64: the cast used to wrap them to -2**63
+    ({"phi_modes": [{"freq": [1e19, 0], "sin": 0.0}]}, "phi mode frequencies must be integers"),
+    ({"perturbation": [{"coord": 2, "freq": [1e308, 0, 0], "sin": 1e-3}]},
+     "perturbation coordinates and frequencies must be integers"),
 ], ids=["series_tol-nan", "series_tol-inf", "omega-nan", "sin-nan", "matrix-fraction",
-        "freq-fraction", "series_tol-tiny", "series_tol-subnormal"])
+        "freq-fraction", "series_tol-tiny", "series_tol-subnormal", "freq-1e19",
+        "perturbation-freq-1e308"])
 def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
-    (workdir / "model.json").write_text(json.dumps({**SKEW_FILE, **edit}))
-    assert run(["constants", "--model", "model.json", "--epsilon", "1e-2", "--out", "c"]) == 2
+    # a "perturbation" edit is the modes of a perturbation file read by `stability`
+    modes = edit.get("perturbation")
+    (workdir / "model.json").write_text(json.dumps({**SKEW_FILE, **edit} if modes is None
+                                                   else SKEW_FILE))
+    argv = ["constants", "--model", "model.json", "--epsilon", "1e-2", "--out", "c"]
+    if modes is not None:
+        (workdir / "pert.json").write_text(json.dumps({"amplitude_bound": 1.2e-3,
+                                                       "modes": modes}))
+        argv = ["stability", "--model", "model.json", "--epsilon", "0.216", "--grid", "2",
+                "2", "2", "--perturbation", "pert.json", "--out", "st"]
+    assert run(argv) == 2
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert err.startswith("ERROR model: ") and message in err

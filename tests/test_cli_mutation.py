@@ -1,5 +1,6 @@
-"""Input contracts under mutation: seeded edits of orbit, trace and model
-files run through `cli.main`, which must turn every one into an exit code.
+"""Input contracts under mutation: seeded edits of orbit, trace, model and
+perturbation files run through `cli.main`, which must turn every one into an
+exit code.
 
 The edits are token swaps (each number in a line is a token, header values
 included), line deletes, line duplicates and truncations.  Hypothesis runs
@@ -19,6 +20,14 @@ from torusshadow.models import builtin_model, model_to_dict
 TOKENS = ("nan", "inf", "1e308", "-0.5", "1.0", "", "1_0", "0x10")
 NUMBER = re.compile(r"[-+]?\d[\w.+-]*")
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
+# one-axis, sin+cos and two-axis modes, one to a line, certified below the
+# admissible defect of epsilon 0.216; on a 2x2x2 grid with half-length 20
+# the clean file passes
+PERTURBATION = """{"amplitude_bound": 4.5e-05, "certification_grid": 16, "modes": [
+  {"coord": 0, "freq": [0, 1, 0], "sin": 1.5e-05, "cos": 0.0},
+  {"coord": 1, "freq": [0, 0, 1], "sin": 1e-05, "cos": 1e-05},
+  {"coord": 2, "freq": [1, -1, 0], "sin": 0.0, "cos": 1.5e-05}]}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +51,20 @@ def files(tmp_path_factory):
                   lambda path: ["constants", "--model", path, "--epsilon", "1e-2",
                                 "--out", str(root / "out")]),
     }
+
+
+@pytest.fixture(scope="module")
+def perturbation(files):
+    """The clean perturbation text and the `stability` command that reads a
+    mutated copy; the clean file exits 0."""
+    root, _ = files
+
+    def command(path):
+        return ["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                "--half-length", "20", "--perturbation", path, "--out", str(root / "out")]
+
+    assert _run(root, command, "perturbation", PERTURBATION) == 0
+    return PERTURBATION, command
 
 
 @st.composite
@@ -81,6 +104,15 @@ def test_mutated_file_ends_in_an_exit_code(files, data):
     name = data.draw(st.sampled_from(sorted(kinds)))
     text, command = kinds[name]
     assert _run(root, command, name, data.draw(edits(text))) in (0, 1, 2, 3)
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(data=st.data())
+def test_mutated_perturbation_ends_in_an_exit_code(files, perturbation, data):
+    # the shared mode check from outside the package: a coordinate or
+    # frequency of 1e308 is rejected, not cast to int64
+    text, command = perturbation
+    assert _run(files[0], command, "perturbation", data.draw(edits(text))) in (0, 1, 2, 3)
 
 
 @settings(max_examples=40, **SETTINGS)

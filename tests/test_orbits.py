@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,7 +150,8 @@ def test_kicked_window_matches_stacked_recursion(model):
 
 
 def count_calls(monkeypatch, counts, cls, *names):
-    """Count every call of the methods `names` of `cls` in the dict `counts`."""
+    """Count every call of the methods `names` of `cls`, or of the functions
+    `names` of a module `cls`, in the dict `counts`."""
     def counted(name, method):
         def wrapper(self, *args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
@@ -231,6 +233,29 @@ SPLIT_MODES = [(j, *freq, s * math.cos(t), s * math.sin(t))
 # modes that read two or three axes, each with both sin and cos
 CROSS_MODES = [(0, 1, 2, 0, 2e-4, -1e-4), (1, 0, 1, -1, -1.5e-4, 2e-4), (2, 1, -1, 2, 1e-4, 1e-4),
                (2, 2, 0, 1, -5e-5, 1.2e-4)]
+
+
+PHI_MODES = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                               st.sampled_from([0.0, 1e-3, -3e-3, 2.5e-3]),
+                               st.sampled_from([0.0, 2e-3, -1e-3])), max_size=4)
+
+
+@given(modes=PHI_MODES)
+@example(modes=[(0, 0, 0.0, 2e-3), (-2, 1, 2.5e-3, 0.0), (1, 3, 1e-3, -1e-3),
+                (0, -1, -3e-3, 2e-3), (1, 0, 0.0, 0.0)])
+@settings(max_examples=40, deadline=None)
+@seed(27)
+def test_phi_matches_full_argument_sum(modes):
+    # phi is the fiber component of a field of modes (2, m1, m2, 0, s, c):
+    # constant, negative, two-axis and sin+cos modes included
+    sys = SkewModel([[2, 1], [1, 1]], omega=0.05, phi_modes=modes)
+    field = SimpleNamespace(modes=[(2, m1, m2, 0, s, c) for (m1, m2, s, c) in modes])
+    x = np.random.default_rng(len(modes)).random((5, 7, 3))
+    for pts in (x, x[0, 0]):
+        phi = np.broadcast_to(sys.phi(pts[..., 0], pts[..., 1]), pts.shape[:-1])
+        assert phi.tobytes() == reference_displacement(field, pts)[..., 2].tobytes()
+    assert sys.lip_phi == sum((2.0 * math.pi * math.hypot(m1, m2) * math.hypot(s, c)
+                               for (m1, m2, s, c) in modes), 0.0)
 
 
 class TestPerturbedMap:
@@ -377,17 +402,18 @@ class TestPerturbedMap:
 
     def test_inverse_evaluates_the_field_once_per_iterate(self, skew, rng, monkeypatch):
         # the start is one f^-1 and one field pass at f^-1(x), where the
-        # residual is -v; then each Newton step is one f and one field pass,
-        # and g.apply is never called; criterion 9's field retires every row
-        # in at most 2 steps
+        # residual is -v; then each Newton step is one f and one field pass
+        # (one kernel call for v and grad phi), and g.apply is never called;
+        # criterion 9's field retires every row in at most 2 steps
         g = PerturbedMap(skew, CRITERION_9_MODES, amplitude_bound=1.1e-3)
         on_g, on_f = {}, {}
-        count_calls(monkeypatch, on_g, PerturbedMap, "apply", "displacement", "_field")
+        count_calls(monkeypatch, on_g, PerturbedMap, "apply", "displacement")
+        count_calls(monkeypatch, on_g, orbits, "_trig_field")
         count_calls(monkeypatch, on_f, SkewModel, "apply", "apply_inverse")
         g.apply_inverse(rng.random((256, 3)))
         assert on_f["apply_inverse"] == 1
         assert 1 <= on_f["apply"] <= 2
-        assert on_g == {"_field": on_f["apply"] + 1}
+        assert on_g == {"_trig_field": on_f["apply"] + 1}
 
     @pytest.mark.parametrize("modes", [CRITERION_9_MODES, SPLIT_MODES], ids=["sin", "sin-cos"])
     def test_from_map_rows_retire_within_two_steps(self, skew, modes, monkeypatch):
