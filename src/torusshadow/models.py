@@ -28,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import _frac, minimal_displacement, torus_distance, wrap
+from .geometry import _frac, _norm, minimal_displacement, torus_distance, wrap
 
 TWO_PI = 2.0 * math.pi
 
@@ -183,8 +183,9 @@ def _trig_field(modes, coords, components: int, slopes=None) -> list:
     return v
 
 
-def _norm(d):
-    return np.sqrt((d * d).sum(axis=-1))
+def _base_map(M, p1, p2) -> list:
+    """The rows of M p at coordinate arrays p1, p2; a unit entry of M takes no product."""
+    return [(p1 if a == 1 else a * p1) + (p2 if b == 1 else b * p2) for a, b in M.tolist()]
 
 
 class SkewModel:
@@ -269,24 +270,20 @@ class SkewModel:
     def apply(self, x) -> np.ndarray:
         """f(x) for points (..., 3)."""
         x = np.asarray(x, dtype=float)
-        A = self.A
         out = np.empty(x.shape)
         p1, p2 = x[..., 0], x[..., 1]
-        out[..., 0] = A[0, 0] * p1 + A[0, 1] * p2
-        out[..., 1] = A[1, 0] * p1 + A[1, 1] * p2
+        out[..., 0], out[..., 1] = _base_map(self.A, p1, p2)
         out[..., 2] = x[..., 2] + self.omega + self.phi(p1, p2)
         return wrap(out)
 
     def apply_inverse(self, x) -> np.ndarray:
-        """f^-1(x) for points (..., 3)."""
+        """f^-1(x) for points (..., 3); the base wraps as one contiguous array."""
         x = np.asarray(x, dtype=float)
-        A = self.A_inv
         out = np.empty(x.shape)
         p1, p2 = x[..., 0], x[..., 1]
-        out[..., 0] = A[0, 0] * p1 + A[0, 1] * p2
-        out[..., 1] = A[1, 0] * p1 + A[1, 1] * p2
-        out[..., :2] = wrap(out[..., :2])
-        out[..., 2] = wrap(x[..., 2] - self.omega - self.phi(out[..., 0], out[..., 1]))
+        base = wrap(_base_map(self.A_inv, p1, p2))
+        out[..., 0], out[..., 1] = base
+        out[..., 2] = wrap(x[..., 2] - self.omega - self.phi(base[0], base[1]))
         return out
 
     def coeffs(self, d):

@@ -14,10 +14,10 @@ reproducibility across implementations is by the recorded orbit files, not
 by PRNG identity.  Noisy orbits never step the map: the base of each half
 is a scalar integer-matrix recursion on Python floats and the fiber follows
 from one phi call and a wrapped scan.  Orbits of a nearby map g are stepped
-by `from_map`, all rows at once; g^-1 is Newton's method from f^-1(x),
-one f and one field pass (v and phi's modes in one call of the kernel that
-evaluates phi) a step, and `PerturbedMap` rejects a field with lip_v
-Lip(f^-1) >= 1, whose preimages need not be unique.
+by `from_map`, all rows at once, as coordinate rows (3, B): a g step is
+one field pass (v and phi's modes in one call of phi's kernel) and f built
+from that phi; g^-1 is Newton's method from f^-1(x), one such step a
+Newton step, and `PerturbedMap` rejects a field with lip_v Lip(f^-1) >= 1.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _frac, minimal_displacement, torus_distance, wrap
-from .models import (_BLOCK_ELEMENTS, ModelError, SkewModel, _is_positive_int, _norm,
+from .geometry import _frac, _norm, minimal_displacement, torus_distance, wrap
+from .models import (_BLOCK_ELEMENTS, ModelError, SkewModel, _base_map, _is_positive_int,
                      _trig_field, _trig_modes)
 
 __all__ = [
@@ -185,7 +185,7 @@ def generate_noisy(sys: SkewModel, x0, window, delta: float, seed: int) -> Pseud
         rng = np.random.default_rng(seed)
         v = rng.normal(size=kicks.shape)
         radius = delta * rng.random(kicks.shape[0]) ** (1.0 / 3.0)
-        norm = np.sqrt((v * v).sum(axis=-1))
+        norm = _norm(v)
         kicks = v * np.divide(radius, norm, out=np.zeros_like(norm), where=norm > 0.0)[:, None]
     pts = _kicked_window(sys, x0, (n_min, n_max), kicks)
     return PseudoOrbit(n_min, n_max, pts, delta,
@@ -226,8 +226,8 @@ class PerturbedMap:
                  certification_grid: int = 64):
         self.sys = sys
         self.modes, self.lip_v = _trig_modes(modes, "perturbation", axes=3, components=3)
-        # Newton's field pass takes phi's modes too, as a fourth component
-        # whose derivative factors go to Dg's fiber row
+        # g's field pass takes phi's modes too, as a fourth component whose
+        # value builds f's fiber and whose derivative factors go to Dg's fiber row
         self._newton_modes = self.modes + [(3, m1, m2, 0, s, c) for (m1, m2, s, c) in sys.modes]
         self.amplitude_bound = float(amplitude_bound)
         grid = certification_grid
@@ -249,68 +249,70 @@ class PerturbedMap:
         return v
 
     def apply(self, x) -> np.ndarray:
-        return wrap(self.sys.apply(x) + self.displacement(x))
+        """g(x) for points (..., 3): one field pass, then `_step`."""
+        x = np.asarray(x, dtype=float)
+        y = np.ascontiguousarray(x.reshape(-1, 3).T)
+        return self._step(y, _trig_field(self._newton_modes, y, 4)).T.reshape(x.shape)
 
-    def _inverse_jacobian(self, y, slopes):
-        """K = Dg(y)^-1 as (3, 3, B) for points y (B, 3), given the factors
-        `slopes` there of `_newton_modes`.  Dg = [[A, 0], [grad phi, 1]] + Dv
-        takes each mode's factor times its frequency, phi's (component 3)
-        in the fiber row; K is the adjugate over the determinant."""
-        J = [[float(a), float(b), 0.0] for a, b in self.sys.A.tolist()] + [[0.0, 0.0, 1.0]]
-        for (j, *freq, _s, _c), d in zip(self._newton_modes, slopes):
-            row = J[min(j, 2)]
-            for k, m in enumerate(freq):
-                if m:
-                    row[k] = row[k] + (d if m == 1 else m * d)
-        # cof[k][i] is the (k, i) cofactor, and K[i, k] = cof[k][i] / det
-        cof = [[J[(k + 1) % 3][(i + 1) % 3] * J[(k + 2) % 3][(i + 2) % 3]
-                - J[(k + 1) % 3][(i + 2) % 3] * J[(k + 2) % 3][(i + 1) % 3] for i in range(3)]
-               for k in range(3)]
-        K = np.empty((3, 3, y.shape[0]))
-        for i in range(3):
-            for k in range(3):
-                K[i, k] = cof[k][i]
-        K *= 1.0 / (J[0][0] * cof[0][0] + J[0][1] * cof[0][1] + J[0][2] * cof[0][2])
-        return K
+    def _step(self, y, field) -> np.ndarray:
+        """g at coordinate rows y (3, B) from `field`, v0, v1, v2 and phi of
+        `_newton_modes` there: the bits of wrap(sys.apply(x) + displacement(x))."""
+        out = wrap(_base_map(self.sys.A, y[0], y[1]) + [y[2] + self.sys.omega + field[3]])
+        for j in range(3):
+            out[j] += field[j]
+        return wrap(out)
 
     def apply_inverse(self, x) -> np.ndarray:
-        """Invert g by Newton's method, row by row, from y = f^-1(x), where
-        x - g(y) is -v(y) up to rounding.  A step is y <- y + K (x - g(y))
-        with K = Dg(y)^-1; then f(y) from `SkewModel.apply` and v(y) from one
-        field pass over v's and phi's modes give the residual with the bits
-        of `apply`, and the same sin and cos give the next K, taken for the
-        rows still active only.  A row is left alone once its residual is <=
+        """Invert g by Newton's method on coordinate rows (3, B) from y =
+        f^-1(x).  A step is y <- y + Dg(y)^-1 (x - g(y)): one field pass gives
+        the residual through `_step`, with the bits of `apply`, and from the
+        same sin and cos Dg = [[A, 0], [grad phi, 1]] + Dv for the rows still
+        active; Dg^-1 is the adjugate times 1 / det, each entry rounded before
+        it meets the residual.  A row is left alone once its residual is <=
         INVERSE_RESIDUAL_TOL; criterion 9's field retires every row after 2
-        steps.  All arithmetic is elementwise, so no row depends on another.
-        __init__ rejects lip_v Lip(f^-1) >= 1: below it y -> f^-1(x - v(y))
-        contracts, so the preimage is unique and Dg = Df (I + Df^-1 Dv) is
-        invertible."""
+        steps.  No row depends on another.  __init__ rejects lip_v Lip(f^-1)
+        >= 1: below it y -> f^-1(x - v(y)) contracts, so the preimage is
+        unique and Dg = Df (I + Df^-1 Dv) is invertible."""
         x = np.asarray(x, dtype=float)
         X = x.reshape(-1, 3)
-        Y = self.sys.apply_inverse(X)
-        active, y, xa = np.arange(X.shape[0]), Y, X
+        Y = np.ascontiguousarray(self.sys.apply_inverse(X).T)
+        active, y, xa = np.arange(X.shape[0]), Y, np.ascontiguousarray(X.T)
         for step in range(INVERSE_MAX_ITER + 1):
-            slopes, v = [], np.empty(y.shape)
-            v[:, 0], v[:, 1], v[:, 2], _ = _trig_field(self._newton_modes, tuple(y.T), 4, slopes)
+            slopes = []
+            field = _trig_field(self._newton_modes, y, 4, slopes)
             if step == 0:    # x - g(y) is -v(y) up to rounding at y = f^-1(x)
-                r = -v
+                r = [-v for v in field[:3]]
             else:
-                r = minimal_displacement(wrap(self.sys.apply(y) + v), xa)
-                keep = ~(_norm(r) <= INVERSE_RESIDUAL_TOL)
+                r = minimal_displacement(self._step(y, field), xa)
+                keep = ~(_norm(r.T) <= INVERSE_RESIDUAL_TOL)
                 if not keep.all():
-                    active, y, r, xa = active[keep], y[keep], r[keep], xa[keep]
+                    active, y, r, xa = active[keep], y[:, keep], r[:, keep], xa[:, keep]
                     slopes = [d[keep] if np.ndim(d) else d for d in slopes]
                 if active.size == 0:
-                    return Y.reshape(x.shape)
+                    return Y.T.reshape(x.shape)
                 if step == INVERSE_MAX_ITER:
                     break
-            K = self._inverse_jacobian(y, slopes)
-            y = wrap(y + (K[:, 0] * r[:, 0] + K[:, 1] * r[:, 1] + K[:, 2] * r[:, 2]).T)
-            Y[active] = y
+            J = [[float(a), float(b), 0.0] for a, b in self.sys.A.tolist()] + [[0.0, 0.0, 1.0]]
+            for (j, *freq, _s, _c), d in zip(self._newton_modes, slopes):
+                row = J[min(j, 2)]
+                for k, m in enumerate(freq):
+                    if m:
+                        row[k] = row[k] + (d if m == 1 else m * d)
+            # cof[k][i] is the (k, i) cofactor, and (Dg^-1)[i, k] = cof[k][i] / det
+            cof = [[J[(k + 1) % 3][(i + 1) % 3] * J[(k + 2) % 3][(i + 2) % 3]
+                    - J[(k + 1) % 3][(i + 2) % 3] * J[(k + 2) % 3][(i + 1) % 3] for i in range(3)]
+                   for k in range(3)]
+            inv = 1.0 / (J[0][0] * cof[0][0] + J[0][1] * cof[0][1] + J[0][2] * cof[0][2])
+            dy = np.empty(y.shape)
+            for i in range(3):
+                dy[i] = cof[0][i] * inv * r[0] + cof[1][i] * inv * r[1] + cof[2][i] * inv * r[2]
+            y = wrap(np.add(y, dy, out=dy))
+            Y[:, active] = y
         raise ModelError(f"perturbed-map inversion did not reach residual "
                          f"{INVERSE_RESIDUAL_TOL:g} in {INVERSE_MAX_ITER} steps at "
                          f"{active.size} point(s)")
 
+    @np.errstate(over="ignore")    # an overflow makes the bound inf, which fails it
     def certified_bound(self) -> float:
         """Certified sup d(f, g): grid supremum of |v| plus Lipschitz slack.
 

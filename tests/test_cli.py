@@ -445,6 +445,22 @@ def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
     assert len(err.splitlines()) == 1
 
 
+def test_overflowing_perturbation_exit_2_without_a_warning(workdir):
+    # a constant mode of amplitude 1e308 passes the mode checks, as its
+    # Lipschitz term is 0; its square overflows, and the certificate
+    # rejects it with one error line and no RuntimeWarning before it
+    (workdir / "pert.json").write_text(json.dumps({
+        "amplitude_bound": 1.2e-3, "modes": [{"coord": 0, "freq": [0, 0, 0], "cos": 1e308}]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(torusshadow.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "torusshadow.cli", "stability", "--model", "skew",
+                           "--epsilon", "0.216", "--grid", "2", "2", "2", "--perturbation",
+                           "pert.json", "--out", "st"],
+                          cwd=workdir, env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("ERROR model: certified d(f, g) = inf exceeds ")
+    assert len(done.stderr.splitlines()) == 1
+
+
 def test_bad_certification_grid_exit_2(workdir, capsys):
     (workdir / "pert.json").write_text(json.dumps({
         "amplitude_bound": 1.2e-3, "certification_grid": 0,

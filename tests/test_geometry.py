@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import torusshadow
 from torusshadow.geometry import (
     _frac,
+    _norm,
     fiber_displacement,
     minimal_displacement,
     torus_distance,
@@ -85,6 +86,27 @@ def test_distance_examples():
     assert torus_distance([0.9, 0, 0], [0.1, 0, 0]) == pytest.approx(0.2, abs=1e-15)
     assert torus_distance([0.25, 0.5, 0.75], [0.75, 0.5, 0.25]) == pytest.approx(
         np.sqrt(0.5), abs=1e-15)
+
+
+def test_norms_have_the_bits_of_the_row_reduction():
+    # torus_distance and _norm add whole squared columns in order: on 1 to 3
+    # columns those are the bits of the reduction over each row, with ties
+    # at +-0.5, zero rows and NaN rows, and _norm leaves its argument alone
+    rng = np.random.default_rng(28)
+    for k in (1, 2, 3):
+        p, q = rng.random((2, 5, 40, k))
+        p[0, 0], q[0, 0] = 0.25, 0.75
+        p[0, 1], q[0, 1] = 0.75, 0.25
+        q[0, 2] = p[0, 2]
+        p[0, 3, -1] = np.nan
+        d = minimal_displacement(p, q)
+        assert torus_distance(p, q).tobytes() == np.sqrt((d * d).sum(axis=-1)).tobytes()
+        assert torus_distance(p[1, 0], q[1, 0]) == np.sqrt((d[1, 0] * d[1, 0]).sum())
+        d = (rng.random((5, 40, k)) - 0.5) * rng.choice([1e-9, 1.0, 1e9], size=(5, 40, k))
+        d[0, 0], d[0, 1], d[0, 2], d[0, 3, -1] = 0.5, -0.5, 0.0, np.nan
+        before = d.copy()
+        assert _norm(d).tobytes() == np.sqrt((d * d).sum(axis=-1)).tobytes()
+        assert d.tobytes() == before.tobytes()
 
 
 def test_distance_matches_brute_force_oracle(rng):

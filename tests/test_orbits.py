@@ -402,39 +402,55 @@ class TestPerturbedMap:
 
     def test_inverse_evaluates_the_field_once_per_iterate(self, skew, rng, monkeypatch):
         # the start is one f^-1 and one field pass at f^-1(x), where the
-        # residual is -v; then each Newton step is one f and one field pass
-        # (one kernel call for v and grad phi), and g.apply is never called;
-        # criterion 9's field retires every row in at most 2 steps
+        # residual is -v; then each Newton step is one field pass (one kernel
+        # call for v, phi and their slopes) and one `_step` built from it:
+        # neither g.apply, the displacement, nor f's own map or phi runs
+        # (f^-1 calls phi once); criterion 9's field retires every row in at
+        # most 2 steps
         g = PerturbedMap(skew, CRITERION_9_MODES, amplitude_bound=1.1e-3)
         on_g, on_f = {}, {}
-        count_calls(monkeypatch, on_g, PerturbedMap, "apply", "displacement")
+        count_calls(monkeypatch, on_g, PerturbedMap, "apply", "displacement", "_step")
         count_calls(monkeypatch, on_g, orbits, "_trig_field")
-        count_calls(monkeypatch, on_f, SkewModel, "apply", "apply_inverse")
+        count_calls(monkeypatch, on_f, SkewModel, "apply", "apply_inverse", "phi")
         g.apply_inverse(rng.random((256, 3)))
-        assert on_f["apply_inverse"] == 1
-        assert 1 <= on_f["apply"] <= 2
-        assert on_g == {"_trig_field": on_f["apply"] + 1}
+        assert on_f == {"apply_inverse": 1, "phi": 1}
+        assert 1 <= on_g["_step"] <= 2
+        assert on_g == {"_trig_field": on_g["_step"] + 1, "_step": on_g["_step"]}
 
     @pytest.mark.parametrize("modes", [CRITERION_9_MODES, SPLIT_MODES], ids=["sin", "sin-cos"])
     def test_from_map_rows_retire_within_two_steps(self, skew, modes, monkeypatch):
         # the 8x8x4 lattice's backward orbits on N = 40: each of the 40
-        # inversions runs at most 2 Newton steps, one f each, so every row
-        # retires within 2
-        g = PerturbedMap(skew, modes, amplitude_bound=1.1e-3)
+        # inversions is one field pass at the start and one a Newton step,
+        # and runs at most 2 steps, so every row retires within 2; a
+        # rate-0.9 field of the strong-field test takes more, so the count
+        # can fail
         counts, steps = {}, []
-        count_calls(monkeypatch, counts, SkewModel, "apply")
+        count_calls(monkeypatch, counts, orbits, "_trig_field")
+        count_calls(monkeypatch, counts, SkewModel, "apply", "phi")
+        count_calls(monkeypatch, counts, PerturbedMap, "displacement")
         inverse = PerturbedMap.apply_inverse
 
         def counted(self, x):
-            before = counts.get("apply", 0)
+            before = counts["_trig_field"]
             y = inverse(self, x)
-            steps.append(counts["apply"] - before)
+            steps.append(counts["_trig_field"] - before - 1)
             return y
 
         monkeypatch.setattr(PerturbedMap, "apply_inverse", counted)
-        from_map(skew, g, _lattice((8, 8, 4)), (-40, 40))
-        assert len(steps) == 40
-        assert max(steps) <= 2
+
+        def most_steps(g):
+            steps.clear()
+            from_map(skew, g, _lattice((8, 8, 4)), (-40, 40))
+            assert len(steps) == 40
+            return max(steps)
+
+        assert most_steps(PerturbedMap(skew, modes, amplitude_bound=1.1e-3)) <= 2
+        rate = 0.9 / (skew.lip_f_inv * 2.0 * math.pi)
+        assert most_steps(PerturbedMap(skew, [(1, 0, 1, 0, rate, 0.0)], amplitude_bound=1.0)) > 2
+        # only the inversions' f^-1 starts call phi, once each in both
+        # orbits; f's map and the displacement never run
+        assert "apply" not in counts and "displacement" not in counts
+        assert counts["phi"] == 2 * 40
 
     @pytest.mark.parametrize("modes", [CRITERION_9_MODES, SPLIT_MODES, CROSS_MODES],
                              ids=["criterion-9", "sin-cos", "cross"])
@@ -459,11 +475,41 @@ class TestPerturbedMap:
         assert np.array_equal(last, minimal_displacement(g.apply(y), x))
 
     def test_backward_points_are_g_preimages(self, skew):
+        # every backward step of the 8x8x4 lattice's orbits on N = 40 meets
+        # the inversion's residual under g.apply
         g = self._field(skew, 1e-3)
-        orbit = from_map(skew, g, X0, (-10, 10))
-        for k in range(-10, 0):
-            img = g.apply(orbit.point(k))
-            assert torus_distance(img, orbit.point(k + 1)) < 1e-12
+        pts = from_map(skew, g, _lattice((8, 8, 4)), (-40, 40)).points
+        residual = torus_distance(g.apply(pts[:, :40]), pts[:, 1:41])
+        assert residual.shape == (256, 40)
+        assert np.max(residual) <= INVERSE_RESIDUAL_TOL
+
+    @pytest.mark.parametrize("modes, phi_modes", [
+        (CRITERION_9_MODES, [(1, 0, 0.02, 0.0)]), (SPLIT_MODES, [(1, 0, 0.02, 0.0)]),
+        (CROSS_MODES, [(1, 0, 0.02, 0.0)]),
+        (SPLIT_MODES, [(1, -1, 0.015, -0.01), (0, 2, 0.0, 0.01)]),
+        ([], [(1, 2, 0.01, 0.005)]), (CROSS_MODES, []),
+    ], ids=["criterion-9", "sin-cos", "cross", "phi-sin-cos", "no-field", "no-phi"])
+    def test_apply_has_the_bits_of_f_plus_v(self, modes, phi_modes):
+        # g is f plus v, each wrapped, whatever the stack's shape; seam
+        # points included
+        sys = SkewModel([[2, 1], [1, 1]], omega=0.05, phi_modes=phi_modes)
+        g = PerturbedMap(sys, modes, amplitude_bound=1.0)
+        seam = 1.0 - 2.0 ** -53
+        x = np.random.default_rng(len(modes)).random((6, 10, 3))
+        x[0, :6] = [[0.0, 0.0, 0.0], [seam] * 3, [0.0, seam, 0.0], [seam, 0.0, seam],
+                    [0.0, 0.5, seam], [seam, seam, 1e-300]]
+        for pts in (x, x[0], x[0, 1], x[1, 3], x[:0, 0]):
+            out = g.apply(pts)
+            assert out.shape == pts.shape
+            assert out.tobytes() == wrap(sys.apply(pts) + g.displacement(pts)).tobytes()
+
+    def test_certified_bound_overflow_is_a_model_error(self, skew):
+        # a constant mode's Lipschitz term is 0, so only the certificate can
+        # reject an amplitude of 1e308, whose square overflows to inf
+        for modes in ([(0, 0, 0, 0, 0.0, 1e308)], [(2, 0, 0, 0, 1e308, 1e308)] * 2):
+            g = PerturbedMap(skew, modes, amplitude_bound=1.0)
+            with pytest.raises(ModelError, match="certified d\\(f, g\\) = inf exceeds"):
+                g.certified_bound()
 
 
 @pytest.fixture(scope="module")
