@@ -162,24 +162,24 @@ def _trig_modes(modes, what: str, axes: int, components: int = 1):
     return checked, lip[0] if components == 1 else math.sqrt(sum(l * l for l in lip))
 
 
-def _trig_field(modes, coords, components: int, slopes=None) -> list:
+def _trig_field(modes, coords, components: int, trig=None) -> list:
     """The components of the field of `modes` (`_trig_modes`) at coordinate
     arrays that broadcast together.  A mode reads only the axes of nonzero
     frequency and skips zero amplitudes: each skipped product would add a
     zero to a sum that starts at 0.0, so the bits stay.  Given a list
-    `slopes`, each mode appends its factor 2 pi (s cos - c sin) to it."""
+    `trig`, each mode appends its (sin, cos) pair to it."""
     v = [0.0] * components
     for (j, *m, s, c) in modes:
         terms = [x if k == 1 else k * x for k, x in zip(m, coords) if k]
         th = TWO_PI * sum(terms[1:], terms[0]) if terms else 0.0
-        sn = np.sin(th) if s or slopes is not None else 0.0
-        cs = np.cos(th) if c or slopes is not None else 0.0
+        sn = np.sin(th) if s or trig is not None else 0.0
+        cs = np.cos(th) if c or trig is not None else 0.0
         if s:
             v[j] = v[j] + (s * sn + c * cs if c else s * sn)
         elif c:
             v[j] = v[j] + c * cs
-        if slopes is not None:
-            slopes.append(TWO_PI * s * cs - TWO_PI * c * sn if c else TWO_PI * s * cs)
+        if trig is not None:
+            trig.append((sn, cs))
     return v
 
 
@@ -208,6 +208,8 @@ class SkewModel:
         self._phi_modes, self.lip_phi = _trig_modes(
             [(0, m1, m2, s, c) for (m1, m2, s, c) in phi_modes], "phi", axes=2)
         self.modes = [mode[1:] for mode in self._phi_modes]
+        # the base axes some mode reads: the series forms only their coordinates
+        self._phi_axes = [any(mode[1 + k] for mode in self._phi_modes) for k in (0, 1)]
         self.series_tol = float(series_tol)
         if not 0.0 < self.series_tol < math.inf:
             raise ModelError(f"series_tol must be finite and positive, got {self.series_tol!r}")
@@ -385,10 +387,13 @@ class SkewModel:
             cur = t[..., None] * decay
             live = tail * np.abs(cur) >= (tol[..., None] if tol.ndim else tol)
             p1, p2 = p[..., 0, None], p[..., 1, None]
-            # bare _frac, not wrap: a fold of 1.0 to 0.0 would move phi's bits
-            a1, a2 = _frac(a * p1 + b * p2), _frac(c * p1 + d * p2)
+            # bare _frac, not wrap: a fold of 1.0 to 0.0 would move phi's bits;
+            # an axis no phi mode reads is not formed
+            at = [_frac(e * p1 + f * p2) if read else None
+                  for (e, f), read in zip(((a, b), (c, d)), self._phi_axes)]
             v = self._leaf[cls, ..., None]
-            diff = self.phi(a1, a2) - self.phi(a1 + cur * v[..., 0, :], a2 + cur * v[..., 1, :])
+            moved = [x if x is None else x + cur * v[..., k, :] for k, x in enumerate(at)]
+            diff = self.phi(*at) - self.phi(*moved)
             return np.cumsum(np.where(live, diff, 0.0), axis=-1)[..., -1]
 
         shape = np.broadcast(p[..., 0], t, tol, cls).shape

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _frac, _norm, minimal_displacement, torus_distance, wrap
-from .models import (_BLOCK_ELEMENTS, ModelError, SkewModel, _base_map, _is_positive_int,
-                     _trig_field, _trig_modes)
+from .models import (_BLOCK_ELEMENTS, TWO_PI, ModelError, SkewModel, _base_map,
+                     _is_positive_int, _trig_field, _trig_modes)
 
 __all__ = [
     "PseudoOrbit",
@@ -241,13 +241,6 @@ class PerturbedMap:
             )
         self._certified = None
 
-    def displacement(self, x) -> np.ndarray:
-        """The field v at points x, shape (..., 3)."""
-        x = np.asarray(x, dtype=float)
-        v = np.empty(x.shape)
-        v[..., 0], v[..., 1], v[..., 2] = _trig_field(self.modes, [x[..., i] for i in range(3)], 3)
-        return v
-
     def apply(self, x) -> np.ndarray:
         """g(x) for points (..., 3): one field pass, then `_step`."""
         x = np.asarray(x, dtype=float)
@@ -256,7 +249,7 @@ class PerturbedMap:
 
     def _step(self, y, field) -> np.ndarray:
         """g at coordinate rows y (3, B) from `field`, v0, v1, v2 and phi of
-        `_newton_modes` there: the bits of wrap(sys.apply(x) + displacement(x))."""
+        `_newton_modes` there: the bits of wrap(sys.apply(x) + v(x))."""
         out = wrap(_base_map(self.sys.A, y[0], y[1]) + [y[2] + self.sys.omega + field[3]])
         for j in range(3):
             out[j] += field[j]
@@ -266,8 +259,8 @@ class PerturbedMap:
         """Invert g by Newton's method on coordinate rows (3, B) from y =
         f^-1(x).  A step is y <- y + Dg(y)^-1 (x - g(y)): one field pass gives
         the residual through `_step`, with the bits of `apply`, and from the
-        same sin and cos Dg = [[A, 0], [grad phi, 1]] + Dv for the rows still
-        active; Dg^-1 is the adjugate times 1 / det, each entry rounded before
+        same sin and cos Dg = [[A, 0], [grad phi, 1]] + Dv for the rows that
+        step again; Dg^-1 is the adjugate times 1 / det, each entry rounded before
         it meets the residual.  A row is left alone once its residual is <=
         INVERSE_RESIDUAL_TOL; criterion 9's field retires every row after 2
         steps.  No row depends on another.  __init__ rejects lip_v Lip(f^-1)
@@ -278,20 +271,22 @@ class PerturbedMap:
         Y = np.ascontiguousarray(self.sys.apply_inverse(X).T)
         active, y, xa = np.arange(X.shape[0]), Y, np.ascontiguousarray(X.T)
         for step in range(INVERSE_MAX_ITER + 1):
-            slopes = []
-            field = _trig_field(self._newton_modes, y, 4, slopes)
+            trig = []
+            field = _trig_field(self._newton_modes, y, 4, trig)
             if step == 0:    # x - g(y) is -v(y) up to rounding at y = f^-1(x)
                 r = [-v for v in field[:3]]
             else:
                 r = minimal_displacement(self._step(y, field), xa)
                 keep = ~(_norm(r.T) <= INVERSE_RESIDUAL_TOL)
-                if not keep.all():
-                    active, y, r, xa = active[keep], y[:, keep], r[:, keep], xa[:, keep]
-                    slopes = [d[keep] if np.ndim(d) else d for d in slopes]
-                if active.size == 0:
+                if not keep.any():
                     return Y.T.reshape(x.shape)
-                if step == INVERSE_MAX_ITER:
-                    break
+            slopes = [TWO_PI * s * cs - TWO_PI * c * sn if c else TWO_PI * s * cs
+                      for (*_, s, c), (sn, cs) in zip(self._newton_modes, trig)]
+            if step and not keep.all():
+                active, y, r, xa = active[keep], y[:, keep], r[:, keep], xa[:, keep]
+                slopes = [d[keep] if np.ndim(d) else d for d in slopes]
+            if step == INVERSE_MAX_ITER:
+                break
             J = [[float(a), float(b), 0.0] for a, b in self.sys.A.tolist()] + [[0.0, 0.0, 1.0]]
             for (j, *freq, _s, _c), d in zip(self._newton_modes, slopes):
                 row = J[min(j, 2)]

@@ -27,16 +27,16 @@ with the stage and index and the other rows carry on; only `quasi_shadow`
 raises a row's failure.  The two halves mirror each other in time and are
 independent until the splice, so they run as one array pass: stacked on a
 leading axis of length 2, forward first, they go through one sweep
-(`_sweep`), one guide recursion (`_propagate`) and one correction step
-(`_half`), with the leaf class as a per-row bool `stable`, the backward
-half's swapped against the forward one's: the one bit names the rate, A or
-A^-1, the leaf `leaf_point` builds and the pair `intersect` solves.
+(`_sweep`) and one guide recursion and correction step (`_half`), with the
+leaf class as a per-row bool `stable`, the backward half's swapped against
+the forward one's: the one bit names the rate, A or A^-1, the leaf
+`leaf_point` builds and the pair `intersect` solves.
 The shorter half of an asymmetric window is padded at its far end, inertly.
 Only the certified limits (`forward_limit`, `backward_limit`) run per half,
 on views cut to each half's length.  Strong leaves are graphs over the base
 and F moves a base by A^k alone, so the sweep runs on bases and leaf
-offsets; the transfer series runs for the limits, the splice, `_propagate`
-and the checks a slope bound cannot clear.
+offsets; the transfer series runs for the limits, the splice, the checks a
+slope bound cannot clear, and once for all three leaf moves of `_half`.
 
 Numerics: the defining recursions move offsets along the expanding
 direction of the relevant map power, which amplifies floating-point noise
@@ -255,7 +255,7 @@ class _Sweep(NamedTuple):
     forward, z'_{-j} backward) on the strong leaf of X_i that F (F^-1)
     contracts; forward, c_i is the unstable offset of z_i from F(z_{i-1});
     backward, d_j is the stable offset of z_{-j} from its anchor
-    F^-1(z'_{-j+1}).  `_propagate` builds the one fibered point read.
+    F^-1(z'_{-j+1}).  `_half` builds the one fibered point read.
     """
 
     X: np.ndarray
@@ -394,32 +394,6 @@ def backward_limit(sys, sweep: _Sweep, params, errors):
     as forward_limit.
     """
     return _limit(sys, sweep, params, errors, stable=True)
-
-
-# -- propagation along the halves ------------------------------------------------
-
-
-def _propagate(sys, sweep: _Sweep, y0, k: int, stable):
-    """The guides of one half, (..., n+1, 3) with the anchor y0 at index 0,
-    or of the stacked halves when `stable` is an array (see `_sweep`).
-
-    Forward, y_i^u = W^u(z_i) cap W^c(F(y_{i-1}^u)).  Backward, the same scan
-    with the leaf and the rate swapped gives the primed guides (y_m^s)',
-    indexed by j = -m: on the stable plaque of z'_m and the center plaque of
-    y_m^s = F^-1((y_{m+1}^s)').  The guides' leaf offsets from z_i (z'_m)
-    solve t_i = t_{i-1} / rate - coef_i with rate = mu^-k (lam^k), and the
-    bounded solution t_i = sum_{m>=1} rate^m coef_{i+m} (zero at the window
-    end) is w_i - coef_i for w the contracting `_scan` of coef run backward.
-    The recursive points come from the sweep's offsets by one series call,
-    and all guides from one more.
-    """
-    c = sweep.coef[..., 1:]
-    t = _scan(c[..., ::-1], np.where(stable, sys.eig_lam ** k, 1.0 / sys.eig_mu ** k))[..., ::-1]
-    z = sys.leaf_point(sweep.X[..., 1:, :], sweep.offset[..., 1:], np.logical_not(stable))
-    y = np.empty(sweep.X.shape)
-    y[..., 0, :] = y0
-    y[..., 1:, :] = sys.leaf_point(z, t - c, stable)
-    return y
 
 
 # -- splice and full pipeline --------------------------------------------------
@@ -583,21 +557,44 @@ def _half(sys, st: _Anchors):
     and their subsampled y*_m, (2, ..., n, 3), forward then backward, each
     indexed by |m| (past its own length, the padding of `st.sweep`).
 
-    Forward the guides are y_m^u; backward, y_m^s = F^-1((y_{m+1}^s)'),
-    which lies over the base of (y_m^s)', so only its fiber is computed.
-    y*_m is the point on the leaf of y_m that F (F^-1) contracts, at the
-    offset of y_0^* ((y_0^*)') from y_0^u (y_0^s) times lam^(k m) (mu^(k m)).
+    Forward the guides are y_i^u = W^u(z_i) cap W^c(F(y_{i-1}^u)); backward,
+    the same scan with the leaf and the rate swapped gives the primed guides
+    (y_m^s)' on the stable plaque of z'_m, and y_m^s = F^-1((y_{m+1}^s)')
+    lies over the base of (y_m^s)', so only its fiber is computed.  The
+    guides' offsets from z_i (z'_m) solve t_i = t_{i-1} / rate - coef_i,
+    rate = mu^-k (lam^k); the bounded solution, sum_{m>=1} rate^m coef_{i+m},
+    is w_i - coef_i for w the `_scan` of coef run backward.  y*_m is the
+    point on the leaf of y_m that F (F^-1) contracts, at the offset of y_0^*
+    ((y_0^*)') from y_0^u (y_0^s) times lam^(k m) (mu^(k m)).
+
+    The three moves, z off X, the guide off z and y* off the guide, are
+    `leaf_point` moves, and a series reads bases and offsets alone: all bases
+    come first, by `leaf_point`'s arithmetic, then one series call over the
+    moves stacked on a leading axis (each row has its own call's bits), then
+    the fibers.
     """
-    k, stable = st.params.k, _sides(st.sweep.X.ndim - 1)
+    k, sweep, stable = st.params.k, st.sweep, _sides(st.sweep.X.ndim - 1)
     anchor, star0 = np.array([st.y0_u, st.y0_s]), np.array([st.y0_star, st.y0_star_prime])
-    guides = _propagate(sys, st.sweep, anchor, k, stable)
-    guides[1, ..., 1:, 2] = _iterate(sys, guides[1, ..., :-1, :], k, inverse=True)[..., 2]
+    c = sweep.coef[..., 1:]
+    t = _scan(c[..., ::-1], np.where(stable, sys.eig_lam ** k, 1.0 / sys.eig_mu ** k))[..., ::-1]
     cu, cs = sys.coeffs(minimal_displacement(anchor[..., :2], star0[..., :2]))
     rate = np.where(stable, 1.0 / sys.eig_mu ** k, sys.eig_lam ** k)
-    star = sys.leaf_point(guides[..., 1:, :],
-                          np.where(stable, cu[..., None], cs[..., None])
-                          * rate ** np.arange(1, guides.shape[-2]),
-                          np.logical_not(stable))
+    offsets = np.array([sweep.offset[..., 1:], t - c, np.where(stable, cu[..., None], cs[..., None])
+                        * rate ** np.arange(1, sweep.X.shape[-2])])
+    cls = np.array([~stable, stable, ~stable])    # z, the guide, y*
+    leaf = sys._leaf[cls.astype(np.intp)]
+    bases = [sweep.X[..., 1:, :2]]
+    for i in range(3):
+        bases.append(wrap(bases[-1] + offsets[i][..., None] * leaf[i]))
+    h = sys._transfer_series(np.array(bases[:3]), offsets, cls)
+    guides = np.empty(sweep.X.shape)
+    guides[..., 0, :] = anchor
+    guides[..., 1:, :2] = bases[2]
+    guides[..., 1:, 2] = wrap(wrap(sweep.X[..., 1:, 2] + h[0]) + h[1])
+    guides[1, ..., 1:, 2] = _iterate(sys, guides[1, ..., :-1, :], k, inverse=True)[..., 2]
+    star = np.empty(guides[..., 1:, :].shape)
+    star[..., :2] = bases[3]
+    star[..., 2] = wrap(guides[..., 1:, 2] + h[2])
     return guides, star
 
 

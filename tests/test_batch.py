@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from torusshadow import shadowing
+from torusshadow import shadowing, stability
 from torusshadow.geometry import torus_distance, wrap
 from torusshadow.models import IntersectionError, SkewModel
 from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map, generate_noisy
@@ -88,22 +88,28 @@ def test_semiconjugacy_reads_the_batched_rows(skew, grid_batch):
 def test_semiconjugacy_reads_the_batched_rows_at_k1(monkeypatch):
     # at k = 1 index 1 is a subsampled index: pi(g(x)) is the first upward
     # correction, off f(pi(x)) along the fiber, so tau is not zero; it is
-    # read from the stacked halves' guides, one `_propagate` call
+    # read from the stacked halves' guides, one series pass past the splice
+    # whose guide move runs on the halves' classes
     sys = SkewModel([[5, 2], [2, 1]], omega=0.03, phi_modes=[(1, 0, 0.005, 0.0)])
     eps = 0.1
     params = delta_for_epsilon(sys, eps)
     assert params.k == 1
     g = PerturbedMap(sys, [(2, 1, 0, 0, 0.1 * params.delta, 0.0)],
                      amplitude_bound=0.2 * params.delta)
-    sides, propagate = [], shadowing._propagate
+    classes, series = [], SkewModel._transfer_series
 
-    def recorded(sys, sweep, y0, k, stable):
-        sides.append(np.asarray(stable).tolist())
-        return propagate(sys, sweep, y0, k, stable)
+    def recorded(self, p, t, stable, tol=None):
+        classes.append(np.asarray(stable))
+        return series(self, p, t, stable, tol)
 
-    monkeypatch.setattr(shadowing, "_propagate", recorded)
+    monkeypatch.setattr(SkewModel, "_transfer_series", recorded)
     sc = semiconjugacy(sys, g, (4, 4, 4), 20, eps)
-    assert [np.ravel(side).tolist() for side in sides] == [[False, True]]
+    # the two limits and the splice, then the trace stage's moves z, the
+    # guides and y*, stacked on a leading axis
+    assert len(classes) == 4
+    sides = classes[3].reshape(3, 2)
+    assert sides[1].tolist() == [False, True]
+    assert np.array_equal(sides[[0, 2]], ~sides[[1, 1]])
     monkeypatch.undo()
     trace, failures = shadow_batch(sys, from_map(sys, g, _lattice((4, 4, 4)), (-20, 20)), eps)
     assert not failures and not sc.failures
@@ -116,17 +122,19 @@ def test_semiconjugacy_reads_the_batched_rows_at_k1(monkeypatch):
 
 def test_semiconjugacy_builds_no_trace(skew, grid_batch, monkeypatch):
     # at k >= 2 pi, pi_g and tau come from the anchor stage alone: with the
-    # guide recursion unavailable the grid still runs, to the same bits
+    # trace stage's guides and y* unavailable the grid still runs, to the
+    # same bits
     g, params, _, _, trace, _ = grid_batch
     assert params.k >= 2
     # at the default limit_tol most nodes fail to certify on N = 20: a grid
     # whose nodes partly fail, run through shadow_batch first
     mixed = shadow_batch(skew, from_map(skew, g, _lattice((4, 4, 4)), (-20, 20)), EPS)
 
-    def no_propagate(*args, **kwargs):
-        raise AssertionError("semiconjugacy ran the guide recursion")
+    def no_half(*args, **kwargs):
+        raise AssertionError("semiconjugacy ran the trace stage")
 
-    monkeypatch.setattr(shadowing, "_propagate", no_propagate)
+    for module in (shadowing, stability):
+        monkeypatch.setattr(module, "_half", no_half)
     sc = semiconjugacy(skew, g, (4, 4, 4), 20, EPS, params=params)
     assert not sc.failures
     assert np.array_equal(sc.pi, trace.point(0))

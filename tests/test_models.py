@@ -28,6 +28,7 @@ from tests_helpers import (
     certify_intersections,
     certify_rates,
     inverse_system,
+    reference_series,
 )
 
 GOLDEN = math.sqrt(5.0)
@@ -287,6 +288,22 @@ class TestTransfers:
         # a caller's tolerance below the model's can still ask for too many terms
         with pytest.raises(ModelError, match="transfer series needs 715 terms, over the limit"):
             skew.transfer_stable(np.array([0.1, 0.2]), 0.1, tol=1e-300)
+
+
+@pytest.mark.parametrize("modes", [
+    [(1, 0, 0.02, 0.0)], [(0, 1, 0.02, 0.0)], [(1, -1, 0.012, -0.008), (2, 1, 0.0, 0.003)], [],
+], ids=["skew", "axis-1", "two-axis-sin-cos", "linear"])
+def test_series_forms_only_the_axes_phi_reads(modes):
+    # a block forms an anchor coordinate only for an axis some phi mode
+    # reads; a term-by-term sum that forms both has the same bytes
+    sys = SkewModel([[2, 1], [1, 1]], omega=0.05 if modes else 0.0, phi_modes=modes)
+    rng = np.random.default_rng(31)
+    for p, t in ((rng.random((40, 7, 2)), rng.uniform(-0.05, 0.05, (40, 7))),
+                 (rng.random((40, 1, 2)), rng.uniform(-0.2, 0.2, (40, 5))),
+                 (rng.random(2), np.array(0.04))):
+        for stable in (False, True):
+            series = np.asarray(sys._transfer_series(p, t, stable))
+            assert series.tobytes() == reference_series(sys, p, t, stable).tobytes()
 
 
 class TestMixedClasses:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from torusshadow import orbits
 from torusshadow.geometry import minimal_displacement, torus_distance, wrap
-from torusshadow.models import ModelError, SkewModel, _norm
+from torusshadow.models import ModelError, SkewModel, _norm, _trig_field
 from torusshadow.orbits import (
     INVERSE_RESIDUAL_TOL,
     PerturbedMap,
@@ -298,7 +298,7 @@ class TestPerturbedMap:
         n = 32
         axis = (np.arange(n) + 0.5) / n
         G = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-        full = float(np.max(np.linalg.norm(g.displacement(G), axis=1)))
+        full = float(np.max(np.linalg.norm(reference_displacement(g, G), axis=1)))
         slack = g.lip_v * (np.sqrt(3.0) / (2.0 * n))
         small = PerturbedMap(skew, modes, amplitude_bound=1e-3, certification_grid=n)
         assert small.certified_bound() == full + slack
@@ -314,7 +314,9 @@ class TestPerturbedMap:
         assert g.certified_bound() == reference_certificate(g)
         x = np.random.default_rng(grid).random((5, 7, 3))
         for pts in (x, x[0, 0]):
-            assert g.displacement(pts).tobytes() == reference_displacement(g, pts).tobytes()
+            v = np.empty(pts.shape)
+            v[..., 0], v[..., 1], v[..., 2] = _trig_field(g.modes, [pts[..., i] for i in range(3)], 3)
+            assert v.tobytes() == reference_displacement(g, pts).tobytes()
 
     def test_certificate_memory_follows_the_axes_read(self, skew):
         # each criterion-9 mode reads one axis; the flattened 128^3 grid
@@ -403,13 +405,13 @@ class TestPerturbedMap:
     def test_inverse_evaluates_the_field_once_per_iterate(self, skew, rng, monkeypatch):
         # the start is one f^-1 and one field pass at f^-1(x), where the
         # residual is -v; then each Newton step is one field pass (one kernel
-        # call for v, phi and their slopes) and one `_step` built from it:
-        # neither g.apply, the displacement, nor f's own map or phi runs
+        # call for v, phi and their sin and cos) and one `_step` built from
+        # it: neither g.apply nor f's own map or phi runs
         # (f^-1 calls phi once); criterion 9's field retires every row in at
         # most 2 steps
         g = PerturbedMap(skew, CRITERION_9_MODES, amplitude_bound=1.1e-3)
         on_g, on_f = {}, {}
-        count_calls(monkeypatch, on_g, PerturbedMap, "apply", "displacement", "_step")
+        count_calls(monkeypatch, on_g, PerturbedMap, "apply", "_step")
         count_calls(monkeypatch, on_g, orbits, "_trig_field")
         count_calls(monkeypatch, on_f, SkewModel, "apply", "apply_inverse", "phi")
         g.apply_inverse(rng.random((256, 3)))
@@ -427,7 +429,6 @@ class TestPerturbedMap:
         counts, steps = {}, []
         count_calls(monkeypatch, counts, orbits, "_trig_field")
         count_calls(monkeypatch, counts, SkewModel, "apply", "phi")
-        count_calls(monkeypatch, counts, PerturbedMap, "displacement")
         inverse = PerturbedMap.apply_inverse
 
         def counted(self, x):
@@ -448,8 +449,8 @@ class TestPerturbedMap:
         rate = 0.9 / (skew.lip_f_inv * 2.0 * math.pi)
         assert most_steps(PerturbedMap(skew, [(1, 0, 1, 0, rate, 0.0)], amplitude_bound=1.0)) > 2
         # only the inversions' f^-1 starts call phi, once each in both
-        # orbits; f's map and the displacement never run
-        assert "apply" not in counts and "displacement" not in counts
+        # orbits; f's map never runs
+        assert "apply" not in counts
         assert counts["phi"] == 2 * 40
 
     @pytest.mark.parametrize("modes", [CRITERION_9_MODES, SPLIT_MODES, CROSS_MODES],
@@ -501,7 +502,7 @@ class TestPerturbedMap:
         for pts in (x, x[0], x[0, 1], x[1, 3], x[:0, 0]):
             out = g.apply(pts)
             assert out.shape == pts.shape
-            assert out.tobytes() == wrap(sys.apply(pts) + g.displacement(pts)).tobytes()
+            assert out.tobytes() == wrap(sys.apply(pts) + reference_displacement(g, pts)).tobytes()
 
     def test_certified_bound_overflow_is_a_model_error(self, skew):
         # a constant mode's Lipschitz term is 0, so only the certificate can

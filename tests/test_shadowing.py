@@ -12,9 +12,11 @@ from torusshadow.orbits import PseudoOrbit, generate_noisy, write_table
 from torusshadow.shadowing import (
     InsufficientWindowError,
     ParameterError,
+    _Anchors,
     _anchor_stage,
+    _half,
     _iterate,
-    _propagate,
+    _Sweep,
     _sweep,
     backward_limit,
     delta_for_epsilon,
@@ -27,7 +29,13 @@ from torusshadow.shadowing import (
     write_trace,
 )
 
-from tests_helpers import center_motions, inverse_system, single_defect_orbit
+from tests_helpers import (
+    center_motions,
+    inverse_system,
+    reference_half,
+    reference_propagate,
+    single_defect_orbit,
+)
 
 X0 = np.array([0.2, 0.35, 0.81])
 
@@ -113,12 +121,15 @@ def _sweep_points(sys, sweep, k, stable=False):
 
 
 def _forward_half(sys, X, p):
-    """Forward sweep of one subsampled half, its anchor y_0^u and its guides."""
+    """Forward sweep of one subsampled half, its anchor y_0^u and its guides,
+    from `_half` on a stack whose backward half is a copy of the forward
+    one: no row of a half reads the other, so the copy is never read."""
     errors = {}
     sweep = _clean_sweep(sys, np.asarray(X)[None], p)
     y0u, _ = forward_limit(sys, sweep, p, errors)
     assert not errors
-    return sweep, _propagate(sys, sweep, y0u, p.k, stable=False)[0]
+    pair = _Sweep(*(np.stack([a, a]) for a in sweep))
+    return sweep, _half(sys, _Anchors(p, pair, *[y0u] * 4, {}))[0][0, 0]
 
 
 class TestForwardWindow:
@@ -251,7 +262,10 @@ class TestPropagate:
         errors = {}
         y0s, _ = backward_limit(skew, sweep, p, errors)
         assert not errors
-        y_s_prime = _propagate(skew, sweep, y0s, p.k, stable=True)[0]
+        # `_half` keeps the primed guides to itself; the per-move reference
+        # builds them, and `test_trace_stage_has_the_bits_of_three_leaf_moves`
+        # pins `_half` to it
+        y_s_prime = reference_propagate(skew, sweep, y0s, p.k, stable=True)[0]
         assert torus_distance(y_s_prime[0], y0s) == 0.0
         # the pipeline's guides y_m^s sit over the bases of the primed ones
         trace = quasi_shadow(skew, orbit, eps, params=p)
@@ -262,6 +276,22 @@ class TestPropagate:
             step = _iterate(skew, y_s_prime[-m - 1], p.k, inverse=True)
             assert torus_distance(y_s, step) < 1e-9
             assert torus_distance(y_s, X_neg[-m]) < 2 * eps / 3
+
+    def test_one_orbit_sums_four_transfer_series(self, skew, monkeypatch):
+        # two limits, the splice, and one stacked pass for the trace stage's
+        # three leaf moves (z, the guides, y*) of both halves
+        p = delta_for_epsilon(skew, 1e-2)
+        orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=14)
+        classes, series = [], SkewModel._transfer_series
+
+        def counted(self, pts, t, stable, tol=None):
+            classes.append(np.asarray(stable).tolist())
+            return series(self, pts, t, stable, tol)
+
+        monkeypatch.setattr(SkewModel, "_transfer_series", counted)
+        quasi_shadow(skew, orbit, 1e-2, params=p)
+        assert classes == [False, True, [True, False],
+                           [[[True], [False]], [[False], [True]], [[True], [False]]]]
 
     def test_anchors_close_with_their_guides(self, skew):
         # each anchor is the limit on the window its guides are built on, so
@@ -303,6 +333,46 @@ class TestPropagate:
                                                            2 * p.delta_step), False)
                 assert np.max(torus_distance(z, sz[0, 1:])) <= 1e-12
                 assert np.max(torus_distance(zp, szp[0, 1:])) <= 1e-12
+
+
+TRACE_MODELS = {
+    "skew": [(1, 0, 0.02, 0.0)],
+    "axis-1": [(0, 1, 0.02, 0.0)],
+    "two-axis-sin-cos": [(1, -1, 0.012, -0.008), (2, 1, 0.0, 0.003)],
+    "linear": None,
+}
+
+
+class TestTraceStage:
+    @pytest.mark.parametrize("shape", ["asymmetric", "stack", "seam"])
+    @pytest.mark.parametrize("name", list(TRACE_MODELS))
+    def test_trace_stage_has_the_bits_of_three_leaf_moves(self, name, shape, linear):
+        # `_half`'s one stacked series pass gives the guides and y* of a
+        # leaf_point call per move, bit for bit, padding of the shorter half
+        # included; "seam" turns an orbit's fibers (f commutes with the
+        # turn) so that X's fiber at a subsampled index sits just above 0 or
+        # just below 1, where z's own wrap shows in the guide's bits
+        modes = TRACE_MODELS[name]
+        sys = linear if modes is None else SkewModel([[2, 1], [1, 1]], 0.05, modes)
+        p = delta_for_epsilon(sys, 1e-2)
+        if shape == "asymmetric":
+            orbit = generate_noisy(sys, X0, (-30, 64), p.delta, seed=4)
+        elif shape == "stack":
+            rows = [generate_noisy(sys, wrap(X0 + 0.1 * i), (-50, 31), p.delta, seed=i).points
+                    for i in range(3)]
+            orbit = PseudoOrbit(-50, 31, np.array(rows), p.delta)
+        else:
+            pts = generate_noisy(sys, X0, (-40, 40), p.delta, seed=5).points
+            rows = [wrap(pts + [0.0, 0.0, side - pts[40 + i * p.k, 2]])
+                    for i in (1, 2, -1, -2) for side in (2.0 ** -40, 1.0 - 2.0 ** -40)]
+            orbit = PseudoOrbit(-40, 40, np.array(rows), p.delta)
+        st = _anchor_stage(sys, orbit, 1e-2, p)
+        assert not st.errors
+        guides, star = _half(sys, st)
+        ref_guides, ref_star = reference_half(sys, st)
+        assert guides.shape == st.sweep.X.shape and star.shape == ref_star.shape
+        assert guides.tobytes() == ref_guides.tobytes()
+        assert star.tobytes() == ref_star.tobytes()
 
 
 class TestTimeReversal:

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from torusshadow.geometry import fiber_displacement, torus_distance, wrap
+from torusshadow.geometry import (_frac, fiber_displacement, minimal_displacement,
+                                  torus_distance, wrap)
 from torusshadow.models import IntersectionError, SkewModel
 from torusshadow.orbits import PseudoOrbit
+from torusshadow.shadowing import _iterate, _scan
 
 
 def single_defect_orbit(sys, x0, window, jump):
@@ -177,3 +179,61 @@ def certify_holonomy_modulus(sys, params, n: int, seed: int):
     if np.any(~(torus_distance(image, target) <= cap)):
         raise IntersectionError("holonomy image outside the target plaque")
     return float(np.max(torus_distance(image[:, 0], image[:, 1]), initial=0.0))
+
+
+def reference_series(sys, p, t, stable):
+    """The transfer series of one leaf class at base points p (..., 2) and
+    offsets t (...), at the model's series_tol, summed term by term with
+    both anchor coordinates formed whatever phi reads: term n is phi(a_n) -
+    phi(a_n + t rate^(n + skip) v) at a_n = frac(M_n p), live while its tail
+    bound reaches the tolerance, and the live terms add in order."""
+    cls = int(stable)
+    t = np.asarray(t, dtype=float)
+    tail = sys.lip_phi / (1.0 - abs(sys.eig_lam))
+    terms = sys._series_terms(float(np.max(tail * np.abs(t) / sys.series_tol)), (cls,))
+    if not terms:
+        return np.zeros(t.shape)
+    decay, a, b, c, d = sys._series_table(terms)[:, cls]
+    v = sys._leaf[cls]
+    for n in range(terms):
+        cur = t * decay[n]
+        a1, a2 = _frac(a[n] * p[..., 0] + b[n] * p[..., 1]), _frac(c[n] * p[..., 0] + d[n] * p[..., 1])
+        diff = sys.phi(a1, a2) - sys.phi(a1 + cur * v[0], a2 + cur * v[1])
+        term = np.where(tail * np.abs(cur) >= sys.series_tol, diff, 0.0)
+        total = term if n == 0 else total + term
+    return total * sys._sign[cls]
+
+
+def reference_propagate(sys, sweep, y0, k, stable):
+    """The guides of the halves of `sweep` from their anchors y0, one
+    `leaf_point` call per move: the recursive points z at the sweep's
+    offsets on the strong leaf of X_i that F (F^-1 where `stable`)
+    contracts, then the guides at offsets t_i - coef_i on z's other strong
+    leaf, t the backward contracting scan of the coefficients.  Backward
+    these are the primed guides (y_m^s)'."""
+    c = sweep.coef[..., 1:]
+    t = _scan(c[..., ::-1], np.where(stable, sys.eig_lam ** k, 1.0 / sys.eig_mu ** k))[..., ::-1]
+    z = sys.leaf_point(sweep.X[..., 1:, :], sweep.offset[..., 1:], np.logical_not(stable))
+    y = np.empty(sweep.X.shape)
+    y[..., 0, :] = y0
+    y[..., 1:, :] = sys.leaf_point(z, t - c, stable)
+    return y
+
+
+def reference_half(sys, st):
+    """The guides and subsampled y* of both stacked halves of an anchor
+    stage `st`, as `shadowing._half` returns them, by three `leaf_point`
+    calls: `reference_propagate`, the backward guides' fibers replaced by
+    F^-1 of the next primed guide, and y* off every guide."""
+    k = st.params.k
+    stable = np.array([False, True]).reshape((2,) + (1,) * (st.sweep.X.ndim - 2))
+    anchor, star0 = np.array([st.y0_u, st.y0_s]), np.array([st.y0_star, st.y0_star_prime])
+    guides = reference_propagate(sys, st.sweep, anchor, k, stable)
+    guides[1, ..., 1:, 2] = _iterate(sys, guides[1, ..., :-1, :], k, inverse=True)[..., 2]
+    cu, cs = sys.coeffs(minimal_displacement(anchor[..., :2], star0[..., :2]))
+    rate = np.where(stable, 1.0 / sys.eig_mu ** k, sys.eig_lam ** k)
+    star = sys.leaf_point(guides[..., 1:, :],
+                          np.where(stable, cu[..., None], cs[..., None])
+                          * rate ** np.arange(1, guides.shape[-2]),
+                          np.logical_not(stable))
+    return guides, star
