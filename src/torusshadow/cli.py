@@ -33,12 +33,6 @@ EXIT_INPUT = 2
 EXIT_PARAMETER = 3
 
 
-def _resolve_model(name_or_path: str) -> models.SkewModel:
-    if name_or_path in ("linear", "skew"):
-        return models.builtin_model(name_or_path)
-    return models.load_model(name_or_path)
-
-
 def _write_json(path: Path, obj) -> None:
     """Strict JSON: a non-finite float (sup d(pi, id) of an all-failed grid) is null."""
     with open(path, "w") as fh:
@@ -87,27 +81,17 @@ def _canonical_argv(command: str, args_dict: dict) -> list:
     argv = [command]
     for key, val in sorted(args_dict.items()):
         flag = "--" + key.replace("_", "-")
-        if val is None or val is False:
+        if val is None:
             continue
         if isinstance(val, (list, tuple)):
             argv.append(flag)
             argv.extend(str(v) for v in val)
-        elif val is True:
-            argv.append(flag)
         else:
             argv.extend([flag, str(val)])
     return argv
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_constants(args) -> int:
-    sys_model = _resolve_model(args.model)
-    out = _out_dir(args)
+def cmd_constants(args, sys_model, out: Path) -> int:
     params = shadowing.delta_for_epsilon(sys_model, args.epsilon)
     payload = _derived(sys_model, params)
     for name in ("lambda", "mu", "L0", "delta0", "k", "alpha", "r1", "r2", "delta"):
@@ -121,9 +105,7 @@ def cmd_constants(args) -> int:
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_orbit(args) -> int:
-    sys_model = _resolve_model(args.model)
-    out = _out_dir(args)
+def cmd_orbit(args, sys_model, out: Path) -> int:
     if args.x0 is not None:
         x0 = np.array(args.x0)
     else:
@@ -137,9 +119,7 @@ def cmd_orbit(args) -> int:
     return EXIT_PASS
 
 
-def cmd_shadow(args) -> int:
-    sys_model = _resolve_model(args.model)
-    out = _out_dir(args)
+def cmd_shadow(args, sys_model, out: Path) -> int:
     orbit = orbits.read_orbit(args.orbit)
     trace = shadowing.quasi_shadow(sys_model, orbit, args.epsilon)
     report = shadowing.verify(sys_model, orbit, trace, args.epsilon)
@@ -149,15 +129,14 @@ def cmd_shadow(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def cmd_verify(args) -> int:
-    sys_model = _resolve_model(args.model)
-    out = _out_dir(args)
+def cmd_verify(args, sys_model, out: Path) -> int:
     orbit = orbits.read_orbit(args.orbit)
     trace = shadowing.read_trace(args.trace)
-    if trace.model_name != args.model or (trace.n_min, trace.n_max) != (orbit.n_min, orbit.n_max):
-        raise ValueError(f"trace file {args.trace} is for model {trace.model_name!r} on window "
-                         f"[{trace.n_min}, {trace.n_max}], not {args.model!r} on the orbit's "
-                         f"[{orbit.n_min}, {orbit.n_max}]")
+    if trace.model_name != args.model:
+        raise ValueError(f"trace file {args.trace} is for model {trace.model_name!r}, "
+                         f"not {args.model!r}")
+    # a window mismatch is an input error (2), found before a parameter one (3)
+    report = shadowing.verify(sys_model, orbit, trace, args.epsilon)
     params = shadowing.delta_for_epsilon(sys_model, args.epsilon)
     differ = [f"{name} = {value!r} (resolved {getattr(params, name)!r})"
               for name, value in dataclasses.asdict(trace.params).items()
@@ -166,7 +145,6 @@ def cmd_verify(args) -> int:
         raise shadowing.ParameterError(
             f"trace file {args.trace} was built with parameters that --epsilon "
             f"{args.epsilon!r} does not resolve to: {', '.join(differ)}")
-    report = shadowing.verify(sys_model, orbit, trace, args.epsilon)
     rows = slice(trace.index(trace.interior[0]), trace.index(trace.interior[1]) + 1)
     if sys_model.is_linear:
         oracle = oracles.linear_model_shadow(sys_model, orbit, trace.k)
@@ -193,8 +171,8 @@ def _load_perturbation(sys_model, args) -> orbits.PerturbedMap:
         with open(args.perturbation) as fh:
             data = json.load(fh)
         try:
-            modes = [(m["coord"], m["freq"][0], m["freq"][1], m["freq"][2],
-                      m.get("sin", 0.0), m.get("cos", 0.0)) for m in data["modes"]]
+            modes = [(m["coord"], *m["freq"], m.get("sin", 0.0), m.get("cos", 0.0))
+                     for m in data["modes"]]
             return orbits.PerturbedMap(sys_model, modes, data["amplitude_bound"],
                                        certification_grid=data.get("certification_grid", 128))
         except (KeyError, TypeError, IndexError) as exc:
@@ -209,9 +187,7 @@ def _load_perturbation(sys_model, args) -> orbits.PerturbedMap:
                                certification_grid=128)
 
 
-def cmd_stability(args) -> int:
-    sys_model = _resolve_model(args.model)
-    out = _out_dir(args)
+def cmd_stability(args, sys_model, out: Path) -> int:
     g = _load_perturbation(sys_model, args)
     sc = stability.semiconjugacy(sys_model, g, tuple(args.grid), args.half_length,
                                  args.epsilon)
@@ -302,12 +278,20 @@ _parser = functools.cache(build_parser)   # built on the first `main` call, not 
 def main(argv=None) -> int:
     """Run one subcommand; the one place an exception becomes an exit code.
 
-    The parser is built once per process; the subcommand is looked up as
-    this module's `cmd_<name>` on every call, so a function put in its
-    place later (a tracer's wrapper) is the one that runs."""
+    The parser is built once per process.  `--model` (a builtin name or a
+    model file) and `--out` (created if missing) are resolved here, and the
+    subcommand is looked up as this module's `cmd_<name>` on every call, so
+    a function put in its place later (a tracer's wrapper) is the one that
+    runs."""
     args = _parser().parse_args(argv)
     try:
-        return globals()["cmd_" + args.command](args)
+        if args.model in ("linear", "skew"):
+            sys_model = models.builtin_model(args.model)
+        else:
+            sys_model = models.load_model(args.model)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return globals()["cmd_" + args.command](args, sys_model, out)
     except models.ModelError as exc:
         print(f"ERROR model: {exc}", file=sys.stderr)
         return EXIT_INPUT

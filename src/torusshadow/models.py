@@ -146,8 +146,9 @@ def _trig_modes(modes, what: str, axes: int, components: int = 1):
     checked, lip = [], [0.0] * components
     for mode in modes:
         j, *m, s, c = mode
-        if len(m) != axes:
-            raise ModelError(f"{what} mode {tuple(mode)!r} needs {axes} frequencies")
+        if len(m) != axes:    # shown as given: without the j of a one-component field
+            raise ModelError(f"{what} mode {tuple(mode)[components == 1:]!r} "
+                             f"needs {axes} frequencies")
         if components == 1:
             m = _integers(tuple(m), f"{what} mode frequencies").tolist()
         else:
@@ -206,7 +207,7 @@ class SkewModel:
             raise ModelError(f"omega must be finite, got {self.omega!r}")
         # phi is a one-component field; `modes` are its (m1, m2, s, c)
         self._phi_modes, self.lip_phi = _trig_modes(
-            [(0, m1, m2, s, c) for (m1, m2, s, c) in phi_modes], "phi", axes=2)
+            [(0, *mode) for mode in phi_modes], "phi", axes=2)
         self.modes = [mode[1:] for mode in self._phi_modes]
         # the base axes some mode reads: the series forms only their coordinates
         self._phi_axes = [any(mode[1 + k] for mode in self._phi_modes) for k in (0, 1)]
@@ -300,8 +301,7 @@ class SkewModel:
         """Fiber offsets h_s(p, t) so that (p + t v_s, z + h_s) is on W^s((p, z)).
 
         The geometric tail bound Lip(phi) * |lam|^n * |t| / (1 - |lam|) sets
-        each row's term count at series_tol, or at the caller's `tol` (a
-        scalar or one value per row).
+        each row's term count at series_tol, or at the caller's float `tol`.
         """
         return self._transfer_series(p, t, stable=True, tol=tol)
 
@@ -353,8 +353,9 @@ class SkewModel:
         anchor A^n p comes from the exact integer power and the other point is
         reconstructed as anchor + lam^n t v, which decays exactly; drift
         common to both evaluation points cancels in the phi difference.  Row
-        r sums the terms whose tail bound is still >= its tolerance, in order,
-        so its value does not depend on the other rows or their classes.
+        r sums the terms whose tail bound is still >= `tol` (series_tol by
+        default), in order, so its value does not depend on the other rows or
+        their classes.
 
         Blocks of rows, about _BLOCK_ELEMENTS row x term elements each, keep
         the temporaries in the cache at any batch size; the rows are the
@@ -365,7 +366,7 @@ class SkewModel:
         t = np.asarray(t, dtype=float)
         if self.lip_phi == 0.0:
             return np.zeros(t.shape)[()]
-        tol = np.asarray(self.series_tol if tol is None else tol, dtype=float)
+        tol = self.series_tol if tol is None else float(tol)
         cls = np.asarray(stable, dtype=np.intp)[()]    # one class indexes its tables as views
         tail = self.lip_phi / (1.0 - abs(self.eig_lam))
         # Term n is live while its tail bound tail * |t rate^(n + skip)| is
@@ -377,15 +378,15 @@ class SkewModel:
             return np.zeros(t.shape)[()]
         if terms > _SERIES_MAX_TERMS:  # a caller's tol below the model's; hard stop
             raise ModelError(f"transfer series needs {terms} terms, over the limit of "
-                             f"{_SERIES_MAX_TERMS}, to reach tolerance {float(np.min(tol)):.3g}")
+                             f"{_SERIES_MAX_TERMS}, to reach tolerance {tol:.3g}")
         table = self._series_table(terms)
         p = np.asarray(p, dtype=float)
 
-        def block(p, t, tol, cls):
+        def block(p, t, cls):
             # A^n q = A^n p + lam^n t v_s; A^-n q = A^-n p + mu^-n t v_u
             decay, a, b, c, d = table[:, cls]
             cur = t[..., None] * decay
-            live = tail * np.abs(cur) >= (tol[..., None] if tol.ndim else tol)
+            live = tail * np.abs(cur) >= tol
             p1, p2 = p[..., 0, None], p[..., 1, None]
             # bare _frac, not wrap: a fold of 1.0 to 0.0 would move phi's bits;
             # an axis no phi mode reads is not formed
@@ -396,17 +397,17 @@ class SkewModel:
             diff = self.phi(*at) - self.phi(*moved)
             return np.cumsum(np.where(live, diff, 0.0), axis=-1)[..., -1]
 
-        shape = np.broadcast(p[..., 0], t, tol, cls).shape
+        shape = np.broadcast(p[..., 0], t, cls).shape
         lead = shape[:-1] if len(shape) > 1 else shape
         trail, n_rows = len(shape) - len(lead), math.prod(lead)
         rows = max(1, _BLOCK_ELEMENTS // max(1, terms * math.prod(shape[len(lead):])))
         if rows >= n_rows:
-            total = block(p, t, tol, cls)
+            total = block(p, t, cls)
         else:
             total = np.empty((n_rows,) + shape[len(lead):])
             # an operand without the leading axes goes whole into every block
             parts = []
-            for a, keep in ((p, 1), (t, 0), (tol, 0), (cls, 0)):
+            for a, keep in ((p, 1), (t, 0), (cls, 0)):
                 own = np.shape(a)[np.ndim(a) - trail - keep:]
                 parts.append((np.broadcast_to(a, lead + own).reshape((n_rows,) + own), True)
                              if np.ndim(a) > trail + keep else (a, False))
@@ -445,7 +446,7 @@ class SkewModel:
         point[..., 2] = fiber
         return point
 
-    def intersect(self, x, y, stable, radius, errors=None) -> np.ndarray:
+    def intersect(self, x, y, stable, radius, errors) -> np.ndarray:
         """The signed offset along y's strong leaf of the unique intersection
         of the local center-containing leaf of x with the local strong leaf of
         y, row by row, read from the bases of x and y (..., 2 or 3); the point
@@ -461,10 +462,8 @@ class SkewModel:
         <= sqrt(1 + leaf_slope_s^2) |offset| clears most rows (1e-12 covers
         rounding); the rest, every failing row among them, get the exact
         distance, in which y's fiber cancels.  Failing rows are recorded in
-        `errors` (see `_flag_rows`); with `errors=None` the lowest failing row
-        raises IntersectionError after all rows ran.
+        the dict `errors` (see `_flag_rows`).
         """
-        found = {} if errors is None else errors
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         shape = x.shape[:-1]
         xb, yb = x[..., :2].reshape(-1, 2), y[..., :2].reshape(-1, 2)
@@ -475,7 +474,7 @@ class SkewModel:
         # Center leaves are full vertical circles here, so the class containing
         # the center direction places no constraint on the fiber gap; only the
         # base separation limits solvability.
-        _flag_rows(found, IntersectionError, (
+        _flag_rows(errors, IntersectionError, (
             (~(base_sep <= _LIFT_RADIUS),
              lambda r: f"lift ambiguity: base displacement {base_sep[r]:.4f} > {_LIFT_RADIUS}"),
             (far,
@@ -497,12 +496,10 @@ class SkewModel:
         if exact.any():
             y0 = np.pad(yb[exact], ((0, 0), (0, 1)))    # fiber 0
             dy[exact] = torus_distance(self.leaf_point(y0, t[exact], stable[exact]), y0)
-        _flag_rows(found, IntersectionError, ((
+        _flag_rows(errors, IntersectionError, ((
             ~(dx <= cap) | ~(dy <= cap),
             lambda r: (f"intersection outside L0*radius: d(x)={dx[r]:.3e}, "
                        f"d(y)={dy[r]:.3e}, cap={cap[r]:.3e}")),))
-        if errors is None and found:
-            raise found[min(found)]
         return t.reshape(shape)[()]
 
 
@@ -523,7 +520,7 @@ def model_from_dict(data: dict) -> SkewModel:
     if not isinstance(data, dict):
         raise ModelError(f"model description must be a JSON object, got {type(data).__name__}")
     try:
-        modes = [(m["freq"][0], m["freq"][1], m.get("sin", 0.0), m.get("cos", 0.0))
+        modes = [(*m["freq"], m.get("sin", 0.0), m.get("cos", 0.0))
                  for m in data.get("phi_modes", [])]
         return SkewModel(data["matrix"], omega=data.get("omega", 0.0),
                          phi_modes=modes, series_tol=data.get("series_tol", 1e-12))

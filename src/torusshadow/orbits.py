@@ -8,10 +8,9 @@ the field is evaluated on the grid's axis vectors, so a mode's sin and cos
 run on the axes it reads, not on every grid point.
 
 Noise is drawn from numpy's default PCG64 generator, every kick of an orbit
-in one call (the forward kicks, then the backward ones), so an orbit for a
-given seed differs from the one earlier versions drew stepwise;
-reproducibility across implementations is by the recorded orbit files, not
-by PRNG identity.  Noisy orbits never step the map: the base of each half
+in one call (the forward kicks, then the backward ones); reproducibility
+across implementations is by the recorded orbit files, not by PRNG
+identity.  Noisy orbits never step the map: the base of each half
 is a scalar integer-matrix recursion on Python floats and the fiber follows
 from one phi call and a wrapped scan.  Orbits of a nearby map g are stepped
 by `from_map`, all rows at once, as coordinate rows (3, B): a g step is
@@ -173,9 +172,8 @@ def generate_noisy(sys: SkewModel, x0, window, delta: float, seed: int) -> Pseud
 
     Backward indices are filled as x_{k-1} = f^-1(x_k + e_k) so the forward
     defect at every step is exactly |e_k| <= delta, both directions.  All
-    N - 1 kicks come from one draw, the forward ones first, so the orbit of
-    a seed differs from the stepwise draws of earlier versions; the points
-    come from `_kicked_window`, which never steps the map.
+    N - 1 kicks come from one draw, the forward ones first; the points come
+    from `_kicked_window`, which never steps the map.
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")

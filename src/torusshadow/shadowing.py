@@ -79,6 +79,10 @@ __all__ = [
 # Gate of `verify` on the recomputed base residuals.
 RESIDUAL_TOL = 1e-9
 
+# The certified distance below which a half-orbit anchor's window limit
+# must settle (`forward_limit`); `ShadowingParams.limit_tol` records it.
+LIMIT_TOL = 1e-12
+
 
 class ParameterError(ValueError):
     """Shadowing parameters infeasible (epsilon too large, defect too big, ...)."""
@@ -141,7 +145,7 @@ class ShadowingParams:
         }
 
 
-def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) -> ShadowingParams:
+def delta_for_epsilon(sys: SkewModel, epsilon: float) -> ShadowingParams:
     """Admissible defect and construction parameters for a tracing accuracy.
 
     Selects the smallest power k with 2 lam^k L0 < 1/2, sizes the holonomy
@@ -149,13 +153,11 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
     value compatible with the defect and holonomy-radius inequalities,
     divided by the worst subsampling/backward accumulation factor.
     Raises ParameterError naming the violated bound when epsilon exceeds
-    the validity radii, and naming epsilon or limit_tol when either is not
-    positive and finite.
+    the validity radii, and naming epsilon when it is not positive and
+    finite.
     """
     if not 0.0 < epsilon < math.inf:
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if not 0.0 < limit_tol < math.inf:
-        raise ParameterError(f"limit_tol must be positive and finite, got {limit_tol!r}")
     lam = sys.rates.lam
     L0 = sys.L0
     alpha = 0.45 * epsilon / 3.0
@@ -194,7 +196,7 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float, limit_tol: float = 1e-12) 
 
     return ShadowingParams(
         epsilon=epsilon, delta=delta, alpha=alpha, r1=r1, r2=r2,
-        k=k, limit_tol=limit_tol, L0=L0, delta0=sys.delta0,
+        k=k, limit_tol=LIMIT_TOL, L0=L0, delta0=sys.delta0,
         delta1=sys.rates.delta1, lam_k=lam_k, delta_step=delta_step,
         lip_f=lip_f, lip_f_inv=lip_f_inv,
     )
@@ -717,12 +719,15 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace,
     to compare: an edit of y* fails exactly when the edited sequence breaks
     the contract, so a fiber edit below epsilon, which leaves another valid
     quasi-shadowing sequence, passes.  A window with no interior index
-    raises ParameterError, and a stack of orbits or traces a ValueError.
+    raises ParameterError; a stack of orbits or traces, or a trace whose
+    window is not the orbit's, a ValueError.
     """
     if orbit.points.ndim != 2 or trace.y_star.ndim != 2:
         raise ValueError("verify takes one orbit and its trace; verify a stack row by row")
+    if (trace.n_min, trace.n_max) != (orbit.n_min, orbit.n_max):
+        raise ValueError(f"trace window [{trace.n_min}, {trace.n_max}] is not the orbit's "
+                         f"[{orbit.n_min}, {orbit.n_max}]")
     lo, hi = trace.interior
-    lo = max(lo, orbit.n_min + 1)
     if hi < lo:
         raise ParameterError(f"window [{trace.n_min}, {trace.n_max}] has no interior index "
                              f"to verify for power k = {trace.k}")

@@ -1,5 +1,5 @@
-"""Acceptance suite: the twelve desk-scale contracts, one test each, and
-criterion 12's negative control.
+"""Acceptance suite: the thirteen desk-scale contracts, one test each, and
+the negative controls of criteria 12 and 13.
 
 Every test prints a single PASS/FAIL line with the measured quantity and
 its gate (run with `pytest tests/test_acceptance.py -s` to see them all);
@@ -7,6 +7,7 @@ tolerances are pinned here, not configurable.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from torusshadow.geometry import torus_distance, wrap
 from torusshadow.models import SkewModel, builtin_model
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
-from torusshadow.orbits import PerturbedMap, PseudoOrbit, generate_noisy
+from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map, generate_noisy
 from torusshadow.shadowing import delta_for_epsilon, quasi_shadow, verify
 from torusshadow.stability import check_identity, semiconjugacy, surjectivity_density
 
@@ -177,20 +178,28 @@ def test_criterion_8_parameter_margins():
                   f"min margin={worst:.3f} (>=2)")
 
 
-def test_criterion_9_semiconjugacy_identity():
-    # amplitude 1e-3 forces epsilon ~ 0.21 through the margin-2 parameter
-    # chain; the residual gates below are epsilon-independent
-    eps = 0.216
-    amp = 1e-3
+@pytest.fixture(scope="module")
+def grid_16x16x8():
+    """Criterion 9's semiconjugacy: g, the 16x16x8 lattice at N = 40, and
+    the seconds the semiconjugacy took.  Amplitude 1e-3 forces epsilon ~
+    0.21 through the margin-2 parameter chain."""
+    eps, amp = 0.216, 1e-3
     a = amp / np.sqrt(3.0)
     g = PerturbedMap(SKEW, [(0, 0, 1, 0, a, 0.0), (1, 0, 0, 1, a, 0.0),
                             (2, 1, 0, 0, a, 0.0)],
                      amplitude_bound=1.1 * amp, certification_grid=128)
     start = time.perf_counter()
     sc = semiconjugacy(SKEW, g, (16, 16, 8), 40, eps)
+    return eps, g, sc, time.perf_counter() - start
+
+
+def test_criterion_9_semiconjugacy_identity(grid_16x16x8):
+    # the residual gates below are epsilon-independent
+    eps, g, sc, elapsed = grid_16x16x8
+    start = time.perf_counter()
     identity = check_identity(SKEW, sc, g)
     surj = surjectivity_density(sc, eps)
-    elapsed = time.perf_counter() - start
+    elapsed += time.perf_counter() - start
     max_res = identity.max_base_mismatch
     ok = (not sc.failures and identity.passed and max_res < 1e-8
           and sc.sup_pi_id < eps and surj.passed and elapsed < 120.0)
@@ -198,6 +207,33 @@ def test_criterion_9_semiconjugacy_identity():
                   f"base mismatch<={max_res:.3e} (<1e-8), sup d(pi,id)={sc.sup_pi_id:.3e} "
                   f"(<eps), modulus={surj.modulus:.3e} (sup + modulus < 1/2), "
                   f"failures={len(sc.failures)}, runtime={elapsed:.0f}s (<120s)")
+
+
+def _oracle_gaps(sc, g, pi):
+    """|base(pi(x)) - the A-shadow of the base of x's g-orbit at index 0|
+    per node: the base factor of f is A, so base(pi(x)) is that shadow,
+    which `cat_map_shadow` solves with no code of the construction."""
+    orbit = from_map(SKEW, g, sc.nodes, (-sc.window, sc.window))
+    oracle = np.array([cat_map_shadow(SKEW.A, pts[:, :2])[sc.window] for pts in orbit.points])
+    return torus_distance(pi[:, :2], oracle)
+
+
+def test_criterion_13_pi_base_against_the_cat_map_oracle(grid_16x16x8):
+    _, g, sc, _ = grid_16x16x8
+    worst = float(np.max(_oracle_gaps(sc, g, sc.pi)))
+    ok = not sc.failures and worst < 1e-8
+    report(13, ok, f"grid 16x16x8, N=40, {sc.nodes.shape[0]} nodes: "
+                   f"max |base(pi) - cat_map_shadow|={worst:.3e} (<1e-8)")
+
+
+def test_criterion_13_negative_control(grid_16x16x8):
+    # the gate reads pi: its base moved by 1e-6 must fail it at every node
+    _, g, sc, _ = grid_16x16x8
+    moved = sc.pi.copy()
+    moved[:, :2] = wrap(moved[:, :2] + 1e-6 * SKEW.v_s)
+    gaps = _oracle_gaps(sc, g, moved)
+    assert not np.any(gaps < 1e-8)
+    assert np.max(gaps) == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_criterion_10_uniqueness_up_to_center_plaque():
@@ -210,7 +246,7 @@ def test_criterion_10_uniqueness_up_to_center_plaque():
         x0 = np.random.default_rng(4000 + seed).random(3)
         orbit = generate_noisy(SKEW, x0, (-50, 50), base_params.delta, seed=seed)
         cut = PseudoOrbit(-40, 40, orbit.points[10:91], orbit.delta)
-        traces = [quasi_shadow(SKEW, o, eps, params=delta_for_epsilon(SKEW, eps, limit_tol=tol))
+        traces = [quasi_shadow(SKEW, o, eps, params=replace(base_params, limit_tol=tol))
                   for tol in (1e-10, 1e-12) for o in (orbit, cut)]
         ref = traces[0]
         for other in traces[1:]:

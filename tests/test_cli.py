@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -313,6 +314,20 @@ class TestInputGuards:
         assert self.verify(model="linear") == 2
         assert "'skew'" in capsys.readouterr().err
 
+    def test_verify_window_mismatch_exit_2(self, chain, capsys):
+        # the trace of an orbit on [-30, 40] against the orbit on [-30, 30];
+        # a window mismatch is an input error, found ahead of the parameter
+        # mismatch (exit 3) this trace also has
+        assert run(["orbit", "--model", "skew", "--delta", "0", "--window", "-30", "40",
+                    "--seed", "5", "--out", "o2"]) == 0
+        assert run(["shadow", "--model", "skew", "--orbit", "o2/orbit.txt",
+                    "--epsilon", "1e-2", "--out", "s"]) == 0
+        _edit_line(chain / "s" / "trace.txt", "# L0:", 2, "1.5")
+        capsys.readouterr()
+        assert self.verify() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR input: trace window [-30, 40] is not the orbit's [-30, 30]")
+
     def test_trace_rows_hold_y_star_alone(self, chain, capsys):
         # `q y1 y2 y3`; a row that also carries y', the motion and the
         # distance, nine columns in all, is an input error naming the count
@@ -345,7 +360,8 @@ class TestInputGuards:
 
     @pytest.mark.parametrize("flags", [["--grid", "0", "2", "2"],
                                        ["--grid", "2", "2", "2", "--half-length", "0"],
-                                       ["--grid", "2", "-1", "2"]])
+                                       ["--grid", "2", "-1", "2"],
+                                       ["--grid", "2", "x", "2"]])
     def test_non_positive_sizes_exit_2(self, workdir, capsys, flags):
         with pytest.raises(SystemExit) as exc:
             run(["stability", "--model", "skew", "--epsilon", "0.216", "--delta", "1e-3",
@@ -424,9 +440,20 @@ SKEW_FILE = {"matrix": [[2, 1], [1, 1]], "omega": 0.05,
     ({"phi_modes": [{"freq": [1e19, 0], "sin": 0.0}]}, "phi mode frequencies must be integers"),
     ({"perturbation": [{"coord": 2, "freq": [1e308, 0, 0], "sin": 1e-3}]},
      "perturbation coordinates and frequencies must be integers"),
+    ({"matrix": [[0, 1], [1, 0]]}, "base matrix is not hyperbolic: eigenvalues -1.0, 1.0"),
+    ({"matrix": [[2, 1], [1, 1], [0, 1]]}, "base matrix must be 2x2, got shape (3, 2)"),
+    ({"phi_modes": [{"freq": [1, 0], "sin": 0.3}]}, "fiber coupling too strong"),
+    ({"phi_modes": [{"freq": [1, 0, 5], "sin": 0.02}]},
+     "phi mode (1, 0, 5, 0.02, 0.0) needs 2 frequencies"),
+    ({"perturbation": [{"coord": 3, "freq": [1, 0, 0], "sin": 1e-3}]},
+     "perturbation coordinate must be 0, 1, or 2, got 3"),
+    ({"perturbation": [{"coord": 2, "freq": [1, 0], "sin": 1e-3}]},
+     "perturbation mode (2, 1, 0, 0.001, 0.0) needs 3 frequencies"),
 ], ids=["series_tol-nan", "series_tol-inf", "omega-nan", "sin-nan", "matrix-fraction",
         "freq-fraction", "series_tol-tiny", "series_tol-subnormal", "freq-1e19",
-        "perturbation-freq-1e308"])
+        "perturbation-freq-1e308", "matrix-eigenvalues-on-circle", "matrix-3x2",
+        "coupling-too-strong", "phi-freq-three", "perturbation-coord-3",
+        "perturbation-freq-two"])
 def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
     # a "perturbation" edit is the modes of a perturbation file read by `stability`
     modes = edit.get("perturbation")
@@ -443,6 +470,36 @@ def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
     assert "PASS" not in out
     assert err.startswith("ERROR model: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2"],
+     "ERROR input: stability needs --perturbation <file> or --delta <amplitude>"),
+    (["constants", "--model", "missing.json", "--epsilon", "1e-2"],
+     "ERROR model: cannot read model file missing.json"),
+    (["constants", "--model", "no-matrix.json", "--epsilon", "1e-2"],
+     "ERROR model: malformed model description: 'matrix'"),
+], ids=["stability-without-a-field", "model-file-missing", "model-without-matrix"])
+def test_unusable_input_exit_2(workdir, capsys, argv, message):
+    (workdir / "no-matrix.json").write_text(json.dumps({"omega": 0.05}))
+    assert run([*argv, "--out", "x"]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.startswith(message) and len(err.splitlines()) == 1
+
+
+def test_window_too_short_to_certify_exit_1(workdir, capsys):
+    # +-6 holds the 3 subsampled steps a side that k = 2 needs, but the
+    # forward anchor's tail bound is not below limit_tol within them
+    assert run(["orbit", "--model", "skew", "--delta", "4.9e-5", "--window", "-6", "6",
+                "--seed", "3", "--out", "o"]) == 0
+    capsys.readouterr()
+    assert run(["shadow", "--model", "skew", "--orbit", "o/orbit.txt", "--epsilon", "1e-2",
+                "--out", "s"]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.startswith("ERROR construction: forward anchor tail bound")
+    assert not (workdir / "s" / "trace.txt").exists()
 
 
 def test_overflowing_perturbation_exit_2_without_a_warning(workdir):
@@ -545,12 +602,27 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_readme_commands_run(workdir):
+    # the README's `torusshadow ...` examples, continuations joined, run in
+    # order as written (their --out paths are relative, so under workdir):
+    # every subcommand has one, and none can drift from the parser
+    text = (Path(__file__).parents[1] / "README.md").read_text().replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in text.splitlines()
+                if line.startswith("torusshadow ")]
+    assert sorted(argv[0] for argv in commands) == ["constants", "orbit", "shadow",
+                                                    "stability", "verify"]
+    for argv in commands:
+        assert run(argv) == 0, argv
+        assert (workdir / argv[argv.index("--out") + 1] / "manifest.json").is_file()
+
+
 def test_main_runs_the_command_bound_at_call_time(workdir, monkeypatch):
     # a function put in place of cmd_<name> after the parser was built (as
     # a tracer does) is the one main runs
     assert run(["constants", "--model", "skew", "--epsilon", "1e-2", "--out", "c"]) == 0
     seen = []
-    monkeypatch.setattr(cli, "cmd_constants", lambda args: seen.append(vars(args)) or 7)
+    monkeypatch.setattr(cli, "cmd_constants",
+                        lambda args, sys_model, out: seen.append(vars(args)) or 7)
     assert run(["constants", "--model", "skew", "--epsilon", "1e-2", "--out", "c"]) == 7
     assert seen == [{"command": "constants", "model": "skew", "epsilon": 1e-2, "out": "c"}]
 

@@ -18,6 +18,7 @@ from torusshadow.models import (
     SkewModel,
     eigen_frame,
     load_model,
+    builtin_model,
     model_from_dict,
     model_to_dict,
 )
@@ -227,10 +228,8 @@ class TestTransfers:
         cases = [
             (rng.random((B, 1, 2)), rng.uniform(-0.05, 0.05, (B, n)), None),   # row anchor broadcast
             (rng.random((B, n, 2)), rng.uniform(-0.05, 0.05, (B, n)), 1e-15),
-            (rng.random((B, 1, 2)), rng.uniform(-0.05, 0.05, (B, n)),
-             10.0 ** rng.uniform(-15.0, -9.0, (B, n))),                        # per-row tol
-            (rng.random((B, 2)), rng.uniform(-0.05, 0.05, B),
-             10.0 ** rng.uniform(-15.0, -9.0, (B, 1))[:, 0]),
+            (rng.random((B, 1, 2)), rng.uniform(-0.05, 0.05, (B, n)), 1e-9),
+            (rng.random((B, 2)), rng.uniform(-0.05, 0.05, B), 1e-12),
             (rng.random(2), rng.uniform(-0.05, 0.05, n), None),                # one anchor
             (rng.random(2), 0.04, None),                                       # one point
         ]
@@ -323,12 +322,12 @@ class TestMixedClasses:
         for every row of a (B, n) stack."""
         B, n = 30, 7
         per_row = (rng.random((B, 1)) < 0.5, rng.random((B, n, 3)),
-                   rng.uniform(-0.05, 0.05, (B, n)), 10.0 ** rng.uniform(-15.0, -9.0, (B, 1)))
+                   rng.uniform(-0.05, 0.05, (B, n)), 1e-15)
         halves = (np.array([False, True])[:, None, None], rng.random((2, B, 1, 3)),
                   rng.uniform(-0.05, 0.05, (2, B, n)), None)
         # one class as an array runs the term count of the bool's call
         one_class = (np.ones((B, 1), dtype=bool), rng.random((B, 1, 3)),
-                     rng.uniform(-0.05, 0.05, (B, n)), 10.0 ** rng.uniform(-15.0, -9.0, (B, n)))
+                     rng.uniform(-0.05, 0.05, (B, n)), 1e-9)
         return per_row, halves, one_class
 
     @pytest.mark.parametrize("block", [1, 2 ** 40], ids=["row-blocks", "one-block"])
@@ -379,14 +378,18 @@ class TestIntersect:
         x = np.array([0.0, 0.0, 0.2])
         yb = wrap(0.01 * linear.v_s)
         y = np.array([yb[0], yb[1], 0.7])
-        pt = linear.leaf_point(y, linear.intersect(x, y, True, 0.05), True)
+        errors = {}
+        pt = linear.leaf_point(y, linear.intersect(x, y, True, 0.05, errors=errors), True)
+        assert not errors
         assert np.allclose(pt[:2], [0.0, 0.0], atol=1e-13)
         assert pt[2] == pytest.approx(0.7, abs=1e-13)
 
     def test_coincident_bases(self, linear):
         x = np.array([0.4, 0.6, 0.1])
         y = np.array([0.4, 0.6, 0.8])
-        pt = linear.leaf_point(y, linear.intersect(x, y, True, 0.05), True)
+        errors = {}
+        pt = linear.leaf_point(y, linear.intersect(x, y, True, 0.05, errors=errors), True)
+        assert not errors
         assert np.allclose(pt, [0.4, 0.6, 0.8], atol=1e-14)
 
     def test_skew_against_grid_search_oracle(self, skew, rng):
@@ -397,7 +400,9 @@ class TestIntersect:
             v = rng.normal(size=3)
             v *= 0.01 / np.linalg.norm(v)
             y = wrap(x + v)
-            pt = skew.leaf_point(y, skew.intersect(x, y, True, 0.05), True)
+            errors = {}
+            pt = skew.leaf_point(y, skew.intersect(x, y, True, 0.05, errors=errors), True)
+            assert not errors
             ts = np.arange(-0.05, 0.05, 1e-5)
             bases = (y[:2] + ts[:, None] * skew.v_s) % 1.0
             fibers = (y[2] + skew.transfer_stable(np.tile(y[:2], (ts.size, 1)), ts)) % 1.0
@@ -418,14 +423,18 @@ class TestIntersect:
     def test_lift_ambiguity(self, linear):
         x = np.array([0.0, 0.0, 0.0])
         y = np.array([0.4, 0.4, 0.0])
-        with pytest.raises(IntersectionError):
-            linear.intersect(x, y, True, 0.5)
+        errors = {}
+        linear.intersect(x, y, True, 0.5, errors=errors)
+        assert isinstance(errors[0], IntersectionError)
+        assert "lift ambiguity" in str(errors[0])
 
     def test_out_of_range(self, linear):
         x = np.array([0.0, 0.0, 0.0])
         y = wrap(x + 0.05 * np.array([*linear.v_s, 0.0]))
-        with pytest.raises(IntersectionError):
-            linear.intersect(x, y, True, 1e-4)
+        errors = {}
+        linear.intersect(x, y, True, 1e-4, errors=errors)
+        assert isinstance(errors[0], IntersectionError)
+        assert "outside L0*radius" in str(errors[0])
 
     def test_leaf_point_broadcast_and_intersect_fiber(self, skew, rng):
         # a (B, 1, 3) anchor against (B, n) offsets, as the window anchors
@@ -444,8 +453,11 @@ class TestIntersect:
         y = wrap(x + rng.uniform(-0.01, 0.01, (6, 3)))
         for stable in (True, False):
             t = -skew.coeffs(minimal_displacement(x[:, :2], y[:, :2]))[stable]
-            assert np.array_equal(skew.intersect(x, y, stable, 0.05), t)
-            assert np.array_equal(skew.intersect(x[:, :2], y[:, :2], stable, 0.05), t)
+            errors = {}
+            assert np.array_equal(skew.intersect(x, y, stable, 0.05, errors=errors), t)
+            assert np.array_equal(skew.intersect(x[:, :2], y[:, :2], stable, 0.05,
+                                                 errors=errors), t)
+            assert not errors
 
     def test_distance_check_agrees_with_exact_distance(self, rng):
         # strongly coupled: sqrt(1 + leaf_slope_s^2) ~ 1.12 exceeds L0's 1.1
@@ -638,6 +650,13 @@ class TestModelIO:
     def test_dict_roundtrip(self, skew):
         again = model_from_dict(model_to_dict(skew))
         assert again.modes == skew.modes
+
+    def test_unknown_builtin_and_mode_length_rejected(self):
+        with pytest.raises(ModelError, match="unknown builtin model 'nope'"):
+            builtin_model("nope")
+        with pytest.raises(ModelError, match=r"phi mode \(1, 0, 0, 0.02, 0.0\) "
+                                             r"needs 2 frequencies"):
+            SkewModel([[2, 1], [1, 1]], phi_modes=[(1, 0, 0, 0.02, 0.0)])
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from torusshadow.geometry import torus_distance, wrap
-from torusshadow.oracles import _banded_corrections, cat_map_shadow
+from torusshadow.oracles import _banded_corrections, cat_map_shadow, linear_model_shadow
+from torusshadow.orbits import generate_noisy
 
 
 def test_banded_solves_match_recursions(rng):
@@ -72,3 +73,9 @@ def test_single_defect_closed_form(linear):
         expect = 1e-4 * mu ** (-j)
         assert corr[20 - j] == pytest.approx(expect, rel=1e-6)
     assert max(corr[21:]) < 1e-12
+
+
+def test_linear_oracle_refuses_a_coupled_model(skew):
+    orbit = generate_noisy(skew, np.array([0.2, 0.35, 0.81]), (-10, 10), 0.0, seed=0)
+    with pytest.raises(ValueError, match="linear_model_shadow requires the linear model"):
+        linear_model_shadow(skew, orbit, 2)

@@ -69,6 +69,12 @@ def test_window_must_contain_zero(skew):
         generate_noisy(skew, X0, (5, 30), 1e-4, seed=0)
 
 
+def test_point_count_must_fill_the_window():
+    with pytest.raises(ValueError, match=r"orbit window \[-5, 5\] needs 11 points, "
+                                         r"got shape \(10, 3\)"):
+        PseudoOrbit(-5, 5, np.full((10, 3), 0.5), 0.0)
+
+
 # det -1 base with drift and one phi mode, next to the two builtin models
 FLIP = {"matrix": [[-1, 1], [1, 0]], "omega": 0.03, "phi_modes": [(1, 0, 0.02, 0.0)]}
 

@@ -1,6 +1,6 @@
 """The quasi-shadowing engine: parameters, sweeps, limits, splice, verify."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -68,11 +68,6 @@ class TestDeltaForEpsilon:
         for eps in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ParameterError, match="positive and finite"):
                 delta_for_epsilon(skew, eps)
-
-    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
-    def test_limit_tol_must_be_positive_and_finite(self, skew, tol):
-        with pytest.raises(ParameterError, match="limit_tol must be positive and finite"):
-            delta_for_epsilon(skew, 1e-2, limit_tol=tol)
 
 
 def _subsampled(orbit, k, side):
@@ -327,10 +322,12 @@ class TestPropagate:
                 else:
                     a = _iterate(sys, sz[0, :-1], p.k)
                     pair = (a, X[1:])
+                errors = {}
                 z = sys.leaf_point(pair[1], sys.intersect(pair[0], pair[1], True,
-                                                          2 * p.delta_step), True)
+                                                          2 * p.delta_step, errors=errors), True)
                 zp = sys.leaf_point(pair[0], sys.intersect(pair[1], pair[0], False,
-                                                           2 * p.delta_step), False)
+                                                           2 * p.delta_step, errors=errors), False)
+                assert not errors
                 assert np.max(torus_distance(z, sz[0, 1:])) <= 1e-12
                 assert np.max(torus_distance(zp, szp[0, 1:])) <= 1e-12
 
@@ -544,6 +541,12 @@ class TestQuasiShadow:
         with pytest.raises(ParameterError, match="window"):
             quasi_shadow(skew, orbit, 1e-2)
 
+    def test_stack_rejected(self, skew):
+        orbit = generate_noisy(skew, X0, (-30, 30), 0.0, seed=2)
+        stack = PseudoOrbit(-30, 30, np.array([orbit.points] * 2), orbit.delta)
+        with pytest.raises(ValueError, match="quasi_shadow takes one orbit; use shadow_batch"):
+            quasi_shadow(skew, stack, 1e-2)
+
     def test_uniqueness_under_tolerances_and_schedules(self, skew):
         # two limit tolerances x two windows (+-50 and the same orbit cut to
         # +-40) agree over |q| <= 20, away from the window-end truncation
@@ -551,7 +554,7 @@ class TestQuasiShadow:
         base = delta_for_epsilon(skew, eps)
         orbit = generate_noisy(skew, X0, (-50, 50), base.delta, seed=13)
         cut = PseudoOrbit(-40, 40, orbit.points[10:91], orbit.delta)
-        traces = [quasi_shadow(skew, o, eps, params=delta_for_epsilon(skew, eps, limit_tol=tol))
+        traces = [quasi_shadow(skew, o, eps, params=replace(base, limit_tol=tol))
                   for tol in (1e-10, 1e-12) for o in (orbit, cut)]
         ref = traces[0]
         for other in traces[1:]:
@@ -650,6 +653,17 @@ class TestVerify:
         assert trace.k == 2 and trace.interior == (2, 0)
         with pytest.raises(ParameterError, match=r"window \[0, 2\] has no interior index "
                                                  r"to verify for power k = 2"):
+            verify(skew, orbit, trace, 1e-2)
+
+    @pytest.mark.parametrize("window", [(-50, 70), (-40, 60)])
+    def test_trace_of_another_window_is_an_input_error(self, skew, window):
+        # both windows reach past the orbit's top, where y* would be read at
+        # an index the orbit does not have; the windows are named instead
+        p = delta_for_epsilon(skew, 1e-2)
+        orbit = generate_noisy(skew, X0, (-50, 50), p.delta, seed=3)
+        trace = quasi_shadow(skew, generate_noisy(skew, X0, window, p.delta, seed=3), 1e-2)
+        with pytest.raises(ValueError, match=rf"trace window \[{window[0]}, {window[1]}\] "
+                                             rf"is not the orbit's \[-50, 50\]"):
             verify(skew, orbit, trace, 1e-2)
 
     def test_true_orbit_residuals(self, skew):

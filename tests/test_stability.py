@@ -1,6 +1,7 @@
 """Semiconjugacy sampling and the identity and surjectivity (degree) reports."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,8 +116,8 @@ class TestSemiconjugacy:
 
     def test_pi_uniqueness_under_limit_tol(self, skew):
         g = default_field(skew, 1e-3)
-        pa = delta_for_epsilon(skew, EPS, limit_tol=1e-10)
-        pb = delta_for_epsilon(skew, EPS, limit_tol=1e-12)
+        pb = delta_for_epsilon(skew, EPS)    # limit_tol 1e-12
+        pa = replace(pb, limit_tol=1e-10)
         a = semiconjugacy(skew, g, (3, 3, 3), 30, EPS, params=pa)
         b = semiconjugacy(skew, g, (3, 3, 3), 30, EPS, params=pb)
         for i in range(a.nodes.shape[0]):

@@ -146,8 +146,11 @@ def certify_intersections(sys, params, n: int, seed: int, delta: float):
     Y = wrap(X + V)
     d = torus_distance(X, Y)
     X, Y, d = X[d >= 1e-9], Y[d >= 1e-9], d[d >= 1e-9]
-    pts = tuple(sys.leaf_point(Y, sys.intersect(X, Y, stable, delta), stable)
+    errors = {}
+    pts = tuple(sys.leaf_point(Y, sys.intersect(X, Y, stable, delta, errors=errors), stable)
                 for stable in (True, False))
+    if errors:    # a failed pair fails the certificate
+        raise errors[min(errors)]
     return float(np.max([torus_distance(pt, Z) / d for pt in pts for Z in (X, Y)], initial=0.0))
 
 
