@@ -171,9 +171,10 @@ def _load_perturbation(sys_model, args) -> orbits.PerturbedMap:
         with open(args.perturbation) as fh:
             data = json.load(fh)
         try:
-            modes = [(m["coord"], *m["freq"], m.get("sin", 0.0), m.get("cos", 0.0))
-                     for m in data["modes"]]
-            return orbits.PerturbedMap(sys_model, modes, data["amplitude_bound"],
+            modes = [(models._json_numbers(m["coord"], "perturbation mode coord"),
+                      *models._json_mode(m, "perturbation mode")) for m in data["modes"]]
+            bound = models._json_numbers(data["amplitude_bound"], "amplitude_bound")
+            return orbits.PerturbedMap(sys_model, modes, bound,
                                        certification_grid=data.get("certification_grid", 128))
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"perturbation file {args.perturbation} is malformed: "

@@ -137,51 +137,80 @@ def _integers(values, what: str) -> np.ndarray:
     return a.astype(np.int64)
 
 
-def _trig_modes(modes, what: str, axes: int, components: int = 1):
+class TrigField:
     """Checked modes (j, *m, s, c), each adding s sin(2 pi m.x) + c cos(2 pi
     m.x) to component j, with m over `axes` coordinates, and the field's
-    Lipschitz bound: the rss over components of sum 2 pi |m| |(s, c)| (one
-    component's sum itself).  ModelError, naming `what`, for a bad length, j,
-    integer or amplitude; a one-component field's j is its caller's 0."""
-    checked, lip = [], [0.0] * components
-    for mode in modes:
-        j, *m, s, c = mode
-        if len(m) != axes:    # shown as given: without the j of a one-component field
-            raise ModelError(f"{what} mode {tuple(mode)[components == 1:]!r} "
-                             f"needs {axes} frequencies")
-        if components == 1:
-            m = _integers(tuple(m), f"{what} mode frequencies").tolist()
-        else:
-            j, *m = _integers((j, *m), f"{what} coordinates and frequencies").tolist()
-            if not 0 <= j < components:
-                raise ModelError(f"{what} coordinate must be 0, 1, or 2, got {j}")
-        s, c = float(s), float(c)
-        if not (math.isfinite(s) and math.isfinite(c)):
-            raise ModelError(f"{what} mode amplitudes must be finite, got {s}, {c}")
-        checked.append((j, *m, s, c))
-        lip[j] += TWO_PI * math.hypot(*m) * math.hypot(s, c)
-    return checked, lip[0] if components == 1 else math.sqrt(sum(l * l for l in lip))
+    Lipschitz bound `lip`: the rss over components of sum 2 pi |m| |(s, c)|
+    (one component's sum itself).  ModelError, naming `what`, for a bad
+    length, j, integer or amplitude; a one-component field's j is its
+    caller's 0.  For `_trig_field`: the (axis, m) terms, m nonzero, of each
+    distinct frequency in order of first appearance, and each mode's row
+    among them and component."""
+
+    def __init__(self, modes, what: str, axes: int, components: int = 1):
+        checked, lip = [], [0.0] * components
+        for mode in modes:
+            j, *m, s, c = mode
+            if len(m) != axes:    # shown as given: without the j of a one-component field
+                raise ModelError(f"{what} mode {tuple(mode)[components == 1:]!r} "
+                                 f"needs {axes} frequencies")
+            if components == 1:
+                m = _integers(tuple(m), f"{what} mode frequencies").tolist()
+            else:
+                j, *m = _integers((j, *m), f"{what} coordinates and frequencies").tolist()
+                if not 0 <= j < components:
+                    raise ModelError(f"{what} coordinate must be 0, 1, or 2, got {j}")
+            s, c = float(s), float(c)
+            if not (math.isfinite(s) and math.isfinite(c)):
+                raise ModelError(f"{what} mode amplitudes must be finite, got {s}, {c}")
+            checked.append((j, *m, s, c))
+            lip[j] += TWO_PI * math.hypot(*m) * math.hypot(s, c)
+        self.modes, self.components = checked, components
+        self.comp = [mode[0] for mode in checked]
+        self.lip = lip[0] if components == 1 else math.sqrt(sum(l * l for l in lip))
+        freqs = {}
+        self.row = np.array([freqs.setdefault(tuple(q[1:-2]), len(freqs)) for q in checked], int)
+        self.terms = [[(k, m) for k, m in enumerate(f) if m] for f in freqs]
+        self.sin, self.cos = (np.array([mode[i] for mode in checked]) for i in (-2, -1))
+        self.reads = (bool(self.sin.any()), bool(self.cos.any()))
 
 
-def _trig_field(modes, coords, components: int, trig=None) -> list:
-    """The components of the field of `modes` (`_trig_modes`) at coordinate
-    arrays that broadcast together.  A mode reads only the axes of nonzero
-    frequency and skips zero amplitudes: each skipped product would add a
-    zero to a sum that starts at 0.0, so the bits stay.  Given a list
-    `trig`, each mode appends its (sin, cos) pair to it."""
-    v = [0.0] * components
-    for (j, *m, s, c) in modes:
-        terms = [x if k == 1 else k * x for k, x in zip(m, coords) if k]
-        th = TWO_PI * sum(terms[1:], terms[0]) if terms else 0.0
-        sn = np.sin(th) if s or trig is not None else 0.0
-        cs = np.cos(th) if c or trig is not None else 0.0
-        if s:
-            v[j] = v[j] + (s * sn + c * cs if c else s * sn)
-        elif c:
-            v[j] = v[j] + c * cs
-        if trig is not None:
-            trig.append((sn, cs))
-    return v
+def _trig_field(field: TrigField, coords, trig: bool = False):
+    """The (components, ...) values of `field` at coordinates, one (axes,
+    ...) array or a sequence of arrays (None for an axis no mode reads);
+    with `trig`, also the (u, ...) sin and cos stacks, mode q's at row
+    `field.row[q]`.  Each distinct frequency's 2 pi m.x, its terms summed in
+    axis order, is one row of a stack whose sin and cos take one call each,
+    cos only if a mode or `trig` reads it.  A component sums its modes' s sin
+    + c cos from 0.0 in mode order; a zero amplitude's signed zero leaves
+    such a sum as it is, so the bits are those of a pass per mode."""
+    rows = []
+    for terms in field.terms:
+        x = [coords[k] if m == 1 else m * coords[k] for k, m in terms]
+        rows.append(sum(x[1:], x[0]) if x else 0.0)
+    if len(rows) == 1 and not isinstance(coords, np.ndarray):    # a stack of one angle
+        th = np.multiply(TWO_PI, rows[0])[None]
+    else:
+        th = np.empty((len(rows),) + (coords.shape[1:] if isinstance(coords, np.ndarray)
+                                      else np.broadcast_shapes(*map(np.shape, rows))))
+        for row, acc in enumerate(rows):
+            np.multiply(TWO_PI, acc, out=th[row, ...])
+    cos = field.reads[1] or trig
+    sn = np.sin(th, out=None if cos else th) if field.reads[0] or trig else None
+    cs = np.cos(th, out=th) if cos else None
+    v = np.zeros((field.components,) + th.shape[1:])
+    if any(field.reads):    # else every sum stays 0.0
+        col = (-1,) + (1,) * (th.ndim - 1)
+        if field.reads[0]:
+            t = sn.take(field.row, axis=0)
+            t *= field.sin.reshape(col)
+        if field.reads[1]:
+            u = cs.take(field.row, axis=0)
+            u *= field.cos.reshape(col)
+            t = t + u if field.reads[0] else u
+        for q, j in enumerate(field.comp):
+            v[j] += t[q]
+    return (v, sn, cs) if trig else v
 
 
 def _base_map(M, p1, p2) -> list:
@@ -206,11 +235,11 @@ class SkewModel:
         if not math.isfinite(self.omega):
             raise ModelError(f"omega must be finite, got {self.omega!r}")
         # phi is a one-component field; `modes` are its (m1, m2, s, c)
-        self._phi_modes, self.lip_phi = _trig_modes(
-            [(0, *mode) for mode in phi_modes], "phi", axes=2)
-        self.modes = [mode[1:] for mode in self._phi_modes]
+        self._phi = TrigField([(0, *mode) for mode in phi_modes], "phi", axes=2)
+        self.lip_phi = self._phi.lip
+        self.modes = [mode[1:] for mode in self._phi.modes]
         # the base axes some mode reads: the series forms only their coordinates
-        self._phi_axes = [any(mode[1 + k] for mode in self._phi_modes) for k in (0, 1)]
+        self._phi_axes = [any(mode[k] for mode in self.modes) for k in (0, 1)]
         self.series_tol = float(series_tol)
         if not 0.0 < self.series_tol < math.inf:
             raise ModelError(f"series_tol must be finite and positive, got {self.series_tol!r}")
@@ -266,7 +295,7 @@ class SkewModel:
 
     def phi(self, p1, p2):
         """phi at base points given by their coordinate arrays p1, p2."""
-        return _trig_field(self._phi_modes, (p1, p2), 1)[0]
+        return _trig_field(self._phi, (p1, p2))[0]
 
     # -- the map -----------------------------------------------------------
 
@@ -516,14 +545,31 @@ def model_to_dict(sys: SkewModel) -> dict:
     }
 
 
+def _json_numbers(value, what: str, depth: int = 0):
+    """Decoded JSON `value` as a number (an int or a float, not a bool) at
+    depth 0, else a list of depth - 1 such values; ModelError naming `what`
+    for another type, so a string or a bool is never read as a number."""
+    if depth and isinstance(value, list):
+        return [_json_numbers(v, what, depth - 1) for v in value]
+    if depth or isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{what}: expected {'a list' if depth else 'a number'}, got {value!r}")
+    return value
+
+
+def _json_mode(mode: dict, what: str) -> tuple:
+    """(*freq, sin, cos) of a decoded JSON mode, sin and cos 0.0 when absent."""
+    return (*_json_numbers(mode["freq"], f"{what} freq", 1),
+            *(_json_numbers(mode.get(key, 0.0), f"{what} {key}") for key in ("sin", "cos")))
+
+
 def model_from_dict(data: dict) -> SkewModel:
     if not isinstance(data, dict):
         raise ModelError(f"model description must be a JSON object, got {type(data).__name__}")
     try:
-        modes = [(*m["freq"], m.get("sin", 0.0), m.get("cos", 0.0))
-                 for m in data.get("phi_modes", [])]
-        return SkewModel(data["matrix"], omega=data.get("omega", 0.0),
-                         phi_modes=modes, series_tol=data.get("series_tol", 1e-12))
+        modes = [_json_mode(m, "phi mode") for m in data.get("phi_modes", [])]
+        return SkewModel(_json_numbers(data["matrix"], "matrix", 2),
+                         omega=_json_numbers(data.get("omega", 0.0), "omega"), phi_modes=modes,
+                         series_tol=_json_numbers(data.get("series_tol", 1e-12), "series_tol"))
     except (KeyError, TypeError, IndexError) as exc:
         raise ModelError(f"malformed model description: {exc}") from exc
 

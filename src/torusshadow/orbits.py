@@ -14,9 +14,10 @@ identity.  Noisy orbits never step the map: the base of each half
 is a scalar integer-matrix recursion on Python floats and the fiber follows
 from one phi call and a wrapped scan.  Orbits of a nearby map g are stepped
 by `from_map`, all rows at once, as coordinate rows (3, B): a g step is
-one field pass (v and phi's modes in one call of phi's kernel) and f built
-from that phi; g^-1 is Newton's method from f^-1(x), one such step a
-Newton step, and `PerturbedMap` rejects a field with lip_v Lip(f^-1) >= 1.
+one field pass (v and phi's modes in one call of phi's kernel, a sin and a
+cos per distinct frequency) and f built from that phi; g^-1 is Newton's
+method from f^-1(x), a step one such pass and a (3, 3, B) solve with Dg,
+and `PerturbedMap` rejects a field with lip_v Lip(f^-1) >= 1.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _frac, _norm, minimal_displacement, torus_distance, wrap
-from .models import (_BLOCK_ELEMENTS, TWO_PI, ModelError, SkewModel, _base_map,
-                     _is_positive_int, _trig_field, _trig_modes)
+from .models import (_BLOCK_ELEMENTS, TWO_PI, ModelError, SkewModel, TrigField, _base_map,
+                     _is_positive_int, _trig_field)
 
 __all__ = [
     "PseudoOrbit",
@@ -46,6 +47,7 @@ __all__ = [
 # must reach, and the budget of Newton steps for it.
 INVERSE_RESIDUAL_TOL = 1e-13
 INVERSE_MAX_ITER = 200
+_CYCLIC = 3 * (np.arange(1, 5)[:, None] % 3) + np.arange(1, 5) % 3
 
 
 @dataclass
@@ -209,12 +211,25 @@ def validate(sys: SkewModel, orbit: PseudoOrbit):
     return np.max(fwd, axis=-1, initial=0.0)[()], np.max(bwd, axis=-1, initial=0.0)[()]
 
 
+def _in_blocks(fn, x) -> np.ndarray:
+    """Points (..., 3) of fn, a map of coordinate rows (3, b), at points x,
+    in blocks of _BLOCK_ELEMENTS / 8 points: the temporaries of a Newton
+    step, (4, 4, b) the largest, stay near the cache's size at any batch
+    size.  Rows are independent, so blocking keeps the bits."""
+    x = np.asarray(x, dtype=float)
+    X, rows = x.reshape(-1, 3), _BLOCK_ELEMENTS // 8
+    out = np.empty(X.shape)
+    for i in range(0, X.shape[0], rows):
+        out[i:i + rows] = fn(np.ascontiguousarray(X[i:i + rows].T)).T
+    return out.reshape(x.shape)
+
+
 class PerturbedMap:
     """g(x) = f(x) + v(x) for a finite trigonometric displacement field v.
 
     Each mode perturbs one coordinate: v_j(x) += s*sin(2 pi m.x) +
     c*cos(2 pi m.x) with m an integer frequency triple, checked and summed
-    by phi's kernel (`models._trig_modes`, `_trig_field`).  The C0 distance
+    by phi's kernel (`models.TrigField`, `_trig_field`).  The C0 distance
     d(f, g) = sup |v| is certified on a sampling grid plus a Lipschitz
     slack term and must stay below the declared amplitude bound; a mode
     costs sin and cos only on the grid axes its frequency reads.
@@ -223,10 +238,22 @@ class PerturbedMap:
     def __init__(self, sys: SkewModel, modes, amplitude_bound: float,
                  certification_grid: int = 64):
         self.sys = sys
-        self.modes, self.lip_v = _trig_modes(modes, "perturbation", axes=3, components=3)
+        field = TrigField(modes, "perturbation", axes=3, components=3)
+        self.modes, self.lip_v = field.modes, field.lip
         # g's field pass takes phi's modes too, as a fourth component whose
         # value builds f's fiber and whose derivative factors go to Dg's fiber row
-        self._newton_modes = self.modes + [(3, m1, m2, 0, s, c) for (m1, m2, s, c) in sys.modes]
+        phi = [(3, m1, m2, 0, s, c) for (m1, m2, s, c) in sys.modes]
+        self._newton = TrigField(self.modes + phi, "perturbation", axes=3, components=4)
+        # mode q's derivative factor 2 pi (s cos - c sin) adds m_k times itself
+        # to Dg's entry 3 min(j, 2) + k for each nonzero m_k of its frequency
+        amp = np.array([(TWO_PI * s, TWO_PI * c) for (*_, s, c) in self._newton.modes])
+        self._slope_s, self._slope_c = amp.reshape(-1, 2).T[:, :, None]
+        self._dv = [(3 * min(j, 2) + k, q, m) for q, (j, *freq, _s, _c)
+                    in enumerate(self._newton.modes) for k, m in enumerate(freq) if m]
+        (a11, a12), (a21, a22) = sys.A.tolist()
+        self._dg0 = np.array([a11, a12, 0, a21, a22, 0, 0, 0, 1], float)[:, None]
+        # the certificate's one-mode fields, each run on the axis vectors it reads
+        self._alone = [(j, TrigField([(0, *m, s, c)], "", axes=3)) for (j, *m, s, c) in self.modes]
         self.amplitude_bound = float(amplitude_bound)
         grid = certification_grid
         if not _is_positive_int(grid):
@@ -241,64 +268,65 @@ class PerturbedMap:
 
     def apply(self, x) -> np.ndarray:
         """g(x) for points (..., 3): one field pass, then `_step`."""
-        x = np.asarray(x, dtype=float)
-        y = np.ascontiguousarray(x.reshape(-1, 3).T)
-        return self._step(y, _trig_field(self._newton_modes, y, 4)).T.reshape(x.shape)
+        return _in_blocks(lambda y: self._step(y, _trig_field(self._newton, y)), x)
 
     def _step(self, y, field) -> np.ndarray:
         """g at coordinate rows y (3, B) from `field`, v0, v1, v2 and phi of
-        `_newton_modes` there: the bits of wrap(sys.apply(x) + v(x))."""
+        `_newton` there: the bits of wrap(sys.apply(x) + v(x))."""
         out = wrap(_base_map(self.sys.A, y[0], y[1]) + [y[2] + self.sys.omega + field[3]])
-        for j in range(3):
-            out[j] += field[j]
+        out += field[:3]
         return wrap(out)
 
     def apply_inverse(self, x) -> np.ndarray:
         """Invert g by Newton's method on coordinate rows (3, B) from y =
         f^-1(x).  A step is y <- y + Dg(y)^-1 (x - g(y)): one field pass gives
         the residual through `_step`, with the bits of `apply`, and from the
-        same sin and cos Dg = [[A, 0], [grad phi, 1]] + Dv for the rows that
-        step again; Dg^-1 is the adjugate times 1 / det, each entry rounded before
-        it meets the residual.  A row is left alone once its residual is <=
+        same sin and cos stacks Dg, one (3, 3, B) array, for the rows that
+        step again; Dg^-1 is the adjugate times 1 / det, each entry rounded
+        before it meets the residual: the bits of a loop over modes and
+        entries.  A row is left alone once its residual is <=
         INVERSE_RESIDUAL_TOL; criterion 9's field retires every row after 2
         steps.  No row depends on another.  __init__ rejects lip_v Lip(f^-1)
         >= 1: below it y -> f^-1(x - v(y)) contracts, so the preimage is
         unique and Dg = Df (I + Df^-1 Dv) is invertible."""
-        x = np.asarray(x, dtype=float)
-        X = x.reshape(-1, 3)
-        Y = np.ascontiguousarray(self.sys.apply_inverse(X).T)
-        active, y, xa = np.arange(X.shape[0]), Y, np.ascontiguousarray(X.T)
+        return _in_blocks(self._newton_inverse, x)
+
+    def _newton_inverse(self, xa) -> np.ndarray:
+        """`apply_inverse` at coordinate rows xa (3, b)."""
+        Y = np.ascontiguousarray(self.sys.apply_inverse(xa.T).T)
+        active, y = np.arange(xa.shape[1]), Y
         for step in range(INVERSE_MAX_ITER + 1):
-            trig = []
-            field = _trig_field(self._newton_modes, y, 4, trig)
+            field, sn, cs = _trig_field(self._newton, y, trig=True)
             if step == 0:    # x - g(y) is -v(y) up to rounding at y = f^-1(x)
-                r = [-v for v in field[:3]]
+                r = -field[:3]
             else:
                 r = minimal_displacement(self._step(y, field), xa)
                 keep = ~(_norm(r.T) <= INVERSE_RESIDUAL_TOL)
                 if not keep.any():
-                    return Y.T.reshape(x.shape)
-            slopes = [TWO_PI * s * cs - TWO_PI * c * sn if c else TWO_PI * s * cs
-                      for (*_, s, c), (sn, cs) in zip(self._newton_modes, trig)]
+                    return Y
+            slopes = self._slope_s * cs.take(self._newton.row, axis=0)
+            if self._newton.reads[1]:    # else the bits of 2 pi s cos alone
+                slopes -= self._slope_c * sn.take(self._newton.row, axis=0)
             if step and not keep.all():
-                active, y, r, xa = active[keep], y[:, keep], r[:, keep], xa[:, keep]
-                slopes = [d[keep] if np.ndim(d) else d for d in slopes]
+                active, y, r, xa, slopes = (active[keep], y[:, keep], r[:, keep], xa[:, keep],
+                                            slopes[:, keep])
             if step == INVERSE_MAX_ITER:
                 break
-            J = [[float(a), float(b), 0.0] for a, b in self.sys.A.tolist()] + [[0.0, 0.0, 1.0]]
-            for (j, *freq, _s, _c), d in zip(self._newton_modes, slopes):
-                row = J[min(j, 2)]
-                for k, m in enumerate(freq):
-                    if m:
-                        row[k] = row[k] + (d if m == 1 else m * d)
-            # cof[k][i] is the (k, i) cofactor, and (Dg^-1)[i, k] = cof[k][i] / det
-            cof = [[J[(k + 1) % 3][(i + 1) % 3] * J[(k + 2) % 3][(i + 2) % 3]
-                    - J[(k + 1) % 3][(i + 2) % 3] * J[(k + 2) % 3][(i + 1) % 3] for i in range(3)]
-                   for k in range(3)]
-            inv = 1.0 / (J[0][0] * cof[0][0] + J[0][1] * cof[0][1] + J[0][2] * cof[0][2])
-            dy = np.empty(y.shape)
-            for i in range(3):
-                dy[i] = cof[0][i] * inv * r[0] + cof[1][i] * inv * r[1] + cof[2][i] * inv * r[2]
+            dg = np.empty((9,) + y.shape[1:])
+            dg[...] = self._dg0
+            for e, q, m in self._dv:    # Dg = [[A, 0], [0, 0, 1]] + the factors in mode order
+                dg[e] += slopes[q] if m == 1 else m * slopes[q]
+            # J[a, b] = Dg[a % 3, b % 3] for a, b = 1..4, so that cof[k, i], the (k,
+            # i) cofactor, is J[k, i] J[k+1, i+1] - J[k, i+1] J[k+1, i]
+            J = dg.take(_CYCLIC, axis=0)
+            cof = J[:3, :3] * J[1:, 1:]
+            cof -= J[:3, 1:] * J[1:, :3]
+            # det along Dg's row 0, then (Dg^-1)[i, k] = cof[k, i] (1 / det)
+            det = J[2, 2] * cof[0, 0] + J[2, 0] * cof[0, 1]
+            cof *= 1.0 / (det + J[2, 1] * cof[0, 2])
+            cof *= r[:, None]
+            dy = cof[0] + cof[1]
+            dy += cof[2]
             y = wrap(np.add(y, dy, out=dy))
             Y[:, active] = y
         raise ModelError(f"perturbed-map inversion did not reach residual "
@@ -309,9 +337,9 @@ class PerturbedMap:
     def certified_bound(self) -> float:
         """Certified sup d(f, g): grid supremum of |v| plus Lipschitz slack.
 
-        The field runs on the grid's axis vectors, so a mode takes sin and
-        cos only on the axes it reads and only the sum of squares spans a
-        slab: a 128^3 certificate of one-axis modes takes a few ms and MiB.
+        The field runs mode by mode on the grid's axis vectors, so a mode
+        takes sin and cos only on the axes it reads and only the sum of squares
+        spans a slab: a 128^3 certificate of one-axis modes takes a few ms and MiB.
         """
         if self._certified is None:
             n = self.certification_grid
@@ -319,8 +347,10 @@ class PerturbedMap:
             sup = 0.0
             # slabs of whole planes x = const, about 262144 points each, to bound memory
             for x in np.array_split(axis, min(n, max(1, n ** 3 // 262144))):
-                v0, v1, v2 = _trig_field(self.modes, (x[:, None, None], axis[:, None], axis), 3)
-                sup = max(sup, float(np.max(v0 * v0 + v1 * v1 + v2 * v2)))
+                v = [0.0] * 3
+                for j, field in self._alone:
+                    v[j] = v[j] + _trig_field(field, (x[:, None, None], axis[:, None], axis))[0]
+                sup = max(sup, float(np.max(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])))
             # sqrt is monotone: the root of the largest square is the largest norm
             bound = math.sqrt(sup) + self.lip_v * (math.sqrt(3.0) / (2.0 * n))
             # a NaN bound fails this test and is never cached

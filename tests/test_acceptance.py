@@ -1,5 +1,6 @@
-"""Acceptance suite: the thirteen desk-scale contracts, one test each, and
-the negative controls of criteria 12 and 13.
+"""Acceptance suite: the thirteen desk-scale contracts, one test each, the
+negative controls of criteria 12 and 13, and the A-shadow witnesses, which
+meet claims 1 and 2 with no code of the construction.
 
 Every test prints a single PASS/FAIL line with the measured quantity and
 its gate (run with `pytest tests/test_acceptance.py -s` to see them all);
@@ -12,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from torusshadow.geometry import torus_distance, wrap
+from torusshadow.geometry import fiber_displacement, torus_distance, wrap
 from torusshadow.models import SkewModel, builtin_model
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
 from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map, generate_noisy
@@ -209,31 +210,69 @@ def test_criterion_9_semiconjugacy_identity(grid_16x16x8):
                   f"failures={len(sc.failures)}, runtime={elapsed:.0f}s (<120s)")
 
 
-def _oracle_gaps(sc, g, pi):
-    """|base(pi(x)) - the A-shadow of the base of x's g-orbit at index 0|
-    per node: the base factor of f is A, so base(pi(x)) is that shadow,
-    which `cat_map_shadow` solves with no code of the construction."""
-    orbit = from_map(SKEW, g, sc.nodes, (-sc.window, sc.window))
-    oracle = np.array([cat_map_shadow(SKEW.A, pts[:, :2])[sc.window] for pts in orbit.points])
-    return torus_distance(pi[:, :2], oracle)
+def _a_shadow_pi(g, nodes, N):
+    """(the A-shadow of the base of x's g-orbit on [-N, N] at index 0, x's
+    own fiber) per node x: the base factor of f is A, so base(pi(x)) is that
+    shadow, which `cat_map_shadow` solves with no code of the construction."""
+    orbit = from_map(SKEW, g, nodes, (-N, N))
+    base = np.array([cat_map_shadow(SKEW.A, pts[:, :2])[N] for pts in orbit.points])
+    return np.column_stack([base, nodes[:, 2]])
 
 
-def test_criterion_13_pi_base_against_the_cat_map_oracle(grid_16x16x8):
+@pytest.fixture(scope="module")
+def a_shadow_16x16x8(grid_16x16x8):
+    """The A-shadow witness on criterion 9's grid: pi at the nodes x and at
+    their images g(x)."""
     _, g, sc, _ = grid_16x16x8
-    worst = float(np.max(_oracle_gaps(sc, g, sc.pi)))
+    return _a_shadow_pi(g, sc.nodes, sc.window), _a_shadow_pi(g, g.apply(sc.nodes), sc.window)
+
+
+def _oracle_gaps(pi, a_shadow):
+    """|base(pi(x)) - the A-shadow of the base of x's g-orbit at index 0| per node."""
+    return torus_distance(pi[:, :2], a_shadow[0][:, :2])
+
+
+def test_criterion_13_pi_base_against_the_cat_map_oracle(grid_16x16x8, a_shadow_16x16x8):
+    sc = grid_16x16x8[2]
+    worst = float(np.max(_oracle_gaps(sc.pi, a_shadow_16x16x8)))
     ok = not sc.failures and worst < 1e-8
     report(13, ok, f"grid 16x16x8, N=40, {sc.nodes.shape[0]} nodes: "
                    f"max |base(pi) - cat_map_shadow|={worst:.3e} (<1e-8)")
 
 
-def test_criterion_13_negative_control(grid_16x16x8):
+def test_criterion_13_negative_control(grid_16x16x8, a_shadow_16x16x8):
     # the gate reads pi: its base moved by 1e-6 must fail it at every node
-    _, g, sc, _ = grid_16x16x8
+    sc = grid_16x16x8[2]
     moved = sc.pi.copy()
     moved[:, :2] = wrap(moved[:, :2] + 1e-6 * SKEW.v_s)
-    gaps = _oracle_gaps(sc, g, moved)
+    gaps = _oracle_gaps(moved, a_shadow_16x16x8)
     assert not np.any(gaps < 1e-8)
     assert np.max(gaps) == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_a_shadow_witness_meets_claim_1(batch_traces):
+    # A is a factor of f and the center leaves are its fibers, so the
+    # A-shadow of an orbit's base with the orbit's own fibers, no code of
+    # the construction, passes `verify` on criterion 2's 100 orbits
+    eps, _, out, _ = batch_traces
+    for orbit, trace, _ in out:
+        witness = np.column_stack([cat_map_shadow(SKEW.A, orbit.points[:, :2]),
+                                   orbit.points[:, 2]])
+        assert verify(SKEW, orbit, replace(trace, y_star=witness), eps).passed
+
+
+def test_a_shadow_witness_meets_claim_2(grid_16x16x8, a_shadow_16x16x8):
+    # and pi(x) = (the A-shadow of the base of x's g-orbit at index 0, x's
+    # fiber) passes the intertwining identity, with |tau| < epsilon, and
+    # the degree check on criterion 9's grid
+    eps, g, sc, _ = grid_16x16x8
+    pi, pi_g = a_shadow_16x16x8
+    tau = fiber_displacement(SKEW.apply(pi)[:, 2], pi_g[:, 2])
+    witness = replace(sc, pi=pi, pi_g=pi_g, tau=tau)
+    identity = check_identity(SKEW, witness, g)
+    assert identity.passed and identity.max_base_mismatch < 1e-8
+    assert np.max(np.abs(tau)) < eps
+    assert surjectivity_density(witness, eps).passed
 
 
 def test_criterion_10_uniqueness_up_to_center_plaque():

@@ -449,20 +449,31 @@ SKEW_FILE = {"matrix": [[2, 1], [1, 1]], "omega": 0.05,
      "perturbation coordinate must be 0, 1, or 2, got 3"),
     ({"perturbation": [{"coord": 2, "freq": [1, 0], "sin": 1e-3}]},
      "perturbation mode (2, 1, 0, 0.001, 0.0) needs 3 frequencies"),
+    # a JSON string or bool where a number belongs: "10" used to unpack to
+    # the frequencies (1, 0), and true to read as 1.0
+    ({"matrix": [["2", 1], [1, 1]]}, "matrix: expected a number, got '2'"),
+    ({"phi_modes": [{"freq": "10", "sin": 0.02}]}, "phi mode freq: expected a list, got '10'"),
+    ({"omega": True}, "omega: expected a number, got True"),
+    ({"perturbation": [{"coord": 2, "freq": [1, 0, 0], "sin": "1e-3"}]},
+     "perturbation mode sin: expected a number, got '1e-3'"),
+    ({"amplitude_bound": True}, "amplitude_bound: expected a number, got True"),
 ], ids=["series_tol-nan", "series_tol-inf", "omega-nan", "sin-nan", "matrix-fraction",
         "freq-fraction", "series_tol-tiny", "series_tol-subnormal", "freq-1e19",
         "perturbation-freq-1e308", "matrix-eigenvalues-on-circle", "matrix-3x2",
         "coupling-too-strong", "phi-freq-three", "perturbation-coord-3",
-        "perturbation-freq-two"])
+        "perturbation-freq-two", "matrix-string", "freq-string", "omega-bool",
+        "perturbation-sin-string", "amplitude_bound-bool"])
 def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
-    # a "perturbation" edit is the modes of a perturbation file read by `stability`
-    modes = edit.get("perturbation")
-    (workdir / "model.json").write_text(json.dumps({**SKEW_FILE, **edit} if modes is None
-                                                   else SKEW_FILE))
+    # a "perturbation" (modes) or "amplitude_bound" edit is one of a
+    # perturbation file read by `stability`
+    on_perturbation = bool(edit.keys() & {"perturbation", "amplitude_bound"})
+    (workdir / "model.json").write_text(json.dumps(SKEW_FILE if on_perturbation
+                                                   else {**SKEW_FILE, **edit}))
     argv = ["constants", "--model", "model.json", "--epsilon", "1e-2", "--out", "c"]
-    if modes is not None:
-        (workdir / "pert.json").write_text(json.dumps({"amplitude_bound": 1.2e-3,
-                                                       "modes": modes}))
+    if on_perturbation:
+        (workdir / "pert.json").write_text(json.dumps({
+            "amplitude_bound": edit.get("amplitude_bound", 1.2e-3),
+            "modes": edit.get("perturbation", [{"coord": 2, "freq": [1, 0, 0], "sin": 1e-3}])}))
         argv = ["stability", "--model", "model.json", "--epsilon", "0.216", "--grid", "2",
                 "2", "2", "--perturbation", "pert.json", "--out", "st"]
     assert run(argv) == 2

@@ -3,7 +3,8 @@ perturbation files run through `cli.main`, which must turn every one into an
 exit code.
 
 The edits are token swaps (each number in a line is a token, header values
-included), line deletes, line duplicates and truncations.  Hypothesis runs
+included; a JSON file may so get a bool or a string for a number), line
+deletes, line duplicates and truncations.  Hypothesis runs
 derandomized, so the examples are the same on every run.
 """
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from torusshadow.cli import main
 from torusshadow.models import builtin_model, model_to_dict
 
-TOKENS = ("nan", "inf", "1e308", "-0.5", "1.0", "", "1_0", "0x10")
+TOKENS = ("nan", "inf", "1e308", "-0.5", "1.0", "", "1_0", "0x10", "true", '"1"')
 NUMBER = re.compile(r"[-+]?\d[\w.+-]*")
 SETTINGS = dict(derandomize=True, database=None, deadline=None)
 # one-axis, sin+cos and two-axis modes, one to a line, certified below the

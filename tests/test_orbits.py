@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from torusshadow import orbits
 from torusshadow.geometry import minimal_displacement, torus_distance, wrap
-from torusshadow.models import ModelError, SkewModel, _norm, _trig_field
+from torusshadow.models import ModelError, SkewModel, TrigField, _norm, _trig_field
 from torusshadow.orbits import (
     INVERSE_RESIDUAL_TOL,
     PerturbedMap,
@@ -28,6 +28,8 @@ from torusshadow.orbits import (
 )
 from torusshadow.shadowing import delta_for_epsilon, quasi_shadow, read_trace, write_trace
 from torusshadow.stability import _lattice
+
+from tests_helpers import reference_inverse, reference_trig_field
 
 X0 = np.array([0.2, 0.35, 0.81])
 
@@ -239,6 +241,12 @@ SPLIT_MODES = [(j, *freq, s * math.cos(t), s * math.sin(t))
 # modes that read two or three axes, each with both sin and cos
 CROSS_MODES = [(0, 1, 2, 0, 2e-4, -1e-4), (1, 0, 1, -1, -1.5e-4, 2e-4), (2, 1, -1, 2, 1e-4, 1e-4),
                (2, 2, 0, 1, -5e-5, 1.2e-4)]
+# several modes a coordinate, most entries of Dv with two or three terms,
+# scaled to lip_v Lip(f^-1) = 0.78 on the skew model
+STRONG_MODES = [(j, *m, 1.2 * s, 1.2 * c) for (j, *m, s, c) in (
+    (0, 1, 0, 0, 0.01, 0.005), (0, 1, 1, 0, -0.008, 0.0), (0, 3, -1, 1, 0.0, 0.003),
+    (1, 0, 1, 0, 0.007, -0.006), (1, 1, 3, 1, 0.0, 0.002), (2, 1, 0, 0, 0.006, 0.0),
+    (2, -1, 2, 1, 0.003, 0.002))]
 
 
 PHI_MODES = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
@@ -277,6 +285,17 @@ class TestPerturbedMap:
             x = rng.random(3)
             assert torus_distance(g.apply(x), skew.apply(x)) == 0.0
         assert g.certified_bound() == 0.0
+
+    def test_blocks_keep_the_bits_and_the_shape(self, skew, rng):
+        # 5000 points run as blocks of 2048 rows: each point's g and g^-1
+        # are those of a call on the point alone, in the points' shape
+        g = PerturbedMap(skew, SPLIT_MODES, amplitude_bound=1.1e-3)
+        x = rng.random((2, 2500, 3))
+        for f in (g.apply, g.apply_inverse):
+            y = f(x)
+            assert y.shape == x.shape
+            alone = np.array([f(p) for p in x.reshape(-1, 3)[::499]])
+            assert alone.tobytes() == y.reshape(-1, 3)[::499].tobytes()
 
     def test_certified_bound_brackets_field(self, skew):
         for amp in (1e-4, 1e-3, 1e-2):
@@ -321,7 +340,8 @@ class TestPerturbedMap:
         x = np.random.default_rng(grid).random((5, 7, 3))
         for pts in (x, x[0, 0]):
             v = np.empty(pts.shape)
-            v[..., 0], v[..., 1], v[..., 2] = _trig_field(g.modes, [pts[..., i] for i in range(3)], 3)
+            field = TrigField(g.modes, "perturbation", axes=3, components=3)
+            v[..., 0], v[..., 1], v[..., 2] = _trig_field(field, [pts[..., i] for i in range(3)])
             assert v.tobytes() == reference_displacement(g, pts).tobytes()
 
     def test_certificate_memory_follows_the_axes_read(self, skew):
@@ -517,6 +537,91 @@ class TestPerturbedMap:
             g = PerturbedMap(skew, modes, amplitude_bound=1.0)
             with pytest.raises(ModelError, match="certified d\\(f, g\\) = inf exceeds"):
                 g.certified_bound()
+
+    @pytest.mark.parametrize("modes", [CRITERION_9_MODES, SPLIT_MODES, CROSS_MODES, STRONG_MODES],
+                             ids=["criterion-9", "sin-cos", "cross", "strong"])
+    def test_newton_step_has_the_bits_of_the_per_entry_step(self, skew, modes):
+        # from the same start f^-1(x), the stacked field, the (9, B) Dg and
+        # its gathered cofactors give the bits of the mode-by-mode field and
+        # the entry-by-entry adjugate, seam points and retiring rows included;
+        # the strong field's steps are large enough that a rounding of Dg
+        # reaches y, and its 2506 rows span two of apply_inverse's blocks
+        g = PerturbedMap(skew, modes, amplitude_bound=1.0)
+        x = np.random.default_rng(500).random((2506 if modes is STRONG_MODES else 506, 3))
+        seam = 1.0 - 2.0 ** -53
+        x[-6:] = [[0.0, 0.0, 0.0], [seam] * 3, [0.0, seam, 0.0], [seam, 0.0, seam],
+                  [0.0, 0.5, seam], [seam, seam, 0.0]]
+        assert g.apply_inverse(x).tobytes() == reference_inverse(g, x).tobytes()
+
+    @given(modes=MODES, phi_modes=PHI_MODES)
+    @settings(max_examples=25, deadline=None)
+    @seed(31)
+    def test_newton_step_bits_on_drawn_fields(self, modes, phi_modes):
+        # drawn v and phi modes, several sharing a frequency or a coordinate
+        g = PerturbedMap(SkewModel([[2, 1], [1, 1]], omega=0.05, phi_modes=phi_modes), modes,
+                         amplitude_bound=1.0)
+        x = np.random.default_rng(len(modes)).random((24, 3))
+        x[:2] = [[0.0, 0.0, 0.0], [1.0 - 2.0 ** -53] * 3]
+        assert g.apply_inverse(x).tobytes() == reference_inverse(g, x).tobytes()
+
+
+# sin-only and cos-only modes of one frequency, a frequency shared by v and
+# phi (coordinate 3), two- and three-axis modes, negative and zero
+# frequencies, zero amplitudes, several modes on one coordinate, and many
+KERNEL_FIELDS = {
+    "newton": (CRITERION_9_MODES + [(3, 1, 0, 0, 0.02, 0.0)], 4),
+    "one-each": ([(0, 0, 1, 0, -2e-4, 0.0), (1, -1, 0, 0, 1e-4, 0.0), (2, 1, 0, 1, -1e-4, 0.0)], 3),
+    "shared": ([(0, 1, -1, 0, 2e-4, 0.0), (1, 1, -1, 0, 0.0, -1e-4), (3, 1, -1, 0, 0.015, -0.01),
+                (2, 0, 2, 1, 1e-4, 1e-4), (3, 0, 2, 0, 0.0, 0.01), (2, 0, 0, 0, 3e-4, -2e-4)], 4),
+    "several": (CROSS_MODES + [(0, -2, 0, 3, 0.0, 0.0), (0, 1, 2, 0, 5e-5, 0.0),
+                               (1, 0, 0, 0, 0.0, 1e-4)], 3),
+    "empty": ([], 3),
+    # more distinct frequencies than np.broadcast takes in one call (32 in
+    # numpy 1.x, 64 in 2.x)
+    "many": ([(0, k % 5 - 2, k // 5 - 7, 0, 1e-5, 2e-5) for k in range(70)], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_FIELDS))
+def test_stacked_kernel_matches_the_per_mode_field(name):
+    # every component and every mode's sin and cos, bit for bit, on the
+    # three layouts the kernel takes: coordinate rows (3, B), series-like
+    # (rows, terms) blocks with an unread axis None, and the certificate's
+    # broadcasting axis vectors
+    modes, components = KERNEL_FIELDS[name]
+    field = TrigField(modes, "perturbation", axes=3, components=components)
+    rng = np.random.default_rng(components)
+    rows = rng.random((3, 40))
+    rows[:, :4] = [[0.0, 1.0 - 2.0 ** -53, 0.0, 0.5], [0.0, 1.0 - 2.0 ** -53, 0.5, 0.0],
+                   [0.0, 0.0, 1.0 - 2.0 ** -53, 0.25]]
+    block = rng.random((3, 6, 9)) * 2.0 - 0.5
+    axis = (np.arange(8) + 0.5) / 8
+    unread = [k for k in range(3) if not any(m[1 + k] for m in modes)] or [None]
+    layouts = [rows, [None if k == unread[0] else block[k] for k in range(3)],
+               (axis[:5, None, None], axis[:, None], axis)]
+    for coords in layouts:
+        v, sn, cs = _trig_field(field, coords, trig=True)
+        assert np.array_equal(_trig_field(field, coords), v)
+        ref_v, ref_trig = reference_trig_field(modes, coords, components)
+        assert len(sn) == len(set(tuple(m[1:4]) for m in modes))
+        for j in range(components):
+            assert v[j].tobytes() == np.broadcast_to(ref_v[j], v.shape[1:]).tobytes()
+        for row, (ref_sn, ref_cs) in zip(field.row, ref_trig):
+            assert sn[row].tobytes() == np.broadcast_to(ref_sn, sn.shape[1:]).tobytes()
+            assert cs[row].tobytes() == np.broadcast_to(ref_cs, cs.shape[1:]).tobytes()
+
+
+def test_inversion_forms_a_sin_and_a_cos_per_distinct_frequency(skew, monkeypatch):
+    # criterion 9's field shares its (1, 0, 0) with phi's (1, 0): an
+    # inversion that retires in 2 steps takes f^-1's one sin and 3 passes of
+    # 3 sin and 3 cos, 19 arrays where one sin and cos per mode took 25
+    calls = []
+    for name in ("sin", "cos"):
+        monkeypatch.setattr(np, name, lambda x, *a, ufunc=getattr(np, name), **k:
+                            calls.append(np.shape(x)) or ufunc(x, *a, **k))
+    g = PerturbedMap(skew, CRITERION_9_MODES, amplitude_bound=1.1e-3)
+    g.apply_inverse(np.random.default_rng(3).random((256, 3)))
+    assert sum(shape[0] if len(shape) == 2 else 1 for shape in calls) == 19
 
 
 @pytest.fixture(scope="module")

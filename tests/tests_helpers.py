@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from torusshadow.geometry import (_frac, fiber_displacement, minimal_displacement,
+from torusshadow.geometry import (_frac, _norm, fiber_displacement, minimal_displacement,
                                   torus_distance, wrap)
-from torusshadow.models import IntersectionError, SkewModel
-from torusshadow.orbits import PseudoOrbit
+from torusshadow.models import TWO_PI, IntersectionError, SkewModel, _base_map
+from torusshadow.orbits import INVERSE_MAX_ITER, INVERSE_RESIDUAL_TOL, PseudoOrbit
 from torusshadow.shadowing import _iterate, _scan
 
 
@@ -240,3 +240,65 @@ def reference_half(sys, st):
                           * rate ** np.arange(1, guides.shape[-2]),
                           np.logical_not(stable))
     return guides, star
+
+
+def reference_trig_field(modes, coords, components: int):
+    """A trigonometric field mode by mode, as one pass per mode computes it:
+    the components (each summed in mode order from 0.0, zero amplitudes
+    skipped) and every mode's (sin, cos), at coordinate arrays of the axes
+    its frequency reads, the angle 2 pi times the sum of its nonzero terms."""
+    v, trig = [0.0] * components, []
+    for (j, *m, s, c) in modes:
+        terms = [x if k == 1 else k * x for k, x in zip(m, coords) if k]
+        th = TWO_PI * sum(terms[1:], terms[0]) if terms else 0.0
+        sn, cs = np.sin(th), np.cos(th)
+        if s:
+            v[j] = v[j] + (s * sn + c * cs if c else s * sn)
+        elif c:
+            v[j] = v[j] + c * cs
+        trig.append((sn, cs))
+    return v, trig
+
+
+def reference_inverse(g, x):
+    """g^-1 at points x (B, 3) by `PerturbedMap.apply_inverse`'s Newton
+    iteration from f^-1(x), with its field, g and step taken mode by mode,
+    coordinate by coordinate and entry by entry: Dg = [[A, 0], [grad phi, 1]] + Dv built from each mode's
+    derivative factor in mode order, and each (Dg^-1)[i, k] the cofactor
+    times 1 / det, rounded before it meets the residual."""
+    modes = g._newton.modes
+    Y = np.ascontiguousarray(g.sys.apply_inverse(x).T)
+    active, y, xa = np.arange(x.shape[0]), Y, np.ascontiguousarray(x.T)
+    for step in range(INVERSE_MAX_ITER + 1):
+        field, trig = reference_trig_field(modes, y, 4)
+        if step == 0:
+            r = [-v for v in field[:3]]
+        else:
+            out = wrap(_base_map(g.sys.A, y[0], y[1]) + [y[2] + g.sys.omega + field[3]])
+            for j in range(3):
+                out[j] += field[j]
+            r = minimal_displacement(wrap(out), xa)
+            keep = ~(_norm(r.T) <= INVERSE_RESIDUAL_TOL)
+            if not keep.any():
+                return Y.T
+        slopes = [TWO_PI * s * cs - TWO_PI * c * sn if c else TWO_PI * s * cs
+                  for (*_, s, c), (sn, cs) in zip(modes, trig)]
+        if step and not keep.all():
+            active, y, r, xa = active[keep], y[:, keep], r[:, keep], xa[:, keep]
+            slopes = [d[keep] if np.ndim(d) else d for d in slopes]
+        assert step < INVERSE_MAX_ITER
+        J = [[float(a), float(b), 0.0] for a, b in g.sys.A.tolist()] + [[0.0, 0.0, 1.0]]
+        for (j, *freq, _s, _c), d in zip(modes, slopes):
+            row = J[min(j, 2)]
+            for k, m in enumerate(freq):
+                if m:
+                    row[k] = row[k] + (d if m == 1 else m * d)
+        cof = [[J[(k + 1) % 3][(i + 1) % 3] * J[(k + 2) % 3][(i + 2) % 3]
+                - J[(k + 1) % 3][(i + 2) % 3] * J[(k + 2) % 3][(i + 1) % 3] for i in range(3)]
+               for k in range(3)]
+        inv = 1.0 / (J[0][0] * cof[0][0] + J[0][1] * cof[0][1] + J[0][2] * cof[0][2])
+        dy = np.empty(y.shape)
+        for i in range(3):
+            dy[i] = cof[0][i] * inv * r[0] + cof[1][i] * inv * r[1] + cof[2][i] * inv * r[2]
+        y = wrap(np.add(y, dy, out=dy))
+        Y[:, active] = y
