@@ -50,6 +50,12 @@ def _finite(obj):
     return obj
 
 
+def _report_fields(report) -> dict:
+    """A report dataclass's fields, the schema of its JSON file, less the
+    `epsilon` argument, which the manifest holds."""
+    return {key: value for key, value in dataclasses.asdict(report).items() if key != "epsilon"}
+
+
 def _derived(sys_model, params: shadowing.ShadowingParams) -> dict:
     """Every resolved parameter plus the model's rates and the margins."""
     derived = dataclasses.asdict(params)
@@ -152,15 +158,8 @@ def cmd_verify(args, sys_model, out: Path) -> int:
     else:
         oracle = oracles.cat_map_shadow(sys_model.A, orbit.points[:, :2])
         gap = torus_distance(trace.y_star[rows, :2], oracle[rows])
-    gap = float(np.max(gap))
-    report.oracle_gap = gap
-    payload = {
-        "passed": report.passed, "max_distance": report.max_distance,
-        "max_base_residual": report.max_base_residual, "max_motion": report.max_motion,
-        "failing_indices": report.failing_indices, "oracle_gap": gap,
-        "interior": list(report.interior),
-    }
-    _write_json(out / "verify.json", payload)
+    report.oracle_gap = float(np.max(gap))
+    _write_json(out / "verify.json", _report_fields(report))
     _write_manifest(out, args, sys_model, outputs=["verify.json"])
     print(report.summary())
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -170,9 +169,9 @@ def _load_perturbation(sys_model, args) -> orbits.PerturbedMap:
     if args.perturbation:
         with open(args.perturbation) as fh:
             data = json.load(fh)
+        models._json_keys(data, ("modes", "amplitude_bound", "certification_grid"), "perturbation")
         try:
-            modes = [(models._json_numbers(m["coord"], "perturbation mode coord"),
-                      *models._json_mode(m, "perturbation mode")) for m in data["modes"]]
+            modes = [models._json_mode(m, "perturbation mode", ("coord",)) for m in data["modes"]]
             bound = models._json_numbers(data["amplitude_bound"], "amplitude_bound")
             return orbits.PerturbedMap(sys_model, modes, bound,
                                        certification_grid=data.get("certification_grid", 128))
@@ -197,15 +196,10 @@ def cmd_stability(args, sys_model, out: Path) -> int:
     stability.write_semiconjugacy(sc, out / "semiconjugacy.txt",
                                   model_name=args.model,
                                   perturbation=args.perturbation or f"delta={args.delta}")
-    _write_json(out / "stability.json", {
-        "identity": {"passed": identity.passed,
-                     "max_base_mismatch": identity.max_base_mismatch,
-                     "max_fiber_residual": identity.max_fiber_residual,
-                     "failing_nodes": identity.failing_nodes[:100]},
-        "surjectivity": {"passed": surj.passed, "sup_pi_id": surj.sup_pi_id,
-                         "modulus": surj.modulus},
-        "node_failures": sc.failures[:100],
-    })
+    capped = dataclasses.replace(identity, failing_nodes=identity.failing_nodes[:100])
+    _write_json(out / "stability.json", {"identity": _report_fields(capped),
+                                         "surjectivity": _report_fields(surj),
+                                         "node_failures": sc.failures[:100]})
     _write_manifest(out, args, sys_model, sc.params,
                     outputs=["semiconjugacy.txt", "stability.json"])
     print(identity.summary())

@@ -318,6 +318,18 @@ class SkewModel:
         out[..., 2] = wrap(x[..., 2] - self.omega - self.phi(base[0], base[1]))
         return out
 
+    def center_step(self, x, y):
+        """(transverse, motion) of points y (..., 3) against the center leaf of
+        f(x), the one center-leaf gate: the leaves are the fibers, so these are
+        the base distance and the signed fiber displacement from f(x).  f
+        refuses NaN: a row of x that is not finite gives NaN in both."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        ok = np.isfinite(x).all(axis=-1)
+        fx = np.full(x.shape, np.nan)
+        fx[ok] = self.apply(x[ok])
+        return (torus_distance(fx[..., :2], y[..., :2]),
+                minimal_displacement(fx[..., 2], y[..., 2]))
+
     def coeffs(self, d):
         """(along v_u, along v_s) coefficients of base displacements d (..., 2)."""
         inv = self._inv
@@ -556,15 +568,23 @@ def _json_numbers(value, what: str, depth: int = 0):
     return value
 
 
-def _json_mode(mode: dict, what: str) -> tuple:
-    """(*freq, sin, cos) of a decoded JSON mode, sin and cos 0.0 when absent."""
-    return (*_json_numbers(mode["freq"], f"{what} freq", 1),
+def _json_keys(obj, keys, what: str) -> None:
+    if isinstance(obj, dict) and not obj.keys() <= set(keys):   # a non-object fails its reads
+        raise ModelError(f"{what}: unknown key(s) {sorted(obj.keys() - set(keys))}")
+
+
+def _json_mode(mode: dict, what: str, head=()) -> tuple:
+    """(*head, *freq, sin, cos) of a JSON mode with no other key; sin, cos 0.0 if absent."""
+    _json_keys(mode, (*head, "freq", "sin", "cos"), what)
+    return (*(_json_numbers(mode[key], f"{what} {key}") for key in head),
+            *_json_numbers(mode["freq"], f"{what} freq", 1),
             *(_json_numbers(mode.get(key, 0.0), f"{what} {key}") for key in ("sin", "cos")))
 
 
 def model_from_dict(data: dict) -> SkewModel:
     if not isinstance(data, dict):
         raise ModelError(f"model description must be a JSON object, got {type(data).__name__}")
+    _json_keys(data, ("matrix", "omega", "phi_modes", "series_tol"), "model description")
     try:
         modes = [_json_mode(m, "phi mode") for m in data.get("phi_modes", [])]
         return SkewModel(_json_numbers(data["matrix"], "matrix", 2),

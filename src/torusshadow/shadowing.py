@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import fiber_displacement, minimal_displacement, torus_distance, wrap
+from .geometry import minimal_displacement, torus_distance, wrap
 from .models import SkewModel, _flag_rows
 from .orbits import PseudoOrbit, defects, read_table, write_table
 
@@ -711,9 +711,9 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace,
            epsilon: float) -> VerifyReport:
     """Recompute the quasi-shadowing contract from the orbit and y* alone.
 
-    Per interior index: tracing distance < epsilon, base coordinates of
-    y*_k and the freshly computed f(y*_{k-1}) agree within RESIDUAL_TOL,
-    and the center motion magnitude stays below epsilon.  Every gate is
+    Per interior index, with `SkewModel.center_step` of y*_k against a fresh
+    f(y*_{k-1}): tracing distance < epsilon, base gap < RESIDUAL_TOL, and
+    center motion magnitude < epsilon.  Every gate is
     written as `not (value < bound)`, so a NaN fails it.  Shares no state
     with the constructor, and a trace stores nothing derived from y* for it
     to compare: an edit of y* fails exactly when the edited sequence breaks
@@ -733,14 +733,10 @@ def verify(sys: SkewModel, orbit: PseudoOrbit, trace: ShadowingTrace,
                              f"to verify for power k = {trace.k}")
     q = np.arange(lo, hi + 1)
     i = q - trace.n_min
-    y, prev = trace.y_star[i], trace.y_star[i - 1]
-    # f refuses NaN: a NaN point's image stays NaN and fails each gate it meets
-    ok = np.isfinite(prev).all(axis=1)
-    fp = np.full(prev.shape, np.nan)
-    fp[ok] = sys.apply(prev[ok])
+    y = trace.y_star[i]
     d = torus_distance(orbit.points[q - orbit.n_min], y)
-    res = torus_distance(fp[:, :2], y[:, :2])
-    mot = np.abs(fiber_displacement(fp[:, 2], y[:, 2]))
+    res, motion = sys.center_step(trace.y_star[i - 1], y)   # a NaN fails each gate it meets
+    mot = np.abs(motion)
     failing = ~(d < epsilon) | ~(res < RESIDUAL_TOL) | ~(mot < epsilon)
     return VerifyReport(
         passed=not failing.any(), max_distance=float(np.max(d, initial=0.0)),

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import fiber_displacement, minimal_displacement, torus_distance
+from .geometry import minimal_displacement, torus_distance
 from .models import SkewModel, _is_positive_int
 from .orbits import PerturbedMap, from_map, write_table
 from .shadowing import (
@@ -80,7 +80,7 @@ def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: fl
     pi(g(x)) = y*_1 is f(y*_0) when k >= 2 (index 1 is filled by an exact
     map step), so there pi_g = f(pi) and tau = 0 by construction; when
     k = 1 it is the first upward subsampled correction, and tau is its
-    fiber gap from f(pi).  The certified d(f, g) must be below the
+    `center_step` motion from f(pi).  The certified d(f, g) must be below the
     admissible defect; per-node shadowing failures are recorded in the
     report as (node, message) rather than raised, and leave the node's pi,
     pi_g and tau NaN.  The report's arrays own their data.
@@ -101,9 +101,8 @@ def semiconjugacy(sys: SkewModel, g: PerturbedMap, grid_res, N: int, epsilon: fl
     nodes = _lattice(grid)
     orbit = from_map(sys, g, nodes, (-N, N))
     st = _anchor_stage(sys, orbit, epsilon, params)
-    fp = sys.apply(st.y0_star)
-    pi_g = fp if params.k > 1 else _half(sys, st)[1][0, :, 0, :].copy()
-    tau = fiber_displacement(fp[:, 2], pi_g[:, 2]).copy()   # a view of its result otherwise
+    pi_g = sys.apply(st.y0_star) if params.k > 1 else _half(sys, st)[1][0, :, 0, :].copy()
+    tau = sys.center_step(st.y0_star, pi_g)[1]
     pi = st.y0_star.copy()
     failed = sorted(st.errors)
     for arr in (pi, pi_g, tau):
@@ -131,27 +130,24 @@ def check_identity(sys: SkewModel, sc: SemiConjugacy, g: PerturbedMap) -> Identi
     """Check the intertwining identity pi(g(x)) = tau_x(f(pi(x))) at every node.
 
     pi(g(x)) is read from the node's own construction (its y*_1), and
-    f(pi(x)) is applied fresh: the base coordinates must agree within
-    IDENTITY_TOL and the fiber gap must equal the stored tau within
-    IDENTITY_TOL.  Since y*_1 and tau come from the same construction that
-    put y*_1 on the center plaque of f(y*_0), the identity holds by
-    construction; this computes its residuals, the one place they are
-    computed, but does not test it independently.  For k >= 2 both are
-    exactly 0, since pi_g = f(pi) and tau = 0.  `g` is accepted but not read:
+    `SkewModel.center_step` measures it against a fresh f(pi(x)): its base
+    gap must be below IDENTITY_TOL and its motion must equal tau within it.
+    tau is that same `center_step` motion, so max_fiber_residual is 0 bit
+    for bit and the fiber half cannot fail until tau is built independently;
+    the base half holds by construction (y*_1 was put on the center plaque
+    of f(y*_0)), exactly 0 for k >= 2.  `g` is accepted but not read:
     it stays in the signature for an independent check that traces the
     g-orbit of g(x) on its own, and callers (the CLI, the benchmark
     workloads) already pass it.
     """
     ok = ~np.isnan(sc.pi).any(axis=1)
-    fp = sys.apply(sc.pi[ok])
-    base_mismatch = torus_distance(fp[:, :2], sc.pi_g[ok, :2])
-    fib_res = np.abs(fiber_displacement(fp[:, 2], sc.pi_g[ok, 2]) - sc.tau[ok])
-    bad = np.ones(ok.shape, dtype=bool)
-    bad[ok] = ~(base_mismatch < IDENTITY_TOL) | ~(fib_res < IDENTITY_TOL)
+    base_mismatch, motion = sys.center_step(sc.pi, sc.pi_g)
+    fib_res = np.abs(motion - sc.tau)
+    bad = ~(base_mismatch < IDENTITY_TOL) | ~(fib_res < IDENTITY_TOL)
     failing = [int(i) for i in np.flatnonzero(bad)]
     return IdentityReport(passed=not failing,
-                          max_base_mismatch=float(np.max(base_mismatch, initial=0.0)),
-                          max_fiber_residual=float(np.max(fib_res, initial=0.0)),
+                          max_base_mismatch=float(np.max(base_mismatch[ok], initial=0.0)),
+                          max_fiber_residual=float(np.max(fib_res[ok], initial=0.0)),
                           failing_nodes=failing)
 
 

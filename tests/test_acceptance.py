@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from torusshadow.geometry import fiber_displacement, torus_distance, wrap
+from torusshadow.geometry import torus_distance, wrap
 from torusshadow.models import SkewModel, builtin_model
 from torusshadow.oracles import cat_map_shadow, linear_model_shadow
 from torusshadow.orbits import PerturbedMap, PseudoOrbit, from_map, generate_noisy
@@ -267,7 +267,7 @@ def test_a_shadow_witness_meets_claim_2(grid_16x16x8, a_shadow_16x16x8):
     # the degree check on criterion 9's grid
     eps, g, sc, _ = grid_16x16x8
     pi, pi_g = a_shadow_16x16x8
-    tau = fiber_displacement(SKEW.apply(pi)[:, 2], pi_g[:, 2])
+    tau = SKEW.center_step(pi, pi_g)[1]
     witness = replace(sc, pi=pi, pi_g=pi_g, tau=tau)
     identity = check_identity(SKEW, witness, g)
     assert identity.passed and identity.max_base_mismatch < 1e-8

@@ -37,6 +37,15 @@ def read_bytes_map(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+# The JSON reports' schemas: each report dataclass's fields less `epsilon`,
+# which the manifest holds.
+VERIFY_KEYS = {"passed", "max_distance", "max_base_residual", "max_motion", "failing_indices",
+               "interior", "oracle_gap"}
+STABILITY_KEYS = {"identity": {"passed", "max_base_mismatch", "max_fiber_residual",
+                               "failing_nodes"},
+                  "surjectivity": {"passed", "sup_pi_id", "modulus"}}
+
+
 class TestConstants:
     def test_default_linear(self, workdir, capsys):
         assert run(["constants", "--model", "linear", "--epsilon", "1e-2",
@@ -80,8 +89,10 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "PASS" in out
         report = json.loads((workdir / "v" / "verify.json").read_text())
+        assert set(report) == VERIFY_KEYS
         assert report["passed"]
         assert report["max_distance"] < 1e-9
+        assert report["interior"] == [-58, 58]
 
     def test_noisy_chain_with_oracle(self, workdir, capsys):
         run(["constants", "--model", "linear", "--epsilon", "5e-2", "--out", "c"])
@@ -151,6 +162,9 @@ class TestStability:
         assert "PASS identity" in out
         assert "PASS surjectivity" in out
         data = json.loads((workdir / "st" / "stability.json").read_text())
+        assert set(data) == {*STABILITY_KEYS, "node_failures"}
+        for name, keys in STABILITY_KEYS.items():
+            assert set(data[name]) == keys, name
         assert data["identity"]["passed"]
         assert not data["node_failures"]
         sc_file = (workdir / "st" / "semiconjugacy.txt").read_text().splitlines()
@@ -180,6 +194,16 @@ class TestStability:
         assert data["surjectivity"]["sup_pi_id"] is None
         assert len(data["node_failures"]) == 8
         assert (workdir / "st" / "semiconjugacy.txt").exists()
+
+    def test_failure_lists_capped_at_100(self, workdir, capsys):
+        # 125 nodes, none of which certifies an anchor in a half-length-8 window
+        assert run(["stability", "--model", "skew", "--epsilon", "0.216",
+                    "--grid", "5", "5", "5", "--half-length", "8",
+                    "--delta", "1e-3", "--out", "st"]) == 1
+        assert "failing_nodes=125" in capsys.readouterr().out
+        data = json.loads((workdir / "st" / "stability.json").read_text())
+        assert data["identity"]["failing_nodes"] == list(range(100))
+        assert [node for node, _ in data["node_failures"]] == list(range(100))
 
 
 def _edit_line(path: Path, prefix: str, column: int, value: str) -> None:
@@ -457,23 +481,31 @@ SKEW_FILE = {"matrix": [[2, 1], [1, 1]], "omega": 0.05,
     ({"perturbation": [{"coord": 2, "freq": [1, 0, 0], "sin": "1e-3"}]},
      "perturbation mode sin: expected a number, got '1e-3'"),
     ({"amplitude_bound": True}, "amplitude_bound: expected a number, got True"),
+    # a misspelt key used to be ignored: the field it meant read as absent
+    ({"omeg": 0.05}, "model description: unknown key(s) ['omeg']"),
+    ({"phi_modes": [{"freq": [1, 0], "sine": 0.3}]}, "phi mode: unknown key(s) ['sine']"),
+    ({"perturbation": [{"coord": 0, "freq": [1, 0, 0], "sine": 0.1}]},
+     "perturbation mode: unknown key(s) ['sine']"),
+    ({"amplitude_bound": 1.2e-3, "certificaton_grid": 64},
+     "perturbation: unknown key(s) ['certificaton_grid']"),
 ], ids=["series_tol-nan", "series_tol-inf", "omega-nan", "sin-nan", "matrix-fraction",
         "freq-fraction", "series_tol-tiny", "series_tol-subnormal", "freq-1e19",
         "perturbation-freq-1e308", "matrix-eigenvalues-on-circle", "matrix-3x2",
         "coupling-too-strong", "phi-freq-three", "perturbation-coord-3",
         "perturbation-freq-two", "matrix-string", "freq-string", "omega-bool",
-        "perturbation-sin-string", "amplitude_bound-bool"])
+        "perturbation-sin-string", "amplitude_bound-bool", "model-key-omeg",
+        "phi-mode-key-sine", "perturbation-mode-key-sine", "perturbation-key-certificaton_grid"])
 def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
-    # a "perturbation" (modes) or "amplitude_bound" edit is one of a
-    # perturbation file read by `stability`
+    # an edit with a "perturbation" (modes) or "amplitude_bound" key is one
+    # of a perturbation file read by `stability`, every key of it included
     on_perturbation = bool(edit.keys() & {"perturbation", "amplitude_bound"})
     (workdir / "model.json").write_text(json.dumps(SKEW_FILE if on_perturbation
                                                    else {**SKEW_FILE, **edit}))
     argv = ["constants", "--model", "model.json", "--epsilon", "1e-2", "--out", "c"]
     if on_perturbation:
         (workdir / "pert.json").write_text(json.dumps({
-            "amplitude_bound": edit.get("amplitude_bound", 1.2e-3),
-            "modes": edit.get("perturbation", [{"coord": 2, "freq": [1, 0, 0], "sin": 1e-3}])}))
+            "amplitude_bound": 1.2e-3, "modes": [{"coord": 2, "freq": [1, 0, 0], "sin": 1e-3}],
+            **{"modes" if key == "perturbation" else key: value for key, value in edit.items()}}))
         argv = ["stability", "--model", "model.json", "--epsilon", "0.216", "--grid", "2",
                 "2", "2", "--perturbation", "pert.json", "--out", "st"]
     assert run(argv) == 2

@@ -11,7 +11,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from torusshadow import models
-from torusshadow.geometry import minimal_displacement, torus_distance, wrap
+from torusshadow.geometry import fiber_displacement, minimal_displacement, torus_distance, wrap
 from torusshadow.models import (
     IntersectionError,
     ModelError,
@@ -164,6 +164,40 @@ class TestApply:
         for i in range(100):
             assert np.allclose(skew.apply(X[i]), F[i], atol=1e-15)
             assert np.allclose(skew.apply_inverse(X[i]), B[i], atol=1e-15)
+
+
+class TestCenterStep:
+    """`center_step`: the base distance and fiber displacement from f(x)."""
+
+    @staticmethod
+    def expressions(sys, x, y):
+        fx = sys.apply(x)
+        return (torus_distance(fx[..., :2], y[..., :2]),
+                fiber_displacement(fx[..., 2], y[..., 2]))
+
+    def test_the_base_gap_and_fiber_motion_from_f_x(self, skew, rng):
+        x, y = rng.random((1000, 3)), rng.random((1000, 3))
+        for got, want in zip(skew.center_step(x, y), self.expressions(skew, x, y)):
+            assert np.array_equal(got, want)
+        # seams: f(x)'s fiber at 0.999 and y's at 0.001 is a motion of
+        # +0.002, and a base that crosses 0/1 a gap of 2e-4, not ~1
+        x = skew.apply_inverse(np.array([[0.3, 0.6, 0.999], [0.9999, 0.5, 0.25]]))
+        fx = skew.apply(x)
+        y = np.array([[*fx[0, :2], 0.001], [1e-4, 0.5, fx[1, 2]]])
+        transverse, motion = skew.center_step(x, y)
+        for got, want in zip((transverse, motion), self.expressions(skew, x, y)):
+            assert np.array_equal(got, want)
+        assert transverse[0] == 0.0 and motion[0] == pytest.approx(0.002, abs=1e-12)
+        assert transverse[1] == pytest.approx(2e-4, abs=1e-12) and motion[1] == 0.0
+
+    def test_a_nan_row_gives_nan_and_leaves_the_others(self, skew, rng):
+        x, y = rng.random((2, 50, 3))
+        x[17] = np.nan
+        transverse, motion = skew.center_step(x, y)
+        assert np.isnan(transverse[17]) and np.isnan(motion[17])
+        rows = np.arange(50) != 17
+        for got, want in zip((transverse, motion), skew.center_step(x[rows], y[rows])):
+            assert np.array_equal(got[rows], want)
 
 
 class TestTransfers:

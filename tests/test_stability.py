@@ -81,11 +81,38 @@ class TestSemiconjugacy:
         report = check_identity(skew, sc, g)
         assert report.passed
         assert report.max_base_mismatch < 1e-8
-        assert report.max_fiber_residual < 1e-8
+        # tau and the check read the same `center_step`
+        assert report.max_fiber_residual == 0.0
 
     def test_sup_pi_id_below_epsilon(self, sc_small):
         _, sc = sc_small
         assert sc.sup_pi_id < EPS
+
+    @pytest.mark.parametrize("field", [
+        lambda a: [(0, 0, 1, 0, a / np.sqrt(3.0), 0.0), (1, 0, 0, 1, a / np.sqrt(3.0), 0.0),
+                   (2, 1, 0, 0, a / np.sqrt(3.0), 0.0)],
+        lambda a: [(0, 0, 0, 1, a, 0.0), (1, 0, 0, 1, 0.0, a)],
+    ], ids=["criterion-9", "z-reading"])
+    def test_pi_is_lipschitz_in_d_f_g(self, skew, field):
+        # Lipschitz shadowing (Pilyugin and Tikhomirov, Nonlinearity 23,
+        # 2010): sup d(pi, id) <= C d(f, g), with C from the model, not a fit.
+        # pi's base is the A-shadow of a pseudo-orbit whose base defects are
+        # at most d(f, g); in the eigenframe (norm |_inv|) its stable and
+        # unstable corrections sum at most 1 / (1 - |lam|) and 1 / (|mu| - 1)
+        # defects, and a strong-leaf move changes the fiber by at most
+        # leaf_slope_s times its offset.  For skew C = 2.28; the ratio
+        # reads 1.16 (criterion 9's field) and 1.59 (z-reading), flat in a.
+        C = (np.linalg.norm(skew._inv, ord=2)
+             * (1.0 / (1.0 - abs(skew.eig_lam)) + 1.0 / (abs(skew.eig_mu) - 1.0))
+             * np.sqrt(1.0 + skew.leaf_slope_s ** 2))
+        for amp in (1e-5, 1e-4, 1e-3):
+            # the finer certificate keeps the z-reading field's bound at 1e-3
+            # below the admissible defect 1.0586e-3
+            g = PerturbedMap(skew, field(amp), amplitude_bound=1.1 * amp,
+                             certification_grid=256)
+            sc = semiconjugacy(skew, g, (8, 8, 4), 40, EPS)
+            assert not sc.failures
+            assert sc.sup_pi_id <= C * g.certified_bound(), amp
 
     def test_report_holds_no_trace_memory(self, sc_small):
         # a view into the batch trace would keep all of its (B, 2N + 1, 3)

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from torusshadow.geometry import (_frac, _norm, fiber_displacement, minimal_displacement,
-                                  torus_distance, wrap)
+from torusshadow.geometry import _frac, _norm, minimal_displacement, torus_distance, wrap
 from torusshadow.models import TWO_PI, IntersectionError, SkewModel, _base_map
 from torusshadow.orbits import INVERSE_MAX_ITER, INVERSE_RESIDUAL_TOL, PseudoOrbit
 from torusshadow.shadowing import _iterate, _scan
@@ -30,12 +29,11 @@ def single_defect_orbit(sys, x0, window, jump):
 
 
 def center_motions(sys, y_star):
-    """The signed fiber step from f(y*_{k-1}) to y*_k at every index of a
-    trace's y* (..., N, 3), 0 at the first.  A failed row's NaN points step
-    as 0 through f, which refuses NaN, and its NaN fibers make its motions NaN."""
-    image = sys.apply(np.nan_to_num(y_star[..., :-1, :]))
+    """The signed center motion (`SkewModel.center_step`) from f(y*_{k-1}) to
+    y*_k at every index of a trace's y* (..., N, 3), 0 at the first; a
+    failed row's NaN points make its motions NaN."""
     motions = np.zeros(y_star.shape[:-1])
-    motions[..., 1:] = fiber_displacement(image[..., 2], y_star[..., 1:, 2])
+    motions[..., 1:] = sys.center_step(y_star[..., :-1, :], y_star[..., 1:, :])[1]
     return motions
 
 
