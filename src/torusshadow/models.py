@@ -569,7 +569,10 @@ def _json_numbers(value, what: str, depth: int = 0):
 
 
 def _json_keys(obj, keys, what: str) -> None:
-    if isinstance(obj, dict) and not obj.keys() <= set(keys):   # a non-object fails its reads
+    """ModelError, naming `what`, unless obj is a JSON object with no key outside `keys`."""
+    if not isinstance(obj, dict):
+        raise ModelError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if not obj.keys() <= set(keys):
         raise ModelError(f"{what}: unknown key(s) {sorted(obj.keys() - set(keys))}")
 
 
@@ -582,8 +585,6 @@ def _json_mode(mode: dict, what: str, head=()) -> tuple:
 
 
 def model_from_dict(data: dict) -> SkewModel:
-    if not isinstance(data, dict):
-        raise ModelError(f"model description must be a JSON object, got {type(data).__name__}")
     _json_keys(data, ("matrix", "omega", "phi_modes", "series_tol"), "model description")
     try:
         modes = [_json_mode(m, "phi mode") for m in data.get("phi_modes", [])]

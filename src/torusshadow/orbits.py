@@ -13,11 +13,12 @@ across implementations is by the recorded orbit files, not by PRNG
 identity.  Noisy orbits never step the map: the base of each half
 is a scalar integer-matrix recursion on Python floats and the fiber follows
 from one phi call and a wrapped scan.  Orbits of a nearby map g are stepped
-by `from_map`, all rows at once, as coordinate rows (3, B): a g step is
-one field pass (v and phi's modes in one call of phi's kernel, a sin and a
-cos per distinct frequency) and f built from that phi; g^-1 is Newton's
-method from f^-1(x), a step one such pass and a (3, 3, B) solve with Dg,
-and `PerturbedMap` rejects a field with lip_v Lip(f^-1) >= 1.
+by `from_map`, a block of rows at a time, as coordinate rows (N, 3, b): a g
+step is one field pass (v and phi's modes in one call of phi's kernel, a
+sin and a cos per distinct frequency) and f built from that phi; g^-1 is
+Newton's method from f^-1(x), a step one such pass and a (3, 3, b) solve
+with Dg, stopped after two steps whose preimages one stacked residual pass
+then checks, and `PerturbedMap` rejects a field with lip_v Lip(f^-1) >= 1.
 """
 
 from __future__ import annotations
@@ -286,13 +287,16 @@ class PerturbedMap:
         before it meets the residual: the bits of a loop over modes and
         entries.  A row is left alone once its residual is <=
         INVERSE_RESIDUAL_TOL; criterion 9's field retires every row after 2
-        steps.  No row depends on another.  __init__ rejects lip_v Lip(f^-1)
+        steps, so `from_map` stops there and checks its preimages in one
+        stacked pass.  No row depends on another.  __init__ rejects lip_v Lip(f^-1)
         >= 1: below it y -> f^-1(x - v(y)) contracts, so the preimage is
         unique and Dg = Df (I + Df^-1 Dv) is invertible."""
         return _in_blocks(self._newton_inverse, x)
 
-    def _newton_inverse(self, xa) -> np.ndarray:
-        """`apply_inverse` at coordinate rows xa (3, b)."""
+    def _newton_inverse(self, xa, steps=None) -> np.ndarray:
+        """`apply_inverse` at coordinate rows xa (3, b); with `steps`, the
+        rows as they stand right after step `steps`' update, the last one
+        unchecked, unless the budget or the residual stops them first."""
         Y = np.ascontiguousarray(self.sys.apply_inverse(xa.T).T)
         active, y = np.arange(xa.shape[1]), Y
         for step in range(INVERSE_MAX_ITER + 1):
@@ -328,7 +332,12 @@ class PerturbedMap:
             dy = cof[0] + cof[1]
             dy += cof[2]
             y = wrap(np.add(y, dy, out=dy))
-            Y[:, active] = y
+            if active.size < Y.shape[1]:
+                Y[:, active] = y
+            else:    # no row has retired: y is every row
+                Y = y
+            if step + 1 == steps:
+                return Y
         raise ModelError(f"perturbed-map inversion did not reach residual "
                          f"{INVERSE_RESIDUAL_TOL:g} in {INVERSE_MAX_ITER} steps at "
                          f"{active.size} point(s)")
@@ -367,22 +376,40 @@ def from_map(sys: SkewModel, g: PerturbedMap, x0, window) -> PseudoOrbit:
     """The g-orbit of x0 as a pseudo-orbit of f, with delta = certified d(f, g).
 
     x0 is one point (3,) or a stack (B, 3); a stack gives the (B, N, 3)
-    orbits of all its points, every step taken for all rows at once.  The
-    window must contain index 0; every forward step of g is taken before
-    the first backward one.
+    orbits of all its points, with the bits of stepping `g.apply` and
+    `g.apply_inverse`.  The window must contain index 0.  Each block of
+    _BLOCK_ELEMENTS / 8 rows runs its window as coordinate rows y (N, 3,
+    b), every forward step before the first backward one, and is written to
+    the points once.  A preimage is `_newton_inverse` stopped right after
+    step 2; one residual pass per block's worth of rows then makes the
+    check of step 2 on every preimage, with its bits.  A row that fails is
+    inverted again, checked at every step, from its first failing preimage
+    on, so its points and its ModelError are those of `apply_inverse`.
     """
-    x = x0 = wrap(np.asarray(x0, dtype=float))
+    x0 = wrap(np.asarray(x0, dtype=float))
     n_min, n_max = _split_window(window)
-    pts = np.empty(x0.shape[:-1] + (n_max - n_min + 1, 3))
-    pts[..., -n_min, :] = x0
-    for i in range(1 - n_min, n_max - n_min + 1):
-        x = g.apply(x)
-        pts[..., i, :] = x
-    x = x0
-    for i in range(-n_min - 1, -1, -1):
-        x = g.apply_inverse(x)
-        pts[..., i, :] = x
-    return PseudoOrbit(n_min, n_max, pts, g.certified_bound(), meta={"kind": "perturbed"})
+    X0, rows = x0.reshape(-1, 3), _BLOCK_ELEMENTS // 8
+    pts = np.empty((X0.shape[0], n_max - n_min + 1, 3))
+    for lo in range(0, X0.shape[0], rows):
+        x = X0[lo:lo + rows].T
+        y = np.empty((n_max - n_min + 1,) + x.shape)
+        y[-n_min] = x
+        for i in range(1 - n_min, n_max - n_min + 1):
+            y[i] = g._step(y[i - 1], _trig_field(g._newton, y[i - 1]))
+        for i in range(-n_min - 1, -1, -1):
+            y[i] = g._newton_inverse(y[i + 1], steps=2)
+        # y[i] is the preimage of y[i + 1], so a failure at i spoils y[:i + 1]
+        bad, chunk = np.empty((-n_min, y.shape[2]), bool), max(1, rows // y.shape[2])
+        for i in range(0, -n_min, chunk):
+            p, q = (y[i + k:min(i + chunk, -n_min) + k].transpose(1, 0, 2) for k in (0, 1))
+            r = minimal_displacement(g._step(p, _trig_field(g._newton, p)), q)
+            bad[i:i + chunk] = ~(_norm(r.T).T <= INVERSE_RESIDUAL_TOL)
+        redo = np.logical_or.accumulate(bad[::-1])[::-1]
+        for i in np.flatnonzero(redo.any(axis=1))[::-1]:
+            y[i][:, redo[i]] = g._newton_inverse(y[i + 1][:, redo[i]])
+        pts[lo:lo + rows] = y.transpose(2, 0, 1)
+    return PseudoOrbit(n_min, n_max, pts.reshape(x0.shape[:-1] + pts.shape[1:]),
+                       g.certified_bound(), meta={"kind": "perturbed"})
 
 
 # -- orbit files --------------------------------------------------------------

@@ -488,13 +488,20 @@ SKEW_FILE = {"matrix": [[2, 1], [1, 1]], "omega": 0.05,
      "perturbation mode: unknown key(s) ['sine']"),
     ({"amplitude_bound": 1.2e-3, "certificaton_grid": 64},
      "perturbation: unknown key(s) ['certificaton_grid']"),
+    # a mode that is not a JSON object used to exit with Python's own text
+    # ("string indices must be integers, not 'str'")
+    ({"phi_modes": [[1, 0, 0.02, 0.0]]}, "phi mode must be a JSON object, got list"),
+    ({"phi_modes": ["abc"]}, "phi mode must be a JSON object, got str"),
+    ({"perturbation": [[2, 1, 0, 0, 1e-3, 0.0]]},
+     "perturbation mode must be a JSON object, got list"),
 ], ids=["series_tol-nan", "series_tol-inf", "omega-nan", "sin-nan", "matrix-fraction",
         "freq-fraction", "series_tol-tiny", "series_tol-subnormal", "freq-1e19",
         "perturbation-freq-1e308", "matrix-eigenvalues-on-circle", "matrix-3x2",
         "coupling-too-strong", "phi-freq-three", "perturbation-coord-3",
         "perturbation-freq-two", "matrix-string", "freq-string", "omega-bool",
         "perturbation-sin-string", "amplitude_bound-bool", "model-key-omeg",
-        "phi-mode-key-sine", "perturbation-mode-key-sine", "perturbation-key-certificaton_grid"])
+        "phi-mode-key-sine", "perturbation-mode-key-sine", "perturbation-key-certificaton_grid",
+        "phi-mode-list", "phi-mode-string", "perturbation-mode-list"])
 def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
     # an edit with a "perturbation" (modes) or "amplitude_bound" key is one
     # of a perturbation file read by `stability`, every key of it included
@@ -513,6 +520,20 @@ def test_non_finite_model_field_exit_2(workdir, capsys, edit, message):
     assert "PASS" not in out
     assert err.startswith("ERROR model: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("data", [[{"coord": 2, "freq": [1, 0, 0], "sin": 1e-3}], "modes", 1e-3],
+                         ids=["list", "string", "number"])
+def test_perturbation_file_not_an_object_exit_2(workdir, capsys, data):
+    # it used to exit with "TypeError: list indices must be integers or
+    # slices, not str"
+    (workdir / "pert.json").write_text(json.dumps(data))
+    assert run(["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",
+                "--perturbation", "pert.json", "--out", "st"]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err == (f"ERROR model: perturbation must be a JSON object, "
+                   f"got {type(data).__name__}\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -181,28 +181,49 @@ def test_generation_map_calls_do_not_grow_with_window(skew, monkeypatch):
     assert per_window[0] == per_window[1]
 
 
-def test_from_map_steps_forward_first(skew):
-    # every forward step of a nearby map is taken before the first backward one
-    calls = []
+def stepped_orbit(g, x, window):
+    """The g-orbit of points x (..., 3) on `window` as (..., N, 3), by
+    `g.apply` and `g.apply_inverse` one step at a time."""
+    n_min, n_max = window
+    up, down = [x], [x]
+    for _ in range(n_max):
+        up.append(g.apply(up[-1]))
+    for _ in range(-n_min):
+        down.append(g.apply_inverse(down[-1]))
+    return np.stack(down[:0:-1] + up, axis=-2)
 
-    class Stepper:
-        def apply(self, x):
-            calls.append("up")
-            return x + 0.125
 
-        def apply_inverse(self, x):
-            calls.append("down")
-            return x - 0.125
+def test_from_map_steps_forward_first(skew, monkeypatch):
+    # every forward step of g is taken before the first backward one (a
+    # kernel call per preimage), and the preimages' stacked residual check
+    # after the last; a `_step` inside the kernel is its own residual
+    g = PerturbedMap(skew, CRITERION_9_MODES, amplitude_bound=1.1e-3)
+    calls, inverting = [], []
+    step, inverse = PerturbedMap._step, PerturbedMap._newton_inverse
 
-        def certified_bound(self):
-            return 0.0
+    def recorded_step(self, y, field):
+        if not inverting:
+            calls.append("up" if y.ndim == 2 else "check")
+        return step(self, y, field)
 
-    orbit = from_map(skew, Stepper(), np.full((2, 3), 0.375), (-2, 3))
-    assert calls == ["up"] * 3 + ["down"] * 2
+    def recorded_inverse(self, xa, *args, **kwargs):
+        calls.append("down")
+        inverting.append(True)
+        try:
+            return inverse(self, xa, *args, **kwargs)
+        finally:
+            inverting.pop()
+
+    monkeypatch.setattr(PerturbedMap, "_step", recorded_step)
+    monkeypatch.setattr(PerturbedMap, "_newton_inverse", recorded_inverse)
+    x = np.array([[0.375, 0.375, 0.375], [0.1, 0.8, 0.45]])
+    orbit = from_map(skew, g, x, (-2, 3))
+    assert calls == ["up"] * 3 + ["down"] * 2 + ["check"]
+    monkeypatch.undo()
     assert orbit.points.shape == (2, 6, 3)
-    assert np.array_equal(orbit.points[1, :, 2], 0.375 + 0.125 * np.arange(-2.0, 4.0))
+    assert orbit.points.tobytes() == stepped_orbit(g, x, (-2, 3)).tobytes()
     with pytest.raises(ValueError, match="index 0"):
-        from_map(skew, Stepper(), np.full(3, 0.375), (1, 3))
+        from_map(skew, g, x[0], (1, 3))
 
 
 def reference_displacement(g, x):
@@ -448,36 +469,69 @@ class TestPerturbedMap:
     @pytest.mark.parametrize("modes", [CRITERION_9_MODES, SPLIT_MODES], ids=["sin", "sin-cos"])
     def test_from_map_rows_retire_within_two_steps(self, skew, modes, monkeypatch):
         # the 8x8x4 lattice's backward orbits on N = 40: each of the 40
-        # inversions is one field pass at the start and one a Newton step,
-        # and runs at most 2 steps, so every row retires within 2; a
-        # rate-0.9 field of the strong-field test takes more, so the count
-        # can fail
-        counts, steps = {}, []
+        # preimages is one Newton kernel call of at most 2 field passes, the
+        # start's and step 1's, so at most 2 steps, and the stacked check
+        # inverts no row again; the rows of a rate-0.9 field of the
+        # strong-field test take more, so they are inverted again, checked
+        # at every step, in calls of more than 3 passes: the count can fail
+        counts, passes = {}, []
         count_calls(monkeypatch, counts, orbits, "_trig_field")
-        count_calls(monkeypatch, counts, SkewModel, "apply", "phi")
-        inverse = PerturbedMap.apply_inverse
+        count_calls(monkeypatch, counts, SkewModel, "apply", "apply_inverse", "phi")
+        inverse = PerturbedMap._newton_inverse
 
-        def counted(self, x):
+        def counted(self, xa, *args, **kwargs):
             before = counts["_trig_field"]
-            y = inverse(self, x)
-            steps.append(counts["_trig_field"] - before - 1)
+            y = inverse(self, xa, *args, **kwargs)
+            passes.append(counts["_trig_field"] - before)
             return y
 
-        monkeypatch.setattr(PerturbedMap, "apply_inverse", counted)
+        monkeypatch.setattr(PerturbedMap, "_newton_inverse", counted)
 
-        def most_steps(g):
-            steps.clear()
+        def kernel_passes(g):
+            passes.clear()
             from_map(skew, g, _lattice((8, 8, 4)), (-40, 40))
-            assert len(steps) == 40
-            return max(steps)
+            return list(passes)
 
-        assert most_steps(PerturbedMap(skew, modes, amplitude_bound=1.1e-3)) <= 2
+        first = kernel_passes(PerturbedMap(skew, modes, amplitude_bound=1.1e-3))
+        assert len(first) == 40 and max(first) <= 2
         rate = 0.9 / (skew.lip_f_inv * 2.0 * math.pi)
-        assert most_steps(PerturbedMap(skew, [(1, 0, 1, 0, rate, 0.0)], amplitude_bound=1.0)) > 2
-        # only the inversions' f^-1 starts call phi, once each in both
-        # orbits; f's map never runs
+        strong = kernel_passes(PerturbedMap(skew, [(1, 0, 1, 0, rate, 0.0)], amplitude_bound=1.0))
+        assert len(strong) > 40 and max(strong) > 3
+        # only the kernel calls' f^-1 starts call phi, once each; f's map
+        # never runs
         assert "apply" not in counts
-        assert counts["phi"] == 2 * 40
+        assert counts["phi"] == counts["apply_inverse"] == len(first) + len(strong)
+
+    @pytest.mark.parametrize("field", ["criterion-9", "constant", "strong"])
+    def test_from_map_has_the_bits_of_stepping_g(self, skew, field):
+        # 2506 rows span two row blocks; criterion 9's field takes 2 steps a
+        # preimage, the constant field's rows all retire at step 1, and the
+        # rate-0.9 field's rows take more than 2, so they are inverted again
+        rate = 0.9 / (skew.lip_f_inv * 2.0 * math.pi)
+        modes = {"criterion-9": CRITERION_9_MODES,
+                 "constant": [(0, 0, 0, 0, 2e-4, 1e-4), (2, 0, 0, 0, 0.0, 3e-4)],
+                 "strong": [(1, 0, 1, 0, rate, 0.0)]}[field]
+        g = PerturbedMap(skew, modes, amplitude_bound=1.0)
+        x = np.random.default_rng(34).random((2506, 3))
+        x[-3:] = [[0.0, 0.0, 0.0], [1.0 - 2.0 ** -53] * 3, [0.0, 0.5, 1.0 - 2.0 ** -53]]
+        orbit = from_map(skew, g, x, (-12, 6))
+        assert orbit.points.tobytes() == stepped_orbit(g, x, (-12, 6)).tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_from_map_non_convergence_is_the_inverse_error(self, skew, monkeypatch, budget):
+        # the rate-0.9 field's rows need more than 3 steps: with a budget of
+        # 1 the stopped kernel raises, with 3 the checked re-inversion after
+        # the stacked check; both with apply_inverse's message and count
+        rate = 0.9 / (skew.lip_f_inv * 2.0 * math.pi)
+        g = PerturbedMap(skew, [(1, 0, 1, 0, rate, 0.0)], amplitude_bound=1.0)
+        monkeypatch.setattr(orbits, "INVERSE_MAX_ITER", budget)
+        nodes = _lattice((8, 8, 4))
+        with pytest.raises(ModelError) as stepped:
+            stepped_orbit(g, nodes, (-40, 40))
+        message = rf"did not reach residual 1e-13 in {budget} steps at \d+ point\(s\)$"
+        with pytest.raises(ModelError, match=message) as stacked:
+            from_map(skew, g, nodes, (-40, 40))
+        assert str(stacked.value) == str(stepped.value)
 
     @pytest.mark.parametrize("modes", [CRITERION_9_MODES, SPLIT_MODES, CROSS_MODES],
                              ids=["criterion-9", "sin-cos", "cross"])
