@@ -10,15 +10,15 @@ run on the axes it reads, not on every grid point.
 Noise is drawn from numpy's default PCG64 generator, every kick of an orbit
 in one call (the forward kicks, then the backward ones); reproducibility
 across implementations is by the recorded orbit files, not by PRNG
-identity.  Noisy orbits never step the map: the base of each half
-is a scalar integer-matrix recursion on Python floats and the fiber follows
-from one phi call and a wrapped scan.  Orbits of a nearby map g are stepped
-by `from_map`, a block of rows at a time, as coordinate rows (N, 3, b): a g
-step is one field pass (v and phi's modes in one call of phi's kernel, a
-sin and a cos per distinct frequency) and f built from that phi; g^-1 is
-Newton's method from f^-1(x), a step one such pass and a (3, 3, b) solve
-with Dg, stopped after two steps whose preimages one stacked residual pass
-then checks, and `PerturbedMap` rejects a field with lip_v Lip(f^-1) >= 1.
+identity.  Noisy orbits never step the map: each half's base is a scalar
+integer-matrix recursion on Python floats and its fiber one phi call and a
+wrapped scan.  g, g^-1 and `from_map` share one schedule of row blocks on
+coordinate rows (N, 3, b): a g step is one field pass (v and phi's modes
+in one call of phi's kernel, a sin and a cos per distinct frequency) and f
+built from that phi; g^-1 is Newton's method from f^-1(x), a step one such
+pass and a (3, 3, b) solve with Dg, stopped after two steps whose
+preimages one stacked residual pass then checks, and `PerturbedMap`
+rejects a field with lip_v Lip(f^-1) >= 1.
 """
 
 from __future__ import annotations
@@ -114,37 +114,24 @@ def _kicked_window(sys: SkewModel, x0, window, kicks) -> np.ndarray:
     x_{k-1} = f^-1(x_k + e'_k) going down from x0 at index 0, all mod 1.
 
     `kicks` is (N - 1, 3): the n_max forward kicks e_0, e_1, ..., then the
-    -n_min backward kicks e'_0, e'_-1, and so on.  The map is never stepped:
-    the base of each half is a scalar recursion on Python floats,
-    p <- A p + e forward and p <- A^-1 (p + e') backward, each step reduced
-    mod 1 with `wrap`'s fold of 1.0 to 0.0; then one phi call over the whole
-    window gives every fiber increment and a wrapped scan sums them.
+    -n_min backward kicks e'_0, e'_-1, and so on.  The map is never stepped,
+    and each half is built on its own: a scalar recursion on Python floats
+    for its base (p <- A p + e up, p <- A^-1 (p + e') down, each step mod 1
+    with `wrap`'s fold of 1.0 to 0.0), one phi call and a wrapped scan for
+    its fiber; the scan's sum at index i does not depend on the length.
     """
     n_min, n_max = _split_window(window)
-    x0 = wrap(np.asarray(x0, dtype=float))
-    L = max(n_max, -n_min) + 1
-    # Position i of half 0 (forward) and half 1 (backward) holds the point
-    # i steps from index 0 and the kick that leaves it.
-    e = np.zeros((L, 2, 3))
-    e[:n_max, 0] = kicks[:n_max]
-    e[:-n_min, 1] = kicks[n_max:]
-    p0 = x0[:2].tolist()
-    P = np.zeros((L, 2, 2))
-    P[:n_max + 1, 0] = _base_recursion(sys.A, p0, kicks[:n_max, :2], after=True)
-    P[:1 - n_min, 1] = _base_recursion(sys.A_inv, p0, kicks[n_max:, :2], after=False)
-    phi = np.broadcast_to(sys.phi(P[..., 0], P[..., 1]), (L, 2))
-    # Forward, z_{i+1} - z_i = omega + phi(p_i) + e_i; backward,
-    # z_{-i-1} - z_{-i} = e'_{-i} - omega - phi(p_{-i-1}).
-    dz = np.empty((2, L))
-    dz[:, 0] = x0[2]
-    dz[0, 1:] = sys.omega + phi[:-1, 0] + e[:-1, 0, 2]
-    dz[1, 1:] = e[:-1, 1, 2] - sys.omega - phi[1:, 1]
-    z = _wrapped_cumsum(dz)
-    pts = np.empty((n_max - n_min + 1, 3))
-    pts[-n_min:, :2] = P[:n_max + 1, 0]
-    pts[-n_min:, 2] = z[0, :n_max + 1]
-    pts[:-n_min, :2] = P[-n_min:0:-1, 1]
-    pts[:-n_min, 2] = z[1, -n_min:0:-1]
+    x0, pts = wrap(x0), np.empty((n_max - n_min + 1, 3))
+    # pts[-n_min:] runs up from index 0 and pts[-n_min::-1] down from it
+    for M, e, up, half in ((sys.A, kicks[:n_max], True, pts[-n_min:]),
+                           (sys.A_inv, kicks[n_max:], False, pts[-n_min::-1])):
+        half[:, :2] = _base_recursion(M, x0[:2].tolist(), e[:, :2], after=up)
+        phi = np.broadcast_to(sys.phi(half[:, 0], half[:, 1]), half.shape[:1])
+        # Forward, z_{i+1} - z_i = omega + phi(p_i) + e_i; backward,
+        # z_{-i-1} - z_{-i} = e'_{-i} - omega - phi(p_{-i-1}).
+        dz = np.full(half.shape[0], x0[2])
+        dz[1:] = sys.omega + phi[:-1] + e[:, 2] if up else e[:, 2] - sys.omega - phi[1:]
+        half[:, 2] = _wrapped_cumsum(dz)
     return wrap(pts)
 
 
@@ -176,10 +163,14 @@ def generate_noisy(sys: SkewModel, x0, window, delta: float, seed: int) -> Pseud
     Backward indices are filled as x_{k-1} = f^-1(x_k + e_k) so the forward
     defect at every step is exactly |e_k| <= delta, both directions.  All
     N - 1 kicks come from one draw, the forward ones first; the points come
-    from `_kicked_window`, which never steps the map.
+    from `_kicked_window`, which never steps the map.  x0 must be three
+    finite coordinates, which are wrapped onto the torus.
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (3,) or not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be three finite coordinates, got {x0.tolist()!r}")
     n_min, n_max = _split_window(window)
     kicks = np.zeros((n_max - n_min, 3))
     if delta > 0.0:
@@ -210,19 +201,6 @@ def validate(sys: SkewModel, orbit: PseudoOrbit):
     pair per orbit of a stack.  A NaN defect propagates into the maximum."""
     fwd, bwd = defects(sys, orbit)
     return np.max(fwd, axis=-1, initial=0.0)[()], np.max(bwd, axis=-1, initial=0.0)[()]
-
-
-def _in_blocks(fn, x) -> np.ndarray:
-    """Points (..., 3) of fn, a map of coordinate rows (3, b), at points x,
-    in blocks of _BLOCK_ELEMENTS / 8 points: the temporaries of a Newton
-    step, (4, 4, b) the largest, stay near the cache's size at any batch
-    size.  Rows are independent, so blocking keeps the bits."""
-    x = np.asarray(x, dtype=float)
-    X, rows = x.reshape(-1, 3), _BLOCK_ELEMENTS // 8
-    out = np.empty(X.shape)
-    for i in range(0, X.shape[0], rows):
-        out[i:i + rows] = fn(np.ascontiguousarray(X[i:i + rows].T)).T
-    return out.reshape(x.shape)
 
 
 class PerturbedMap:
@@ -268,8 +246,8 @@ class PerturbedMap:
         self._certified = None
 
     def apply(self, x) -> np.ndarray:
-        """g(x) for points (..., 3): one field pass, then `_step`."""
-        return _in_blocks(lambda y: self._step(y, _trig_field(self._newton, y)), x)
+        """g(x) for points (..., 3): the window (0, 1) of `_orbits`."""
+        return self._orbits(x, 0, 1)[..., 1, :]
 
     def _step(self, y, field) -> np.ndarray:
         """g at coordinate rows y (3, B) from `field`, v0, v1, v2 and phi of
@@ -279,43 +257,70 @@ class PerturbedMap:
         return wrap(out)
 
     def apply_inverse(self, x) -> np.ndarray:
-        """Invert g by Newton's method on coordinate rows (3, B) from y =
-        f^-1(x).  A step is y <- y + Dg(y)^-1 (x - g(y)): one field pass gives
-        the residual through `_step`, with the bits of `apply`, and from the
-        same sin and cos stacks Dg, one (3, 3, B) array, for the rows that
-        step again; Dg^-1 is the adjugate times 1 / det, each entry rounded
-        before it meets the residual: the bits of a loop over modes and
-        entries.  A row is left alone once its residual is <=
-        INVERSE_RESIDUAL_TOL; criterion 9's field retires every row after 2
-        steps, so `from_map` stops there and checks its preimages in one
-        stacked pass.  No row depends on another.  __init__ rejects lip_v Lip(f^-1)
-        >= 1: below it y -> f^-1(x - v(y)) contracts, so the preimage is
-        unique and Dg = Df (I + Df^-1 Dv) is invertible."""
-        return _in_blocks(self._newton_inverse, x)
+        """g^-1(x) for points (..., 3): the window (-1, 0) of `_orbits`.
+        __init__ rejects lip_v Lip(f^-1) >= 1: below it y -> f^-1(x - v(y))
+        contracts, so the preimage is unique and Dg = Df (I + Df^-1 Dv) is
+        invertible."""
+        return self._orbits(x, -1, 0)[..., 0, :]
+
+    def _orbits(self, x, n_min: int, n_max: int) -> np.ndarray:
+        """The (..., N, 3) g-orbits of points x (..., 3) on a window [n_min,
+        n_max] that contains 0.  Each block of _BLOCK_ELEMENTS / 8 rows, which
+        keeps a Newton step's (4, 4, b) gather near the cache's size, runs its
+        window as coordinate rows (N, 3, b), every forward step first.  A
+        preimage is `_newton_inverse` stopped right after step 2; one residual
+        pass per block's worth of rows then makes step 2's check on every
+        preimage, with its bits.  A row that fails is inverted again, checked
+        at every step, from its first failing preimage on, so its points and
+        its ModelError are those of the checked kernel."""
+        x = np.asarray(x, dtype=float)
+        X, rows = x.reshape(-1, 3), _BLOCK_ELEMENTS // 8
+        pts = np.empty((X.shape[0], n_max - n_min + 1, 3))
+        for lo in range(0, X.shape[0], rows):
+            block = X[lo:lo + rows].T
+            y = np.empty((n_max - n_min + 1,) + block.shape)
+            y[-n_min] = block
+            for i in range(1 - n_min, n_max - n_min + 1):
+                y[i] = self._step(y[i - 1], _trig_field(self._newton, y[i - 1]))
+            for i in range(-n_min - 1, -1, -1):
+                y[i] = self._newton_inverse(y[i + 1], steps=2)
+            # y[i] is the preimage of y[i + 1], so a failure at i spoils y[:i + 1]
+            bad, chunk = np.empty((-n_min, y.shape[2]), bool), max(1, rows // y.shape[2])
+            for i in range(0, -n_min, chunk):
+                p, q = (y[i + k:min(i + chunk, -n_min) + k].transpose(1, 0, 2) for k in (0, 1))
+                r = minimal_displacement(self._step(p, _trig_field(self._newton, p)), q)
+                bad[i:i + chunk] = ~(_norm(r.T).T <= INVERSE_RESIDUAL_TOL)
+            redo = np.logical_or.accumulate(bad[::-1])[::-1]
+            for i in np.flatnonzero(redo.any(axis=1))[::-1]:
+                y[i][:, redo[i]] = self._newton_inverse(y[i + 1][:, redo[i]])
+            pts[lo:lo + rows] = y.transpose(2, 0, 1)
+        return pts.reshape(x.shape[:-1] + pts.shape[1:])
 
     def _newton_inverse(self, xa, steps=None) -> np.ndarray:
-        """`apply_inverse` at coordinate rows xa (3, b); with `steps`, the
-        rows as they stand right after step `steps`' update, the last one
-        unchecked, unless the budget or the residual stops them first."""
-        Y = np.ascontiguousarray(self.sys.apply_inverse(xa.T).T)
-        active, y = np.arange(xa.shape[1]), Y
+        """g^-1 at coordinate rows xa (3, b), Newton's method from y = f^-1(xa).
+        A step is y <- y + Dg(y)^-1 (x - g(y)): one field pass gives the
+        residual through `_step`, with the bits of `apply`, and from the same
+        sin and cos stacks Dg, one (3, 3, b) array; Dg^-1 is the adjugate
+        times 1 / det, each entry rounded before it meets the residual: the
+        bits of a loop over modes and entries.  A row whose residual is <=
+        INVERSE_RESIDUAL_TOL keeps its point while the others step.  With
+        `steps`, the rows right after step `steps`' update, left unchecked."""
+        y = np.ascontiguousarray(self.sys.apply_inverse(xa.T).T)
+        done = np.zeros(xa.shape[1], bool)
         for step in range(INVERSE_MAX_ITER + 1):
             field, sn, cs = _trig_field(self._newton, y, trig=True)
             if step == 0:    # x - g(y) is -v(y) up to rounding at y = f^-1(x)
                 r = -field[:3]
             else:
                 r = minimal_displacement(self._step(y, field), xa)
-                keep = ~(_norm(r.T) <= INVERSE_RESIDUAL_TOL)
-                if not keep.any():
-                    return Y
+                done |= _norm(r.T) <= INVERSE_RESIDUAL_TOL
+                if done.all():
+                    return y
+            if step == INVERSE_MAX_ITER:
+                break
             slopes = self._slope_s * cs.take(self._newton.row, axis=0)
             if self._newton.reads[1]:    # else the bits of 2 pi s cos alone
                 slopes -= self._slope_c * sn.take(self._newton.row, axis=0)
-            if step and not keep.all():
-                active, y, r, xa, slopes = (active[keep], y[:, keep], r[:, keep], xa[:, keep],
-                                            slopes[:, keep])
-            if step == INVERSE_MAX_ITER:
-                break
             dg = np.empty((9,) + y.shape[1:])
             dg[...] = self._dg0
             for e, q, m in self._dv:    # Dg = [[A, 0], [0, 0, 1]] + the factors in mode order
@@ -331,16 +336,12 @@ class PerturbedMap:
             cof *= r[:, None]
             dy = cof[0] + cof[1]
             dy += cof[2]
-            y = wrap(np.add(y, dy, out=dy))
-            if active.size < Y.shape[1]:
-                Y[:, active] = y
-            else:    # no row has retired: y is every row
-                Y = y
+            y = np.where(done, y, wrap(np.add(y, dy, out=dy)))    # a done row keeps its point
             if step + 1 == steps:
-                return Y
+                return y
         raise ModelError(f"perturbed-map inversion did not reach residual "
                          f"{INVERSE_RESIDUAL_TOL:g} in {INVERSE_MAX_ITER} steps at "
-                         f"{active.size} point(s)")
+                         f"{np.count_nonzero(~done)} point(s)")
 
     @np.errstate(over="ignore")    # an overflow makes the bound inf, which fails it
     def certified_bound(self) -> float:
@@ -375,41 +376,14 @@ class PerturbedMap:
 def from_map(sys: SkewModel, g: PerturbedMap, x0, window) -> PseudoOrbit:
     """The g-orbit of x0 as a pseudo-orbit of f, with delta = certified d(f, g).
 
-    x0 is one point (3,) or a stack (B, 3); a stack gives the (B, N, 3)
-    orbits of all its points, with the bits of stepping `g.apply` and
-    `g.apply_inverse`.  The window must contain index 0.  Each block of
-    _BLOCK_ELEMENTS / 8 rows runs its window as coordinate rows y (N, 3,
-    b), every forward step before the first backward one, and is written to
-    the points once.  A preimage is `_newton_inverse` stopped right after
-    step 2; one residual pass per block's worth of rows then makes the
-    check of step 2 on every preimage, with its bits.  A row that fails is
-    inverted again, checked at every step, from its first failing preimage
-    on, so its points and its ModelError are those of `apply_inverse`.
+    x0 is one point (3,) or a stack (B, 3), wrapped onto the torus; a stack
+    gives the (B, N, 3) orbits of all its points, with the bits of stepping
+    `g.apply` and `g.apply_inverse`, whose schedule (`_orbits`) they share.
+    The window must contain index 0.
     """
-    x0 = wrap(np.asarray(x0, dtype=float))
     n_min, n_max = _split_window(window)
-    X0, rows = x0.reshape(-1, 3), _BLOCK_ELEMENTS // 8
-    pts = np.empty((X0.shape[0], n_max - n_min + 1, 3))
-    for lo in range(0, X0.shape[0], rows):
-        x = X0[lo:lo + rows].T
-        y = np.empty((n_max - n_min + 1,) + x.shape)
-        y[-n_min] = x
-        for i in range(1 - n_min, n_max - n_min + 1):
-            y[i] = g._step(y[i - 1], _trig_field(g._newton, y[i - 1]))
-        for i in range(-n_min - 1, -1, -1):
-            y[i] = g._newton_inverse(y[i + 1], steps=2)
-        # y[i] is the preimage of y[i + 1], so a failure at i spoils y[:i + 1]
-        bad, chunk = np.empty((-n_min, y.shape[2]), bool), max(1, rows // y.shape[2])
-        for i in range(0, -n_min, chunk):
-            p, q = (y[i + k:min(i + chunk, -n_min) + k].transpose(1, 0, 2) for k in (0, 1))
-            r = minimal_displacement(g._step(p, _trig_field(g._newton, p)), q)
-            bad[i:i + chunk] = ~(_norm(r.T).T <= INVERSE_RESIDUAL_TOL)
-        redo = np.logical_or.accumulate(bad[::-1])[::-1]
-        for i in np.flatnonzero(redo.any(axis=1))[::-1]:
-            y[i][:, redo[i]] = g._newton_inverse(y[i + 1][:, redo[i]])
-        pts[lo:lo + rows] = y.transpose(2, 0, 1)
-    return PseudoOrbit(n_min, n_max, pts.reshape(x0.shape[:-1] + pts.shape[1:]),
-                       g.certified_bound(), meta={"kind": "perturbed"})
+    pts = g._orbits(wrap(np.asarray(x0, dtype=float)), n_min, n_max)
+    return PseudoOrbit(n_min, n_max, pts, g.certified_bound(), meta={"kind": "perturbed"})
 
 
 # -- orbit files --------------------------------------------------------------

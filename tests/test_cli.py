@@ -447,6 +447,16 @@ def test_bad_command_line_exits_with_error(workdir, capsys, argv, code):
     assert any(line.startswith("ERROR") or ": error: " in line for line in err.splitlines())
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_x0_exit_2_naming_x0(workdir, capsys, value):
+    # the orbit's start is checked before it is wrapped, not by `wrap`
+    assert run(["orbit", "--model", "skew", "--delta", "0", "--window", "-5", "5",
+                "--x0", value, "0", "0", "--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ERROR input: x0 must be three finite coordinates, got [{value}, 0.0, 0.0]\n"
+    assert not (workdir / "o" / "orbit.txt").exists()
+
+
 SKEW_FILE = {"matrix": [[2, 1], [1, 1]], "omega": 0.05,
              "phi_modes": [{"freq": [1, 0], "sin": 0.02, "cos": 0.0}]}
 

@@ -71,6 +71,12 @@ def test_window_must_contain_zero(skew):
         generate_noisy(skew, X0, (5, 30), 1e-4, seed=0)
 
 
+@pytest.mark.parametrize("x0", [[0.2, np.nan, 0.8], [0.2, 0.35], [[0.2, 0.35, 0.81]]])
+def test_start_must_be_three_finite_coordinates(skew, x0):
+    with pytest.raises(ValueError, match=r"^x0 must be three finite coordinates, got "):
+        generate_noisy(skew, x0, (-5, 5), 1e-4, seed=0)
+
+
 def test_point_count_must_fill_the_window():
     with pytest.raises(ValueError, match=r"orbit window \[-5, 5\] needs 11 points, "
                                          r"got shape \(10, 3\)"):
@@ -141,7 +147,8 @@ def stacked_kicked_window(sys, x0, window, kicks):
 
 def test_kicked_window_matches_stacked_recursion(model):
     rng = np.random.default_rng(17)
-    for window in ((-1000, 1000), (0, 30), (-30, 0)):
+    # (0, 0) has two empty halves and (-1, 1) two one-step halves
+    for window in ((-1000, 1000), (0, 30), (-30, 0), (0, 0), (-1, 1)):
         n = window[1] - window[0]
         for scale in (0.0, 1e-4, 0.3):
             kicks = scale * rng.uniform(-1.0, 1.0, (n, 3))
@@ -308,8 +315,9 @@ class TestPerturbedMap:
         assert g.certified_bound() == 0.0
 
     def test_blocks_keep_the_bits_and_the_shape(self, skew, rng):
-        # 5000 points run as blocks of 2048 rows: each point's g and g^-1
-        # are those of a call on the point alone, in the points' shape
+        # 5000 points run as blocks of 2048 rows through `_orbits`, on the
+        # windows (0, 1) and (-1, 0): each point's g and g^-1 are those of a
+        # call on the point alone, in the points' shape
         g = PerturbedMap(skew, SPLIT_MODES, amplitude_bound=1.1e-3)
         x = rng.random((2, 2500, 3))
         for f in (g.apply, g.apply_inverse):
@@ -536,9 +544,11 @@ class TestPerturbedMap:
     @pytest.mark.parametrize("modes", [CRITERION_9_MODES, SPLIT_MODES, CROSS_MODES],
                              ids=["criterion-9", "sin-cos", "cross"])
     def test_stopping_residual_has_the_bits_of_apply(self, skew, modes, monkeypatch):
-        # every residual the stopping test reads is recorded; replaying which
-        # rows retire at each step gives each row's last residual, which must
-        # be x - g(y) with g.apply's bits at the returned y
+        # every residual the checked kernel's stopping test reads is recorded
+        # (the kernel the redo of a failing row runs); replaying the step at
+        # which each row retires gives the residual that retired it, which
+        # must be x - g(y) with g.apply's bits at the returned y: a row keeps
+        # its point once it is done
         g = PerturbedMap(skew, modes, amplitude_bound=1.0)
         x = np.random.default_rng(500).random((506, 3))
         seam = 1.0 - 2.0 ** -53
@@ -546,13 +556,14 @@ class TestPerturbedMap:
                    [0.0, 0.5, seam], [seam, seam, 0.0]]
         seen = []
         monkeypatch.setattr(orbits, "_norm", lambda r: seen.append(r) or _norm(r))
-        y = g.apply_inverse(x)
-        last, active = np.full(x.shape, np.nan), np.arange(x.shape[0])
+        y = g._newton_inverse(np.ascontiguousarray(x.T)).T
+        monkeypatch.undo()
+        last, done = np.full(x.shape, np.nan), np.zeros(x.shape[0], bool)
         for r in seen:
-            done = _norm(r) <= INVERSE_RESIDUAL_TOL
-            last[active[done]] = r[done]
-            active = active[~done]
-        assert active.size == 0
+            retired = (_norm(r) <= INVERSE_RESIDUAL_TOL) & ~done
+            last[retired] = r[retired]
+            done |= retired
+        assert done.all()
         assert np.array_equal(last, minimal_displacement(g.apply(y), x))
 
     def test_backward_points_are_g_preimages(self, skew):
@@ -667,15 +678,17 @@ def test_stacked_kernel_matches_the_per_mode_field(name):
 
 def test_inversion_forms_a_sin_and_a_cos_per_distinct_frequency(skew, monkeypatch):
     # criterion 9's field shares its (1, 0, 0) with phi's (1, 0): an
-    # inversion that retires in 2 steps takes f^-1's one sin and 3 passes of
-    # 3 sin and 3 cos, 19 arrays where one sin and cos per mode took 25
+    # inversion stopped after 2 steps takes f^-1's one sin, 2 passes of
+    # 3 sin and 3 cos and the stacked check's 3 sin, 16 arrays where one sin
+    # and cos per mode took 21; a call's leading axis counts its arrays,
+    # the (3, 1, b) stack of the check's included
     calls = []
     for name in ("sin", "cos"):
         monkeypatch.setattr(np, name, lambda x, *a, ufunc=getattr(np, name), **k:
                             calls.append(np.shape(x)) or ufunc(x, *a, **k))
     g = PerturbedMap(skew, CRITERION_9_MODES, amplitude_bound=1.1e-3)
     g.apply_inverse(np.random.default_rng(3).random((256, 3)))
-    assert sum(shape[0] if len(shape) == 2 else 1 for shape in calls) == 19
+    assert sum(shape[0] if len(shape) >= 2 else 1 for shape in calls) == 16
 
 
 @pytest.fixture(scope="module")
