@@ -3,7 +3,6 @@
 from .geometry import minimal_displacement, torus_distance, wrap
 from .models import (
     SkewModel,
-    SystemRates,
     builtin_model,
     eigen_frame,
     load_model,

@@ -57,12 +57,11 @@ def _report_fields(report) -> dict:
 
 
 def _derived(sys_model, params: shadowing.ShadowingParams) -> dict:
-    """Every resolved parameter plus the model's rates and the margins."""
-    derived = dataclasses.asdict(params)
-    derived["lambda"] = sys_model.rates.lam
-    derived["mu"] = sys_model.rates.mu
-    derived["margins"] = params.margins()
-    return derived
+    """Every resolved parameter plus the model's constants and the margins."""
+    names = ("L0", "delta0", "delta1", "lip_f", "lip_f_inv")
+    return {**dataclasses.asdict(params), **{name: getattr(sys_model, name) for name in names},
+            "lambda": sys_model.lam_eff, "mu": 1.0 / sys_model.lam_eff,
+            "margins": params.margins(sys_model)}
 
 
 def _write_manifest(out: Path, args, sys_model, params=None, outputs=(), **resolved) -> None:

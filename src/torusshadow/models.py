@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -88,24 +87,6 @@ def eigen_frame(matrix):
         return v
 
     return _vec(lam), _vec(mu), lam, mu
-
-
-@dataclass(frozen=True)
-class SystemRates:
-    """Certified one-step contraction/expansion rates along the leaves.
-
-    `lam` bounds d(f(x), f(y)) / d(x, y) from above for y on the local
-    stable leaf of x (and the mirror statement for unstable leaves under
-    f^-1), in the flat metric, for leaf displacements up to `delta1`.
-    For phi != 0 the leaves are curved in the fiber, so `lam` carries the
-    transfer-slope factor sqrt(1 + (Lip(phi)/(1-|lam_A|))^2) on top of the
-    base eigenvalue; mu = 1/lam.  The center rates are exactly 1 (the
-    fiber derivative is 1).
-    """
-
-    lam: float
-    mu: float
-    delta1: float = 0.3
 
 
 def _flag_rows(errors, exc_type, checks):
@@ -223,6 +204,14 @@ class SkewModel:
 
     Every kernel is array-first: points are arrays whose last axis holds
     the coordinates, and a single point is the one-row case.
+
+    The model owns its splitting's constants, from which
+    `shadowing.delta_for_epsilon` chooses for each epsilon: the certified
+    leaf rate `lam_eff` (|lam| times the transfer-slope factor
+    sqrt(1 + leaf_slope_s^2); f contracts stable and f^-1 unstable leaf
+    displacements up to `delta1` by it, and the center rates are 1), the
+    intersection solve's blowup `L0` and validity radius `delta0`, and the
+    Lipschitz constants `lip_f` and `lip_f_inv` of f and f^-1.
     """
 
     def __init__(self, matrix, omega=0.0, phi_modes=(), series_tol=1e-12):
@@ -249,11 +238,11 @@ class SkewModel:
         abs_lam = abs(self.eig_lam)
         self.leaf_slope_s = self.lip_phi / (1.0 - abs_lam)
 
-        # Certified flat-metric rates (exact eigenvalues for the linear model).
-        lam_eff = abs_lam * math.sqrt(1.0 + self.leaf_slope_s ** 2)
-        if lam_eff >= 1.0:
+        # Certified flat-metric leaf rate (the exact eigenvalue for the linear model).
+        self.lam_eff = abs_lam * math.sqrt(1.0 + self.leaf_slope_s ** 2)
+        if self.lam_eff >= 1.0:
             raise ModelError("fiber coupling too strong: no certified leaf contraction")
-        self.rates = SystemRates(lam=lam_eff, mu=1.0 / lam_eff)
+        self.delta1 = 0.3    # the leaf displacement up to which lam_eff holds
         # Lipschitz bounds of f and f^-1: the norms of [[|A|, 0], [Lip(phi), 1]]
         # and [[|A^-1|, 0], [Lip(phi) |A^-1|, 1]].
         n, n_inv = (float(np.linalg.norm(np.asarray(M, dtype=float), ord=2))
@@ -266,7 +255,7 @@ class SkewModel:
         # solve through it, with safety factor.
         self._inv = np.linalg.inv(np.column_stack([self.v_u, self.v_s]))
         self.L0 = 1.1 * float(np.linalg.norm(self._inv, ord=2))
-        self.delta0 = 0.2
+        self.delta0 = 0.2    # the solve's validity radius, inside the 0.25 lift radius
         # Per-class tables of the strong leaves, indexed by `stable` (0 for
         # the unstable class, 1 for the stable one): the leaf vector and the
         # transfer series' rate, first term and sign, and the series tables

@@ -246,8 +246,8 @@ class PerturbedMap:
         self._certified = None
 
     def apply(self, x) -> np.ndarray:
-        """g(x) for points (..., 3): the window (0, 1) of `_orbits`."""
-        return self._orbits(x, 0, 1)[..., 1, :]
+        """g(x) for points (..., 3): step 1 of `_orbits`' window (0, 1), copied."""
+        return self._orbits(x, 0, 1)[..., 1, :].copy()
 
     def _step(self, y, field) -> np.ndarray:
         """g at coordinate rows y (3, B) from `field`, v0, v1, v2 and phi of
@@ -260,8 +260,8 @@ class PerturbedMap:
         """g^-1(x) for points (..., 3): the window (-1, 0) of `_orbits`.
         __init__ rejects lip_v Lip(f^-1) >= 1: below it y -> f^-1(x - v(y))
         contracts, so the preimage is unique and Dg = Df (I + Df^-1 Dv) is
-        invertible."""
-        return self._orbits(x, -1, 0)[..., 0, :]
+        invertible.  The preimage is copied out of the window."""
+        return self._orbits(x, -1, 0)[..., 0, :].copy()
 
     def _orbits(self, x, n_min: int, n_max: int) -> np.ndarray:
         """The (..., N, 3) g-orbits of points x (..., 3) on a window [n_min,

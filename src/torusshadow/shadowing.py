@@ -99,24 +99,24 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShadowingParams:
-    """Resolved parameters of one shadowing run.
+    """Resolved parameters of one shadowing run: the choices
+    `delta_for_epsilon` makes from epsilon and the model's constants
+    (`SkewModel.L0`, `delta0`, `delta1`, `lam_eff`, `lip_f`, `lip_f_inv`),
+    which stay on the model.
 
     `delta` is the admissible defect of the input orbit (forward defect;
     backward defects up to lip_f_inv * delta are provisioned for).
     `delta_step` is the defect bound the subsampled construction works
     with; delta = delta_step / max(sum lip_f^j, sum lip_f_inv^j), which
     realizes the smaller-delta remark needed for the backward half.
-
-    The transversality and holonomy data come with it.  L0 bounds the
-    blowup of the two-leaf intersection solve (conditioning of
-    [v_u | -v_s] times a 1.1 safety factor) and delta0 = 0.2 is its
-    validity radius, far from the 0.25 lift-ambiguity radius.  (r1, r2,
-    alpha) are the holonomy modulus data: points within r2 on a transversal
-    map within alpha under center holonomy inside plaques of radius r1.
-    alpha = 0.45 epsilon / 3 is linear in epsilon, with a 2x margin against
-    the epsilon / 3 cap the construction needs, and r2 carries the
-    transfer-slope factor so that the sampled modulus certificate
-    d(h(z), h(z')) < alpha for d(z, z') < r2 passes.
+    lam_k = lam_eff^k is F = f^k's leaf rate, in which the four
+    inequalities are stated.  (r1, r2, alpha) are the holonomy modulus
+    data: points within r2 on a transversal map within alpha under center
+    holonomy inside plaques of radius r1.  alpha = 0.45 epsilon / 3 is
+    linear in epsilon, with a 2x margin against the epsilon / 3 cap the
+    construction needs, and r2 carries the transfer-slope factor so that
+    the sampled modulus certificate d(h(z), h(z')) < alpha for d(z, z') < r2
+    passes.
     """
 
     epsilon: float
@@ -126,21 +126,16 @@ class ShadowingParams:
     r2: float
     k: int
     limit_tol: float
-    L0: float
-    delta0: float
-    delta1: float
     lam_k: float
     delta_step: float
-    lip_f: float
-    lip_f_inv: float
 
-    def margins(self) -> dict:
-        """Safety margins (ratio RHS/LHS) of the four parameter inequalities."""
-        eps = self.epsilon
+    def margins(self, sys: SkewModel) -> dict:
+        """Safety margins (ratio RHS/LHS) of the four inequalities, at sys.L0."""
+        eps, L0 = self.epsilon, sys.L0
         return {
-            "contraction": 1.0 / (2.0 * self.lam_k * self.L0),
-            "defect": (eps / 3.0) / (self.delta * (1.0 + 2.0 * self.L0 + 2.0 * self.lam_k * self.L0)),
-            "holonomy_radius": self.r2 / (self.lam_k * (2.0 * self.L0 * self.delta + self.alpha)),
+            "contraction": 1.0 / (2.0 * self.lam_k * L0),
+            "defect": (eps / 3.0) / (self.delta * (1.0 + 2.0 * L0 + 2.0 * self.lam_k * L0)),
+            "holonomy_radius": self.r2 / (self.lam_k * (2.0 * L0 * self.delta + self.alpha)),
             "alpha": (eps / 3.0) / self.alpha,
         }
 
@@ -158,7 +153,7 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float) -> ShadowingParams:
     """
     if not 0.0 < epsilon < math.inf:
         raise ParameterError(f"epsilon must be positive and finite, got {epsilon!r}")
-    lam = sys.rates.lam
+    lam = sys.lam_eff
     L0 = sys.L0
     alpha = 0.45 * epsilon / 3.0
     r1 = 0.99 * L0 * sys.delta0 / 3.0
@@ -182,23 +177,20 @@ def delta_for_epsilon(sys: SkewModel, epsilon: float) -> ShadowingParams:
     # Validity: every plaque the construction touches must fit inside the
     # lift-unambiguous workspace.
     extent = L0 * (2.0 * epsilon / 3.0 + alpha + 2.0 * L0 * delta_step)
-    workspace = min(L0 * sys.delta0, sys.rates.delta1)
+    workspace = min(L0 * sys.delta0, sys.delta1)
     if extent >= workspace:
         raise ParameterError(
             f"epsilon too large: plaque extent {extent:.4f} exceeds the validity "
             f"radius min(L0*delta0, delta1) = {workspace:.4f}"
         )
 
-    lip_f, lip_f_inv = sys.lip_f, sys.lip_f_inv
-    acc_fwd = sum(lip_f ** j for j in range(k))
-    acc_bwd = sum(lip_f_inv ** j for j in range(1, k + 1))
+    acc_fwd = sum(sys.lip_f ** j for j in range(k))
+    acc_bwd = sum(sys.lip_f_inv ** j for j in range(1, k + 1))
     delta = delta_step / max(acc_fwd, acc_bwd)
 
     return ShadowingParams(
-        epsilon=epsilon, delta=delta, alpha=alpha, r1=r1, r2=r2,
-        k=k, limit_tol=LIMIT_TOL, L0=L0, delta0=sys.delta0,
-        delta1=sys.rates.delta1, lam_k=lam_k, delta_step=delta_step,
-        lip_f=lip_f, lip_f_inv=lip_f_inv,
+        epsilon=epsilon, delta=delta, alpha=alpha, r1=r1, r2=r2, k=k,
+        limit_tol=LIMIT_TOL, lam_k=lam_k, delta_step=delta_step,
     )
 
 
@@ -309,7 +301,7 @@ def _sweep(sys, X, params, errors, stable, n=None) -> _Sweep:
     live = True if n is None else np.arange(1, X.shape[-2]) <= np.asarray(n)
     cu, cs = sys.coeffs(minimal_displacement(image, X1))
     # A pair at least delta0 apart gets offset 0, as in `intersect`.
-    e = np.where(live & (torus_distance(image, X1) < params.delta0),
+    e = np.where(live & (torus_distance(image, X1) < sys.delta0),
                  -np.where(stable, cu, cs), 0.0)
     t = _scan(e, np.where(stable, 1.0 / sys.eig_mu ** k, sys.eig_lam ** k))
     v = np.where(stable[..., None], sys.v_u, sys.v_s)
@@ -412,7 +404,7 @@ def splice(sys, y0_u, y0_s, params, errors):
     failure where both fail.
     """
     gap = np.atleast_1d(torus_distance(y0_u, y0_s))
-    cap = 2.0 * params.lam_k * (params.L0 * params.delta_step + params.alpha)
+    cap = 2.0 * params.lam_k * (sys.L0 * params.delta_step + params.alpha)
     _flag_rows(errors, ParameterError, ((
         ~(gap < cap),
         lambda r: (f"splice margin violated at index 0: d(y0_s, y0_u) = {gap[r]:.3e} >= "
@@ -481,7 +473,7 @@ def _check_defects(sys, orbit: PseudoOrbit, params: ShadowingParams, errors) -> 
     rows = np.arange(fwd.shape[0])
     at_f, at_b = np.argmax(fwd, axis=1), np.argmax(bwd, axis=1)
     worst_f, worst_b = fwd[rows, at_f], bwd[rows, at_b]
-    bound_b = params.delta * params.lip_f_inv
+    bound_b = params.delta * sys.lip_f_inv
     _flag_rows(errors, ParameterError, (
         (~(worst_f <= params.delta * slack),
          lambda r: (f"orbit forward defect {worst_f[r]:.3e} at step "
@@ -774,7 +766,8 @@ def write_trace(trace: ShadowingTrace, path, model_name: str = "") -> None:
 def read_trace(path) -> ShadowingTrace:
     """A trace written by `write_trace`: `q y1 y2 y3` rows, every coordinate
     finite and in [0, 1), and the parameters from the header.  The interior
-    follows from the window and k; an `interior` header is ignored."""
+    follows from the window and k; an `interior` header and an older file's
+    model constants (L0, delta0, delta1, lip_f, lip_f_inv) are ignored."""
     header, (n_min, n_max), arr = read_table(path, 4)
     # NaN fails both tests
     bad = (~(arr[:, 1:] >= 0.0) | ~(arr[:, 1:] < 1.0)).any(axis=1)

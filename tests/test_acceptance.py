@@ -169,11 +169,12 @@ def test_criterion_8_parameter_margins():
     worst = np.inf
     for eps in (1e-1, 1e-2, 1e-3):
         p = delta_for_epsilon(SKEW, eps)
-        assert 2.0 * p.lam_k * p.L0 < 1.0
-        assert p.delta * (1.0 + 2.0 * p.L0 + 2.0 * p.lam_k * p.L0) < eps / 3.0
-        assert p.lam_k * (2.0 * p.L0 * p.delta + p.alpha) < p.r2
+        L0 = SKEW.L0
+        assert 2.0 * p.lam_k * L0 < 1.0
+        assert p.delta * (1.0 + 2.0 * L0 + 2.0 * p.lam_k * L0) < eps / 3.0
+        assert p.lam_k * (2.0 * L0 * p.delta + p.alpha) < p.r2
         assert p.alpha < eps / 3.0
-        worst = min(worst, min(p.margins().values()))
+        worst = min(worst, min(p.margins(SKEW).values()))
     ok = worst >= 2.0
     report(8, ok, f"eps in {{1e-1,1e-2,1e-3}}: all four invariants hold, "
                   f"min margin={worst:.3f} (>=2)")

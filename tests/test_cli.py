@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import torusshadow
-from torusshadow import cli, orbits
+from torusshadow import cli, orbits, shadowing
 from torusshadow.cli import main
 from torusshadow.models import builtin_model
 from torusshadow.orbits import PerturbedMap, generate_noisy, write_table
@@ -301,12 +301,26 @@ class TestInputGuards:
 
     def test_verify_names_every_differing_parameter(self, chain, capsys):
         text = (chain / "s" / "trace.txt").read_text()
-        line = next(l for l in text.splitlines() if l.startswith("# L0: "))
-        (chain / "s" / "trace.txt").write_text(text.replace(line, "# L0: 1.5"))
+        line = next(l for l in text.splitlines() if l.startswith("# alpha: "))
+        (chain / "s" / "trace.txt").write_text(text.replace(line, "# alpha: 1.5"))
         assert self.verify() == 3
         err = capsys.readouterr().err
         # the one differing field is named, with its resolved value
-        assert "L0 = 1.5 (resolved " in err and err.count(" = ") == 1
+        assert "alpha = 1.5 (resolved " in err and err.count(" = ") == 1
+
+    def test_verify_reads_an_older_trace_with_model_constants(self, chain):
+        # older files also carried the model's L0, delta0 and delta1 before
+        # lam_k, and lip_f and lip_f_inv after delta_step; read_trace ignores them
+        path, sys_model = chain / "s" / "trace.txt", builtin_model("skew")
+        params = shadowing.read_trace(path).params
+        text = path.read_text()
+        lam_k, step = (next(line for line in text.splitlines(keepends=True)
+                            if line.startswith(key)) for key in ("# lam_k:", "# delta_step:"))
+        before, after = ("".join(f"# {name}: {getattr(sys_model, name):.17g}\n" for name in names)
+                         for names in (("L0", "delta0", "delta1"), ("lip_f", "lip_f_inv")))
+        path.write_text(text.replace(lam_k, before + lam_k).replace(step, step + after))
+        assert shadowing.read_trace(path).params == params
+        assert self.verify() == 0
 
     def test_verify_trace_without_parameters_exit_2(self, chain, capsys):
         text = (chain / "s" / "trace.txt").read_text()
@@ -346,7 +360,7 @@ class TestInputGuards:
                     "--seed", "5", "--out", "o2"]) == 0
         assert run(["shadow", "--model", "skew", "--orbit", "o2/orbit.txt",
                     "--epsilon", "1e-2", "--out", "s"]) == 0
-        _edit_line(chain / "s" / "trace.txt", "# L0:", 2, "1.5")
+        _edit_line(chain / "s" / "trace.txt", "# alpha:", 2, "1.5")
         capsys.readouterr()
         assert self.verify() == 2
         err = capsys.readouterr().err
@@ -553,13 +567,38 @@ def test_perturbation_file_not_an_object_exit_2(workdir, capsys, data):
      "ERROR model: cannot read model file missing.json"),
     (["constants", "--model", "no-matrix.json", "--epsilon", "1e-2"],
      "ERROR model: malformed model description: 'matrix'"),
-], ids=["stability-without-a-field", "model-file-missing", "model-without-matrix"])
+    (["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",
+      "--perturbation", "no-modes.json"],
+     "ERROR input: perturbation file no-modes.json is malformed: KeyError: 'modes'"),
+    (["stability", "--model", "skew", "--epsilon", "0.216", "--grid", "2", "2", "2",
+      "--perturbation", "no-coord.json"],
+     "ERROR input: perturbation file no-coord.json is malformed: KeyError: 'coord'"),
+], ids=["stability-without-a-field", "model-file-missing", "model-without-matrix",
+        "perturbation-without-modes", "perturbation-mode-without-coord"])
 def test_unusable_input_exit_2(workdir, capsys, argv, message):
     (workdir / "no-matrix.json").write_text(json.dumps({"omega": 0.05}))
+    (workdir / "no-modes.json").write_text(json.dumps({"amplitude_bound": 1e-3}))
+    (workdir / "no-coord.json").write_text(json.dumps(
+        {"amplitude_bound": 1e-3, "modes": [{"freq": [1, 0, 0], "sin": 1e-3}]}))
     assert run([*argv, "--out", "x"]) == 2
     out, err = capsys.readouterr()
     assert "PASS" not in out
     assert err.startswith(message) and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("model, epsilon, message", [
+    # alpha = 0.75, and r2 is capped at r1 = 0.0726 < lam^k alpha
+    ("skew", "5", "holonomy radius r2 too small for this epsilon"),
+    # phi amplitude 0.235 leaves lam_eff = 0.989 below 1, and 2 lam_eff^k L0
+    # at least 1/2 up to k = 60
+    ("weak.json", "1e-2", "no admissible power k: contraction rate too weak"),
+], ids=["holonomy-radius", "no-power-k"])
+def test_infeasible_parameters_exit_3(workdir, capsys, model, epsilon, message):
+    (workdir / "weak.json").write_text(json.dumps(
+        {**SKEW_FILE, "phi_modes": [{"freq": [1, 0], "sin": 0.235}]}))
+    assert run(["constants", "--model", model, "--epsilon", epsilon, "--out", "c"]) == 3
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and err == f"ERROR parameters: {message}\n"
 
 
 def test_window_too_short_to_certify_exit_1(workdir, capsys):

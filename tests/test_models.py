@@ -500,7 +500,7 @@ class TestIntersect:
         # failing row prints, must be the exact distance's
         sys = SkewModel([[2, 1], [1, 1]], omega=0.05, phi_modes=[(1, 0, 0.05, 0.0)])
         slope = math.sqrt(1.0 + sys.leaf_slope_s ** 2)
-        assert slope > 1.1 and sys.rates.lam < 0.45
+        assert slope > 1.1 and sys.lam_eff < 0.45
         radius, n = 0.05, 400
         cap = sys.L0 * radius
         for stable, (v_x, v_y) in ((True, (sys.v_u, sys.v_s)), (False, (sys.v_s, sys.v_u))):
@@ -538,9 +538,8 @@ class TestIntersect:
         assert calls == []
 
     def test_sampled_blowup_certificate(self, skew):
-        params = delta_for_epsilon(skew, 1e-2)
-        worst = certify_intersections(skew, params, 2000, seed=5, delta=0.1)
-        assert worst <= params.L0
+        worst = certify_intersections(skew, 2000, seed=5, delta=0.1)
+        assert worst <= skew.L0
 
 
 class TestHolonomy:
@@ -549,7 +548,7 @@ class TestHolonomy:
         anchor = np.array([0.3, 0.4, 0.5])
         src = wrap(anchor + 0.01 * np.array([*skew.v_u, 0.0]))
         src[2] = (anchor[2] + skew.transfer_unstable(anchor[:2], 0.01)) % 1.0
-        assert torus_distance(src, anchor) <= params.L0 * params.r1
+        assert torus_distance(src, anchor) <= skew.L0 * params.r1
         # center holonomy onto the unstable leaf of the anchor: the leaf point
         out = skew.leaf_point(anchor, 0.01, stable=False)
         assert torus_distance(out, src) < 1e-12
@@ -562,7 +561,7 @@ class TestHolonomy:
         d2 = np.array([0.3, 0.4, 0.27])
         src = wrap(anchor + 0.01 * np.array([*linear.v_u, 0.0]))
         src[2] = anchor[2]
-        assert torus_distance(src, anchor) <= params.L0 * params.r1
+        assert torus_distance(src, anchor) <= linear.L0 * params.r1
         out = linear.leaf_point(d2, 0.01, stable=False)
         assert np.allclose(out[:2], src[:2], atol=1e-14)
         assert out[2] == pytest.approx(0.27, abs=1e-13)
@@ -585,9 +584,9 @@ class TestConstants:
 
     def test_radii_structure(self, skew):
         c = delta_for_epsilon(skew, 1e-2)
-        assert c.L0 > 1.0
-        assert 0.0 < c.r1 < c.L0 * c.delta0 / 3.0
-        assert 0.0 < c.r2 < c.L0 * c.delta0 / 3.0
+        assert skew.L0 > 1.0
+        assert 0.0 < c.r1 < skew.L0 * skew.delta0 / 3.0
+        assert 0.0 < c.r2 < skew.L0 * skew.delta0 / 3.0
 
     def test_rate_certificates(self, linear, skew):
         for sys in (linear, skew):
@@ -596,8 +595,9 @@ class TestConstants:
             assert u_excess < 1e-12
 
     def test_rates_reciprocal(self, skew):
-        assert skew.rates.lam * skew.rates.mu == pytest.approx(1.0, rel=1e-12)
-        assert 0.0 < skew.rates.lam < 1.0 < skew.rates.mu
+        mu = 1.0 / skew.lam_eff
+        assert skew.lam_eff * mu == pytest.approx(1.0, rel=1e-12)
+        assert 0.0 < skew.lam_eff < 1.0 < mu
 
 
 class TestIterate:
@@ -637,7 +637,7 @@ class TestIterate:
         assert abs(ds) < 1e-12
         # the certified leaf rate of the power the parameters select
         params = delta_for_epsilon(skew, 1e-2)
-        assert params.lam_k == pytest.approx(skew.rates.lam ** params.k, rel=1e-12)
+        assert params.lam_k == pytest.approx(skew.lam_eff ** params.k, rel=1e-12)
 
     def test_iterate_transfer_rederivation(self, skew, rng):
         # f^2 as an explicit skew model: matrix A^2, coupling phi + phi(A .)

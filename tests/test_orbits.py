@@ -63,7 +63,7 @@ def test_backward_defect_bounded_by_mu(linear):
     orbit = generate_noisy(linear, X0, (-50, 50), 1e-4, seed=9)
     fwd, bwd = validate(linear, orbit)
     assert fwd <= 1e-4
-    assert bwd <= linear.rates.mu * 1e-4 * (1 + 1e-9)
+    assert bwd <= 1e-4 / linear.lam_eff * (1 + 1e-9)
 
 
 def test_window_must_contain_zero(skew):
@@ -83,6 +83,14 @@ def test_point_count_must_fill_the_window():
         PseudoOrbit(-5, 5, np.full((10, 3), 0.5), 0.0)
 
 
+def test_point_outside_the_window_is_an_index_error():
+    orbit = PseudoOrbit(-2, 2, np.full((5, 3), 0.5), 0.0)
+    assert np.array_equal(orbit.point(2), [0.5, 0.5, 0.5])
+    for k in (-3, 3):
+        with pytest.raises(IndexError, match=rf"^index {k} outside window \[-2, 2\]$"):
+            orbit.point(k)
+
+
 # det -1 base with drift and one phi mode, next to the two builtin models
 FLIP = {"matrix": [[-1, 1], [1, 0]], "omega": 0.03, "phi_modes": [(1, 0, 0.02, 0.0)]}
 
@@ -98,12 +106,11 @@ def test_noisy_defects_within_accounting_on_long_windows(model):
     # validate steps f and f^-1 one point at a time: an independent check of
     # the scalar base recursion and the wrapped fiber scan
     delta = 1e-4
-    lip_f_inv = delta_for_epsilon(model, 1e-2).lip_f_inv
     for seed in range(5):
         orbit = generate_noisy(model, X0, (-1000, 1000), delta, seed=seed)
         fwd, bwd = validate(model, orbit)
         assert fwd <= delta * (1 + 1e-9)
-        assert bwd <= lip_f_inv * delta * (1 + 1e-9)
+        assert bwd <= model.lip_f_inv * delta * (1 + 1e-9)
 
 
 def test_zero_delta_long_window_is_true_orbit(model):
@@ -325,6 +332,15 @@ class TestPerturbedMap:
             assert y.shape == x.shape
             alone = np.array([f(p) for p in x.reshape(-1, 3)[::499]])
             assert alone.tobytes() == y.reshape(-1, 3)[::499].tobytes()
+
+    def test_results_own_their_data(self, skew, rng):
+        # g(x) and g^-1(x) are copied out of `_orbits`' (..., 2, 3) window,
+        # whose other half is a copy of x, so keeping them keeps no window
+        g = PerturbedMap(skew, SPLIT_MODES, amplitude_bound=1.1e-3)
+        for x in (rng.random((2, 50, 3)), rng.random(3)):
+            for f in (g.apply, g.apply_inverse):
+                y = f(x)
+                assert y.flags.c_contiguous and y.base is None
 
     def test_certified_bound_brackets_field(self, skew):
         for amp in (1e-4, 1e-3, 1e-2):

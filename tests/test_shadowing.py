@@ -1,6 +1,6 @@
 """The quasi-shadowing engine: parameters, sweeps, limits, splice, verify."""
 
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from torusshadow.orbits import PseudoOrbit, generate_noisy, write_table
 from torusshadow.shadowing import (
     InsufficientWindowError,
     ParameterError,
+    ShadowingParams,
     _Anchors,
     _anchor_stage,
     _half,
@@ -45,16 +46,25 @@ class TestDeltaForEpsilon:
         # 2 lam L0 = 0.84 misses the 2x margin, so k = 2 is selected
         p = delta_for_epsilon(linear, 1e-2)
         assert p.k == 2
-        assert 2.0 * p.lam_k * p.L0 < 0.5
+        assert 2.0 * p.lam_k * linear.L0 < 0.5
+
+    def test_params_hold_only_the_choices_for_epsilon(self, skew, linear):
+        # the model owns its constants: no field repeats a model attribute
+        names = [f.name for f in fields(ShadowingParams)]
+        assert names == ["epsilon", "delta", "alpha", "r1", "r2", "k", "limit_tol", "lam_k",
+                         "delta_step"]
+        for sys in (skew, linear):
+            assert [name for name in names if hasattr(sys, name)] == []
 
     def test_invariants_machine_checked(self, skew):
         for eps in (1e-1, 1e-2, 1e-3):
             p = delta_for_epsilon(skew, eps)
-            assert 2.0 * p.lam_k * p.L0 < 1.0
-            assert p.delta * (1.0 + 2.0 * p.L0 + 2.0 * p.lam_k * p.L0) < eps / 3.0
-            assert p.lam_k * (2.0 * p.L0 * p.delta + p.alpha) < p.r2
+            L0 = skew.L0
+            assert 2.0 * p.lam_k * L0 < 1.0
+            assert p.delta * (1.0 + 2.0 * L0 + 2.0 * p.lam_k * L0) < eps / 3.0
+            assert p.lam_k * (2.0 * L0 * p.delta + p.alpha) < p.r2
             assert p.alpha < eps / 3.0
-            assert all(m >= 2.0 for m in p.margins().values())
+            assert all(m >= 2.0 for m in p.margins(skew).values())
 
     def test_monotone_in_epsilon(self, skew):
         deltas = [delta_for_epsilon(skew, eps).delta for eps in (1e-3, 3e-3, 1e-2, 1e-1)]
@@ -413,7 +423,7 @@ class TestSplice:
         p = delta_for_epsilon(linear, 1e-2)
         for _ in range(50):
             y0u = rng.random(3)
-            cap = 2.0 * p.lam_k * (p.L0 * p.delta_step + p.alpha)
+            cap = 2.0 * p.lam_k * (linear.L0 * p.delta_step + p.alpha)
             du = rng.uniform(-cap / 4, cap / 4)
             ds = rng.uniform(-cap / 4, cap / 4)
             y0s = wrap(np.array([*(y0u[:2] + ds * linear.v_s + du * linear.v_u), y0u[2]]))
@@ -736,14 +746,14 @@ class TestVerify:
         assert np.array_equal(back.y_star, trace.y_star)
         residual = verify(skew, orbit, trace, 1e-2).max_base_residual
         assert verify(skew, orbit, back, 1e-2).max_base_residual == residual > 0.0
-        assert back.params.margins() == trace.params.margins()
+        assert back.params.margins(skew) == trace.params.margins(skew)
 
     def test_read_trace_requires_every_parameter(self, tmp_path, skew):
         orbit = generate_noisy(skew, X0, (-30, 30), 0.0, seed=10)
         path = tmp_path / "trace.txt"
         write_trace(quasi_shadow(skew, orbit, 1e-2), path, model_name="skew")
         text = path.read_text()
-        for name in ("L0", "lam_k"):
+        for name in ("alpha", "lam_k"):
             cut = "".join(line for line in text.splitlines(keepends=True)
                           if not line.startswith(f"# {name}:"))
             path.write_text(cut)

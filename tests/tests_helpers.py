@@ -116,8 +116,8 @@ def certify_rates(sys, n: int = 10_000, seed: int = 0):
     d(f(x), f(y)) - lam * d(x, y) on stable pairs within delta1, and the
     mirror under f^-1 on unstable pairs.  Both should be < 1e-12.
     """
-    lam = sys.rates.lam
-    d1 = sys.rates.delta1
+    lam = sys.lam_eff
+    d1 = sys.delta1
     excess = []
     for stable, step in ((True, sys.apply), (False, sys.apply_inverse)):
         # y on the strong leaf of x at leaf offset |t| <= delta1
@@ -130,14 +130,14 @@ def certify_rates(sys, n: int = 10_000, seed: int = 0):
     return tuple(excess)
 
 
-def certify_intersections(sys, params, n: int, seed: int, delta: float):
+def certify_intersections(sys, n: int, seed: int, delta: float):
     """Max ratio d(intersection, input) / d(x, y) over random pairs.
 
-    Exercises both (cu, s) and (cs, u) at separations below params.delta0;
-    the certificate passes when the returned max ratio is <= params.L0.
+    Exercises both (cu, s) and (cs, u) at separations below sys.delta0;
+    the certificate passes when the returned max ratio is <= sys.L0.
     """
     rng = np.random.default_rng(seed)
-    delta = min(delta, 0.99 * params.delta0)
+    delta = min(delta, 0.99 * sys.delta0)
     X = rng.random((n, 3))
     V = rng.normal(size=(n, 3))
     V *= (delta * rng.random(n) ** (1.0 / 3.0) / np.linalg.norm(V, axis=1))[:, None]
@@ -162,7 +162,7 @@ def certify_holonomy_modulus(sys, params, n: int, seed: int):
     result is < params.alpha.
     """
     rng = np.random.default_rng(seed)
-    cap = params.L0 * params.r1
+    cap = sys.L0 * params.r1
     anchor = rng.random((n, 3))
     shift = rng.uniform(-params.r1 / 2, params.r1 / 2, size=(n, 2))   # along v_u, fiber
     target = wrap(np.column_stack([anchor[:, :2] + shift[:, :1] * sys.v_u,
